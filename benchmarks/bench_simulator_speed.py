@@ -1,18 +1,20 @@
-"""Simulator hot-path speed gates: solver, kernel, and re-simulation.
+"""Simulator speed gates: solver, kernel, and re-simulation.
 
-Three layers of the refactored hot path, each with an acceptance gate:
+Every production path runs the scalar max-min solver and cold
+``simulate_plan``; the vector solver and checkpointed re-simulation
+are standalone entry points kept off those paths.  These gates pin
+that the standalone forms stay exact:
 
 * **Solver** — the vectorized max-min backend must be >=5x faster than
-  the preserved scalar loop on the 10k-flow churn benchmark while
-  producing *bit-identical* rates (fingerprints compared, and persisted
-  so drift is a CI failure).
+  the scalar loop on the 10k-flow churn benchmark while producing
+  *bit-identical* rates (fingerprints compared, and persisted so drift
+  is a CI failure).
 * **Kernel + network end-to-end** — a seeded windowed flow program runs
-  through the batched event loop on every backend; all three must
-  produce one telemetry digest (persisted).
+  through the batched event loop on the default solver and on both
+  backends; all must produce one telemetry digest (persisted).
 * **Re-simulation** — warm :func:`~repro.compiler.resim.resimulate`
   must cut >=30% of wall time off a cold ``simulate_plan`` on the
-  fig5-style fan-out, and a warm resim cache must cut >=30% off the
-  auto strategy's select pass.
+  fig5-style fan-out while staying byte-identical.
 
 Wall-clock numbers are printed (run with ``-s``) but never persisted:
 ``BENCH_simulator.json`` holds only deterministic payloads — flow
@@ -27,23 +29,30 @@ import gc
 import hashlib
 import random
 import time
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 import pytest
 
 from persist import persist_bench
 from repro.compiler import CompileContext, compile_resharding
-from repro.compiler.resim import ResimCache, reset_default_resim_cache, resimulate
+from repro.compiler.resim import ResimCache, resimulate
 from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.network import Flow, Network
+from repro.sim.solver import RateSolver, ScalarSolver, VectorSolver
 
 FLOW_COUNTS = (1_000, 10_000, 100_000)
 CHURN_ITERS = {1_000: 50, 10_000: 25, 100_000: 0}  # 100k: fingerprint only
 N_DEV = 32  # 8 hosts x 4 devices
+#: solver factories by name; "default" leaves the choice to Network
+BACKENDS: dict[str, Callable[[], Optional[RateSolver]]] = {
+    "scalar": ScalarSolver,
+    "vector": VectorSolver,
+    "default": lambda: None,
+}
 
 
 def _cluster() -> Cluster:
@@ -74,6 +83,10 @@ def _inject(net: Network, rng: random.Random, nbytes: float = 1e6) -> None:
     net.solver.flow_added(flow)
 
 
+def _network(solver: str) -> Network:
+    return Network(_cluster(), solver=BACKENDS[solver]())
+
+
 def solver_churn(n_flows: int, solver: str, iters: int) -> tuple[str, float]:
     """(rate fingerprint, wall seconds) for the add/remove/solve hot loop.
 
@@ -83,7 +96,7 @@ def solver_churn(n_flows: int, solver: str, iters: int) -> tuple[str, float]:
     backends, machine-independent.
     """
     rng = random.Random(42)
-    net = Network(_cluster(), solver=solver)
+    net = _network(solver)
     for _ in range(n_flows):
         _inject(net, rng)
     t0 = time.perf_counter()
@@ -106,7 +119,7 @@ def solver_churn(n_flows: int, solver: str, iters: int) -> tuple[str, float]:
 def windowed_program(solver: str, n_flows: int = 1_000) -> tuple[str, float, int, float]:
     """Run a staggered end-to-end program; return (digest, makespan, events, wall)."""
     rng = random.Random(7)
-    net = Network(_cluster(), solver=solver)
+    net = _network(solver)
     sizes = [1e4, 1e4, 2e5, 1e6]
     t0 = time.perf_counter()
     for i in range(n_flows):
@@ -137,7 +150,7 @@ def fig5_task() -> ReshardingTask:
 def resim_workload() -> tuple[Any, ResimCache, dict[str, Any], float, float]:
     """Warm-vs-cold resim on the fig5 fan-out (best-of-3 wall times)."""
     plan = compile_resharding(
-        fig5_task(), CompileContext(strategy="broadcast", cache=None, resim_cache=None)
+        fig5_task(), CompileContext(strategy="broadcast", cache=None)
     ).plan
     cold = simulate_plan(plan)
     cache = ResimCache()
@@ -161,18 +174,6 @@ def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
-
-
-def select_pass_seconds(resim_cache: Optional[Any], reps: int = 3) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        compiled = compile_resharding(
-            fig5_task(),
-            CompileContext(strategy="auto", cache=None, resim_cache=resim_cache),
-        )
-        secs = next(p.seconds for p in compiled.diagnostics.passes if p.name == "select")
-        best = min(best, secs)
-    return best
 
 
 def payload(quick: bool = True) -> dict[str, Any]:
@@ -229,7 +230,7 @@ def _payload_inner(quick: bool) -> dict[str, Any]:
 
     # ---- kernel + network end-to-end ---------------------------------
     digests = {}
-    for backend in ("scalar", "vector", "adaptive"):
+    for backend in ("scalar", "vector", "default"):
         digest, makespan, events, wall = windowed_program(backend)
         digests[backend] = digest
         print(
@@ -239,7 +240,7 @@ def _payload_inner(quick: bool) -> dict[str, Any]:
     assert len(set(digests.values())) == 1, f"backend digests diverged: {digests}"
     out["end_to_end"] = {
         "n_flows": 1_000,
-        "digest": digests["adaptive"],
+        "digest": digests["default"],
         "makespan": makespan,
         "events": events,
         "backends_identical": True,
@@ -254,29 +255,12 @@ def _payload_inner(quick: bool) -> dict[str, Any]:
     )
     out["resim"]["fig5_fanout"] = resim_payload
 
-    t_off = select_pass_seconds(resim_cache=None)
-    cache = reset_default_resim_cache()
-    compile_resharding(fig5_task(), CompileContext(strategy="auto", cache=None))
-    t_on = select_pass_seconds(resim_cache=cache)
-    select_reduction = 1.0 - t_on / t_off
-    reset_default_resim_cache()
-    print(
-        f"[resim]  select pass: off {t_off * 1e3:.2f}ms warm {t_on * 1e3:.2f}ms "
-        f"({select_reduction:.0%} reduction, gate: >=30%)"
-    )
-    out["resim"]["select_pass"] = {
-        "resim_hits": cache.stats().hits,
-        "tasks_skipped": cache.stats().tasks_skipped,
-    }
-
     # ---- gates (asserted; persisted as constants once they hold) -----
     assert speedup_10k >= 5.0, f"vector solver only {speedup_10k:.1f}x at 10k flows"
     assert reduction >= 0.30, f"resim reduction only {reduction:.0%}"
-    assert select_reduction >= 0.30, f"select reduction only {select_reduction:.0%}"
     out["gates"] = {
         "vector_10k_speedup_min_5x": True,
         "resim_fig5_reduction_min_30pct": True,
-        "select_pass_reduction_min_30pct": True,
     }
     return out
 

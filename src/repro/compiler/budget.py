@@ -18,6 +18,7 @@ candidate, so auto-strategy scoring is bounded too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -70,8 +71,8 @@ class CompileBudget:
 
     @classmethod
     def from_deadline(cls, deadline: float) -> "CompileBudget":
-        if deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+        if not (math.isfinite(deadline) and deadline > 0):
+            raise ValueError(f"deadline must be positive and finite, got {deadline}")
         return cls(deadline=deadline, node_budget=max(1, int(deadline * NODES_PER_SECOND)))
 
     @property

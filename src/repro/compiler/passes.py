@@ -193,11 +193,9 @@ class SelectPass:
             return f"fixed strategy {strategy.name!r}"
 
         from .budget import charge_pass
-        from .resim import resimulate
 
         faults = ctx.effective_faults(strategy)
         retry = ctx.effective_retry_policy(strategy)
-        resim_cache = ctx.resolved_resim_cache()
         memory_budget = ctx.effective_memory_budget(state.task)
         if memory_budget is not None:
             # Lazy for the same circularity reason as ValidatePass.
@@ -218,15 +216,7 @@ class SelectPass:
             for p in sub_passes:
                 detail = p.run(sub, ctx)
                 charge_pass(ctx.budget, p.name, sub, detail)
-            if faults is None and resim_cache is not None:
-                # Fault-free scoring: candidates sharing a schedule
-                # prefix resume from the cached simulator checkpoint at
-                # the divergence point (byte-identical to a cold run).
-                result = resimulate(
-                    sub.plan, cache=resim_cache, retry_policy=retry
-                )
-            else:
-                result = simulate_plan(sub.plan, faults=faults, retry_policy=retry)
+            result = simulate_plan(sub.plan, faults=faults, retry_policy=retry)
             if ctx.budget is not None:
                 # simulating a candidate costs roughly its op count
                 ctx.budget.charge(max(1, sub.n_ops) * 8, "select")

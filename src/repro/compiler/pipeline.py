@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from ..core.executor import TimingResult, simulate_plan
 from ..core.plan import CommPlan
@@ -30,9 +30,6 @@ from ..strategies.base import CommStrategy
 from .budget import CompileBudget, CompileTimeout, charge_pass
 from .cache import PlanCache, default_plan_cache, plan_signature
 from .passes import DEFAULT_PASSES, CompilerPass, PlanState
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .resim import ResimCache
 
 __all__ = [
     "PassTiming",
@@ -134,10 +131,6 @@ class CompileContext:
     faults: Optional[FaultSchedule] = None
     retry_policy: Optional[RetryPolicy] = None
     cache: Any = USE_DEFAULT_CACHE
-    #: checkpoint cache for incremental re-simulation in the select
-    #: pass (see :mod:`repro.compiler.resim`); defaults to the
-    #: process-wide cache, ``None`` scores candidates cold
-    resim_cache: Any = USE_DEFAULT_CACHE
     #: deterministic compile deadline in nominal seconds (see
     #: :mod:`repro.compiler.budget`); ``None`` leaves compiles unbounded
     deadline: Optional[float] = None
@@ -171,13 +164,6 @@ class CompileContext:
         if self.cache is USE_DEFAULT_CACHE:
             return default_plan_cache()
         return self.cache
-
-    def resolved_resim_cache(self) -> "Optional[ResimCache]":
-        if self.resim_cache is USE_DEFAULT_CACHE:
-            from .resim import default_resim_cache
-
-            return default_resim_cache()
-        return self.resim_cache
 
     def effective_memory_budget(self, task: ReshardingTask) -> Optional[float]:
         """The budget in force for ``task``: context override, else spec."""
@@ -263,6 +249,13 @@ def compile_resharding(
         ctx = CompileContext(**ctx_kwargs)
     elif ctx_kwargs:
         raise ValueError("pass either a CompileContext or kwargs, not both")
+    # The deadline bounds one compile: open a fresh ledger per call so a
+    # reused context never inherits spend from an earlier compile.  It is
+    # built before the cache lookup so a bad deadline raises the same way
+    # whether or not the plan is already cached.
+    budget = (
+        CompileBudget.from_deadline(ctx.deadline) if ctx.deadline is not None else None
+    )
     strategy = ctx.resolved_strategy()
     faults = ctx.effective_faults(strategy)
     retry_policy = ctx.effective_retry_policy(strategy)
@@ -291,11 +284,7 @@ def compile_resharding(
                     hit.ensure_validated()
                 return hit
 
-    # The deadline bounds one compile: open a fresh ledger per call so a
-    # reused context never inherits spend from an earlier compile.
-    ctx.budget = (
-        CompileBudget.from_deadline(ctx.deadline) if ctx.deadline is not None else None
-    )
+    ctx.budget = budget
     state = PlanState(task=task, strategy=strategy)
     diagnostics = PassManager(ctx.passes).run(state, ctx)
     assert state.plan is not None

@@ -1,11 +1,15 @@
 """Incremental re-simulation: reuse unchanged schedule prefixes.
 
-Auto-strategy scoring (:class:`~repro.compiler.passes.SelectPass`)
-simulates many candidate plans that differ in a few ops, and repeated
-compiles of the same resharding — benchmark loops, cache-epoch
-invalidation in the serving frontend — re-simulate plans that did not
-change at all.  A full simulation re-runs every unit task from time
-zero even though the prefix of the schedule is identical.
+A standalone entry point: no compile or simulation path calls it.  The
+select pass scores every auto candidate with a cold
+:func:`~repro.core.executor.simulate_plan`, because on the real
+workloads no captured checkpoint was ever resumed.  The module stays
+because the benchmark harness still resets its default cache and wraps
+:func:`resimulate`; it can be deleted once that harness no longer names
+it.
+
+Repeated simulations of plans that share a schedule prefix re-run every
+unit task from time zero even though the prefix is identical.
 
 This module keeps a :class:`ResimCache` of simulator **checkpoints**
 taken at quiescent unit-task boundaries, keyed by a rolling content
@@ -469,7 +473,7 @@ _DEFAULT_RESIM: Optional[ResimCache] = None
 
 
 def default_resim_cache() -> ResimCache:
-    """The process-wide checkpoint cache (SelectPass's default)."""
+    """The process-wide checkpoint cache (:func:`resimulate`'s default)."""
     global _DEFAULT_RESIM
     if _DEFAULT_RESIM is None:
         _DEFAULT_RESIM = ResimCache()

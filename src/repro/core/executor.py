@@ -9,12 +9,10 @@ let max-min fair bandwidth sharing model the resulting congestion.
 
 The interpreter is a :class:`PlanRunner` object (not a closure nest) so
 its execution state — which ops finished, which tasks released, where
-simulated time stands — is *inspectable and restorable*.  That is what
-makes incremental re-simulation possible: :mod:`repro.compiler.resim`
-snapshots a runner at quiescent task boundaries and resumes a later
-plan that shares the same schedule prefix from the snapshot instead of
-re-running it from zero.  :func:`simulate_plan` remains the one-call
-façade and behaves exactly as it always did.
+simulated time stands — is *inspectable and restorable*: a caller can
+snapshot a runner at quiescent task boundaries (``on_task_done``) and
+preload a fresh runner from the snapshot.  :func:`simulate_plan` is the
+one-call façade every production path uses.
 """
 
 from __future__ import annotations
@@ -140,7 +138,7 @@ class PlanRunner:
     ``tid`` finishes — after its task span is emitted, *before* any
     successor task is released.  When that instant is a quiescent
     barrier cut (no active flows, no pending events, every released
-    task finished), :mod:`repro.compiler.resim` snapshots the runner's
+    task finished), a checkpointing caller may snapshot the runner's
     state there.  All of ``op_finish`` / ``task_finish`` /
     ``op_done`` / ``launched`` / ``released`` / ``task_release`` /
     ``op_launch`` / ``tasks_pending_ops`` are plain containers a
@@ -289,7 +287,7 @@ class PlanRunner:
                     self.on_task_done(tid)
                 # Sorted: successor release order decides flow-id and
                 # event order when several tasks unblock at once, so it
-                # must be reproducible by a checkpoint resume (resim).
+                # must be reproducible by a checkpoint resume.
                 for succ in sorted(self.task_succs.get(tid, ())):
                     self.maybe_release(succ)
         # Same-task ops with deps may now be ready.

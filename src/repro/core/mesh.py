@@ -68,6 +68,10 @@ class DeviceMesh:
             raise ValueError(
                 f"devices_per_host={dph} outside [1, {cluster.spec.devices_per_host}]"
             )
+        n_hosts = cluster.spec.n_hosts
+        for h in hosts:
+            if not 0 <= h < n_hosts:
+                raise ValueError(f"unknown host {h} (valid: 0..{n_hosts - 1})")
         grid = [
             [cluster.hosts[h].devices[i].device_id for i in range(dph)] for h in hosts
         ]

@@ -75,6 +75,11 @@ class ReshardingTask:
         dtype=np.float32,
         require_disjoint: bool = True,
     ) -> None:
+        shape = tuple(shape)
+        for s in shape:
+            # int() would silently truncate 8.5 and accept "8" or True
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ValueError(f"shape entries must be integers, got {s!r} in {shape}")
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.src_mesh = src_mesh

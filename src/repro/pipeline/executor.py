@@ -112,8 +112,8 @@ class PipelineResult:
 
     def _stats(self) -> tuple[float, dict[int, float], dict[int, int]]:
         # One fold over the span stream, on first access — keeping it
-        # out of simulate_pipeline itself so the per-event path stays
-        # within the bench_runtime_overhead wall-time gate.
+        # out of simulate_pipeline itself, whose per-event path every
+        # Fig. 7 iteration runs.
         if self._stats_cache is None:
             self._stats_cache = _fold_stats(self.telemetry, self.job.n_stages)
         return self._stats_cache

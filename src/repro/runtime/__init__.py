@@ -12,11 +12,10 @@ anymore.
 Layout:
 
 * :mod:`repro.runtime.kernel` — heap-scheduled events, simulated clock,
-  named resources (the generalization of the old ``sim/events`` loop);
+  named resources;
 * :mod:`repro.runtime.resources` — FIFO token pools and serial
   reservation channels;
-* :mod:`repro.runtime.telemetry` — spans, counters, gauges, marks, and
-  pluggable sinks;
+* :mod:`repro.runtime.telemetry` — spans, counters, gauges, and marks;
 * :mod:`repro.runtime.trace` — Chrome-trace / JSONL export of a bus and
   the ``last run`` persistence behind ``python -m repro trace``.
 """
@@ -28,10 +27,8 @@ from .telemetry import (
     CounterSample,
     Gauge,
     MarkRecord,
-    MemorySink,
     SpanRecord,
     TelemetryBus,
-    TelemetrySink,
 )
 from .trace import (
     chrome_trace_events,
@@ -49,8 +46,6 @@ __all__ = [
     "Resource",
     "SerialChannel",
     "TelemetryBus",
-    "TelemetrySink",
-    "MemorySink",
     "SpanRecord",
     "CounterSample",
     "MarkRecord",

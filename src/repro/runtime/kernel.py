@@ -1,8 +1,7 @@
 """The discrete-event kernel every simulator runs on.
 
-:class:`EventLoop` is the minimal deterministic priority-queue engine
-(moved here from ``repro.sim.events``, which remains as a compatibility
-shim).  All simulated time is in seconds (float).  Determinism is
+:class:`EventLoop` is the minimal deterministic priority-queue engine.
+All simulated time is in seconds (float).  Determinism is
 guaranteed by FIFO tie-breaking at equal timestamps: the heap holds one
 entry per *distinct* timestamp, and each timestamp owns an
 insertion-ordered batch of events, so two runs over the same inputs

@@ -1,4 +1,4 @@
-"""Structured telemetry: spans, counters, gauges, marks, pluggable sinks.
+"""Structured telemetry: spans, counters, gauges, marks.
 
 The bus is the single source of truth for *what happened when* in a
 simulation.  Executors emit records; result objects and visualizations
@@ -14,26 +14,22 @@ lists.  Three record kinds:
   :class:`Gauge` may move both ways (live activations).
 * :class:`MarkRecord` — an instant event (a fault strike, a decision).
 
-Sinks observe records as they are emitted; the bus always records into
-an in-memory store so ``bus.spans`` / ``bus.counters`` / ``bus.marks``
-work out of the box, and extra sinks (streaming JSONL writers, test
-probes) fan out via :meth:`TelemetryBus.add_sink`.
+The bus records into an in-memory store read through ``bus.spans`` /
+``bus.counters`` / ``bus.marks``; exporters
+(:mod:`repro.runtime.trace`) read the same store after a run.
 
 Emission sits on the simulators' hot paths (one span per compute task,
 comm message, and network flow), so the store is append-only raw rows:
 :meth:`TelemetryBus.span` and ``Counter.add`` cost one tuple plus one
 list append, and the :class:`SpanRecord`/:class:`CounterSample` views
 materialize lazily (incrementally, on first access through ``spans`` /
-``counters``).  Subscribed sinks force materialization at emission time
-so they still see every record live.  The ``bench_runtime_overhead``
-gate keeps the whole kernel+telemetry path within 5% of the
-pre-refactor executor's wall time.
+``counters``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Protocol, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "SpanRecord",
@@ -41,8 +37,6 @@ __all__ = [
     "MarkRecord",
     "SpanRow",
     "CounterRow",
-    "TelemetrySink",
-    "MemorySink",
     "Counter",
     "Gauge",
     "TelemetryBus",
@@ -96,34 +90,6 @@ class MarkRecord:
     attrs: Mapping[str, AttrValue] = field(default_factory=dict)
 
 
-class TelemetrySink(Protocol):
-    """Anything that observes the record stream."""
-
-    def on_span(self, span: SpanRecord) -> None: ...
-
-    def on_counter(self, sample: CounterSample) -> None: ...
-
-    def on_mark(self, mark: MarkRecord) -> None: ...
-
-
-class MemorySink:
-    """Default sink: collect records in emission order."""
-
-    def __init__(self) -> None:
-        self.spans: list[SpanRecord] = []
-        self.counters: list[CounterSample] = []
-        self.marks: list[MarkRecord] = []
-
-    def on_span(self, span: SpanRecord) -> None:
-        self.spans.append(span)
-
-    def on_counter(self, sample: CounterSample) -> None:
-        self.counters.append(sample)
-
-    def on_mark(self, mark: MarkRecord) -> None:
-        self.marks.append(mark)
-
-
 class Counter:
     """A monotonically non-decreasing cumulative counter."""
 
@@ -147,8 +113,6 @@ class Counter:
         bus._counter_rows.append(
             (self.name, self.track, bus._clock() if at is None else at, self.value)
         )
-        if bus._sinks:
-            bus._fan_out_counter()
         return self.value
 
 
@@ -170,8 +134,6 @@ class Gauge:
         bus._counter_rows.append(
             (self.name, self.track, bus._clock() if at is None else at, self.value)
         )
-        if bus._sinks:
-            bus._fan_out_counter()
         return self.value
 
 
@@ -200,7 +162,7 @@ class _OpenSpan:
 
 
 class TelemetryBus:
-    """Span/counter/mark emitter with sink fan-out.
+    """Span/counter/mark emitter over an append-only in-memory store.
 
     ``clock`` supplies the *current simulated time* (normally the owning
     kernel's ``now``); retroactive emission with explicit timestamps is
@@ -209,11 +171,7 @@ class TelemetryBus:
     one call.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        sinks: tuple[TelemetrySink, ...] = (),
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock: Callable[[], float] = clock if clock is not None else lambda: 0.0
         # Append-only raw rows (the store of record); the SpanRecord /
         # CounterSample views materialize incrementally on access.
@@ -222,20 +180,12 @@ class TelemetryBus:
         self._spans_view: list[SpanRecord] = []
         self._counters_view: list[CounterSample] = []
         self._marks: list[MarkRecord] = []
-        self._sinks: list[TelemetrySink] = list(sinks)
         self._open: dict[str, list[_OpenSpan]] = {}
         self._series: dict[tuple[str, str, bool], Union[Counter, Gauge]] = {}
 
-    # ------------------------------------------------------------------
-    # Clock & sinks
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         return self._clock()
-
-    def add_sink(self, sink: TelemetrySink) -> None:
-        """Subscribe ``sink`` to every record emitted from now on."""
-        self._sinks.append(sink)
 
     # ------------------------------------------------------------------
     # Spans
@@ -263,8 +213,6 @@ class TelemetryBus:
             row = (name, cat, track, start, end, 0, "",
                    attrs if attrs is not None else {})
         self._span_rows.append(row)
-        if self._sinks:
-            self._fan_out_span()
 
     def emit_span(
         self,
@@ -296,8 +244,6 @@ class TelemetryBus:
             (top.name, top.cat, top.track, top.start, self.now, top.depth,
              top.parent, top.attrs)
         )
-        if self._sinks:
-            self._fan_out_span()
         return self.spans[-1]
 
     def open_depth(self, track: str) -> int:
@@ -330,22 +276,7 @@ class TelemetryBus:
         """Record an instant event at the current time."""
         rec = MarkRecord(name, track, self.now, attrs)
         self._marks.append(rec)
-        for sink in self._sinks:
-            sink.on_mark(rec)
         return rec
-
-    # ------------------------------------------------------------------
-    # Sink fan-out (forces materialization of the newest record)
-    # ------------------------------------------------------------------
-    def _fan_out_span(self) -> None:
-        rec = self.spans[-1]
-        for sink in self._sinks:
-            sink.on_span(rec)
-
-    def _fan_out_counter(self) -> None:
-        sample = self.counters[-1]
-        for sink in self._sinks:
-            sink.on_counter(sample)
 
     # ------------------------------------------------------------------
     # Views (materialized incrementally from the raw rows)

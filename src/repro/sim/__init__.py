@@ -7,7 +7,6 @@ substitution argument.
 
 from .cluster import GB, GBPS, Cluster, ClusterSpec, Device, FailureDomain, Host
 from .collectives import all_reduce, all_to_all, reduce_scatter
-from .events import EventLoop
 from .faults import (
     FAULT_CATEGORIES,
     CorruptionWindow,
@@ -32,13 +31,7 @@ from .primitives import (
     ring_order,
     scatter,
 )
-from .solver import (
-    AdaptiveSolver,
-    RateSolver,
-    ScalarSolver,
-    VectorSolver,
-    make_solver,
-)
+from .solver import RateSolver, ScalarSolver
 
 __all__ = [
     "GB",
@@ -48,15 +41,11 @@ __all__ = [
     "FailureDomain",
     "Device",
     "Host",
-    "EventLoop",
     "Flow",
     "FlowRecord",
     "Network",
     "RateSolver",
     "ScalarSolver",
-    "VectorSolver",
-    "AdaptiveSolver",
-    "make_solver",
     "DegradedWindow",
     "FlapWindow",
     "HostFailure",

@@ -181,10 +181,16 @@ class ClusterSpec:
             raise ValueError(
                 f"devices_per_host must be >= 1, got {self.devices_per_host}"
             )
-        if self.inter_host_bandwidth <= 0 or self.intra_host_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.inter_host_latency < 0 or self.intra_host_latency < 0:
-            raise ValueError("latencies must be non-negative")
+        # Written as "not (ok)" so NaN, for which every comparison is
+        # false, is rejected too.
+        for name in ("inter_host_bandwidth", "intra_host_bandwidth"):
+            bw = getattr(self, name)
+            if not 0 < bw < float("inf"):
+                raise ValueError(f"{name} must be positive and finite, got {bw}")
+        for name in ("inter_host_latency", "intra_host_latency"):
+            lat = getattr(self, name)
+            if not 0 <= lat < float("inf"):
+                raise ValueError(f"{name} must be finite and >= 0, got {lat}")
         seen: set[int] = set()
         for host, bw in self.host_bandwidth_overrides:
             if not isinstance(host, int) or isinstance(host, bool):

@@ -56,13 +56,13 @@ checksums (:mod:`repro.core.verify_data`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from ..runtime.kernel import Event, EventLoop, Kernel
 from ..runtime.telemetry import SpanRow, TelemetryBus
 from .cluster import Cluster
 from .faults import FaultIncident, FaultReport, FaultSchedule, RetryPolicy
-from .solver import RateSolver, make_solver
+from .solver import RateSolver, ScalarSolver
 
 __all__ = ["Flow", "FlowRecord", "Network"]
 
@@ -170,7 +170,7 @@ class Network:
         loop: Optional[EventLoop] = None,
         faults: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        solver: Union[str, RateSolver, None] = None,
+        solver: Optional[RateSolver] = None,
     ) -> None:
         self.cluster = cluster
         self.loop = loop if loop is not None else Kernel()
@@ -180,9 +180,8 @@ class Network:
             else TelemetryBus(clock=lambda: self.loop.now)
         )
         self._active: dict[int, Flow] = {}
-        #: the max-min fixpoint backend (see :mod:`repro.sim.solver`);
-        #: "scalar" | "vector" | "adaptive" (default) or an instance
-        self.solver: RateSolver = make_solver(solver)
+        #: the max-min fixpoint backend (see :mod:`repro.sim.solver`)
+        self.solver: RateSolver = solver if solver is not None else ScalarSolver()
         self.solver.attach(self)
         self._next_id = 0
         self._completion_event: Optional[Event] = None
@@ -421,10 +420,6 @@ class Network:
             for f in self._active.values():
                 f.remaining = max(0.0, f.remaining - f.rate * dt)
         self._last_update = now
-
-    def _maxmin_rates(self) -> None:
-        """Max-min fair allocation over active flows (via the solver)."""
-        self.solver.solve()
 
     def _reallocate_and_schedule(self) -> None:
         self.solver.solve()

@@ -1,29 +1,23 @@
-"""Pluggable max-min fair rate solvers for the flow-level simulator.
+"""Max-min fair rate solvers for the flow-level simulator.
 
-The progressive-filling fixpoint used to live inline in
-``Network._maxmin_rates`` and was rebuilt from scratch — fresh
-``cap``/``load`` dicts, a fresh ``unassigned`` set — on *every* rate
-reallocation, i.e. on every flow arrival, completion, failure, and fault
-boundary.  At thousands of concurrent flows that rebuild (plus the
-``O(ports)`` min-share scan and the ``O(flows)`` fixing scan *per
-filling round*) dominates simulation wall time.
+Every rate reallocation — each flow arrival, completion, failure, and
+fault boundary — runs one progressive-filling fixpoint over the active
+flows.  :class:`~repro.sim.network.Network` calls it through the
+:class:`RateSolver` interface:
 
-This module makes the solver a first-class, swappable component:
-
-* :class:`ScalarSolver` — the original algorithm, verbatim.  It remains
-  the executable specification: the golden Fig. 5/6/7 numbers pin its
-  float arithmetic bit-for-bit.
+* :class:`ScalarSolver` — the progressive-filling loop every network
+  uses.  It is the executable specification: the golden Fig. 5/6/7
+  numbers pin its float arithmetic bit-for-bit.
 * :class:`VectorSolver` — a NumPy backend over a flow x port incidence
   structure that is maintained *incrementally* on flow add/remove
   instead of being rebuilt per solve.  Per filling round it does the
   min-share scan, the tie detection, and the capacity subtractions as
-  array ops.  It is constructed to produce **bit-equal** rates to the
-  scalar solver (see "Bit-equality" below), so switching backends can
-  never move a golden number.
-* :class:`AdaptiveSolver` — the default: scalar below a crossover flow
-  count (NumPy call overhead loses on tiny active sets), vector above
-  it.  Because both backends are bit-equal, adaptivity is purely a
-  wall-time decision and cannot affect results.
+  array ops.  It produces **bit-equal** rates to the scalar solver (see
+  "Bit-equality" below).  No production path constructs it: the real
+  workloads never hold enough concurrent flows for it to pay off.  It
+  stays only as an instance tests pass to ``Network(solver=...)`` and
+  because the benchmark harness's tracer still wraps its ``solve``;
+  it can be deleted once that harness no longer names it.
 
 Bit-equality
 ============
@@ -55,7 +49,7 @@ randomized flow/port sets across every topology-zoo fabric must produce
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,18 +57,7 @@ from numpy.typing import NDArray
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .network import Flow, Network
 
-__all__ = [
-    "RateSolver",
-    "ScalarSolver",
-    "VectorSolver",
-    "AdaptiveSolver",
-    "make_solver",
-    "VECTOR_THRESHOLD",
-]
-
-#: active-flow count at which the adaptive solver switches to NumPy;
-#: below it the scalar loop's lower constant factors win.
-VECTOR_THRESHOLD = 192
+__all__ = ["RateSolver", "ScalarSolver", "VectorSolver"]
 
 _F64 = NDArray[np.float64]
 _I64 = NDArray[np.int64]
@@ -103,11 +86,11 @@ class RateSolver(Protocol):
 
 
 class ScalarSolver:
-    """The original progressive-filling loop, kept byte-identical.
+    """The progressive-filling loop, kept byte-identical.
 
     Stateless between solves: rebuilds ``cap``/``load`` dicts from the
-    active set each time, exactly as ``Network._maxmin_rates`` always
-    did.  This is the executable specification the golden tests pin.
+    active set each time.  This is the executable specification the
+    golden tests pin.
     """
 
     name = "scalar"
@@ -443,78 +426,3 @@ class VectorSolver:
             f = slot_flow[s]
             assert f is not None
             f.rate = float(rate[s])
-
-
-class AdaptiveSolver:
-    """Scalar below :data:`VECTOR_THRESHOLD` active flows, vector above.
-
-    The vector backend's incidence structures are built lazily the
-    first time the active set crosses the threshold (a one-off
-    ``O(flows x path length)`` rebuild in activation order) and
-    maintained incrementally from then on, so simulations that never
-    reach the crossover pay nothing for it.  Both backends are
-    bit-equal, so the switch can never change a simulation result.
-    """
-
-    name = "adaptive"
-
-    def __init__(self, threshold: int = VECTOR_THRESHOLD) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self._net: Optional["Network"] = None
-        self._scalar = ScalarSolver()
-        self._vector: Optional[VectorSolver] = None
-
-    def attach(self, network: "Network") -> None:
-        self._net = network
-        self._scalar.attach(network)
-
-    def flow_added(self, flow: "Flow") -> None:
-        if self._vector is not None:
-            self._vector.flow_added(flow)
-            return
-        net = self._net
-        assert net is not None
-        if len(net._active) >= self.threshold:
-            # Build in activation order so tie-break keys match the
-            # scalar solver's dict-insertion order exactly.
-            vec = VectorSolver()
-            vec.attach(net)
-            for f in net._active.values():
-                vec.flow_added(f)
-            self._vector = vec
-
-    def flow_removed(self, flow: "Flow") -> None:
-        if self._vector is not None:
-            self._vector.flow_removed(flow)
-
-    def solve(self) -> None:
-        net = self._net
-        assert net is not None
-        if self._vector is not None and len(net._active) >= self.threshold:
-            self._vector.solve()
-        else:
-            self._scalar.solve()
-
-
-def make_solver(spec: Union[str, RateSolver, None]) -> RateSolver:
-    """Resolve a solver spec: an instance, a backend name, or ``None``.
-
-    Names: ``"scalar"``, ``"vector"``, ``"adaptive"`` (the default for
-    ``None``, and what :class:`~repro.sim.network.Network` uses unless
-    told otherwise).
-    """
-    if spec is None:
-        return AdaptiveSolver()
-    if isinstance(spec, str):
-        if spec == "scalar":
-            return ScalarSolver()
-        if spec == "vector":
-            return VectorSolver()
-        if spec == "adaptive":
-            return AdaptiveSolver()
-        raise ValueError(
-            f"unknown rate solver {spec!r} (choose scalar | vector | adaptive)"
-        )
-    return spec

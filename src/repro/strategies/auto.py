@@ -12,18 +12,14 @@ The scoring loop itself lives in the compiler's select pass
 (:class:`repro.compiler.passes.SelectPass`); this class declares the
 candidate set and tuning scenario.  The winner's scored
 :class:`~repro.core.executor.TimingResult` is attached to the
-:class:`~repro.compiler.pipeline.CompiledPlan` (and exposed via
-:meth:`plan_scored`), so callers no longer re-simulate a plan that was
-already simulated to be chosen.
+:class:`~repro.compiler.pipeline.CompiledPlan` as ``timing``, so callers
+never re-simulate a plan that was already simulated to be chosen.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core.executor import TimingResult
-from ..core.plan import CommPlan
-from ..core.task import ReshardingTask
 from ..sim.faults import FaultSchedule, RetryPolicy
 from .allgather import AllGatherStrategy
 from .base import CommStrategy
@@ -63,21 +59,3 @@ class AutoStrategy(CommStrategy):
         if any(k is None for k in keys):
             return None
         return (self.name, repr(self.retry_policy)) + keys
-
-    def emit(self, task: ReshardingTask, plan: CommPlan, schedule, load) -> None:
-        raise RuntimeError(
-            "the auto strategy compiles through the select pass, not emit()"
-        )
-
-    def plan_scored(self, task: ReshardingTask) -> tuple[CommPlan, TimingResult]:
-        """Compile and return ``(winning plan, its scored TimingResult)``.
-
-        The timing is the simulation that *chose* the winner — callers
-        wanting both the plan and its latency use this instead of
-        ``simulate_plan(auto.plan(task))`` (which would simulate twice).
-        """
-        from ..compiler.pipeline import CompileContext, compile_resharding
-
-        compiled = compile_resharding(task, CompileContext(strategy=self, cache=None))
-        assert compiled.timing is not None
-        return compiled.plan, compiled.timing

@@ -3,7 +3,6 @@
 from .gantt import GanttRow, bus_gantt, flow_gantt, pipeline_gantt, render_rows
 from .trace_export import (
     bus_flow_trace_events,
-    flow_trace_events,
     pipeline_trace_events,
     write_chrome_trace,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "LinkStats",
     "format_matrix",
     "pipeline_trace_events",
-    "flow_trace_events",
     "bus_flow_trace_events",
     "bus_gantt",
     "write_chrome_trace",

@@ -10,10 +10,8 @@ format for interactive inspection:
 Since the unification on the runtime kernel, every simulator reports
 through one telemetry bus, and these exporters read the span stream —
 :func:`pipeline_trace_events` folds ``cat="compute"``/``cat="comm"``
-spans, :func:`bus_flow_trace_events` folds ``cat="flow"`` spans.
-:func:`flow_trace_events` keeps accepting the derived
-:class:`~repro.sim.network.FlowRecord` view for callers that already
-hold one.  For a layout-agnostic dump of a whole bus (all categories,
+spans, :func:`bus_flow_trace_events` folds ``cat="flow"`` spans.  For a
+layout-agnostic dump of a whole bus (all categories,
 counters, marks) use :func:`repro.runtime.trace.chrome_trace_events`.
 
 Timestamps are microseconds (the format's convention).
@@ -21,17 +19,13 @@ Timestamps are microseconds (the format's convention).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..pipeline.executor import PipelineResult
 from ..runtime.telemetry import TelemetryBus
 from ..runtime.trace import write_chrome_trace_file
 from ..sim.cluster import Cluster
-from ..sim.network import FlowRecord
 
 __all__ = [
     "pipeline_trace_events",
-    "flow_trace_events",
     "bus_flow_trace_events",
     "write_chrome_trace",
 ]
@@ -123,29 +117,11 @@ def _host_metas(cluster: Cluster) -> list[dict]:
     ]
 
 
-def flow_trace_events(trace: Sequence[FlowRecord], cluster: Cluster) -> list[dict]:
-    """Trace events for the flow-level network simulation."""
-    events = _host_metas(cluster)
-    for rec in trace:
-        events.append(
-            _flow_event(
-                rec.tag or f"flow{rec.flow_id}",
-                cluster,
-                rec.src,
-                rec.dst,
-                rec.nbytes,
-                rec.start_time,
-                rec.duration,
-            )
-        )
-    return events
-
-
 def bus_flow_trace_events(bus: TelemetryBus, cluster: Cluster) -> list[dict]:
-    """Trace events straight from a network's ``cat="flow"`` spans.
+    """Trace events for the flow-level network simulation.
 
-    Produces the same layout as :func:`flow_trace_events` without going
-    through the :class:`~repro.sim.network.FlowRecord` view.
+    One process per host, one track per device, one event per
+    ``cat="flow"`` span on the network's bus.
     """
     events = _host_metas(cluster)
     for span in bus.spans_by_cat("flow"):

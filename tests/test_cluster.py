@@ -89,3 +89,14 @@ def test_host_device_cross_reference():
         for dev in host.devices:
             assert dev.host_id == host.host_id
             assert c.device(dev.device_id) is dev
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["inter_host_bandwidth", "intra_host_bandwidth",
+     "inter_host_latency", "intra_host_latency"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_spec_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        ClusterSpec(**{field: value})

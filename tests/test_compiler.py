@@ -355,12 +355,15 @@ class TestInstrumentation:
 class TestAutoSelect:
     def test_plan_scored_attaches_timing(self):
         auto = AutoStrategy()
-        plan, timing = auto.plan_scored(make_task())
+        compiled = compile_resharding(
+            make_task(), CompileContext(strategy=auto, cache=None)
+        )
+        timing = compiled.timing
         assert timing is not None
         assert len(auto.last_scores) == 3
         # The winner's attached timing is the score it won with.
         assert timing.total_time == min(t for _, t in auto.last_scores)
-        assert plan.strategy in {"send_recv", "allgather", "broadcast"}
+        assert compiled.plan.strategy in {"send_recv", "allgather", "broadcast"}
 
     def test_compiled_auto_never_resimulates(self):
         compiled = compile_resharding(
@@ -376,3 +379,19 @@ class TestAutoSelect:
         compile_resharding(make_task(), ctx)
         compile_resharding(make_task(), ctx)
         assert cache.stats().hits == 1
+
+
+# ----------------------------------------------------------------------
+# Deadline validation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_bad_deadline_rejected_on_hit_and_miss(deadline, warm):
+    cache = PlanCache()
+    if warm:
+        compile_resharding(make_task(), strategy="broadcast", cache=cache)
+    with pytest.raises(ValueError, match="deadline"):
+        compile_resharding(
+            make_task(), strategy="broadcast", cache=cache, deadline=deadline
+        )
+    assert cache.stats().hits == 0

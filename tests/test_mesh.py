@@ -113,3 +113,9 @@ def test_from_hosts_validation(cluster):
         DeviceMesh.from_hosts(cluster, [0], devices_per_host=5)
     with pytest.raises(ValueError):
         DeviceMesh.from_hosts(cluster, [0], devices_per_host=0)
+
+
+@pytest.mark.parametrize("host", [4, 9, -1])
+def test_from_hosts_unknown_host_rejected(cluster, host):
+    with pytest.raises(ValueError, match=r"valid: 0\.\.3"):
+        DeviceMesh.from_hosts(cluster, (0, host))

@@ -1,11 +1,11 @@
 """Scalar vs vector rate-solver bit-equality, property-based.
 
-The refactor's core promise: :class:`~repro.sim.solver.VectorSolver`
-(and the adaptive default that switches to it) computes *bit-identical*
-rates to the original progressive-filling loop now preserved in
-:class:`~repro.sim.solver.ScalarSolver` — same IEEE-754 divisions, same
-port tie-breaking, same subtraction order — so swapping the default
-causes zero drift anywhere (goldens, determinism digests, traces).
+Every :class:`~repro.sim.network.Network` runs
+:class:`~repro.sim.solver.ScalarSolver` unless handed another instance.
+:class:`~repro.sim.solver.VectorSolver` must compute *bit-identical*
+rates — same IEEE-754 divisions, same port tie-breaking, same
+subtraction order — so substituting it causes zero drift anywhere
+(goldens, determinism digests, traces).
 
 These tests drive seeded random flow programs over every fabric in the
 topology zoo and compare full telemetry digests (which hash every flow
@@ -20,13 +20,7 @@ import pytest
 
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.network import Network
-from repro.sim.solver import (
-    VECTOR_THRESHOLD,
-    AdaptiveSolver,
-    ScalarSolver,
-    VectorSolver,
-    make_solver,
-)
+from repro.sim.solver import ScalarSolver, VectorSolver
 from repro.sim.topology import (
     FatTreeTopology,
     IslandTopology,
@@ -55,6 +49,8 @@ def make_cluster(topology) -> Cluster:
 
 def run_program(cluster: Cluster, solver, seed: int, n_flows: int = 48) -> str:
     """Run one seeded random flow program; return the telemetry digest.
+
+    ``solver`` is a solver instance, or None for the network's default.
 
     The program deliberately includes duplicate sizes (rate ties), tiny
     and large payloads (completion reordering), and staggered starts
@@ -86,44 +82,25 @@ def run_program(cluster: Cluster, solver, seed: int, n_flows: int = 48) -> str:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_scalar_vector_bit_equal(fabric: str, seed: int) -> None:
     cluster = make_cluster(FABRICS[fabric])
-    digests = {
-        name: run_program(cluster, name, seed)
-        for name in ("scalar", "vector", "adaptive")
-    }
-    assert digests["vector"] == digests["scalar"], fabric
-    assert digests["adaptive"] == digests["scalar"], fabric
+    scalar = run_program(cluster, ScalarSolver(), seed)
+    assert run_program(cluster, VectorSolver(), seed) == scalar, fabric
+    assert run_program(cluster, None, seed) == scalar, fabric
 
 
-def test_adaptive_crossover_bit_equal() -> None:
-    """Equality must hold when adaptive crosses to vector mid-run."""
+def test_vector_matches_default_above_192_flows() -> None:
+    """Equality holds at the active-set sizes where NumPy pays off."""
     cluster = make_cluster(None)
-    n_flows = VECTOR_THRESHOLD + 64
-    scalar = run_program(cluster, "scalar", seed=7, n_flows=n_flows)
-    vector = run_program(cluster, "vector", seed=7, n_flows=n_flows)
-    adaptive = run_program(cluster, "adaptive", seed=7, n_flows=n_flows)
-    assert vector == scalar
-    assert adaptive == scalar
+    default = run_program(cluster, None, seed=7, n_flows=256)
+    assert run_program(cluster, VectorSolver(), seed=7, n_flows=256) == default
 
 
-def test_default_solver_is_adaptive() -> None:
-    net = Network(make_cluster(None))
-    assert isinstance(net.solver, AdaptiveSolver)
-    assert make_solver(None).name == "adaptive"
-
-
-def test_make_solver_spellings() -> None:
-    assert isinstance(make_solver("scalar"), ScalarSolver)
-    assert isinstance(make_solver("vector"), VectorSolver)
-    assert isinstance(make_solver("adaptive"), AdaptiveSolver)
-    inst = VectorSolver()
-    assert make_solver(inst) is inst
-    with pytest.raises(ValueError):
-        make_solver("quantum")
+def test_default_solver_is_scalar() -> None:
+    assert isinstance(Network(make_cluster(None)).solver, ScalarSolver)
 
 
 def test_solver_instance_not_shared() -> None:
     """Each Network gets its own solver state (attach binds, not copies)."""
     cluster = make_cluster(None)
-    a = Network(cluster, solver="vector")
-    b = Network(cluster, solver="vector")
+    a = Network(cluster)
+    b = Network(cluster)
     assert a.solver is not b.solver

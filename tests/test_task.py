@@ -176,3 +176,19 @@ def test_property_decomposition_invariants(src_spec, dst_spec, d0, d1):
         assert set(u.senders) <= set(t.src_mesh.devices)
         assert set(u.receivers) <= set(t.dst_mesh.devices)
         assert u.nbytes == region_size(u.region) * 4
+
+
+@pytest.mark.parametrize("bad", [8.5, 8.0, "8", True, None])
+def test_non_integer_shape_entries_rejected(bad):
+    c = Cluster(ClusterSpec(n_hosts=2, devices_per_host=4))
+    src, dst = DeviceMesh.from_hosts(c, [0]), DeviceMesh.from_hosts(c, [1])
+    with pytest.raises(ValueError, match="integers"):
+        ReshardingTask((bad, 8), src, "RR", dst, "RR")
+
+
+def test_numpy_integer_shape_entries_accepted():
+    c = Cluster(ClusterSpec(n_hosts=2, devices_per_host=4))
+    src, dst = DeviceMesh.from_hosts(c, [0]), DeviceMesh.from_hosts(c, [1])
+    t = ReshardingTask((np.int64(8), np.int32(4)), src, "RR", dst, "RR")
+    assert t.shape == (8, 4)
+    assert all(type(s) is int for s in t.shape)

@@ -1,4 +1,4 @@
-"""Tests for the telemetry bus: nesting, monotonicity, sinks, parity."""
+"""Tests for the telemetry bus: nesting, monotonicity, export, parity."""
 
 import pytest
 
@@ -96,46 +96,6 @@ def test_gauge_moves_both_ways_and_counter_is_separate_series():
 
 
 # ----------------------------------------------------------------------
-# Sink fan-out
-# ----------------------------------------------------------------------
-class _Probe:
-    def __init__(self):
-        self.spans, self.counters, self.marks = [], [], []
-
-    def on_span(self, span):
-        self.spans.append(span)
-
-    def on_counter(self, sample):
-        self.counters.append(sample)
-
-    def on_mark(self, mark):
-        self.marks.append(mark)
-
-
-def test_sinks_fan_out_every_record_kind():
-    bus, _clock = make_bus()
-    probe = _Probe()
-    bus.add_sink(probe)
-    bus.emit_span("s", cat="c", track="t", start=0.0, end=1.0)
-    bus.counter("n", track="t").add(1.0)
-    bus.mark("m", track="t")
-    assert [s.name for s in probe.spans] == ["s"]
-    assert [c.name for c in probe.counters] == ["n"]
-    assert [m.name for m in probe.marks] == ["m"]
-    # the built-in memory sink observed the same stream
-    assert len(bus.spans) == 1 and len(bus.counters) == 1 and len(bus.marks) == 1
-
-
-def test_late_sink_only_sees_later_records():
-    bus, _clock = make_bus()
-    bus.emit_span("before", cat="c", track="t", start=0.0, end=1.0)
-    probe = _Probe()
-    bus.add_sink(probe)
-    bus.emit_span("after", cat="c", track="t", start=1.0, end=2.0)
-    assert [s.name for s in probe.spans] == ["after"]
-
-
-# ----------------------------------------------------------------------
 # JSONL round-trip
 # ----------------------------------------------------------------------
 def test_jsonl_dicts_round_trip_to_records():
@@ -169,22 +129,28 @@ def test_chrome_trace_groups_tracks_by_prefix():
 
 
 # ----------------------------------------------------------------------
-# Parity: bus-derived Chrome trace == legacy FlowRecord-derived trace
+# Parity: bus-derived Chrome trace == the FlowRecord view
 # ----------------------------------------------------------------------
 def test_fig6_flow_trace_parity():
     """On a fixed Fig. 6 (Table 2) case the trace built straight from
-    the telemetry spans must equal the one built from the derived
-    FlowRecord view — same events, same order."""
+    the telemetry spans must match the derived FlowRecord view — one
+    event per record, same order, same names, times, and endpoints."""
     from repro.core.api import reshard
     from repro.experiments.common import make_microbench_meshes
     from repro.experiments.fig6 import TABLE2_CASES
-    from repro.viz import bus_flow_trace_events, flow_trace_events
+    from repro.viz import bus_flow_trace_events
 
     case = TABLE2_CASES[2]  # case3: RS0R -> S0RR on (2,4) meshes
     cluster, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
     r = reshard((256, 256, 64), src, case.send_spec, dst, case.recv_spec,
                 strategy="broadcast", cache=None)
-    legacy = flow_trace_events(r.timing.network.trace, cluster)
-    from_bus = bus_flow_trace_events(r.timing.telemetry, cluster)
-    assert from_bus == legacy
-    assert any(e.get("ph") == "X" for e in legacy)
+    records = r.timing.network.trace
+    events = [e for e in bus_flow_trace_events(r.timing.telemetry, cluster)
+              if e["ph"] == "X"]
+    assert events and len(events) == len(records)
+    for e, rec in zip(events, records):
+        start = rec.start_time if rec.start_time >= 0.0 else rec.submit_time
+        assert e["name"] == (rec.tag or f"flow{rec.flow_id}")
+        assert e["ts"] == start * 1e6
+        assert e["dur"] == max(rec.duration * 1e6, 0.01)
+        assert e["args"] == {"src": rec.src, "dst": rec.dst, "bytes": rec.nbytes}

@@ -10,7 +10,7 @@ from repro.pipeline.executor import simulate_pipeline
 from repro.pipeline.schedules import schedule_job
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
 from repro.sim.cluster import Cluster, ClusterSpec
-from repro.viz import flow_trace_events, pipeline_trace_events, write_chrome_trace
+from repro.viz import bus_flow_trace_events, pipeline_trace_events, write_chrome_trace
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def test_flow_trace_events():
     src = DeviceMesh.from_hosts(c, [0, 1])
     dst = DeviceMesh.from_hosts(c, [2, 3])
     r = reshard((64, 64, 8), src, "S0RR", dst, "RS1R", strategy="broadcast")
-    events = flow_trace_events(r.timing.network.trace, c)
+    events = bus_flow_trace_events(r.timing.telemetry, c)
     flows = [e for e in events if e["ph"] == "X"]
     assert len(flows) == len(r.timing.network.trace)
     cats = {e["cat"] for e in flows}
