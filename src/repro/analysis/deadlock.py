@@ -13,14 +13,13 @@ Two analyzers share one cycle finder:
   runtime; the analyzer reports the cycle before anything runs.
 
 * :func:`check_stage_orders_deadlock` (``D002``) models the pipeline
-  executors on the runtime kernel: each stage is a serial resource
-  (its ordered task list is executed strictly in sequence, like a
-  capacity-1 :class:`~repro.runtime.resources.Resource`), and each
-  cross-stage activation/gradient message is an acquisition of the
-  directed :class:`~repro.runtime.resources.SerialChannel` between the
-  stage pair.  A compute task therefore waits on (a) its stage
-  predecessor and (b) the arrival of its cross-stage inputs; a cycle
-  means the schedule deadlocks regardless of timings.
+  executor (:func:`repro.pipeline.executor.simulate_pipeline`) in the
+  plain one-stage-per-device layout: each stage's device runs its
+  ordered task list strictly in sequence, one task at a time, and each
+  cross-stage activation/gradient message rides the FIFO channel of
+  its directed stage pair.  A compute task therefore waits on (a) its
+  stage predecessor and (b) the arrival of its cross-stage inputs; a
+  cycle means the schedule deadlocks regardless of timings.
 
 Witnesses are the cycle itself, node by node, trimmed to the strongly
 connected core — small enough to paste into a bug report.
@@ -191,7 +190,7 @@ def check_stage_orders_deadlock(
     :func:`repro.pipeline.schedules.schedule_job`).  The wait-for graph:
 
     * serial stages — task ``k`` of a stage waits on task ``k-1``
-      (capacity-1 stage resource);
+      (the stage's device runs one task at a time);
     * forward channels — ``F(m)`` at stage ``d`` waits on ``F(m)`` at
       stage ``s`` for every comm edge ``s -> d`` (activation arrival;
       adjacent stages when ``job`` is None);

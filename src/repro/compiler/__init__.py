@@ -10,7 +10,6 @@ from .budget import NODES_PER_SECOND, CompileBudget, CompileTimeout
 from .cache import (
     CacheStats,
     PlanCache,
-    ShardStats,
     default_plan_cache,
     plan_signature,
     reset_default_plan_cache,
@@ -62,7 +61,6 @@ __all__ = [
     "DEFAULT_PASSES",
     "PlanCache",
     "CacheStats",
-    "ShardStats",
     "CompileBudget",
     "CompileTimeout",
     "NODES_PER_SECOND",

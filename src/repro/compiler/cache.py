@@ -45,7 +45,6 @@ __all__ = [
     "task_signature",
     "plan_signature",
     "CacheStats",
-    "ShardStats",
     "PlanCache",
     "default_plan_cache",
     "reset_default_plan_cache",
@@ -125,17 +124,6 @@ def plan_signature(
 
 
 @dataclass(frozen=True)
-class ShardStats:
-    """A snapshot of one cache shard's counters."""
-
-    shard: int
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-
-
-@dataclass(frozen=True)
 class CacheStats:
     """A snapshot of one cache's counters."""
 
@@ -147,7 +135,6 @@ class CacheStats:
     n_invalidations: int
     evictions: int = 0
     stale_stores: int = 0
-    shards: tuple[ShardStats, ...] = ()
 
     @property
     def hit_rate(self) -> float:
@@ -167,26 +154,12 @@ class CacheStats:
         )
 
 
-class _Shard:
-    """One LRU shard: an ordered dict in recency order plus counters."""
-
-    __slots__ = ("entries", "hits", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.entries: OrderedDict[str, "CompiledPlan"] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
 class PlanCache:
     """Content-addressed store of :class:`CompiledPlan` objects.
 
-    Entries live in ``n_shards`` independent LRU shards (the shard is
-    picked by signature prefix, so the content hash doubles as the shard
-    router); a hit refreshes recency, and inserts beyond a shard's
-    capacity evict that shard's least-recently-used entry.  Per-shard
-    hit/miss/eviction counters are exposed through :meth:`stats`.
+    One LRU: a hit refreshes recency, and an insert beyond
+    ``max_entries`` evicts the least-recently-used entry.  Hit, miss and
+    eviction counters are exposed through :meth:`stats`.
 
     :meth:`invalidate` drops everything *and* bumps the epoch that is
     folded into every signature — explicit invalidation on fault events.
@@ -197,43 +170,24 @@ class PlanCache:
     pre-invalidation plan — the epoch bump is never lost.
     """
 
-    def __init__(self, max_entries: int = 1024, n_shards: int = 1) -> None:
+    def __init__(self, max_entries: int = 1024) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.max_entries = max_entries
-        self.n_shards = min(n_shards, max_entries)
-        #: per-shard capacity: ceil so the total is >= max_entries
-        self.shard_capacity = -(-max_entries // self.n_shards)
-        self._shards = [_Shard() for _ in range(self.n_shards)]
+        self._entries: OrderedDict[str, "CompiledPlan"] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         self.epoch = 0
         self.n_invalidations = 0
         self.stale_stores = 0
         self.last_invalidation_reason = ""
 
-    def _shard_of(self, signature: str) -> _Shard:
-        # Signatures are SHA-256 hex: the leading 8 hex digits are a
-        # uniform 32-bit value, ideal as a shard router.
-        return self._shards[int(signature[:8], 16) % self.n_shards]
-
     def __len__(self) -> int:
-        return sum(len(s.entries) for s in self._shards)
+        return len(self._entries)
 
     def __contains__(self, signature: str) -> bool:
-        return signature in self._shard_of(signature).entries
-
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(s.evictions for s in self._shards)
+        return signature in self._entries
 
     @property
     def requests(self) -> int:
@@ -244,13 +198,12 @@ class PlanCache:
         return self.hits / self.requests if self.requests else 0.0
 
     def lookup(self, signature: str) -> "Optional[CompiledPlan]":
-        shard = self._shard_of(signature)
-        found = shard.entries.get(signature)
+        found = self._entries.get(signature)
         if found is None:
-            shard.misses += 1
+            self.misses += 1
         else:
-            shard.hits += 1
-            shard.entries.move_to_end(signature)
+            self.hits += 1
+            self._entries.move_to_end(signature)
         return found
 
     def store(
@@ -269,13 +222,12 @@ class PlanCache:
         if epoch is not None and epoch != self.epoch:
             self.stale_stores += 1
             return False
-        shard = self._shard_of(signature)
-        entries = shard.entries
+        entries = self._entries
         if signature in entries:
             entries.move_to_end(signature)
-        elif len(entries) >= self.shard_capacity:
+        elif len(entries) >= self.max_entries:
             entries.popitem(last=False)
-            shard.evictions += 1
+            self.evictions += 1
         entries[signature] = compiled
         return True
 
@@ -285,16 +237,14 @@ class PlanCache:
         # captured the old epoch is already stale the instant callers
         # can observe the invalidation.
         self.epoch += 1
-        for shard in self._shards:
-            shard.entries.clear()
+        self._entries.clear()
         self.n_invalidations += 1
         self.last_invalidation_reason = reason
 
     def reset_stats(self) -> None:
-        for shard in self._shards:
-            shard.hits = 0
-            shard.misses = 0
-            shard.evictions = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         self.stale_stores = 0
 
     def stats(self) -> CacheStats:
@@ -307,16 +257,6 @@ class PlanCache:
             n_invalidations=self.n_invalidations,
             evictions=self.evictions,
             stale_stores=self.stale_stores,
-            shards=tuple(
-                ShardStats(
-                    shard=i,
-                    hits=s.hits,
-                    misses=s.misses,
-                    evictions=s.evictions,
-                    size=len(s.entries),
-                )
-                for i, s in enumerate(self._shards)
-            ),
         )
 
     def __repr__(self) -> str:

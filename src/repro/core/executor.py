@@ -260,28 +260,26 @@ class PlanRunner:
             self.failed_ops.add(op.op_id)
         tid = op.unit_task_id
         bus = self.net.bus
-        bus.emit_span(
+        bus.span(
             f"op{op.op_id}",
-            cat="op",
-            track="plan" if tid == -1 else f"task:{tid}",
-            start=self.op_launch.get(op.op_id, handle.finish_time),
-            end=handle.finish_time,
-            op_id=op.op_id,
-            task=tid,
-            kind=type(op).__name__,
-            status="failed" if handle.failed else "ok",
+            "op",
+            "plan" if tid == -1 else f"task:{tid}",
+            self.op_launch.get(op.op_id, handle.finish_time),
+            handle.finish_time,
+            {"op_id": op.op_id, "task": tid, "kind": type(op).__name__,
+             "status": "failed" if handle.failed else "ok"},
         )
         if tid in self.tasks_pending_ops:
             self.tasks_pending_ops[tid] -= 1
             if self.tasks_pending_ops[tid] == 0:
                 self.task_finish[tid] = handle.finish_time
-                bus.emit_span(
+                bus.span(
                     f"task{tid}",
-                    cat="task",
-                    track=f"task:{tid}",
-                    start=self.task_release.get(tid, 0.0),
-                    end=handle.finish_time,
-                    task=tid,
+                    "task",
+                    f"task:{tid}",
+                    self.task_release.get(tid, 0.0),
+                    handle.finish_time,
+                    {"task": tid},
                 )
                 if self.on_task_done is not None:
                     self.on_task_done(tid)

@@ -1,6 +1,12 @@
 """Event-driven execution of a pipeline schedule with cross-mesh comm.
 
-Each stage executes its ordered task list strictly in sequence; a task
+This is the one pipeline executor: plain schedules (GPipe, 1F1B,
+eager-1F1B, §4) and interleaved ones (several model chunks per device,
+:mod:`repro.pipeline.interleaved`) are both instances of the same
+discrete-event model.  ``orders`` holds one task list per *device*; a
+:class:`~repro.pipeline.schedules.Task` names the job stage it computes,
+or leaves it to the device's index (the plain one-stage-per-device
+layout).  Each device executes its list strictly in sequence; a task
 additionally waits for its cross-mesh inputs:
 
 * ``F(s, mb)`` waits for the forward activation of every in-edge, sent
@@ -8,14 +14,15 @@ additionally waits for its cross-mesh inputs:
 * ``B``/``Bx``\\ ``(s, mb)`` waits for the activation gradient of every
   out-edge, sent when the downstream ``B``/``Bx`` finished.
 
-The executor runs on the shared runtime kernel
-(:class:`~repro.runtime.kernel.Kernel`): stage occupancy is a kernel
-resource token, cross-stage FIFO channels are kernel serial channels,
-and every compute/transfer interval is emitted to the kernel's
-telemetry bus.  The result object keeps **no private timeline lists** —
-``timeline``/``comms`` are views rebuilt from the span stream, and the
-scalar statistics (iteration time, busy time, activation peaks) are
-folded from the same records.
+Dependencies, durations and edges are keyed by job stage; occupancy,
+order cursors, ``stage:<d>`` tracks, activation gauges and the FIFO
+channels are keyed by device.  The executor runs on the shared runtime
+kernel (:class:`~repro.runtime.kernel.EventLoop`) and emits every
+compute/transfer interval to the loop's telemetry bus.  The result
+object keeps **no private timeline lists** — ``timeline``/``comms`` are
+views rebuilt from the span stream, and the scalar statistics
+(iteration time, busy time, activation peaks) are folded from the same
+records.
 
 Communication is simulated in one of two modes:
 
@@ -29,16 +36,18 @@ Communication is simulated in one of two modes:
     Fig. 4(a).  (Real runtimes pair these as combined exchange ops,
     e.g. Megatron's send-forward-recv-backward, which is why modelling
     the two halves independently rather than as a strict rendezvous is
-    both simpler and deadlock-free.)
+    both simpler and deadlock-free.)  Blocking mode needs the plain
+    layout; interleaved placements raise ``ValueError``.
 
 ``overlap=True``
-    transfers run on a FIFO channel per directed stage pair, concurrently
-    with compute; only data dependencies remain.
+    transfers run on a FIFO channel per directed device pair and
+    direction, concurrently with compute; only data dependencies
+    remain.
 
-Activation memory is tracked per stage as a telemetry gauge (+1 at each
-``F``, −1 when the micro-batch's backward — ``B`` or delayed ``Bw`` —
-completes) so the schedules' peak-memory trade-off (§4, Table 1) is
-measurable.
+Activation memory is tracked per device as a telemetry gauge (+1 at
+each ``F``, −1 when the micro-batch's backward — ``B`` or delayed
+``Bw`` — completes) so the schedules' peak-memory trade-off (§4,
+Table 1) is measurable.
 
 **Fault tolerance** (optional, ``overlap=True``): given a
 :class:`~repro.sim.faults.FaultSchedule`, cross-stage messages can be
@@ -57,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from ..runtime.kernel import Kernel
+from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from ..sim.faults import FaultIncident, FaultReport, FaultSchedule, RetryPolicy
 from .schedules import Task
@@ -92,13 +101,17 @@ class PipelineResult:
 
     ``timeline`` and ``comms`` are derived views over the run's
     telemetry spans (``cat="compute"`` / ``cat="comm"``), not stored
-    lists.  ``fault_report`` is ``None`` for fault-free runs; under
-    fault injection it records whether the iteration recovered from
-    every injected fault or ended fatally (some stages never finished).
+    lists.  ``n_devices`` is the number of task lists the iteration ran
+    on (``job.n_stages`` in the plain layout); the per-device statistics
+    are keyed ``0..n_devices-1``.  ``fault_report`` is ``None`` for
+    fault-free runs; under fault injection it records whether the
+    iteration recovered from every injected fault or ended fatally (some
+    stages never finished).
     """
 
     telemetry: TelemetryBus = field(repr=False, compare=False)
     job: PipelineJob = field(repr=False)
+    n_devices: int
     fault_report: Optional[FaultReport] = None
     _timeline_cache: Optional[tuple[int, list[TimelineEntry]]] = field(
         default=None, init=False, repr=False, compare=False
@@ -115,7 +128,7 @@ class PipelineResult:
         # out of simulate_pipeline itself, whose per-event path every
         # Fig. 7 iteration runs.
         if self._stats_cache is None:
-            self._stats_cache = _fold_stats(self.telemetry, self.job.n_stages)
+            self._stats_cache = _fold_stats(self.telemetry, self.n_devices)
         return self._stats_cache
 
     @property
@@ -125,12 +138,12 @@ class PipelineResult:
 
     @property
     def stage_busy_time(self) -> dict[int, float]:
-        """Seconds each stage spent computing (plus blocking sends)."""
+        """Seconds each device spent computing (plus blocking sends)."""
         return self._stats()[1]
 
     @property
     def peak_activation_counts(self) -> dict[int, int]:
-        """Peak live activations per stage, from the gauge samples."""
+        """Peak live activations per device, from the gauge samples."""
         return self._stats()[2]
 
     @property
@@ -150,7 +163,8 @@ class PipelineResult:
         return self._comms_cache[1]
 
     def peak_memory_bytes(self, stage: int) -> float:
-        """Weights/optimizer plus peak live activations of a stage."""
+        """Weights/optimizer plus peak live activations of a stage
+        (plain layout: the stage's device is its index)."""
         prof = self.job.stages[stage]
         return prof.params_bytes + (
             self.peak_activation_counts.get(stage, 0) * prof.activation_bytes
@@ -165,11 +179,25 @@ class PipelineResult:
         return model_flops / self.iteration_time / n_devices / 1e12
 
 
-def _validate_orders(job: PipelineJob, orders: list[list[Task]]) -> None:
-    if len(orders) != job.n_stages:
-        raise ValueError(f"need {job.n_stages} task lists, got {len(orders)}")
-    m = job.n_microbatches
-    for s, order in enumerate(orders):
+def _validate_orders(job: PipelineJob, orders: list[list[Task]]) -> list[int]:
+    """Check the per-device task lists; return each stage's device."""
+    n_stages, m = job.n_stages, job.n_microbatches
+    device_of = [-1] * n_stages
+    stage_tasks: list[list[Task]] = [[] for _ in range(n_stages)]
+    for d, order in enumerate(orders):
+        for t in order:
+            s = d if t.stage is None else t.stage
+            if not 0 <= s < n_stages:
+                raise ValueError(
+                    f"device {d}: task {t!r} names no stage of the "
+                    f"{n_stages}-stage job"
+                )
+            if device_of[s] == -1:
+                device_of[s] = d
+            elif device_of[s] != d:
+                raise ValueError(f"stage {s} placed on devices {device_of[s]} and {d}")
+            stage_tasks[s].append(t)
+    for s, order in enumerate(stage_tasks):
         fwd = sorted(t.microbatch for t in order if t.kind == "F")
         if fwd != list(range(m)):
             raise ValueError(f"stage {s}: forwards {fwd} != 0..{m - 1}")
@@ -183,22 +211,25 @@ def _validate_orders(job: PipelineJob, orders: list[list[Task]]) -> None:
             continue  # inference: no backward pass at all
         if fused != set(range(m)) and (bx != set(range(m)) or bw != set(range(m))):
             raise ValueError(f"stage {s}: backward coverage incomplete")
-        pos: dict[Task, int] = {}
+        # A stage's tasks keep their device's relative order, so list
+        # positions compare program order.
+        pos: dict[tuple[str, int], int] = {}
         for i, t in enumerate(order):
-            if t in pos:
+            if (t.kind, t.microbatch) in pos:
                 raise ValueError(f"stage {s}: duplicate task {t}")
-            pos[t] = i
+            pos[(t.kind, t.microbatch)] = i
         for t in order:
             if t.kind in ("B", "Bx"):
-                f = Task("F", t.microbatch)
-                if f not in pos or pos[f] > pos[t]:
+                f = pos.get(("F", t.microbatch))
+                if f is None or f > pos[(t.kind, t.microbatch)]:
                     raise ValueError(
                         f"stage {s}: backward of mb {t.microbatch} precedes its forward"
                     )
             if t.kind == "Bw":
-                x = Task("Bx", t.microbatch)
-                if x not in pos or pos[x] > pos[t]:
+                x = pos.get(("Bx", t.microbatch))
+                if x is None or x > pos[("Bw", t.microbatch)]:
                     raise ValueError(f"stage {s}: Bw{t.microbatch} precedes Bx")
+    return device_of
 
 
 def _insert_recvs(job: PipelineJob, orders: list[list[Task]]) -> list[list[_Item]]:
@@ -220,13 +251,13 @@ def _insert_recvs(job: PipelineJob, orders: list[list[Task]]) -> list[list[_Item
 
 
 def _fold_stats(
-    bus: TelemetryBus, n_stages: int
+    bus: TelemetryBus, n_devices: int
 ) -> tuple[float, dict[int, float], dict[int, int]]:
-    """Fold iteration time, per-stage busy time and activation peaks
+    """Fold iteration time, per-device busy time and activation peaks
     out of the telemetry stream (the single source of truth)."""
     iteration_time = 0.0
-    busy = dict.fromkeys(range(n_stages), 0.0)
-    peak = dict.fromkeys(range(n_stages), 0)
+    busy = dict.fromkeys(range(n_devices), 0.0)
+    peak = dict.fromkeys(range(n_devices), 0)
     # Folded over the raw span rows (name, cat, track, start, end,
     # depth, parent, attrs) — this runs once per simulation, right
     # after the event loop drains, so it stays off the per-event path.
@@ -244,9 +275,9 @@ def _fold_stats(
             busy[a["stage"]] += end - start
     for name, track, _time, value in bus.counter_rows:
         if name == "activations" and track.startswith("stage:"):
-            stage = int(track[6:])
-            if value > peak[stage]:
-                peak[stage] = int(value)
+            device = int(track[6:])
+            if value > peak[device]:
+                peak[device] = int(value)
     return iteration_time, busy, peak
 
 
@@ -260,11 +291,17 @@ def simulate_pipeline(
 ) -> PipelineResult:
     """Simulate one training iteration; see module docstring.
 
-    ``stage_hosts`` maps each stage to the host carrying it, so NIC
-    flap windows in ``faults`` translate to lost cross-stage messages
-    (a transfer overlapping a flap of either endpoint's host is lost).
+    ``orders[d]`` is device ``d``'s task list.  ``stage_hosts`` maps
+    each stage to the host carrying it, so NIC flap windows in
+    ``faults`` translate to lost cross-stage messages (a transfer
+    overlapping a flap of either endpoint's host is lost).
     """
-    _validate_orders(job, orders)
+    device_of = _validate_orders(job, orders)
+    if not overlap and device_of != list(range(job.n_stages)):
+        raise ValueError(
+            "blocking communication (overlap=False) needs stage s on device s; "
+            "interleaved placements run overlapped only"
+        )
     if stage_hosts is not None and len(stage_hosts) != job.n_stages:
         raise ValueError(
             f"stage_hosts must map all {job.n_stages} stages, got {len(stage_hosts)}"
@@ -277,9 +314,10 @@ def simulate_pipeline(
             "no channel to re-send on); stragglers work in both modes"
         )
     policy = retry_policy or RetryPolicy()
-    loop = Kernel()
+    loop = EventLoop()
     bus = loop.bus
     n_stages = job.n_stages
+    n_devices = len(orders)
 
     # -- fault bookkeeping --------------------------------------------
     incidents: list[FaultIncident] = []
@@ -293,14 +331,16 @@ def simulate_pipeline(
         [list(o) for o in orders] if overlap else _insert_recvs(job, orders)
     )
 
-    idx = [0] * n_stages
-    stage_track = [f"stage:{s}" for s in range(n_stages)]
-    stage_res = [loop.resource(stage_track[s]) for s in range(n_stages)]
-    stage_free_at = [0.0] * n_stages  # > now while blocked in sends
-    act = [bus.gauge("activations", track=stage_track[s]) for s in range(n_stages)]
-    # per-(src, dst, direction) channel + span-track cache: send_message
-    # sits on the hot path, so the f-string/registry lookup happens once
-    chan_cache: dict[tuple[int, int, str], tuple] = {}
+    idx = [0] * n_devices
+    busy = [False] * n_devices
+    device_track = [f"stage:{d}" for d in range(n_devices)]
+    device_free_at = [0.0] * n_devices  # > now while blocked in sends
+    act = [bus.gauge("activations", track=device_track[d]) for d in range(n_devices)]
+    # FIFO channel per (src device, dst device, direction): its span
+    # track, looked up once per (src stage, dst stage, direction) since
+    # send_message sits on the hot path, and the time it next goes idle.
+    chan_track: dict[tuple[int, int, str], str] = {}
+    chan_free_at: dict[str, float] = {}
 
     # Dependency arrival counters: ("F"|"B", stage, microbatch) -> count.
     arrived: dict[tuple[str, int, int], int] = {}
@@ -346,7 +386,7 @@ def simulate_pipeline(
     def arrival(kind: str, stage: int, mb: int) -> None:
         key = (kind, stage, mb)
         arrived[key] = arrived.get(key, 0) + 1
-        try_start(stage)
+        try_start(device_of[stage])
 
     def message_lost(
         edge_i: int, mb: int, direction: str, attempt: int, cstart: float, cend: float
@@ -373,19 +413,19 @@ def simulate_pipeline(
         after the policy's backoff; the retry re-occupies the channel.
         """
         nonlocal n_msg_retries, n_msg_abandoned, added_latency
+        src_dev, dst_dev = device_of[e.src_stage], device_of[e.dst_stage]
         ckey = (e.src_stage, e.dst_stage, direction)
-        cached = chan_cache.get(ckey)
-        if cached is None:
-            cname = f"{e.src_stage}->{e.dst_stage}:{direction}"
-            cached = (loop.channel(cname), "chan:" + cname)
-            chan_cache[ckey] = cached
-        chan, ctrack = cached
-        cstart = chan.reserve(earliest, dur)
+        ctrack = chan_track.get(ckey)
+        if ctrack is None:
+            ctrack = chan_track[ckey] = f"chan:{src_dev}->{dst_dev}:{direction}"
+        free = chan_free_at.get(ctrack, 0.0)
+        cstart = earliest if earliest > free else free
         cend = cstart + dur
+        chan_free_at[ctrack] = cend
         label = e.label if attempt == 1 else f"{e.label}~retry{attempt - 1}"
         bus.span(
             label, "comm", ctrack, cstart, cend,
-            {"src_stage": e.src_stage, "dst_stage": e.dst_stage,
+            {"src_stage": src_dev, "dst_stage": dst_dev,
              "direction": direction, "microbatch": mb, "label": label},
         )
         mkey = (edge_i, mb, direction)
@@ -431,26 +471,27 @@ def simulate_pipeline(
                     for i, e in enumerate(job.edges) if e.dst_stage == stage]
         return []
 
-    def on_compute_done(stage: int, t: Task, start: float) -> None:
+    def on_compute_done(device: int, stage: int, t: Task, start: float) -> None:
         finish = loop.now
-        bus.span(
-            f"{t.kind}{t.microbatch}", "compute", stage_track[stage], start, finish,
-            {"stage": stage, "kind": t.kind, "microbatch": t.microbatch},
-        )
+        attrs = {"stage": device, "kind": t.kind, "microbatch": t.microbatch}
+        if t.stage is not None:
+            attrs["chunk"] = t.stage
+        bus.span(repr(t), "compute", device_track[device], start, finish, attrs)
         if t.kind == "F":
-            act[stage].add(1)
+            act[device].add(1)
         elif t.kind in ("B", "Bw"):
-            act[stage].add(-1)
-        stage_res[stage].release()
-        idx[stage] += 1
+            act[device].add(-1)
+        busy[device] = False
+        idx[device] += 1
         if overlap:
             for e, i, dur, direction, target in produced_edges(stage, t):
                 send_message(e, i, dur, direction, target, t.microbatch, finish, 1)
-            try_start(stage)
+            try_start(device)
         else:
-            # Blocking sends in program order: the stage stays busy for
-            # the sum of its outgoing transfer durations; each transfer
-            # hits the wire when its send begins.
+            # Blocking sends in program order (plain layout, so device
+            # == stage): the stage stays busy for the sum of its
+            # outgoing transfer durations; each transfer hits the wire
+            # when its send begins.
             block_until = finish
             for e, i, dur, direction, target in produced_edges(stage, t):
                 send_started[(i, t.microbatch, direction)] = block_until
@@ -458,13 +499,13 @@ def simulate_pipeline(
                 try_start(target)  # its recv may now be startable
             if block_until > finish:
                 bus.span(
-                    f"send:{t.kind}{t.microbatch}", "send", stage_track[stage],
-                    finish, block_until, {"stage": stage},
+                    f"send:{t.kind}{t.microbatch}", "send", device_track[device],
+                    finish, block_until, {"stage": device},
                 )
-                stage_free_at[stage] = block_until
-                loop.call_at(block_until, lambda s=stage: try_start(s))
+                device_free_at[device] = block_until
+                loop.call_at(block_until, lambda d=device: try_start(d))
             else:
-                try_start(stage)
+                try_start(device)
 
     def on_recv_done(stage: int, r: _Recv, start: float) -> None:
         e = job.edges[r.edge_idx]
@@ -476,18 +517,18 @@ def simulate_pipeline(
              "direction": r.direction, "microbatch": r.microbatch,
              "label": e.label, "busy_stage": stage},
         )
-        stage_res[stage].release()
+        busy[stage] = False
         idx[stage] += 1
         dep_kind = "F" if r.direction == "fwd" else "B"
         arrival(dep_kind, stage, r.microbatch)  # calls try_start(stage)
         try_start(stage)
 
-    def try_start(stage: int) -> None:
-        if stage_res[stage].available == 0 or idx[stage] >= len(items[stage]):
+    def try_start(device: int) -> None:
+        if busy[device] or idx[device] >= len(items[device]):
             return
-        if loop.now < stage_free_at[stage] - 1e-15:
+        if loop.now < device_free_at[device] - 1e-15:
             return  # still blocked sending; wake-up event queued
-        item = items[stage][idx[stage]]
+        item = items[device][idx[device]]
         if isinstance(item, _Recv):
             sent_at = send_started.get(item.key)
             if sent_at is None:
@@ -495,32 +536,34 @@ def simulate_pipeline(
             e = job.edges[item.edge_idx]
             dur = e.comm_time(item.direction)
             end = max(loop.now, sent_at) + dur
-            stage_res[stage].try_acquire()
+            busy[device] = True
             start = loop.now
-            loop.call_at(end, lambda s=stage, r=item: on_recv_done(s, r, start))
+            loop.call_at(end, lambda s=device, r=item: on_recv_done(s, r, start))
             return
+        stage = device if item.stage is None else item.stage
         if not deps_met(stage, item):
             return
-        stage_res[stage].try_acquire()
+        busy[device] = True
         start = loop.now
         loop.call_after(
-            duration(stage, item), lambda s=stage, t=item: on_compute_done(s, t, start)
+            duration(stage, item),
+            lambda d=device, s=stage, t=item: on_compute_done(d, s, t, start),
         )
 
-    for s in range(n_stages):
-        try_start(s)
+    for d in range(n_devices):
+        try_start(d)
     loop.run()
 
-    unfinished = [s for s in range(n_stages) if idx[s] < len(items[s])]
+    unfinished = [d for d in range(n_devices) if idx[d] < len(items[d])]
     if unfinished and faults is None:
-        detail = {s: repr(items[s][idx[s]]) for s in unfinished}
+        detail = {d: repr(items[d][idx[d]]) for d in unfinished}
         raise RuntimeError(
             f"pipeline deadlocked; stages stuck at tasks {detail} "
             f"(check warm-up depths and edge directions)"
         )
     report: Optional[FaultReport] = None
     if faults is not None:
-        stuck = {s: repr(items[s][idx[s]]) for s in unfinished}
+        stuck = {d: repr(items[d][idx[d]]) for d in unfinished}
         if unfinished or n_msg_abandoned:
             status = "fatal"
         elif incidents:
@@ -536,4 +579,4 @@ def simulate_pipeline(
             detail=f"stages stuck at tasks {stuck}" if stuck else "",
             incidents=incidents,
         )
-    return PipelineResult(telemetry=bus, job=job, fault_report=report)
+    return PipelineResult(telemetry=bus, job=job, n_devices=n_devices, fault_report=report)

@@ -1,7 +1,8 @@
 """Synchronous pipeline schedules: GPipe, 1F1B, and eager-1F1B (§4).
 
-A schedule is, per stage, an ordered list of compute tasks the stage
-executes strictly in sequence.  Task kinds:
+A schedule is, per device, an ordered list of compute tasks the device
+executes strictly in sequence (the schedules here put stage ``i`` on
+device ``i``).  Task kinds:
 
 * ``F``  — forward of one micro-batch;
 * ``B``  — full backward (``Bx`` + ``Bw`` fused);
@@ -20,7 +21,7 @@ identical latency when communication is free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 __all__ = [
     "Task",
@@ -42,13 +43,22 @@ SCHEDULE_NAMES = ("gpipe", "1f1b", "eager_1f1b")
 
 @dataclass(frozen=True)
 class Task:
-    """One compute task in a stage's ordered list."""
+    """One compute task in a device's ordered list.
+
+    ``stage`` names the job stage the task computes; ``None`` means the
+    stage whose index is the device's (the plain one-stage-per-device
+    layout).  Interleaved schedules place several stages (model chunks)
+    on one device and name each task's stage explicitly.
+    """
 
     kind: str
     microbatch: int
+    stage: Optional[int] = None
 
     def __repr__(self) -> str:
-        return f"{self.kind}{self.microbatch}"
+        if self.stage is None:
+            return f"{self.kind}{self.microbatch}"
+        return f"{self.kind}{self.microbatch}c{self.stage}"
 
 
 def fifo_warmup(stage: int, n_stages: int) -> int:
@@ -127,9 +137,9 @@ def split_backward(order: list[Task], delay_slots: int = 1) -> list[Task]:
 
     for t in order:
         if t.kind == "B":
-            out.append(Task("Bx", t.microbatch))
+            out.append(Task("Bx", t.microbatch, t.stage))
             advance()
-            pending.append((delay_slots, Task("Bw", t.microbatch)))
+            pending.append((delay_slots, Task("Bw", t.microbatch, t.stage)))
         else:
             out.append(t)
             advance()

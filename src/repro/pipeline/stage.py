@@ -12,6 +12,7 @@ chosen strategy) so the pipeline executor stays strategy-agnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["StageProfile", "CommEdge", "PipelineJob"]
@@ -35,7 +36,10 @@ class StageProfile:
     memory_capacity: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.fwd_time, self.bwd_x_time, self.bwd_w_time) < 0:
+        times = (self.fwd_time, self.bwd_x_time, self.bwd_w_time)
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"stage times must be finite, got {times}")
+        if min(times) < 0:
             raise ValueError("stage times must be non-negative")
         if self.memory_capacity < 0:
             raise ValueError("memory capacity must be non-negative")
@@ -87,6 +91,10 @@ class CommEdge:
             raise ValueError(
                 "edges are directed along the forward pass (src < dst); "
                 "the backward transfer is implied"
+            )
+        if not (math.isfinite(self.fwd_time) and math.isfinite(self.bwd_time)):
+            raise ValueError(
+                f"edge times must be finite, got {(self.fwd_time, self.bwd_time)}"
             )
         if self.fwd_time < 0 or self.bwd_time < 0:
             raise ValueError("edge times must be non-negative")

@@ -1,20 +1,21 @@
-"""Shared timeline records for the pipeline executors.
+"""Timeline records of the pipeline executor, derived from its spans.
 
-:class:`TimelineEntry` and :class:`CommEntry` used to be duplicated
-between the plain and interleaved executors (the latter as bare
-tuples).  They now live here, and — since the executors report through
-the runtime telemetry bus — they are *derived views*: the helpers below
-rebuild them from the span stream, so a result object holds no private
-timeline lists.
+:class:`TimelineEntry` and :class:`CommEntry` are *derived views*: the
+helpers below rebuild them from the telemetry span stream, so a result
+object holds no private timeline lists.
 
-Span conventions (shared by both executors):
+Span conventions of :func:`~repro.pipeline.executor.simulate_pipeline`
+(``<d>`` is a device, i.e. the index of a task list):
 
-* compute spans: ``cat="compute"``, track ``stage:<s>``, attrs
-  ``stage``/``kind``/``microbatch`` (and ``chunk`` when interleaved);
-* transfer spans: ``cat="comm"``, track ``chan:<src>-><dst>:<dir>``,
-  attrs ``src_stage``/``dst_stage``/``direction``/``microbatch``/
-  ``label`` (plus ``busy_stage`` when the recv occupies a stage in
-  blocking mode);
+* compute spans: ``cat="compute"``, track ``stage:<d>``, attrs
+  ``stage`` (the device) / ``kind`` / ``microbatch``, plus ``chunk``
+  (the job stage) when the task names its stage, as interleaved
+  schedules do;
+* transfer spans: ``cat="comm"``, track ``chan:<src>-><dst>:<dir>``
+  over the devices of the edge's forward endpoints, attrs
+  ``src_stage``/``dst_stage`` (those devices) / ``direction`` /
+  ``microbatch`` / ``label`` (plus ``busy_stage`` when the recv
+  occupies a stage in blocking mode);
 * blocking-send spans: ``cat="send"``, track ``stage:<s>``, covering
   the interval the producer stage is wedged in program-order sends.
 """
@@ -36,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimelineEntry:
-    """One compute interval on a stage (``chunk >= 0`` when interleaved)."""
+    """One compute interval on a device (``stage``); ``chunk`` is the
+    job stage when the task named it (interleaved), else ``-1``."""
 
     stage: int
     kind: str

@@ -18,7 +18,7 @@ failures.  The loop:
   lost iterations (*warmup*) on the new topology.
 
 The supervisor runs on the shared runtime kernel
-(:class:`~repro.runtime.kernel.Kernel`): each iteration, checkpoint
+(:class:`~repro.runtime.kernel.EventLoop`): each iteration, checkpoint
 write and recovery is an event continuation rather than a hand-advanced
 clock, and every phase is emitted to the kernel's telemetry bus
 (``iteration``/``checkpoint`` spans on the ``supervisor`` track; each
@@ -43,7 +43,7 @@ import numpy as np
 
 from ..compiler import default_plan_cache
 from ..models.parallel import METHODS, ParallelJobSpec, run_iteration
-from ..runtime.kernel import Kernel
+from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from ..sim.faults import FaultSchedule, HostFailure, RetryPolicy
 from .checkpoint import CheckpointConfig, CheckpointStore
@@ -216,7 +216,7 @@ def simulate_training_run(
     iter_time = run_iteration(spec_cur, method).iteration_time
     ideal_time = n_iterations * iter_time
 
-    kernel = Kernel()
+    kernel = EventLoop()
     bus = kernel.bus
     completed = 0
     used_spares: frozenset[int] = frozenset()
@@ -356,22 +356,18 @@ def simulate_training_run(
             host=strike.host,
             mode=plan.mode,
         )
-        bus.emit_span(
-            "detect", cat="recovery.detect", track="supervisor",
-            start=strike.time, end=strike.time + config.detection_latency,
+        bus.span(
+            "detect", "recovery.detect", "supervisor",
+            strike.time, strike.time + config.detection_latency,
         )
-        bus.emit_span(
-            "load", cat="recovery.load", track="supervisor",
-            start=base, end=base + load,
+        bus.span("load", "recovery.load", "supervisor", base, base + load)
+        bus.span(
+            "reshard", "recovery.reshard", "supervisor", base + load, resharded_at,
+            {"bytes_moved": plan.bytes_moved, "certified": plan.certified},
         )
-        bus.emit_span(
-            "reshard", cat="recovery.reshard", track="supervisor",
-            start=base + load, end=resharded_at,
-            bytes_moved=plan.bytes_moved, certified=plan.certified,
-        )
-        bus.emit_span(
-            "checkpoint", cat="checkpoint", track="supervisor",
-            start=resharded_at, end=t_done, iteration=completed,
+        bus.span(
+            "checkpoint", "checkpoint", "supervisor", resharded_at, t_done,
+            {"iteration": completed},
         )
 
         def end_recovery() -> None:
@@ -395,9 +391,9 @@ def simulate_training_run(
         # ---- a healthy iteration ------------------------------------
         for s in range(n_stages):
             state[s] += _iteration_update(s, completed)
-        bus.emit_span(
-            f"iter{completed}", cat="iteration", track="supervisor",
-            start=t, end=iter_end, iteration=completed,
+        bus.span(
+            f"iter{completed}", "iteration", "supervisor", t, iter_end,
+            {"iteration": completed},
         )
         completed += 1
         t_next = iter_end
@@ -407,18 +403,18 @@ def simulate_training_run(
             and completed < n_iterations
         ):
             write = store.write(completed, t_next, state, meshes)
-            bus.emit_span(
-                "checkpoint", cat="checkpoint", track="supervisor",
-                start=t_next, end=t_next + write, iteration=completed,
+            bus.span(
+                "checkpoint", "checkpoint", "supervisor", t_next, t_next + write,
+                {"iteration": completed},
             )
             t_next += write
         kernel.call_at(t_next, step)
 
     if config.enabled:
         first_write = store.write(0, 0.0, state, meshes)
-        bus.emit_span(
-            "checkpoint", cat="checkpoint", track="supervisor",
-            start=0.0, end=first_write, iteration=0,
+        bus.span(
+            "checkpoint", "checkpoint", "supervisor", 0.0, first_write,
+            {"iteration": 0},
         )
         kernel.call_at(first_write, step)
     else:

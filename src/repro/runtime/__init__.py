@@ -1,27 +1,24 @@
-"""The unified simulation runtime: event kernel + telemetry bus.
+"""The unified simulation runtime: event loop + telemetry bus.
 
 Every simulator in the repo — the flow-level network model behind
-``simulate_plan``, the pipeline executors (plain and interleaved), and
-the elastic-recovery supervisor — executes on one discrete-event
-:class:`Kernel` and reports what happened through one structured
-:class:`TelemetryBus`.  Timelines, Gantt charts, Chrome traces, and the
-result objects' ``timeline``/``comms``/``trace`` views are all *derived*
-from the bus's span stream; no executor keeps private bookkeeping lists
-anymore.
+``simulate_plan``, the pipeline executor (plain and interleaved
+schedules alike), and the elastic-recovery supervisor — executes on one
+discrete-event :class:`EventLoop` and reports what happened through the
+loop's structured :class:`TelemetryBus`.  Timelines, Gantt charts,
+Chrome traces, and the result objects' ``timeline``/``comms``/``trace``
+views are all *derived* from the bus's span stream; no executor keeps
+private bookkeeping lists anymore.
 
 Layout:
 
 * :mod:`repro.runtime.kernel` — heap-scheduled events, simulated clock,
-  named resources;
-* :mod:`repro.runtime.resources` — FIFO token pools and serial
-  reservation channels;
+  and the bus that clock drives;
 * :mod:`repro.runtime.telemetry` — spans, counters, gauges, and marks;
 * :mod:`repro.runtime.trace` — Chrome-trace / JSONL export of a bus and
   the ``last run`` persistence behind ``python -m repro trace``.
 """
 
-from .kernel import Event, EventLoop, Kernel
-from .resources import Resource, SerialChannel
+from .kernel import Event, EventLoop
 from .telemetry import (
     Counter,
     CounterSample,
@@ -42,9 +39,6 @@ from .trace import (
 __all__ = [
     "Event",
     "EventLoop",
-    "Kernel",
-    "Resource",
-    "SerialChannel",
     "TelemetryBus",
     "SpanRecord",
     "CounterSample",

@@ -1,7 +1,9 @@
 """The discrete-event kernel every simulator runs on.
 
-:class:`EventLoop` is the minimal deterministic priority-queue engine.
-All simulated time is in seconds (float).  Determinism is
+:class:`EventLoop` is the one deterministic priority-queue engine, and
+it owns the run's :class:`~repro.runtime.telemetry.TelemetryBus`, whose
+clock is the loop's ``now`` — so every executor reports through one span
+stream.  All simulated time is in seconds (float).  Determinism is
 guaranteed by FIFO tie-breaking at equal timestamps: the heap holds one
 entry per *distinct* timestamp, and each timestamp owns an
 insertion-ordered batch of events, so two runs over the same inputs
@@ -16,18 +18,11 @@ at pop time), scheduling into an existing timestamp is an ``O(1)`` list
 append, and when dead events dominate the queue it is compacted in one
 ``O(n)`` sweep — the heap only ever sees distinct timestamps.
 
-:class:`Kernel` generalizes the loop into the shared runtime substrate:
-
-* a :class:`~repro.runtime.telemetry.TelemetryBus` wired to the
-  simulated clock, so every executor reports through one span stream;
-* named :class:`~repro.runtime.resources.Resource` token pools and
-  :class:`~repro.runtime.resources.SerialChannel` reservation ledgers
-  (NICs, devices, directed stage-pair links) looked up by name.
-
 The engine stays deliberately tiny: the network model
-(:mod:`repro.sim.network`), the pipeline executors, and the recovery
+(:mod:`repro.sim.network`), the pipeline executor, and the recovery
 supervisor all drive it with plain callbacks instead of coroutines,
-which keeps stack traces shallow and the hot loop cheap.
+which keeps stack traces shallow and the hot loop cheap.  Contention
+(busy devices, FIFO links) is modelled by those callers, not here.
 """
 
 from __future__ import annotations
@@ -36,10 +31,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .resources import Resource, SerialChannel
 from .telemetry import TelemetryBus
 
-__all__ = ["Event", "EventLoop", "Kernel"]
+__all__ = ["Event", "EventLoop"]
 
 
 @dataclass(order=True, slots=True)
@@ -94,7 +88,7 @@ _COMPACT_MIN = 512
 
 
 class EventLoop:
-    """Deterministic discrete-event loop.
+    """Deterministic discrete-event loop with its telemetry bus.
 
     Usage::
 
@@ -102,9 +96,12 @@ class EventLoop:
         loop.call_at(1.5, lambda: print("hello at t=1.5"))
         loop.run()
         assert loop.now == 1.5
+
+    ``loop.bus`` is a fresh bus whose clock reads the loop's ``now``.
     """
 
     def __init__(self) -> None:
+        self.bus = TelemetryBus(clock=lambda: self.now)
         # min-heap of distinct timestamps; one _Batch per entry
         self._times: list[float] = []
         self._batches: dict[float, _Batch] = {}
@@ -120,9 +117,10 @@ class EventLoop:
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run at absolute simulated time ``when``."""
         now = self.now
-        if when < now - 1e-12:
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not when >= now - 1e-12:
             raise ValueError(
-                f"cannot schedule event in the past: {when} < now={now}"
+                f"cannot schedule event in the past (or at NaN): {when} < now={now}"
             )
         t = when if when > now else now
         ev = Event(t, self._seq, fn, False, self)
@@ -137,8 +135,8 @@ class EventLoop:
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay: {delay}")
         return self.call_at(self.now + delay, fn)
 
     # ------------------------------------------------------------------
@@ -177,42 +175,6 @@ class EventLoop:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _next_time(self) -> Optional[float]:
-        """Earliest timestamp with any queued event, pruning empty batches."""
-        while self._times:
-            t = self._times[0]
-            batch = self._batches[t]
-            if batch.idx < len(batch.events):
-                return t
-            heapq.heappop(self._times)
-            del self._batches[t]
-        return None
-
-    def step(self) -> bool:
-        """Process the next pending event.  Returns False when idle."""
-        while self._times:
-            t = self._times[0]
-            batch = self._batches[t]
-            events = batch.events
-            i = batch.idx
-            while i < len(events):
-                ev = events[i]
-                i += 1
-                if ev.cancelled:
-                    self._n_cancelled -= 1
-                    continue
-                batch.idx = i
-                self.now = t
-                self._n_processed += 1
-                self._n_live -= 1
-                ev.loop = None
-                ev.fn()
-                return True
-            batch.idx = i
-            heapq.heappop(self._times)
-            del self._batches[t]
-        return False
-
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains (or simulated time passes ``until``).
 
@@ -220,9 +182,9 @@ class EventLoop:
         guard; hitting it raises ``RuntimeError``.
         """
         n = 0
-        # Inlined step(): one heap peek + one dict lookup per event.  The
-        # loop attributes are re-read every iteration because a callback
-        # may cancel enough events to trigger _compact(), which rebinds
+        # One heap peek + one dict lookup per event.  The loop
+        # attributes are re-read every iteration because a callback may
+        # cancel enough events to trigger _compact(), which rebinds
         # self._times / self._batches wholesale.
         while True:
             times = self._times
@@ -264,48 +226,3 @@ class EventLoop:
         """Total number of events executed so far."""
         return self._n_processed
 
-
-class Kernel(EventLoop):
-    """Event loop + telemetry bus + named resources: the shared runtime.
-
-    A fresh kernel owns a fresh bus whose clock is the kernel's ``now``;
-    pass ``bus`` to share one stream across several kernels (e.g. the
-    auto strategy scoring candidates onto one trace).
-    """
-
-    def __init__(self, bus: Optional[TelemetryBus] = None) -> None:
-        super().__init__()
-        self.bus: TelemetryBus = (
-            bus if bus is not None else TelemetryBus(clock=lambda: self.now)
-        )
-        self._resources: dict[str, Resource] = {}
-        self._channels: dict[str, SerialChannel] = {}
-
-    def resource(self, name: str, capacity: int = 1) -> Resource:
-        """Get-or-create the named FIFO token pool."""
-        found = self._resources.get(name)
-        if found is None:
-            found = self._resources[name] = Resource(self, name, capacity)
-        elif found.capacity != capacity:
-            raise ValueError(
-                f"resource {name!r} exists with capacity {found.capacity}, "
-                f"requested {capacity}"
-            )
-        return found
-
-    def channel(self, name: str) -> SerialChannel:
-        """Get-or-create the named serial reservation channel."""
-        found = self._channels.get(name)
-        if found is None:
-            found = self._channels[name] = SerialChannel(self, name)
-        return found
-
-    @property
-    def resources(self) -> dict[str, Resource]:
-        """Live view of the kernel's named token pools."""
-        return self._resources
-
-    @property
-    def channels(self) -> dict[str, SerialChannel]:
-        """Live view of the kernel's named serial channels."""
-        return self._channels

@@ -214,19 +214,6 @@ class TelemetryBus:
                    attrs if attrs is not None else {})
         self._span_rows.append(row)
 
-    def emit_span(
-        self,
-        name: str,
-        cat: str,
-        track: str,
-        start: float,
-        end: float,
-        **attrs: AttrValue,
-    ) -> SpanRecord:
-        """Record a completed interval (timestamps chosen by the caller)."""
-        self.span(name, cat, track, start, end, attrs)
-        return self.spans[-1]
-
     def begin(self, name: str, cat: str, track: str, **attrs: AttrValue) -> None:
         """Open a nested span on ``track`` starting now."""
         stack = self._open.setdefault(track, [])

@@ -172,7 +172,7 @@ class ReshardingService:
         chaos: Optional[ServiceChaos] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
-        self.cache = cache if cache is not None else PlanCache(n_shards=4)
+        self.cache = cache if cache is not None else PlanCache()
         loop = asyncio.get_event_loop()
         self._loop = loop
         self.bus = bus if bus is not None else TelemetryBus(clock=loop.time)

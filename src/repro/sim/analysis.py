@@ -8,19 +8,9 @@ is neglected, exactly as in the paper's analysis.
 These are used by the E7 bench and by tests that check the simulator
 reproduces the analysis, not by the planner itself (the planner measures
 costs on the simulator).
-
-The second half of the module analyses the *measured* side: every
-simulator reports through the runtime telemetry bus, so makespans,
-per-track busy time and utilization are folded directly from the span
-stream (:func:`stream_makespan`, :func:`track_busy_time`,
-:func:`track_utilization`) instead of from executor-private lists.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
-
-from ..runtime.telemetry import TelemetryBus
 
 __all__ = [
     "t_cross_host",
@@ -28,9 +18,6 @@ __all__ = [
     "latency_local_allgather",
     "latency_global_allgather",
     "latency_broadcast",
-    "stream_makespan",
-    "track_busy_time",
-    "track_utilization",
 ]
 
 
@@ -66,47 +53,3 @@ def latency_broadcast(a: int, b: int, t: float, n_chunks: int) -> float:
         raise ValueError("n_chunks must be >= 1")
     return t + a * t / n_chunks
 
-
-# ----------------------------------------------------------------------
-# Span-stream analysis (telemetry-bus side)
-# ----------------------------------------------------------------------
-def stream_makespan(bus: TelemetryBus, cats: Optional[Sequence[str]] = None) -> float:
-    """Latest span end in the stream, optionally restricted to ``cats``.
-
-    With ``cats=("compute", "comm")`` this equals the pipeline
-    executors' ``iteration_time``; with ``cats=("flow",)`` the network
-    makespan.
-    """
-    wanted = None if cats is None else frozenset(cats)
-    return max(
-        (s.end for s in bus.spans if wanted is None or s.cat in wanted),
-        default=0.0,
-    )
-
-
-def track_busy_time(
-    bus: TelemetryBus, cats: Optional[Sequence[str]] = None
-) -> dict[str, float]:
-    """Total span duration per track (summed in emission order).
-
-    Overlapping spans on one track double-count — callers that need
-    exclusive occupancy should restrict ``cats`` to a category the
-    emitter serializes (e.g. ``compute``).
-    """
-    wanted = None if cats is None else frozenset(cats)
-    busy: dict[str, float] = {}
-    for s in bus.spans:
-        if wanted is not None and s.cat not in wanted:
-            continue
-        busy[s.track] = busy.get(s.track, 0.0) + (s.end - s.start)
-    return busy
-
-
-def track_utilization(
-    bus: TelemetryBus, cats: Optional[Sequence[str]] = None
-) -> dict[str, float]:
-    """Busy fraction per track against the stream makespan."""
-    span = stream_makespan(bus, cats)
-    if span <= 0:
-        return {}
-    return {k: v / span for k, v in track_busy_time(bus, cats).items()}

@@ -20,7 +20,7 @@ advances directly to the earliest completion, so simulation cost is
 paper (dozens of devices, thousands of flows).
 
 The network runs on the unified runtime kernel
-(:class:`~repro.runtime.kernel.Kernel`) and reports through its
+(:class:`~repro.runtime.kernel.EventLoop`) and reports through its
 telemetry bus: every delivered/failed/abandoned flow attempt is emitted
 as a ``cat="flow"`` span, byte totals are counters, and fault incidents
 are marks.  ``Network.trace`` is a *derived view* over those spans (the
@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..runtime.kernel import Event, EventLoop, Kernel
+from ..runtime.kernel import Event, EventLoop
 from ..runtime.telemetry import SpanRow, TelemetryBus
 from .cluster import Cluster
 from .faults import FaultIncident, FaultReport, FaultSchedule, RetryPolicy
@@ -167,18 +167,13 @@ class Network:
     def __init__(
         self,
         cluster: Cluster,
-        loop: Optional[EventLoop] = None,
         faults: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
         solver: Optional[RateSolver] = None,
     ) -> None:
         self.cluster = cluster
-        self.loop = loop if loop is not None else Kernel()
-        self.bus: TelemetryBus = (
-            self.loop.bus
-            if isinstance(self.loop, Kernel)
-            else TelemetryBus(clock=lambda: self.loop.now)
-        )
+        self.loop = EventLoop()
+        self.bus: TelemetryBus = self.loop.bus
         self._active: dict[int, Flow] = {}
         #: the max-min fixpoint backend (see :mod:`repro.sim.solver`)
         self.solver: RateSolver = solver if solver is not None else ScalarSolver()

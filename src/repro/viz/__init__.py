@@ -1,11 +1,6 @@
 """Terminal visualizations of simulation results (Gantt, traffic)."""
 
 from .gantt import GanttRow, bus_gantt, flow_gantt, pipeline_gantt, render_rows
-from .trace_export import (
-    bus_flow_trace_events,
-    pipeline_trace_events,
-    write_chrome_trace,
-)
 from .traffic import (
     LinkStats,
     device_traffic_matrix,
@@ -24,8 +19,5 @@ __all__ = [
     "link_stats",
     "LinkStats",
     "format_matrix",
-    "pipeline_trace_events",
-    "bus_flow_trace_events",
     "bus_gantt",
-    "write_chrome_trace",
 ]

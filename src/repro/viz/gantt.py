@@ -72,14 +72,13 @@ def pipeline_gantt(
     show_comms: bool = True,
     max_microbatches: Optional[int] = None,
 ) -> str:
-    """Fig. 4-style timeline: one row per stage (+ one per comm channel).
+    """Fig. 4-style timeline: one row per device (+ one per comm channel).
 
     Compute tasks use glyphs ``F``/``B``/``x``/``w``; transfers use
     ``>`` (forward) and ``<`` (backward).
     """
     rows: list[GanttRow] = []
-    n_stages = result.job.n_stages
-    for s in range(n_stages):
+    for s in range(result.n_devices):
         ivs = [
             (e.start, e.end, _KIND_CHARS.get(e.kind, "?"))
             for e in result.timeline

@@ -84,6 +84,17 @@ def test_negative_delay_rejected():
         loop.call_after(-1.0, lambda: None)
 
 
+def test_nan_times_rejected():
+    """NaN compares False both ways, so a naive `< now` guard let
+    call_after(nan) run its callback at t=0."""
+    loop = EventLoop()
+    with pytest.raises(ValueError):
+        loop.call_after(float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        loop.call_at(float("nan"), lambda: None)
+    assert loop.pending == 0
+
+
 def test_run_until_stops_before_later_events():
     loop = EventLoop()
     seen = []
@@ -94,14 +105,6 @@ def test_run_until_stops_before_later_events():
     assert loop.now == 5.0
     loop.run()
     assert seen == [1, 10]
-
-
-def test_step_returns_false_when_idle():
-    loop = EventLoop()
-    assert loop.step() is False
-    loop.call_at(1.0, lambda: None)
-    assert loop.step() is True
-    assert loop.step() is False
 
 
 def test_event_budget_guard():

@@ -36,6 +36,8 @@ def test_job_validation():
         CommEdge(1, 1, 0.0, 0.0)
     with pytest.raises(ValueError, match="forward"):
         CommEdge(2, 1, 0.0, 0.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        CommEdge(0, 1, 0.0, -1.0)
 
 
 def test_order_validation_rejects_bad_lists():
@@ -49,6 +51,47 @@ def test_order_validation_rejects_bad_lists():
         simulate_pipeline(job, [[Task("F", 0), Task("F", 1),
                                  Task("Bx", 0), Task("Bw", 0),
                                  Task("B", 1)]])
+
+
+def test_non_finite_times_rejected():
+    """NaN slipped past the `< 0` guards and gave a wrong finite answer
+    (5.0 for a NaN backward, 6.5 for a NaN edge)."""
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        with pytest.raises(ValueError, match="finite"):
+            StageProfile(1, bad, 1.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            StageProfile(1, 1.0, bad, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            CommEdge(0, 1, bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            CommEdge(0, 1, 0.5, bad)
+
+
+def test_stage_placed_on_two_devices_rejected():
+    job = make_job(n_stages=2, m=1)
+    orders = [
+        [Task("F", 0), Task("B", 0)],
+        [Task("F", 0, stage=0), Task("F", 0), Task("B", 0)],
+    ]
+    with pytest.raises(ValueError, match="placed on devices 0 and 1"):
+        simulate_pipeline(job, orders)
+    with pytest.raises(ValueError, match="names no stage"):
+        simulate_pipeline(job, [[Task("F", 0), Task("B", 0)],
+                                [Task("F", 0, stage=2)]])
+
+
+def test_chunked_orders_reject_blocking_comm():
+    """Two stages on one device run overlapped only."""
+    job = make_job(n_stages=2, m=2, comm=0.5)
+    chunked = [[Task("F", mb, s) for s in (0, 1) for mb in (0, 1)]
+               + [Task("B", mb, s) for s in (1, 0) for mb in (0, 1)]]
+    r = simulate_pipeline(job, chunked, overlap=True)
+    assert r.n_devices == 1 and set(r.stage_busy_time) == {0}
+    # all compute serialised on the one device, plus the F->F transfer gaps
+    assert r.iteration_time >= 2 * 2 * 3.0
+    with pytest.raises(ValueError, match="overlap=False"):
+        simulate_pipeline(job, chunked, overlap=False)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Tests for the runtime kernel: event loop, resources, channels."""
+"""Tests for the runtime kernel: the event loop, its bus, and the FIFO
+channels the pipeline executor keeps per directed device pair."""
 
-import pytest
-
-from repro.runtime.kernel import EventLoop, Kernel
-from repro.runtime.resources import Resource, SerialChannel
+from repro.pipeline.executor import simulate_pipeline
+from repro.pipeline.interleaved import InterleavedJob
+from repro.pipeline.schedules import schedule_job
+from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
+from repro.runtime.kernel import EventLoop
 
 
 # ----------------------------------------------------------------------
@@ -50,103 +52,64 @@ def test_events_scheduled_at_now_during_callback_run_same_time():
 
 
 # ----------------------------------------------------------------------
-# Kernel: bus clock + named resources
+# The loop's bus
 # ----------------------------------------------------------------------
 def test_kernel_bus_clock_tracks_now():
-    k = Kernel()
+    k = EventLoop()
     times = []
     k.call_at(2.5, lambda: times.append(k.bus.now))
     k.run()
     assert times == [2.5]
 
 
-def test_kernel_resource_get_or_create():
-    k = Kernel()
-    r1 = k.resource("nic:0", capacity=2)
-    assert k.resource("nic:0", capacity=2) is r1
-    assert isinstance(r1, Resource)
-    with pytest.raises(ValueError, match="capacity"):
-        k.resource("nic:0", capacity=3)
-    assert set(k.resources) == {"nic:0"}
-
-
-def test_kernel_channel_get_or_create():
-    k = Kernel()
-    c1 = k.channel("0->1:fwd")
-    assert k.channel("0->1:fwd") is c1
-    assert isinstance(c1, SerialChannel)
-    assert set(k.channels) == {"0->1:fwd"}
-
-
 # ----------------------------------------------------------------------
-# Resource semantics
+# FIFO channels (one per directed device pair and direction)
 # ----------------------------------------------------------------------
-def test_resource_try_acquire_and_release():
-    k = Kernel()
-    r = k.resource("dev", capacity=2)
-    assert r.try_acquire() and r.try_acquire()
-    assert not r.try_acquire()
-    assert r.in_use == 2
-    r.release()
-    assert r.available == 1
-    assert r.try_acquire()
+def _two_stage_job(comm, m=2):
+    stages = [StageProfile(s, 1.0, 1.0, 0.0) for s in range(2)]
+    return PipelineJob(stages, [CommEdge(0, 1, comm, comm, label="act")], m)
 
 
-def test_resource_release_without_acquire_raises():
-    k = Kernel()
-    r = k.resource("dev")
-    with pytest.raises(RuntimeError, match="release without acquire"):
-        r.release()
+def _channel_spans(result, track):
+    return [(s.start, s.end) for s in result.telemetry.spans
+            if s.cat == "comm" and s.track == track]
 
 
-def test_resource_queued_waiters_grant_fifo():
-    k = Kernel()
-    r = k.resource("dev")
-    got = []
-    r.acquire(lambda: got.append("a"))  # synchronous grant
-    r.acquire(lambda: got.append("b"))  # queued
-    r.acquire(lambda: got.append("c"))  # queued
-    assert got == ["a"]
-    k.call_at(1.0, r.release)  # grants b via zero-delay event at t=1
-    k.call_at(2.0, r.release)  # grants c at t=2
-    k.run()
-    assert got == ["a", "b", "c"]
-    assert r.waiting == 0 and r.in_use == 1
-
-
-def test_resource_capacity_validation():
-    k = Kernel()
-    with pytest.raises(ValueError, match="capacity"):
-        k.resource("bad", capacity=0)
-
-
-# ----------------------------------------------------------------------
-# SerialChannel reservation ledger
-# ----------------------------------------------------------------------
 def test_serial_channel_fifo_reservations():
-    k = Kernel()
-    ch = k.channel("0->1:fwd")
-    assert ch.reserve(0.0, 2.0) == 0.0
-    assert ch.reserve(1.0, 1.0) == 2.0  # queued behind the first
-    assert ch.reserve(5.0, 1.0) == 5.0  # channel idle again
-    assert ch.free_at == 6.0
-    assert ch.n_reservations == 3
-    assert ch.busy_time == pytest.approx(4.0)
+    """Two messages on one directed device pair serialise in send order:
+    F0 and F1 finish at t=1 and t=2, but the second activation waits for
+    the first to clear the 3-second link."""
+    r = simulate_pipeline(_two_stage_job(3.0), schedule_job("gpipe", 2, 2))
+    assert _channel_spans(r, "chan:0->1:fwd") == [(1.0, 4.0), (4.0, 7.0)]
+    # interleaved: chunk edges c0->c1 and c2->c3 share device pair 0->1
+    job = InterleavedJob(2, 2, 4, 1.0, 2.0, 1.5, 1.5)
+    r = simulate_pipeline(job.pipeline_job(), job.orders())
+    spans = [s for s in r.telemetry.spans if s.track == "chan:0->1:fwd"]
+    assert {s.name for s in spans} == {"c0->c1", "c2->c3"} and len(spans) == 2 * 4
+    for prev, nxt in zip(spans, spans[1:]):
+        assert nxt.start >= prev.end
 
 
 def test_serial_channel_matches_max_rule():
-    """reserve() must equal the executors' max(ready, free_at) rule."""
-    k = Kernel()
-    ch = k.channel("x")
-    free = 0.0
-    for ready, dur in [(0.0, 1.5), (0.5, 0.25), (10.0, 2.0), (9.0, 1.0)]:
-        expect = max(ready, free)
-        assert ch.reserve(ready, dur) == expect
-        free = expect + dur
-    assert ch.free_at == free
-
-
-def test_serial_channel_rejects_negative_duration():
-    k = Kernel()
-    with pytest.raises(ValueError, match="negative duration"):
-        k.channel("x").reserve(0.0, -1.0)
+    """Each transfer starts at max(ready, channel free), where ready is
+    the producing task's finish and free the channel's previous end."""
+    p, m, comm = 3, 6, 1.5
+    stages = [StageProfile(s, 1.0, 1.0, 1.0) for s in range(p)]
+    edges = [CommEdge(s, s + 1, comm, comm) for s in range(p - 1)]
+    r = simulate_pipeline(PipelineJob(stages, edges, m), schedule_job("1f1b", p, m))
+    finish = {(e.stage, e.kind, e.microbatch): e.end for e in r.timeline}
+    free: dict[str, float] = {}
+    queued = 0
+    for s in r.telemetry.spans:
+        if s.cat != "comm":
+            continue
+        a = s.attrs
+        producer = a["src_stage"] if a["direction"] == "fwd" else a["dst_stage"]
+        kind = "F" if a["direction"] == "fwd" else "B"
+        ready = finish[(producer, kind, a["microbatch"])]
+        prev = free.get(s.track, 0.0)
+        assert s.start == (ready if ready > prev else prev)
+        assert s.end == s.start + comm
+        queued += prev > ready
+        free[s.track] = s.end
+    assert queued  # the warm-up forwards really did queue

@@ -76,7 +76,7 @@ def test_virtual_clock_stall_raises_instead_of_hanging():
 
 
 # ----------------------------------------------------------------------
-# Sharded LRU plan cache (satellite 1)
+# LRU plan cache
 # ----------------------------------------------------------------------
 def test_cache_lru_evicts_least_recently_used():
     cache = PlanCache(max_entries=2)
@@ -104,20 +104,6 @@ def test_cache_lru_touch_on_hit_protects_entry():
     compile_resharding(make_task(shape=(64, 64)),
                        CompileContext(strategy="send_recv", cache=cache))
     assert cache.lookup(a.signature) is not None  # survived the eviction
-
-
-def test_cache_shard_stats_sum_to_totals():
-    cache = PlanCache(max_entries=64, n_shards=4)
-    for shape in [(32, 32), (48, 48), (64, 64)]:
-        compile_resharding(make_task(shape=shape),
-                           CompileContext(strategy="send_recv", cache=cache))
-        compile_resharding(make_task(shape=shape),
-                           CompileContext(strategy="send_recv", cache=cache))
-    stats = cache.stats()
-    assert len(stats.shards) == 4
-    assert sum(s.hits for s in stats.shards) == stats.hits == 3
-    assert sum(s.misses for s in stats.shards) == stats.misses == 3
-    assert sum(s.size for s in stats.shards) == 3
 
 
 def test_cache_invalidate_drops_in_flight_epoch_stores():

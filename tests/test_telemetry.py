@@ -42,8 +42,8 @@ def test_begin_end_nesting_sets_depth_and_parent():
 def test_emit_span_inside_open_span_nests():
     bus, clock = make_bus()
     bus.begin("recovery", cat="recovery", track="sup")
-    child = bus.emit_span("load", cat="recovery.load", track="sup",
-                          start=0.5, end=1.5)
+    bus.span("load", "recovery.load", "sup", 0.5, 1.5)
+    child = bus.spans[-1]
     assert (child.depth, child.parent) == (1, "recovery")
     clock["t"] = 2.0
     bus.end("sup")
@@ -53,8 +53,8 @@ def test_emit_span_inside_open_span_nests():
 def test_nesting_is_per_track():
     bus, _clock = make_bus()
     bus.begin("a", cat="c", track="t1")
-    span = bus.emit_span("b", cat="c", track="t2", start=0.0, end=1.0)
-    assert span.depth == 0
+    bus.span("b", "c", "t2", 0.0, 1.0)
+    assert bus.spans[-1].depth == 0
     assert bus.open_depth("t1") == 1 and bus.open_depth("t2") == 0
 
 
@@ -100,7 +100,7 @@ def test_gauge_moves_both_ways_and_counter_is_separate_series():
 # ----------------------------------------------------------------------
 def test_jsonl_dicts_round_trip_to_records():
     bus, clock = make_bus()
-    bus.emit_span("s", cat="c", track="t", start=0.0, end=1.0, k=3)
+    bus.span("s", "c", "t", 0.0, 1.0, {"k": 3})
     bus.counter("n", track="t").add(2.0)
     clock["t"] = 1.0
     bus.mark("m", track="t", why="x")
@@ -115,9 +115,9 @@ def test_jsonl_dicts_round_trip_to_records():
 
 def test_chrome_trace_groups_tracks_by_prefix():
     bus, _clock = make_bus()
-    bus.emit_span("a", cat="c", track="stage:0", start=0.0, end=1.0)
-    bus.emit_span("b", cat="c", track="stage:1", start=0.0, end=1.0)
-    bus.emit_span("f", cat="flow", track="dev:0", start=0.0, end=1.0)
+    bus.span("a", "c", "stage:0", 0.0, 1.0)
+    bus.span("b", "c", "stage:1", 0.0, 1.0)
+    bus.span("f", "flow", "dev:0", 0.0, 1.0)
     events = chrome_trace_events(bus)
     xs = [e for e in events if e.get("ph") == "X"]
     stage_pids = {e["pid"] for e in xs if e["name"] in ("a", "b")}
@@ -132,25 +132,26 @@ def test_chrome_trace_groups_tracks_by_prefix():
 # Parity: bus-derived Chrome trace == the FlowRecord view
 # ----------------------------------------------------------------------
 def test_fig6_flow_trace_parity():
-    """On a fixed Fig. 6 (Table 2) case the trace built straight from
-    the telemetry spans must match the derived FlowRecord view — one
-    event per record, same order, same names, times, and endpoints."""
+    """On a fixed Fig. 6 (Table 2) case the Chrome trace built straight
+    from the telemetry spans must match the derived FlowRecord view —
+    one flow event per record, same order, same names, times, and
+    endpoints."""
     from repro.core.api import reshard
     from repro.experiments.common import make_microbench_meshes
     from repro.experiments.fig6 import TABLE2_CASES
-    from repro.viz import bus_flow_trace_events
 
     case = TABLE2_CASES[2]  # case3: RS0R -> S0RR on (2,4) meshes
-    cluster, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
+    _cluster, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
     r = reshard((256, 256, 64), src, case.send_spec, dst, case.recv_spec,
                 strategy="broadcast", cache=None)
     records = r.timing.network.trace
-    events = [e for e in bus_flow_trace_events(r.timing.telemetry, cluster)
-              if e["ph"] == "X"]
+    events = [e for e in chrome_trace_events(r.timing.telemetry)
+              if e.get("cat") == "flow"]
     assert events and len(events) == len(records)
     for e, rec in zip(events, records):
         start = rec.start_time if rec.start_time >= 0.0 else rec.submit_time
         assert e["name"] == (rec.tag or f"flow{rec.flow_id}")
         assert e["ts"] == start * 1e6
         assert e["dur"] == max(rec.duration * 1e6, 0.01)
-        assert e["args"] == {"src": rec.src, "dst": rec.dst, "bytes": rec.nbytes}
+        a = e["args"]
+        assert (a["src"], a["dst"], a["nbytes"]) == (rec.src, rec.dst, rec.nbytes)

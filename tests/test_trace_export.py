@@ -1,4 +1,4 @@
-"""Tests for Chrome-trace export."""
+"""Tests for Chrome-trace export of pipeline and network runs."""
 
 import json
 
@@ -9,8 +9,8 @@ from repro.core.mesh import DeviceMesh
 from repro.pipeline.executor import simulate_pipeline
 from repro.pipeline.schedules import schedule_job
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
+from repro.runtime.trace import chrome_trace_events, write_chrome_trace_file
 from repro.sim.cluster import Cluster, ClusterSpec
-from repro.viz import bus_flow_trace_events, pipeline_trace_events, write_chrome_trace
 
 
 @pytest.fixture
@@ -22,11 +22,11 @@ def pipe_result():
 
 
 def test_pipeline_trace_events(pipe_result):
-    events = pipeline_trace_events(pipe_result)
+    events = chrome_trace_events(pipe_result.telemetry)
     compute = [e for e in events if e.get("cat") == "compute"]
     comm = [e for e in events if e.get("cat") == "comm"]
-    meta = [e for e in events if e["ph"] == "M"]
-    assert len(meta) == 2
+    threads = {e["args"]["name"] for e in events if e["name"] == "thread_name"}
+    assert {"stage:0", "stage:1", "chan:0->1:fwd", "chan:0->1:bwd"} <= threads
     # 3 mb x (F + B) x 2 stages
     assert len(compute) == 12
     # 3 mb x 2 directions
@@ -42,18 +42,17 @@ def test_flow_trace_events():
     src = DeviceMesh.from_hosts(c, [0, 1])
     dst = DeviceMesh.from_hosts(c, [2, 3])
     r = reshard((64, 64, 8), src, "S0RR", dst, "RS1R", strategy="broadcast")
-    events = bus_flow_trace_events(r.timing.telemetry, c)
-    flows = [e for e in events if e["ph"] == "X"]
+    flows = [e for e in chrome_trace_events(r.timing.telemetry)
+             if e.get("cat") == "flow"]
     assert len(flows) == len(r.timing.network.trace)
-    cats = {e["cat"] for e in flows}
-    assert "cross" in cats
-    assert all(0 <= e["pid"] < 4 for e in flows)
+    assert any(not c.same_host(e["args"]["src"], e["args"]["dst"]) for e in flows)
+    assert all(e["ph"] == "X" and e["dur"] > 0 for e in flows)
 
 
 def test_write_chrome_trace_roundtrip(tmp_path, pipe_result):
-    events = pipeline_trace_events(pipe_result)
+    events = chrome_trace_events(pipe_result.telemetry)
     path = tmp_path / "trace.json"
-    write_chrome_trace(events, str(path))
+    write_chrome_trace_file(events, str(path))
     data = json.loads(path.read_text())
     assert data["displayTimeUnit"] == "ms"
-    assert len(data["traceEvents"]) == len(events)
+    assert data["traceEvents"] == events
