@@ -32,7 +32,6 @@ from .deadlock import (
     check_plan_deadlock,
     check_stage_orders_deadlock,
     find_cycle,
-    schedule_gating_preds,
 )
 from .diagnostics import CATALOG, AnalysisReport, Diagnostic, Severity
 from .domains import check_checkpoint_domains, meshes_share_domain
@@ -58,7 +57,6 @@ __all__ = [
     "check_stage_orders",
     "check_stage_orders_deadlock",
     "find_cycle",
-    "schedule_gating_preds",
     "analyze_pipeline_schedule",
     "static_peak_inflight",
     "MemoryAnalysis",

@@ -7,7 +7,8 @@ Two analyzers share one cycle finder:
   work: an op waits for its dependency ops, a unit task *finishes* when
   all its ops finish, and a unit task is *released* only once every
   earlier-ordered task sharing one of its hosts has finished (the
-  executable form of the paper's Eq. 3 non-overlap constraint).  An op
+  paper's Eq. 3 gating, read from :func:`repro.core.plan.gating_order`
+  exactly as the executor reads it).  An op
   dependency pointing "against" the schedule's host-gating order closes
   a cycle in that wait-for graph — the plan would hang the executor at
   runtime; the analyzer reports the cycle before anything runs.
@@ -29,17 +30,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Optional, Sequence, TypeVar
 
+from ..core.plan import gating_order
 from .diagnostics import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import CommPlan
-    from ..core.task import UnitCommTask
     from ..pipeline.schedules import Task
     from ..pipeline.stage import PipelineJob
 
 __all__ = [
     "find_cycle",
-    "schedule_gating_preds",
     "check_plan_deadlock",
     "check_stage_orders_deadlock",
 ]
@@ -88,40 +88,7 @@ def find_cycle(edges: dict[N, Sequence[N]]) -> Optional[list[N]]:
     return None
 
 
-def schedule_gating_preds(
-    plan: "CommPlan", unit_tasks: "list[UnitCommTask]"
-) -> dict[int, set[int]]:
-    """Host-gating predecessors per unit task, as the executor builds them.
-
-    Task ``t`` may only start once every earlier-ordered task sharing
-    one of its hosts (assigned sender host or any receiver host) has
-    finished.  Mirrors :func:`repro.core.executor.simulate_plan`.
-    """
-    schedule = plan.schedule
-    task_ops = plan.ops_by_task()
-    preds: dict[int, set[int]] = {tid: set() for tid in task_ops}
-    if schedule is None:
-        return preds
-    ut_by_id = {ut.task_id: ut for ut in unit_tasks}
-    last_on_host: dict[int, int] = {}
-    for tid in schedule.order:
-        if tid not in task_ops or tid not in ut_by_id:
-            continue
-        ut = ut_by_id[tid]
-        hosts = set(plan.task.receiver_hosts(ut))
-        if tid in schedule.assignment:
-            hosts.add(schedule.assignment[tid])
-        for h in sorted(hosts):
-            prev = last_on_host.get(h)
-            if prev is not None and prev != tid:
-                preds[tid].add(prev)
-            last_on_host[h] = tid
-    return preds
-
-
-def check_plan_deadlock(
-    plan: "CommPlan", unit_tasks: "Optional[list[UnitCommTask]]" = None
-) -> AnalysisReport:
+def check_plan_deadlock(plan: "CommPlan") -> AnalysisReport:
     """Detect wait-for cycles between op deps and schedule host-gating.
 
     Nodes: ``op<N>`` (the op completing), ``task<T>`` (all of T's ops
@@ -132,17 +99,17 @@ def check_plan_deadlock(
     graph has no gating edges at all.
     """
     report = AnalysisReport(subject=f"deadlock[{plan.strategy}]")
-    if unit_tasks is None:
-        unit_tasks = plan.task.unit_tasks(plan.granularity)
     known = {op.op_id for op in plan.ops}
     task_ops = plan.ops_by_task()
-    preds = schedule_gating_preds(plan, unit_tasks)
-    gated = plan.schedule is not None and any(preds.values())
+    preds: dict[int, set[int]] = {}
+    if plan.schedule is not None:
+        preds, _ = gating_order(plan.schedule.order, plan.gating_hosts())
+    gated = any(preds.values())
 
     edges: dict[str, list[str]] = {}
     for op in plan.ops:
         waits = [f"op{d}" for d in op.deps if d in known]
-        if gated and op.unit_task_id != -1 and op.unit_task_id in preds:
+        if gated and op.unit_task_id != -1:
             waits.append(f"release task{op.unit_task_id}")
         edges[f"op{op.op_id}"] = waits
     if gated:

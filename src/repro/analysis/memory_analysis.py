@@ -21,10 +21,11 @@ Serialization argument
 *Gated plans* (the plan carries a schedule and the strategy gates on
 it): the executor chains unit tasks per host — task *t* may start only
 after the previous task in schedule order that touches one of *t*'s
-hosts has finished, where "touches" means ``receiver_hosts(t) ∪
-{assignment[t]}`` (the executor's ``last_on_host`` construction, the
-same order oracle :func:`repro.analysis.deadlock.schedule_gating_preds`
-proves deadlock-freedom over).  A finished task has completed every op,
+hosts has finished, where "touches" means
+:meth:`CommPlan.gating_hosts() <repro.core.plan.CommPlan.gating_hosts>`
+— ``receiver_hosts(t) ∪ {assignment[t]}``, the host sets
+:func:`repro.core.plan.gating_order` gates the executor and the D001
+deadlock analysis on.  A finished task has completed every op,
 so its buffers are released before any successor on the same host
 launches.  Hence at most one scheduled task's buffers are live per host
 at a time, and::
@@ -33,8 +34,8 @@ at a time, and::
                of sum(op buffers on h for ops of t)
 
 ``concurrent[h]`` collects contributions the gating order says nothing
-about: schedule-free (task id ``-1``) ops, and ops of tasks missing
-from the schedule.  Those are combined by **dependency-chain
+about: schedule-free (task id ``-1``) ops, and ops of tasks the
+schedule does not gate.  Those are combined by **dependency-chain
 decomposition** — ops linked by a dep edge are serialized (the executor
 releases an op's buffers before launching its dependents), so each
 chain contributes its max and concurrent chains sum.
@@ -64,7 +65,6 @@ from typing import Optional
 
 from ..core.buffers import op_host_buffers
 from ..core.plan import CommOp, CommPlan
-from ..core.task import UnitCommTask
 from ..sim.cluster import Cluster
 from .diagnostics import AnalysisReport
 
@@ -180,15 +180,8 @@ def _chain_bound(
     return out
 
 
-def static_host_bounds(
-    plan: CommPlan, unit_tasks: Optional[list[UnitCommTask]] = None
-) -> MemoryAnalysis:
-    """Compute the sound per-host peak-buffer bound for ``plan``.
-
-    ``unit_tasks`` may be passed to reuse a decomposition the caller
-    (e.g. :func:`~repro.analysis.plan_checker.check_plan`) already
-    computed.
-    """
+def static_host_bounds(plan: CommPlan) -> MemoryAnalysis:
+    """Compute the sound per-host peak-buffer bound for ``plan``."""
     cluster = plan.task.cluster
     nonfinite: list[int] = []
     uncovered: list[int] = []
@@ -213,24 +206,14 @@ def static_host_bounds(
             uncovered_ops=(),
         )
 
-    if unit_tasks is None:
-        unit_tasks = plan.task.unit_tasks(plan.granularity)
-    ut_by_id = {ut.task_id: ut for ut in unit_tasks}
-
     # The executor's gating host set per scheduled task, and the sum of
     # each task's covered op charges per host (ops within one task may
     # all be concurrent — their sum is the task's footprint).
     loose_ops: list[CommOp] = list(task_ops.get(-1, ()))
     task_footprint: dict[int, dict[int, float]] = {}
-    gating_hosts: dict[int, frozenset[int]] = {}
-    scheduled = set(schedule.assignment) & set(task_ops)
-    for tid in sorted(scheduled):
-        if tid == -1:
-            continue
-        ut = ut_by_id.get(tid)
-        hosts = set(plan.task.receiver_hosts(ut)) if ut is not None else set()
-        hosts.add(schedule.assignment[tid])
-        gating_hosts[tid] = frozenset(hosts)
+    gating_hosts = plan.gating_hosts()
+    for tid in sorted(gating_hosts):
+        hosts = gating_hosts[tid]
         footprint: dict[int, float] = {}
         for op in task_ops[tid]:
             outside = [h for h in charges[op.op_id] if h not in hosts]
@@ -245,10 +228,10 @@ def static_host_bounds(
                 footprint[host] = footprint.get(host, 0.0) + nbytes
         task_footprint[tid] = footprint
 
-    # Tasks that emit ops but are absent from the schedule are never
-    # gated (P007 territory): always-concurrent.
+    # Tasks that emit ops but the schedule does not gate (P007
+    # territory): always-concurrent.
     for tid, ops in task_ops.items():
-        if tid != -1 and tid not in schedule.assignment:
+        if tid != -1 and tid not in gating_hosts:
             loose_ops.extend(ops)
 
     concurrent = _chain_bound(loose_ops, charges)
@@ -273,7 +256,6 @@ def static_host_bounds(
 def check_plan_memory(
     plan: CommPlan,
     report: AnalysisReport,
-    unit_tasks: Optional[list[UnitCommTask]] = None,
     memory_budget: Optional[float] = None,
 ) -> MemoryAnalysis:
     """Run the memory analysis and file M001/M002 findings on ``report``.
@@ -281,7 +263,7 @@ def check_plan_memory(
     ``memory_budget`` overrides the cluster spec's own budget; with
     neither set only M002 (unattributable buffers) can fire.
     """
-    analysis = static_host_bounds(plan, unit_tasks=unit_tasks)
+    analysis = static_host_bounds(plan)
     for op_id in analysis.nonfinite_ops:
         report.add(
             "M002",

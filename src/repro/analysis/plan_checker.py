@@ -17,8 +17,11 @@ possible once plans carried a schedule and fallback records:
 * **dependency sanity** (``P003``/``P004``): deps must name real,
   earlier ops and be acyclic;
 * **sender authority** (``P005``): an op's sender must be a source-mesh
-  device holding the region it sends; all-gather groups must be fed by a
-  preceding scatter of the same region;
+  device holding the region it sends; an all-gather must be fed by the
+  scatters its ``deps`` name, whose parts on its group cover the region.
+  Coverage and authority are read from the same delivery walk
+  (:func:`repro.core.verify_data.walk_deliveries`) the execution-aware
+  verifier certifies with, so the two never disagree on a plan;
 * **re-rooting consistency** (``P006``): the schedule must assign each
   unit task a host that holds a replica, no emitted op may send from a
   host that :class:`~repro.compiler.passes.FaultRewritePass` re-rooted
@@ -52,48 +55,27 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from ..core.plan import (
-    AllGatherOp,
-    BroadcastOp,
-    CommOp,
-    CommPlan,
-    MulticastOp,
-    ScatterOp,
-    SendOp,
-)
-from ..core.slices import Region, region_intersection, region_shape, region_size
+from ..core.plan import AllGatherOp, CommOp, CommPlan, MulticastOp, gating_order
+from ..core.slices import region_intersection, region_size
 from ..core.task import UnitCommTask
+from ..core.verify_data import tile_arrivals, walk_deliveries
 from ..sim.faults import FaultSchedule
-from .deadlock import check_plan_deadlock, schedule_gating_preds
+from .deadlock import check_plan_deadlock, find_cycle
 from .diagnostics import AnalysisReport, Severity
 
-__all__ = ["check_plan", "Delivery"]
-
-
-class Delivery:
-    """One region an op places on one receiver (a potential write)."""
-
-    __slots__ = ("op_id", "task_id", "receiver", "region")
-
-    def __init__(self, op_id: int, task_id: int, receiver: int, region: Region):
-        self.op_id = op_id
-        self.task_id = task_id
-        self.receiver = receiver
-        self.region = region
-
-
-def _op_sender(op: CommOp) -> Optional[int]:
-    if isinstance(op, (SendOp, BroadcastOp, MulticastOp, ScatterOp)):
-        return op.sender
-    return None
+__all__ = ["check_plan"]
 
 
 def _check_structure(plan: CommPlan, report: AnalysisReport) -> None:
     rank = len(plan.task.shape)
     seen_ids: set[int] = set()
     for pos, op in enumerate(plan.ops):
+        if op.sender is None and not isinstance(op, AllGatherOp):
+            report.add(
+                "P008",
+                f"op {op.op_id}: unknown op type {type(op).__name__}",
+                op_ids=(op.op_id,),
+            )
         if op.op_id in seen_ids:
             report.add(
                 "P008",
@@ -135,169 +117,16 @@ def _check_deps(plan: CommPlan, report: AnalysisReport) -> None:
     # Cycle detection over the dep graph (op ids may be arbitrary in
     # hand-built plans, so "dep < op_id" above does not already prove
     # acyclicity — and we want the cycle itself as a witness).
-    deps_of = {op.op_id: tuple(d for d in op.deps if d in known) for op in plan.ops}
-    color: dict[int, int] = {}  # 0/absent=white, 1=on stack, 2=done
-    stack: list[int] = []
-
-    def visit(start: int) -> Optional[list[int]]:
-        todo: list[tuple[int, int]] = [(start, 0)]
-        while todo:
-            node, i = todo.pop()
-            if i == 0:
-                if color.get(node) == 2:
-                    continue
-                color[node] = 1
-                stack.append(node)
-            children = deps_of.get(node, ())
-            if i < len(children):
-                todo.append((node, i + 1))
-                child = children[i]
-                if color.get(child) == 1:
-                    cut = stack.index(child)
-                    return stack[cut:] + [child]
-                if color.get(child) != 2:
-                    todo.append((child, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-        return None
-
-    for op in plan.ops:
-        if color.get(op.op_id) is None:
-            cycle = visit(op.op_id)
-            if cycle is not None:
-                report.add(
-                    "P004",
-                    "dependency cycle among ops "
-                    + " -> ".join(str(i) for i in cycle),
-                    op_ids=tuple(dict.fromkeys(cycle)),
-                    witness=tuple(f"op{i}" for i in cycle),
-                )
-                return  # one witness is enough; deeper cycles repeat it
-
-
-def _check_sender_holds(plan: CommPlan, op: CommOp, report: AnalysisReport) -> bool:
-    sender = _op_sender(op)
-    if sender is None:
-        return True
-    task = plan.task
-    if sender not in task.src_mesh.devices:
+    cycle = find_cycle(
+        {op.op_id: tuple(d for d in op.deps if d in known) for op in plan.ops}
+    )
+    if cycle is not None:
         report.add(
-            "P005",
-            f"op {op.op_id}: sender {sender} is not a source-mesh device",
-            op_ids=(op.op_id,),
+            "P004",
+            "dependency cycle among ops " + " -> ".join(str(i) for i in cycle),
+            op_ids=tuple(dict.fromkeys(cycle)),
+            witness=tuple(f"op{i}" for i in cycle),
         )
-        return False
-    holder = task.src_grid.device_region(sender)
-    if len(op.region) != len(holder):
-        return False  # rank mismatch already reported as P008
-    if region_intersection(holder, op.region) != op.region:
-        report.add(
-            "P005",
-            f"op {op.op_id}: sender {sender} holds {holder}, not {op.region}",
-            op_ids=(op.op_id,),
-        )
-        return False
-    return True
-
-
-def _collect_deliveries(
-    plan: CommPlan, report: AnalysisReport
-) -> tuple[list[Delivery], dict[int, list[Region]]]:
-    """Walk ops in list order; return write records and coverage regions.
-
-    Scatter ops place flat (non-box) parts, so they feed the sender-
-    authority and race analyses via their full region but are excluded
-    from coverage (their matching all-gather delivers the whole region).
-    Mirrors the op semantics in :mod:`repro.core.data`.
-    """
-    task = plan.task
-    dst = set(task.dst_mesh.devices)
-    deliveries: list[Delivery] = []
-    coverage: dict[int, list[Region]] = {d: [] for d in task.dst_mesh.devices}
-    scattered: dict[tuple[int, Region], set[int]] = {}
-
-    for op in plan.ops:
-        ok = _check_sender_holds(plan, op, report)
-        if isinstance(op, SendOp):
-            if op.receiver in dst:
-                deliveries.append(
-                    Delivery(op.op_id, op.unit_task_id, op.receiver, op.region)
-                )
-                if ok:
-                    coverage[op.receiver].append(op.region)
-        elif isinstance(op, (BroadcastOp, MulticastOp)):
-            for r in op.receivers:
-                if r in dst:
-                    deliveries.append(
-                        Delivery(op.op_id, op.unit_task_id, r, op.region)
-                    )
-                    if ok:
-                        coverage[r].append(op.region)
-        elif isinstance(op, ScatterOp):
-            for r in op.receivers:
-                scattered.setdefault((op.op_id, op.region), set()).add(r)
-                if r in dst:
-                    deliveries.append(
-                        Delivery(op.op_id, op.unit_task_id, r, op.region)
-                    )
-        elif isinstance(op, AllGatherOp):
-            feeders = [
-                devs
-                for (dep_id, region), devs in scattered.items()
-                if region == op.region and dep_id in op.deps
-            ]
-            fed: set[int] = set().union(*feeders) if feeders else set()
-            if not feeders or not set(op.devices) <= fed:
-                report.add(
-                    "P005",
-                    f"op {op.op_id}: all-gather group not fully fed by a "
-                    "preceding scatter of the same region",
-                    op_ids=(op.op_id,),
-                )
-            for r in op.devices:
-                if r in dst:
-                    deliveries.append(
-                        Delivery(op.op_id, op.unit_task_id, r, op.region)
-                    )
-                    coverage[r].append(op.region)
-        else:
-            report.add(
-                "P008",
-                f"op {op.op_id}: unknown op type {type(op).__name__}",
-                op_ids=(op.op_id,),
-            )
-    return deliveries, coverage
-
-
-def _check_coverage(
-    plan: CommPlan, coverage: dict[int, list[Region]], report: AnalysisReport
-) -> None:
-    task = plan.task
-    intra = set(task.src_mesh.devices) & set(task.dst_mesh.devices)
-    for dev in task.dst_mesh.devices:
-        want = task.dst_grid.device_region(dev)
-        got = np.zeros(region_shape(want), dtype=bool)
-        regions = list(coverage[dev])
-        if dev in intra:
-            regions.append(task.src_grid.device_region(dev))
-        for region in regions:
-            if len(region) != len(want):
-                continue  # rank mismatch already reported as P008
-            inter = region_intersection(region, want)
-            if inter is None:
-                continue
-            sl = tuple(
-                slice(i0 - w0, i1 - w0) for (i0, i1), (w0, _) in zip(inter, want)
-            )
-            got[sl] = True
-        if not got.all():
-            missing = int(region_size(want) - got.sum())
-            report.add(
-                "P002",
-                f"device {dev}: {missing} of {region_size(want)} elements of "
-                f"tile {want} are never delivered",
-            )
 
 
 class _OrderOracle:
@@ -309,20 +138,18 @@ class _OrderOracle:
     task-level gating orders *all* ops of the two tasks).
     """
 
-    def __init__(self, plan: CommPlan, unit_tasks: list[UnitCommTask]) -> None:
+    def __init__(self, plan: CommPlan) -> None:
         known = {op.op_id for op in plan.ops}
         self._deps_of = {
             op.op_id: tuple(d for d in op.deps if d in known) for op in plan.ops
         }
         self._dep_ancestors: dict[int, frozenset[int]] = {}
-        self._task_of = {op.op_id: op.unit_task_id for op in plan.ops}
         self._task_ancestors: dict[int, frozenset[int]] = {}
-        preds = (
-            schedule_gating_preds(plan, unit_tasks)
-            if plan.schedule is not None
-            else {}
-        )
-        self._task_preds: dict[int, set[int]] = preds
+        self._task_preds: dict[int, set[int]] = {}
+        if plan.schedule is not None:
+            self._task_preds, _ = gating_order(
+                plan.schedule.order, plan.gating_hosts()
+            )
 
     def _ancestors(
         self,
@@ -341,7 +168,7 @@ class _OrderOracle:
         memo[node] = frozenset(out)
         return memo[node]
 
-    def ordered(self, a: "Delivery", b: "Delivery") -> bool:
+    def ordered(self, a: CommOp, b: CommOp) -> bool:
         """True when the plan guarantees a and b never write concurrently."""
         if a.op_id == b.op_id:
             return True
@@ -349,7 +176,7 @@ class _OrderOracle:
             return True
         if b.op_id in self._ancestors(a.op_id, self._deps_of, self._dep_ancestors):
             return True
-        ta, tb = a.task_id, b.task_id
+        ta, tb = a.unit_task_id, b.unit_task_id
         if ta == tb or ta == -1 or tb == -1 or not self._task_preds:
             return False
         if ta in self._ancestors(tb, self._task_preds, self._task_ancestors):
@@ -359,16 +186,16 @@ class _OrderOracle:
         return False
 
 
-def _check_races(
-    plan: CommPlan,
-    deliveries: list[Delivery],
-    unit_tasks: list[UnitCommTask],
-    report: AnalysisReport,
-) -> None:
-    oracle = _OrderOracle(plan, unit_tasks)
-    by_receiver: dict[int, list[Delivery]] = {}
-    for d in deliveries:
-        by_receiver.setdefault(d.receiver, []).append(d)
+def _check_races(plan: CommPlan, report: AnalysisReport) -> None:
+    """P001: every op writing a destination device is a potential write
+    (a scatter's flat parts included, credited or not)."""
+    oracle = _OrderOracle(plan)
+    dst = set(plan.task.dst_mesh.devices)
+    by_receiver: dict[int, list[CommOp]] = {}
+    for op in plan.ops:
+        for r in op.receivers:
+            if r in dst:
+                by_receiver.setdefault(r, []).append(op)
     reported: set[tuple[int, int]] = set()
     for recv in sorted(by_receiver):
         writes = by_receiver[recv]
@@ -396,7 +223,7 @@ def _check_races(
                     f"device {recv} with no ordering between them",
                     op_ids=pair,
                     task_ids=tuple(
-                        sorted({t for t in (a.task_id, b.task_id) if t != -1})
+                        sorted({t for t in (a.unit_task_id, b.unit_task_id) if t != -1})
                     ),
                 )
 
@@ -449,7 +276,7 @@ def _check_schedule_consistency(
                 task_ids=(tid,),
             )
             continue
-        sender = _op_sender(op)
+        sender = op.sender
         if sender is not None and sender in task.src_mesh.devices:
             host = task.cluster.host_of(sender)
             if host in rerooted_from.get(tid, ()):
@@ -632,20 +459,13 @@ def _check_topology(plan: CommPlan, report: AnalysisReport) -> None:
                         f"endpoint host(s) {outside} are outside its span",
                         op_ids=(op.op_id,),
                     )
-        sender = _op_sender(op)
-        if sender is not None:
-            sh = host(sender)
-            if isinstance(op, SendOp):
-                dsts = (op.receiver,)
-            elif isinstance(op, (BroadcastOp, MulticastOp, ScatterOp)):
-                dsts = op.receivers
-            else:
-                dsts = ()
+        if op.sender is not None:
+            sh = host(op.sender)
             if sh is not None:
                 unroutable = sorted(
                     {
                         rh
-                        for d in dsts
+                        for d in op.receivers
                         if (rh := host(d)) is not None
                         and rh != sh
                         and not topo.has_route(sh, rh)
@@ -659,9 +479,9 @@ def _check_topology(plan: CommPlan, report: AnalysisReport) -> None:
                         "path between them",
                         op_ids=(op.op_id,),
                     )
-        elif isinstance(op, AllGatherOp):
+        else:
             hosts_ag = sorted(
-                {h for d in op.devices if (h := host(d)) is not None}
+                {h for d in op.receivers if (h := host(d)) is not None}
             )
             bad_pairs = [
                 (a, b)
@@ -711,14 +531,21 @@ def check_plan(
     _check_schedule_consistency(plan, unit_tasks, report)
     _check_failure_domains(plan, unit_tasks, faults, report)
     _check_topology(plan, report)
-    check_plan_memory(
-        plan, report, unit_tasks=unit_tasks, memory_budget=memory_budget
-    )
+    check_plan_memory(plan, report, memory_budget=memory_budget)
 
     if plan.data_complete:
-        deliveries, coverage = _collect_deliveries(plan, report)
-        _check_races(plan, deliveries, unit_tasks, report)
-        _check_coverage(plan, coverage, report)
+        walk = walk_deliveries(plan)
+        for op_id, why in walk.discredited.items():
+            if why:  # an empty reason is a malformed op, reported as P008
+                report.add("P005", f"op {op_id}: {why}", op_ids=(op_id,))
+        _check_races(plan, report)
+        for dev, tile, missing, _ in tile_arrivals(plan.task, walk.regions):
+            if missing:
+                report.add(
+                    "P002",
+                    f"device {dev}: {missing} of {region_size(tile)} elements "
+                    f"of tile {tile} are never delivered",
+                )
     else:
         report.add(
             "P008",
@@ -728,5 +555,5 @@ def check_plan(
         )
 
     if deadlock:
-        report.extend(check_plan_deadlock(plan, unit_tasks))
+        report.extend(check_plan_deadlock(plan))
     return report

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Optional, Protocol
 from ..core.executor import TimingResult, simulate_plan
 from ..core.plan import CommPlan, FallbackRecord, slice_checksum
 from ..core.task import ReshardingTask, UnitCommTask
-from ..core.validate import PlanValidationError
+from ..core.validate import PlanValidationError, raise_on_plan_errors
 from ..scheduling import Schedule, SchedulingProblem
 from ..sim.faults import FaultSchedule
 from ..strategies.base import CommStrategy, LoadTracker
@@ -223,9 +223,7 @@ class SelectPass:
             fatal = result.fault_report is not None and result.fault_report.fatal
             infeasible = False
             if memory_budget is not None and sub.plan is not None:
-                peak = static_host_bounds(
-                    sub.plan, unit_tasks=sub.unit_tasks
-                ).peak
+                peak = static_host_bounds(sub.plan).peak
                 mem_peaks[cand.name] = peak
                 infeasible = peak > memory_budget
             state.scores.append((cand.name, result.total_time))
@@ -367,22 +365,11 @@ class ValidatePass:
         if not ctx.validate:
             return "skipped (ctx.validate=False)"
         assert state.plan is not None
-        # Imported here: repro.analysis imports repro.core (and builds
-        # plans via the fixture loader); importing it at module scope
-        # from inside the compiler would be circular.
-        from ..analysis.plan_checker import check_plan
-
-        report = check_plan(
+        state.analysis = raise_on_plan_errors(
             state.plan,
             faults=ctx.effective_faults(state.strategy),
             memory_budget=ctx.memory_budget,
         )
-        state.analysis = report
-        errors = report.errors
-        if errors:
-            raise PlanValidationError(
-                "\n".join(diag.format() for diag in errors)
-            )
         if not state.plan.data_complete:
             return f"skipped ({state.plan.strategy!r} plans carry no data)"
         n_receivers = len(state.plan.task.dst_mesh.devices)

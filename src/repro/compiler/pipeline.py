@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, Union
 from ..core.executor import TimingResult, simulate_plan
 from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
-from ..core.validate import verify_plan_coverage
+from ..core.validate import raise_on_plan_errors
 from ..core.verify_data import IntegrityReport, verify_delivery
 from ..sim.faults import FaultSchedule, RetryPolicy
 from ..strategies import make_strategy
@@ -202,6 +202,8 @@ class CompiledPlan:
     validated: bool = False
     #: strategy-choice scores from the select pass (auto strategy only)
     scores: list[tuple[str, float]] = field(default_factory=list)
+    #: the compile's ``memory_budget`` override, held for warm validation
+    memory_budget: Optional[float] = field(default=None, init=False)
 
     @property
     def strategy_name(self) -> str:
@@ -220,10 +222,13 @@ class CompiledPlan:
         return self.ensure_timing().total_time
 
     def ensure_validated(self) -> "CompiledPlan":
-        """Run the static coverage check (idempotent)."""
+        """Run the validate pass's check on a cached plan (idempotent).
+
+        Held to the compile's own faults and memory budget, so a warm
+        hit raises exactly what a cold ``validate=True`` compile would.
+        """
         if not self.validated:
-            if self.plan.data_complete:
-                verify_plan_coverage(self.plan)
+            raise_on_plan_errors(self.plan, self.faults, self.memory_budget)
             self.validated = True
         return self
 
@@ -298,6 +303,7 @@ def compile_resharding(
         validated=ctx.validate,
         scores=list(state.scores),
     )
+    compiled.memory_budget = ctx.memory_budget
     if signature is not None:
         cache.store(signature, compiled, epoch=epoch)
     return compiled

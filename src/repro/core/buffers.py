@@ -34,14 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .plan import (
-    AllGatherOp,
-    BroadcastOp,
-    CommOp,
-    MulticastOp,
-    ScatterOp,
-    SendOp,
-)
+from .plan import CommOp, ScatterOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cluster import Cluster
@@ -64,19 +57,12 @@ def op_host_buffers(cluster: "Cluster", op: CommOp) -> dict[int, float]:
             host = cluster.host_of(device)
             out[host] = out.get(host, 0.0) + nbytes
 
-    if isinstance(op, SendOp):
-        charge(op.receiver, op.nbytes)
-    elif isinstance(op, (BroadcastOp, MulticastOp)):
-        for r in op.receivers:
-            charge(r, op.nbytes)
-    elif isinstance(op, ScatterOp):
-        if op.receivers:
-            part = op.nbytes / len(op.receivers)
-            for r in op.receivers:
-                charge(r, part)
-    elif isinstance(op, AllGatherOp):
-        for d in op.devices:
-            charge(d, op.nbytes)
+    receivers = op.receivers
+    nbytes = op.nbytes
+    if isinstance(op, ScatterOp) and receivers:
+        nbytes /= len(receivers)
+    for r in receivers:
+        charge(r, nbytes)
     return out
 
 

@@ -4,7 +4,7 @@ Ops map onto the timed primitives of :mod:`repro.sim.primitives`.  When
 the plan carries a schedule, unit tasks are *gated*: task ``i`` may only
 start once every earlier-ordered task sharing one of its hosts has
 finished — the executable form of the paper's Eq. 3 non-overlap
-constraint.  Ungated plans (the baselines) launch everything at once and
+constraint, as :func:`repro.core.plan.gating_order` defines it.  Ungated plans (the baselines) launch everything at once and
 let max-min fair bandwidth sharing model the resulting congestion.
 
 The interpreter is a :class:`PlanRunner` object (not a closure nest) so
@@ -41,6 +41,7 @@ from .plan import (
     MulticastOp,
     ScatterOp,
     SendOp,
+    gating_order,
 )
 
 __all__ = ["TimingResult", "PlanRunner", "simulate_plan"]
@@ -191,28 +192,15 @@ class PlanRunner:
         # ---- schedule gating ---------------------------------------------
         # For each unit task, `task_preds[tid]` is the set of earlier-ordered
         # tasks that share a host with it; it may start when all preds finish.
-        schedule = plan.schedule if respect_schedule else None
         self.task_ops: dict[int, list[CommOp]] = plan.ops_by_task()
         self.tasks_pending_ops = {tid: len(ops) for tid, ops in self.task_ops.items()}
 
         self.task_preds: dict[int, set[int]] = {tid: set() for tid in self.task_ops}
         self.task_succs: dict[int, set[int]] = {tid: set() for tid in self.task_ops}
-        if schedule is not None:
-            ut_by_id = {ut.task_id: ut for ut in plan.task.unit_tasks(plan.granularity)}
-            last_on_host: dict[int, int] = {}
-            for tid in schedule.order:
-                if tid not in self.task_ops:
-                    continue  # task had no receivers / no ops
-                ut = ut_by_id[tid]
-                hosts = set(plan.task.receiver_hosts(ut))
-                hosts.add(schedule.assignment[tid])
-                for h in sorted(hosts):
-                    if h in last_on_host:
-                        prev = last_on_host[h]
-                        if prev != tid:
-                            self.task_preds[tid].add(prev)
-                            self.task_succs[prev].add(tid)
-                    last_on_host[h] = tid
+        if respect_schedule and plan.schedule is not None:
+            preds, succs = gating_order(plan.schedule.order, plan.gating_hosts())
+            self.task_preds.update(preds)
+            self.task_succs.update(succs)
 
     # ------------------------------------------------------------------
     # Execution machinery

@@ -32,7 +32,6 @@ from .data import apply_plan
 from .executor import TimingResult, simulate_plan
 from .mesh import DeviceMesh
 from .plan import BroadcastOp, CommPlan, SendOp
-from .slices import region_intersection
 from .task import ReshardingTask
 from .tensor import DistributedTensor
 
@@ -84,12 +83,7 @@ def plan_intra_mesh(
             )
 
     for ut in task.unit_tasks("intersection"):
-        receivers = tuple(
-            d
-            for d in ut.receivers
-            if region_intersection(task.src_grid.device_region(d), ut.region)
-            != ut.region
-        )
+        receivers = tuple(d for d in ut.receivers if not task.holds(d, ut.region))
         if not receivers:
             continue  # every consumer already holds the region locally
         # Hosts that hold a replica serve their own receivers over NVLink;

@@ -21,7 +21,7 @@ from ..sim.network import Network
 from ..strategies.base import LoadTracker
 from ..strategies.broadcast import adaptive_chunks
 from .executor import CollectiveHandle, _launch_op
-from .plan import BroadcastOp, CommPlan
+from .plan import BroadcastOp, CommOp, CommPlan, gating_order
 from .task import ReshardingTask
 
 __all__ = ["JointTimingResult", "plan_joint_broadcast", "simulate_joint", "reshard_boundary"]
@@ -118,29 +118,16 @@ def simulate_joint(
     base_cross = net.bytes_cross_host
 
     # global id -> op (joint broadcast plans have one op per unit task)
-    ops: dict[int, BroadcastOp] = {}
-    hosts_of: dict[int, set[int]] = {}
+    ops: dict[int, CommOp] = {}
+    hosts_of: dict[int, frozenset[int]] = {}
     local_to_gid = {pair: gid for gid, pair in enumerate(key)}
     for ti, plan in enumerate(plans):
         for op in plan.ops:
             gid = local_to_gid[(ti, op.unit_task_id)]
             ops[gid] = op
             ut = plan.task.unit_tasks(plan.granularity)[op.unit_task_id]
-            h = set(plan.task.receiver_hosts(ut))
-            h.add(schedule.assignment[gid])
-            hosts_of[gid] = h
-
-    preds: dict[int, set[int]] = {g: set() for g in ops}
-    succs: dict[int, set[int]] = {g: set() for g in ops}
-    last_on_host: dict[int, int] = {}
-    for gid in schedule.order:
-        if gid not in ops:
-            continue
-        for h in hosts_of[gid]:
-            if h in last_on_host and last_on_host[h] != gid:
-                preds[gid].add(last_on_host[h])
-                succs[last_on_host[h]].add(gid)
-            last_on_host[h] = gid
+            hosts_of[gid] = plan.task.occupied_hosts(ut, schedule.assignment[gid])
+    preds, succs = gating_order(schedule.order, hosts_of)
 
     finish: dict[int, float] = {}
     tensor_pending = [len(p.ops) for p in plans]

@@ -31,13 +31,24 @@ Op kinds:
     chunk, replicated downstream to each receiving host concurrently.
     Requires a topology whose switch spans sender and receivers;
     receivers crop like BroadcastOp.
+
+Every op exposes its endpoints uniformly: ``op.sender`` (None for an
+all-gather, whose group already holds its parts) and ``op.receivers``
+(the devices it writes ``region``, or a part of it, onto).
+
+What a plan *means* beyond its op list is defined here once: a
+scheduled unit task occupies :meth:`CommPlan.gating_hosts`, and
+:func:`gating_order` turns the schedule order into the paper's Eq. 3
+gating — a task starts only after every earlier-ordered task sharing
+one of its hosts finished.  The executor, the deadlock and race
+analyses, the memory bound and joint simulation all read it from here.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from ..scheduling.problem import Schedule
 from .slices import Region
@@ -52,8 +63,35 @@ __all__ = [
     "MulticastOp",
     "FallbackRecord",
     "CommPlan",
+    "gating_order",
     "slice_checksum",
 ]
+
+
+def gating_order(
+    order: Iterable[int], hosts_of: Mapping[int, Iterable[int]]
+) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """Eq. 3 gating: ``(preds, succs)`` per task of ``hosts_of``.
+
+    Walking ``order``, task ``t`` waits on the last earlier task that
+    occupied each of its hosts ``hosts_of[t]``; tasks absent from
+    ``hosts_of`` are not gated.  ``preds[t]`` are the tasks ``t`` must
+    wait for, ``succs[t]`` the tasks waiting for ``t``.
+    """
+    preds: dict[int, set[int]] = {tid: set() for tid in hosts_of}
+    succs: dict[int, set[int]] = {tid: set() for tid in hosts_of}
+    last_on_host: dict[int, int] = {}
+    for tid in order:
+        hosts = hosts_of.get(tid)
+        if hosts is None:
+            continue
+        for h in sorted(hosts):
+            prev = last_on_host.get(h)
+            if prev is not None and prev != tid:
+                preds[tid].add(prev)
+                succs[prev].add(tid)
+            last_on_host[h] = tid
+    return preds, succs
 
 
 def slice_checksum(task: ReshardingTask, op: CommOp) -> str:
@@ -117,11 +155,25 @@ class CommOp:
     deps: tuple[int, ...] = ()
     checksum: str = ""
 
+    @property
+    def sender(self) -> Optional[int]:
+        """The source device the op reads ``region`` from, if any."""
+        return None
+
+    @property
+    def receivers(self) -> tuple[int, ...]:
+        """The devices the op writes onto."""
+        return ()
+
 
 @dataclass(frozen=True)
 class SendOp(CommOp):
     sender: int = -1
     receiver: int = -1
+
+    @property
+    def receivers(self) -> tuple[int, ...]:
+        return (self.receiver,)
 
 
 @dataclass(frozen=True)
@@ -140,6 +192,10 @@ class ScatterOp(CommOp):
 @dataclass(frozen=True)
 class AllGatherOp(CommOp):
     devices: tuple[int, ...] = ()
+
+    @property
+    def receivers(self) -> tuple[int, ...]:
+        return self.devices
 
 
 @dataclass(frozen=True)
@@ -205,6 +261,25 @@ class CommPlan:
 
     def ops_of_task(self, unit_task_id: int) -> list[CommOp]:
         return list(self.ops_by_task().get(unit_task_id, ()))
+
+    def gating_hosts(self) -> dict[int, frozenset[int]]:
+        """Hosts each scheduled unit task occupies, in schedule order.
+
+        Covers the unit tasks that emit ops and that the schedule both
+        orders and assigns; see :meth:`ReshardingTask.occupied_hosts`.
+        Feed it to :func:`gating_order` with ``schedule.order``.  Empty
+        for an unscheduled plan.
+        """
+        schedule = self.schedule
+        if schedule is None:
+            return {}
+        task_ops = self.ops_by_task()
+        ut_by_id = {ut.task_id: ut for ut in self.task.unit_tasks(self.granularity)}
+        return {
+            tid: self.task.occupied_hosts(ut_by_id[tid], schedule.assignment[tid])
+            for tid in schedule.order
+            if tid in task_ops and tid in ut_by_id and tid in schedule.assignment
+        }
 
     def total_bytes(self) -> float:
         """Sum of bytes injected by each op (broadcast counts once per hop

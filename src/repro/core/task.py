@@ -209,8 +209,23 @@ class ReshardingTask:
         """Hosts that must receive the slice (``m_i``)."""
         return frozenset(self.cluster.host_of(d) for d in task.receivers)
 
+    def occupied_hosts(self, task: UnitCommTask, sender_host: int) -> frozenset[int]:
+        """Hosts the task occupies when sent from ``sender_host``.
+
+        Its receiver hosts plus the sender host: two unit tasks sharing
+        one of these may not overlap (the paper's Eq. 3).
+        """
+        return self.receiver_hosts(task) | {sender_host}
+
     def senders_on_host(self, task: UnitCommTask, host: int) -> tuple[int, ...]:
         return tuple(d for d in task.senders if self.cluster.host_of(d) == host)
+
+    def holds(self, device: int, region: Region) -> bool:
+        """True when source device ``device`` holds all of ``region``."""
+        if device not in self.src_mesh.devices:
+            return False
+        own = self.src_grid.device_region(device)
+        return len(own) == len(region) and region_intersection(own, region) == region
 
     def __repr__(self) -> str:
         return (

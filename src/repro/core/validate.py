@@ -19,10 +19,20 @@ call :func:`repro.analysis.check_plan` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 from .plan import CommPlan
 
-__all__ = ["PlanValidationError", "CoverageReport", "verify_plan_coverage"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.diagnostics import AnalysisReport
+    from ..sim.faults import FaultSchedule
+
+__all__ = [
+    "PlanValidationError",
+    "CoverageReport",
+    "raise_on_plan_errors",
+    "verify_plan_coverage",
+]
 
 
 class PlanValidationError(ValueError):
@@ -43,26 +53,36 @@ class CoverageReport:
         )
 
 
-def verify_plan_coverage(plan: CommPlan) -> CoverageReport:
-    """Raise :class:`PlanValidationError` unless the plan is complete.
+def raise_on_plan_errors(
+    plan: CommPlan,
+    faults: "Optional[FaultSchedule]" = None,
+    memory_budget: Optional[float] = None,
+) -> "AnalysisReport":
+    """Run :func:`repro.analysis.check_plan`; raise on any ERROR.
 
-    Delegates to :func:`repro.analysis.check_plan`; the exception message
-    carries every ERROR diagnostic (code, op ids, message), one per line.
+    ``faults`` and ``memory_budget`` are the compile's own (see
+    :func:`~repro.analysis.check_plan`), so a cached plan is held to the
+    same bar as a fresh compile.  The exception message carries every
+    ERROR diagnostic (code, op ids, message), one per line.
     """
-    if not plan.data_complete:
-        raise PlanValidationError(
-            f"strategy {plan.strategy!r} plans carry no data by design"
-        )
     # Imported here: repro.analysis builds plans (loader) and therefore
     # imports repro.core; a module-level import would be circular.
     from ..analysis.plan_checker import check_plan
 
-    report = check_plan(plan)
+    report = check_plan(plan, faults=faults, memory_budget=memory_budget)
     errors = report.errors
     if errors:
+        raise PlanValidationError("\n".join(diag.format() for diag in errors))
+    return report
+
+
+def verify_plan_coverage(plan: CommPlan) -> CoverageReport:
+    """Raise :class:`PlanValidationError` unless the plan is complete."""
+    if not plan.data_complete:
         raise PlanValidationError(
-            "\n".join(diag.format() for diag in errors)
+            f"strategy {plan.strategy!r} plans carry no data by design"
         )
+    raise_on_plan_errors(plan)
     return CoverageReport(
         n_ops=len(plan.ops), n_receivers=len(plan.task.dst_mesh.devices)
     )

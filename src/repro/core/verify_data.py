@@ -8,6 +8,12 @@ abandoned after retries, which were blocked behind wedged host queues),
 it symbolically tracks which source slices each destination device
 *actually received* and fails loudly on any gap or overlap.
 
+The walk over the ops (:func:`walk_deliveries`) and the per-tile
+arrival counter (:func:`tile_arrivals`) are also where
+:func:`repro.analysis.check_plan` reads its coverage (P002) and sender
+authority (P005) verdicts from: the static analyzer and this verifier
+share one reading of what a plan delivers.
+
 Because every sender is checked against the source tile grid (a replica
 must genuinely hold the region it claims to send), two deliveries of
 the same element are value-identical by construction whenever both
@@ -42,13 +48,22 @@ prevent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from math import prod
+from typing import Iterator
 
-import numpy as np
+from .plan import AllGatherOp, CommPlan, ScatterOp
+from .slices import Region, region_intersection, region_size, split_offsets
+from .task import ReshardingTask
 
-from .plan import AllGatherOp, BroadcastOp, CommPlan, MulticastOp, ScatterOp, SendOp
-from .slices import Region, region_intersection, region_shape, region_size, split_offsets
-
-__all__ = ["IntegrityError", "IntegrityReport", "verify_delivery"]
+__all__ = [
+    "IntegrityError",
+    "IntegrityReport",
+    "DeliveryWalk",
+    "walk_deliveries",
+    "tile_arrivals",
+    "verify_delivery",
+]
 
 
 class IntegrityError(RuntimeError):
@@ -101,12 +116,141 @@ class IntegrityReport:
         )
 
 
-def _sender_is_authoritative(plan: CommPlan, sender: int, region: Region) -> bool:
+@dataclass
+class DeliveryWalk:
+    """What a plan's ops deliver, read once for every consumer.
+
+    ``regions[d]`` lists the regions credited to destination device
+    ``d``, in op order.  ``discredited`` maps each op refused credit to
+    the reason; the reason is empty for a malformed op (wrong region
+    rank, unknown op kind) that structural checks report instead.
+    """
+
+    regions: dict[int, list[Region]]
+    discredited: dict[int, str]
+
+
+def _gather_fed(op: AllGatherOp, scattered: dict[int, ScatterOp]) -> bool:
+    """True when the scatters ``op`` names in its deps cover its region.
+
+    Only parts landing on the all-gather's own group count: the group
+    can rebuild the region only from what its members hold.
+    """
+    size = region_size(op.region)
+    group = set(op.devices)
+    parts: list[tuple[int, int]] = []
+    for dep in op.deps:
+        sc = scattered.get(dep)
+        if sc is None or sc.region != op.region or not 0 < len(sc.receivers) <= size:
+            continue
+        offs = split_offsets(size, len(sc.receivers))
+        parts.extend(
+            (offs[k], offs[k + 1]) for k, r in enumerate(sc.receivers) if r in group
+        )
+    reach = 0
+    for lo, hi in sorted(parts):
+        if lo > reach:
+            break
+        reach = max(reach, hi)
+    return reach >= size
+
+
+def walk_deliveries(
+    plan: CommPlan, failed: frozenset[int] = frozenset()
+) -> DeliveryWalk:
+    """Walk ``plan.ops`` in list order and credit what each delivers.
+
+    The IR contract of :mod:`repro.core.plan`: a sending op is credited
+    only when its sender holds the region
+    (:meth:`~repro.core.task.ReshardingTask.holds`); a scatter places
+    flat parts, credited only through the all-gather that consumes
+    them; an all-gather is credited only when the scatters its ``deps``
+    name give its group parts covering the region.  Ops in ``failed``
+    delivered nothing.
+    """
     task = plan.task
-    if sender not in task.src_mesh.devices:
-        return False
-    holder = task.src_grid.device_region(sender)
-    return region_intersection(holder, region) == region
+    rank = len(task.shape)
+    regions: dict[int, list[Region]] = {d: [] for d in task.dst_mesh.devices}
+    discredited: dict[int, str] = {}
+    scattered: dict[int, ScatterOp] = {}
+    for op in plan.ops:
+        if op.op_id in failed:
+            continue
+        sender = op.sender
+        if len(op.region) != rank:
+            discredited[op.op_id] = ""
+            continue
+        if isinstance(op, AllGatherOp):
+            if not _gather_fed(op, scattered):
+                discredited[op.op_id] = (
+                    "all-gather group not fed by the scatters its deps name"
+                )
+                continue
+        elif sender is None:
+            discredited[op.op_id] = ""
+            continue
+        elif not task.holds(sender, op.region):
+            discredited[op.op_id] = (
+                f"sender {sender} holds {task.src_grid.device_region(sender)}, "
+                f"not {op.region}"
+                if sender in task.src_mesh.devices
+                else f"sender {sender} is not a source-mesh device"
+            )
+            continue
+        elif isinstance(op, ScatterOp):
+            scattered[op.op_id] = op
+            continue
+        for r in op.receivers:
+            if r in regions:
+                regions[r].append(op.region)
+    return DeliveryWalk(regions=regions, discredited=discredited)
+
+
+def _arrivals(tile: Region, boxes: list[Region]) -> tuple[int, int]:
+    """``(missing, duplicated)`` elements of ``tile`` under ``boxes``.
+
+    Counts arrivals per cell of the grid the boxes' edges cut the tile
+    into, weighted by cell volume: the cost follows the number of
+    boxes, not the tile size.
+    """
+    cuts = [
+        sorted({lo, hi}.union(*((b[d][0], b[d][1]) for b in boxes)))
+        for d, (lo, hi) in enumerate(tile)
+    ]
+    arrivals: dict[tuple[int, ...], int] = {}
+    for box in boxes:
+        spans = (range(c.index(lo), c.index(hi)) for c, (lo, hi) in zip(cuts, box))
+        for cell in product(*spans):
+            arrivals[cell] = arrivals.get(cell, 0) + 1
+    missing = duplicated = 0
+    for cell in product(*(range(len(c) - 1) for c in cuts)):
+        n = arrivals.get(cell, 0)
+        if n != 1:
+            volume = prod(c[i + 1] - c[i] for c, i in zip(cuts, cell))
+            if n == 0:
+                missing += volume
+            else:
+                duplicated += volume
+    return missing, duplicated
+
+
+def tile_arrivals(
+    task: ReshardingTask, regions: dict[int, list[Region]]
+) -> Iterator[tuple[int, Region, int, int]]:
+    """Per destination device: ``(device, tile, missing, duplicated)``.
+
+    ``missing``/``duplicated`` count the tile's elements that none / more
+    than one of the device's ``regions`` cover; an intra-mesh device
+    also counts its own source shard.
+    """
+    src_devices = set(task.src_mesh.devices)
+    for dev in task.dst_mesh.devices:
+        tile = task.dst_grid.device_region(dev)
+        covering = regions.get(dev, [])
+        if dev in src_devices:
+            covering = [*covering, task.src_grid.device_region(dev)]
+        boxes = [b for r in covering if (b := region_intersection(r, tile)) is not None]
+        yield (dev, tile, *_arrivals(tile, boxes))
 
 
 def verify_delivery(
@@ -141,73 +285,11 @@ def verify_delivery(
     failed: frozenset[int] = frozenset(
         (timing.failed_ops if timing is not None else ())
     ) | frozenset(corrupted)
-    # Elements delivered per destination device, as (region, count).
-    delivered: dict[int, list[Region]] = {d: [] for d in task.dst_mesh.devices}
-    # Flat scatter parts per (device, region): list of (lo, hi).
-    flat: dict[tuple[int, Region], list[tuple[int, int]]] = {}
-    discredited: list[int] = []
+    walk = walk_deliveries(plan, failed)
 
-    for op in plan.ops:
-        if op.op_id in failed:
-            continue
-        if isinstance(op, SendOp):
-            if not _sender_is_authoritative(plan, op.sender, op.region):
-                discredited.append(op.op_id)
-                continue
-            if op.receiver in delivered:
-                delivered[op.receiver].append(op.region)
-        elif isinstance(op, (BroadcastOp, MulticastOp)):
-            if not _sender_is_authoritative(plan, op.sender, op.region):
-                discredited.append(op.op_id)
-                continue
-            for r in op.receivers:
-                if r in delivered:
-                    delivered[r].append(op.region)
-        elif isinstance(op, ScatterOp):
-            if not _sender_is_authoritative(plan, op.sender, op.region):
-                discredited.append(op.op_id)
-                continue
-            offs = split_offsets(region_size(op.region), len(op.receivers))
-            for k, r in enumerate(op.receivers):
-                flat.setdefault((r, op.region), []).append((offs[k], offs[k + 1]))
-        elif isinstance(op, AllGatherOp):
-            # The group can reconstruct the region only if the parts its
-            # members actually hold cover the flattened region entirely.
-            size = region_size(op.region)
-            covered = np.zeros(size, dtype=bool)
-            for dev in op.devices:
-                for lo, hi in flat.get((dev, op.region), ()):
-                    covered[lo:hi] = True
-            if not covered.all():
-                discredited.append(op.op_id)
-                continue
-            for dev in op.devices:
-                if dev in delivered:
-                    delivered[dev].append(op.region)
-        else:
-            raise IntegrityError(f"unknown op type {type(op).__name__}")
-
-    # Count per-element arrivals on each destination tile.
     gaps: dict[int, int] = {}
     duplicates: dict[int, int] = {}
-    intra = set(task.src_mesh.devices) & set(task.dst_mesh.devices)
-    for dev in task.dst_mesh.devices:
-        want = task.dst_grid.device_region(dev)
-        counts = np.zeros(region_shape(want), dtype=np.int32)
-        regions = list(delivered[dev])
-        if dev in intra:
-            # Intra-mesh plans: the device reuses its local source shard.
-            regions.append(task.src_grid.device_region(dev))
-        for region in regions:
-            inter = region_intersection(region, want)
-            if inter is None:
-                continue
-            sl = tuple(
-                slice(i0 - w0, i1 - w0) for (i0, i1), (w0, _) in zip(inter, want)
-            )
-            counts[sl] += 1
-        n_missing = int((counts == 0).sum())
-        n_dup = int((counts > 1).sum())
+    for dev, _, n_missing, n_dup in tile_arrivals(task, walk.regions):
         if n_missing:
             gaps[dev] = n_missing
         if n_dup:
@@ -216,10 +298,10 @@ def verify_delivery(
     report = IntegrityReport(
         n_ops=len(plan.ops),
         n_ops_failed=len(failed),
-        n_devices=len(delivered),
+        n_devices=len(walk.regions),
         gaps=gaps,
         duplicates=duplicates,
-        discredited_ops=tuple(discredited),
+        discredited_ops=tuple(walk.discredited),
         n_fallbacks=len(plan.fallbacks),
         n_retried_flows=(
             sum(1 for r in timing.network.trace if r.status == "retried")

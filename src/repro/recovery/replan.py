@@ -34,7 +34,6 @@ from ..core.data import apply_plan
 from ..core.executor import TimingResult, simulate_plan
 from ..core.mesh import DeviceMesh
 from ..core.plan import BroadcastOp, CommPlan, MulticastOp, SendOp
-from ..core.slices import region_intersection
 from ..core.task import ReshardingTask
 from ..core.tensor import DistributedTensor
 from ..core.verify_data import IntegrityError, IntegrityReport, verify_delivery
@@ -185,26 +184,19 @@ def _trim_local_deliveries(plan: CommPlan) -> CommPlan:
     recovery path.
     """
     task = plan.task
-    holders = set(task.src_mesh.devices) & set(task.dst_mesh.devices)
-    if not holders:
+    if not set(task.src_mesh.devices) & set(task.dst_mesh.devices):
         return plan
-
-    def holds(device: int, region) -> bool:
-        if device not in holders:
-            return False
-        own = task.src_grid.device_region(device)
-        return region_intersection(own, region) == region
 
     kept: list = []
     dropped: set[int] = set()
     changed = False
     for op in plan.ops:
-        if isinstance(op, SendOp) and holds(op.receiver, op.region):
+        if isinstance(op, SendOp) and task.holds(op.receiver, op.region):
             dropped.add(op.op_id)
             changed = True
             continue
         if isinstance(op, (BroadcastOp, MulticastOp)):
-            recv = tuple(r for r in op.receivers if not holds(r, op.region))
+            recv = tuple(r for r in op.receivers if not task.holds(r, op.region))
             if not recv:
                 dropped.add(op.op_id)
                 changed = True

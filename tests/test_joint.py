@@ -49,6 +49,15 @@ def test_joint_simulation_completes():
     assert r.bytes_cross_host == pytest.approx(total_bytes)
 
 
+def test_joint_simulation_pinned_exactly():
+    """Joint gating is the executor's Eq. 3 gating over the global
+    schedule order; these values must not move."""
+    r = simulate_joint(*plan_joint_broadcast(make_tasks(BOUNDARY)))
+    assert r.total_time == 0.005451908479999999
+    assert r.per_tensor_finish == [0.005451908479999999, 0.005451908479999999]
+    assert r.bytes_cross_host == 12582912.0
+
+
 def test_joint_not_slower_than_sequential():
     """Joint scheduling must beat (or match) back-to-back planning."""
     tasks = make_tasks(BOUNDARY)

@@ -22,7 +22,7 @@ import pytest
 from repro.analysis import check_plan, plan_from_dict, static_host_bounds
 from repro.analysis.memory_analysis import SOUNDNESS_SLACK_BYTES
 from repro.compiler import CompileContext, compile_resharding
-from repro.compiler.cache import plan_signature, task_signature
+from repro.compiler.cache import PlanCache, plan_signature, task_signature
 from repro.core.buffers import op_host_buffers
 from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
@@ -285,6 +285,31 @@ class TestBudgetThreading:
                 CompileContext(strategy="send_recv", cache=None,
                                validate=True, memory_budget=64.0),
             )
+
+    def test_warm_validate_raises_m001_like_a_cold_compile(self):
+        # The budget is in the signature but validation is not: a plan
+        # cached by a validate=False compile must still be held to the
+        # compile's budget when a validate=True compile hits it.
+        task = make_task()
+        with pytest.raises(PlanValidationError, match="M001"):
+            compile_resharding(
+                task,
+                CompileContext(strategy="send_recv", cache=PlanCache(),
+                               validate=True, memory_budget=1.0),
+            )
+        cache = PlanCache()
+        cached = compile_resharding(
+            task,
+            CompileContext(strategy="send_recv", cache=cache, memory_budget=1.0),
+        )
+        assert not cached.validated
+        with pytest.raises(PlanValidationError, match="M001"):
+            compile_resharding(
+                task,
+                CompileContext(strategy="send_recv", cache=cache,
+                               validate=True, memory_budget=1.0),
+            )
+        assert not cached.validated
 
     def test_generous_budget_is_feasible(self):
         task = make_task()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.executor import simulate_plan
+from repro.core.executor import PlanRunner, simulate_plan
 from repro.core.mesh import DeviceMesh
-from repro.core.plan import BroadcastOp, CommPlan, SendOp
+from repro.core.plan import BroadcastOp, CommPlan, SendOp, gating_order
 from repro.core.task import ReshardingTask
 from repro.scheduling import Schedule
 from repro.sim.cluster import GB, Cluster, ClusterSpec
@@ -91,6 +91,24 @@ def test_schedule_gating_enforces_host_order():
     # serialized: roughly 2x a single broadcast
     assert r.total_time >= 2 * t
     assert r.task_finish[0] <= r.total_time - t * 0.9
+
+
+def test_gating_order_chains_tasks_per_shared_host():
+    # 0 and 2 share host 5; 1 shares host 6 with 2; 3 is host-disjoint;
+    # 4 has no host set, so it is never gated.
+    hosts_of = {0: {5}, 1: {6}, 2: {5, 6}, 3: {7}}
+    preds, succs = gating_order([0, 1, 4, 2, 3], hosts_of)
+    assert preds == {0: set(), 1: set(), 2: {0, 1}, 3: set()}
+    assert succs == {0: {2}, 1: {2}, 2: set(), 3: set()}
+
+
+def test_runner_gating_is_the_plans_gating_order():
+    plan = make_strategy("broadcast").plan(make_task("S0RR", "RS0R"))
+    runner = PlanRunner(plan)
+    preds, succs = gating_order(plan.schedule.order, plan.gating_hosts())
+    assert any(preds.values())
+    assert runner.task_preds == {t: preds.get(t, set()) for t in runner.task_ops}
+    assert runner.task_succs == {t: succs.get(t, set()) for t in runner.task_ops}
 
 
 def test_gating_disabled_runs_concurrently():

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis import check_plan, load_plan_fixture
 from repro.core.data import apply_plan
 from repro.core.executor import simulate_plan
 from repro.core.intra import plan_intra_mesh
 from repro.core.mesh import DeviceMesh
+from repro.core.plan import AllGatherOp
 from repro.core.task import ReshardingTask
 from repro.core.tensor import DistributedTensor
-from repro.core.verify_data import IntegrityError, verify_delivery
+from repro.core.verify_data import IntegrityError, tile_arrivals, verify_delivery
+from repro.experiments.common import make_microbench_meshes, paper_cluster
+from repro.experiments.fig6 import TABLE2_CASES
 from repro.sim.faults import DegradedWindow, FaultSchedule, FlapWindow, RetryPolicy
-from repro.strategies import STRATEGIES, BroadcastStrategy
+from repro.strategies import STRATEGIES, AllGatherStrategy, BroadcastStrategy
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures" / "bad_plans").glob("*.json"))
 
 
 def make_task(cluster4x4, shape=(64, 64), src_spec="S0R", dst_spec="RS1"):
@@ -172,3 +179,93 @@ def test_reroot_fallback_delivers_identical_bytes(cluster4x4, rng):
     report = verify_delivery(plan, timing)
     assert report.certified
     assert report.n_fallbacks == len(plan.fallbacks)
+
+
+# ----------------------------------------------------------------------
+# check_plan and verify_delivery read one delivery walk
+# ----------------------------------------------------------------------
+def assert_checker_agrees(plan):
+    """The analyzer's coverage/authority verdict is the verifier's.
+
+    P002/P005 fire exactly when the verifier finds a gap or refuses an
+    op credit; the verifier's one other refusal, a duplicated delivery,
+    is what the analyzer reports as an unordered write (P001).
+    """
+    codes = set(check_plan(plan).codes)
+    report = verify_delivery(plan, raise_on_error=False)
+    delivery_codes = codes & {"P002", "P005"}
+    assert bool(delivery_codes) == bool(report.gaps or report.discredited_ops)
+    assert report.certified == (not codes & {"P001", "P002", "P005"})
+
+
+def golden_layouts():
+    """The Fig. 5 and Fig. 6 (Table 2) layouts at test-sized shapes."""
+    for n_hosts, gpus in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (4, 2)]:
+        c = paper_cluster(1 + n_hosts, devices_per_host=4)
+        dst = DeviceMesh.from_hosts(
+            c, range(1, 1 + n_hosts), devices_per_host=gpus
+        )
+        yield f"fig5-{n_hosts}x{gpus}", ((64,), DeviceMesh(c, [[0]]), "R", dst, "R")
+    for case in TABLE2_CASES:
+        _, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
+        yield case.name, ((16, 16, 8), src, case.send_spec, dst, case.recv_spec)
+
+
+@pytest.mark.parametrize(
+    "args", [a for _, a in golden_layouts()], ids=[n for n, _ in golden_layouts()]
+)
+def test_checker_and_verifier_agree_on_golden_plans(args):
+    task = ReshardingTask(*args)
+    for name in sorted(set(STRATEGIES) - {"signal"}):
+        plan = STRATEGIES[name]().plan(task)
+        assert_checker_agrees(plan)
+        assert check_plan(plan).ok, name
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_checker_and_verifier_agree_on_bad_plans(path):
+    plan = load_plan_fixture(path).plan
+    assert plan.data_complete
+    assert_checker_agrees(plan)
+
+
+def test_allgather_without_scatter_deps_is_rejected_by_both(cluster4x4):
+    """An all-gather is fed only by the scatters its deps name: with the
+    deps stripped, neither the analyzer nor the verifier credits it."""
+    task = make_task(cluster4x4, shape=(16, 8, 8), src_spec="S0RR",
+                     dst_spec="RS0R")
+    plan = AllGatherStrategy().plan(task)
+    assert any(isinstance(op, AllGatherOp) for op in plan.ops)
+    depless = dataclasses.replace(plan, ops=[
+        dataclasses.replace(op, deps=()) if isinstance(op, AllGatherOp) else op
+        for op in plan.ops
+    ])
+    assert_checker_agrees(depless)
+    assert "P005" in check_plan(depless).codes
+    assert not verify_delivery(depless, raise_on_error=False).certified
+
+
+def test_tile_arrivals_match_a_dense_count(cluster4x4, rng):
+    """Gaps and duplicates counted on the regions' cut grid equal a
+    per-element count over the whole tile."""
+    task = make_task(cluster4x4, shape=(9, 7), src_spec="S0R", dst_spec="RR")
+    tile = ((0, 9), (0, 7))
+    regions = {}
+    for dev in task.dst_mesh.devices:
+        boxes = []
+        for _ in range(rng.integers(0, 6)):
+            box = tuple(
+                tuple(int(x) for x in sorted(rng.choice(hi + 1, 2, replace=False)))
+                for _, hi in tile
+            )
+            boxes.append(box)
+        regions[dev] = boxes
+    for dev, got_tile, missing, duplicated in tile_arrivals(task, regions):
+        assert got_tile == tile
+        dense = np.zeros((9, 7), dtype=int)
+        for (r0, r1), (c0, c1) in regions[dev]:
+            dense[r0:r1, c0:c1] += 1
+        assert (missing, duplicated) == (
+            int((dense == 0).sum()),
+            int((dense > 1).sum()),
+        )
