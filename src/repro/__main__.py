@@ -13,7 +13,8 @@ Examples::
     # one end-to-end training iteration
     python -m repro e2e --model utransformer --method ours alpa signal
 
-    # regenerate every paper table/figure into EXPERIMENTS.md
+    # regenerate every paper table/figure into EXPERIMENTS.md, and the
+    # BENCH_*.json artifacts under benchmarks/results/ next to it
     python -m repro report --output EXPERIMENTS.md
 
     # replay the last reshard/e2e run's telemetry into a Chrome trace
@@ -290,10 +291,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .experiments.report import write_report
+    from .experiments.report import ARTIFACTS_DIR, write_report
 
     write_report(args.output, verbose=not args.quiet)
-    print(f"wrote {args.output}")
+    print(f"wrote {args.output} and its {ARTIFACTS_DIR}/BENCH_*.json")
     return 0
 
 
@@ -739,7 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read this JSONL instead of the saved last run")
     t.set_defaults(fn=cmd_trace)
 
-    rep = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
+    rep = sub.add_parser(
+        "report", help="regenerate EXPERIMENTS.md and the BENCH_*.json artifacts"
+    )
     rep.add_argument("--output", default="EXPERIMENTS.md")
     rep.add_argument("--quiet", action="store_true")
     rep.set_defaults(fn=cmd_report)

@@ -61,7 +61,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
+
+import numpy as np
 
 from ..core.buffers import op_host_buffers
 from ..core.plan import CommOp, CommPlan
@@ -72,6 +74,7 @@ __all__ = [
     "MemoryAnalysis",
     "static_host_bounds",
     "check_plan_memory",
+    "soundness_payload",
 ]
 
 #: absolute slack (bytes) for float-accumulation residue when comparing
@@ -297,3 +300,101 @@ def check_plan_memory(
                 f"(gated={analysis.gated})",
             )
     return analysis
+
+
+#: the fig5/6/7-shaped golden workloads of :func:`soundness_payload`;
+#: ``kill`` is the host failed at plan time in the fault-rewrite leg
+#: (a sender where re-rooting has real choices, a receiver for fig5)
+GOLDEN_WORKLOADS: dict[str, dict[str, Any]] = {
+    "fig5-bcast": dict(
+        shape=(16384,), src_hosts=(0,), src_spec="R",
+        dst_hosts=(1, 2, 3, 4), dst_spec="R", kill=4,
+    ),
+    "fig6-crossmesh": dict(
+        shape=(128, 128), src_hosts=(0, 1), src_spec="S0R",
+        dst_hosts=(2, 3), dst_spec="RS1", kill=1,
+    ),
+    "fig7-replicated": dict(
+        shape=(128, 128), src_hosts=(0, 1, 2, 3), src_spec="RS1",
+        dst_hosts=(4, 5), dst_spec="S0R", kill=0,
+    ),
+}
+
+#: fixed reference budget for the payload's budget column (bytes/host)
+REFERENCE_BUDGET = 262144.0
+
+
+def soundness_payload() -> dict[str, Any]:
+    """Deterministic ``BENCH_memory.json`` payload: the soundness sweep.
+
+    Compiles and simulates every :data:`GOLDEN_WORKLOADS` entry on every
+    topology-zoo fabric, steady and with a host failed at plan time.
+    Raises unless the static bound dominates the simulated peak on every
+    host of every run, and unless the faulted leg produces at least one
+    fallback re-root (else its half of the gate is vacuous).
+    """
+    # the compiler and the experiments sit above this package
+    from ..compiler import CompileContext, compile_resharding
+    from ..core.executor import simulate_plan
+    from ..core.mesh import DeviceMesh
+    from ..core.task import ReshardingTask
+    from ..experiments.topology_zoo import zoo_specs
+    from ..sim.faults import FaultSchedule, HostFailure, RetryPolicy
+    from ..strategies import make_strategy
+
+    rows: dict[str, Any] = {}
+    rewrites = 0
+    for fabric, spec in sorted(zoo_specs().items()):
+        cluster = Cluster(spec)
+        rows[fabric] = {}
+        for name, wl in GOLDEN_WORKLOADS.items():
+            rows[fabric][name] = {}
+            task = ReshardingTask(
+                wl["shape"],
+                DeviceMesh.from_hosts(cluster, wl["src_hosts"]),
+                wl["src_spec"],
+                DeviceMesh.from_hosts(cluster, wl["dst_hosts"]),
+                wl["dst_spec"],
+                dtype=np.float32,
+            )
+            for mode in ("steady", "faulted"):
+                faults: Optional[FaultSchedule] = None
+                retry: Optional[RetryPolicy] = None
+                strategy: Any = "broadcast"
+                if mode == "faulted":
+                    faults = FaultSchedule(
+                        seed=1, host_failures=(HostFailure(host=wl["kill"], time=0.0),)
+                    )
+                    retry = RetryPolicy()
+                    strategy = make_strategy("broadcast")
+                    # Blind the scheduler (as a buggy deployment might) so
+                    # the re-root pass carries the load and the bound is
+                    # exercised on genuinely rewritten plans.
+                    strategy.schedule_uses_faults = False
+                plan = compile_resharding(
+                    task,
+                    CompileContext(
+                        strategy=strategy, faults=faults, retry_policy=retry, cache=None
+                    ),
+                ).plan
+                peaks = simulate_plan(plan, faults=faults, retry_policy=retry).host_peak_buffers
+                mem = static_host_bounds(plan)
+                where = f"{fabric}/{name}/{mode}"
+                if not mem.dominates(peaks):
+                    raise RuntimeError(
+                        f"{where}: simulated peak {peaks} exceeds static bound {mem.per_host}"
+                    )
+                if mem.nonfinite_ops or mem.uncovered_ops:
+                    raise RuntimeError(f"{where}: bound has unattributable ops")
+                rewrites += len(plan.fallbacks)
+                rows[fabric][name][mode] = {
+                    "static_peak_bytes": mem.peak,
+                    "simulated_peak_bytes": max(peaks.values(), default=0.0),
+                    "budget_bytes": REFERENCE_BUDGET,
+                    "within_budget": mem.peak <= REFERENCE_BUDGET,
+                    "gated": mem.gated,
+                    "fallbacks": len(plan.fallbacks),
+                }
+    if not rewrites:
+        raise RuntimeError("no faulted compile produced a fallback re-root")
+    return {"reference_budget_bytes": REFERENCE_BUDGET, "workloads": rows}

@@ -10,7 +10,7 @@ fig7     Table 3 + Figure 7          end-to-end throughput
 fig8     Figure 8                    load-balance ablation
 fig9     Figure 9                    overlap ablation
 fig3     Figure 3 / §3.1             strategy latency vs analysis
-report   —                           EXPERIMENTS.md generator
+report   —                           EXPERIMENTS.md + BENCH_*.json
 =======  ==========================  ============================
 """
 

@@ -36,6 +36,8 @@ __all__ = [
     "run_eagerness",
     "run_weight_delay",
     "run_all",
+    "summarize",
+    "run",
 ]
 
 
@@ -180,12 +182,11 @@ def run_all() -> list[ExperimentTable]:
     ]
 
 
-def run() -> ExperimentTable:
-    """Single-table summary for the report: headline ratio per ablation."""
-    tables = run_all()
+def summarize(tables: list[ExperimentTable]) -> ExperimentTable:
+    """A0: the headline ratio of each of :func:`run_all`'s tables."""
     summary = ExperimentTable(
         experiment_id="A0 (ablation summary)",
-        title="Implementation-choice ablations (details in benchmarks/results/)",
+        title="Implementation-choice ablations (details in tables A1-A5)",
         columns=["ablation", "headline"],
     )
     a1 = tables[0]
@@ -224,3 +225,8 @@ def run() -> ExperimentTable:
         ),
     )
     return summary
+
+
+def run() -> ExperimentTable:
+    """Single-table summary: headline ratio per ablation."""
+    return summarize(run_all())

@@ -1,14 +1,22 @@
-"""Run every experiment and write EXPERIMENTS.md (paper vs measured).
+"""Run every experiment and write every committed result.
 
 Usage::
 
-    python -m repro.experiments.report [output-path]
+    python -m repro report [--output EXPERIMENTS.md]
+
+writes the report (paper vs measured) and, next to it, the deterministic
+artifacts ``benchmarks/results/BENCH_{fuzz,memory,service,topology}.json``.
+``tests/test_report.py`` regenerates all of them and fails on any byte
+of drift from the committed copies.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import time
+from pathlib import Path
+from typing import Callable
 
 from . import (
     ablations,
@@ -25,7 +33,10 @@ from . import (
 )
 from .common import ExperimentTable, format_markdown
 
-__all__ = ["run_all", "write_report", "EXPECTATIONS"]
+__all__ = ["run_all", "write_report", "EXPECTATIONS", "ARTIFACTS_DIR"]
+
+#: where the artifacts land, relative to the report's directory
+ARTIFACTS_DIR = Path("benchmarks") / "results"
 
 #: per experiment: the paper's qualitative claims we check against
 EXPECTATIONS = {
@@ -56,29 +67,39 @@ EXPECTATIONS = {
 }
 
 
+def _ablations() -> list[ExperimentTable]:
+    details = ablations.run_all()
+    return [ablations.summarize(details), *details]
+
+
 def run_all(verbose: bool = True) -> list[ExperimentTable]:
-    """Execute every experiment module; returns their tables."""
-    modules = [
-        ("E1", fig5),
-        ("E2", fig6),
-        ("E3", table1),
-        ("E4", fig7),
-        ("E5", fig8),
-        ("E6", fig9),
-        ("E7", fig3),
-        ("A0", ablations),
-        ("S1", parallel_sweep),
-        ("S2", scaling),
-        ("S3", interleaving),
+    """Execute every experiment; returns the report's tables in order."""
+    # imported here: they load the fault and recovery runtimes, which
+    # importing repro.experiments does not need
+    from . import chaos, recovery
+
+    steps: list[tuple[str, Callable[[], list[ExperimentTable]]]] = [
+        ("E1", lambda: [fig5.run()]),
+        ("E2", lambda: [fig6.run()]),
+        ("E3", lambda: [table1.run()]),
+        ("E4", lambda: [fig7.run()]),
+        ("E5", lambda: [fig8.run()]),
+        ("E6", lambda: [fig9.run()]),
+        ("E7", lambda: [fig3.run()]),
+        ("A0-A5", _ablations),
+        ("S1", lambda: [parallel_sweep.run()]),
+        ("S2", lambda: [scaling.run(), scaling.run_scheduler_scaling()]),
+        ("S3", lambda: [interleaving.run()]),
+        ("chaos", lambda: [chaos.run()]),
+        ("R1a", lambda: [recovery.run_interval_sweep()]),
     ]
     tables = []
-    for eid, mod in modules:
+    for eid, step in steps:
         t0 = time.time()  # repro-lint: allow[L001] progress printing only
-        table = mod.run()
+        tables.extend(step())
         if verbose:
             # repro-lint: allow[L001] progress printing only
             print(f"{eid} done in {time.time() - t0:.1f}s", file=sys.stderr)
-        tables.append(table)
     return tables
 
 
@@ -92,8 +113,9 @@ Absolute numbers are simulator outputs and are not expected to match the
 authors' AWS testbed; the *shape* of each result — who wins, by what
 factor, where crossovers fall — is the reproduction target.
 
-Regenerate with `python -m repro.experiments.report` (about 5-10
-minutes) or run individual benches under `benchmarks/`.
+Regenerate with `python -m repro report` (about ten seconds), which also
+rewrites the deterministic artifacts `benchmarks/results/BENCH_*.json`;
+`tests/test_report.py` fails if any committed copy drifts by one byte.
 """
 
 
@@ -137,7 +159,19 @@ DIVERGENCES = """\
 """
 
 
-def write_report(path: str = "EXPERIMENTS.md", verbose: bool = True) -> str:
+def write_report(path: str = "EXPERIMENTS.md", verbose: bool = True) -> list[ExperimentTable]:
+    """Write the report to ``path`` and the artifacts under
+    :data:`ARTIFACTS_DIR` next to it; returns the report's tables.
+
+    Everything is built before anything is written, so a builder whose
+    acceptance gate fails (it raises) leaves every file untouched.
+    """
+    # imported here so that importing repro.experiments stays light
+    from ..analysis.memory_analysis import soundness_payload
+    from ..fuzz import campaign_payload
+    from ..service.loadgen import scenario_payload
+    from .topology_zoo import payload as topology_payload
+
     tables = run_all(verbose=verbose)
     parts = [HEADER]
     for table in tables:
@@ -146,13 +180,18 @@ def write_report(path: str = "EXPERIMENTS.md", verbose: bool = True) -> str:
         if eid in EXPECTATIONS:
             parts.append(f"**Paper's claim:** {EXPECTATIONS[eid]}\n")
     parts.append(DIVERGENCES)
-    text = "\n".join(parts)
-    with open(path, "w") as f:
-        f.write(text)
-    return text
-
-
-if __name__ == "__main__":
-    out = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    write_report(out)
-    print(f"wrote {out}", file=sys.stderr)
+    artifacts = {
+        "fuzz": campaign_payload(),
+        "memory": soundness_payload(),
+        "service": scenario_payload(),
+        "topology": topology_payload(),
+    }
+    report = Path(path)
+    report.write_text("\n".join(parts))
+    out = report.parent / ARTIFACTS_DIR
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in artifacts.items():
+        (out / f"BENCH_{name}.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+    return tables

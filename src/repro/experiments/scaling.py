@@ -10,8 +10,6 @@ search.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..core.api import reshard
@@ -71,7 +69,7 @@ def run() -> ExperimentTable:
 
 
 def run_scheduler_scaling() -> ExperimentTable:
-    """Scheduling quality/runtime as the unit-task count grows.
+    """Scheduling quality as the unit-task count grows.
 
     Uses the case-4 pattern (orthogonal S^{01} tilings) whose unit-task
     count is (devices/side)^2 — DFS is hopeless beyond ~20 tasks, so
@@ -85,7 +83,6 @@ def run_scheduler_scaling() -> ExperimentTable:
             "naive makespan (s)",
             "ours makespan (s)",
             "speedup",
-            "ours runtime (ms)",
         ],
     )
     for h in (2, 3, 4, 6):
@@ -97,11 +94,7 @@ def run_scheduler_scaling() -> ExperimentTable:
         )
         problem = SchedulingProblem.from_resharding(rt)
         naive = naive_schedule(problem)
-        # repro-lint: allow[L001] measures scheduler wall time, the quantity under study
-        t0 = time.perf_counter()
         ours = randomized_greedy_schedule(problem)
-        # repro-lint: allow[L001] measures scheduler wall time, the quantity under study
-        runtime = (time.perf_counter() - t0) * 1e3
         # cross-check claimed makespans
         assert evaluate(problem, ours.assignment, ours.order)[0] == ours.makespan
         lb = load_balance_schedule(problem)
@@ -112,7 +105,6 @@ def run_scheduler_scaling() -> ExperimentTable:
                 "naive makespan (s)": naive.makespan,
                 "ours makespan (s)": best,
                 "speedup": naive.makespan / best,
-                "ours runtime (ms)": runtime,
             }
         )
     return table

@@ -20,9 +20,9 @@ source hosts fanned out to 6 receiving hosts) across the topology zoo:
 
 Makespans come from the flow simulator, which contends switch ports in
 the same max-min fixpoint as NICs — oversubscription is *priced*, not
-asserted.  The quick mode (the default, also the CI ``topology-smoke``
-payload persisted as ``BENCH_topology.json``) uses a 16 MB tensor; full
-mode uses 256 MB.
+asserted.  The quick mode (the default, also the :func:`payload`
+``python -m repro report`` persists as ``BENCH_topology.json``) uses a
+16 MB tensor; full mode uses 256 MB.
 """
 
 from __future__ import annotations
@@ -140,7 +140,14 @@ def run(
 
 
 def payload(quick: bool = True) -> dict:
-    """Deterministic ``BENCH_topology.json`` payload: the raw heatmap."""
+    """Deterministic ``BENCH_topology.json`` payload: the raw heatmap.
+
+    Raises unless switch multicast strictly beats the ring broadcast on
+    the 4:1 oversubscribed fat-tree, that fat-tree is strictly slower
+    than the non-blocking one of identical shape under both (the max-min
+    fixpoint prices oversubscription), and the switchless torus reports
+    multicast as unsupported.
+    """
     shape = QUICK_SHAPE if quick else FULL_SHAPE
     out: dict = {
         "shape": list(shape),
@@ -155,4 +162,15 @@ def payload(quick: bool = True) -> dict:
             # round: byte-stable across platforms, still a drift signal
             row[strat] = None if makespan is None else round(makespan, 9)
         out["makespans"][topo_name] = row
+    grid = out["makespans"]
+    for topo, row in grid.items():
+        if not all(row[s] is not None and row[s] > 0 for s in ("broadcast", "allgather")):
+            raise RuntimeError(f"{topo}: broadcast or allgather has no makespan")
+    over, flat = grid["fat_tree_4to1"], grid["fat_tree_1to1"]
+    if over["multicast"] is None or not over["multicast"] < over["broadcast"]:
+        raise RuntimeError(f"multicast does not beat broadcast on fat_tree_4to1: {over}")
+    if not (over["broadcast"] > flat["broadcast"] and over["multicast"] > flat["multicast"]):
+        raise RuntimeError(f"oversubscription is free: {over} vs {flat}")
+    if grid["torus_2d"]["multicast"] is not None:
+        raise RuntimeError("the switchless torus reports a multicast makespan")
     return out

@@ -10,9 +10,9 @@ real traffic.  The whole run is a pure function of
 cancellations, and every service decision replay byte-identically.
 
 :func:`run_load` returns a :class:`LoadReport` with the overload-safety
-evidence the benchmarks and CI smoke gate assert on: latency
-percentiles, per-status counts, cache hit rate, shed/coalesce rates,
-peak queue depth, and the telemetry digest.
+evidence the ``serve --check`` gates and :func:`scenario_payload` assert
+on: latency percentiles, per-status counts, cache hit rate,
+shed/coalesce rates, peak queue depth, and the telemetry digest.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Optional
 
 from ..core.task import ReshardingTask
 from ..experiments.common import make_microbench_meshes
+from .admission import AdmissionConfig
 from .chaos import ServiceChaos
 from .clock import run_virtual
 from .request import CompileRequest, CompileResponse
@@ -39,6 +40,8 @@ __all__ = [
     "percentile",
     "LoadReport",
     "run_load",
+    "scenario_payload",
+    "TIGHT",
 ]
 
 
@@ -300,3 +303,32 @@ def build_report(
         counter_totals=totals,
         telemetry_digest=service.bus.digest(),
     )
+
+
+#: tight admission policy that forces overload behavior under bursts
+TIGHT = ServiceConfig(
+    n_workers=2,
+    admission=AdmissionConfig(max_queue_depth=12, per_tenant_depth=5, rate=45.0),
+)
+
+
+def scenario_payload() -> dict[str, object]:
+    """Deterministic ``BENCH_service.json`` payload: two load scenarios.
+
+    ``steady`` is sustained arrivals within capacity; ``bursty`` is
+    periodic spikes against :data:`TIGHT`.  Raises unless every run is
+    crash-free and the bursty one sheds or coalesces instead of growing
+    its queue past the bound, with p99 under 2 virtual seconds.
+    """
+    bursty = run_load(PROFILES["bursty"], seed=0, config=TIGHT, timeout=2.0)
+    steady = run_load(PROFILES["steady"], seed=0, config=ServiceConfig(n_workers=2), timeout=2.0)
+    for report in (bursty, steady):
+        if report.worker_crashes:
+            raise RuntimeError(f"{report.profile}: {report.worker_crashes} worker crash(es)")
+    if bursty.max_queue_depth > TIGHT.admission.max_queue_depth:
+        raise RuntimeError(f"bursty queue depth {bursty.max_queue_depth} over its bound")
+    if not (bursty.n_shed or bursty.n_coalesced):
+        raise RuntimeError("bursty load neither shed nor coalesced")
+    if not bursty.p99_latency < 2.0:
+        raise RuntimeError(f"bursty p99 {bursty.p99_latency} s is not under 2 s")
+    return {"bursty": bursty.to_json(), "steady": steady.to_json()}

@@ -172,14 +172,19 @@ class TestCli:
         assert "fuzz checks: ok" in out
         assert "campaign digest:" in out
 
-    def test_fuzz_check_fails_on_broken_build(self, capsys):
+    @pytest.mark.parametrize(
+        "flag, marker",
+        [("--break-reroot", "F001"), ("--break-memory", "memory-sound")],
+        ids=["break-reroot", "break-memory"],
+    )
+    def test_fuzz_check_fails_on_broken_build(self, capsys, flag, marker):
         from repro.__main__ import main
 
-        rc = main(["fuzz", "--runs", "6", "--break-reroot", "--check"])
+        rc = main(["fuzz", "--runs", "6", flag, "--check"])
         assert rc == 1
         captured = capsys.readouterr()
         assert "CHECK FAIL" in captured.err
-        assert "F001" in captured.out
+        assert marker in captured.out
 
     def test_fuzz_json_output(self, capsys):
         from repro.__main__ import main

@@ -1,12 +1,14 @@
 """Shape tests for the experiment reproductions (paper claims as asserts).
 
-These run the real experiment code (sometimes on reduced sizes) and
-assert the qualitative claims of each paper table/figure.
+These run the experiment code on reduced sizes, or on tables cheap
+enough to rebuild, and assert the qualitative claims of each paper
+table/figure.  The claims on the full-size tables of ``EXPERIMENTS.md``
+are asserted in ``test_report.py``, on the report's own run.
 """
 
 import pytest
 
-from repro.experiments import fig3, fig5, fig6, fig8, table1
+from repro.experiments import fig3, table1
 from repro.experiments.common import (
     ExperimentTable,
     fmt_bytes,
@@ -56,31 +58,6 @@ def test_formatters():
 
 
 # ----------------------------------------------------------------------
-# E1 / Fig. 5
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_fig5_shapes():
-    t = fig5.run()
-    g1 = [r for r in t.rows if r["group"].startswith("1 node")]
-    g2 = [r for r in t.rows if r["group"].startswith("2 GPUs")]
-    # Send/Recv linear in #GPUs
-    sr = [r["send_recv (s)"] for r in g1]
-    assert sr[3] == pytest.approx(4 * sr[0], rel=0.02)
-    # Broadcast flat (within 5%)
-    bc = [r["broadcast (s)"] for r in g1] + [r["broadcast (s)"] for r in g2]
-    assert max(bc) / min(bc) < 1.05
-    # Alpa collapse at 3 GPUs and 3 nodes (uneven partition)
-    ag1 = [r["allgather/Alpa (s)"] for r in g1]
-    assert ag1[2] > 2 * ag1[1]
-    ag2 = [r["allgather/Alpa (s)"] for r in g2]
-    assert ag2[2] > 2 * ag2[1]
-    # Alpa degrades across nodes but stays below Send/Recv
-    assert ag2[3] > ag2[0]
-    sr2 = [r["send_recv (s)"] for r in g2]
-    assert ag2[3] < sr2[3]
-
-
-# ----------------------------------------------------------------------
 # E2 / Table 2 + Fig. 6  (reduced tensor for speed)
 # ----------------------------------------------------------------------
 def small_latency(case, strategy, **kw):
@@ -96,24 +73,6 @@ def test_fig6_case_table_definition():
     assert len(TABLE2_CASES) == 9
     assert TABLE2_CASES[3].send_spec == "RS01R"
     assert TABLE2_CASES[7].send_mesh == (2, 3)
-
-
-@pytest.mark.slow
-def test_fig6_headline_cases():
-    t = fig6.run()
-    by_case = {r["case"]: r for r in t.rows}
-    # parity cases
-    for c in ("case1", "case2"):
-        assert by_case[c]["ours/Alpa speedup"] == pytest.approx(1.0, abs=0.1)
-    # congestion cases: ours clearly faster
-    for c in ("case3", "case4", "case9"):
-        assert by_case[c]["ours/Alpa speedup"] > 1.3
-    # cross-node all-gather cases
-    for c in ("case7", "case8"):
-        assert by_case[c]["ours/Alpa speedup"] > 1.5
-    # send/recv never beats ours
-    for r in t.rows:
-        assert r["send_recv (s)"] >= r["broadcast (s)"] * 0.98
 
 
 # ----------------------------------------------------------------------

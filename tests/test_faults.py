@@ -9,6 +9,8 @@ trace statuses.
 
 import pytest
 
+from repro.core.executor import simulate_plan
+from repro.experiments import chaos
 from repro.sim import GB, Cluster, ClusterSpec, Network
 from repro.sim.faults import (
     DegradedWindow,
@@ -18,6 +20,7 @@ from repro.sim.faults import (
     RetryPolicy,
     StragglerWindow,
 )
+from repro.strategies import BroadcastStrategy
 
 
 def make_net(faults=None, policy=None, **kw) -> Network:
@@ -277,6 +280,34 @@ def test_healthy_network_unaffected_by_fault_plumbing():
         for r in nofault.trace
     ]
     assert rec == rec2
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        FaultSchedule(seed=0, drop_rate=0.0),
+        FaultSchedule(
+            seed=0, drop_rate=0.0, domain_failures=(), partitions=(), corruptions=()
+        ),
+    ],
+    ids=["drop_rate_0", "empty_correlated_and_gray_classes"],
+)
+def test_zero_fault_schedule_is_exactly_the_fault_free_run(faults):
+    """With nothing to inject, the retry machinery and every fault-class
+    check cost nothing: the 1 GB chaos-sweep resharding dispatches the
+    same events to the same makespan and telemetry as ``faults=None``."""
+    task = chaos.make_task()
+    clean = simulate_plan(BroadcastStrategy().plan(task))
+    res = simulate_plan(
+        BroadcastStrategy(faults=faults).plan(task),
+        faults=faults,
+        retry_policy=chaos.POLICY,
+    )
+    assert res.fault_report.status == "clean"
+    assert res.corrupted_ops == () and res.unverified_corruption == ()
+    assert res.total_time == clean.total_time
+    assert res.network.loop.processed == clean.network.loop.processed
+    assert res.network.bus.digest() == clean.network.bus.digest()
 
 
 # ----------------------------------------------------------------------

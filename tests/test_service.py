@@ -567,3 +567,14 @@ def test_service_chaos_validates_partition_rate():
     with pytest.raises(ValueError, match="partition_rate"):
         ServiceChaos(partition_rate=1.0)
     assert not ServiceChaos(partition_rate=0.0).attempt_partitioned("r", 1)
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+def test_serve_check_passes_on_bursty_load(chaos, capsys):
+    """``serve --check``'s overload-safety gates hold on a 200-request
+    bursty load, with and without injected chaos."""
+    from repro.__main__ import main
+
+    argv = ["serve", "--profile", "bursty", "--requests", "200", "--check"]
+    assert main(argv + ["--chaos"] * chaos) == 0
+    assert "service checks: ok" in capsys.readouterr().out

@@ -12,7 +12,7 @@ import pytest
 
 from repro.compiler import default_plan_cache, reset_default_plan_cache
 from repro.core.executor import simulate_plan
-from repro.experiments.fig5 import single_to_multi_latency
+from repro.experiments.fig5 import STRATEGIES, single_to_multi_latency
 from repro.experiments.fig6 import TABLE2_CASES, case_latency
 from repro.models.gpt import GPTConfig, build_gpt
 from repro.models.parallel import run_iteration
@@ -96,6 +96,17 @@ class TestTimingUnification:
         assert cached.iteration_time == uncached.iteration_time
         assert stats.requests > 0
         assert stats.compile_call_reduction >= 0.5
+
+    def test_repeated_fig5_sweeps_compile_once_per_strategy(self):
+        """Re-running a Fig. 5 point through the process-wide cache
+        compiles each strategy's plan once and serves every repeat."""
+        reset_default_plan_cache()
+        for _ in range(3):
+            for strategy in STRATEGIES:
+                single_to_multi_latency(4, 2, strategy)
+        stats = default_plan_cache().stats()
+        assert stats.misses == len(STRATEGIES)
+        assert stats.hits == 2 * len(STRATEGIES)
 
 
 # ----------------------------------------------------------------------
