@@ -140,11 +140,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.requests if self.requests else 0.0
 
-    @property
-    def compile_call_reduction(self) -> float:
-        """Fraction of compile requests served without compiling."""
-        return self.hit_rate
-
     def __repr__(self) -> str:
         return (
             f"CacheStats(requests={self.requests}, hits={self.hits}, "

@@ -4,11 +4,12 @@
 boundary's forward/backward resharding through the plan compiler and
 hangs an :class:`EdgeResharding` on the :class:`~repro.pipeline.stage
 .CommEdge`.  The pipeline executor then prices every cross-stage message
-via :meth:`EdgeResharding.time` — one plan-cache request per message —
-so the per-micro-batch repetition of the same resharding is served from
-the content-addressed cache instead of recompiling, and the pipeline's
-comm latencies are, by construction, ``simulate_plan`` latencies of the
-compiled plans (one shared timing path).
+via :meth:`EdgeResharding.time`.  Every micro-batch reshards the same
+tensor with the same layouts, so each direction resolves its plan through
+:func:`compile_resharding` once per cache epoch — one plan-cache request
+per edge direction, not per message — and the pipeline's comm latencies
+are, by construction, ``simulate_plan`` latencies of the compiled plans
+(one shared timing path).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 
 from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
+from .cache import PlanCache
 from .pipeline import CompileContext, CompiledPlan, compile_resharding
 
 __all__ = ["EdgeResharding"]
@@ -46,10 +48,15 @@ def _check_routable(task: ReshardingTask) -> None:
 class EdgeResharding:
     """Both directions of one cross-mesh stage edge, compiled on demand.
 
-    When the strategy is cacheable every call goes through
-    :func:`compile_resharding` (registering a cache request; repeats are
-    hits).  Uncacheable strategies fall back to a per-edge memo so the
-    executor still never compiles the same direction twice.
+    Each direction's :class:`CompiledPlan` is resolved through
+    :func:`compile_resharding` and memoized together with the plan cache
+    it came from (compared by identity) and that cache's epoch.  The memo
+    is served while both still match, so :meth:`PlanCache.invalidate` and
+    :func:`~repro.compiler.cache.reset_default_plan_cache` force the next
+    call to resolve again — for cacheable and uncacheable strategies
+    alike.  The context's other fields are read as fixed once the edge is
+    built; ``validate`` is checked on every call, so a ``validate=True``
+    context never receives an unvalidated plan.
     """
 
     def __init__(
@@ -62,7 +69,10 @@ class EdgeResharding:
         self.fwd_task = fwd_task
         self.bwd_task = bwd_task
         self.ctx = ctx if ctx is not None else CompileContext()
-        self._memo: dict[str, CompiledPlan] = {}
+        #: direction -> (plan, the cache it was resolved against, its epoch)
+        self._memo: dict[
+            str, tuple[CompiledPlan, Optional[PlanCache], Optional[int]]
+        ] = {}
 
     def task(self, direction: str) -> ReshardingTask:
         if direction == "fwd":
@@ -71,19 +81,17 @@ class EdgeResharding:
             return self.bwd_task
         raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
 
-    def _cacheable(self) -> bool:
-        return (
-            self.ctx.resolved_cache() is not None
-            and self.ctx.resolved_strategy().cache_key() is not None
-        )
-
     def compiled(self, direction: str) -> CompiledPlan:
-        task = self.task(direction)
-        if self._cacheable():
-            return compile_resharding(task, self.ctx)
-        found = self._memo.get(direction)
-        if found is None:
-            found = self._memo[direction] = compile_resharding(task, self.ctx)
+        cache = self.ctx.resolved_cache()
+        epoch = None if cache is None else cache.epoch
+        memo = self._memo.get(direction)
+        if memo is not None and memo[1] is cache and memo[2] == epoch:
+            found = memo[0]
+            if self.ctx.validate:
+                found.ensure_validated()
+            return found
+        found = compile_resharding(self.task(direction), self.ctx)
+        self._memo[direction] = (found, cache, epoch)
         return found
 
     def plan(self, direction: str) -> CommPlan:

@@ -156,8 +156,11 @@ class CompileContext:
             return self.strategy
         strategy = make_strategy(self.strategy, **self.strategy_kwargs)
         # Rebind so repeated compiles through one context reuse the
-        # instance (and, for auto, its accumulated last_scores).
+        # instance (and, for auto, its accumulated last_scores).  The
+        # kwargs are now baked into that instance: clear them, or the
+        # next call would reject them as passed alongside an instance.
         self.strategy = strategy
+        self.strategy_kwargs = {}
         return strategy
 
     def resolved_cache(self) -> Optional[PlanCache]:

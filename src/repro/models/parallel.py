@@ -121,12 +121,12 @@ def resolve_comm_edges(
     """Compile each boundary resharding (both directions) and attach it.
 
     Every micro-batch reshards the same tensor with the same layout, so
-    the compiled plan and its simulated duration come from the shared
-    plan cache; the :class:`~repro.compiler.EdgeResharding` hung on each
-    edge lets the pipeline executor price every message through the same
-    cache + ``simulate_plan`` path.  ``cache=None`` compiles every edge
-    (and every executor message) uncached — benchmarks use it to prove
-    the cache changes compile counts, never results.
+    the :class:`~repro.compiler.EdgeResharding` hung on each edge
+    resolves each direction's plan once per plan-cache epoch, and the
+    pipeline executor prices every message with that plan's
+    ``simulate_plan`` latency.  ``cache=None`` compiles each edge
+    direction once, uncached — tests use it to prove the cache changes
+    compile counts, never results.
     """
     ctx = CompileContext(strategy=make_strategy(strategy_name), cache=cache)
     edges: list[CommEdge] = []

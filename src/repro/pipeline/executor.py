@@ -461,8 +461,9 @@ def simulate_pipeline(
 
     def produced_edges(stage: int, t: Task):
         # comm_time() is called once per produced message: edges backed
-        # by a compiled resharding price every micro-batch through the
-        # plan cache + simulate_plan (the shared timing path).
+        # by a compiled resharding price every micro-batch with the
+        # simulate_plan latency of the plan the edge resolved once per
+        # cache epoch (the shared timing path).
         if t.kind == "F":
             return [(e, i, e.comm_time("fwd"), "fwd", e.dst_stage)
                     for i, e in enumerate(job.edges) if e.src_stage == stage]

@@ -59,8 +59,9 @@ class CommEdge:
     ``resharding`` optionally carries the compiled resharding behind the
     edge (an :class:`~repro.compiler.EdgeResharding`, duck-typed to keep
     this module compiler-agnostic).  When present, :meth:`comm_time`
-    prices each message by executing the cached compiled plan through
-    ``simulate_plan`` — the one shared timing path; when absent the
+    prices each message with the ``simulate_plan`` latency of the
+    direction's compiled plan — the one shared timing path — which the
+    edge resolves once per plan-cache epoch; when absent the
     pre-resolved ``fwd_time``/``bwd_time`` scalars are used.
     """
 

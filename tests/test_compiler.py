@@ -28,6 +28,7 @@ from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.core.tensor import DistributedTensor
+from repro.core.validate import PlanValidationError
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.faults import FaultSchedule, HostFailure, RetryPolicy
 from repro.strategies import (
@@ -50,6 +51,13 @@ def make_task(cluster=None, shape=(64, 64, 64), src_spec="RS0R",
     src = DeviceMesh.from_hosts(c, src_hosts)
     dst = DeviceMesh.from_hosts(c, dst_hosts)
     return ReshardingTask(shape, src, src_spec, dst, dst_spec, dtype=np.float32)
+
+
+def make_edge(ctx=None) -> EdgeResharding:
+    fwd = make_task()
+    bwd = make_task(src_spec="S0RR", dst_spec="RS0R",
+                    src_hosts=(2, 3), dst_hosts=(0, 1))
+    return EdgeResharding(fwd, bwd, ctx)
 
 
 # ----------------------------------------------------------------------
@@ -285,16 +293,99 @@ class TestUncacheable:
         assert custom.cache_key() is None
 
     def test_edge_resharding_memoizes_uncacheable(self):
-        task_f = make_task()
-        task_b = make_task(src_spec="S0RR", dst_spec="RS0R",
-                           src_hosts=(2, 3), dst_hosts=(0, 1))
-        edge = EdgeResharding(
-            task_f, task_b, CompileContext(strategy=NoKeyStrategy(), cache=None)
-        )
+        edge = make_edge(CompileContext(strategy=NoKeyStrategy(), cache=None))
         assert edge.compiled("fwd") is edge.compiled("fwd")
         assert edge.time("fwd") == simulate_plan(edge.plan("fwd")).total_time
         with pytest.raises(ValueError):
             edge.time("sideways")
+
+
+# ----------------------------------------------------------------------
+# EdgeResharding: one resolved plan per direction per cache epoch
+# ----------------------------------------------------------------------
+class TestEdgeMemo:
+    def test_repeated_messages_make_one_cache_request(self):
+        cache = reset_default_plan_cache()
+        edge = make_edge()
+        first = edge.compiled("fwd")
+        for _ in range(5):
+            assert edge.compiled("fwd") is first
+            edge.time("fwd")
+        stats = cache.stats()
+        assert (stats.requests, stats.misses) == (1, 1)
+
+    def test_invalidate_forces_a_fresh_resolve(self):
+        reset_default_plan_cache()
+        edge = make_edge()
+        first = edge.compiled("fwd")
+        default_plan_cache().invalidate("host failure")
+        second = edge.compiled("fwd")
+        assert second is not first
+        assert edge.compiled("fwd") is second
+        stats = default_plan_cache().stats()
+        assert stats.epoch == 1
+        assert (stats.requests, stats.misses) == (2, 2)
+
+    def test_reset_default_cache_forces_a_fresh_resolve(self):
+        reset_default_plan_cache()
+        edge = make_edge()
+        first = edge.compiled("fwd")
+        fresh = reset_default_plan_cache()
+        second = edge.compiled("fwd")
+        assert second is not first
+        assert (fresh.stats().requests, fresh.stats().misses) == (1, 1)
+
+    def test_uncacheable_strategy_re_resolves_after_epoch_bump(self):
+        cache = PlanCache()
+        edge = make_edge(CompileContext(strategy=NoKeyStrategy(), cache=cache))
+        first = edge.compiled("fwd")
+        assert edge.compiled("fwd") is first
+        cache.invalidate()
+        assert edge.compiled("fwd") is not first
+        assert cache.stats().requests == 0
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_validate_edge_over_budget_raises_m001_on_first_time(self, warm):
+        # Like a cold compile: the first message raises, and so does
+        # every later one (nothing unvalidated is memoized).
+        cache = PlanCache()
+        if warm:  # an unvalidated plan for the same signature is cached
+            compile_resharding(
+                make_task(),
+                CompileContext(strategy="send_recv", cache=cache,
+                               memory_budget=1.0),
+            )
+        edge = make_edge(CompileContext(strategy="send_recv", cache=cache,
+                                        validate=True, memory_budget=1.0))
+        for _ in range(2):
+            with pytest.raises(PlanValidationError, match="M001"):
+                edge.time("fwd")
+
+    def test_memoized_plan_is_validated_once_the_context_asks(self):
+        ctx = CompileContext(strategy="send_recv", cache=PlanCache(),
+                             memory_budget=1.0)
+        edge = make_edge(ctx)
+        assert not edge.compiled("fwd").validated
+        ctx.validate = True
+        with pytest.raises(PlanValidationError, match="M001"):
+            edge.time("fwd")
+
+    def test_reused_context_with_strategy_kwargs_compiles_twice(self):
+        ctx = CompileContext(strategy="broadcast",
+                             strategy_kwargs={"scheduler": "naive"},
+                             cache=PlanCache())
+        first = compile_resharding(make_task(), ctx)
+        assert compile_resharding(make_task(), ctx) is first
+        assert ctx.strategy.scheduler_name == "naive"
+
+    def test_edge_with_strategy_kwargs_times_both_directions(self):
+        edge = make_edge(CompileContext(strategy="broadcast",
+                                        strategy_kwargs={"scheduler": "naive"},
+                                        cache=PlanCache()))
+        for direction in ("fwd", "bwd"):
+            assert edge.time(direction) == simulate_plan(
+                edge.plan(direction)
+            ).total_time
 
 
 # ----------------------------------------------------------------------
