@@ -33,6 +33,7 @@ cross-stage messages).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -56,6 +57,23 @@ __all__ = [
     "FAULT_CATEGORIES",
     "switch_outage",
 ]
+
+
+def _check_window(start: float, duration: float) -> None:
+    """Reject a window that could never strike or never end.
+
+    Each check is phrased so that NaN, which fails every comparison, is
+    rejected rather than let through.
+    """
+    if not math.isfinite(start):
+        raise ValueError(f"window start must be finite, got {start}")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"window duration must be positive and finite, got {duration}")
+
+
+def _check_onset(time: float) -> None:
+    if not 0.0 <= time < math.inf:
+        raise ValueError(f"failure time must be finite and >= 0, got {time}")
 
 
 def _uniform(*key) -> float:
@@ -91,8 +109,7 @@ class DegradedWindow:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"window duration must be positive, got {self.duration}")
+        _check_window(self.start, self.duration)
         if not 0.0 < self.factor < 1.0:
             raise ValueError(f"degradation factor must be in (0, 1), got {self.factor}")
 
@@ -113,8 +130,7 @@ class FlapWindow:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"window duration must be positive, got {self.duration}")
+        _check_window(self.start, self.duration)
 
     @property
     def end(self) -> float:
@@ -134,10 +150,9 @@ class StragglerWindow:
     slowdown: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"window duration must be positive, got {self.duration}")
-        if self.slowdown <= 1.0:
-            raise ValueError(f"slowdown must be > 1, got {self.slowdown}")
+        _check_window(self.start, self.duration)
+        if not 1.0 < self.slowdown < math.inf:
+            raise ValueError(f"slowdown must be > 1 and finite, got {self.slowdown}")
 
     @property
     def end(self) -> float:
@@ -161,8 +176,7 @@ class HostFailure:
     time: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"failure time must be >= 0, got {self.time}")
+        _check_onset(self.time)
 
 
 @dataclass(frozen=True)
@@ -186,12 +200,11 @@ class DomainFailure:
     def __post_init__(self) -> None:
         if not self.hosts:
             raise ValueError(f"domain failure {self.domain!r} downs no hosts")
-        if self.time < 0:
-            raise ValueError(f"failure time must be >= 0, got {self.time}")
-        if self.duration is not None and self.duration <= 0:
+        _check_onset(self.time)
+        if self.duration is not None and not 0.0 < self.duration < math.inf:
             raise ValueError(
-                f"domain outage duration must be positive (or None for "
-                f"permanent), got {self.duration}"
+                f"domain outage duration must be positive and finite (or "
+                f"None for permanent), got {self.duration}"
             )
 
     @property
@@ -226,8 +239,7 @@ class Partition:
     def __post_init__(self) -> None:
         if not self.src_hosts or not self.dst_hosts:
             raise ValueError("partition needs non-empty src and dst host sets")
-        if self.duration <= 0:
-            raise ValueError(f"window duration must be positive, got {self.duration}")
+        _check_window(self.start, self.duration)
 
     @property
     def end(self) -> float:
@@ -263,8 +275,7 @@ class CorruptionWindow:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"window duration must be positive, got {self.duration}")
+        _check_window(self.start, self.duration)
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"corruption rate must be in (0, 1], got {self.rate}")
 

@@ -17,7 +17,14 @@ duplex).
 Rates are recomputed whenever a flow starts or finishes; the event loop
 advances directly to the earliest completion, so simulation cost is
 ``O(events x flows x ports)`` — comfortably fast for cluster sizes in the
-paper (dozens of devices, thousands of flows).
+paper (dozens of devices, thousands of flows).  The active set is small
+(most solves see zero to three flows), so the cost is per-event
+bookkeeping rather than arithmetic, and the network keeps it flat with
+three memos: a ``(src, dst) -> (ports, latency)`` route table (custom
+``ports=``/``latency=`` flows bypass it), a static per-port base
+capacity (fault factors are still applied at the current instant on
+every lookup), and a device -> host table for byte accounting.  Device
+ids are validated once, at submission.
 
 The network runs on the unified runtime kernel
 (:class:`~repro.runtime.kernel.EventLoop`) and reports through its
@@ -55,6 +62,7 @@ checksums (:mod:`repro.core.verify_data`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -172,6 +180,11 @@ class Network:
         solver: Optional[RateSolver] = None,
     ) -> None:
         self.cluster = cluster
+        # A cluster never changes once built, so a device's host, a
+        # route, and a port's fault-free capacity are computed once.
+        self._host_of: list[int] = [d.host_id for d in cluster.devices]
+        self._routes: dict[tuple[int, int], tuple[tuple[str, ...], float]] = {}
+        self._base_capacity: dict[str, float] = {}
         self.loop = EventLoop()
         self.bus: TelemetryBus = self.loop.bus
         self._active: dict[int, Flow] = {}
@@ -224,25 +237,31 @@ class Network:
         mid = c.topo.transit_ports(a.host_id, b.host_id, a.local_id, b.local_id)
         return (f"ds{src}", f"ns{a.host_id}") + mid + (f"nr{b.host_id}", f"dr{dst}")
 
+    def _route(self, src: int, dst: int) -> tuple[tuple[str, ...], float]:
+        """Memoized ``(ports, startup latency)`` of the routed src->dst path."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = (self._ports_for(src, dst), self.cluster.link_latency(src, dst))
+            self._routes[(src, dst)] = route
+        return route
+
     def _port_capacity(self, port: str) -> float:
+        bw = self._base_capacity.get(port)
+        if bw is None:
+            bw = self._base_capacity[port] = self._static_capacity(port)
+        if self.faults is not None and port[0] == "n":
+            # Piecewise-constant in time: never part of the memo.
+            bw *= self.faults.nic_factor(int(port[2:]), self.loop.now)
+        return bw
+
+    def _static_capacity(self, port: str) -> float:
+        """Fault-free capacity of ``port``."""
         spec = self.cluster.spec
         if port[0] == "d":
             return spec.intra_host_bandwidth
         if port[0] == "n":
-            bw = spec.host_nic_bandwidth(int(port[2:]))
-            if self.faults is not None:
-                bw *= self.faults.nic_factor(int(port[2:]), self.loop.now)
-            return bw
+            return spec.host_nic_bandwidth(int(port[2:]))
         return self.cluster.topo.port_capacity(port)
-
-    def _nic_down_for(self, flow: Flow) -> bool:
-        """True if any NIC port the flow traverses is flapped down now."""
-        assert self.faults is not None
-        now = self.loop.now
-        return any(
-            p[0] == "n" and self.faults.host_down(int(p[2:]), now)
-            for p in flow.ports
-        )
 
     def _down_reason_for(self, flow: Flow, flap_kind: str) -> Optional[str]:
         """Causal incident kind if a traversed NIC is down, else None.
@@ -274,12 +293,11 @@ class Network:
         assert self.faults is not None
         if not self.faults.partitions:
             return False
-        c = self.cluster
-        if c.same_host(flow.src, flow.dst):
+        src_host = self._host_of[flow.src]
+        dst_host = self._host_of[flow.dst]
+        if src_host == dst_host:
             return False
-        return self.faults.partitioned(
-            c.host_of(flow.src), c.host_of(flow.dst), self.loop.now
-        )
+        return self.faults.partitioned(src_host, dst_host, self.loop.now)
 
     # ------------------------------------------------------------------
     # Public API
@@ -315,24 +333,35 @@ class Network:
             raise ValueError("flow source and destination must differ")
         if nbytes < 0:
             raise ValueError(f"negative flow size: {nbytes}")
-        base = (
-            latency if latency is not None else self.cluster.link_latency(src, dst)
-        )
+        if not math.isfinite(nbytes):
+            raise ValueError(f"non-finite flow size: {nbytes}")
+        n_devices = len(self._host_of)
+        for d in (src, dst):
+            # Checked here, not at first use: a negative id would
+            # silently wrap in the device -> host table.
+            if not 0 <= d < n_devices:
+                raise KeyError(f"no device {d} in cluster of {n_devices}")
+        if ports is None or latency is None:
+            route_ports, route_latency = self._route(src, dst)
+            if ports is None:
+                ports = route_ports
+            if latency is None:
+                latency = route_latency
         flow = Flow(
             flow_id=self._next_id,
             src=src,
             dst=dst,
             nbytes=float(nbytes),
             remaining=float(nbytes),
-            ports=ports if ports is not None else self._ports_for(src, dst),
+            ports=ports,
             on_complete=on_complete,
             tag=tag,
             submit_time=self.loop.now,
             on_abandon=on_abandon,
-            base_latency=base,
+            base_latency=latency,
         )
         self._next_id += 1
-        self.loop.call_after(base + extra_latency, lambda: self._activate(flow))
+        self.loop.call_after(latency + extra_latency, lambda: self._activate(flow))
         return flow
 
     # ------------------------------------------------------------------
@@ -495,7 +524,7 @@ class Network:
                 )
         flow.finish_time = self.loop.now
         flow.remaining = 0.0
-        if self.cluster.same_host(flow.src, flow.dst):
+        if self._host_of[flow.src] == self._host_of[flow.dst]:
             self.bytes_intra_host += flow.nbytes
             self._c_intra.add(flow.nbytes)
         else:

@@ -38,8 +38,8 @@ The scalar algorithm's float arithmetic is replicated exactly:
   ufunc — applies one subtraction per index occurrence, reproducing the
   same sequence of rounding steps.
 * **Flow fixing order** inside a round cannot affect rates (every fixed
-  flow gets the same share), so the vector backend is free to fix them
-  in member-array order while the scalar keeps its sorted walk.
+  flow gets the same share), so both backends fix them in per-port
+  member order rather than sorting the unassigned set.
 
 ``tests/test_solver_equivalence.py`` holds the property-based pin:
 randomized flow/port sets across every topology-zoo fabric must produce
@@ -88,9 +88,18 @@ class RateSolver(Protocol):
 class ScalarSolver:
     """The progressive-filling loop, kept byte-identical.
 
-    Stateless between solves: rebuilds ``cap``/``load`` dicts from the
-    active set each time.  This is the executable specification the
-    golden tests pin.
+    Stateless between solves: one pass over the active set builds, per
+    port, the remaining capacity (``cap``), the unassigned traversal
+    count (``load``) and the incidence list of flows through it
+    (``members``, one entry per traversal, activation order).  Each
+    filling round then fixes the still-unassigned members of the
+    bottleneck port, so no round sorts or scans the whole active set.
+
+    Fixing order cannot change a float: every subtraction a round makes
+    is the same share, so a port's capacity after the round depends only
+    on how many subtractions it receives.  The tie-break is the first
+    minimal-share port in ``load`` insertion order, as before.  This is
+    the executable specification the golden tests pin.
     """
 
     name = "scalar"
@@ -111,20 +120,27 @@ class ScalarSolver:
         net = self._net
         assert net is not None
         active = net._active
-        flows = list(active.values())
-        if not flows:
+        if not active:
             return
-        # Port -> remaining capacity and unassigned flow count.
+        port_capacity = net._port_capacity
+        # Port -> remaining capacity, unassigned traversal count, and the
+        # flows through it (one entry per traversal, activation order).
         cap: dict[str, float] = {}
         load: dict[str, int] = {}
-        for f in flows:
+        members: dict[str, list["Flow"]] = {}
+        for f in active.values():
             f.rate = 0.0
             for p in f.ports:
-                if p not in cap:
-                    cap[p] = net._port_capacity(p)
-                    load[p] = 0
-                load[p] += 1
-        unassigned = set(active.keys())
+                through = members.get(p)
+                if through is None:
+                    cap[p] = port_capacity(p)
+                    load[p] = 1
+                    members[p] = [f]
+                else:
+                    load[p] += 1
+                    through.append(f)
+        unassigned = len(active)
+        assigned: set[int] = set()
         while unassigned:
             # Most constrained port: minimal fair share among loaded ports.
             best_port = None
@@ -139,15 +155,16 @@ class ScalarSolver:
             if best_port is None:  # pragma: no cover - defensive
                 break
             # Fix that share for every unassigned flow through best_port.
-            # Sorted: the per-port capacity subtractions below are float
-            # ops, so a set-order walk would round differently per run.
-            fixed = [
-                fid for fid in sorted(unassigned) if best_port in active[fid].ports
-            ]
-            for fid in fixed:
-                f = active[fid]
+            # Every subtraction made this round is the same best_share, so
+            # a port's rounding depends only on how many it receives, never
+            # on the order the flows are fixed in.
+            for f in members[best_port]:
+                fid = f.flow_id
+                if fid in assigned:
+                    continue
+                assigned.add(fid)
+                unassigned -= 1
                 f.rate = best_share
-                unassigned.discard(fid)
                 for p in f.ports:
                     cap[p] -= best_share
                     load[p] -= 1

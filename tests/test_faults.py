@@ -13,10 +13,14 @@ from repro.core.executor import simulate_plan
 from repro.experiments import chaos
 from repro.sim import GB, Cluster, ClusterSpec, Network
 from repro.sim.faults import (
+    CorruptionWindow,
     DegradedWindow,
+    DomainFailure,
     FaultReport,
     FaultSchedule,
     FlapWindow,
+    HostFailure,
+    Partition,
     RetryPolicy,
     StragglerWindow,
 )
@@ -52,6 +56,72 @@ def test_window_validation():
         StragglerWindow(stage=0, start=0.0, duration=1.0, slowdown=0.5)
     with pytest.raises(ValueError, match="drop_rate"):
         FaultSchedule(drop_rate=1.0)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_degraded_window_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="start"):
+        DegradedWindow(host=0, start=bad, duration=1.0, factor=0.5)
+    with pytest.raises(ValueError, match="duration"):
+        DegradedWindow(host=0, start=0.0, duration=bad, factor=0.5)
+    with pytest.raises(ValueError, match="factor"):
+        DegradedWindow(host=0, start=0.0, duration=1.0, factor=bad)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_flap_window_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="start"):
+        FlapWindow(host=0, start=bad, duration=1.0)
+    with pytest.raises(ValueError, match="duration"):
+        FlapWindow(host=0, start=0.0, duration=bad)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_straggler_window_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="start"):
+        StragglerWindow(stage=0, start=bad, duration=1.0, slowdown=2.0)
+    with pytest.raises(ValueError, match="duration"):
+        StragglerWindow(stage=0, start=0.0, duration=bad, slowdown=2.0)
+    with pytest.raises(ValueError, match="slowdown"):
+        StragglerWindow(stage=0, start=0.0, duration=1.0, slowdown=bad)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_host_failure_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="time"):
+        HostFailure(host=0, time=bad)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_domain_failure_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="time"):
+        DomainFailure("rack0", (0, 1), time=bad)
+    with pytest.raises(ValueError, match="duration"):
+        DomainFailure("rack0", (0, 1), time=0.0, duration=bad)
+    # None stays the permanent (fail-stop) case.
+    assert DomainFailure("rack0", (0, 1), time=0.0, duration=None).permanent
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_partition_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="start"):
+        Partition((0,), (1,), start=bad, duration=1.0)
+    with pytest.raises(ValueError, match="duration"):
+        Partition((0,), (1,), start=0.0, duration=bad)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_corruption_window_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="start"):
+        CorruptionWindow(host=0, start=bad, duration=1.0)
+    with pytest.raises(ValueError, match="duration"):
+        CorruptionWindow(host=0, start=0.0, duration=bad)
+    with pytest.raises(ValueError, match="rate"):
+        CorruptionWindow(host=0, start=0.0, duration=1.0, rate=bad)
 
 
 def test_nic_factor_and_host_down():

@@ -117,6 +117,26 @@ def test_negative_bytes_rejected():
         net.start_flow(0, 1, -5)
 
 
+@pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+def test_non_finite_bytes_rejected(nbytes):
+    net = Network(Cluster(ClusterSpec(n_hosts=2, devices_per_host=2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        net.start_flow(0, 2, nbytes)
+    assert net.run() == 0.0
+
+
+@pytest.mark.parametrize("src,dst", [(-1, 2), (0, 16), (16, 0), (0, -16)])
+def test_unknown_device_rejected_at_submit(src, dst):
+    # Also with a custom path: nothing routes it, so only the submit-time
+    # check stands between a negative id and a wrapped host lookup.
+    net = make_net()
+    with pytest.raises(KeyError, match="no device"):
+        net.start_flow(src, dst, 1000)
+    with pytest.raises(KeyError, match="no device"):
+        net.start_flow(src, dst, 1000, ports=("ns0",), latency=0.0)
+    assert net.run() == 0.0
+
+
 def test_traffic_accounting():
     net = make_net()
     net.start_flow(0, 4, 1000)
@@ -200,3 +220,65 @@ def test_windowed_program_pinned_end_to_end():
     assert net.bus.digest() == (
         "af078b863e5b6742a0362334af528f879a13f646f9a8e7ce7237e95b0d9c8496"
     )
+
+
+# ----------------------------------------------------------------------
+# Per-network memos: routes and static port capacities
+# ----------------------------------------------------------------------
+def test_custom_path_bypasses_route_memo():
+    net = make_net(inter_host_latency=0.5)
+    bw = net.cluster.spec.inter_host_bandwidth
+    routed = net.start_flow(0, 4, 1024.0)
+    assert net.run() == 0.5 + 1024.0 / bw
+    assert routed.ports == ("ds0", "ns0", "nr1", "dr4")
+    # Same (src, dst) pair as the memoized route, but a multicast-style
+    # segment: its own ports and latency, never the cached ones.
+    segment = net.start_flow(0, 4, 1024.0, ports=("ns0",), latency=0.0)
+    t0 = net.loop.now
+    assert net.run() == t0 + 1024.0 / bw
+    assert segment.ports == ("ns0",)
+    assert segment.base_latency == 0.0
+    # ...and the segment did not overwrite the memo for later flows.
+    again = net.start_flow(0, 4, 1024.0)
+    assert again.ports == routed.ports
+    assert again.base_latency == 0.5
+
+
+def test_port_repeated_in_a_path_counts_twice():
+    net = make_net()
+    bw = net.cluster.spec.inter_host_bandwidth
+    twice = net.start_flow(0, 4, 1024.0, ports=("ns0", "ns0"), latency=0.0)
+    once = net.start_flow(1, 8, 1024.0, ports=("ns0",), latency=0.0)
+    net.loop.run(until=0.0)
+    # ns0 carries three traversals: each gets a third of the NIC.
+    assert twice.rate == bw / 3
+    assert once.rate == bw / 3
+    net.run()
+    alone = make_net()
+    f = alone.start_flow(0, 4, 1024.0, ports=("ns0", "ns0"), latency=0.0)
+    assert alone.run() == 1024.0 / (bw / 2)
+    assert f.rate == bw / 2
+
+
+def test_nic_window_open_and_close_mid_flow_hand_computed():
+    # Dyadic numbers keep every step exact: 1 s at 1024 B/s, 2 s at half
+    # rate, then back to full rate for the last 2048 B.  A capacity memo
+    # that kept the degraded factor would finish late.
+    from repro.sim.faults import DegradedWindow, FaultSchedule
+
+    spec = ClusterSpec(
+        n_hosts=2,
+        devices_per_host=2,
+        inter_host_bandwidth=1024.0,
+        intra_host_bandwidth=4096.0,
+        inter_host_latency=0.5,
+        intra_host_latency=0.0,
+    )
+    faults = FaultSchedule(
+        degradations=(DegradedWindow(host=0, start=1.5, duration=2.0, factor=0.5),)
+    )
+    net = Network(Cluster(spec), faults=faults)
+    f = net.start_flow(0, 2, 4096.0)
+    assert net.run() == 5.5
+    assert f.finish_time == 5.5
+    assert net._base_capacity["ns0"] == 1024.0
