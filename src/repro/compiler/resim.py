@@ -43,7 +43,7 @@ in one sorted successor sweep at the cut instant — which the resume
 replays verbatim, so the result is byte-identical.
 
 Eligibility is otherwise ``faults=None`` (no timeout events, no
-fault-boundary events, no retries), ``respect_schedule=True``, no
+fault-boundary events, no retries), a schedule on the plan, no
 caller-supplied network, and no ungated (task id ``-1``) ops.
 Anything else falls back to a cold simulation; the fallback is
 counted, never wrong.
@@ -381,7 +381,6 @@ def resimulate(
     plan: CommPlan,
     cache: Optional[ResimCache] = None,
     network: Optional[Network] = None,
-    respect_schedule: bool = True,
     faults: Optional[FaultSchedule] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> TimingResult:
@@ -399,17 +398,12 @@ def resimulate(
     # retry_policy does not gate eligibility: retries only engage under
     # a fault schedule, so with faults=None the policy cannot influence
     # the simulation (it is still threaded through for parity).
-    order = (
-        schedule_order(plan)
-        if faults is None and network is None and respect_schedule
-        else None
-    )
+    order = schedule_order(plan) if faults is None and network is None else None
     if order is None or len(order) < 2:
         cache.ineligible += 1
         return PlanRunner(
             plan,
             network=network,
-            respect_schedule=respect_schedule,
             faults=faults,
             retry_policy=retry_policy,
         ).run()

@@ -40,14 +40,6 @@ class _RegionPiece:
     data: np.ndarray  # shaped like the region
 
 
-@dataclass
-class _FlatPiece:
-    region: Region
-    lo: int  # element offsets into the region's row-major flattening
-    hi: int
-    data: np.ndarray  # 1-D
-
-
 def _read_from_source(src: DistributedTensor, device: int, region: Region) -> np.ndarray:
     if device not in src.shards:
         raise DataPlaneError(f"sender {device} is not a source-mesh device")
@@ -74,11 +66,13 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
         raise DataPlaneError("source tensor layout does not match the task")
 
     region_pieces: dict[int, list[_RegionPiece]] = {}
-    flat_pieces: dict[int, list[_FlatPiece]] = {}
+    #: scatter op id -> (op, its region's flat data, part offsets)
+    scattered: dict[int, tuple[ScatterOp, np.ndarray, tuple[int, ...]]] = {}
 
     def stage_region(device: int, region: Region, data: np.ndarray) -> None:
         region_pieces.setdefault(device, []).append(_RegionPiece(region, data))
 
+    rank = len(task.shape)
     done: set[int] = set()
     for op in plan.ops:
         for d in op.deps:
@@ -86,6 +80,11 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
                 raise DataPlaneError(
                     f"op {op.op_id} executed before its dependency {d}"
                 )
+        if len(op.region) != rank:
+            raise DataPlaneError(
+                f"op {op.op_id}: region rank {len(op.region)} does not match "
+                f"tensor rank {rank}"
+            )
         if isinstance(op, SendOp):
             data = _read_from_source(src, op.sender, op.region)
             stage_region(op.receiver, op.region, data)
@@ -95,27 +94,30 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
                 stage_region(r, op.region, data)
         elif isinstance(op, ScatterOp):
             data = _read_from_source(src, op.sender, op.region).reshape(-1)
-            offs = split_offsets(region_size(op.region), len(op.receivers))
-            for k, r in enumerate(op.receivers):
-                flat_pieces.setdefault(r, []).append(
-                    _FlatPiece(op.region, offs[k], offs[k + 1], data[offs[k] : offs[k + 1]])
-                )
+            try:
+                offs = split_offsets(region_size(op.region), len(op.receivers))
+            except ValueError as e:
+                raise DataPlaneError(f"scatter op {op.op_id}: {e}") from e
+            scattered[op.op_id] = (op, data, offs)
         elif isinstance(op, AllGatherOp):
-            # Collect every member's flat parts of this region and check
-            # they cover it entirely, then hand everyone the full region.
+            # Rebuild the region only from the parts the scatters named
+            # in ``deps`` left on the group, as ``walk_deliveries`` does.
             size = region_size(op.region)
             full = np.empty(size, dtype=src.dtype)
             covered = np.zeros(size, dtype=bool)
-            for dev in op.devices:
-                for p in flat_pieces.get(dev, []):
-                    if p.region != op.region:
-                        continue
-                    full[p.lo : p.hi] = p.data
-                    covered[p.lo : p.hi] = True
+            group = set(op.devices)
+            for dep in op.deps:
+                if dep not in scattered or scattered[dep][0].region != op.region:
+                    continue
+                sc, flat, offs = scattered[dep]
+                for k, r in enumerate(sc.receivers):
+                    if r in group:
+                        full[offs[k] : offs[k + 1]] = flat[offs[k] : offs[k + 1]]
+                        covered[offs[k] : offs[k + 1]] = True
             if not covered.all():
                 raise DataPlaneError(
-                    f"all-gather op {op.op_id}: parts cover only "
-                    f"{int(covered.sum())}/{size} elements of {op.region}"
+                    f"all-gather op {op.op_id}: the scatters its deps name cover "
+                    f"only {int(covered.sum())}/{size} elements of {op.region}"
                 )
             shaped = full.reshape(region_shape(op.region))
             for dev in op.devices:

@@ -4,8 +4,10 @@ Ops map onto the timed primitives of :mod:`repro.sim.primitives`.  When
 the plan carries a schedule, unit tasks are *gated*: task ``i`` may only
 start once every earlier-ordered task sharing one of its hosts has
 finished — the executable form of the paper's Eq. 3 non-overlap
-constraint, as :func:`repro.core.plan.gating_order` defines it.  Ungated plans (the baselines) launch everything at once and
-let max-min fair bandwidth sharing model the resulting congestion.
+constraint, as :func:`repro.core.plan.gating_order` defines it.
+Unscheduled plans (``schedule=None``, e.g. the baselines) launch
+everything at once and let max-min fair bandwidth sharing model the
+resulting congestion.
 
 The interpreter is a :class:`PlanRunner` object (not a closure nest) so
 its execution state — which ops finished, which tasks released, where
@@ -151,7 +153,6 @@ class PlanRunner:
         self,
         plan: CommPlan,
         network: Optional[Network] = None,
-        respect_schedule: bool = True,
         faults: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
         on_task_done: Optional[Callable[[int], None]] = None,
@@ -197,7 +198,7 @@ class PlanRunner:
 
         self.task_preds: dict[int, set[int]] = {tid: set() for tid in self.task_ops}
         self.task_succs: dict[int, set[int]] = {tid: set() for tid in self.task_ops}
-        if respect_schedule and plan.schedule is not None:
+        if plan.schedule is not None:
             preds, succs = gating_order(plan.schedule.order, plan.gating_hosts())
             self.task_preds.update(preds)
             self.task_succs.update(succs)
@@ -411,7 +412,6 @@ class PlanRunner:
 def simulate_plan(
     plan: CommPlan,
     network: Optional[Network] = None,
-    respect_schedule: bool = True,
     faults: Optional[FaultSchedule] = None,
     retry_policy: Optional[RetryPolicy] = None,
     track_buffers: bool = False,
@@ -430,7 +430,6 @@ def simulate_plan(
     return PlanRunner(
         plan,
         network=network,
-        respect_schedule=respect_schedule,
         faults=faults,
         retry_policy=retry_policy,
         track_buffers=track_buffers,

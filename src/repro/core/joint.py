@@ -6,22 +6,25 @@ every long skip).  Planning each tensor separately leaves bandwidth on
 the table: their unit communication tasks contend for the same host
 NICs, so the §3.2 load-balance/ordering problem should be solved over
 the union.  This module builds one combined scheduling problem across
-all tensors, runs the ensemble scheduler once, and simulates all plans
-under a single global gating — the "collectively optimize all cross-mesh
-resharding tasks" framing of the paper's introduction.
+all tensors, runs the ensemble scheduler once, emits each tensor's ops
+through :class:`~repro.strategies.broadcast.BroadcastStrategy`, and
+simulates all plans on the executor's :class:`~repro.core.executor
+.PlanRunner` under a single global gating — the "collectively optimize
+all cross-mesh resharding tasks" framing of the paper's introduction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..scheduling import SCHEDULERS, Schedule, SchedTask, SchedulingProblem
 from ..sim.network import Network
 from ..strategies.base import LoadTracker
-from ..strategies.broadcast import adaptive_chunks
-from .executor import CollectiveHandle, _launch_op
-from .plan import BroadcastOp, CommOp, CommPlan, gating_order
+from ..strategies.broadcast import BroadcastStrategy
+from .executor import PlanRunner
+from .plan import CommOp, CommPlan, gating_order
 from .task import ReshardingTask
 
 __all__ = ["JointTimingResult", "plan_joint_broadcast", "simulate_joint", "reshard_boundary"]
@@ -39,17 +42,8 @@ def _combined_problem(
     for ti, rt in enumerate(tasks):
         sub = SchedulingProblem.from_resharding(rt, granularity=granularity)
         for st in sub.tasks:
-            gid = len(key)
+            sched_tasks.append(dataclasses.replace(st, task_id=len(key)))
             key.append((ti, st.task_id))
-            sched_tasks.append(
-                SchedTask(
-                    task_id=gid,
-                    sender_host_options=st.sender_host_options,
-                    receiver_hosts=st.receiver_hosts,
-                    duration_by_host=st.duration_by_host,
-                    n_devices=st.n_devices,
-                )
-            )
     return SchedulingProblem(sched_tasks), key
 
 
@@ -58,7 +52,11 @@ def plan_joint_broadcast(
     scheduler: str = "ensemble",
     granularity: str = "intersection",
 ) -> tuple[list[CommPlan], Schedule, list[tuple[int, int]]]:
-    """Broadcast plans for all tensors under one global schedule."""
+    """Broadcast plans for all tensors under one global schedule.
+
+    ``BroadcastStrategy.emit`` emits each tensor from its view of the
+    global schedule; one :class:`LoadTracker` spans all tensors.
+    """
     if not tasks:
         raise ValueError("need at least one resharding task")
     cluster = tasks[0].cluster
@@ -69,27 +67,19 @@ def plan_joint_broadcast(
         raise ValueError(f"unknown scheduler {scheduler!r}")
     problem, key = _combined_problem(tasks, granularity)
     schedule = SCHEDULERS[scheduler](problem)
+    strategy = BroadcastStrategy(granularity=granularity)
     load = LoadTracker(cluster)
-    plans = [CommPlan(task=rt, strategy="broadcast", granularity=granularity)
-             for rt in tasks]
-    for gid, (ti, local) in enumerate(key):
-        rt, plan = tasks[ti], plans[ti]
-        ut = rt.unit_tasks(granularity)[local]
-        if not ut.receivers:
-            continue
-        host = schedule.assignment[gid]
-        sender = load.pick_on_host(ut.senders, host, ut.nbytes)
-        plan.add(
-            BroadcastOp(
-                op_id=plan.next_op_id,
-                unit_task_id=local,
-                region=ut.region,
-                nbytes=ut.nbytes,
-                sender=sender,
-                receivers=ut.receivers,
-                n_chunks=adaptive_chunks(ut.nbytes),
-            )
+    plans: list[CommPlan] = []
+    for ti, rt in enumerate(tasks):
+        # This tensor's view of the global schedule, in local unit-task ids.
+        mine = [gid for gid in schedule.order if key[gid][0] == ti]
+        view = Schedule(
+            assignment={key[g][1]: schedule.assignment[g] for g in mine},
+            order=tuple(key[g][1] for g in mine),
         )
+        plan = CommPlan(task=rt, strategy="broadcast", granularity=granularity)
+        strategy.emit(rt, plan, view, load)
+        plans.append(plan)
     return plans, schedule, key
 
 
@@ -109,61 +99,58 @@ def simulate_joint(
 ) -> JointTimingResult:
     """Simulate several plans under one global schedule gating.
 
-    Gating follows the executor's Eq. 3 semantics, with per-host
-    program order derived from the *global* schedule order.
+    The plans run as one combined :class:`CommPlan` on the executor's
+    :class:`PlanRunner`: its ops carry global unit-task ids (``key``
+    maps each to ``(tensor, local id)``), listed in global-id order, and
+    are gated by Eq. 3 over the *global* schedule order.
     """
     if not plans:
         raise ValueError("need at least one plan")
-    net = network if network is not None else Network(plans[0].task.cluster)
-    base_cross = net.bytes_cross_host
-
-    # global id -> op (joint broadcast plans have one op per unit task)
-    ops: dict[int, CommOp] = {}
-    hosts_of: dict[int, frozenset[int]] = {}
-    local_to_gid = {pair: gid for gid, pair in enumerate(key)}
+    if schedule is None:
+        raise ValueError("simulate_joint needs the global schedule, got None")
+    if sorted({ti for ti, _ in key}) != list(range(len(plans))):
+        raise ValueError(f"key does not name exactly the {len(plans)} plan(s) given")
+    gid_of = {pair: gid for gid, pair in enumerate(key)}
+    placed: list[tuple[int, int, CommOp]] = []  # (gid, tensor, op)
     for ti, plan in enumerate(plans):
         for op in plan.ops:
-            gid = local_to_gid[(ti, op.unit_task_id)]
-            ops[gid] = op
-            ut = plan.task.unit_tasks(plan.granularity)[op.unit_task_id]
-            hosts_of[gid] = plan.task.occupied_hosts(ut, schedule.assignment[gid])
+            gid = gid_of.get((ti, op.unit_task_id))
+            if gid is None or gid not in schedule.assignment:
+                where = "key" if gid is None else "the schedule's assignment"
+                raise ValueError(
+                    f"plan {ti} op {op.op_id}: unit task {op.unit_task_id} "
+                    f"is missing from {where}"
+                )
+            placed.append((gid, ti, op))
+    placed.sort(key=lambda entry: entry[0])
+
+    combined = CommPlan(
+        task=plans[0].task, strategy="joint", granularity=plans[0].granularity
+    )
+    new_id = {(ti, op.op_id): i for i, (_, ti, op) in enumerate(placed)}
+    hosts_of: dict[int, frozenset[int]] = {}
+    gids_of: list[list[int]] = [[] for _ in plans]
+    for i, (gid, ti, op) in enumerate(placed):
+        deps = tuple(new_id[(ti, d)] for d in op.deps)
+        combined.add(dataclasses.replace(op, op_id=i, unit_task_id=gid, deps=deps))
+        rt = plans[ti].task
+        ut = rt.unit_tasks(plans[ti].granularity)[op.unit_task_id]
+        hosts_of[gid] = rt.occupied_hosts(ut, schedule.assignment[gid])
+        gids_of[ti].append(gid)
+
+    runner = PlanRunner(combined, network=network)
     preds, succs = gating_order(schedule.order, hosts_of)
-
-    finish: dict[int, float] = {}
-    tensor_pending = [len(p.ops) for p in plans]
-    tensor_finish = [0.0] * len(plans)
-    gid_tensor = {local_to_gid[(ti, op.unit_task_id)]: ti
-                  for ti, plan in enumerate(plans) for op in plan.ops}
-
-    def on_done(gid: int, handle: CollectiveHandle) -> None:
-        finish[gid] = handle.finish_time
-        ti = gid_tensor[gid]
-        tensor_pending[ti] -= 1
-        if tensor_pending[ti] == 0:
-            tensor_finish[ti] = handle.finish_time
-        for s in succs[gid]:
-            maybe_launch(s)
-
-    launched: set[int] = set()
-
-    def maybe_launch(gid: int) -> None:
-        if gid in launched or any(p not in finish for p in preds[gid]):
-            return
-        launched.add(gid)
-        handle = _launch_op(net, ops[gid])
-        handle.add_done_callback(lambda h, g=gid: on_done(g, h))
-
-    for gid in ops:
-        maybe_launch(gid)
-    net.run()
-    missing = [g for g in ops if g not in finish]
-    if missing:
-        raise RuntimeError(f"joint simulation deadlocked on tasks {missing[:5]}")
+    runner.task_preds.update(preds)
+    runner.task_succs.update(succs)
+    timing = runner.run()
     return JointTimingResult(
-        total_time=max(finish.values(), default=0.0),
-        per_tensor_finish=tensor_finish,
-        bytes_cross_host=net.bytes_cross_host - base_cross,
-        network=net,
+        total_time=timing.total_time,
+        per_tensor_finish=[
+            max((timing.task_finish.get(g, 0.0) for g in gids), default=0.0)
+            for gids in gids_of
+        ],
+        bytes_cross_host=timing.bytes_cross_host,
+        network=timing.network,
     )
 
 

@@ -6,6 +6,8 @@ the destination layout.  (The paper's system gets this from NCCL; we
 prove our plans are semantically correct.)
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 
 from repro.core.data import DataPlaneError, apply_plan
 from repro.core.mesh import DeviceMesh
+from repro.core.plan import BroadcastOp, ScatterOp, SendOp
 from repro.core.task import ReshardingTask
 from repro.core.tensor import DistributedTensor
+from repro.core.verify_data import verify_delivery
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.strategies import make_strategy
 
@@ -82,6 +86,37 @@ def test_missing_op_detected():
     plan = make_strategy("broadcast").plan(task)
     plan.ops.pop()
     with pytest.raises(DataPlaneError, match="missing"):
+        apply_plan(plan, src_tensor)
+
+
+MALFORMED_OPS = {
+    "send_wrong_rank": ("send_recv", SendOp, lambda op: {"region": op.region[:-1]}, "rank"),
+    "broadcast_wrong_rank": (
+        "broadcast", BroadcastOp, lambda op: {"region": op.region[:-1]}, "rank"
+    ),
+    "scatter_empty_region": (
+        "allgather",
+        ScatterOp,
+        lambda op: {"region": ((op.region[0][0],) * 2, *op.region[1:])},
+        "cannot split size 0",
+    ),
+    "scatter_no_receivers": (
+        "allgather", ScatterOp, lambda op: {"receivers": ()}, "n must be >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_OPS)
+def test_malformed_op_raises_data_plane_error(case):
+    """A malformed op the verifier refuses is a typed data-plane error,
+    not a ``ValueError`` leaking from the slice helpers."""
+    strategy, kind, change, match = MALFORMED_OPS[case]
+    task, src_tensor, _ = build("S0RR", "RS1R")
+    plan = make_strategy(strategy).plan(task)
+    i = next(i for i, op in enumerate(plan.ops) if isinstance(op, kind))
+    plan.ops[i] = dataclasses.replace(plan.ops[i], **change(plan.ops[i]))
+    assert not verify_delivery(plan, raise_on_error=False).certified
+    with pytest.raises(DataPlaneError, match=match):
         apply_plan(plan, src_tensor)
 
 

@@ -10,6 +10,8 @@ hosts and therefore not chain-serial.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,16 +151,15 @@ class TestEligibilityFallbacks:
     def test_unscheduled_falls_back_cold(self):
         plan = compiled_plan(make_task())
         cache = ResimCache()
-        warm = resimulate(plan, cache=cache, respect_schedule=False)
-        cold = simulate_plan(plan, respect_schedule=False)
+        unscheduled = dataclasses.replace(plan, schedule=None)
+        warm = resimulate(unscheduled, cache=cache)
+        cold = simulate_plan(unscheduled)
         assert cache.stats().ineligible == 1
         assert warm.total_time == cold.total_time
 
     def test_schedule_order_none_for_unscheduled(self):
         plan = compiled_plan(make_task())
-        stripped = plan.replace(schedule=None) if hasattr(plan, "replace") else None
-        if stripped is not None:
-            assert schedule_order(stripped) is None
+        assert schedule_order(dataclasses.replace(plan, schedule=None)) is None
 
 
 class TestCacheMechanics:

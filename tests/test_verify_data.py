@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import check_plan, load_plan_fixture
-from repro.core.data import apply_plan
+from repro.core.data import DataPlaneError, apply_plan
 from repro.core.executor import simulate_plan
 from repro.core.intra import plan_intra_mesh
 from repro.core.mesh import DeviceMesh
@@ -182,20 +182,36 @@ def test_reroot_fallback_delivers_identical_bytes(cluster4x4, rng):
 
 
 # ----------------------------------------------------------------------
-# check_plan and verify_delivery read one delivery walk
+# check_plan, verify_delivery and apply_plan agree on what a plan delivers
 # ----------------------------------------------------------------------
 def assert_checker_agrees(plan):
-    """The analyzer's coverage/authority verdict is the verifier's.
+    """The analyzer's coverage/authority verdict is the verifier's, and
+    the NumPy data plane rejects exactly the plans they refuse.
 
     P002/P005 fire exactly when the verifier finds a gap or refuses an
     op credit; the verifier's one other refusal, a duplicated delivery,
     is what the analyzer reports as an unordered write (P001).
+    ``apply_plan`` raises exactly on a gap, a refused op, or a dep that
+    does not name an earlier op (P003/P004); replicas that crop make a
+    duplicate harmless to it, as to ``verify_delivery(strict=False)``.
     """
     codes = set(check_plan(plan).codes)
-    report = verify_delivery(plan, raise_on_error=False)
+    report = verify_delivery(plan, strict=False, raise_on_error=False)
     delivery_codes = codes & {"P002", "P005"}
     assert bool(delivery_codes) == bool(report.gaps or report.discredited_ops)
     assert report.certified == (not codes & {"P001", "P002", "P005"})
+
+    task = plan.task
+    arr = np.arange(np.prod(task.shape), dtype=np.float64).reshape(task.shape)
+    src = DistributedTensor.from_global(task.src_mesh, task.src_spec, arr)
+    rejected = bool(report.gaps or report.discredited_ops or codes & {"P003", "P004"})
+    try:
+        out = apply_plan(plan, src)
+    except DataPlaneError:
+        assert rejected, "apply_plan rejected a plan both checkers accept"
+    else:
+        assert not rejected, "apply_plan accepted a plan the checkers reject"
+        assert np.array_equal(out.to_global(), arr)
 
 
 def golden_layouts():
@@ -231,7 +247,8 @@ def test_checker_and_verifier_agree_on_bad_plans(path):
 
 def test_allgather_without_scatter_deps_is_rejected_by_both(cluster4x4):
     """An all-gather is fed only by the scatters its deps name: with the
-    deps stripped, neither the analyzer nor the verifier credits it."""
+    deps stripped, neither the analyzer, the verifier nor the data plane
+    credits it."""
     task = make_task(cluster4x4, shape=(16, 8, 8), src_spec="S0RR",
                      dst_spec="RS0R")
     plan = AllGatherStrategy().plan(task)
@@ -243,6 +260,11 @@ def test_allgather_without_scatter_deps_is_rejected_by_both(cluster4x4):
     assert_checker_agrees(depless)
     assert "P005" in check_plan(depless).codes
     assert not verify_delivery(depless, raise_on_error=False).certified
+    src = DistributedTensor.from_global(
+        task.src_mesh, task.src_spec, np.zeros(task.shape, dtype=np.float32)
+    )
+    with pytest.raises(DataPlaneError, match="deps name"):
+        apply_plan(depless, src)
 
 
 def test_tile_arrivals_match_a_dense_count(cluster4x4, rng):
