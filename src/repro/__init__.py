@@ -27,7 +27,6 @@ from .core import (
     UnitCommTask,
     apply_plan,
     intra_mesh_reshard,
-    plan_resharding,
     reshard,
     simulate_plan,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "TimingResult",
     "ReshardResult",
     "reshard",
-    "plan_resharding",
     "simulate_plan",
     "apply_plan",
     "intra_mesh_reshard",

@@ -8,8 +8,6 @@ catch bad plans by executing them; this package proves properties
   sender authority, re-rooting consistency of a
   :class:`~repro.core.plan.CommPlan` (``P001``-``P008``), plus
   failure-domain safety of re-roots and schedules (``F001``/``F003``);
-* :func:`check_checkpoint_domains` — buddy-checkpoint placement versus
-  declared failure domains (``F002``);
 * :func:`check_plan_deadlock` / :func:`check_stage_orders_deadlock` —
   wait-for cycles over schedule gating and kernel channel acquisitions
   (``D001``/``D002``);
@@ -34,7 +32,6 @@ from .deadlock import (
     find_cycle,
 )
 from .diagnostics import CATALOG, AnalysisReport, Diagnostic, Severity
-from .domains import check_checkpoint_domains, meshes_share_domain
 from .lint import lint_file, lint_paths, lint_source
 from .loader import PlanFixture, load_plan_fixture, plan_from_dict
 from .memory_analysis import MemoryAnalysis, check_plan_memory, static_host_bounds
@@ -51,8 +48,6 @@ __all__ = [
     "Severity",
     "CATALOG",
     "check_plan",
-    "check_checkpoint_domains",
-    "meshes_share_domain",
     "check_plan_deadlock",
     "check_stage_orders",
     "check_stage_orders_deadlock",

@@ -52,8 +52,6 @@ code      meaning
 ``F001``  re-root into the same failure domain: a fallback record
           lands the sender on a host sharing a failure domain with
           the host it replaced while an out-of-domain replica exists
-``F002``  buddy checkpoint replica shares a failure domain with its
-          primary while an out-of-domain mesh exists
 ``F003``  scheduled sender host sits inside a failure domain that is
           down at plan time while an out-of-domain replica exists
 ``T001``  multicast op names a switch the cluster topology does not
@@ -114,7 +112,6 @@ CATALOG: dict[str, str] = {
     "L003": "order-dependent iteration over an unordered set",
     "L004": "raw itemsize byte math outside the sizeof helpers",
     "F001": "re-root lands inside the replaced host's failure domain",
-    "F002": "buddy checkpoint shares a failure domain with its primary",
     "F003": "scheduled sender sits in a failed domain at plan time",
     "T001": "multicast names a switch the topology does not define",
     "T002": "multicast endpoint outside the claimed switch's span",

@@ -2,10 +2,9 @@
 
 :func:`check_plan` proves properties of a compiled plan *without running
 it* and returns an :class:`~repro.analysis.diagnostics.AnalysisReport`
-instead of raising on the first problem.  It subsumes the original
-coverage validator (:func:`repro.core.validate.verify_plan_coverage` is
-now a thin raising wrapper over it) and adds the checks that only became
-possible once plans carried a schedule and fallback records:
+instead of raising on the first problem
+(:func:`repro.core.validate.raise_on_plan_errors` is its raising
+wrapper).  It checks:
 
 * **write races** (``P001``): two ops delivering overlapping regions to
   the same receiver with no ordering between them — neither a transitive
@@ -37,8 +36,7 @@ possible once plans carried a schedule and fallback records:
   replaced while an out-of-domain replica exists (F001), and — given the
   fault schedule the plan was compiled against — no scheduled sender may
   sit inside a domain that is already down at plan time while a live
-  out-of-domain replica exists (F003).  The checkpoint-placement
-  counterpart (F002) lives in :mod:`repro.analysis.domains`.
+  out-of-domain replica exists (F003).
 
 * **topology coherence** (``T001``/``T002``/``T003``): a multicast op
   must name a switch the cluster topology actually defines (T001) whose
@@ -59,6 +57,7 @@ from ..core.plan import AllGatherOp, CommOp, CommPlan, MulticastOp, gating_order
 from ..core.slices import region_intersection, region_size
 from ..core.task import UnitCommTask
 from ..core.verify_data import tile_arrivals, walk_deliveries
+from ..sim.cluster import check_memory_budget
 from ..sim.faults import FaultSchedule
 from .deadlock import check_plan_deadlock, find_cycle
 from .diagnostics import AnalysisReport, Severity
@@ -523,6 +522,7 @@ def check_plan(
     # top-level cross-import would make the package import order matter.
     from .memory_analysis import check_plan_memory
 
+    check_memory_budget(memory_budget)
     report = AnalysisReport(subject=f"plan[{plan.strategy}]")
     _check_structure(plan, report)
     _check_deps(plan, report)

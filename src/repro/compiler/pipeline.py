@@ -24,6 +24,7 @@ from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
 from ..core.validate import raise_on_plan_errors
 from ..core.verify_data import IntegrityReport, verify_delivery
+from ..sim.cluster import check_memory_budget
 from ..sim.faults import FaultSchedule, RetryPolicy
 from ..strategies import make_strategy
 from ..strategies.base import CommStrategy
@@ -258,12 +259,13 @@ def compile_resharding(
     elif ctx_kwargs:
         raise ValueError("pass either a CompileContext or kwargs, not both")
     # The deadline bounds one compile: open a fresh ledger per call so a
-    # reused context never inherits spend from an earlier compile.  It is
-    # built before the cache lookup so a bad deadline raises the same way
-    # whether or not the plan is already cached.
+    # reused context never inherits spend from an earlier compile.  It and
+    # the memory budget are checked before the cache lookup so a bad value
+    # raises the same way whether or not the plan is already cached.
     budget = (
         CompileBudget.from_deadline(ctx.deadline) if ctx.deadline is not None else None
     )
+    check_memory_budget(ctx.memory_budget)
     strategy = ctx.resolved_strategy()
     faults = ctx.effective_faults(strategy)
     retry_policy = ctx.effective_retry_policy(strategy)

@@ -1,15 +1,9 @@
 """Core cross-mesh resharding library (the paper's primary contribution)."""
 
-from .api import ReshardResult, plan_resharding, reshard
+from .api import ReshardResult, reshard
 from .data import DataPlaneError, apply_plan
 from .executor import TimingResult, simulate_plan
 from .intra import IntraReshardResult, intra_mesh_reshard, plan_intra_mesh
-from .joint import (
-    JointTimingResult,
-    plan_joint_broadcast,
-    reshard_boundary,
-    simulate_joint,
-)
 from .mesh import DeviceMesh
 from .plan import (
     AllGatherOp,
@@ -30,7 +24,7 @@ from .slices import (
     split_offsets,
 )
 from .spec import REPLICATED, ShardingSpec, parse_spec
-from .validate import CoverageReport, PlanValidationError, verify_plan_coverage
+from .validate import PlanValidationError
 from .verify_data import IntegrityError, IntegrityReport, verify_delivery
 from .task import IntersectionTransfer, ReshardingTask, UnitCommTask
 from .tensor import DistributedTensor
@@ -63,18 +57,11 @@ __all__ = [
     "DataPlaneError",
     "DistributedTensor",
     "reshard",
-    "plan_resharding",
     "ReshardResult",
     "intra_mesh_reshard",
     "plan_intra_mesh",
     "IntraReshardResult",
-    "reshard_boundary",
-    "plan_joint_broadcast",
-    "simulate_joint",
-    "JointTimingResult",
-    "verify_plan_coverage",
     "PlanValidationError",
-    "CoverageReport",
     "verify_delivery",
     "IntegrityError",
     "IntegrityReport",

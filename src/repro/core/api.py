@@ -16,12 +16,13 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from ..strategies import CommStrategy, make_strategy
+from ..strategies import CommStrategy
 from .data import apply_plan
 from .executor import TimingResult
 from .mesh import DeviceMesh
@@ -29,7 +30,7 @@ from .plan import CommPlan
 from .task import ReshardingTask
 from .tensor import DistributedTensor
 
-__all__ = ["ReshardResult", "reshard", "plan_resharding"]
+__all__ = ["ReshardResult", "reshard"]
 
 
 @dataclass
@@ -49,27 +50,6 @@ class ReshardResult:
     @property
     def cross_host_bytes(self) -> float:
         return self.timing.bytes_cross_host
-
-
-def plan_resharding(
-    shape,
-    src_mesh: DeviceMesh,
-    src_spec,
-    dst_mesh: DeviceMesh,
-    dst_spec,
-    strategy: Union[str, CommStrategy] = "broadcast",
-    dtype=np.float32,
-    **strategy_kwargs,
-) -> CommPlan:
-    """Compile a resharding plan without executing it.
-
-    Always compiles fresh (uncached) so the returned plan is the
-    caller's to mutate; :func:`reshard` goes through the shared plan
-    cache instead.
-    """
-    task = ReshardingTask(shape, src_mesh, src_spec, dst_mesh, dst_spec, dtype=dtype)
-    strat = make_strategy(strategy, **strategy_kwargs)
-    return strat.plan(task)
 
 
 def reshard(
@@ -121,6 +101,11 @@ def reshard(
     )
     compiled = compile_resharding(task, ctx)
     plan = compiled.plan
+    if plan.task is not task:
+        # A cache hit compiled for a content-equal task on another
+        # Cluster object: rebind it so the data plane moves the caller's
+        # tensor between the caller's meshes.
+        plan = dataclasses.replace(plan, task=task)
     timing = compiled.ensure_timing()
 
     dst_tensor = None

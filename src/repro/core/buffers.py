@@ -39,7 +39,7 @@ from .plan import CommOp, ScatterOp
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cluster import Cluster
 
-__all__ = ["op_host_buffers", "plan_op_buffers"]
+__all__ = ["op_host_buffers"]
 
 
 def op_host_buffers(cluster: "Cluster", op: CommOp) -> dict[int, float]:
@@ -64,10 +64,3 @@ def op_host_buffers(cluster: "Cluster", op: CommOp) -> dict[int, float]:
     for r in receivers:
         charge(r, nbytes)
     return out
-
-
-def plan_op_buffers(
-    cluster: "Cluster", ops: "list[CommOp] | tuple[CommOp, ...]"
-) -> dict[int, dict[int, float]]:
-    """Per-op host attribution for a whole op list, keyed by op id."""
-    return {op.op_id: op_host_buffers(cluster, op) for op in ops}

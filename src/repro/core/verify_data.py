@@ -1,6 +1,6 @@
 """Execution-aware data-plane integrity verification.
 
-:func:`verify_plan_coverage` (in :mod:`repro.core.validate`) proves a
+:func:`~repro.analysis.check_plan` proves a
 plan *would* deliver everything if every op succeeded.  This module
 closes the remaining gap for faulted runs: given the plan **and** the
 timing outcome of actually executing it (which ops delivered, which were
@@ -266,7 +266,7 @@ def verify_delivery(
     transfers, or tasks blocked behind wedged host queues) are credited
     with **no** delivery — a partially received broadcast is unusable.
     With ``timing=None`` the plan is assumed fully executed (the purely
-    static check, equivalent in strength to ``verify_plan_coverage``
+    static check, equivalent in strength to ``check_plan``'s coverage
     plus duplicate detection).
 
     ``strict`` also fails duplicated deliveries (exact-once cover, the

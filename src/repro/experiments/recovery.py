@@ -1,15 +1,11 @@
-"""R1 — elastic recovery: time-to-recover vs. MTBF and checkpoint interval.
+"""R1a — elastic recovery: time-to-recover vs. checkpoint interval.
 
 Not a figure from the paper: the paper assumes a healthy cluster.  This
 experiment characterizes the recovery runtime built on top of its
-resharding machinery, sweeping
-
-* **checkpoint interval** under a fixed failure schedule — the classic
-  U-curve (checkpoint too often: write overhead; too rarely: long
-  warmup after rollback), compared against the Young/Daly first-order
-  optimum ``sqrt(2 * delta * MTBF)``;
-* **MTBF** at a fixed interval — how total overhead and the
-  detect/load/reshard/warmup breakdown scale as failures get denser.
+resharding machinery, sweeping the checkpoint interval under a fixed
+failure schedule — the classic U-curve (checkpoint too often: write
+overhead; too rarely: long warmup after rollback), compared against the
+Young/Daly first-order optimum ``sqrt(2 * delta * MTBF)``.
 
 Failure schedules are deterministic: exponential inter-arrival draws
 from a seeded RNG, victims round-robin over the working hosts.
@@ -30,8 +26,6 @@ __all__ = [
     "poisson_host_failures",
     "recovery_job",
     "run_interval_sweep",
-    "run_mtbf_sweep",
-    "run",
 ]
 
 
@@ -141,67 +135,7 @@ def run_interval_sweep(
     return table
 
 
-def run_mtbf_sweep(
-    n_iterations: int = 30,
-    mtbf_iterations: tuple[float, ...] = (6.0, 12.0, 24.0, 48.0),
-    interval: int = 5,
-    seed: int = 7,
-) -> ExperimentTable:
-    """Recovery breakdown as failures get denser."""
-    spec = recovery_job()
-    base = simulate_training_run(
-        spec, n_iterations, config=sweep_config(0), state_elems_per_stage=STATE_ELEMS
-    )
-    iter_time = base.total_time / n_iterations
-    table = ExperimentTable(
-        experiment_id="R1b",
-        title="Elastic recovery: overhead breakdown vs. MTBF",
-        columns=[
-            "MTBF (iters)",
-            "restarts",
-            "overhead",
-            "detect (s)",
-            "load (s)",
-            "reshard (s)",
-            "warmup (s)",
-            "wasted (s)",
-        ],
-        notes=f"checkpoint interval {interval} iters; seed {seed}",
-    )
-    for m in mtbf_iterations:
-        faults = poisson_host_failures(
-            seed, m * iter_time, horizon=3.0 * n_iterations * iter_time, hosts=(0, 1)
-        )
-        rep = simulate_training_run(
-            spec,
-            n_iterations,
-            faults=faults,
-            config=sweep_config(interval),
-            max_restarts=8,
-            state_elems_per_stage=STATE_ELEMS,
-        )
-        table.add(
-            **{
-                "MTBF (iters)": m,
-                "restarts": rep.n_restarts,
-                "overhead": rep.overhead,
-                "detect (s)": rep.time_detect,
-                "load (s)": rep.time_load,
-                "reshard (s)": rep.time_reshard,
-                "warmup (s)": rep.time_warmup,
-                "wasted (s)": rep.time_wasted,
-            }
-        )
-    return table
-
-
-def run() -> list[ExperimentTable]:
-    return [run_interval_sweep(), run_mtbf_sweep()]
-
-
 if __name__ == "__main__":
     from .common import format_markdown
 
-    for t in run():
-        print(format_markdown(t))
-        print()
+    print(format_markdown(run_interval_sweep()))

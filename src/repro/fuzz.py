@@ -718,6 +718,8 @@ def run_fuzz(
     (unless ``shrink=False``) and, when ``save_repros_dir`` is given,
     written there as JSON loadable via :func:`schedule_from_json`.
     """
+    if runs < 0:
+        raise ValueError(f"runs must be >= 0, got {runs}")
     wls = workloads if workloads is not None else fuzz_workloads()
     if not wls:
         raise ValueError("no workloads to fuzz")

@@ -11,13 +11,12 @@ buddy-replicated onto a peer stage's mesh — by default ``(s+1) % S``,
 but when the cluster declares failure domains :func:`buddy_assignment`
 prefers the first ring peer whose hosts share *no* domain with the
 primary's, so a rack/PDU loss cannot take out a shard and its only
-replica together (:mod:`repro.analysis.domains` checks this statically
-as ``F002``).  That costs extra
-bytes per host but buys fail-stop survivability: when a host dies, every
-shard it held still exists on a different host, and recovery becomes a
-genuine cross-mesh resharding problem (buddy mesh -> rebuilt mesh)
-solved with the paper's own machinery.  Without replication the loss of
-any primary host makes its stage's state unrecoverable.
+replica together.  That costs extra bytes per host but buys fail-stop
+survivability: when a host dies, every shard it held still exists on a
+different host, and recovery becomes a genuine cross-mesh resharding
+problem (buddy mesh -> rebuilt mesh) solved with the paper's own
+machinery.  Without replication the loss of any primary host makes its
+stage's state unrecoverable.
 """
 
 from __future__ import annotations

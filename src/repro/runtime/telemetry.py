@@ -29,7 +29,7 @@ materialize lazily (incrementally, on first access through ``spans`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 __all__ = [
     "SpanRecord",
@@ -297,11 +297,6 @@ class TelemetryBus:
     def counter_rows(self) -> list[CounterRow]:
         """Raw counter rows ``(name, track, time, value)``; read-only."""
         return self._counter_rows
-
-    def spans_by_cat(self, *cats: str) -> Iterator[SpanRecord]:
-        """Spans whose category is one of ``cats``, in emission order."""
-        wanted = frozenset(cats)
-        return (s for s in self.spans if s.cat in wanted)
 
     def counter_totals(self) -> dict[str, float]:
         """Final value of every counter/gauge series, keyed ``track/name``.

@@ -62,6 +62,12 @@ class LoadProfile:
     burst_len: float = 0.25
     bursty: bool = True
 
+    def __post_init__(self) -> None:
+        if self.n_tenants < 1:
+            raise ValueError(f"n_tenants must be >= 1, got {self.n_tenants}")
+        if self.n_requests < 0:
+            raise ValueError(f"n_requests must be >= 0, got {self.n_requests}")
+
     def rate_at(self, t: float) -> float:
         if self.bursty and (t % self.burst_every) < self.burst_len:
             return self.burst_rate

@@ -16,6 +16,7 @@ in :mod:`repro.sim.network`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,10 +31,26 @@ __all__ = [
     "Cluster",
     "GBPS",
     "GB",
+    "check_memory_budget",
 ]
 
 GBPS = 1e9 / 8.0  # 1 Gbit/s in bytes/second
 GB = 1 << 30  # one gibibyte in bytes
+
+def check_memory_budget(budget: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``budget`` is ``None`` or a positive
+    finite number of bytes per host.
+
+    The one rule for every ``memory_budget``: the cluster's own and each
+    per-compile or per-check override.  A NaN budget would fail every
+    M001 comparison and certify a plan against no budget at all.
+    """
+    if budget is not None and not (math.isfinite(budget) and budget > 0):
+        raise ValueError(
+            f"memory_budget must be a positive finite number of bytes "
+            f"per host (or None to disable), got {budget}"
+        )
+
 
 #: failure-domain kinds with a conventional meaning (free-form is allowed)
 DOMAIN_KINDS = ("rack", "switch", "pdu", "spine")
@@ -257,13 +274,7 @@ class ClusterSpec:
                     f"{pair[0]}<->{pair[1]}"
                 )
             pairs.add(pair)
-        if self.memory_budget is not None and not (
-            self.memory_budget > 0 and self.memory_budget != float("inf")
-        ):
-            raise ValueError(
-                f"memory_budget must be a positive finite number of bytes "
-                f"per host (or None to disable), got {self.memory_budget}"
-            )
+        check_memory_budget(self.memory_budget)
 
     @property
     def n_devices(self) -> int:

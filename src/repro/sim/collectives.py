@@ -22,41 +22,9 @@ from .primitives import (
     CollectiveHandle,
     _empty_handle,
     ring_allgather,
-    ring_broadcast,
-    switch_multicast,
 )
 
-__all__ = ["all_to_all", "reduce_scatter", "all_reduce", "multicast"]
-
-
-def multicast(
-    network: Network,
-    root: int,
-    receivers: Sequence[int],
-    nbytes: float,
-    n_chunks: int = 16,
-    tag: str = "multicast",
-) -> CollectiveHandle:
-    """Switch-replicated broadcast with automatic switch selection.
-
-    Picks the most specific topology switch spanning the root's and
-    every receiver's host and runs :func:`~repro.sim.primitives
-    .switch_multicast` through it; when no switch spans the group (a
-    switchless torus, or a fan-out wider than any single switch) it
-    degrades to the ring broadcast, which is always routable.
-    """
-    cluster = network.cluster
-    sw = cluster.topo.common_switch(
-        cluster.host_of(root), cluster.hosts_of(receivers)
-    )
-    if sw is None:
-        return ring_broadcast(
-            network, root, receivers, nbytes, n_chunks=n_chunks, tag=tag
-        )
-    return switch_multicast(
-        network, root, receivers, nbytes, switch=sw.name,
-        n_chunks=n_chunks, tag=tag,
-    )
+__all__ = ["all_to_all", "reduce_scatter", "all_reduce"]
 
 
 def all_to_all(

@@ -187,6 +187,15 @@ class TestCli:
         assert "CHECK FAIL" in captured.err
         assert marker in captured.out
 
+    def test_fuzz_rejects_negative_runs(self):
+        # fuzz --runs -1 must not print the digest of an empty campaign
+        from repro.__main__ import main
+
+        with pytest.raises(ValueError, match="runs"):
+            run_fuzz(runs=-1)
+        with pytest.raises(ValueError, match="runs"):
+            main(["fuzz", "--runs", "-1"])
+
     def test_fuzz_json_output(self, capsys):
         from repro.__main__ import main
 

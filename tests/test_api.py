@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import (
-    Cluster,
-    ClusterSpec,
-    DeviceMesh,
-    plan_resharding,
-    reshard,
-)
+from repro import Cluster, ClusterSpec, DeviceMesh, reshard
+from repro.core.task import ReshardingTask
+from repro.strategies import make_strategy
 
 
 @pytest.fixture
@@ -67,11 +63,27 @@ def test_reshard_strategy_kwargs(meshes):
     assert r.plan.schedule.algorithm == "naive"
 
 
-def test_plan_resharding_compile_only(meshes):
+def test_strategy_plan_compile_only(meshes):
     src, dst = meshes
-    plan = plan_resharding((8, 8), src, "S0R", dst, "RS1")
+    plan = make_strategy("broadcast").plan(
+        ReshardingTask((8, 8), src, "S0R", dst, "RS1")
+    )
     assert plan.strategy == "broadcast"
     assert plan.ops
+
+
+def test_reshard_moves_data_after_a_hit_from_another_cluster(meshes):
+    # The plan cache is keyed by content, so a hit may carry a task built
+    # on another, content-equal Cluster object.
+    src, dst = meshes
+    arr = np.arange(8 * 8 * 8, dtype=np.float32).reshape(8, 8, 8)
+    first = reshard(arr, src, "S0RR", dst, "RS1R")
+    c = Cluster(ClusterSpec(n_hosts=4, devices_per_host=4))
+    src2, dst2 = DeviceMesh.from_hosts(c, [0, 1]), DeviceMesh.from_hosts(c, [2, 3])
+    r = reshard(arr, src2, "S0RR", dst2, "RS1R")
+    assert r.plan.ops is first.plan.ops
+    assert r.task.src_mesh is src2 and r.dst_tensor.mesh is dst2
+    assert r.dst_tensor.allclose(arr)
 
 
 def test_reshard_dtype_from_array(meshes):

@@ -79,6 +79,20 @@ def test_cli_reshard_all_with_verify(capsys):
             assert "verified" not in line
 
 
+def test_cli_reshard_dump_plan_after_emit(capsys):
+    rc = main([
+        "reshard", "--shape", "8,8,8", "--src-spec", "S0RR",
+        "--dst-spec", "RS1R", "--strategy", "broadcast",
+        "--dump-plan-after", "emit",
+    ])
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
+    after = lines.index("-- after emit --")
+    assert lines[after + 1].startswith("schedule[")
+    assert "assignment=" in lines[after + 1]
+    assert lines[after + 2].startswith("BroadcastOp(")
+
+
 def test_cli_reshard_bad_mesh(capsys):
     rc = main([
         "reshard", "--shape", "8,8", "--src-spec", "S0R", "--dst-spec", "RR",

@@ -22,7 +22,7 @@ from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.core.tensor import DistributedTensor
-from repro.core.validate import verify_plan_coverage
+from repro.core.validate import raise_on_plan_errors
 from repro.pipeline.executor import simulate_pipeline
 from repro.pipeline.schedules import schedule_job
 from repro.sim.cluster import Cluster, ClusterSpec
@@ -132,7 +132,7 @@ def test_pipeline_replay_is_byte_identical():
 def test_strategies_deliver_exact_slices_under_faults(strategy, specs):
     task, src_tensor, arr = build(*specs)
     plan = strategy.plan(task)
-    verify_plan_coverage(plan)
+    raise_on_plan_errors(plan)
     out = apply_plan(plan, src_tensor)
     assert np.array_equal(out.to_global(), arr)
     res = simulate_plan(plan, faults=RECOVERABLE, retry_policy=PATIENT)
@@ -164,7 +164,7 @@ def test_broadcast_reroots_around_down_sender_host():
             op.sender
         )
     # Re-rooted plan is still a correct resharding.
-    verify_plan_coverage(plan)
+    raise_on_plan_errors(plan)
     assert np.array_equal(apply_plan(plan, src_tensor).to_global(), arr)
     res = simulate_plan(plan, faults=fs, retry_policy=PATIENT)
     assert res.completed and not res.fault_report.fatal
@@ -337,7 +337,7 @@ def test_chaos_sweep_never_hangs_or_corrupts(seed):
     )
     task, src_tensor, arr = build("RRR", "S0RR")
     plan = BroadcastStrategy(faults=fs).plan(task)
-    verify_plan_coverage(plan)
+    raise_on_plan_errors(plan)
     assert np.array_equal(apply_plan(plan, src_tensor).to_global(), arr)
     res = simulate_plan(plan, faults=fs, retry_policy=PATIENT)
     rep = res.fault_report

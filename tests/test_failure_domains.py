@@ -10,9 +10,8 @@ Covers the failure-domain tentpole end to end:
 * detection: per-slice checksums catching corruption as a first-class
   category, and the never-silent guarantee (checksum-less corruption is
   *unverifiable* and refuses certification loudly);
-* domain-aware recovery placement: F001/F003 plan diagnostics, F002
-  buddy-checkpoint checks, ``buddy_assignment``, and replan spare
-  preference.
+* domain-aware recovery placement: F001/F003 plan diagnostics,
+  ``buddy_assignment``, and replan spare preference.
 """
 
 import json
@@ -20,12 +19,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis import (
-    check_checkpoint_domains,
-    check_plan,
-    load_plan_fixture,
-    meshes_share_domain,
-)
+from repro.analysis import check_plan, load_plan_fixture
 from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
@@ -356,7 +350,7 @@ class TestCorruptionDetection:
 
 
 # ----------------------------------------------------------------------
-# Domain-aware placement: F001 / F002 / F003
+# Domain-aware placement: F001 / F003
 # ----------------------------------------------------------------------
 class TestDomainDiagnostics:
     def test_f001_fixture_rejected(self):
@@ -384,48 +378,6 @@ class TestDomainDiagnostics:
         )
         # rack1 fails long after t=0 scheduling; nothing to flag.
         assert "F003" not in check_plan(fixture.plan, faults=healthy).codes
-
-    def test_f002_buddy_in_same_domain(self):
-        cluster = domain_cluster(n_hosts=4)
-        m = [DeviceMesh.from_hosts(cluster, [h]) for h in range(4)]
-        # Stage 0 on host 0, buddy on host 1: both in rack0, while the
-        # rack1 meshes prove a safe alternative exists -> ERROR.
-        report = check_checkpoint_domains([m[0], m[2], m[3]],
-                                          [m[1], m[3], m[2]],
-                                          cluster.spec)
-        assert "F002" in report.codes
-        assert any(d.code == "F002" for d in report.errors)
-
-    def test_f002_clean_when_buddies_cross_domains(self):
-        cluster = domain_cluster(n_hosts=4)
-        m = [DeviceMesh.from_hosts(cluster, [h]) for h in range(4)]
-        report = check_checkpoint_domains([m[0], m[2]], [m[2], m[0]],
-                                          cluster.spec)
-        assert report.codes == set()
-
-    def test_f002_demotes_to_warning_when_unavoidable(self):
-        # Every host shares the single domain: no placement can escape,
-        # so the finding is advisory, not a build-breaker.
-        cluster = domain_cluster(
-            n_hosts=2,
-            failure_domains=(FailureDomain("rack0", (0, 1)),),
-        )
-        m = [DeviceMesh.from_hosts(cluster, [h]) for h in range(2)]
-        report = check_checkpoint_domains([m[0]], [m[1]], cluster.spec)
-        assert "F002" in report.codes
-        assert not report.errors
-
-    def test_f002_mismatched_stage_lists_rejected(self):
-        cluster = domain_cluster(n_hosts=4)
-        m = [DeviceMesh.from_hosts(cluster, [h]) for h in range(4)]
-        with pytest.raises(ValueError):
-            check_checkpoint_domains([m[0]], [m[1], m[2]], cluster.spec)
-
-    def test_meshes_share_domain(self):
-        cluster = domain_cluster(n_hosts=4)
-        m = [DeviceMesh.from_hosts(cluster, [h]) for h in range(4)]
-        assert meshes_share_domain(m[0], m[1], cluster.spec)
-        assert not meshes_share_domain(m[0], m[2], cluster.spec)
 
 
 class TestBuddyAssignment:

@@ -269,6 +269,34 @@ class TestBudgetThreading:
             with pytest.raises(ValueError):
                 ClusterSpec(n_hosts=2, memory_budget=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_budget_overrides_get_the_spec_rule(self, bad):
+        # A NaN budget fails every M001 comparison and would certify the
+        # plan against no budget at all; 0 and -1 are input errors, not an
+        # M001 PlanValidationError.
+        task = make_task()
+        for cache in (None, PlanCache()):
+            with pytest.raises(ValueError, match="memory_budget must be"):
+                compile_resharding(
+                    task,
+                    CompileContext(strategy="send_recv", cache=cache,
+                                   validate=True, memory_budget=bad),
+                )
+        plan = compile_resharding(
+            task, CompileContext(strategy="send_recv", cache=None)
+        ).plan
+        with pytest.raises(ValueError, match="memory_budget must be"):
+            check_plan(plan, memory_budget=bad)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+    def test_cli_budget_gets_the_spec_rule(self, bad):
+        from repro.__main__ import main
+
+        shape = ["--shape", "8,8,8", "--src-spec", "S0RR", "--dst-spec", "RS1R"]
+        for cmd in ("reshard", "analyze"):
+            with pytest.raises(ValueError, match="memory_budget must be"):
+                main([cmd, *shape, f"--memory-budget={bad}"])
+
     def test_spec_budget_fires_m001_through_check_plan(self):
         task = make_task(memory_budget=64.0)
         compiled = compile_resharding(

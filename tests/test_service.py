@@ -569,6 +569,29 @@ def test_service_chaos_validates_partition_rate():
     assert not ServiceChaos(partition_rate=0.0).attempt_partitioned("r", 1)
 
 
+def test_load_profile_rejects_no_tenants():
+    # serve --tenants 0 fails on its input, not inside randrange()
+    from repro.__main__ import main
+    from repro.service import LoadProfile
+
+    with pytest.raises(ValueError, match="n_tenants"):
+        LoadProfile(name="none", n_tenants=0)
+    with pytest.raises(ValueError, match="n_tenants"):
+        main(["serve", "--tenants", "0"])
+
+
+def test_load_profile_rejects_negative_requests():
+    # serve --requests -3 must not exit 0 with an empty report
+    from repro.__main__ import main
+    from repro.service import LoadProfile
+
+    assert LoadProfile(name="idle", n_requests=0).n_requests == 0
+    with pytest.raises(ValueError, match="n_requests"):
+        LoadProfile(name="negative", n_requests=-3)
+    with pytest.raises(ValueError, match="n_requests"):
+        main(["serve", "--requests", "-3"])
+
+
 @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
 def test_serve_check_passes_on_bursty_load(chaos, capsys):
     """``serve --check``'s overload-safety gates hold on a 200-request

