@@ -395,7 +395,6 @@ def _check_failure_domains(
             for h in task.sender_hosts(ut)
             if h != host
             and not faults.host_down(h, 0.0)
-            and faults.failed_domain_of(h, 0.0) is None
         )
         report.add(
             "F003",

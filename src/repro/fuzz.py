@@ -69,17 +69,7 @@ from .core.mesh import DeviceMesh
 from .core.plan import CommPlan
 from .core.task import ReshardingTask
 from .sim.cluster import Cluster, ClusterSpec, FailureDomain
-from .sim.faults import (
-    CorruptionWindow,
-    DegradedWindow,
-    DomainFailure,
-    FaultSchedule,
-    FlapWindow,
-    HostFailure,
-    Partition,
-    RetryPolicy,
-    StragglerWindow,
-)
+from .sim.faults import FAULT_KINDS, CorruptionWindow, FaultSchedule, RetryPolicy
 
 __all__ = [
     "FuzzWorkload",
@@ -216,77 +206,38 @@ def fuzz_workloads() -> list[FuzzWorkload]:
 def schedule_to_json(schedule: FaultSchedule) -> dict[str, Any]:
     """Serialize a schedule losslessly (for reproducer fixtures)."""
 
-    def rows(items) -> list[dict[str, Any]]:
-        return [dataclasses.asdict(i) for i in items]
+    def row(fault) -> dict[str, Any]:
+        return {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in dataclasses.asdict(fault).items()
+        }
 
     return {
         "seed": schedule.seed,
         "drop_rate": schedule.drop_rate,
-        "degradations": rows(schedule.degradations),
-        "flaps": rows(schedule.flaps),
-        "stragglers": rows(schedule.stragglers),
-        "host_failures": rows(schedule.host_failures),
-        "domain_failures": [
-            {**dataclasses.asdict(d), "hosts": list(d.hosts)}
-            for d in schedule.domain_failures
-        ],
-        "partitions": [
-            {
-                **dataclasses.asdict(p),
-                "src_hosts": list(p.src_hosts),
-                "dst_hosts": list(p.dst_hosts),
-            }
-            for p in schedule.partitions
-        ],
-        "corruptions": rows(schedule.corruptions),
+        **{name: [row(f) for f in getattr(schedule, name)] for name in FAULT_KINDS},
     }
 
 
 def schedule_from_json(raw: dict[str, Any]) -> FaultSchedule:
     """Inverse of :func:`schedule_to_json`."""
+
+    def fault(kind, row: dict[str, Any]):
+        return kind(**{k: tuple(v) if isinstance(v, list) else v for k, v in row.items()})
+
     return FaultSchedule(
         seed=int(raw.get("seed", 0)),
         drop_rate=float(raw.get("drop_rate", 0.0)),
-        degradations=tuple(
-            DegradedWindow(**d) for d in raw.get("degradations", ())
-        ),
-        flaps=tuple(FlapWindow(**d) for d in raw.get("flaps", ())),
-        stragglers=tuple(
-            StragglerWindow(**d) for d in raw.get("stragglers", ())
-        ),
-        host_failures=tuple(
-            HostFailure(**d) for d in raw.get("host_failures", ())
-        ),
-        domain_failures=tuple(
-            DomainFailure(**{**d, "hosts": tuple(d["hosts"])})
-            for d in raw.get("domain_failures", ())
-        ),
-        partitions=tuple(
-            Partition(
-                **{
-                    **d,
-                    "src_hosts": tuple(d["src_hosts"]),
-                    "dst_hosts": tuple(d["dst_hosts"]),
-                }
-            )
-            for d in raw.get("partitions", ())
-        ),
-        corruptions=tuple(
-            CorruptionWindow(**d) for d in raw.get("corruptions", ())
-        ),
+        **{
+            name: tuple(fault(kind, row) for row in raw.get(name, ()))
+            for name, kind in FAULT_KINDS.items()
+        },
     )
 
 
 def _n_events(schedule: FaultSchedule) -> int:
-    return (
-        len(schedule.degradations)
-        + len(schedule.flaps)
-        + len(schedule.stragglers)
-        + len(schedule.host_failures)
-        + len(schedule.domain_failures)
-        + len(schedule.partitions)
-        + len(schedule.corruptions)
-        + (1 if schedule.drop_rate > 0 else 0)
+    return sum(len(getattr(schedule, name)) for name in FAULT_KINDS) + (
+        1 if schedule.drop_rate > 0 else 0
     )
 
 
@@ -612,16 +563,7 @@ def run_one(
 # ----------------------------------------------------------------------
 def _one_step_reductions(schedule: FaultSchedule):
     """Yield every schedule with exactly one event removed."""
-    tuple_fields = (
-        "degradations",
-        "flaps",
-        "stragglers",
-        "host_failures",
-        "domain_failures",
-        "partitions",
-        "corruptions",
-    )
-    for name in tuple_fields:
+    for name in FAULT_KINDS:
         items = getattr(schedule, name)
         for i in range(len(items)):
             yield dataclasses.replace(

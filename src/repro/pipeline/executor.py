@@ -292,9 +292,10 @@ def simulate_pipeline(
     """Simulate one training iteration; see module docstring.
 
     ``orders[d]`` is device ``d``'s task list.  ``stage_hosts`` maps
-    each stage to the host carrying it, so NIC flap windows in
-    ``faults`` translate to lost cross-stage messages (a transfer
-    overlapping a flap of either endpoint's host is lost).
+    each stage to the host carrying it, so host outages in ``faults``
+    (flaps, host and domain failures) translate to lost cross-stage
+    messages (a transfer overlapping an outage of either endpoint's host
+    is lost).
     """
     device_of = _validate_orders(job, orders)
     if not overlap and device_of != list(range(job.n_stages)):
@@ -306,12 +307,10 @@ def simulate_pipeline(
         raise ValueError(
             f"stage_hosts must map all {job.n_stages} stages, got {len(stage_hosts)}"
         )
-    if faults is not None and not overlap and (
-        faults.drop_rate > 0 or faults.flaps or faults.host_failures
-    ):
+    if faults is not None and not overlap and (faults.drop_rate > 0 or faults.outages):
         raise ValueError(
-            "message loss injection needs overlap=True (blocking sends have "
-            "no channel to re-send on); stragglers work in both modes"
+            "host outages and message drops need overlap=True (blocking sends "
+            "have no channel to re-send on); stragglers work in both modes"
         )
     policy = retry_policy or RetryPolicy()
     loop = EventLoop()

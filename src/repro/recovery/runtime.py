@@ -244,13 +244,15 @@ def simulate_training_run(
         )
 
     def next_strike() -> Optional[HostFailure]:
+        # A permanent domain failure strikes each working member host.
         working = {h for m in meshes for h in m.hosts}
-        live = [
-            f
-            for f in faults.host_failures
-            if f not in consumed and f.host in working
-        ]
-        return min(live, key=lambda f: (f.time, f.host), default=None)
+        strikes = {
+            HostFailure(h, o.onset)
+            for h in working
+            for o in faults.outages.get(h, ())
+            if o.permanent
+        }
+        return min(strikes - consumed, key=lambda f: (f.time, f.host), default=None)
 
     def recover(strike: HostFailure) -> None:
         """Handle a mid-iteration host death; all state mutations happen

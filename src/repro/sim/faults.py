@@ -33,16 +33,16 @@ cross-stage messages).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cluster import ClusterSpec
+from functools import cached_property
+from typing import Optional
 
 __all__ = [
     "seeded_uniform",
+    "FaultInterval",
     "DegradedWindow",
     "FlapWindow",
     "StragglerWindow",
@@ -50,25 +50,13 @@ __all__ = [
     "DomainFailure",
     "Partition",
     "CorruptionWindow",
+    "FAULT_KINDS",
     "FaultSchedule",
     "RetryPolicy",
     "FaultIncident",
     "FaultReport",
     "FAULT_CATEGORIES",
-    "switch_outage",
 ]
-
-
-def _check_window(start: float, duration: float) -> None:
-    """Reject a window that could never strike or never end.
-
-    Each check is phrased so that NaN, which fails every comparison, is
-    rejected rather than let through.
-    """
-    if not math.isfinite(start):
-        raise ValueError(f"window start must be finite, got {start}")
-    if not 0.0 < duration < math.inf:
-        raise ValueError(f"window duration must be positive and finite, got {duration}")
 
 
 def _check_onset(time: float) -> None:
@@ -76,31 +64,86 @@ def _check_onset(time: float) -> None:
         raise ValueError(f"failure time must be finite and >= 0, got {time}")
 
 
-def _uniform(*key) -> float:
+def seeded_uniform(*key) -> float:
     """Deterministic uniform in [0, 1) keyed by ``key``.
 
     Uses :class:`random.Random` with a string seed (SHA-512 based), so
-    the draw is stable across processes and PYTHONHASHSEED values.
+    the draw is stable across processes and PYTHONHASHSEED values.  The
+    whole repo has this one source of seeded randomness: the network
+    keys per-flow drops with it, and the service layer
+    (:mod:`repro.service.chaos`) its per-request chaos decisions.
     """
     return random.Random(":".join(str(k) for k in key)).random()
-
-
-def seeded_uniform(*key) -> float:
-    """Public alias of :func:`_uniform` for out-of-module consumers.
-
-    The service layer (:mod:`repro.service.chaos`) keys its per-request
-    chaos decisions the same way the network keys per-flow drops —
-    through one shared deterministic hash, so the whole repo has exactly
-    one source of seeded randomness.
-    """
-    return _uniform(*key)
 
 
 # ----------------------------------------------------------------------
 # Fault windows (pure data)
 # ----------------------------------------------------------------------
+class FaultInterval:
+    """What every fault kind shares: the half-open interval ``[onset, end)``.
+
+    Declares no dataclass fields, so each kind's ``repr``, equality,
+    hash, :func:`dataclasses.asdict` and positional construction are
+    exactly those of its own fields.  A kind names its onset field in
+    ``_ONSET`` (``start`` for windows, ``time`` for failures); a kind
+    with no ``duration``, or ``duration=None``, is permanent.  The
+    windows share ``__post_init__``'s check; the failures replace it.
+    """
+
+    _ONSET = "start"
+
+    def __post_init__(self) -> None:
+        """Reject a window that could never strike or never end.
+
+        Each check is phrased so that NaN, which fails every comparison,
+        is rejected rather than let through.
+        """
+        if not math.isfinite(self.start):
+            raise ValueError(f"window start must be finite, got {self.start}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"window duration must be positive and finite, got {self.duration}"
+            )
+
+    @property
+    def onset(self) -> float:
+        return getattr(self, self._ONSET)
+
+    @property
+    def permanent(self) -> bool:
+        return getattr(self, "duration", None) is None
+
+    @property
+    def end(self) -> float:
+        """``onset + duration``; infinite for a permanent failure."""
+        return math.inf if self.permanent else self.onset + self.duration
+
+    def active(self, t: float) -> bool:
+        return self.onset <= t < self.end
+
+    def overlaps(self, lo: float, hi: float) -> bool:
+        """True if the fault is in force anywhere in ``[lo, hi)``."""
+        return self.onset < hi and lo < self.end
+
+    def clipped(self, origin: float):
+        """This fault as seen from a run starting at ``origin``.
+
+        None when it is over by then.  The onset moves back by
+        ``origin``, clamped at 0.0, and a window keeps only its remaining
+        duration; a permanent failure never ends, so one that struck
+        before ``origin`` is dead from 0.0.
+        """
+        if self.end <= origin:
+            return None
+        onset = max(self.onset - origin, 0.0)
+        changes = {self._ONSET: onset}
+        if not self.permanent:
+            changes["duration"] = self.end - origin - onset
+        return dataclasses.replace(self, **changes)
+
+
 @dataclass(frozen=True)
-class DegradedWindow:
+class DegradedWindow(FaultInterval):
     """Host NIC runs at ``factor`` x nominal bandwidth during the window."""
 
     host: int
@@ -109,39 +152,22 @@ class DegradedWindow:
     factor: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
+        super().__post_init__()
         if not 0.0 < self.factor < 1.0:
             raise ValueError(f"degradation factor must be in (0, 1), got {self.factor}")
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
-
 
 @dataclass(frozen=True)
-class FlapWindow:
+class FlapWindow(FaultInterval):
     """Host NIC is down (zero capacity) during the window."""
 
     host: int
     start: float
     duration: float
 
-    def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
-
 
 @dataclass(frozen=True)
-class StragglerWindow:
+class StragglerWindow(FaultInterval):
     """Pipeline stage computes ``slowdown`` x slower during the window."""
 
     stage: int
@@ -150,20 +176,13 @@ class StragglerWindow:
     slowdown: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
+        super().__post_init__()
         if not 1.0 < self.slowdown < math.inf:
             raise ValueError(f"slowdown must be > 1 and finite, got {self.slowdown}")
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
-
 
 @dataclass(frozen=True)
-class HostFailure:
+class HostFailure(FaultInterval):
     """Host dies permanently at ``time`` (fail-stop; it never recovers).
 
     Unlike a :class:`FlapWindow` the outage has no end: every flow
@@ -171,6 +190,8 @@ class HostFailure:
     the elastic recovery runtime (substitute a spare host or shrink the
     placement, then reshard checkpointed state onto the new layout).
     """
+
+    _ONSET = "time"
 
     host: int
     time: float
@@ -180,7 +201,7 @@ class HostFailure:
 
 
 @dataclass(frozen=True)
-class DomainFailure:
+class DomainFailure(FaultInterval):
     """One correlated event downs every host of a failure domain at once.
 
     ``hosts`` is the member list (snapshot of the
@@ -191,6 +212,8 @@ class DomainFailure:
     ``duration`` is a correlated outage window: every member NIC is down
     for the window and comes back (switch reboot).
     """
+
+    _ONSET = "time"
 
     domain: str
     hosts: tuple[int, ...]
@@ -207,20 +230,9 @@ class DomainFailure:
                 f"None for permanent), got {self.duration}"
             )
 
-    @property
-    def permanent(self) -> bool:
-        return self.duration is None
-
-    @property
-    def end(self) -> float:
-        return float("inf") if self.duration is None else self.time + self.duration
-
-    def active(self, t: float) -> bool:
-        return self.time <= t < self.end
-
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(FaultInterval):
     """Asymmetric network partition: ``src_hosts`` cannot reach ``dst_hosts``.
 
     Distinct from host-down: every member NIC keeps full capacity for all
@@ -239,25 +251,11 @@ class Partition:
     def __post_init__(self) -> None:
         if not self.src_hosts or not self.dst_hosts:
             raise ValueError("partition needs non-empty src and dst host sets")
-        _check_window(self.start, self.duration)
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
-
-    def blocks(self, src_host: int, dst_host: int, t: float) -> bool:
-        return (
-            self.active(t)
-            and src_host in self.src_hosts
-            and dst_host in self.dst_hosts
-        )
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class CorruptionWindow:
+class CorruptionWindow(FaultInterval):
     """Gray NIC: flows through ``host`` complete on time but deliver bad bytes.
 
     The network simulator never fails these flows — they finish with
@@ -275,16 +273,23 @@ class CorruptionWindow:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_window(self.start, self.duration)
+        super().__post_init__()
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"corruption rate must be in (0, 1], got {self.rate}")
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
 
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
+#: schedule field name -> fault class, in :class:`FaultSchedule` field
+#: order.  Whatever walks every fault of a schedule (boundaries, horizon,
+#: re-anchoring, serialization, shrinking) iterates this table.
+FAULT_KINDS: dict[str, type[FaultInterval]] = {
+    "degradations": DegradedWindow,
+    "flaps": FlapWindow,
+    "stragglers": StragglerWindow,
+    "host_failures": HostFailure,
+    "domain_failures": DomainFailure,
+    "partitions": Partition,
+    "corruptions": CorruptionWindow,
+}
 
 
 # ----------------------------------------------------------------------
@@ -314,40 +319,66 @@ class FaultSchedule:
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
 
-    # -- permanent failures --------------------------------------------
+    # -- host outages --------------------------------------------------
+    @cached_property
+    def outages(self) -> dict[int, tuple[FaultInterval, ...]]:
+        """Per host, every fault that takes its NIC down.
+
+        Derived once per schedule: domain failures, then host failures,
+        then flaps, each in schedule order — widest blast radius first.
+        Every host-outage query reads this view.  It is not a dataclass
+        field, so it never enters ``repr``, equality or hashing.
+        """
+        view: dict[int, list[FaultInterval]] = {}
+        for d in self.domain_failures:
+            for h in d.hosts:
+                view.setdefault(h, []).append(d)
+        for f in self.host_failures + self.flaps:
+            view.setdefault(f.host, []).append(f)
+        return {h: tuple(faults) for h, faults in view.items()}
+
+    def outage_at(self, host: int, t: float) -> Optional[FaultInterval]:
+        """The fault downing ``host``'s NIC at ``t`` (None while it is up).
+
+        When several overlap, the widest blast radius wins: a
+        :class:`DomainFailure` beats a :class:`HostFailure` beats a
+        :class:`FlapWindow`.
+        """
+        return next((o for o in self.outages.get(host, ()) if o.active(t)), None)
+
+    def host_down(self, host: int, t: float) -> bool:
+        """True while ``host``'s NIC is flapped down — or dead — at ``t``."""
+        return self.outage_at(host, t) is not None
+
+    def host_down_during(self, host: int, start: float, end: float) -> bool:
+        """True if ``host`` is flapped or dead anywhere in [start, end)."""
+        return any(o.overlaps(start, end) for o in self.outages.get(host, ()))
+
     def host_dead(self, host: int, t: float) -> bool:
         """True once ``host`` has permanently failed at or before ``t``."""
-        if any(f.host == host and t >= f.time for f in self.host_failures):
-            return True
-        return any(
-            d.permanent and host in d.hosts and t >= d.time
-            for d in self.domain_failures
-        )
+        return any(o.permanent and o.onset <= t for o in self.outages.get(host, ()))
 
     def failed_hosts(self, t: float) -> frozenset[int]:
         """Hosts permanently dead at time ``t``."""
-        dead = {f.host for f in self.host_failures if t >= f.time}
-        for d in self.domain_failures:
-            if d.permanent and t >= d.time:
-                dead.update(d.hosts)
-        return frozenset(dead)
+        return frozenset(h for h in self.outages if self.host_dead(h, t))
 
     def first_host_failure(self, after: float = 0.0) -> Optional[HostFailure]:
         """Earliest permanent failure at or after ``after`` (None if clear).
 
         Permanent :class:`DomainFailure` events count too — each is
-        reported as a synthetic :class:`HostFailure` of its lowest member
-        host, so the recovery runtime reacts to a rack loss the same way
-        it reacts to a lone host death (and then discovers the full
-        blast radius via :meth:`failed_hosts`).
+        reported as a :class:`HostFailure` of its lowest member host (the
+        blast radius is then :meth:`failed_hosts`).
         """
-        upcoming = [f for f in self.host_failures if f.time >= after]
-        upcoming += [
-            HostFailure(host=min(d.hosts), time=d.time)
-            for d in self.domain_failures
-            if d.permanent and d.time >= after
-        ]
-        return min(upcoming, key=lambda f: (f.time, f.host), default=None)
+        return min(
+            (
+                HostFailure(h, o.onset)
+                for h, faults in self.outages.items()
+                for o in faults
+                if o.permanent and o.onset >= after
+            ),
+            key=lambda f: (f.time, f.host),
+            default=None,
+        )
 
     def failed_domain_of(self, host: int, t: float) -> Optional[str]:
         """Name of a failure domain downing ``host`` at ``t`` (None if none).
@@ -355,70 +386,41 @@ class FaultSchedule:
         Covers both permanent and windowed domain failures; used for
         fault attribution (``categories()``) and the F003 analyzer check.
         """
-        for d in self.domain_failures:
-            if host in d.hosts and d.active(t):
-                return d.domain
-        return None
-
-    # -- NIC capacity --------------------------------------------------
-    def host_down(self, host: int, t: float) -> bool:
-        """True while ``host``'s NIC is flapped down — or dead — at ``t``."""
-        if self.host_dead(host, t) or any(
-            w.host == host and w.active(t) for w in self.flaps
-        ):
-            return True
-        return any(
-            not d.permanent and host in d.hosts and d.active(t)
-            for d in self.domain_failures
-        )
-
-    def host_down_during(self, host: int, start: float, end: float) -> bool:
-        """True if ``host`` is flapped or dead anywhere in [start, end)."""
-        if any(f.host == host and f.time < end for f in self.host_failures):
-            return True
-        if any(
-            host in d.hosts and d.time < end and start < d.end
-            for d in self.domain_failures
-        ):
-            return True
-        return any(
-            w.host == host and w.start < end and start < w.end for w in self.flaps
-        )
+        o = self.outage_at(host, t)
+        return o.domain if isinstance(o, DomainFailure) else None
 
     # -- partitions ----------------------------------------------------
     def partitioned(self, src_host: int, dst_host: int, t: float) -> bool:
         """True while ``src_host`` cannot reach ``dst_host`` at ``t``."""
-        return any(p.blocks(src_host, dst_host, t) for p in self.partitions)
+        return any(
+            p.active(t) and src_host in p.src_hosts and dst_host in p.dst_hosts
+            for p in self.partitions
+        )
 
     # -- gray corruption -----------------------------------------------
-    def corruption_rate(self, host: int, t: float) -> float:
-        """Probability a delivery through ``host`` at ``t`` is corrupted.
-
-        Overlapping windows compound as independent corruption sources:
-        ``1 - prod(1 - rate)``.
-        """
-        clean = 1.0
-        for w in self.corruptions:
-            if w.host == host and w.active(t):
-                clean *= 1.0 - w.rate
-        return 1.0 - clean
-
     def should_corrupt(self, hosts, t: float, *key) -> bool:
         """Deterministically decide whether one delivery is corrupted.
 
-        ``hosts`` are the hosts whose NICs the flow traverses; the draw
-        is keyed on the schedule seed plus the flow's stable id, so
-        replays corrupt the identical deliveries.
+        ``hosts`` are the hosts whose NICs the flow traverses.  Every
+        active window on them is an independent corruption source, so the
+        delivery is corrupted with probability ``1 - prod(1 - rate)``.
+        The draw is keyed on the schedule seed plus the flow's stable id,
+        so replays corrupt the identical deliveries.
         """
         if not self.corruptions:
             return False
         clean = 1.0
         for h in hosts:
-            clean *= 1.0 - self.corruption_rate(h, t)
+            host_clean = 1.0
+            for w in self.corruptions:
+                if w.host == h and w.active(t):
+                    host_clean *= 1.0 - w.rate
+            host_rate = 1.0 - host_clean
+            clean *= 1.0 - host_rate
         rate = 1.0 - clean
         if rate <= 0.0:
             return False
-        return _uniform(self.seed, "corrupt", *key) < rate
+        return seeded_uniform(self.seed, "corrupt", *key) < rate
 
     def nic_factor(self, host: int, t: float) -> float:
         """Capacity multiplier of ``host``'s NIC at ``t`` (0 when down)."""
@@ -460,26 +462,17 @@ class FaultSchedule:
         Partition edges are included even though capacity is untouched:
         the network re-examines in-flight flows at every boundary, which
         is how a partition onset kills flows already crossing it.
-        Corruption windows contribute nothing — they are decided at
-        delivery time and never change flow timing.
+        Stragglers (compute only) and corruption windows (decided at
+        delivery time) never change flow timing and contribute nothing.
         """
-        pts: set[float] = set()
-        for w in self.degradations:
-            pts.add(w.start)
-            pts.add(w.end)
-        for w in self.flaps:
-            pts.add(w.start)
-            pts.add(w.end)
-        for f in self.host_failures:
-            pts.add(f.time)
-        for d in self.domain_failures:
-            pts.add(d.time)
-            if not d.permanent:
-                pts.add(d.end)
-        for p in self.partitions:
-            pts.add(p.start)
-            pts.add(p.end)
-        return tuple(sorted(pts))
+        return tuple(sorted({
+            b
+            for name in FAULT_KINDS
+            if name not in ("stragglers", "corruptions")
+            for w in getattr(self, name)
+            for b in (w.onset, w.end)
+            if b < math.inf
+        }))
 
     def horizon(self) -> float:
         """End of the last fault window (0.0 for an all-clear schedule).
@@ -488,12 +481,14 @@ class FaultSchedule:
         end); the averaging in :meth:`mean_nic_factor` therefore counts a
         dead host's capacity as zero from that instant on.
         """
-        ends = [w.end for w in self.degradations + self.flaps + self.stragglers]
-        ends += [f.time for f in self.host_failures]
-        ends += [d.time if d.permanent else d.end for d in self.domain_failures]
-        ends += [p.end for p in self.partitions]
-        ends += [w.end for w in self.corruptions]
-        return max(ends, default=0.0)
+        return max(
+            (
+                w.onset if w.permanent else w.end
+                for name in FAULT_KINDS
+                for w in getattr(self, name)
+            ),
+            default=0.0,
+        )
 
     # -- re-anchoring ---------------------------------------------------
     def shifted(self, origin: float) -> "FaultSchedule":
@@ -501,11 +496,11 @@ class FaultSchedule:
 
         Each simulated iteration starts its own event loop at t=0 while
         the training run's wall clock keeps advancing; this re-anchors
-        every window to the new origin.  Windows fully in the past are
-        dropped, windows straddling the origin are clipped to their
-        remaining duration, and past permanent failures stay dead at
-        t=0 — but are *clipped to one event per victim*: a host that
-        failed three times before the origin becomes a single t=0
+        every fault with :meth:`FaultInterval.clipped`.  Windows fully in
+        the past are dropped, windows straddling the origin are clipped
+        to their remaining duration, and past permanent failures stay
+        dead at t=0 — but are *clipped to one event per victim*: a host
+        that failed three times before the origin becomes a single t=0
         failure, not three redundant ones.  ``seed`` and ``drop_rate``
         are preserved.
         """
@@ -513,77 +508,24 @@ class FaultSchedule:
             raise ValueError(f"origin must be >= 0, got {origin}")
         if origin == 0.0:
             return self
-
-        def clip(windows, make):
-            out = []
-            for w in windows:
-                if w.end <= origin:
-                    continue
-                start = max(w.start - origin, 0.0)
-                out.append(make(w, start, w.end - origin - start))
-            return tuple(out)
-
-        # Permanent failures that began before the new origin stay dead
-        # at t=0; duplicates per host collapse to the single earliest
-        # clamped event (a dead host cannot die again).
-        failures: list[HostFailure] = []
-        clamped: set[int] = set()
-        for f in self.host_failures:
-            t = max(f.time - origin, 0.0)
-            if t == 0.0:
-                if f.host in clamped:
-                    continue
-                clamped.add(f.host)
-            failures.append(HostFailure(f.host, t))
-
-        dom_failures: list[DomainFailure] = []
-        dom_clamped: set[str] = set()
-        for d in self.domain_failures:
-            if d.permanent:
-                t = max(d.time - origin, 0.0)
-                if t == 0.0:
-                    if d.domain in dom_clamped:
-                        continue
-                    dom_clamped.add(d.domain)
-                dom_failures.append(DomainFailure(d.domain, d.hosts, t, None))
-            else:
-                if d.end <= origin:
-                    continue
-                start = max(d.time - origin, 0.0)
-                dom_failures.append(
-                    DomainFailure(d.domain, d.hosts, start, d.end - origin - start)
-                )
-
-        return FaultSchedule(
-            seed=self.seed,
-            degradations=clip(
-                self.degradations,
-                lambda w, s, d: DegradedWindow(w.host, s, d, w.factor),
-            ),
-            flaps=clip(self.flaps, lambda w, s, d: FlapWindow(w.host, s, d)),
-            stragglers=clip(
-                self.stragglers,
-                lambda w, s, d: StragglerWindow(w.stage, s, d, w.slowdown),
-            ),
-            drop_rate=self.drop_rate,
-            host_failures=tuple(failures),
-            domain_failures=tuple(dom_failures),
-            partitions=clip(
-                self.partitions,
-                lambda p, s, d: Partition(p.src_hosts, p.dst_hosts, s, d),
-            ),
-            corruptions=clip(
-                self.corruptions,
-                lambda w, s, d: CorruptionWindow(w.host, s, d, w.rate),
-            ),
-        )
+        kinds = {}
+        for name in FAULT_KINDS:
+            out: list[FaultInterval] = []
+            for w in getattr(self, name):
+                c = w.clipped(origin)
+                # A dead host cannot die again: identical t=0 failures
+                # collapse to the first.
+                if c is not None and not (c.permanent and c.onset == 0.0 and c in out):
+                    out.append(c)
+            kinds[name] = tuple(out)
+        return dataclasses.replace(self, **kinds)
 
     # -- per-attempt decisions -----------------------------------------
     def should_drop(self, *key) -> bool:
         """Deterministically decide whether one delivery attempt is lost."""
         if self.drop_rate <= 0.0:
             return False
-        return _uniform(self.seed, "drop", *key) < self.drop_rate
+        return seeded_uniform(self.seed, "drop", *key) < self.drop_rate
 
     # -- pipeline stragglers -------------------------------------------
     def straggler_factor(self, stage: int, t: float) -> float:
@@ -635,30 +577,27 @@ class FaultSchedule:
             raise ValueError("horizon must be positive")
         rng = random.Random(seed)
         max_dur = max_window_frac * horizon
-        degradations = tuple(
-            DegradedWindow(
-                host=rng.randrange(n_hosts),
-                start=rng.uniform(0.0, horizon),
-                duration=rng.uniform(0.05 * max_dur, max_dur),
-                factor=rng.uniform(min_factor, 0.9),
+
+        def window() -> tuple[float, float]:
+            """``(start, duration)`` from the sequential stream."""
+            return rng.uniform(0.0, horizon), rng.uniform(0.05 * max_dur, max_dur)
+
+        def keyed(kind: str, i: int, what: str) -> float:
+            return seeded_uniform(seed, kind, i, what)
+
+        def keyed_window(kind: str, i: int) -> tuple[float, float]:
+            """``(start, duration)`` keyed on ``(seed, kind, i)``."""
+            return keyed(kind, i, "time") * horizon, (
+                (0.05 + 0.95 * keyed(kind, i, "dur")) * max_window_frac * horizon
             )
+
+        degradations = tuple(
+            DegradedWindow(rng.randrange(n_hosts), *window(), rng.uniform(min_factor, 0.9))
             for _ in range(n_degradations)
         )
-        flaps = tuple(
-            FlapWindow(
-                host=rng.randrange(n_hosts),
-                start=rng.uniform(0.0, horizon),
-                duration=rng.uniform(0.05 * max_dur, max_dur),
-            )
-            for _ in range(n_flaps)
-        )
+        flaps = tuple(FlapWindow(rng.randrange(n_hosts), *window()) for _ in range(n_flaps))
         stragglers = tuple(
-            StragglerWindow(
-                stage=rng.randrange(n_stages),
-                start=rng.uniform(0.0, horizon),
-                duration=rng.uniform(0.05 * max_dur, max_dur),
-                slowdown=rng.uniform(1.5, 4.0),
-            )
+            StragglerWindow(rng.randrange(n_stages), *window(), rng.uniform(1.5, 4.0))
             for _ in range(n_stragglers if n_stages > 0 else 0)
         )
         failed: list[int] = []
@@ -671,8 +610,8 @@ class FaultSchedule:
             failed.append(host)
             failures.append(HostFailure(host=host, time=rng.uniform(0.0, horizon)))
 
-        # Correlated + gray classes: independent seeded_uniform draws so
-        # that n_*=0 reproduces the historical schedule byte-for-byte.
+        # Correlated + gray classes: independent keyed draws so that
+        # n_*=0 reproduces the historical schedule byte-for-byte.
         dom_failures: list[DomainFailure] = []
         struck: list[str] = []
         if domains:
@@ -680,42 +619,29 @@ class FaultSchedule:
                 pool = [d for d in domains if d.name not in struck]
                 if not pool:
                     break
-                dom = pool[int(_uniform(seed, "domfail", i, "which") * len(pool))]
+                dom = pool[int(keyed("domfail", i, "which") * len(pool))]
                 struck.append(dom.name)
-                onset = _uniform(seed, "domfail", i, "time") * horizon
-                permanent = _uniform(seed, "domfail", i, "perm") < 0.5
-                duration = None if permanent else (
-                    (0.05 + 0.95 * _uniform(seed, "domfail", i, "dur"))
-                    * max_window_frac * horizon
-                )
+                onset, duration = keyed_window("domfail", i)
+                permanent = keyed("domfail", i, "perm") < 0.5
                 dom_failures.append(
-                    DomainFailure(dom.name, tuple(dom.hosts), onset, duration)
+                    DomainFailure(
+                        dom.name, tuple(dom.hosts), onset, None if permanent else duration
+                    )
                 )
         partitions: list[Partition] = []
         for i in range(n_partitions):
             if domains:
-                dom = domains[int(_uniform(seed, "part", i, "src") * len(domains))]
-                srcs = tuple(dom.hosts)
+                srcs = tuple(domains[int(keyed("part", i, "src") * len(domains))].hosts)
             else:
-                srcs = (int(_uniform(seed, "part", i, "src") * n_hosts),)
+                srcs = (int(keyed("part", i, "src") * n_hosts),)
             dsts = tuple(h for h in range(n_hosts) if h not in srcs)
-            if not dsts:
-                continue
-            start = _uniform(seed, "part", i, "time") * horizon
-            duration = (
-                (0.05 + 0.95 * _uniform(seed, "part", i, "dur"))
-                * max_window_frac * horizon
-            )
-            partitions.append(Partition(srcs, dsts, start, duration))
+            if dsts:
+                partitions.append(Partition(srcs, dsts, *keyed_window("part", i)))
         corruptions = tuple(
             CorruptionWindow(
-                host=int(_uniform(seed, "corrwin", i, "host") * n_hosts),
-                start=_uniform(seed, "corrwin", i, "time") * horizon,
-                duration=(
-                    (0.05 + 0.95 * _uniform(seed, "corrwin", i, "dur"))
-                    * max_window_frac * horizon
-                ),
-                rate=0.25 + 0.75 * _uniform(seed, "corrwin", i, "rate"),
+                int(keyed("corrwin", i, "host") * n_hosts),
+                *keyed_window("corrwin", i),
+                0.25 + 0.75 * keyed("corrwin", i, "rate"),
             )
             for i in range(n_corruptions)
         )
@@ -730,29 +656,6 @@ class FaultSchedule:
             partitions=tuple(partitions),
             corruptions=corruptions,
         )
-
-
-def switch_outage(
-    spec: "ClusterSpec",
-    switch_name: str,
-    time: float,
-    duration: Optional[float] = None,
-) -> DomainFailure:
-    """A topology switch going dark, as a :class:`DomainFailure`.
-
-    A switch is a failure domain: when it dies (ToR bricked, firmware
-    reboot), every host hanging off it loses connectivity at once.
-    This builds the correlated event from the cluster topology's switch
-    definition — ``duration=None`` is fail-stop, a finite duration is a
-    reboot window — so fault scenarios can name fabric elements instead
-    of hand-listing their member hosts.
-    """
-    from .topology import BoundTopology
-
-    sw = BoundTopology(spec).switch(switch_name)
-    return DomainFailure(
-        domain=sw.name, hosts=sw.hosts, time=time, duration=duration
-    )
 
 
 # ----------------------------------------------------------------------
@@ -790,7 +693,7 @@ class RetryPolicy:
     def backoff(self, attempt: int, *key) -> float:
         """Delay before retrying after failed attempt ``attempt`` (1-based)."""
         base = self.backoff_base * self.backoff_factor ** (attempt - 1)
-        return base * (1.0 + self.jitter * _uniform("backoff", attempt, *key))
+        return base * (1.0 + self.jitter * seeded_uniform("backoff", attempt, *key))
 
     def exhausted(self, attempt: int) -> bool:
         return attempt >= self.max_attempts

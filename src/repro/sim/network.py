@@ -69,7 +69,14 @@ from typing import Callable, Optional
 from ..runtime.kernel import Event, EventLoop
 from ..runtime.telemetry import SpanRow, TelemetryBus
 from .cluster import Cluster
-from .faults import FaultIncident, FaultReport, FaultSchedule, RetryPolicy
+from .faults import (
+    DomainFailure,
+    FaultIncident,
+    FaultReport,
+    FaultSchedule,
+    HostFailure,
+    RetryPolicy,
+)
 from .solver import RateSolver, ScalarSolver
 
 __all__ = ["Flow", "FlowRecord", "Network"]
@@ -266,25 +273,22 @@ class Network:
     def _down_reason_for(self, flow: Flow, flap_kind: str) -> Optional[str]:
         """Causal incident kind if a traversed NIC is down, else None.
 
-        Priority: a correlated domain outage beats an independent host
-        death beats a flap — when several explanations overlap, the
-        incident blames the widest blast radius.  ``flap_kind`` names the
-        flap case ("nic-down" fast-fail vs "nic-flap" mid-flight).
+        The incident blames the widest blast radius among the traversed
+        NICs' outages (:meth:`FaultSchedule.outage_at` ranks one NIC's).
+        ``flap_kind`` names the flap case ("nic-down" fast-fail vs
+        "nic-flap" mid-flight).
         """
         assert self.faults is not None
-        now = self.loop.now
         reason = None
         for p in flow.ports:
             if p[0] != "n":
                 continue
-            h = int(p[2:])
-            if not self.faults.host_down(h, now):
-                continue
-            if self.faults.failed_domain_of(h, now) is not None:
+            cause = self.faults.outage_at(int(p[2:]), self.loop.now)
+            if isinstance(cause, DomainFailure):
                 return "domain-down"
-            if self.faults.host_dead(h, now):
+            if isinstance(cause, HostFailure):
                 reason = "host-down"
-            elif reason is None:
+            elif cause is not None and reason is None:
                 reason = flap_kind
         return reason
 

@@ -498,3 +498,105 @@ def test_shifted_clips_domain_partition_and_corruption_windows():
     )
     assert sh.partitions == (Partition((1,), (3,), 0.0, 3.0),)
     assert sh.corruptions == (CorruptionWindow(host=2, start=1.0, duration=2.0, rate=0.5),)
+
+
+# ----------------------------------------------------------------------
+# Invariants of the shared interval base
+# ----------------------------------------------------------------------
+def every_kind_schedule() -> FaultSchedule:
+    return FaultSchedule(
+        seed=3,
+        degradations=(DegradedWindow(0, 1.0, 2.0, 0.5),),
+        flaps=(FlapWindow(1, 0.5, 1.5),),
+        stragglers=(StragglerWindow(0, 0.0, 1.0, 2.0),),
+        drop_rate=0.25,
+        host_failures=(HostFailure(2, 4.0),),
+        domain_failures=(
+            DomainFailure("rack0", (0, 1), 3.0, None),
+            DomainFailure("rack1", (2, 3), 1.0, 2.5),
+        ),
+        partitions=(Partition((0,), (1, 2), 1.0, 1.0),),
+        corruptions=(CorruptionWindow(2, 0.0, 5.0, 0.5),),
+    )
+
+
+def test_schedule_repr_is_pinned():
+    # repr(FaultSchedule) keys the plan cache and the strategy cache
+    # keys: a reordered or added field would silently re-key both.
+    assert repr(every_kind_schedule()) == (
+        "FaultSchedule(seed=3, "
+        "degradations=(DegradedWindow(host=0, start=1.0, duration=2.0, factor=0.5),), "
+        "flaps=(FlapWindow(host=1, start=0.5, duration=1.5),), "
+        "stragglers=(StragglerWindow(stage=0, start=0.0, duration=1.0, slowdown=2.0),), "
+        "drop_rate=0.25, "
+        "host_failures=(HostFailure(host=2, time=4.0),), "
+        "domain_failures=(DomainFailure(domain='rack0', hosts=(0, 1), time=3.0, "
+        "duration=None), DomainFailure(domain='rack1', hosts=(2, 3), time=1.0, "
+        "duration=2.5)), "
+        "partitions=(Partition(src_hosts=(0,), dst_hosts=(1, 2), start=1.0, duration=1.0),), "
+        "corruptions=(CorruptionWindow(host=2, start=0.0, duration=5.0, rate=0.5),))"
+    )
+
+
+def test_outage_view_ranks_domain_over_host_over_flap():
+    fs = every_kind_schedule()
+    assert set(fs.outages) == {0, 1, 2, 3}
+    # Host 2: rack1 outage [1, 3.5) and a host death at 4.0.
+    assert fs.outage_at(2, 0.5) is None
+    assert fs.outage_at(2, 2.0) == fs.domain_failures[1]
+    assert fs.failed_domain_of(2, 2.0) == "rack1"
+    assert fs.outage_at(2, 5.0) == fs.host_failures[0]
+    assert fs.failed_domain_of(2, 5.0) is None
+    # Host 1: flap [0.5, 2.0), then rack0 dies for good at 3.0.
+    assert fs.outage_at(1, 1.0) == fs.flaps[0]
+    assert not fs.host_dead(1, 2.5) and not fs.host_down(1, 2.5)
+    assert fs.outage_at(1, 3.0) == fs.domain_failures[0]
+    assert fs.failed_hosts(4.0) == frozenset({0, 1, 2})
+    assert fs.first_host_failure() == HostFailure(0, 3.0)
+    assert fs.first_host_failure(after=3.5) == HostFailure(2, 4.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shifted_answers_every_query_as_the_original_does_later(seed):
+    from repro.sim.cluster import FailureDomain
+    from repro.sim.faults import FAULT_KINDS
+
+    n_hosts, n_stages = 4, 2
+    s = FaultSchedule.generate(
+        seed,
+        n_hosts=n_hosts,
+        horizon=10.0,
+        n_degradations=3,
+        n_flaps=2,
+        drop_rate=0.1,
+        n_stragglers=2,
+        n_stages=n_stages,
+        n_host_failures=2,
+        domains=(FailureDomain("r0", (0, 1)), FailureDomain("r1", (2, 3))),
+        n_domain_failures=2,
+        n_partitions=2,
+        n_corruptions=2,
+    )
+    faults = [f for name in FAULT_KINDS for f in getattr(s, name)]
+    assert all(getattr(s, name) for name in FAULT_KINDS)
+    mids = sorted(
+        f.onset + 1.0 if f.permanent else (f.onset + f.end) / 2 for f in faults
+    )
+
+    def answers(fs: FaultSchedule, t: float):
+        hosts = range(n_hosts)
+        return (
+            [fs.host_down(h, t) for h in hosts],
+            [fs.host_dead(h, t) for h in hosts],
+            [fs.nic_factor(h, t) for h in hosts],
+            [fs.partitioned(a, b, t) for a in hosts for b in hosts],
+            [fs.straggler_factor(st, t) for st in range(n_stages)],
+            fs.failed_hosts(t),
+        )
+
+    for origin in (0.5, 2.0, 5.0, 8.0):
+        view = s.shifted(origin)
+        for m in mids:
+            if m > origin:
+                t = m - origin
+                assert answers(view, t) == answers(s, t + origin), (origin, m)

@@ -26,6 +26,7 @@ from repro.recovery import (
 )
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.faults import (
+    DomainFailure,
     FaultReport,
     FaultSchedule,
     FlapWindow,
@@ -243,6 +244,28 @@ class TestReplan:
         assert event.mode == "substitute"
         assert event.promoted_spares == (2,)
         assert event.certified
+
+    def test_rack_loss_recovers_like_its_host_failure(self):
+        # A permanent domain failure strikes the supervisor through the
+        # same outage view as a lone host death: same recovery, same run.
+        spec = small_job()
+        config = CheckpointConfig(interval=2)
+        host = simulate_training_run(
+            spec, 6, faults=FaultSchedule(host_failures=(HostFailure(1, 10.0),)),
+            config=config,
+        )
+        rack = simulate_training_run(
+            spec,
+            6,
+            faults=FaultSchedule(
+                domain_failures=(DomainFailure("rack1", (1,), 10.0, None),)
+            ),
+            config=config,
+        )
+        assert len(rack.events) == 1
+        assert rack.events == host.events
+        assert rack.total_time == host.total_time == 33.40112666120207
+        assert rack.state_digest == host.state_digest
 
     def test_unrecoverable_without_replication(self):
         spec = small_job(n_hosts=2, n_spares=0)

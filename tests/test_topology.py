@@ -11,8 +11,7 @@ Covers the refactor's contract from the outside in:
   multi-hop dimension-ordered routes, islands refuse routes;
 * switch multicast is correct on the data plane, faster than the ring
   broadcast on switched fabrics, and honestly unsupported elsewhere
-  (SelectPass skips it; T-codes reject ill-formed multicast plans);
-* switches double as failure domains (``switch_outage``).
+  (SelectPass skips it; T-codes reject ill-formed multicast plans).
 """
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.core.executor import simulate_plan
 from repro.core.task import ReshardingTask
 from repro.core.tensor import DistributedTensor
 from repro.sim.cluster import GB, GBPS, Cluster, ClusterSpec, LinkOverride
-from repro.sim.faults import switch_outage
 from repro.sim.network import Network
 from repro.sim.topology import (
     FatTreeTopology,
@@ -444,27 +442,6 @@ class TestTopologyDiagnostics:
 
 
 # ----------------------------------------------------------------------
-# Switches as failure domains
-# ----------------------------------------------------------------------
-class TestSwitchOutage:
-    def test_outage_downs_the_leaf_hosts(self):
-        spec = ClusterSpec(
-            n_hosts=4,
-            devices_per_host=2,
-            topology=FatTreeTopology(hosts_per_leaf=2),
-        )
-        failure = switch_outage(spec, "leaf1", time=1.0, duration=2.0)
-        assert failure.domain == "leaf1"
-        assert tuple(failure.hosts) == (2, 3)
-        assert failure.time == 1.0
-
-    def test_unknown_switch_is_an_error(self):
-        spec = ClusterSpec(n_hosts=4, devices_per_host=2)
-        with pytest.raises(KeyError, match="nope"):
-            switch_outage(spec, "nope", time=0.0)
-
-
-# ----------------------------------------------------------------------
 # Factory / misc
 # ----------------------------------------------------------------------
 class TestFactory:
@@ -476,6 +453,11 @@ class TestFactory:
     def test_unknown_name_lists_options(self):
         with pytest.raises(ValueError, match="two_tier"):
             make_topology("moebius_strip")
+
+    def test_unknown_switch_is_an_error(self):
+        c = Cluster(ClusterSpec(n_hosts=4, devices_per_host=2))
+        with pytest.raises(KeyError, match="nope"):
+            c.topo.switch("nope")
 
     def test_common_switch_prefers_most_specific(self):
         topo = fat_tree_cluster().topo
