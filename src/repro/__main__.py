@@ -383,11 +383,16 @@ def _golden_reshardings(workload: str):
 
 
 def _analyze_fig7_schedules(verbose: bool) -> bool:
-    """Statically analyze the pipeline schedules of the Table 3 models."""
+    """Statically analyze the pipeline schedules of the Table 3 models:
+    every ``(schedule, delay_bw_weight)`` pair of a ``METHODS`` entry
+    (the Fig. 7/9 systems), plus GPipe."""
     from .analysis import analyze_pipeline_schedule
     from .experiments.fig7 import workloads
+    from .models.parallel import METHODS
     from .pipeline.stage import CommEdge, PipelineJob
 
+    runs = dict.fromkeys((m.schedule, m.delay_bw_weight) for m in METHODS.values())
+    runs[("gpipe", False)] = None
     ok = True
     for model_name, spec in workloads().items():
         # Zero-time edges: the analyzer only needs the comm topology.
@@ -402,11 +407,13 @@ def _analyze_fig7_schedules(verbose: bool) -> bool:
             stages=spec.profiles, edges=edges,
             n_microbatches=spec.n_microbatches,
         )
-        for schedule in ("1f1b", "eager_1f1b", "gpipe"):
+        for schedule, delay in runs:
             report = analyze_pipeline_schedule(
-                schedule, job.n_stages, spec.n_microbatches, job=job
+                schedule, job.n_stages, spec.n_microbatches, job=job,
+                delay_bw_weight=delay,
             )
-            report.subject = f"fig7[{model_name}:{schedule}]"
+            suffix = ":delay" if delay else ""
+            report.subject = f"fig7[{model_name}:{schedule}{suffix}]"
             ok = _print_analysis(report, verbose) and ok
     return ok
 

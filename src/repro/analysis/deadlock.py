@@ -14,13 +14,15 @@ Two analyzers share one cycle finder:
   runtime; the analyzer reports the cycle before anything runs.
 
 * :func:`check_stage_orders_deadlock` (``D002``) models the pipeline
-  executor (:func:`repro.pipeline.executor.simulate_pipeline`) in the
-  plain one-stage-per-device layout: each stage's device runs its
-  ordered task list strictly in sequence, one task at a time, and each
-  cross-stage activation/gradient message rides the FIFO channel of
-  its directed stage pair.  A compute task therefore waits on (a) its
-  stage predecessor and (b) the arrival of its cross-stage inputs; a
-  cycle means the schedule deadlocks regardless of timings.
+  executor (:func:`repro.pipeline.executor.simulate_pipeline`) over
+  the executor's own reading of the orders
+  (:func:`repro.pipeline.schedules.read_orders`), so plain and
+  interleaved placements alike: each device runs its ordered task list
+  strictly in sequence, one task at a time, and each cross-stage
+  activation/gradient message rides a channel between the stages'
+  devices.  A compute task therefore waits on (a) its device
+  predecessor and (b) the arrival of its cross-stage inputs; a cycle
+  means the schedule deadlocks regardless of timings.
 
 Witnesses are the cycle itself, node by node, trimmed to the strongly
 connected core — small enough to paste into a bug report.
@@ -32,6 +34,8 @@ from typing import TYPE_CHECKING, Hashable, Optional, Sequence, TypeVar
 
 from ..core.plan import gating_order
 from .diagnostics import AnalysisReport
+
+from ..pipeline.schedules import read_orders
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import CommPlan
@@ -151,15 +155,17 @@ def check_stage_orders_deadlock(
     orders: "list[list[Task]]",
     job: "Optional[PipelineJob]" = None,
 ) -> AnalysisReport:
-    """Detect wait-for cycles in a pipeline schedule's stage orders.
+    """Detect wait-for cycles in a pipeline schedule's task orders.
 
-    ``orders[s]`` is stage ``s``'s ordered compute-task list (see
-    :func:`repro.pipeline.schedules.schedule_job`).  The wait-for graph:
+    ``orders[d]`` is device ``d``'s ordered compute-task list (see
+    :func:`repro.pipeline.schedules.schedule_job`), read by
+    :func:`repro.pipeline.schedules.read_orders`.  Nodes are tasks keyed
+    by stage (``S<stage>:<kind><mb>``); the wait-for graph:
 
-    * serial stages — task ``k`` of a stage waits on task ``k-1``
-      (the stage's device runs one task at a time);
+    * serial devices — each task waits on the task before it in its
+      device's order (a device runs one task at a time);
     * forward channels — ``F(m)`` at stage ``d`` waits on ``F(m)`` at
-      stage ``s`` for every comm edge ``s -> d`` (activation arrival;
+      stage ``s`` for every edge ``s -> d`` (activation arrival;
       adjacent stages when ``job`` is None);
     * backward channels — the backward task of micro-batch ``m`` at
       stage ``s`` waits on the backward task at stage ``d`` for every
@@ -167,52 +173,32 @@ def check_stage_orders_deadlock(
 
     Reports ``D002`` with the cycle as a witness.
     """
+    # D002 reads placement and positions only; the micro-batch count
+    # feeds the coverage rule alone, whose problems are S002's.
+    reading = read_orders(orders, 0 if job is None else job.n_microbatches, job)
     report = AnalysisReport(subject="pipeline-schedule")
-    n_stages = len(orders)
-
-    if job is not None:
-        fwd_inputs = {
-            s: sorted({e.src_stage for e in job.in_edges(s)}) for s in range(n_stages)
-        }
-        bwd_inputs = {
-            s: sorted({e.dst_stage for e in job.out_edges(s)}) for s in range(n_stages)
-        }
-    else:
-        fwd_inputs = {s: ([s - 1] if s > 0 else []) for s in range(n_stages)}
-        bwd_inputs = {s: ([s + 1] if s < n_stages - 1 else []) for s in range(n_stages)}
-
-    def fwd_node(stage: int, mb: int) -> Optional[str]:
-        for t in orders[stage]:
-            if t.kind == "F" and t.microbatch == mb:
-                return f"S{stage}:F{mb}"
-        return None
-
-    def bwd_node(stage: int, mb: int) -> Optional[str]:
-        # The activation-gradient producer: Bx when split, else B.
-        for t in orders[stage]:
-            if t.kind in ("B", "Bx") and t.microbatch == mb:
-                return f"S{stage}:{t.kind}{mb}"
-        return None
+    position = reading.position
+    fwd_inputs = [sorted(set(up)) for up in reading.upstream]
+    bwd_inputs = [sorted(set(down)) for down in reading.downstream]
 
     edges: dict[str, list[str]] = {}
-    for s, order in enumerate(orders):
-        prev: Optional[str] = None
-        for t in order:
-            node = f"S{s}:{t.kind}{t.microbatch}"
-            waits = edges.setdefault(node, [])
-            if prev is not None:
-                waits.append(prev)
-            if t.kind == "F":
-                for src in fwd_inputs[s]:
-                    upstream = fwd_node(src, t.microbatch)
-                    if upstream is not None:
-                        waits.append(upstream)
-            elif t.kind in ("B", "Bx"):
-                for dst in bwd_inputs[s]:
-                    downstream = bwd_node(dst, t.microbatch)
-                    if downstream is not None:
-                        waits.append(downstream)
-            prev = node
+    prev_device, prev = -1, ""
+    for s, kind, mb in reading.in_device_order():
+        node = f"S{s}:{kind}{mb}"
+        device = reading.device_of[s]
+        waits = edges[node] = [prev] if device == prev_device else []
+        if kind == "F":
+            waits.extend(
+                f"S{src}:F{mb}" for src in fwd_inputs[s] if (src, "F", mb) in position
+            )
+        elif kind in ("B", "Bx"):
+            # The activation-gradient producer: Bx when split, else B.
+            for dst in bwd_inputs[s]:
+                for grad in ("B", "Bx"):
+                    if (dst, grad, mb) in position:
+                        waits.append(f"S{dst}:{grad}{mb}")
+                        break
+        prev_device, prev = device, node
 
     cycle = find_cycle(edges)
     if cycle is not None:

@@ -2,24 +2,23 @@
 
 The executor measures peak in-flight activations by running a schedule
 (:func:`repro.pipeline.memory.memory_report`); this module *bounds* them
-without running anything, directly from the per-stage task orders, and
-flags schedules that cannot fit a stage's memory capacity (``S001``) or
-are structurally malformed (``S002``).  Deadlock detection over the same
-orders (``D002``) is delegated to
+without running anything, from the executor's own reading of the
+per-device task orders (:func:`repro.pipeline.schedules.read_orders`).
+It flags schedules that cannot fit a device's memory capacity
+(``S001``, stepping activations by the executor's
+:data:`~repro.pipeline.schedules.ACTIVATION_DELTA`) and every problem
+the reading finds (``S002``; the executor raises on the first).
+Deadlock detection over the same orders (``D002``) is delegated to
 :func:`repro.analysis.deadlock.check_stage_orders_deadlock`.
-
-For the named schedules the static peak equals the analytic warm-up
-depth of :func:`repro.pipeline.memory.analytic_peak_inflight` — pinned
-by a test — so the analyzer and the §4/Table-1 analysis can never drift
-apart.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..pipeline.schedules import Task, schedule_job
-from ..pipeline.stage import PipelineJob, StageProfile
+from ..pipeline.schedules import ACTIVATION_DELTA, OrderReading, Task
+from ..pipeline.schedules import read_orders, schedule_job
+from ..pipeline.stage import PipelineJob
 from .deadlock import check_stage_orders_deadlock
 from .diagnostics import AnalysisReport
 
@@ -31,104 +30,39 @@ __all__ = [
 
 
 def static_peak_inflight(order: list[Task]) -> int:
-    """Peak concurrently-stored activations implied by one stage's order.
-
-    An activation is stored when its forward runs and freed when its
-    activation-gradient backward (``Bx``, or fused ``B``) runs; ``Bw``
-    reads weight-gradient state, not the stored activation.
-    """
-    live = 0
-    peak = 0
+    """Peak concurrently-stored activations implied by one device's order."""
+    live = peak = 0
     for t in order:
-        if t.kind == "F":
-            live += 1
-            peak = max(peak, live)
-        elif t.kind in ("B", "Bx"):
-            live -= 1
+        live += ACTIVATION_DELTA[t.kind]
+        peak = max(peak, live)
     return peak
 
 
-def _check_structure(
-    stage_id: int, order: list[Task], n_microbatches: int, report: AnalysisReport
-) -> None:
-    fwd_pos: dict[int, int] = {}
-    bwd_pos: dict[int, int] = {}
-    bx_pos: dict[int, int] = {}
-    bw_pos: dict[int, int] = {}
-    for pos, t in enumerate(order):
-        table = {"F": fwd_pos, "B": bwd_pos, "Bx": bx_pos, "Bw": bw_pos}.get(t.kind)
-        if table is None:
-            report.add(
-                "S002",
-                f"stage {stage_id}: unknown task kind {t.kind!r} at position {pos}",
-                task_ids=(stage_id,),
-            )
-            continue
-        if t.microbatch in table:
-            report.add(
-                "S002",
-                f"stage {stage_id}: duplicate {t.kind}{t.microbatch}",
-                task_ids=(stage_id,),
-            )
-        table[t.microbatch] = pos
-
-    want = set(range(n_microbatches))
-    if set(fwd_pos) != want:
-        report.add(
-            "S002",
-            f"stage {stage_id}: forwards cover micro-batches "
-            f"{sorted(fwd_pos)}, expected {sorted(want)}",
-            task_ids=(stage_id,),
-        )
-    grads = dict(bwd_pos)
-    grads.update(bx_pos)
-    if set(grads) != want:
-        report.add(
-            "S002",
-            f"stage {stage_id}: backwards cover micro-batches "
-            f"{sorted(grads)}, expected {sorted(want)}",
-            task_ids=(stage_id,),
-        )
-    if bx_pos and set(bw_pos) != set(bx_pos):
-        report.add(
-            "S002",
-            f"stage {stage_id}: Bx/Bw split is unbalanced "
-            f"(Bx for {sorted(bx_pos)}, Bw for {sorted(bw_pos)})",
-            task_ids=(stage_id,),
-        )
-    for mb, pos in sorted(grads.items()):
-        if mb in fwd_pos and pos < fwd_pos[mb]:
-            report.add(
-                "S002",
-                f"stage {stage_id}: backward of micro-batch {mb} precedes "
-                "its forward",
-                task_ids=(stage_id,),
-            )
-    for mb, pos in sorted(bw_pos.items()):
-        if mb in bx_pos and pos < bx_pos[mb]:
-            report.add(
-                "S002",
-                f"stage {stage_id}: Bw{mb} precedes Bx{mb}",
-                task_ids=(stage_id,),
-            )
-
-
 def _check_memory(
-    stage: StageProfile, order: list[Task], report: AnalysisReport
+    job: PipelineJob, reading: OrderReading, report: AnalysisReport
 ) -> None:
-    if stage.memory_capacity <= 0:
-        return
-    peak = static_peak_inflight(order)
-    need = stage.params_bytes + peak * stage.activation_bytes
-    if need > stage.memory_capacity:
-        report.add(
-            "S001",
-            f"stage {stage.stage_id}: {peak} in-flight activation(s) need "
-            f"{need:.0f} bytes ({stage.params_bytes:.0f} params + "
-            f"{peak} x {stage.activation_bytes:.0f}), over the "
-            f"{stage.memory_capacity:.0f}-byte capacity",
-            task_ids=(stage.stage_id,),
-        )
+    """S001: each device's params plus its peak live activation bytes
+    against the tightest capacity among its stages."""
+    live: dict[int, float] = {}
+    peak: dict[int, float] = {}
+    for s, kind, _mb in reading.in_device_order():
+        d = reading.device_of[s]
+        step = ACTIVATION_DELTA[kind] * job.stages[s].activation_bytes
+        live[d] = live.get(d, 0.0) + step
+        peak[d] = max(peak.get(d, 0.0), live[d])
+    for d, act in peak.items():
+        stages = [p for p in job.stages if reading.device_of[p.stage_id] == d]
+        caps = [p.memory_capacity for p in stages if p.memory_capacity > 0]
+        params = sum(p.params_bytes for p in stages)
+        if caps and params + act > min(caps):
+            ids = tuple(p.stage_id for p in stages)
+            report.add(
+                "S001",
+                f"stage(s) {', '.join(map(str, ids))} on device {d} need "
+                f"{params + act:.0f} bytes ({params:.0f} params + {act:.0f} "
+                f"peak live activations), over the {min(caps):.0f}-byte capacity",
+                task_ids=ids,
+            )
 
 
 def check_stage_orders(
@@ -136,12 +70,13 @@ def check_stage_orders(
     n_microbatches: int,
     job: Optional[PipelineJob] = None,
 ) -> AnalysisReport:
-    """Analyze explicit per-stage task orders: S001/S002 plus D002."""
+    """Analyze explicit per-device task orders: S001/S002 plus D002."""
     report = AnalysisReport(subject="pipeline-schedule")
-    for s, order in enumerate(orders):
-        _check_structure(s, order, n_microbatches, report)
-        if job is not None and s < len(job.stages):
-            _check_memory(job.stages[s], order, report)
+    reading = read_orders(orders, n_microbatches, job)
+    for s, message in reading.problems:
+        report.add("S002", message, task_ids=(s,))
+    if job is not None:
+        _check_memory(job, reading, report)
     report.extend(check_stage_orders_deadlock(orders, job))
     return report
 

@@ -44,10 +44,13 @@ Communication is simulated in one of two modes:
     direction, concurrently with compute; only data dependencies
     remain.
 
-Activation memory is tracked per device as a telemetry gauge (+1 at
-each ``F``, −1 when the micro-batch's backward — ``B`` or delayed
-``Bw`` — completes) so the schedules' peak-memory trade-off (§4,
-Table 1) is measurable.
+The orders are read by :func:`~repro.pipeline.schedules.read_orders`,
+the reading the static analyzers certify (``S001``/``S002``/``D002``);
+its first problem raises ``ValueError`` before anything runs.
+Activation memory is tracked per device as a telemetry gauge stepped by
+:data:`~repro.pipeline.schedules.ACTIVATION_DELTA` (+1 at ``F``, −1 at
+``B`` or ``Bw``) so the schedules' peak-memory trade-off (§4, Table 1)
+is measurable, and equals the analyzer's static peak.
 
 **Fault tolerance** (optional, ``overlap=True``): given a
 :class:`~repro.sim.faults.FaultSchedule`, cross-stage messages can be
@@ -69,7 +72,7 @@ from typing import Optional, Sequence, Union
 from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from ..sim.faults import FaultIncident, FaultReport, FaultSchedule, RetryPolicy
-from .schedules import Task
+from .schedules import ACTIVATION_DELTA, Task, read_orders
 from .stage import PipelineJob
 from .timeline import CommEntry, TimelineEntry, comms_from_spans, timeline_from_spans
 
@@ -162,14 +165,6 @@ class PipelineResult:
             self._comms_cache = (len(spans), comms_from_spans(spans))
         return self._comms_cache[1]
 
-    def peak_memory_bytes(self, stage: int) -> float:
-        """Weights/optimizer plus peak live activations of a stage
-        (plain layout: the stage's device is its index)."""
-        prof = self.job.stages[stage]
-        return prof.params_bytes + (
-            self.peak_activation_counts.get(stage, 0) * prof.activation_bytes
-        )
-
     def throughput_tflops(self, model_flops: float, n_devices: int) -> float:
         """Aggregate per-GPU TFLOPS given total model FLOPs/iteration."""
         if self.iteration_time <= 0:
@@ -179,72 +174,18 @@ class PipelineResult:
         return model_flops / self.iteration_time / n_devices / 1e12
 
 
-def _validate_orders(job: PipelineJob, orders: list[list[Task]]) -> list[int]:
-    """Check the per-device task lists; return each stage's device."""
-    n_stages, m = job.n_stages, job.n_microbatches
-    device_of = [-1] * n_stages
-    stage_tasks: list[list[Task]] = [[] for _ in range(n_stages)]
-    for d, order in enumerate(orders):
-        for t in order:
-            s = d if t.stage is None else t.stage
-            if not 0 <= s < n_stages:
-                raise ValueError(
-                    f"device {d}: task {t!r} names no stage of the "
-                    f"{n_stages}-stage job"
-                )
-            if device_of[s] == -1:
-                device_of[s] = d
-            elif device_of[s] != d:
-                raise ValueError(f"stage {s} placed on devices {device_of[s]} and {d}")
-            stage_tasks[s].append(t)
-    for s, order in enumerate(stage_tasks):
-        fwd = sorted(t.microbatch for t in order if t.kind == "F")
-        if fwd != list(range(m)):
-            raise ValueError(f"stage {s}: forwards {fwd} != 0..{m - 1}")
-        fused = {t.microbatch for t in order if t.kind == "B"}
-        bx = {t.microbatch for t in order if t.kind == "Bx"}
-        bw = {t.microbatch for t in order if t.kind == "Bw"}
-        if fused & (bx | bw):
-            raise ValueError(f"stage {s}: mixes fused B and split Bx/Bw")
-        forward_only = not (fused | bx | bw)
-        if forward_only:
-            continue  # inference: no backward pass at all
-        if fused != set(range(m)) and (bx != set(range(m)) or bw != set(range(m))):
-            raise ValueError(f"stage {s}: backward coverage incomplete")
-        # A stage's tasks keep their device's relative order, so list
-        # positions compare program order.
-        pos: dict[tuple[str, int], int] = {}
-        for i, t in enumerate(order):
-            if (t.kind, t.microbatch) in pos:
-                raise ValueError(f"stage {s}: duplicate task {t}")
-            pos[(t.kind, t.microbatch)] = i
-        for t in order:
-            if t.kind in ("B", "Bx"):
-                f = pos.get(("F", t.microbatch))
-                if f is None or f > pos[(t.kind, t.microbatch)]:
-                    raise ValueError(
-                        f"stage {s}: backward of mb {t.microbatch} precedes its forward"
-                    )
-            if t.kind == "Bw":
-                x = pos.get(("Bx", t.microbatch))
-                if x is None or x > pos[("Bw", t.microbatch)]:
-                    raise ValueError(f"stage {s}: Bw{t.microbatch} precedes Bx")
-    return device_of
-
-
 def _insert_recvs(job: PipelineJob, orders: list[list[Task]]) -> list[list[_Item]]:
     """Blocking mode: put an explicit recv before each consuming task."""
-    edge_idx = {id(e): i for i, e in enumerate(job.edges)}
     out: list[list[_Item]] = []
     for s, order in enumerate(orders):
         items: list[_Item] = []
         for t in order:
             if t.kind == "F":
-                for e in sorted(job.in_edges(s), key=lambda e: edge_idx[id(e)]):
-                    items.append(_Recv(edge_idx[id(e)], t.microbatch, "fwd"))
+                items += [_Recv(i, t.microbatch, "fwd")
+                          for i, e in enumerate(job.edges) if e.dst_stage == s]
             elif t.kind in ("B", "Bx"):
-                for e in sorted(job.out_edges(s), key=lambda e: edge_idx[id(e)]):
-                    items.append(_Recv(edge_idx[id(e)], t.microbatch, "bwd"))
+                items += [_Recv(i, t.microbatch, "bwd")
+                          for i, e in enumerate(job.edges) if e.src_stage == s]
             items.append(t)
         out.append(items)
     return out
@@ -297,8 +238,11 @@ def simulate_pipeline(
     messages (a transfer overlapping an outage of either endpoint's host
     is lost).
     """
-    device_of = _validate_orders(job, orders)
-    if not overlap and device_of != list(range(job.n_stages)):
+    reading = read_orders(orders, job.n_microbatches, job)
+    if reading.problems:
+        raise ValueError(reading.problems[0][1])
+    device_of = reading.device_of
+    if not overlap and device_of != tuple(range(job.n_stages)):
         raise ValueError(
             "blocking communication (overlap=False) needs stage s on device s; "
             "interleaved placements run overlapped only"
@@ -315,7 +259,6 @@ def simulate_pipeline(
     policy = retry_policy or RetryPolicy()
     loop = EventLoop()
     bus = loop.bus
-    n_stages = job.n_stages
     n_devices = len(orders)
 
     # -- fault bookkeeping --------------------------------------------
@@ -343,8 +286,8 @@ def simulate_pipeline(
 
     # Dependency arrival counters: ("F"|"B", stage, microbatch) -> count.
     arrived: dict[tuple[str, int, int], int] = {}
-    need_fwd = [len(job.in_edges(s)) for s in range(n_stages)]
-    need_bwd = [len(job.out_edges(s)) for s in range(n_stages)]
+    need_fwd = [len(up) for up in reading.upstream]
+    need_bwd = [len(down) for down in reading.downstream]
 
     # Blocking mode: when each transfer's data hits the wire.
     send_started: dict[tuple[int, int, str], float] = {}
@@ -477,10 +420,9 @@ def simulate_pipeline(
         if t.stage is not None:
             attrs["chunk"] = t.stage
         bus.span(repr(t), "compute", device_track[device], start, finish, attrs)
-        if t.kind == "F":
-            act[device].add(1)
-        elif t.kind in ("B", "Bw"):
-            act[device].add(-1)
+        delta = ACTIVATION_DELTA[t.kind]
+        if delta:
+            act[device].add(delta)
         busy[device] = False
         idx[device] += 1
         if overlap:

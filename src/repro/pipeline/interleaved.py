@@ -71,9 +71,6 @@ class InterleavedJob:
     def n_chunks(self) -> int:
         return self.n_stages * self.n_virtual
 
-    def stage_of(self, chunk: int) -> int:
-        return chunk % self.n_stages
-
     def pipeline_job(self) -> PipelineJob:
         """The job as ``V`` chunk stages chained by ``c -> c+1`` edges."""
         stages = [

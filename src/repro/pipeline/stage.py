@@ -44,10 +44,6 @@ class StageProfile:
         if self.memory_capacity < 0:
             raise ValueError("memory capacity must be non-negative")
 
-    @property
-    def bwd_time(self) -> float:
-        return self.bwd_x_time + self.bwd_w_time
-
 
 @dataclass(frozen=True)
 class CommEdge:
@@ -124,16 +120,3 @@ class PipelineJob:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
-
-    def in_edges(self, stage: int) -> list[CommEdge]:
-        """Edges feeding the forward pass of ``stage``."""
-        return [e for e in self.edges if e.dst_stage == stage]
-
-    def out_edges(self, stage: int) -> list[CommEdge]:
-        return [e for e in self.edges if e.src_stage == stage]
-
-    def total_compute_time(self) -> float:
-        """Lower bound: serial compute of one full iteration, all stages."""
-        return self.n_microbatches * max(
-            (s.fwd_time + s.bwd_time for s in self.stages), default=0.0
-        )

@@ -9,16 +9,15 @@ module lifts it into an explicit :class:`Topology` interface that
 :class:`~repro.sim.cluster.ClusterSpec` composes:
 
 * :meth:`Topology.path` returns the :class:`Link` sequence a cross-host
-  transfer traverses *between* the two host NICs.  Contended links
-  become extra ports in the flow simulator's max-min fair-share
-  fixpoint, so switch oversubscription is priced honestly;
+  transfer traverses *between* the two host NICs, given the hosts and
+  the local device indices at both ends.  Contended links become extra
+  ports in the flow simulator's max-min fair-share fixpoint, so switch
+  oversubscription is priced honestly;
 * :meth:`Topology.switches` enumerates the switch nodes, each of which
   can act as a replication point for the ``multicast`` strategy backend
   and (when ``failure_domain=True``) as a correlated-failure blast
   radius reusing the :class:`~repro.sim.cluster.FailureDomain`
-  machinery;
-* :meth:`Topology.bisection_bandwidth` summarizes the shape for
-  reports and experiments.
+  machinery.
 
 Concrete variants (the *topology zoo*):
 
@@ -69,7 +68,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import ClusterSpec
-    from .cluster import FailureDomain as FailureDomainLike
 
 __all__ = [
     "Link",
@@ -188,35 +186,19 @@ class Topology(ABC):
 
     @abstractmethod
     def path(
-        self, spec: "ClusterSpec", src_host: int, dst_host: int
+        self, spec: "ClusterSpec", src_host: int, dst_host: int,
+        src_local: int, dst_local: int,
     ) -> tuple[Link, ...]:
         """Links between ``src_host``'s NIC and ``dst_host``'s NIC.
 
-        Raises :class:`NoRouteError` when the hosts are disconnected.
+        ``src_local``/``dst_local`` are the local device indices at the
+        two ends; only rail-optimized shapes route on them.  Raises
+        :class:`NoRouteError` when the hosts are disconnected.
         """
-
-    def device_path(
-        self,
-        spec: "ClusterSpec",
-        src_host: int,
-        dst_host: int,
-        src_local: int,
-        dst_local: int,
-    ) -> tuple[Link, ...]:
-        """Device-aware routing hook; defaults to the host-level path.
-
-        Rail-optimized shapes override this: the rail a flow rides
-        depends on the *local device index*, not just the host pair.
-        """
-        return self.path(spec, src_host, dst_host)
 
     def switches(self, spec: "ClusterSpec") -> tuple[Switch, ...]:
         """Enumerable switch nodes (empty: no replication points)."""
         return ()
-
-    @abstractmethod
-    def bisection_bandwidth(self, spec: "ClusterSpec") -> float:
-        """Aggregate bandwidth across a worst-case even host bisection."""
 
     def __repr__(self) -> str:  # frozen-dataclass subclasses override
         return f"{type(self).__name__}()"
@@ -235,7 +217,8 @@ class TwoTierTopology(Topology):
     name: str = "two_tier"
 
     def path(
-        self, spec: "ClusterSpec", src_host: int, dst_host: int
+        self, spec: "ClusterSpec", src_host: int, dst_host: int,
+        src_local: int, dst_local: int,
     ) -> tuple[Link, ...]:
         return (
             Link(
@@ -256,10 +239,6 @@ class TwoTierTopology(Topology):
                 failure_domain=False,
             ),
         )
-
-    def bisection_bandwidth(self, spec: "ClusterSpec") -> float:
-        half = spec.n_hosts // 2
-        return half * spec.inter_host_bandwidth
 
 
 @dataclass(frozen=True)
@@ -304,7 +283,8 @@ class FatTreeTopology(Topology):
         )
 
     def path(
-        self, spec: "ClusterSpec", src_host: int, dst_host: int
+        self, spec: "ClusterSpec", src_host: int, dst_host: int,
+        src_local: int, dst_local: int,
     ) -> tuple[Link, ...]:
         la, lb = self.leaf_of(src_host), self.leaf_of(dst_host)
         if la == lb:
@@ -364,12 +344,6 @@ class FatTreeTopology(Topology):
             failure_domain=False,
         )
         return leaves + (spine,)
-
-    def bisection_bandwidth(self, spec: "ClusterSpec") -> float:
-        n_leaves = -(-spec.n_hosts // self.hosts_per_leaf)
-        through_spine = (n_leaves // 2 or 1) * self.uplink_bandwidth(spec)
-        at_nics = (spec.n_hosts // 2) * spec.inter_host_bandwidth
-        return min(through_spine, at_nics)
 
 
 @dataclass(frozen=True)
@@ -432,7 +406,8 @@ class TorusTopology(Topology):
         return edges
 
     def path(
-        self, spec: "ClusterSpec", src_host: int, dst_host: int
+        self, spec: "ClusterSpec", src_host: int, dst_host: int,
+        src_local: int, dst_local: int,
     ) -> tuple[Link, ...]:
         return tuple(
             Link(
@@ -442,11 +417,6 @@ class TorusTopology(Topology):
             )
             for a, b in self.route(src_host, dst_host)
         )
-
-    def bisection_bandwidth(self, spec: "ClusterSpec") -> float:
-        # Cutting the torus across its smaller dimension severs two
-        # rings' worth of wrap links per row/column on that side.
-        return 2.0 * min(self.rows, self.cols) * spec.inter_host_bandwidth
 
 
 @dataclass(frozen=True)
@@ -469,27 +439,8 @@ class RailOptimizedTopology(Topology):
             raise ValueError("cross_rail_capacity_factor must be positive")
 
     def path(
-        self, spec: "ClusterSpec", src_host: int, dst_host: int
-    ) -> tuple[Link, ...]:
-        # Host-level callers (scheduler bounds, multicast trees) see the
-        # aligned-rail fast path; device-aware routing refines this.
-        return (
-            Link(
-                name="sw:rail0",
-                bandwidth=math.inf,
-                latency=spec.inter_host_latency,
-                switch="rail0",
-                contended=False,
-            ),
-        )
-
-    def device_path(
-        self,
-        spec: "ClusterSpec",
-        src_host: int,
-        dst_host: int,
-        src_local: int,
-        dst_local: int,
+        self, spec: "ClusterSpec", src_host: int, dst_host: int,
+        src_local: int, dst_local: int,
     ) -> tuple[Link, ...]:
         if src_local == dst_local:
             return (
@@ -522,9 +473,6 @@ class RailOptimizedTopology(Topology):
             for r in range(spec.devices_per_host)
         )
 
-    def bisection_bandwidth(self, spec: "ClusterSpec") -> float:
-        return (spec.n_hosts // 2) * spec.inter_host_bandwidth
-
 
 @dataclass(frozen=True)
 class IslandTopology(Topology):
@@ -547,7 +495,8 @@ class IslandTopology(Topology):
         return host // self.island_size
 
     def path(
-        self, spec: "ClusterSpec", src_host: int, dst_host: int
+        self, spec: "ClusterSpec", src_host: int, dst_host: int,
+        src_local: int, dst_local: int,
     ) -> tuple[Link, ...]:
         ia, ib = self.island_of(src_host), self.island_of(dst_host)
         if ia != ib:
@@ -582,9 +531,6 @@ class IslandTopology(Topology):
             )
             for i in range(n_islands)
         )
-
-    def bisection_bandwidth(self, spec: "ClusterSpec") -> float:
-        return 0.0  # any even bisection separates at least two islands
 
 
 #: topology factories by name, for the CLI / fixtures / experiments
@@ -642,7 +588,7 @@ class BoundTopology:
         found = self._paths.get(key)
         if found is not None:
             return found
-        links = self.topology.device_path(
+        links = self.topology.path(
             self.spec, src_host, dst_host, src_local, dst_local
         )
         ov = self._overrides.get((src_host, dst_host))
@@ -740,10 +686,6 @@ class BoundTopology:
         """The nominal inter-host rate used to normalize load weights."""
         return self.spec.inter_host_bandwidth
 
-    @property
-    def intra_host_bandwidth(self) -> float:
-        return self.spec.intra_host_bandwidth
-
     def group_bandwidth(self, hosts: Iterable[int]) -> float:
         """Per-port rate of a ring collective over ``hosts``.
 
@@ -816,16 +758,6 @@ class BoundTopology:
                     best = sw
         return best
 
-    def switch_domains(self) -> tuple["FailureDomainLike", ...]:
-        """Failure-domain views of the failure-domain-capable switches."""
-        from .cluster import FailureDomain
-
-        return tuple(
-            FailureDomain(name=sw.name, hosts=sw.hosts, kind="switch")
-            for sw in self.switches
-            if sw.failure_domain
-        )
-
     def multicast_tree(
         self, root_host: int, dst_hosts: Iterable[int], switch_name: str
     ) -> MulticastTree:
@@ -867,9 +799,6 @@ class BoundTopology:
             up_latency=up_latency,
             down_latency=down_latency,
         )
-
-    def bisection_bandwidth(self) -> float:
-        return self.topology.bisection_bandwidth(self.spec)
 
     def __repr__(self) -> str:
         return f"BoundTopology({self.topology!r}, n_hosts={self.spec.n_hosts})"

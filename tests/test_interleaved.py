@@ -55,7 +55,7 @@ def test_order_covers_all_chunk_microbatch_pairs():
         order = interleaved_order(job, rank)
         fwd = {(t.stage, t.microbatch) for t in order if t.kind == "F"}
         bwd = {(t.stage, t.microbatch) for t in order if t.kind == "B"}
-        chunks = {c for c in range(job.n_chunks) if job.stage_of(c) == rank}
+        chunks = {c for c in range(job.n_chunks) if c % job.n_stages == rank}
         expect = {(c, mb) for c in chunks for mb in range(job.n_microbatches)}
         assert fwd == expect and bwd == expect
         assert len(order) == 2 * len(expect)
@@ -96,7 +96,7 @@ def test_pipeline_job_chains_chunks():
     pj = job.pipeline_job()
     assert pj.n_stages == job.n_chunks == 6
     assert [(e.src_stage, e.dst_stage) for e in pj.edges] == [(c, c + 1) for c in range(5)]
-    assert all(s.bwd_w_time == 0.0 and s.bwd_time == 2.0 for s in pj.stages)
+    assert all(s.bwd_w_time == 0.0 and s.bwd_x_time == 2.0 for s in pj.stages)
     assert all(e.comm_time("fwd") == e.comm_time("bwd") == 0.25 for e in pj.edges)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pipeline.executor import simulate_pipeline
+from repro.pipeline.memory import memory_report
 from repro.pipeline.schedules import Task, schedule_job
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
 
@@ -198,7 +199,7 @@ def test_peak_memory_bytes():
     job.stages[0] = StageProfile(0, 1, 1, 1, params_bytes=100.0,
                                  activation_bytes=10.0)
     r = simulate_pipeline(job, schedule_job("1f1b", 2, 4))
-    assert r.peak_memory_bytes(0) == pytest.approx(100.0 + 2 * 10.0)
+    assert memory_report(job, r)[0].total == pytest.approx(100.0 + 2 * 10.0)
 
 
 def test_delay_bw_weight_increases_peak_memory():

@@ -1,6 +1,7 @@
 """Tests for the static pipeline-schedule analyzer.
 
-Pins the static in-flight bound to the paper's analytic warm-up depths
+Pins the static in-flight bound to the executor's measured peaks and to
+the paper's analytic warm-up depths
 (:func:`repro.pipeline.memory.analytic_peak_inflight`), and exercises
 the memory (S001), structure (S002), and deadlock (D002) rules.
 """
@@ -15,9 +16,15 @@ from repro.analysis import (
     check_stage_orders_deadlock,
     static_peak_inflight,
 )
-from repro.pipeline.memory import analytic_peak_inflight
+from repro.pipeline.executor import simulate_pipeline
+from repro.pipeline.interleaved import InterleavedJob
+from repro.pipeline.memory import analytic_peak_inflight, memory_report
 from repro.pipeline.schedules import SCHEDULE_NAMES, Task, schedule_job
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
+
+
+def T(kind, mb):
+    return Task(kind, mb)
 
 
 def make_job(n_stages, activation_bytes=10.0, params_bytes=100.0, capacity=0.0):
@@ -54,16 +61,82 @@ class TestStaticPeakMatchesAnalytic:
                 schedule, stage, n_stages, n_microbatches
             ), f"{schedule} stage {stage}"
 
-    @pytest.mark.parametrize("schedule", ["1f1b", "eager_1f1b"])
-    def test_backward_weight_delay_does_not_change_peak(self, schedule):
-        plain = schedule_job(schedule, 4, 8)
-        delayed = schedule_job(schedule, 4, 8, delay_bw_weight=True)
-        for order_a, order_b in zip(plain, delayed):
-            assert static_peak_inflight(order_a) == static_peak_inflight(order_b)
-
     def test_gpipe_holds_everything(self):
         orders = schedule_job("gpipe", 4, 8)
         assert all(static_peak_inflight(o) == 8 for o in orders)
+
+
+# ----------------------------------------------------------------------
+# The analyzer and the executor read orders the same way
+# ----------------------------------------------------------------------
+def _two_stage_job():
+    return PipelineJob(
+        [StageProfile(i, 1, 1, 1) for i in (0, 1)], [CommEdge(0, 1, 0.5, 0.5)], 2
+    )
+
+
+def _appended(task):
+    return [o + [task] for o in schedule_job("1f1b", 2, 2)]
+
+
+def _interleaved():
+    j = InterleavedJob(2, 2, 4, 1.0, 2.0, 0.1, 0.1)
+    return j.pipeline_job(), j.orders()
+
+
+AGREEMENT_CASES = {
+    # name: (job and orders, whether both accept them)
+    "unknown-kind": (lambda: (_two_stage_job(), _appended(Task("Q", 0))), False),
+    "stray-bw": (lambda: (_two_stage_job(), _appended(Task("Bw", 0))), False),
+    "mixed-backward": (
+        lambda: (_two_stage_job(),
+                 [[T("F", 0), T("F", 1), T("B", 0), T("Bx", 1), T("Bw", 1)]] * 2),
+        False,
+    ),
+    "forward-only": (lambda: (_two_stage_job(), [[T("F", 0), T("F", 1)]] * 2), True),
+    "interleaved": (_interleaved, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_analyzer_accepts_exactly_what_the_executor_runs(case):
+    build, accepted = AGREEMENT_CASES[case]
+    job, orders = build()
+    try:
+        simulate_pipeline(job, orders)
+        runs = True
+    except ValueError:
+        runs = False
+    report = check_stage_orders(orders, job.n_microbatches, job)
+    assert (runs, report.ok) == (accepted, accepted), [
+        d.format() for d in report.diagnostics
+    ]
+
+
+PEAK_CASES = [
+    (schedule, delay, slots)
+    for schedule in SCHEDULE_NAMES
+    for delay in (False, True)
+    for slots in (1, 2)
+] + ["interleaved"]
+
+
+@pytest.mark.parametrize(
+    "case", PEAK_CASES,
+    ids=lambda c: c if isinstance(c, str) else f"{c[0]}-delay{int(c[1])}-slots{c[2]}",
+)
+def test_static_peak_equals_measured(case):
+    """Backward weight delaying keeps an activation live until ``Bw``,
+    and the static peak counts it the way the executor's gauge does."""
+    if case == "interleaved":
+        job, orders = _interleaved()
+    else:
+        schedule, delay, slots = case
+        job = make_job(4)
+        orders = schedule_job(schedule, 4, 8, delay_bw_weight=delay,
+                              delay_slots=slots)
+    measured = simulate_pipeline(job, orders).peak_activation_counts
+    assert {d: static_peak_inflight(o) for d, o in enumerate(orders)} == measured
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +169,18 @@ class TestMemoryBound:
         report = analyze_pipeline_schedule("eager_1f1b", 2, 8, job=job)
         assert "S001" in report.codes
 
+    def test_delayed_weight_gradient_counts_against_capacity(self):
+        # 1F1B with Bw delayed holds [5, 4, 3, 2] activations; stage 0
+        # needs 100 + 5 * 10 = 150 bytes, over a 140-byte capacity.
+        job = make_job(4, capacity=140.0)
+        report = analyze_pipeline_schedule("1f1b", 4, 8, job=job,
+                                           delay_bw_weight=True)
+        flagged = [d.task_ids for d in report.diagnostics if d.code == "S001"]
+        assert flagged == [(0,)]
+        run = simulate_pipeline(job, schedule_job("1f1b", 4, 8,
+                                                  delay_bw_weight=True))
+        assert memory_report(job, run)[0].total == 150.0
+
     def test_negative_capacity_rejected_at_construction(self):
         with pytest.raises(ValueError):
             StageProfile(stage_id=0, fwd_time=1.0, bwd_x_time=1.0,
@@ -105,10 +190,6 @@ class TestMemoryBound:
 # ----------------------------------------------------------------------
 # S002: structural checks on explicit orders
 # ----------------------------------------------------------------------
-def T(kind, mb):
-    return Task(kind, mb)
-
-
 class TestStructure:
     def test_duplicate_forward(self):
         orders = [[T("F", 0), T("F", 0), T("B", 0)]]

@@ -227,17 +227,6 @@ class TestFatTree:
         assert names["leaf1"] == (2, 3)
         assert "spine" not in names  # the spine spans everything
 
-    def test_bisection_bandwidth(self):
-        spec4 = ClusterSpec(
-            n_hosts=4,
-            devices_per_host=2,
-            topology=FatTreeTopology(hosts_per_leaf=2, oversubscription=4.0),
-        )
-        assert Cluster(spec4).topo.bisection_bandwidth() == pytest.approx(5 * GBPS)
-        assert Cluster(
-            ClusterSpec(n_hosts=4, devices_per_host=2)
-        ).topo.bisection_bandwidth() == pytest.approx(2 * NIC)
-
 
 # ----------------------------------------------------------------------
 # Torus: multi-hop routes hold every edge, hops add latency
