@@ -14,6 +14,9 @@ additionally waits for its cross-mesh inputs:
 * ``B``/``Bx``\\ ``(s, mb)`` waits for the activation gradient of every
   out-edge, sent when the downstream ``B``/``Bx`` finished.
 
+Each edge direction is priced once per run, by
+:meth:`~repro.pipeline.stage.CommEdge.comm_time` on its first message.
+
 Dependencies, durations and edges are keyed by job stage; occupancy,
 order cursors, ``stage:<d>`` tracks, activation gauges and the FIFO
 channels are keyed by device.  The executor runs on the shared runtime
@@ -73,7 +76,7 @@ from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from ..sim.faults import FaultIncident, FaultReport, FaultSchedule, RetryPolicy
 from .schedules import ACTIVATION_DELTA, Task, read_orders
-from .stage import PipelineJob
+from .stage import CommEdge, PipelineJob
 from .timeline import CommEntry, TimelineEntry, comms_from_spans, timeline_from_spans
 
 __all__ = ["TimelineEntry", "CommEntry", "PipelineResult", "simulate_pipeline"]
@@ -174,18 +177,20 @@ class PipelineResult:
         return model_flops / self.iteration_time / n_devices / 1e12
 
 
-def _insert_recvs(job: PipelineJob, orders: list[list[Task]]) -> list[list[_Item]]:
+def _insert_recvs(
+    orders: list[list[Task]],
+    in_edges: list[list[tuple[int, CommEdge]]],
+    out_edges: list[list[tuple[int, CommEdge]]],
+) -> list[list[_Item]]:
     """Blocking mode: put an explicit recv before each consuming task."""
     out: list[list[_Item]] = []
     for s, order in enumerate(orders):
         items: list[_Item] = []
         for t in order:
             if t.kind == "F":
-                items += [_Recv(i, t.microbatch, "fwd")
-                          for i, e in enumerate(job.edges) if e.dst_stage == s]
+                items += [_Recv(i, t.microbatch, "fwd") for i, _ in in_edges[s]]
             elif t.kind in ("B", "Bx"):
-                items += [_Recv(i, t.microbatch, "bwd")
-                          for i, e in enumerate(job.edges) if e.src_stage == s]
+                items += [_Recv(i, t.microbatch, "bwd") for i, _ in out_edges[s]]
             items.append(t)
         out.append(items)
     return out
@@ -269,8 +274,16 @@ def simulate_pipeline(
     # first expected arrival per message, to price recovery delay
     first_eta: dict[tuple[int, int, str], float] = {}
 
+    # Each stage's (edge index, edge) lists, built once per run: F on
+    # stage s sends "fwd" along out_edges[s] and waits on in_edges[s];
+    # B/Bx send "bwd" along in_edges[s] and wait on out_edges[s].
+    edges = list(enumerate(job.edges))
+    in_edges = [[(i, e) for i, e in edges if e.dst_stage == s] for s in range(job.n_stages)]
+    out_edges = [[(i, e) for i, e in edges if e.src_stage == s] for s in range(job.n_stages)]
+
     items: list[list[_Item]] = (
-        [list(o) for o in orders] if overlap else _insert_recvs(job, orders)
+        [list(o) for o in orders] if overlap
+        else _insert_recvs(orders, in_edges, out_edges)
     )
 
     idx = [0] * n_devices
@@ -401,17 +414,25 @@ def simulate_pipeline(
             ),
         )
 
+    # (edge index, direction) -> per-message duration, priced on its
+    # first message.  Nothing in this run compiles or invalidates plans,
+    # so an edge backed by a compiled resharding returns the same
+    # simulate_plan latency for every micro-batch.
+    price: dict[tuple[int, str], float] = {}
+
+    def comm_time(i: int, direction: str) -> float:
+        dur = price.get((i, direction))
+        if dur is None:
+            dur = price[(i, direction)] = job.edges[i].comm_time(direction)
+        return dur
+
     def produced_edges(stage: int, t: Task):
-        # comm_time() is called once per produced message: edges backed
-        # by a compiled resharding price every micro-batch with the
-        # simulate_plan latency of the plan the edge resolved once per
-        # cache epoch (the shared timing path).
         if t.kind == "F":
-            return [(e, i, e.comm_time("fwd"), "fwd", e.dst_stage)
-                    for i, e in enumerate(job.edges) if e.src_stage == stage]
+            return [(e, i, comm_time(i, "fwd"), "fwd", e.dst_stage)
+                    for i, e in out_edges[stage]]
         if t.kind in ("B", "Bx"):
-            return [(e, i, e.comm_time("bwd"), "bwd", e.src_stage)
-                    for i, e in enumerate(job.edges) if e.dst_stage == stage]
+            return [(e, i, comm_time(i, "bwd"), "bwd", e.src_stage)
+                    for i, e in in_edges[stage]]
         return []
 
     def on_compute_done(device: int, stage: int, t: Task, start: float) -> None:
@@ -463,7 +484,6 @@ def simulate_pipeline(
         idx[stage] += 1
         dep_kind = "F" if r.direction == "fwd" else "B"
         arrival(dep_kind, stage, r.microbatch)  # calls try_start(stage)
-        try_start(stage)
 
     def try_start(device: int) -> None:
         if busy[device] or idx[device] >= len(items[device]):
@@ -475,9 +495,7 @@ def simulate_pipeline(
             sent_at = send_started.get(item.key)
             if sent_at is None:
                 return  # matching send has not started yet
-            e = job.edges[item.edge_idx]
-            dur = e.comm_time(item.direction)
-            end = max(loop.now, sent_at) + dur
+            end = max(loop.now, sent_at) + comm_time(item.edge_idx, item.direction)
             busy[device] = True
             start = loop.now
             loop.call_at(end, lambda s=device, r=item: on_recv_done(s, r, start))

@@ -3,20 +3,16 @@
 :class:`EventLoop` is the one deterministic priority-queue engine, and
 it owns the run's :class:`~repro.runtime.telemetry.TelemetryBus`, whose
 clock is the loop's ``now`` — so every executor reports through one span
-stream.  All simulated time is in seconds (float).  Determinism is
-guaranteed by FIFO tie-breaking at equal timestamps: the heap holds one
-entry per *distinct* timestamp, and each timestamp owns an
-insertion-ordered batch of events, so two runs over the same inputs
-produce identical schedules on every Python version.
+stream.  All simulated time is in seconds (float).
 
-Batching is also the performance story.  The network simulator re-arms
-one completion event per rate reallocation and one timeout per flow,
-then cancels most of them; with a per-event heap every cancel/re-arm
-pair was two ``O(log n)`` heap operations on a queue whose majority was
-dead entries.  Here a cancel is a flag flip (lazy cancellation, skipped
-at pop time), scheduling into an existing timestamp is an ``O(1)`` list
-append, and when dead events dominate the queue it is compacted in one
-``O(n)`` sweep — the heap only ever sees distinct timestamps.
+The queue is one heap of ``(time, seq, event)`` tuples, ``seq`` a
+per-loop counter: events run in ``(time, insertion order)``, so two runs
+over the same inputs produce identical schedules on every Python
+version, and ``seq`` is unique, so the heap never compares events.  A
+cancel is a flag flip (lazy cancellation, skipped at pop time); when
+dead events dominate a large queue it is compacted in one ``O(n)``
+sweep.  This plain heap was measured faster than batching events per
+distinct timestamp on every benchmark workload that dispatches events.
 
 The engine stays deliberately tiny: the network model
 (:mod:`repro.sim.network`), the pipeline executor, and the recovery
@@ -27,8 +23,8 @@ which keeps stack traces shallow and the hot loop cheap.  Contention
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 from .telemetry import TelemetryBus
@@ -36,26 +32,21 @@ from .telemetry import TelemetryBus
 __all__ = ["Event", "EventLoop"]
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
-    """A scheduled callback.
-
-    Events compare by ``(time, seq)`` — chronological order with FIFO
-    tie-breaking.  ``seq`` is assigned globally per loop; within one
-    timestamp batch it is also the list position.
+    """A scheduled callback: the handle :meth:`EventLoop.call_at` returns.
 
     Slotted: the network simulator arms (and mostly cancels) one of
     these per flow timeout and per rate reallocation.
     """
 
     time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    fn: Callable[[], None]
+    cancelled: bool = False
     #: owning loop while the event is still queued; dropped (set to
     #: None) once the event runs, so a late cancel() cannot skew the
     #: loop's live/cancelled accounting.
-    loop: Optional["EventLoop"] = field(default=None, compare=False, repr=False)
+    loop: Optional["EventLoop"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it when popped."""
@@ -63,24 +54,6 @@ class Event:
             self.cancelled = True
             if self.loop is not None:
                 self.loop._note_cancel()
-
-
-class _Batch:
-    """All events scheduled at one exact timestamp, in insertion order.
-
-    ``idx`` is the execution cursor: events before it already ran (or
-    were skipped as cancelled).  The batch stays registered until the
-    cursor passes the end, so same-timestamp events scheduled *during*
-    execution append here and run in the same pass — exactly the old
-    per-event heap's (time, seq) order.
-    """
-
-    __slots__ = ("time", "events", "idx")
-
-    def __init__(self, time: float) -> None:
-        self.time = time
-        self.events: list[Event] = []
-        self.idx = 0
 
 
 #: queue-size floor below which compaction is never attempted
@@ -102,9 +75,8 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.bus = TelemetryBus(clock=lambda: self.now)
-        # min-heap of distinct timestamps; one _Batch per entry
-        self._times: list[float] = []
-        self._batches: dict[float, _Batch] = {}
+        #: min-heap of (time, seq, event); compaction edits it in place
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.now: float = 0.0
         self._n_processed = 0
@@ -123,13 +95,10 @@ class EventLoop:
                 f"cannot schedule event in the past (or at NaN): {when} < now={now}"
             )
         t = when if when > now else now
-        ev = Event(t, self._seq, fn, False, self)
-        self._seq += 1
-        batch = self._batches.get(t)
-        if batch is None:
-            batch = self._batches[t] = _Batch(t)
-            heapq.heappush(self._times, t)
-        batch.events.append(ev)
+        ev = Event(t, fn, False, self)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (t, seq, ev))
         self._n_live += 1
         return ev
 
@@ -147,8 +116,8 @@ class EventLoop:
         self._n_live -= 1
         self._n_cancelled += 1
         # When dead events dominate a large queue, sweep them out so the
-        # batch lists (and worst-case skip scans) stay proportional to
-        # live work.  Amortized O(1): each sweep halves the queue.
+        # heap stays proportional to live work.  Amortized O(1): each
+        # sweep halves the queue.
         if (
             self._n_cancelled > _COMPACT_MIN
             and self._n_cancelled > self._n_live
@@ -156,20 +125,10 @@ class EventLoop:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every cancelled event; rebuild the timestamp heap."""
-        times: list[float] = []
-        batches: dict[float, _Batch] = {}
-        for t in self._times:
-            old = self._batches[t]
-            events = [ev for ev in old.events[old.idx :] if not ev.cancelled]
-            if events:
-                fresh = _Batch(t)
-                fresh.events = events
-                batches[t] = fresh
-                times.append(t)
-        heapq.heapify(times)
-        self._times = times
-        self._batches = batches
+        """Drop every cancelled event and re-heapify the survivors."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
         self._n_cancelled = 0
 
     # ------------------------------------------------------------------
@@ -181,28 +140,13 @@ class EventLoop:
         Returns the final simulated time.  ``max_events`` is a runaway
         guard; hitting it raises ``RuntimeError``.
         """
+        heap = self._heap
         n = 0
-        # One heap peek + one dict lookup per event.  The loop
-        # attributes are re-read every iteration because a callback may
-        # cancel enough events to trigger _compact(), which rebinds
-        # self._times / self._batches wholesale.
-        while True:
-            times = self._times
-            if not times:
-                break
-            t = times[0]
-            batch = self._batches[t]
-            events = batch.events
-            i = batch.idx
-            if i >= len(events):
-                heapq.heappop(times)
-                del self._batches[t]
-                continue
-            if until is not None and t > until:
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 break
-            ev = events[i]
-            batch.idx = i + 1
+            t, _, ev = heappop(heap)
             if ev.cancelled:
                 self._n_cancelled -= 1
                 continue
@@ -225,4 +169,3 @@ class EventLoop:
     def processed(self) -> int:
         """Total number of events executed so far."""
         return self._n_processed
-

@@ -681,14 +681,24 @@ class RetryPolicy:
     flow_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not self.max_attempts >= 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_base must be >= 0 and backoff_factor >= 1")
+        if not 0.0 <= self.backoff_base < math.inf:
+            raise ValueError(
+                f"backoff_base must be finite and >= 0, got {self.backoff_base}"
+            )
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError(
+                f"backoff_factor must be finite and >= 1, got {self.backoff_factor}"
+            )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.flow_timeout is not None and self.flow_timeout <= 0:
-            raise ValueError("flow_timeout must be positive (or None)")
+        if self.flow_timeout is not None and not 0.0 < self.flow_timeout < math.inf:
+            raise ValueError(
+                f"flow_timeout must be finite and positive (or None), "
+                f"got {self.flow_timeout}"
+            )
 
     def backoff(self, attempt: int, *key) -> float:
         """Delay before retrying after failed attempt ``attempt`` (1-based)."""

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.kernel import EventLoop
 
@@ -124,3 +128,147 @@ def test_processed_counter():
         loop.call_at(float(i), lambda: None)
     loop.run()
     assert loop.processed == 7
+
+
+# ----------------------------------------------------------------------
+# Execution order against an independent reference model
+# ----------------------------------------------------------------------
+class KernelAdapter:
+    """Drives the real kernel; events are named by the program's ids."""
+
+    def __init__(self):
+        self.loop = EventLoop()
+        self.handles = []
+
+    def call_at(self, when, fire):
+        i = len(self.handles)
+        self.handles.append(self.loop.call_at(when, lambda: fire(i, self.loop.now)))
+
+    def call_after(self, delay, fire):
+        i = len(self.handles)
+        self.handles.append(self.loop.call_after(delay, lambda: fire(i, self.loop.now)))
+
+    def cancel(self, i):
+        self.handles[i].cancel()
+
+    def run(self, until=None):
+        self.loop.run(until=until)
+
+    def counts(self):
+        return self.loop.processed, self.loop.pending
+
+
+class ReferenceQueue:
+    """The specification: the live event with the least (time, seq) runs
+    next; cancelling a queued event removes it, any other cancel is a
+    no-op.  A plain dict scanned with min() — no heap, no kernel."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.live = {}  # seq -> (time, fire)
+        self.n = 0
+        self.processed = 0
+
+    def call_at(self, when, fire):
+        self.live[self.n] = (max(when, self.now), fire)
+        self.n += 1
+
+    def call_after(self, delay, fire):
+        self.call_at(self.now + delay, fire)
+
+    def cancel(self, i):
+        self.live.pop(i, None)
+
+    def run(self, until=None):
+        while self.live:
+            i = min(self.live, key=lambda k: (self.live[k][0], k))
+            t, fire = self.live[i]
+            if until is not None and t > until:
+                return
+            del self.live[i]
+            self.now = t
+            self.processed += 1
+            fire(i, t)
+
+    def counts(self):
+        return self.processed, len(self.live)
+
+
+TIMES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+class Program:
+    """A random program of schedules, cancels and resumptions.
+
+    Every choice is drawn from one seeded RNG in execution order, so two
+    queues that run the callbacks in the same order see the same program;
+    one ordering difference makes the logs diverge.
+    """
+
+    def __init__(self, queue, seed, burst_at):
+        self.q = queue
+        self.rng = random.Random(seed)
+        self.burst_at = burst_at
+        self.n = 0
+        self.log = []
+
+    def fire(self, i, now):
+        self.log.append((i, now))
+        rng = self.rng
+        if len(self.log) == self.burst_at:
+            # Mass cancel from inside a callback: compaction mid-run.
+            first = self.n
+            for _ in range(700):
+                self.after(rng.choice((0.0, 0.0, 0.5, 1.0)))
+            for j in rng.sample(range(first, self.n), 650):
+                self.q.cancel(j)
+        if self.n < 3000:
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                self.after(rng.choice((0.0, 0.0, 0.5, 1.0)))
+        for _ in range(rng.choice((0, 1, 2))):
+            self.q.cancel(rng.randrange(self.n))  # maybe ran or cancelled
+
+    def at(self, when):
+        self.q.call_at(when, self.fire)
+        self.n += 1
+
+    def after(self, delay):
+        self.q.call_after(delay, self.fire)
+        self.n += 1
+
+    def execute(self, n_initial, n_times, untils):
+        rng = self.rng
+        times = rng.sample(TIMES, n_times)
+        for _ in range(n_initial):
+            self.at(rng.choice(times))
+        for j in rng.sample(range(self.n), n_initial - 80):
+            self.q.cancel(j)
+        for j in rng.choices(range(self.n), k=40):
+            self.q.cancel(j)  # double cancels
+        trace = []
+        for until in sorted(untils):
+            self.q.run(until)
+            trace.append(self.q.counts())
+            for _ in range(rng.randrange(20)):
+                self.at(until + rng.choice(TIMES))
+            for _ in range(rng.randrange(5)):
+                self.q.cancel(rng.randrange(self.n))
+        self.q.run()
+        trace.append(self.q.counts())
+        return self.log, trace
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_initial=st.integers(700, 900),
+    n_times=st.integers(1, len(TIMES)),
+    untils=st.lists(st.sampled_from(TIMES), max_size=4),
+    burst_at=st.integers(1, 150),
+)
+def test_kernel_order_matches_reference(seed, n_initial, n_times, untils, burst_at):
+    kernel = Program(KernelAdapter(), seed, burst_at)
+    reference = Program(ReferenceQueue(), seed, burst_at)
+    got = kernel.execute(n_initial, n_times, untils)
+    want = reference.execute(n_initial, n_times, untils)
+    assert got == want

@@ -7,6 +7,8 @@ drop-at-delivery, timeouts, retries with backoff, abandonment, and the
 trace statuses.
 """
 
+import math
+
 import pytest
 
 from repro.core.executor import simulate_plan
@@ -190,6 +192,29 @@ def test_retry_policy_backoff():
     assert j.backoff(1, "a") == d1  # but deterministically
     with pytest.raises(ValueError, match="max_attempts"):
         RetryPolicy(max_attempts=0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("backoff_base", math.inf),
+        ("backoff_base", math.nan),
+        ("backoff_base", -1.0),
+        ("backoff_factor", math.inf),
+        ("backoff_factor", math.nan),
+        ("backoff_factor", 0.5),
+        ("flow_timeout", math.inf),
+        ("flow_timeout", math.nan),
+        ("flow_timeout", 0.0),
+        ("max_attempts", math.nan),
+    ],
+)
+def test_retry_policy_rejects_non_finite_and_out_of_range(name, value):
+    # backoff_base=inf used to return iteration_time=inf with
+    # added_latency=nan as a "recovered" run; NaN failed mid-run in the
+    # kernel's past-event guard.
+    with pytest.raises(ValueError, match=name):
+        RetryPolicy(**{name: value})
 
 
 def test_fault_report_status():

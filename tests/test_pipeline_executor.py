@@ -1,5 +1,8 @@
 """Tests for the event-driven pipeline executor."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.pipeline.executor import simulate_pipeline
@@ -293,3 +296,85 @@ def test_blocking_mode_rejects_domain_outages(duration):
             job, schedule_job("1f1b", 2, 4), overlap=False, faults=fs,
             stage_hosts=[0, 1],
         )
+
+
+# ----------------------------------------------------------------------
+# edge pricing: one comm_time per (edge, direction) per run
+# ----------------------------------------------------------------------
+class CountingResharding:
+    """Duck-typed stand-in for ``EdgeResharding`` that counts pricings."""
+
+    def __init__(self, fwd, bwd):
+        self.times = {"fwd": fwd, "bwd": bwd}
+        self.calls = Counter()
+
+    def time(self, direction):
+        self.calls[direction] += 1
+        return self.times[direction]
+
+
+def counted_job():
+    stages = [StageProfile(s, 1.0, 0.75, 0.5) for s in range(3)]
+    edges = [
+        CommEdge(0, 1, 0.0, 0.0, resharding=CountingResharding(0.25, 0.375)),
+        CommEdge(1, 2, 0.0, 0.0, resharding=CountingResharding(0.125, 0.5)),
+        CommEdge(0, 2, 0.0, 0.0, resharding=CountingResharding(0.3, 0.2)),
+    ]
+    return PipelineJob(stages, edges, n_microbatches=4)
+
+
+@pytest.mark.parametrize(
+    "schedule, delay, overlap, makespan",
+    [
+        ("1f1b", False, True, 16.0),
+        ("1f1b", False, False, 18.625),
+        ("eager_1f1b", True, True, 14.25),
+        ("eager_1f1b", True, False, 18.125),
+        ("gpipe", False, True, 14.75),
+        ("gpipe", False, False, 19.525),
+    ],
+)
+def test_each_edge_direction_is_priced_once_per_run(schedule, delay, overlap, makespan):
+    job = counted_job()
+    orders = schedule_job(schedule, 3, 4, delay_bw_weight=delay)
+    r = simulate_pipeline(job, orders, overlap=overlap)
+    assert r.iteration_time == makespan  # as when every message was priced
+    for e in job.edges:
+        assert e.resharding.calls == {"fwd": 1, "bwd": 1}
+
+
+@pytest.mark.parametrize("overlap, makespan", [(True, 3.25), (False, 3.5)])
+def test_forward_only_run_never_prices_backward(overlap, makespan):
+    edge = CommEdge(0, 1, 0.0, 0.0, resharding=CountingResharding(0.25, 0.5))
+    job = PipelineJob([StageProfile(i, 1, 1, 1) for i in (0, 1)], [edge], 2)
+    r = simulate_pipeline(job, [[Task("F", 0), Task("F", 1)]] * 2, overlap=overlap)
+    assert r.iteration_time == makespan
+    assert edge.resharding.calls == {"fwd": 1}
+
+
+def test_invalidated_plan_cache_is_resolved_again_next_run():
+    from repro.compiler import EdgeResharding, reset_default_plan_cache
+    from repro.core.mesh import DeviceMesh
+    from repro.core.task import ReshardingTask
+    from repro.sim.cluster import Cluster, ClusterSpec
+
+    cluster = Cluster(ClusterSpec(n_hosts=4, devices_per_host=4))
+    a = DeviceMesh.from_hosts(cluster, [0, 1])
+    b = DeviceMesh.from_hosts(cluster, [2, 3])
+    fwd = ReshardingTask((64, 64, 64), a, "RS0R", b, "S0RR", dtype=np.float32)
+    bwd = ReshardingTask((64, 64, 64), b, "S0RR", a, "RS0R", dtype=np.float32)
+    edge = CommEdge(0, 1, 0.0, 0.0, resharding=EdgeResharding(fwd, bwd))
+    job = PipelineJob([StageProfile(i, 1e-3, 1e-3, 1e-3) for i in (0, 1)], [edge], 4)
+    orders = schedule_job("1f1b", 2, 4)
+    cache = reset_default_plan_cache()
+    try:
+        first = simulate_pipeline(job, orders).iteration_time
+        assert cache.stats().requests == 2  # one per direction
+        simulate_pipeline(job, orders)
+        assert cache.stats().requests == 2  # the edge's memo serves both
+        cache.invalidate()
+        again = simulate_pipeline(job, orders).iteration_time
+        assert cache.stats().requests == 4  # both directions resolved again
+        assert again == first
+    finally:
+        reset_default_plan_cache()
