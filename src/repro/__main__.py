@@ -116,7 +116,7 @@ def cmd_reshard(args: argparse.Namespace) -> int:
         args.src_mesh, args.dst_mesh, cluster=cluster
     )
     strategies = (
-        sorted(set(STRATEGIES) - {"alpa"}) if args.strategy == "all" else [args.strategy]
+        sorted(STRATEGIES) if args.strategy == "all" else [args.strategy]
     )
     tensor_or_shape = args.shape
     if args.verify:

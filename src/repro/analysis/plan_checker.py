@@ -498,7 +498,6 @@ def _check_topology(plan: CommPlan, report: AnalysisReport) -> None:
 
 def check_plan(
     plan: CommPlan,
-    deadlock: bool = True,
     faults: Optional[FaultSchedule] = None,
     memory_budget: Optional[float] = None,
 ) -> AnalysisReport:
@@ -553,6 +552,5 @@ def check_plan(
             severity=Severity.INFO,
         )
 
-    if deadlock:
-        report.extend(check_plan_deadlock(plan))
+    report.extend(check_plan_deadlock(plan))
     return report

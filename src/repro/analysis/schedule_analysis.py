@@ -87,15 +87,10 @@ def analyze_pipeline_schedule(
     n_microbatches: int,
     job: Optional[PipelineJob] = None,
     delay_bw_weight: bool = False,
-    delay_slots: int = 1,
 ) -> AnalysisReport:
     """Analyze a named schedule (gpipe / 1f1b / eager_1f1b) statically."""
     orders = schedule_job(
-        schedule,
-        n_stages,
-        n_microbatches,
-        delay_bw_weight=delay_bw_weight,
-        delay_slots=delay_slots,
+        schedule, n_stages, n_microbatches, delay_bw_weight=delay_bw_weight
     )
     report = check_stage_orders(orders, n_microbatches, job)
     report.subject = f"pipeline-schedule[{schedule}]"

@@ -194,8 +194,6 @@ class SelectPass:
 
         from .budget import charge_pass
 
-        faults = ctx.effective_faults(strategy)
-        retry = ctx.effective_retry_policy(strategy)
         memory_budget = ctx.effective_memory_budget(state.task)
         if memory_budget is not None:
             # Lazy for the same circularity reason as ValidatePass.
@@ -216,7 +214,9 @@ class SelectPass:
             for p in sub_passes:
                 detail = p.run(sub, ctx)
                 charge_pass(ctx.budget, p.name, sub, detail)
-            result = simulate_plan(sub.plan, faults=faults, retry_policy=retry)
+            result = simulate_plan(
+                sub.plan, faults=ctx.faults, retry_policy=ctx.retry_policy
+            )
             if ctx.budget is not None:
                 # simulating a candidate costs roughly its op count
                 ctx.budget.charge(max(1, sub.n_ops) * 8, "select")
@@ -283,9 +283,7 @@ class SchedulePass:
         scheduler = strategy.scheduler_fn()
         if scheduler is None:
             return "strategy does not schedule"
-        faults = (
-            ctx.effective_faults(strategy) if strategy.schedule_uses_faults else None
-        )
+        faults = ctx.faults if strategy.schedule_uses_faults else None
         state.problem = SchedulingProblem.from_resharding(
             state.task, granularity=strategy.granularity, faults=faults
         )
@@ -305,7 +303,7 @@ class FaultRewritePass:
         if state.plan is not None:  # select already compiled the winner
             return "inherited from select"
         strategy = state.strategy
-        faults = ctx.effective_faults(strategy)
+        faults = ctx.faults
         if not strategy.reroot_on_faults or faults is None:
             return "no-op (no faults or strategy does not re-root)"
         if state.schedule is None:
@@ -332,7 +330,7 @@ class EmitPass:
             data_complete=strategy.data_complete,
         )
         plan.fallbacks = list(state.fallbacks)
-        faults = ctx.effective_faults(strategy) if strategy.emit_uses_faults else None
+        faults = ctx.faults if strategy.emit_uses_faults else None
         load = LoadTracker(state.task.cluster, faults=faults)
         strategy.emit(state.task, plan, state.schedule, load)
         if strategy.gate_on_schedule and state.schedule is not None:
@@ -367,7 +365,7 @@ class ValidatePass:
         assert state.plan is not None
         state.analysis = raise_on_plan_errors(
             state.plan,
-            faults=ctx.effective_faults(state.strategy),
+            faults=ctx.faults,
             memory_budget=ctx.memory_budget,
         )
         if not state.plan.data_complete:

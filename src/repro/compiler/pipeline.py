@@ -120,9 +120,10 @@ class CompileContext:
 
     ``strategy`` may be a registry name (instantiated via
     :func:`~repro.strategies.make_strategy` with ``strategy_kwargs``) or
-    a ready :class:`~repro.strategies.CommStrategy` instance.  Context
-    ``faults``/``retry_policy`` override the strategy's own; both feed
-    the cache signature.  ``cache`` defaults to the process-wide
+    a ready :class:`~repro.strategies.CommStrategy` instance.
+    ``faults``/``retry_policy`` are the compile's fault scenario, and
+    this is the only place one is set (no strategy carries one); both
+    feed the cache signature.  ``cache`` defaults to the process-wide
     :func:`~repro.compiler.cache.default_plan_cache`; pass ``None`` to
     compile uncached.
     """
@@ -174,16 +175,6 @@ class CompileContext:
         if self.memory_budget is not None:
             return self.memory_budget
         return task.cluster.spec.memory_budget
-
-    def effective_faults(self, strategy: CommStrategy) -> Optional[FaultSchedule]:
-        if self.faults is not None:
-            return self.faults
-        return getattr(strategy, "faults", None)
-
-    def effective_retry_policy(self, strategy: CommStrategy) -> Optional[RetryPolicy]:
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return getattr(strategy, "retry_policy", None)
 
 
 @dataclass
@@ -267,8 +258,6 @@ def compile_resharding(
     )
     check_memory_budget(ctx.memory_budget)
     strategy = ctx.resolved_strategy()
-    faults = ctx.effective_faults(strategy)
-    retry_policy = ctx.effective_retry_policy(strategy)
 
     cache = ctx.resolved_cache()
     signature: Optional[str] = None
@@ -286,7 +275,7 @@ def compile_resharding(
                 )
             epoch = cache.epoch
             signature = plan_signature(
-                task, strategy_key, faults, retry_policy, epoch=epoch
+                task, strategy_key, ctx.faults, ctx.retry_policy, epoch=epoch
             )
             hit = cache.lookup(signature)
             if hit is not None:
@@ -302,8 +291,8 @@ def compile_resharding(
         plan=state.plan,
         signature=signature,
         diagnostics=diagnostics,
-        faults=faults,
-        retry_policy=retry_policy,
+        faults=ctx.faults,
+        retry_policy=ctx.retry_policy,
         timing=state.timing,
         validated=ctx.validate,
         scores=list(state.scores),

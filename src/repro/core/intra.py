@@ -26,7 +26,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..sim.network import Network
 from ..strategies.broadcast import adaptive_chunks
 from .data import apply_plan
 from .executor import TimingResult, simulate_plan
@@ -129,7 +128,6 @@ def intra_mesh_reshard(
     src_spec,
     dst_spec,
     dtype=np.float32,
-    network: Optional[Network] = None,
 ) -> IntraReshardResult:
     """Convert a tensor's layout on one mesh; time it and optionally
     move real data (when given an array)."""
@@ -141,7 +139,7 @@ def intra_mesh_reshard(
         array = None
         shape = tuple(tensor_or_shape)
     plan = plan_intra_mesh(shape, mesh, src_spec, dst_spec, dtype=dtype)
-    timing = simulate_plan(plan, network=network)
+    timing = simulate_plan(plan)
     dst_tensor = None
     if array is not None:
         src_tensor = DistributedTensor.from_global(mesh, plan.task.src_spec, array)

@@ -111,14 +111,14 @@ class DistributedTensor:
     def device_region(self, device_id: int) -> Region:
         return self.grid.device_region(device_id)
 
-    def to_global(self, check_replicas: bool = True) -> np.ndarray:
+    def to_global(self) -> np.ndarray:
         """Reassemble the global tensor, verifying replica consistency."""
         out = np.empty(self.shape, dtype=self.dtype)
         covered = np.zeros(self.shape, dtype=bool)
         for d in self.mesh.devices:
             region = self.grid.device_region(d)
             sl = _region_slices(region)
-            if check_replicas and covered[sl].any():
+            if covered[sl].any():
                 if not np.array_equal(out[sl], self.shards[d]):
                     raise ValueError(
                         f"replica mismatch: device {d} disagrees on {region}"

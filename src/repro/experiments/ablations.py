@@ -19,8 +19,6 @@ knobs our reproduction introduces or makes explicit:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..models.parallel import resolve_comm_edges
 from ..models.utransformer import UTransformerConfig, build_utransformer
 from ..pipeline.executor import simulate_pipeline
@@ -107,13 +105,13 @@ def run_gating() -> ExperimentTable:
     return table
 
 
-def _utransformer_job(batch: int = 512) -> tuple[PipelineJob, object]:
-    spec = build_utransformer(replace(UTransformerConfig(), global_batch=batch))
+def _utransformer_job() -> PipelineJob:
+    """U-Transformer at a 512-sample global batch, broadcast edges."""
+    spec = build_utransformer(UTransformerConfig(global_batch=512))
     edges = resolve_comm_edges(spec, "broadcast")
-    job = PipelineJob(
+    return PipelineJob(
         stages=spec.profiles, edges=edges, n_microbatches=spec.n_microbatches
     )
-    return job, spec
 
 
 def run_eagerness() -> ExperimentTable:
@@ -128,7 +126,7 @@ def run_eagerness() -> ExperimentTable:
             "eagerness only costs memory."
         ),
     )
-    job, _ = _utransformer_job()
+    job = _utransformer_job()
     p, m = job.n_stages, job.n_microbatches
     for extra in (0, 1, 2, 3):
         orders = [
@@ -156,7 +154,7 @@ def run_weight_delay() -> ExperimentTable:
             "transfer earlier; one slot suffices (paper §4)."
         ),
     )
-    job, _ = _utransformer_job()
+    job = _utransformer_job()
     p, m = job.n_stages, job.n_microbatches
     base = [one_f_one_b_order(m, p - s) for s in range(p)]
     for delay in (0, 1, 2):

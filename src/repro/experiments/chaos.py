@@ -11,6 +11,7 @@ is behind a ``faults is None``-style guard (pinned in
 
 from __future__ import annotations
 
+from ..compiler import compile_resharding
 from ..core.executor import simulate_plan
 from ..core.mesh import DeviceMesh
 from ..core.task import ReshardingTask
@@ -45,7 +46,7 @@ def run() -> ExperimentTable:
     )
     for rate in DROP_RATES:
         faults = FaultSchedule(seed=0, drop_rate=rate)
-        plan = BroadcastStrategy(faults=faults).plan(task)
+        plan = compile_resharding(task, cache=None, faults=faults).plan
         res = simulate_plan(plan, faults=faults, retry_policy=POLICY)
         rep = res.fault_report
         table.add(**{

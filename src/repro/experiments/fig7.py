@@ -13,8 +13,6 @@ Alpa, reaching >=97 % of the Signal bound.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..models.gpt import GPT_CASES, build_gpt
 from ..models.parallel import ParallelJobSpec, run_iteration
 from ..models.utransformer import UTransformerConfig, build_utransformer
@@ -34,18 +32,17 @@ def workloads() -> dict[str, ParallelJobSpec]:
     return specs
 
 
-def run(methods: Optional[tuple[str, ...]] = None) -> ExperimentTable:
-    methods = methods if methods is not None else E2E_METHODS
+def run() -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="E4 (Table 3 + Fig. 7)",
         title="End-to-end training throughput (per-GPU TFLOPS)",
         columns=["model", "method", "iteration (s)", "TFLOPS/GPU", "vs Alpa", "of Signal"],
     )
     for model_name, spec in workloads().items():
-        results = {m: run_iteration(spec, m) for m in methods}
-        alpa = results.get("alpa")
-        signal = results.get("signal")
-        for m in methods:
+        results = {m: run_iteration(spec, m) for m in E2E_METHODS}
+        alpa = results["alpa"]
+        signal = results["signal"]
+        for m in E2E_METHODS:
             r = results[m]
             table.add(
                 model=model_name,
@@ -53,14 +50,8 @@ def run(methods: Optional[tuple[str, ...]] = None) -> ExperimentTable:
                 **{
                     "iteration (s)": r.iteration_time,
                     "TFLOPS/GPU": r.throughput_tflops,
-                    "vs Alpa": (
-                        r.throughput_tflops / alpa.throughput_tflops if alpa else float("nan")
-                    ),
-                    "of Signal": (
-                        r.throughput_tflops / signal.throughput_tflops
-                        if signal
-                        else float("nan")
-                    ),
+                    "vs Alpa": r.throughput_tflops / alpa.throughput_tflops,
+                    "of Signal": r.throughput_tflops / signal.throughput_tflops,
                 },
             )
     return table

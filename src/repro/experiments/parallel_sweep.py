@@ -16,14 +16,20 @@ from .common import ExperimentTable
 
 __all__ = ["run", "gpt_config_space"]
 
+#: the cluster's GPU count and GPT-2.6B's layer count
+N_DEVICES = 8
+N_LAYERS = 32
+#: the systems compared
+METHODS = ("alpa", "ours")
 
-def gpt_config_space(n_devices: int = 8, n_layers: int = 32) -> list[GPTConfig]:
-    """All (dp, op, pp) factorizations of ``n_devices`` that fit GPT."""
+
+def gpt_config_space() -> list[GPTConfig]:
+    """All (dp, op, pp) factorizations of ``N_DEVICES`` that fit GPT."""
     configs = []
     for pp in (1, 2, 4, 8):
-        if n_devices % pp or n_layers % pp:
+        if N_DEVICES % pp or N_LAYERS % pp:
             continue
-        rest = n_devices // pp
+        rest = N_DEVICES // pp
         dp = 1
         while dp <= rest:
             if rest % dp == 0:
@@ -40,11 +46,11 @@ def gpt_config_space(n_devices: int = 8, n_layers: int = 32) -> list[GPTConfig]:
     return configs
 
 
-def run(methods: tuple[str, ...] = ("alpa", "ours")) -> ExperimentTable:
+def run() -> ExperimentTable:
     table = ExperimentTable(
         experiment_id="S1 (extension)",
         title="GPT-2.6B parallel-config sweep on 8 GPUs (per-GPU TFLOPS)",
-        columns=["config", "micro-batches"] + [f"{m} TFLOPS" for m in methods]
+        columns=["config", "micro-batches"] + [f"{m} TFLOPS" for m in METHODS]
         + ["ours/alpa"],
         notes=(
             "pp=1 has no cross-mesh resharding, so all systems tie; "
@@ -54,17 +60,14 @@ def run(methods: tuple[str, ...] = ("alpa", "ours")) -> ExperimentTable:
     )
     for cfg in gpt_config_space():
         spec = build_gpt(cfg)
-        results = {m: run_iteration(spec, m) for m in methods}
+        results = {m: run_iteration(spec, m) for m in METHODS}
         row = {
             "config": f"({cfg.dp},{cfg.op},{cfg.pp})",
             "micro-batches": cfg.n_microbatches,
-            "ours/alpa": (
-                results["ours"].throughput_tflops / results["alpa"].throughput_tflops
-                if {"ours", "alpa"} <= set(methods)
-                else float("nan")
-            ),
+            "ours/alpa": results["ours"].throughput_tflops
+            / results["alpa"].throughput_tflops,
         }
-        for m in methods:
+        for m in METHODS:
             row[f"{m} TFLOPS"] = results[m].throughput_tflops
         table.add(**row)
     return table

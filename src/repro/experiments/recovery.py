@@ -50,14 +50,18 @@ def poisson_host_failures(
 #: a visible fraction of an iteration and the Young/Daly optimum lands
 #: inside the swept interval range instead of degenerating to "always".
 STATE_ELEMS = 1 << 22
+#: the sweep: iterations per run, MTBF in iterations, checkpoint
+#: intervals, and the failure-schedule seed
+N_ITERATIONS = 30
+MTBF_ITERATIONS = 12.0
+INTERVALS = (1, 2, 5, 10, 15, 30)
+SEED = 7
 
 
-def recovery_job(n_spares: int = 2) -> ParallelJobSpec:
-    """The sweep workload: a small 2-stage GPT on 2 hosts plus spares
+def recovery_job() -> ParallelJobSpec:
+    """The sweep workload: a small 2-stage GPT on 2 hosts plus 2 spares
     (small so iteration time and checkpoint cost are commensurate)."""
-    cluster = Cluster(
-        ClusterSpec(n_hosts=2 + n_spares, devices_per_host=4, n_spare_hosts=n_spares)
-    )
+    cluster = Cluster(ClusterSpec(n_hosts=4, devices_per_host=4, n_spare_hosts=2))
     config = GPTConfig(name="GPT-small", n_layers=4, hidden=1024, dp=2, op=2, pp=2)
     return build_gpt(config, cluster=cluster)
 
@@ -71,21 +75,16 @@ def sweep_config(interval: int) -> CheckpointConfig:
     )
 
 
-def run_interval_sweep(
-    n_iterations: int = 30,
-    mtbf_iterations: float = 12.0,
-    intervals: tuple[int, ...] = (1, 2, 5, 10, 15, 30),
-    seed: int = 7,
-) -> ExperimentTable:
+def run_interval_sweep() -> ExperimentTable:
     """Total-time U-curve over the checkpoint interval, Young/Daly marked."""
     spec = recovery_job()
     base = simulate_training_run(
-        spec, n_iterations, config=sweep_config(0), state_elems_per_stage=STATE_ELEMS
+        spec, N_ITERATIONS, config=sweep_config(0), state_elems_per_stage=STATE_ELEMS
     )
-    iter_time = base.total_time / n_iterations
-    mtbf = mtbf_iterations * iter_time
+    iter_time = base.total_time / N_ITERATIONS
+    mtbf = MTBF_ITERATIONS * iter_time
     faults = poisson_host_failures(
-        seed, mtbf, horizon=3.0 * n_iterations * iter_time, hosts=(0, 1)
+        SEED, mtbf, horizon=3.0 * N_ITERATIONS * iter_time, hosts=(0, 1)
     )
     # Measured per-checkpoint cost, for the analytic optimum.
     delta = (
@@ -108,14 +107,14 @@ def run_interval_sweep(
             "reshard (s)",
         ],
         notes=(
-            f"MTBF {mtbf:.0f}s (~{mtbf_iterations:g} iters); Young/Daly "
-            f"optimum ~{yd_iters:.1f} iters; seed {seed}"
+            f"MTBF {mtbf:.0f}s (~{MTBF_ITERATIONS:g} iters); Young/Daly "
+            f"optimum ~{yd_iters:.1f} iters; seed {SEED}"
         ),
     )
-    for interval in intervals:
+    for interval in INTERVALS:
         rep = simulate_training_run(
             spec,
-            n_iterations,
+            N_ITERATIONS,
             faults=faults,
             config=sweep_config(interval),
             max_restarts=8,

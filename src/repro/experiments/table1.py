@@ -22,17 +22,19 @@ PAPER_VALUES = {
 }
 
 
-def run(
-    seq_len: int = 1024, hidden: int = 12288, micro_batch: int = 2, tmp: int = 8
-) -> ExperimentTable:
-    row = gpt_layer_memory_table(seq_len, hidden, micro_batch, tmp)
+#: the paper's GPT-3 layer: sequence length, hidden size, micro-batch, TMP
+SEQ_LEN, HIDDEN, MICRO_BATCH, TMP = 1024, 12288, 2, 8
+
+
+def run() -> ExperimentTable:
+    row = gpt_layer_memory_table(SEQ_LEN, HIDDEN, MICRO_BATCH, TMP)
     mi = float(1 << 20)
     gi = float(1 << 30)
     table = ExperimentTable(
         experiment_id="E3 (Table 1)",
         title=(
-            f"GPT-3 layer per-GPU sizes (S={seq_len}, H={hidden}, "
-            f"B={micro_batch}, TMP={tmp})"
+            f"GPT-3 layer per-GPU sizes (S={SEQ_LEN}, H={HIDDEN}, "
+            f"B={MICRO_BATCH}, TMP={TMP})"
         ),
         columns=["quantity", "expression", "measured", "paper"],
         notes="Paper values use binary prefixes (M = 2^20, GB = 2^30).",

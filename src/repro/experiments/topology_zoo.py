@@ -20,14 +20,13 @@ source hosts fanned out to 6 receiving hosts) across the topology zoo:
 
 Makespans come from the flow simulator, which contends switch ports in
 the same max-min fixpoint as NICs — oversubscription is *priced*, not
-asserted.  The quick mode (the default, also the :func:`payload`
-``python -m repro report`` persists as ``BENCH_topology.json``) uses a
-16 MB tensor; full mode uses 256 MB.
+asserted.  The table and the :func:`payload` ``python -m repro report``
+persists as ``BENCH_topology.json`` both use a 16 MB tensor.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,7 +51,6 @@ DST_HOSTS = (2, 3, 4, 5, 6, 7)
 STRATEGIES = ("broadcast", "multicast", "allgather")
 
 QUICK_SHAPE = (2048, 2048)  # 16 MB fp32
-FULL_SHAPE = (8192, 8192)  # 256 MB fp32
 
 
 def zoo_specs() -> dict[str, ClusterSpec]:
@@ -83,14 +81,12 @@ def zoo_specs() -> dict[str, ClusterSpec]:
     }
 
 
-def _measure(
-    spec: ClusterSpec, strategy_name: str, shape: tuple[int, int]
-) -> Optional[float]:
+def _measure(spec: ClusterSpec, strategy_name: str) -> Optional[float]:
     """Makespan of the fan-out resharding, or None when unsupported."""
     cluster = Cluster(spec)
     src = DeviceMesh.from_hosts(cluster, SRC_HOSTS)
     dst = DeviceMesh.from_hosts(cluster, DST_HOSTS)
-    task = ReshardingTask(shape, src, "S0R", dst, "RR", dtype=np.float32)
+    task = ReshardingTask(QUICK_SHAPE, src, "S0R", dst, "RR", dtype=np.float32)
     strategy = make_strategy(strategy_name)
     if not strategy.supports(task):
         return None
@@ -98,12 +94,8 @@ def _measure(
     return simulate_plan(plan).total_time
 
 
-def run(
-    quick: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ExperimentTable:
-    shape = QUICK_SHAPE if quick else FULL_SHAPE
-    nbytes = float(np.prod(shape)) * 4
+def run() -> ExperimentTable:
+    nbytes = float(np.prod(QUICK_SHAPE)) * 4
     table = ExperimentTable(
         experiment_id="E8 (topology zoo)",
         title="Strategy x topology makespan heatmap",
@@ -119,9 +111,7 @@ def run(
     for topo_name, spec in zoo_specs().items():
         base: Optional[float] = None
         for strat in STRATEGIES:
-            if progress is not None:
-                progress(f"{topo_name} x {strat}")
-            makespan = _measure(spec, strat, shape)
+            makespan = _measure(spec, strat)
             if strat == "broadcast":
                 base = makespan
             table.add(
@@ -139,7 +129,7 @@ def run(
     return table
 
 
-def payload(quick: bool = True) -> dict:
+def payload() -> dict:
     """Deterministic ``BENCH_topology.json`` payload: the raw heatmap.
 
     Raises unless switch multicast strictly beats the ring broadcast on
@@ -148,9 +138,8 @@ def payload(quick: bool = True) -> dict:
     fixpoint prices oversubscription), and the switchless torus reports
     multicast as unsupported.
     """
-    shape = QUICK_SHAPE if quick else FULL_SHAPE
     out: dict = {
-        "shape": list(shape),
+        "shape": list(QUICK_SHAPE),
         "n_hosts": N_HOSTS,
         "devices_per_host": DEVICES_PER_HOST,
         "makespans": {},
@@ -158,7 +147,7 @@ def payload(quick: bool = True) -> dict:
     for topo_name, spec in zoo_specs().items():
         row = {}
         for strat in STRATEGIES:
-            makespan = _measure(spec, strat, shape)
+            makespan = _measure(spec, strat)
             # round: byte-stable across platforms, still a drift signal
             row[strat] = None if makespan is None else round(makespan, 9)
         out["makespans"][topo_name] = row

@@ -257,7 +257,7 @@ class BrokenRerootPass:
     name = "broken_reroot"
 
     def run(self, state: PlanState, ctx: CompileContext) -> str:
-        faults = ctx.effective_faults(state.strategy)
+        faults = ctx.faults
         if faults is None or state.schedule is None:
             return "no-op"
         spec = state.task.cluster.spec
@@ -573,22 +573,25 @@ def _one_step_reductions(schedule: FaultSchedule):
         yield dataclasses.replace(schedule, drop_rate=0.0)
 
 
+#: candidate evaluations a shrink may spend
+MAX_SHRINK_STEPS = 200
+
+
 def shrink_schedule(
     schedule: FaultSchedule,
     still_fails: Callable[[FaultSchedule], bool],
-    max_steps: int = 200,
 ) -> FaultSchedule:
     """Greedily remove events while ``still_fails`` holds (to fixpoint).
 
     The result is 1-minimal: removing any single remaining event makes
-    the violation disappear (or ``max_steps`` candidate evaluations ran
-    out — generated schedules carry at most a dozen events, so in
-    practice the fixpoint is always reached).
+    the violation disappear (or ``MAX_SHRINK_STEPS`` candidate
+    evaluations ran out — generated schedules carry at most a dozen
+    events, so in practice the fixpoint is always reached).
     """
     current = schedule
     steps = 0
     improved = True
-    while improved and steps < max_steps:
+    while improved and steps < MAX_SHRINK_STEPS:
         improved = False
         for cand in _one_step_reductions(current):
             steps += 1
@@ -596,7 +599,7 @@ def shrink_schedule(
                 current = cand
                 improved = True
                 break
-            if steps >= max_steps:
+            if steps >= MAX_SHRINK_STEPS:
                 break
     return current
 
@@ -646,7 +649,6 @@ def _generate_schedule(
 def run_fuzz(
     runs: int = 100,
     seed: int = 0,
-    workloads: Optional[list[FuzzWorkload]] = None,
     break_reroot: bool = False,
     break_memory: bool = False,
     shrink: bool = True,
@@ -662,9 +664,7 @@ def run_fuzz(
     """
     if runs < 0:
         raise ValueError(f"runs must be >= 0, got {runs}")
-    wls = workloads if workloads is not None else fuzz_workloads()
-    if not wls:
-        raise ValueError("no workloads to fuzz")
+    wls = fuzz_workloads()
     stats = FuzzStats()
     h = hashlib.sha256()
     for index in range(runs):

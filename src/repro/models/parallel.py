@@ -23,7 +23,7 @@ signal         signal      1F1B         yes      no
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -171,11 +171,10 @@ class E2EResult:
 def run_iteration(
     spec: ParallelJobSpec,
     method: str,
-    method_spec: Optional[MethodSpec] = None,
     cache: Any = USE_DEFAULT_CACHE,
 ) -> E2EResult:
     """Simulate one training iteration of ``spec`` under a named method."""
-    ms = method_spec if method_spec is not None else METHODS[method]
+    ms = METHODS[method]
     edges = resolve_comm_edges(spec, ms.strategy, cache=cache)
     job = PipelineJob(
         stages=spec.profiles, edges=edges, n_microbatches=spec.n_microbatches

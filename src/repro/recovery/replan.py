@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from ..core.tensor import DistributedTensor
 from ..core.verify_data import IntegrityError, IntegrityReport, verify_delivery
 from ..models.parallel import ParallelJobSpec
 from ..sim.cluster import Cluster
-from ..sim.faults import FaultSchedule, RetryPolicy
+from ..sim.faults import FaultSchedule
 from .checkpoint import Checkpoint
 
 __all__ = [
@@ -224,11 +223,10 @@ def replan(
     faults: FaultSchedule,
     failure_time: float,
     used_spares: frozenset[int] = frozenset(),
-    strategy: str = "broadcast",
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> RecoveryPlan:
     """Rebuild the placement after the failures known at ``failure_time``
-    and compile + execute + certify the state resharding.
+    and compile + execute + certify the state resharding (broadcast,
+    under ``faults`` re-anchored at ``failure_time``).
 
     ``used_spares`` are spares already promoted by earlier recoveries
     (they now carry work and are no longer available).  The returned
@@ -308,11 +306,7 @@ def replan(
         )
         compiled = compile_resharding(
             task,
-            CompileContext(
-                strategy=strategy,
-                strategy_kwargs={"faults": faults_now},
-                retry_policy=retry_policy,
-            ),
+            CompileContext(faults=faults_now),
         )
         plan = _trim_local_deliveries(compiled.plan)
         if plan is compiled.plan:
@@ -329,7 +323,7 @@ def replan(
                     "analysis:\n"
                     + "\n".join(d.format() for d in trimmed_report.errors)
                 )
-            timing = simulate_plan(plan, faults=faults_now, retry_policy=retry_policy)
+            timing = simulate_plan(plan, faults=faults_now)
         src_tensor = DistributedTensor.from_global(
             _flat(src_mesh), STATE_SPEC, array
         )

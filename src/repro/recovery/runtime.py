@@ -42,10 +42,10 @@ from typing import Optional
 import numpy as np
 
 from ..compiler import default_plan_cache
-from ..models.parallel import METHODS, ParallelJobSpec, run_iteration
+from ..models.parallel import ParallelJobSpec, run_iteration
 from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
-from ..sim.faults import FaultSchedule, HostFailure, RetryPolicy
+from ..sim.faults import FaultSchedule, HostFailure
 from .checkpoint import CheckpointConfig, CheckpointStore
 from .replan import RecoveryError, replan
 
@@ -150,6 +150,11 @@ class RunReport:
         )
 
 
+#: the training method every run uses; its edges reshard by broadcast,
+#: the strategy recovery replans with
+METHOD = "broadcast"
+
+
 def _init_state(
     n_stages: int, n_elems: int, seed: int
 ) -> dict[int, np.ndarray]:
@@ -186,13 +191,12 @@ def simulate_training_run(
     n_iterations: int,
     faults: Optional[FaultSchedule] = None,
     config: Optional[CheckpointConfig] = None,
-    method: str = "broadcast",
-    retry_policy: Optional[RetryPolicy] = None,
     max_restarts: int = 4,
     state_elems_per_stage: int = 1 << 14,
     seed: int = 0,
 ) -> RunReport:
-    """Run ``spec`` for ``n_iterations``, surviving permanent host loss.
+    """Run ``spec`` for ``n_iterations`` under the broadcast method,
+    surviving permanent host loss.
 
     Returns a :class:`RunReport`; raises :class:`RecoveryError` when a
     failure strikes with no checkpoint to recover from, and
@@ -203,8 +207,6 @@ def simulate_training_run(
     """
     if n_iterations < 1:
         raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; options: {sorted(METHODS)}")
     config = config if config is not None else CheckpointConfig()
     faults = faults if faults is not None else FaultSchedule()
     store = CheckpointStore(config)
@@ -213,7 +215,7 @@ def simulate_training_run(
     meshes = list(spec.stage_meshes)
     n_stages = len(meshes)
     state = _init_state(n_stages, state_elems_per_stage, seed)
-    iter_time = run_iteration(spec_cur, method).iteration_time
+    iter_time = run_iteration(spec_cur, METHOD).iteration_time
     ideal_time = n_iterations * iter_time
 
     kernel = EventLoop()
@@ -229,7 +231,7 @@ def simulate_training_run(
     ) -> RunReport:
         return RunReport(
             name=spec.name,
-            method=method,
+            method=METHOD,
             n_iterations=n_iterations,
             iterations_completed=completed,
             completed=done,
@@ -296,8 +298,6 @@ def simulate_training_run(
             faults,
             strike.time,
             used_spares=used_spares,
-            strategy=METHODS[method].strategy,
-            retry_policy=retry_policy,
         )
         load = store.read_time(store.latest)
         meshes = plan.new_meshes
@@ -322,7 +322,7 @@ def simulate_training_run(
             spec_cur, stage_meshes=meshes, profiles=profiles
         )
         used_spares = used_spares | set(plan.used_spares)
-        new_iter_time = run_iteration(spec_cur, method).iteration_time
+        new_iter_time = run_iteration(spec_cur, METHOD).iteration_time
         rollback = completed - store.latest.iteration
         state = {s: a.copy() for s, a in store.latest.arrays.items()}
         completed = store.latest.iteration

@@ -37,6 +37,12 @@ __all__ = [
 #: nominal DFS node expansions per "budget second" — fixes the search
 #: depth so schedules cannot vary with CPU speed
 _DFS_NODES_PER_SECOND = 200_000
+#: random restarts per randomized-greedy round
+N_TRIALS = 32
+#: the ensemble's DFS budget (seconds) and the task count beyond which
+#: it skips DFS
+DFS_BUDGET = 0.2
+DFS_MAX_TASKS = 20
 
 
 def _finalize(
@@ -199,11 +205,7 @@ def dfs_schedule(
 
 
 # ----------------------------------------------------------------------
-def randomized_greedy_schedule(
-    problem: SchedulingProblem,
-    n_trials: int = 32,
-    seed: int = 0,
-) -> Schedule:
+def randomized_greedy_schedule(problem: SchedulingProblem, seed: int = 0) -> Schedule:
     """Iterative rounds of randomized maximal conflict-free sets.
 
     Each round repeatedly shuffles the remaining tasks and greedily
@@ -220,7 +222,7 @@ def randomized_greedy_schedule(
         best_set: list[tuple[int, int]] = []  # (task_id, host)
         best_score = -1
         ids = sorted(remaining)
-        for _ in range(n_trials):
+        for _ in range(N_TRIALS):
             perm = ids[:]
             rng.shuffle(perm)
             used_hosts: set[int] = set()
@@ -249,20 +251,15 @@ def randomized_greedy_schedule(
 
 
 # ----------------------------------------------------------------------
-def ensemble_schedule(
-    problem: SchedulingProblem,
-    dfs_budget: float = 0.2,
-    n_trials: int = 32,
-    seed: int = 0,
-    dfs_max_tasks: int = 20,
-) -> Schedule:
+def ensemble_schedule(problem: SchedulingProblem) -> Schedule:
     """The paper's "ours": best of DFS-with-pruning and randomized greedy.
 
-    DFS is skipped beyond ``dfs_max_tasks`` tasks, where the paper
-    observes it cannot find good schedules within the budget.
+    DFS runs with a ``DFS_BUDGET`` of budget seconds and is skipped
+    beyond ``DFS_MAX_TASKS`` tasks, where the paper observes it cannot
+    find good schedules within the budget.
     """
-    rg = randomized_greedy_schedule(problem, n_trials=n_trials, seed=seed)
-    if problem.n_tasks > dfs_max_tasks:
+    rg = randomized_greedy_schedule(problem)
+    if problem.n_tasks > DFS_MAX_TASKS:
         return Schedule(
             assignment=rg.assignment,
             order=rg.order,
@@ -270,7 +267,7 @@ def ensemble_schedule(
             algorithm="ensemble",
             start_times=rg.start_times,
         )
-    df = dfs_schedule(problem, time_budget=dfs_budget, initial_best=rg)
+    df = dfs_schedule(problem, time_budget=DFS_BUDGET, initial_best=rg)
     winner = df if df.makespan <= rg.makespan else rg
     return Schedule(
         assignment=winner.assignment,

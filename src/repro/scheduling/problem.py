@@ -86,8 +86,6 @@ class SchedulingProblem:
     def from_resharding(
         cls,
         rt: "ReshardingTask",
-        cross_bandwidth: Optional[float] = None,
-        intra_bandwidth: Optional[float] = None,
         granularity: str = "intersection",
         faults: "Optional[FaultSchedule]" = None,
     ) -> "SchedulingProblem":
@@ -104,7 +102,7 @@ class SchedulingProblem:
         hosts.
         """
         spec = rt.cluster.spec
-        intra = intra_bandwidth if intra_bandwidth else spec.intra_host_bandwidth
+        intra = spec.intra_host_bandwidth
 
         def nic_bw(host: int) -> float:
             bw = spec.host_nic_bandwidth(host)
@@ -113,8 +111,6 @@ class SchedulingProblem:
             return bw
 
         def cross_bw(sender_host: int, rhosts: frozenset[int]) -> float:
-            if cross_bandwidth:
-                return cross_bandwidth
             # The broadcast ring's throughput is capped by its slowest
             # participating NIC and any contended fabric link on the
             # root->receiver paths (topology- and override-aware).

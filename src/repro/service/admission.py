@@ -26,11 +26,12 @@ the number of active tenants, not by the depth of anyone else's burst.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Deque, Generic, Optional, TypeVar
 
-from .request import Overloaded
+from .request import Overloaded, check_non_negative
 
 __all__ = ["AdmissionConfig", "TokenBucket", "FairQueue", "AdmissionController"]
 
@@ -52,14 +53,16 @@ class AdmissionConfig:
     burst: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.max_queue_depth < 1:
+        if not self.max_queue_depth >= 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if self.per_tenant_depth < 1:
+        if not self.per_tenant_depth >= 1:
             raise ValueError("per_tenant_depth must be >= 1")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
-        if self.rate > 0 and self.burst < 1:
-            raise ValueError("burst must be >= 1 when rate limiting is on")
+        check_non_negative("rate", self.rate)
+        if self.rate > 0 and not 1 <= self.burst < math.inf:
+            raise ValueError(
+                f"burst must be finite and >= 1 when rate limiting is on, "
+                f"got {self.burst}"
+            )
 
 
 class TokenBucket:

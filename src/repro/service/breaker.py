@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .request import check_positive
+
 __all__ = ["BreakerConfig", "CircuitBreaker"]
 
 CLOSED = "closed"
@@ -59,11 +61,10 @@ class BreakerConfig:
     half_open_probes: int = 2
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
+        if not self.failure_threshold >= 1:
             raise ValueError("failure_threshold must be >= 1")
-        if self.cooldown <= 0:
-            raise ValueError("cooldown must be positive")
-        if self.half_open_probes < 1:
+        check_positive("cooldown", self.cooldown)
+        if not self.half_open_probes >= 1:
             raise ValueError("half_open_probes must be >= 1")
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..sim.faults import seeded_uniform
+from .request import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compiler.passes import PlanState
@@ -61,8 +62,8 @@ class ServiceChaos:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if self.slow_extra < 0 or self.cancel_after < 0:
-            raise ValueError("slow_extra and cancel_after must be >= 0")
+        check_non_negative("slow_extra", self.slow_extra)
+        check_non_negative("cancel_after", self.cancel_after)
 
     # ------------------------------------------------------------------
     # Per-request decisions (pure functions of seed + stable ids)

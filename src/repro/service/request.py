@@ -11,8 +11,9 @@ come back, so backoff is informed rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.task import ReshardingTask
@@ -23,7 +24,27 @@ __all__ = [
     "CompileRequest",
     "Overloaded",
     "CompileResponse",
+    "check_positive",
+    "check_non_negative",
 ]
+
+
+def check_positive(name: str, value: Optional[float]) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is ``None``
+    (unset) or a finite number > 0.
+
+    The one rule for every service duration and rate that must be
+    positive; NaN would silently disable whatever it bounds.
+    """
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def check_non_negative(name: str, value: Optional[float]) -> None:
+    """Like :func:`check_positive`, but 0 is allowed."""
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 #: terminal request states, in rough order of desirability:
 #:
@@ -77,8 +98,6 @@ class CompileRequest:
     request_id: str
     tenant: str
     task: "ReshardingTask"
-    strategy: str = "broadcast"
-    strategy_kwargs: dict[str, Any] = field(default_factory=dict)
     deadline: Optional[float] = None
     timeout: Optional[float] = None
 
@@ -87,10 +106,8 @@ class CompileRequest:
             raise ValueError("request_id must be non-empty")
         if not self.tenant:
             raise ValueError("tenant must be non-empty")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        check_positive("deadline", self.deadline)
+        check_positive("timeout", self.timeout)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,7 @@ from ..compiler.passes import DEFAULT_PASSES
 from ..core.validate import PlanValidationError
 from ..runtime.telemetry import TelemetryBus
 from ..sim.faults import RetryPolicy
-from ..strategies import make_strategy
-from ..strategies.base import CommStrategy
+from ..strategies import BroadcastStrategy
 from .admission import AdmissionConfig, AdmissionController, FairQueue
 from .breaker import BreakerConfig, CircuitBreaker
 from .chaos import PoisonPass, ServiceChaos
@@ -52,9 +51,13 @@ from .request import (
     CompileResponse,
     Overloaded,
     TransientCompileFault,
+    check_positive,
 )
 
 __all__ = ["ServiceConfig", "RequestHandle", "ReshardingService"]
+
+#: service seconds a compile occupies its worker per emitted op
+PER_OP_SERVICE_TIME = 0.0005
 
 
 @dataclass(frozen=True)
@@ -70,23 +73,14 @@ class ServiceConfig:
             max_attempts=3, backoff_base=0.005, backoff_factor=2.0, jitter=0.25
         )
     )
-    #: service seconds one compile occupies a worker (plus per-op cost)
+    #: service seconds one compile occupies a worker (plus
+    #: ``PER_OP_SERVICE_TIME`` per emitted op)
     base_service_time: float = 0.01
-    per_op_service_time: float = 0.0005
-    #: defaults applied to requests that do not set their own
-    default_deadline: Optional[float] = None
-    default_timeout: Optional[float] = None
-    #: serve stale cached plans (``degraded=True``) while the breaker is
-    #: open instead of shedding
-    serve_stale: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.base_service_time <= 0:
-            raise ValueError("base_service_time must be positive")
-        if self.per_op_service_time < 0:
-            raise ValueError("per_op_service_time must be >= 0")
+        if not self.n_workers >= 1:
+            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        check_positive("base_service_time", self.base_service_time)
 
     @property
     def drain_rate(self) -> float:
@@ -134,19 +128,17 @@ class RequestHandle:
 class _InFlight:
     """One physical compile plus every request coalesced onto it."""
 
-    __slots__ = ("signature", "stale_key", "strategy", "handles", "poison")
+    __slots__ = ("signature", "stale_key", "handles", "poison")
 
     def __init__(
         self,
         signature: Optional[str],
         stale_key: Optional[str],
-        strategy: CommStrategy,
         leader: RequestHandle,
         poison: bool,
     ) -> None:
         self.signature = signature
         self.stale_key = stale_key
-        self.strategy = strategy
         self.handles: list[RequestHandle] = [leader]
         self.poison = poison
 
@@ -160,22 +152,24 @@ class ReshardingService:
 
     Construct inside a running event loop (all timestamps come from
     ``loop.time()``), call :meth:`start`, submit requests, then
-    :meth:`shutdown` — which drains the queue before returning.
+    :meth:`shutdown` — which drains the queue before returning.  Every
+    request compiles with the paper's broadcast strategy into the
+    service's own :class:`~repro.compiler.PlanCache`.
     """
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        cache: Optional[PlanCache] = None,
-        bus: Optional[TelemetryBus] = None,
         chaos: Optional[ServiceChaos] = None,
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
-        self.cache = cache if cache is not None else PlanCache()
+        self.cache = PlanCache()
         loop = asyncio.get_event_loop()
         self._loop = loop
-        self.bus = bus if bus is not None else TelemetryBus(clock=loop.time)
+        self.bus = TelemetryBus(clock=loop.time)
+        self.strategy = BroadcastStrategy()
+        self._strategy_key = self.strategy.cache_key()
         self.chaos = chaos
         self.admission = AdmissionController(self.config.admission)
         self.breaker = CircuitBreaker(self.config.breaker)
@@ -235,11 +229,6 @@ class ReshardingService:
         if not self._running:
             raise RuntimeError("service is not running (call start() first)")
         now = self._now()
-        if request.deadline is None and self.config.default_deadline is not None:
-            request.deadline = self.config.default_deadline
-        if request.timeout is None and self.config.default_timeout is not None:
-            request.timeout = self.config.default_timeout
-
         overloaded = self.admission.decide(
             request.tenant, now, self._queue, self.config.drain_rate
         )
@@ -261,17 +250,15 @@ class ReshardingService:
         future: "asyncio.Future[CompileResponse]" = self._loop.create_future()
         handle = RequestHandle(request, now, future, self)
 
-        strategy = make_strategy(request.strategy, **request.strategy_kwargs)
-        strategy_key = strategy.cache_key()
         signature: Optional[str] = None
         stale_key: Optional[str] = None
         poison = self.chaos is not None and self.chaos.is_poison(request.request_id)
-        if strategy_key is not None and not poison:
+        if not poison:
             signature = plan_signature(
-                request.task, strategy_key, None, None, epoch=self.cache.epoch
+                request.task, self._strategy_key, None, None, epoch=self.cache.epoch
             )
             stale_key = plan_signature(
-                request.task, strategy_key, None, None, epoch=-1
+                request.task, self._strategy_key, None, None, epoch=-1
             )
 
             cached = self.cache.lookup(signature)
@@ -290,7 +277,7 @@ class ReshardingService:
                 self._count("service.coalesced", now)
                 return handle
 
-        entry = _InFlight(signature, stale_key, strategy, handle, poison)
+        entry = _InFlight(signature, stale_key, handle, poison)
         if signature is not None:
             self._inflight[signature] = entry
         self._queue.push(request.tenant, entry)
@@ -460,7 +447,7 @@ class ReshardingService:
                 passes = DEFAULT_PASSES()
                 passes.insert(len(passes) - 1, PoisonPass())
                 ctx = CompileContext(
-                    strategy=entry.strategy,
+                    strategy=self.strategy,
                     deadline=request.deadline,
                     cache=None,
                     validate=True,
@@ -468,7 +455,7 @@ class ReshardingService:
                 )
             else:
                 ctx = CompileContext(
-                    strategy=entry.strategy,
+                    strategy=self.strategy,
                     deadline=request.deadline,
                     cache=self.cache,
                     # A budget-carrying task must be admission-checked:
@@ -487,10 +474,8 @@ class ReshardingService:
                 end=self._now(),
                 attrs={"request": leader_id, "attempt": attempt},
             )
-        if self.config.per_op_service_time > 0 and compiled.plan.ops:
-            await asyncio.sleep(
-                self.config.per_op_service_time * len(compiled.plan.ops)
-            )
+        if compiled.plan.ops:
+            await asyncio.sleep(PER_OP_SERVICE_TIME * len(compiled.plan.ops))
         return compiled
 
     # ------------------------------------------------------------------
@@ -498,9 +483,7 @@ class ReshardingService:
     # ------------------------------------------------------------------
     def _serve_degraded_or_shed(self, entry: _InFlight, now: float) -> None:
         stale = (
-            self._stale.get(entry.stale_key)
-            if (self.config.serve_stale and entry.stale_key is not None)
-            else None
+            self._stale.get(entry.stale_key) if entry.stale_key is not None else None
         )
         if stale is not None:
             self._count("service.degraded", now)

@@ -548,7 +548,6 @@ class FaultSchedule:
         drop_rate: float = 0.0,
         n_stragglers: int = 0,
         n_stages: int = 0,
-        min_factor: float = 0.2,
         max_window_frac: float = 0.25,
         n_host_failures: int = 0,
         domains: tuple = (),
@@ -591,8 +590,9 @@ class FaultSchedule:
                 (0.05 + 0.95 * keyed(kind, i, "dur")) * max_window_frac * horizon
             )
 
+        # a degraded NIC keeps 20-90 % of its bandwidth
         degradations = tuple(
-            DegradedWindow(rng.randrange(n_hosts), *window(), rng.uniform(min_factor, 0.9))
+            DegradedWindow(rng.randrange(n_hosts), *window(), rng.uniform(0.2, 0.9))
             for _ in range(n_degradations)
         )
         flaps = tuple(FlapWindow(rng.randrange(n_hosts), *window()) for _ in range(n_flaps))

@@ -671,6 +671,6 @@ class Network:
     def active_flows(self) -> int:
         return len(self._active)
 
-    def run(self, until: Optional[float] = None) -> float:
+    def run(self) -> float:
         """Drive the event loop until all flows complete."""
-        return self.loop.run(until=until)
+        return self.loop.run()

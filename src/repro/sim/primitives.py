@@ -259,7 +259,6 @@ def ring_broadcast(
     nbytes: float,
     n_chunks: int = DEFAULT_BROADCAST_CHUNKS,
     tag: str = "broadcast",
-    order: bool = True,
 ) -> CollectiveHandle:
     """Chunk-pipelined ring broadcast from ``root`` to ``receivers``.
 
@@ -268,9 +267,7 @@ def ring_broadcast(
     (a) fully received it and (b) finished forwarding chunk ``c-1``, so
     chunks stream through the ring in pipeline fashion.
     """
-    recv = [d for d in receivers if d != root]
-    if order:
-        recv = ring_order(network.cluster, root, recv)
+    recv = ring_order(network.cluster, root, [d for d in receivers if d != root])
     if not recv or nbytes <= 0:
         return _empty_handle(network, tag)
     ring = [root] + recv

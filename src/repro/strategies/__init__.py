@@ -26,7 +26,6 @@ __all__ = [
 STRATEGIES: dict[str, Callable[[], CommStrategy]] = {
     "send_recv": SendRecvStrategy,
     "allgather": AllGatherStrategy,
-    "alpa": AllGatherStrategy,  # the paper's name for the baseline
     "broadcast": BroadcastStrategy,
     "multicast": MulticastStrategy,
     "signal": SignalStrategy,

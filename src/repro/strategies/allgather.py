@@ -38,23 +38,11 @@ __all__ = ["AllGatherStrategy"]
 class AllGatherStrategy(CommStrategy):
     name = "allgather"
 
-    def __init__(
-        self,
-        granularity: str = "intersection",
-        scheduler: str = "load_balance",
-        gate_on_schedule: bool = True,
-    ) -> None:
-        self.granularity = granularity
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; options: {sorted(SCHEDULERS)}"
-            )
-        self.scheduler_name = scheduler
-        self._scheduler = SCHEDULERS[scheduler]
-        self.gate_on_schedule = gate_on_schedule
+    gate_on_schedule = True
+    scheduler_name = "load_balance"
 
     def scheduler_fn(self):
-        return self._scheduler
+        return SCHEDULERS[self.scheduler_name]
 
     def cache_key(self) -> tuple:
         return (self.name, self.granularity, self.scheduler_name, self.gate_on_schedule)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..sim.faults import FaultSchedule, RetryPolicy
 from .allgather import AllGatherStrategy
 from .base import CommStrategy
 from .broadcast import BroadcastStrategy
@@ -35,18 +34,14 @@ class AutoStrategy(CommStrategy):
     def __init__(
         self,
         candidates: Optional[Sequence[CommStrategy]] = None,
-        faults: Optional[FaultSchedule] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        self.faults = faults
-        self.retry_policy = retry_policy
         self.candidates: tuple[CommStrategy, ...] = (
             tuple(candidates)
             if candidates is not None
             else (
-                SendRecvStrategy(faults=faults),
+                SendRecvStrategy(),
                 AllGatherStrategy(),
-                BroadcastStrategy(faults=faults),
+                BroadcastStrategy(),
             )
         )
         if not self.candidates:
@@ -58,4 +53,4 @@ class AutoStrategy(CommStrategy):
         keys = tuple(c.cache_key() for c in self.candidates)
         if any(k is None for k in keys):
             return None
-        return (self.name, repr(self.retry_policy)) + keys
+        return (self.name,) + keys

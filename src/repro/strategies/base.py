@@ -13,6 +13,13 @@ and validation as explicit passes; a strategy contributes
   be content-addressed (return ``None`` to opt out: the compile is then
   simply uncacheable, never wrong).
 
+A strategy holds no fault scenario.  A compile's
+:class:`~repro.sim.faults.FaultSchedule` and
+:class:`~repro.sim.faults.RetryPolicy` live only on
+:class:`~repro.compiler.pipeline.CompileContext`; the passes read them
+from there, and the ``*_uses_faults``/``reroot_on_faults`` flags say
+which passes let them shape this strategy's plan.
+
 :meth:`CommStrategy.plan` is kept as the stable public API — it now
 delegates to :func:`repro.compiler.compile_resharding` with the cache
 disabled, so ``strategy.plan(task)`` behaves exactly as before (a fresh
@@ -28,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
-from ..sim.faults import FaultSchedule, RetryPolicy
+from ..sim.faults import FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scheduling import Schedule, SchedulingProblem
@@ -44,10 +51,6 @@ class CommStrategy(ABC):
     name: str = "abstract"
     #: unit-task decomposition the strategy emits against
     granularity: str = "intersection"
-    #: fault schedule the strategy was configured with (may be None)
-    faults: Optional[FaultSchedule] = None
-    #: retry policy (auto strategy scoring); read by the compile context
-    retry_policy: Optional[RetryPolicy] = None
     #: False when emitted plans do not carry the tensor (signal)
     data_complete: bool = True
     #: attach the schedule to the plan so the executor gates on it
@@ -149,8 +152,8 @@ class LoadTracker:
             self._host_weight[host] = w
         return w
 
-    def healthy(self, candidates: Sequence[int], at: float = 0.0) -> list[int]:
-        """Candidates whose host NIC is not flapped down at time ``at``.
+    def healthy(self, candidates: Sequence[int]) -> list[int]:
+        """Candidates whose host NIC is not flapped down at plan time (0).
 
         Falls back to the full candidate list when every host is down —
         a doomed pick is still better than no plan (the runtime's retry
@@ -161,7 +164,7 @@ class LoadTracker:
         up = [
             d
             for d in candidates
-            if not self.faults.host_down(self.cluster.host_of(d), at)
+            if not self.faults.host_down(self.cluster.host_of(d), 0.0)
         ]
         return up if up else list(candidates)
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from ..core.plan import BroadcastOp, CommPlan
+from ..core.plan import BroadcastOp, CommOp, CommPlan
 from ..core.task import ReshardingTask
 from ..scheduling import SCHEDULERS, Schedule, SchedulingProblem
-from ..sim.faults import FaultSchedule
 from .base import CommStrategy
 
 __all__ = ["BroadcastStrategy", "adaptive_chunks", "TARGET_CHUNK_BYTES", "MAX_CHUNKS"]
@@ -39,15 +38,11 @@ TARGET_CHUNK_BYTES = 8 << 20
 MAX_CHUNKS = 128
 
 
-def adaptive_chunks(
-    nbytes: float,
-    target_chunk_bytes: float = TARGET_CHUNK_BYTES,
-    max_chunks: int = MAX_CHUNKS,
-) -> int:
+def adaptive_chunks(nbytes: float) -> int:
     """Pick the pipeline chunk count for one broadcast of ``nbytes``."""
     if nbytes <= 0:
         return 1
-    return max(1, min(max_chunks, int(nbytes // target_chunk_bytes)))
+    return max(1, min(MAX_CHUNKS, int(nbytes // TARGET_CHUNK_BYTES)))
 
 
 class BroadcastStrategy(CommStrategy):
@@ -62,10 +57,8 @@ class BroadcastStrategy(CommStrategy):
         n_chunks: Optional[int] = None,
         gate_on_schedule: bool = True,
         granularity: str = "intersection",
-        faults: Optional[FaultSchedule] = None,
     ) -> None:
         self.granularity = granularity
-        self.faults = faults
         if isinstance(scheduler, str):
             if scheduler not in SCHEDULERS:
                 raise ValueError(
@@ -95,7 +88,6 @@ class BroadcastStrategy(CommStrategy):
             self.scheduler_name,
             self.n_chunks,
             self.gate_on_schedule,
-            repr(self.faults),
         )
 
     def emit(self, task: ReshardingTask, plan: CommPlan, schedule, load) -> None:
@@ -104,18 +96,18 @@ class BroadcastStrategy(CommStrategy):
                 continue
             host = schedule.assignment[ut.task_id]
             sender = load.pick_on_host(ut.senders, host, ut.nbytes)
-            plan.add(
-                BroadcastOp(
-                    op_id=plan.next_op_id,
-                    unit_task_id=ut.task_id,
-                    region=ut.region,
-                    nbytes=ut.nbytes,
-                    sender=sender,
-                    receivers=ut.receivers,
-                    n_chunks=(
-                        self.n_chunks
-                        if self.n_chunks is not None
-                        else adaptive_chunks(ut.nbytes)
-                    ),
-                )
-            )
+            n_chunks = self.n_chunks or adaptive_chunks(ut.nbytes)
+            plan.add(self.op(task, ut, host, sender, n_chunks, plan.next_op_id))
+
+    def op(self, task: ReshardingTask, ut, host: int, sender: int,
+           n_chunks: int, op_id: int) -> CommOp:
+        """The op that delivers unit task ``ut`` from ``sender`` on ``host``."""
+        return BroadcastOp(
+            op_id=op_id,
+            unit_task_id=ut.task_id,
+            region=ut.region,
+            nbytes=ut.nbytes,
+            sender=sender,
+            receivers=ut.receivers,
+            n_chunks=n_chunks,
+        )

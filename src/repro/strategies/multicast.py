@@ -29,106 +29,38 @@ paper's Eq. 3 ordering model applies as-is.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.plan import BroadcastOp, CommPlan, MulticastOp
+from ..core.plan import CommOp, MulticastOp
 from ..core.task import ReshardingTask
-from ..scheduling import SCHEDULERS, Schedule, SchedulingProblem  # noqa: F401
-from ..sim.faults import FaultSchedule
-from .base import CommStrategy
-from .broadcast import SchedulerLike, adaptive_chunks
+from .broadcast import BroadcastStrategy
 
 __all__ = ["MulticastStrategy"]
 
 
-class MulticastStrategy(CommStrategy):
+class MulticastStrategy(BroadcastStrategy):
     name = "multicast"
-    emit_uses_faults = True
-    schedule_uses_faults = True
-    reroot_on_faults = True
 
-    def __init__(
-        self,
-        scheduler: SchedulerLike = "ensemble",
-        n_chunks: Optional[int] = None,
-        gate_on_schedule: bool = True,
-        granularity: str = "intersection",
-        faults: Optional[FaultSchedule] = None,
-    ) -> None:
-        self.granularity = granularity
-        self.faults = faults
-        if isinstance(scheduler, str):
-            if scheduler not in SCHEDULERS:
-                raise ValueError(
-                    f"unknown scheduler {scheduler!r}; options: {sorted(SCHEDULERS)}"
-                )
-            self._scheduler = SCHEDULERS[scheduler]
-            self.scheduler_name = scheduler
-        else:
-            self._scheduler = scheduler
-            self.scheduler_name = getattr(scheduler, "__name__", "custom")
-        if n_chunks is not None and int(n_chunks) < 1:
-            raise ValueError("n_chunks must be >= 1")
-        self.n_chunks = None if n_chunks is None else int(n_chunks)
-        self.gate_on_schedule = gate_on_schedule
-
-    def scheduler_fn(self):
-        return self._scheduler
+    def __init__(self) -> None:
+        """No options: broadcast's default scheduler, chunking and gating."""
+        super().__init__()
 
     def supports(self, task: ReshardingTask) -> bool:
         """Multicast needs a fabric with at least one switch to claim."""
         return bool(task.cluster.topo.has_switches)
 
-    def cache_key(self) -> Optional[tuple]:
-        if SCHEDULERS.get(self.scheduler_name) is not self._scheduler:
-            return None
-        return (
-            self.name,
-            self.granularity,
-            self.scheduler_name,
-            self.n_chunks,
-            self.gate_on_schedule,
-            repr(self.faults),
+    def op(self, task: ReshardingTask, ut, host: int, sender: int,
+           n_chunks: int, op_id: int) -> CommOp:
+        sw = task.cluster.topo.common_switch(host, task.cluster.hosts_of(ut.receivers))
+        if sw is None:
+            # No switch spans this unit task (e.g. cross-rail fan-out):
+            # ring broadcast keeps the plan complete.
+            return super().op(task, ut, host, sender, n_chunks, op_id)
+        return MulticastOp(
+            op_id=op_id,
+            unit_task_id=ut.task_id,
+            region=ut.region,
+            nbytes=ut.nbytes,
+            sender=sender,
+            receivers=ut.receivers,
+            switch=sw.name,
+            n_chunks=n_chunks,
         )
-
-    def emit(self, task: ReshardingTask, plan: CommPlan, schedule, load) -> None:
-        topo = task.cluster.topo
-        for ut in task.unit_tasks(self.granularity):
-            if not ut.receivers:
-                continue
-            host = schedule.assignment[ut.task_id]
-            sender = load.pick_on_host(ut.senders, host, ut.nbytes)
-            recv_hosts = task.cluster.hosts_of(ut.receivers)
-            sw = topo.common_switch(host, recv_hosts)
-            n_chunks = (
-                self.n_chunks
-                if self.n_chunks is not None
-                else adaptive_chunks(ut.nbytes)
-            )
-            if sw is not None:
-                plan.add(
-                    MulticastOp(
-                        op_id=plan.next_op_id,
-                        unit_task_id=ut.task_id,
-                        region=ut.region,
-                        nbytes=ut.nbytes,
-                        sender=sender,
-                        receivers=ut.receivers,
-                        switch=sw.name,
-                        n_chunks=n_chunks,
-                    )
-                )
-            else:
-                # No switch spans this unit task (e.g. cross-rail fan-
-                # out): ring broadcast keeps the plan complete.
-                plan.add(
-                    BroadcastOp(
-                        op_id=plan.next_op_id,
-                        unit_task_id=ut.task_id,
-                        region=ut.region,
-                        nbytes=ut.nbytes,
-                        sender=sender,
-                        receivers=ut.receivers,
-                        n_chunks=n_chunks,
-                    )
-                )

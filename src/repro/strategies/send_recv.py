@@ -10,11 +10,8 @@ latency grows as ``A x B x t`` in Figure 5.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.plan import CommPlan, SendOp
 from ..core.task import ReshardingTask
-from ..sim.faults import FaultSchedule
 from .base import CommStrategy
 
 __all__ = ["SendRecvStrategy"]
@@ -24,16 +21,8 @@ class SendRecvStrategy(CommStrategy):
     name = "send_recv"
     emit_uses_faults = True
 
-    def __init__(
-        self,
-        granularity: str = "intersection",
-        faults: Optional[FaultSchedule] = None,
-    ) -> None:
-        self.granularity = granularity
-        self.faults = faults
-
     def cache_key(self) -> tuple:
-        return (self.name, self.granularity, repr(self.faults))
+        return (self.name, self.granularity)
 
     def emit(self, task: ReshardingTask, plan: CommPlan, schedule, load) -> None:
         for ut in task.unit_tasks(self.granularity):

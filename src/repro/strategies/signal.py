@@ -20,9 +20,6 @@ class SignalStrategy(CommStrategy):
     name = "signal"
     data_complete = False
 
-    def __init__(self, granularity: str = "intersection") -> None:
-        self.granularity = granularity
-
     def cache_key(self) -> tuple:
         return (self.name, self.granularity)
 

@@ -17,6 +17,7 @@ Three guarantees under chaos:
 import numpy as np
 import pytest
 
+from repro.compiler import CompileContext, compile_resharding
 from repro.core.data import apply_plan
 from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
@@ -50,6 +51,14 @@ def build(src_spec="S0RR", dst_spec="RS1R", shape=(8, 8, 8)):
     return task, DistributedTensor.from_global(src, task.src_spec, arr), arr
 
 
+def plan_under(strategy, task, faults, retry_policy=None):
+    """Compile ``task`` uncached with ``faults`` on the context."""
+    ctx = CompileContext(
+        strategy=strategy, faults=faults, retry_policy=retry_policy, cache=None
+    )
+    return compile_resharding(task, ctx).plan
+
+
 def trace_tuple(network):
     return [
         (r.flow_id, r.src, r.dst, r.nbytes, r.submit_time, r.start_time,
@@ -74,7 +83,7 @@ def test_reshard_replay_is_byte_identical():
     task, _, _ = build("RRR", "S0RR")
     runs = []
     for _ in range(2):
-        plan = BroadcastStrategy(faults=RECOVERABLE).plan(task)
+        plan = plan_under(BroadcastStrategy(), task, RECOVERABLE)
         res = simulate_plan(plan, faults=RECOVERABLE, retry_policy=PATIENT)
         runs.append((res.total_time, trace_tuple(res.network)))
     assert runs[0][0] == runs[1][0]  # identical makespans, not approx
@@ -86,7 +95,7 @@ def test_reshard_replay_is_byte_identical():
         flaps=RECOVERABLE.flaps,
         drop_rate=RECOVERABLE.drop_rate,
     )
-    plan = BroadcastStrategy(faults=other).plan(task)
+    plan = plan_under(BroadcastStrategy(), task, other)
     res = simulate_plan(plan, faults=other, retry_policy=PATIENT)
     # Different seed -> different drop draws somewhere in the trace.
     assert trace_tuple(res.network) != runs[0][1]
@@ -121,17 +130,17 @@ def test_pipeline_replay_is_byte_identical():
 @pytest.mark.parametrize(
     "strategy",
     [
-        SendRecvStrategy(faults=RECOVERABLE),
+        SendRecvStrategy(),
         AllGatherStrategy(),
-        BroadcastStrategy(faults=RECOVERABLE),
-        AutoStrategy(faults=RECOVERABLE, retry_policy=PATIENT),
+        BroadcastStrategy(),
+        AutoStrategy(),
     ],
     ids=["send_recv", "allgather", "broadcast", "auto"],
 )
 @pytest.mark.parametrize("specs", [("RRR", "S0RR"), ("S0RR", "RS1R")])
 def test_strategies_deliver_exact_slices_under_faults(strategy, specs):
     task, src_tensor, arr = build(*specs)
-    plan = strategy.plan(task)
+    plan = plan_under(strategy, task, RECOVERABLE, PATIENT)
     raise_on_plan_errors(plan)
     out = apply_plan(plan, src_tensor)
     assert np.array_equal(out.to_global(), arr)
@@ -150,8 +159,7 @@ def test_broadcast_reroots_around_down_sender_host():
         degradations=(DegradedWindow(host=2, start=0.0, duration=10.0, factor=0.9),),
     )
     task, src_tensor, arr = build("RRR", "S0RR")
-    strat = BroadcastStrategy(faults=fs)
-    plan = strat.plan(task)
+    plan = plan_under(BroadcastStrategy(), task, fs)
     assert plan.fallbacks, "expected at least one re-rooted unit task"
     for fb in plan.fallbacks:
         assert fb.reason == "sender-host-down"
@@ -187,7 +195,7 @@ def test_load_tracker_shifts_work_off_degraded_host():
     fair = SendRecvStrategy().plan(task)
     hosts = [task.cluster.host_of(op.sender) for op in fair.ops]
     assert hosts.count(0) == hosts.count(1)
-    skewed = SendRecvStrategy(faults=fs).plan(task)
+    skewed = plan_under(SendRecvStrategy(), task, fs)
     hosts = [task.cluster.host_of(op.sender) for op in skewed.ops]
     assert hosts.count(1) > hosts.count(0)
 
@@ -198,13 +206,13 @@ def test_auto_strategy_avoids_fatal_candidate():
     fs = FaultSchedule(seed=5, flaps=(FlapWindow(host=1, start=0.0, duration=1e9),))
     brief = RetryPolicy(max_attempts=2, backoff_base=1e-4)
     task, _, _ = build("S0RR", "S0RR")
-    auto = AutoStrategy(faults=fs, retry_policy=brief)
-    plan = auto.plan(task)
+    auto = AutoStrategy()
+    plan = plan_under(auto, task, fs, brief)
     res = simulate_plan(plan, faults=fs, retry_policy=brief)
     best_is_fatal = res.fault_report is not None and res.fault_report.fatal
     others_all_fatal = True
     for strat in auto.candidates:
-        r = simulate_plan(strat.plan(task), faults=fs, retry_policy=brief)
+        r = simulate_plan(plan_under(strat, task, fs), faults=fs, retry_policy=brief)
         if r.fault_report is None or not r.fault_report.fatal:
             others_all_fatal = False
     if best_is_fatal:
@@ -336,7 +344,7 @@ def test_chaos_sweep_never_hangs_or_corrupts(seed):
         drop_rate=0.05,
     )
     task, src_tensor, arr = build("RRR", "S0RR")
-    plan = BroadcastStrategy(faults=fs).plan(task)
+    plan = plan_under(BroadcastStrategy(), task, fs)
     raise_on_plan_errors(plan)
     assert np.array_equal(apply_plan(plan, src_tensor).to_global(), arr)
     res = simulate_plan(plan, faults=fs, retry_policy=PATIENT)
@@ -344,7 +352,7 @@ def test_chaos_sweep_never_hangs_or_corrupts(seed):
     assert rep.status in ("clean", "recovered", "fatal")
     assert res.completed == (not rep.fatal)
     # Replay: chaos is a pure function of the seed.
-    plan2 = BroadcastStrategy(faults=fs).plan(task)
+    plan2 = plan_under(BroadcastStrategy(), task, fs)
     res2 = simulate_plan(plan2, faults=fs, retry_policy=PATIENT)
     assert res2.total_time == res.total_time
     assert trace_tuple(res2.network) == trace_tuple(res.network)

@@ -154,6 +154,48 @@ class TestCacheHitMiss:
 
 
 # ----------------------------------------------------------------------
+# One home for a compile's faults: the context
+# ----------------------------------------------------------------------
+class TestFaultsOnTheContext:
+    @pytest.mark.parametrize(
+        "strategy", ["broadcast", "multicast", "send_recv", "auto"]
+    )
+    def test_fault_schedule_keys_the_cache_for_every_strategy(self, strategy):
+        cache = PlanCache()
+        task = make_task()
+        first = FaultSchedule(seed=0, host_failures=(HostFailure(0, 0.0),))
+        second = FaultSchedule(seed=0, host_failures=(HostFailure(1, 0.0),))
+        for faults in (first, second, first):
+            compile_resharding(
+                task, CompileContext(strategy, faults=faults, cache=cache)
+            )
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (2, 1)
+
+    def test_auto_candidates_schedule_around_a_dead_host(self):
+        # A strategy carries no fault schedule: auto's candidate sees the
+        # context's, so it never roots a broadcast on the dead host.
+        cluster = Cluster(ClusterSpec(n_hosts=4, devices_per_host=2))
+        task = ReshardingTask(
+            (64, 64), DeviceMesh.from_hosts(cluster, [0, 1]), "RR",
+            DeviceMesh.from_hosts(cluster, [2, 3]), "S0R",
+        )
+        faults = FaultSchedule(seed=0, host_failures=(HostFailure(0, 0.0),))
+        compiled = compile_resharding(
+            task,
+            CompileContext(
+                strategy=AutoStrategy(candidates=[BroadcastStrategy()]),
+                faults=faults,
+                retry_policy=RetryPolicy(),
+                cache=None,
+            ),
+        )
+        assert compiled.plan.strategy == "broadcast"
+        assert {cluster.host_of(op.sender) for op in compiled.plan.ops} == {1}
+        assert compiled.ensure_timing().fault_report.status == "clean"
+
+
+# ----------------------------------------------------------------------
 # Invalidation and epochs
 # ----------------------------------------------------------------------
 class TestInvalidation:

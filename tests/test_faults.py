@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from repro.compiler import compile_resharding
 from repro.core.executor import simulate_plan
 from repro.experiments import chaos
 from repro.sim import GB, Cluster, ClusterSpec, Network
@@ -394,7 +395,7 @@ def test_zero_fault_schedule_is_exactly_the_fault_free_run(faults):
     task = chaos.make_task()
     clean = simulate_plan(BroadcastStrategy().plan(task))
     res = simulate_plan(
-        BroadcastStrategy(faults=faults).plan(task),
+        compile_resharding(task, cache=None, faults=faults).plan,
         faults=faults,
         retry_policy=chaos.POLICY,
     )

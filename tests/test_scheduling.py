@@ -174,7 +174,7 @@ def test_ensemble_never_worse_than_components():
 def test_ensemble_skips_dfs_on_large_instances():
     tasks = [T(i, [0], [1 + i % 3], 1.0) for i in range(25)]
     p = SchedulingProblem(tasks)
-    s = ensemble_schedule(p, dfs_max_tasks=20)
+    s = ensemble_schedule(p)
     validate_schedule(p, s)
 
 

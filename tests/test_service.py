@@ -592,6 +592,83 @@ def test_load_profile_rejects_negative_requests():
         main(["serve", "--requests", "-3"])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _load_run(**kw):
+    from repro.service import PROFILES, run_load
+
+    return run_load(PROFILES["steady"], seed=0, **kw)
+
+
+def _profile(**kw):
+    from repro.service import LoadProfile
+
+    return LoadProfile(name="bad", **kw)
+
+
+def _chaos(**kw):
+    from repro.service import ServiceChaos
+
+    return ServiceChaos(**kw)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("deadline", lambda: CompileRequest("r", "t", make_task(), deadline=NAN)),
+        ("deadline", lambda: _load_run(deadline=NAN)),
+        ("timeout", lambda: CompileRequest("r", "t", make_task(), timeout=INF)),
+        ("timeout", lambda: _load_run(timeout=NAN)),
+        ("rate", lambda: AdmissionConfig(rate=NAN)),
+        ("rate", lambda: AdmissionConfig(rate=INF)),
+        ("burst", lambda: AdmissionConfig(rate=10.0, burst=NAN)),
+        ("burst_every", lambda: _profile(burst_every=0.0)),
+        ("base_rate", lambda: _profile(base_rate=0.0, bursty=False)),
+        ("burst_rate", lambda: _profile(burst_rate=NAN)),
+        ("burst_len", lambda: _profile(burst_len=-1.0)),
+        ("n_distinct_tasks", lambda: _profile(n_distinct_tasks=0)),
+        ("cooldown", lambda: BreakerConfig(cooldown=NAN)),
+        ("base_service_time", lambda: ServiceConfig(base_service_time=NAN)),
+        ("base_service_time", lambda: ServiceConfig(base_service_time=INF)),
+        ("slow_extra", lambda: _chaos(slow_extra=NAN)),
+        ("cancel_after", lambda: _chaos(cancel_after=INF)),
+    ],
+    ids=[
+        "request-deadline-nan",
+        "run_load-deadline-nan",
+        "request-timeout-inf",
+        "run_load-timeout-nan",
+        "rate-nan",
+        "rate-inf",
+        "burst-nan",
+        "burst_every-0",
+        "base_rate-0",
+        "burst_rate-nan",
+        "burst_len-negative",
+        "n_distinct_tasks-0",
+        "cooldown-nan",
+        "base_service_time-nan",
+        "base_service_time-inf",
+        "slow_extra-nan",
+        "cancel_after-inf",
+    ],
+)
+def test_service_inputs_must_be_finite(field, build):
+    """NaN, inf and zero rates fail on their own field with a
+    ``ValueError``: never a crash mid-run, a disabled limit or a request
+    that cannot expire."""
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_serve_rejects_a_nan_rate():
+    from repro.__main__ import main
+
+    with pytest.raises(ValueError, match="rate"):
+        main(["serve", "--rate", "nan"])
+
+
 @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
 def test_serve_check_passes_on_bursty_load(chaos, capsys):
     """``serve --check``'s overload-safety gates hold on a 200-request

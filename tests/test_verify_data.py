@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import check_plan, load_plan_fixture
+from repro.compiler import compile_resharding
 from repro.core.data import DataPlaneError, apply_plan
 from repro.core.executor import simulate_plan
 from repro.core.intra import plan_intra_mesh
@@ -123,7 +124,7 @@ def test_unauthoritative_sender_discredited(cluster4x4):
 def test_retried_flows_still_certify(cluster4x4):
     task = make_task(cluster4x4)
     faults = FaultSchedule(seed=3, drop_rate=0.15)
-    plan = BroadcastStrategy(faults=faults).plan(task)
+    plan = compile_resharding(task, cache=None, faults=faults).plan
     timing = simulate_plan(
         plan, faults=faults, retry_policy=RetryPolicy(max_attempts=12)
     )
@@ -158,7 +159,7 @@ def test_reroot_fallback_delivers_identical_bytes(cluster4x4, rng):
             DegradedWindow(host=dst.hosts[0], start=0.0, duration=10.0, factor=0.9),
         ),
     )
-    plan = BroadcastStrategy(faults=faults).plan(task)
+    plan = compile_resharding(task, cache=None, faults=faults).plan
     assert plan.fallbacks, "downing the scheduled sender must re-root"
     assert all(f.to_host != victim for f in plan.fallbacks)
     assert all(
