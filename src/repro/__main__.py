@@ -446,9 +446,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.pipeline:
         from .analysis import analyze_pipeline_schedule
 
-        report = analyze_pipeline_schedule(
-            args.pipeline, args.stages, args.microbatches
-        )
+        try:
+            report = analyze_pipeline_schedule(
+                args.pipeline, args.stages, args.microbatches
+            )
+        except ValueError as bad:
+            print(f"analyze: {bad}", file=sys.stderr)
+            return 2
         ok = _print_analysis(report, args.verbose) and ok
         ran = True
     if args.shape:

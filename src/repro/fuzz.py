@@ -29,7 +29,7 @@ invariants checked on every run:
    dominates the simulated high-water mark
    (``TimingResult.host_peak_buffers``) on every host of every run.
    The bound is only useful as an admission gate if nothing the
-   simulator can do — retries, stragglers, reordering under faults —
+   simulator can do — retries, re-roots, reordering under faults —
    ever pushes real usage above it.
 
 Failing schedules are **shrunk** to a minimal reproducer: events are

@@ -54,27 +54,15 @@ Activation memory is tracked per device as a telemetry gauge stepped by
 :data:`~repro.pipeline.schedules.ACTIVATION_DELTA` (+1 at ``F``, −1 at
 ``B`` or ``Bw``) so the schedules' peak-memory trade-off (§4, Table 1)
 is measurable, and equals the analyzer's static peak.
-
-**Fault tolerance** (optional, ``overlap=True``): given a
-:class:`~repro.sim.faults.FaultSchedule`, cross-stage messages can be
-*lost* — by the per-attempt drop rate, or because a stage's host
-(``stage_hosts``) NIC flapped during the transfer.  A watchdog detects
-the missing input after a backoff deadline and triggers a re-send on
-the same channel; compute stragglers stretch task durations during
-their windows.  Instead of hanging (or raising the deadlock error), a
-faulted run surfaces a structured :class:`~repro.sim.faults.FaultReport`
-on the result — ``recovered`` when every loss was re-sent in time,
-``fatal`` when the retry budget ran out and stages stayed stuck.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
-from ..sim.faults import FaultIncident, FaultReport, FaultSchedule, RetryPolicy
 from .schedules import ACTIVATION_DELTA, Task, read_orders
 from .stage import CommEdge, PipelineJob
 from .timeline import CommEntry, TimelineEntry, comms_from_spans, timeline_from_spans
@@ -109,16 +97,12 @@ class PipelineResult:
     telemetry spans (``cat="compute"`` / ``cat="comm"``), not stored
     lists.  ``n_devices`` is the number of task lists the iteration ran
     on (``job.n_stages`` in the plain layout); the per-device statistics
-    are keyed ``0..n_devices-1``.  ``fault_report`` is ``None`` for
-    fault-free runs; under fault injection it records whether the
-    iteration recovered from every injected fault or ended fatally (some
-    stages never finished).
+    are keyed ``0..n_devices-1``.
     """
 
     telemetry: TelemetryBus = field(repr=False, compare=False)
     job: PipelineJob = field(repr=False)
     n_devices: int
-    fault_report: Optional[FaultReport] = None
     _timeline_cache: Optional[tuple[int, list[TimelineEntry]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -231,17 +215,10 @@ def simulate_pipeline(
     job: PipelineJob,
     orders: list[list[Task]],
     overlap: bool = True,
-    faults: Optional[FaultSchedule] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    stage_hosts: Optional[Sequence[int]] = None,
 ) -> PipelineResult:
     """Simulate one training iteration; see module docstring.
 
-    ``orders[d]`` is device ``d``'s task list.  ``stage_hosts`` maps
-    each stage to the host carrying it, so host outages in ``faults``
-    (flaps, host and domain failures) translate to lost cross-stage
-    messages (a transfer overlapping an outage of either endpoint's host
-    is lost).
+    ``orders[d]`` is device ``d``'s task list.
     """
     reading = read_orders(orders, job.n_microbatches, job)
     if reading.problems:
@@ -252,27 +229,9 @@ def simulate_pipeline(
             "blocking communication (overlap=False) needs stage s on device s; "
             "interleaved placements run overlapped only"
         )
-    if stage_hosts is not None and len(stage_hosts) != job.n_stages:
-        raise ValueError(
-            f"stage_hosts must map all {job.n_stages} stages, got {len(stage_hosts)}"
-        )
-    if faults is not None and not overlap and (faults.drop_rate > 0 or faults.outages):
-        raise ValueError(
-            "host outages and message drops need overlap=True (blocking sends "
-            "have no channel to re-send on); stragglers work in both modes"
-        )
-    policy = retry_policy or RetryPolicy()
     loop = EventLoop()
     bus = loop.bus
     n_devices = len(orders)
-
-    # -- fault bookkeeping --------------------------------------------
-    incidents: list[FaultIncident] = []
-    n_msg_retries = 0
-    n_msg_abandoned = 0
-    added_latency = 0.0
-    # first expected arrival per message, to price recovery delay
-    first_eta: dict[tuple[int, int, str], float] = {}
 
     # Each stage's (edge index, edge) lists, built once per run: F on
     # stage s sends "fwd" along out_edges[s] and waits on in_edges[s];
@@ -313,61 +272,24 @@ def simulate_pipeline(
         return True  # Bw: local only
 
     def duration(stage: int, t: Task) -> float:
-        nonlocal added_latency
         prof = job.stages[stage]
         if t.kind == "F":
-            base = prof.fwd_time
-        elif t.kind == "B":
-            base = prof.bwd_x_time + prof.bwd_w_time
-        elif t.kind == "Bx":
-            base = prof.bwd_x_time
-        else:
-            base = prof.bwd_w_time
-        if faults is not None:
-            factor = faults.straggler_factor(stage, loop.now)
-            if factor > 1.0:
-                incidents.append(
-                    FaultIncident(
-                        kind="straggler",
-                        where=f"stage {stage} {t.kind}{t.microbatch}",
-                        time=loop.now,
-                        resolved=True,
-                    )
-                )
-                added_latency += base * (factor - 1.0)
-                return base * factor
-        return base
+            return prof.fwd_time
+        if t.kind == "B":
+            return prof.bwd_x_time + prof.bwd_w_time
+        if t.kind == "Bx":
+            return prof.bwd_x_time
+        return prof.bwd_w_time
 
     def arrival(kind: str, stage: int, mb: int) -> None:
         key = (kind, stage, mb)
         arrived[key] = arrived.get(key, 0) + 1
         try_start(device_of[stage])
 
-    def message_lost(
-        edge_i: int, mb: int, direction: str, attempt: int, cstart: float, cend: float
-    ) -> bool:
-        if faults is None:
-            return False
-        if faults.should_drop("pipe", edge_i, mb, direction, attempt):
-            return True
-        if stage_hosts is not None:
-            e = job.edges[edge_i]
-            for st in (e.src_stage, e.dst_stage):
-                if faults.host_down_during(stage_hosts[st], cstart, cend):
-                    return True
-        return False
-
     def send_message(
-        e, edge_i: int, dur: float, direction: str, target: int, mb: int,
-        earliest: float, attempt: int,
+        e, dur: float, direction: str, target: int, mb: int, earliest: float
     ) -> None:
-        """One delivery attempt of a cross-stage message (overlap mode).
-
-        A lost message is detected by the consumer's watchdog — the
-        input is missing past its deadline — which triggers a re-send
-        after the policy's backoff; the retry re-occupies the channel.
-        """
-        nonlocal n_msg_retries, n_msg_abandoned, added_latency
+        """One cross-stage message on its FIFO channel (overlap mode)."""
         src_dev, dst_dev = device_of[e.src_stage], device_of[e.dst_stage]
         ckey = (e.src_stage, e.dst_stage, direction)
         ctrack = chan_track.get(ckey)
@@ -377,42 +299,13 @@ def simulate_pipeline(
         cstart = earliest if earliest > free else free
         cend = cstart + dur
         chan_free_at[ctrack] = cend
-        label = e.label if attempt == 1 else f"{e.label}~retry{attempt - 1}"
         bus.span(
-            label, "comm", ctrack, cstart, cend,
+            e.label, "comm", ctrack, cstart, cend,
             {"src_stage": src_dev, "dst_stage": dst_dev,
-             "direction": direction, "microbatch": mb, "label": label},
+             "direction": direction, "microbatch": mb, "label": e.label},
         )
-        mkey = (edge_i, mb, direction)
-        if attempt == 1:
-            first_eta[mkey] = cend
-        if not message_lost(edge_i, mb, direction, attempt, cstart, cend):
-            if attempt > 1:
-                added_latency += cend - first_eta[mkey]
-            dep_kind = "F" if direction == "fwd" else "B"
-            loop.call_at(cend, lambda: arrival(dep_kind, target, mb))
-            return
-        final = policy.exhausted(attempt)
-        incidents.append(
-            FaultIncident(
-                kind="message-lost",
-                where=f"edge {edge_i} {direction} mb{mb}",
-                time=cend,
-                attempt=attempt,
-                resolved=not final,
-            )
-        )
-        if final:
-            n_msg_abandoned += 1
-            return  # consumer stays stuck; surfaced as a fatal report
-        n_msg_retries += 1
-        grace = policy.backoff(attempt, "pipe", edge_i, mb, direction)
-        loop.call_at(
-            cend + grace,
-            lambda: send_message(
-                e, edge_i, dur, direction, target, mb, cend + grace, attempt + 1
-            ),
-        )
+        dep_kind = "F" if direction == "fwd" else "B"
+        loop.call_at(cend, lambda: arrival(dep_kind, target, mb))
 
     # (edge index, direction) -> per-message duration, priced on its
     # first message.  Nothing in this run compiles or invalidates plans,
@@ -448,7 +341,7 @@ def simulate_pipeline(
         idx[device] += 1
         if overlap:
             for e, i, dur, direction, target in produced_edges(stage, t):
-                send_message(e, i, dur, direction, target, t.microbatch, finish, 1)
+                send_message(e, dur, direction, target, t.microbatch, finish)
             try_start(device)
         else:
             # Blocking sends in program order (plain layout, so device
@@ -515,28 +408,10 @@ def simulate_pipeline(
     loop.run()
 
     unfinished = [d for d in range(n_devices) if idx[d] < len(items[d])]
-    if unfinished and faults is None:
+    if unfinished:
         detail = {d: repr(items[d][idx[d]]) for d in unfinished}
         raise RuntimeError(
             f"pipeline deadlocked; stages stuck at tasks {detail} "
             f"(check warm-up depths and edge directions)"
         )
-    report: Optional[FaultReport] = None
-    if faults is not None:
-        stuck = {d: repr(items[d][idx[d]]) for d in unfinished}
-        if unfinished or n_msg_abandoned:
-            status = "fatal"
-        elif incidents:
-            status = "recovered"
-        else:
-            status = "clean"
-        report = FaultReport(
-            status=status,
-            n_faults=len(incidents),
-            n_retries=n_msg_retries,
-            n_abandoned=n_msg_abandoned,
-            added_latency=added_latency,
-            detail=f"stages stuck at tasks {stuck}" if stuck else "",
-            incidents=incidents,
-        )
-    return PipelineResult(telemetry=bus, job=job, n_devices=n_devices, fault_report=report)
+    return PipelineResult(telemetry=bus, job=job, n_devices=n_devices)

@@ -24,6 +24,7 @@ analyzer (``D002``) all consume its :class:`OrderReading`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -42,6 +43,7 @@ __all__ = [
     "stage_order",
     "schedule_job",
     "split_backward",
+    "check_count",
     "SCHEDULE_NAMES",
 ]
 
@@ -71,6 +73,12 @@ class Task:
         if self.stage is None:
             return f"{self.kind}{self.microbatch}"
         return f"{self.kind}{self.microbatch}c{self.stage}"
+
+
+def check_count(name: str, value) -> None:
+    """Reject a stage or micro-batch count that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def fifo_warmup(stage: int, n_stages: int) -> int:
@@ -167,6 +175,8 @@ def schedule_job(
     delay_slots: int = 1,
 ) -> list[list[Task]]:
     """Per-stage ordered task lists for the whole job."""
+    check_count("n_stages", n_stages)
+    check_count("n_microbatches", n_microbatches)
     orders = [
         stage_order(schedule, s, n_stages, n_microbatches) for s in range(n_stages)
     ]

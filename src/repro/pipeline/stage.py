@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .schedules import check_count
+
 __all__ = ["StageProfile", "CommEdge", "PipelineJob"]
 
 
@@ -41,8 +43,11 @@ class StageProfile:
             raise ValueError(f"stage times must be finite, got {times}")
         if min(times) < 0:
             raise ValueError("stage times must be non-negative")
-        if self.memory_capacity < 0:
-            raise ValueError("memory capacity must be non-negative")
+        for name in ("params_bytes", "activation_bytes", "memory_capacity"):
+            value = getattr(self, name)
+            # Written so NaN fails too: every comparison with NaN is False.
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,7 @@ class PipelineJob:
         ids = [s.stage_id for s in self.stages]
         if ids != list(range(len(self.stages))):
             raise ValueError(f"stage ids must be 0..{len(self.stages) - 1}, got {ids}")
-        if self.n_microbatches < 1:
-            raise ValueError("need at least one micro-batch")
+        check_count("n_microbatches", self.n_microbatches)
         for e in self.edges:
             if not (0 <= e.src_stage < len(self.stages)):
                 raise ValueError(f"edge references unknown stage {e.src_stage}")

@@ -19,7 +19,6 @@ from .faults import (
     HostFailure,
     Partition,
     RetryPolicy,
-    StragglerWindow,
 )
 from .network import Flow, FlowRecord, Network
 from .primitives import (
@@ -52,7 +51,6 @@ __all__ = [
     "DomainFailure",
     "Partition",
     "CorruptionWindow",
-    "StragglerWindow",
     "FAULT_CATEGORIES",
     "FaultSchedule",
     "RetryPolicy",

@@ -10,8 +10,6 @@ failure classes a production deployment of the system would face —
   it fail mid-flight and newly arriving flows fail fast;
 * **flow drops**: an individual transfer is lost (checksum failure,
   switch buffer overrun) and detected at its expected delivery instant;
-* **compute stragglers**: a pipeline stage runs slower than profiled for
-  a window (preemption, ECC scrubbing, clock throttling);
 * **permanent host failures**: a host dies at an instant and never comes
   back (kernel panic, hardware fault, spot instance reclaim) — the
   fail-stop model behind the elastic recovery runtime in
@@ -26,9 +24,12 @@ randomization, or interleaving of unrelated work.
 
 The consumers are :class:`repro.sim.network.Network` (flow failures,
 retries, time-varying capacity), the strategies (failure-aware sender
-selection and re-rooting), and :func:`repro.pipeline.executor
-.simulate_pipeline` (stragglers plus a watchdog that re-sends lost
-cross-stage messages).
+selection and re-rooting), and the recovery supervisor
+(:mod:`repro.recovery`), which is the one path by which faults reach a
+training run: it strikes on permanent host and domain failures, then
+replans and reshards the checkpointed state under the schedule
+re-anchored at the failure (:meth:`FaultSchedule.shifted`).  The
+pipeline executor itself simulates fault-free iterations.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "FaultInterval",
     "DegradedWindow",
     "FlapWindow",
-    "StragglerWindow",
     "HostFailure",
     "DomainFailure",
     "Partition",
@@ -121,10 +121,6 @@ class FaultInterval:
     def active(self, t: float) -> bool:
         return self.onset <= t < self.end
 
-    def overlaps(self, lo: float, hi: float) -> bool:
-        """True if the fault is in force anywhere in ``[lo, hi)``."""
-        return self.onset < hi and lo < self.end
-
     def clipped(self, origin: float):
         """This fault as seen from a run starting at ``origin``.
 
@@ -164,21 +160,6 @@ class FlapWindow(FaultInterval):
     host: int
     start: float
     duration: float
-
-
-@dataclass(frozen=True)
-class StragglerWindow(FaultInterval):
-    """Pipeline stage computes ``slowdown`` x slower during the window."""
-
-    stage: int
-    start: float
-    duration: float
-    slowdown: float
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 1.0 < self.slowdown < math.inf:
-            raise ValueError(f"slowdown must be > 1 and finite, got {self.slowdown}")
 
 
 @dataclass(frozen=True)
@@ -284,7 +265,6 @@ class CorruptionWindow(FaultInterval):
 FAULT_KINDS: dict[str, type[FaultInterval]] = {
     "degradations": DegradedWindow,
     "flaps": FlapWindow,
-    "stragglers": StragglerWindow,
     "host_failures": HostFailure,
     "domain_failures": DomainFailure,
     "partitions": Partition,
@@ -308,7 +288,6 @@ class FaultSchedule:
     seed: int = 0
     degradations: tuple[DegradedWindow, ...] = ()
     flaps: tuple[FlapWindow, ...] = ()
-    stragglers: tuple[StragglerWindow, ...] = ()
     drop_rate: float = 0.0
     host_failures: tuple[HostFailure, ...] = ()
     domain_failures: tuple[DomainFailure, ...] = ()
@@ -349,10 +328,6 @@ class FaultSchedule:
     def host_down(self, host: int, t: float) -> bool:
         """True while ``host``'s NIC is flapped down — or dead — at ``t``."""
         return self.outage_at(host, t) is not None
-
-    def host_down_during(self, host: int, start: float, end: float) -> bool:
-        """True if ``host`` is flapped or dead anywhere in [start, end)."""
-        return any(o.overlaps(start, end) for o in self.outages.get(host, ()))
 
     def host_dead(self, host: int, t: float) -> bool:
         """True once ``host`` has permanently failed at or before ``t``."""
@@ -462,13 +437,13 @@ class FaultSchedule:
         Partition edges are included even though capacity is untouched:
         the network re-examines in-flight flows at every boundary, which
         is how a partition onset kills flows already crossing it.
-        Stragglers (compute only) and corruption windows (decided at
-        delivery time) never change flow timing and contribute nothing.
+        Corruption windows (decided at delivery time) never change flow
+        timing and contribute nothing.
         """
         return tuple(sorted({
             b
             for name in FAULT_KINDS
-            if name not in ("stragglers", "corruptions")
+            if name != "corruptions"
             for w in getattr(self, name)
             for b in (w.onset, w.end)
             if b < math.inf
@@ -527,15 +502,6 @@ class FaultSchedule:
             return False
         return seeded_uniform(self.seed, "drop", *key) < self.drop_rate
 
-    # -- pipeline stragglers -------------------------------------------
-    def straggler_factor(self, stage: int, t: float) -> float:
-        """Compute-duration multiplier for ``stage`` at time ``t`` (>= 1)."""
-        factor = 1.0
-        for w in self.stragglers:
-            if w.stage == stage and w.active(t):
-                factor *= w.slowdown
-        return factor
-
     # -- construction ---------------------------------------------------
     @classmethod
     def generate(
@@ -546,8 +512,6 @@ class FaultSchedule:
         n_degradations: int = 2,
         n_flaps: int = 1,
         drop_rate: float = 0.0,
-        n_stragglers: int = 0,
-        n_stages: int = 0,
         max_window_frac: float = 0.25,
         n_host_failures: int = 0,
         domains: tuple = (),
@@ -596,10 +560,6 @@ class FaultSchedule:
             for _ in range(n_degradations)
         )
         flaps = tuple(FlapWindow(rng.randrange(n_hosts), *window()) for _ in range(n_flaps))
-        stragglers = tuple(
-            StragglerWindow(rng.randrange(n_stages), *window(), rng.uniform(1.5, 4.0))
-            for _ in range(n_stragglers if n_stages > 0 else 0)
-        )
         failed: list[int] = []
         failures = []
         for _ in range(n_host_failures):
@@ -649,7 +609,6 @@ class FaultSchedule:
             seed=seed,
             degradations=degradations,
             flaps=flaps,
-            stragglers=stragglers,
             drop_rate=drop_rate,
             host_failures=tuple(failures),
             domain_failures=tuple(dom_failures),
@@ -716,8 +675,8 @@ class RetryPolicy:
 class FaultIncident:
     """One observed fault: what failed, when, and how it ended."""
 
-    kind: str  # "dropped" | "nic-flap" | "timeout" | "straggler" | ...
-    where: str  # e.g. "flow 12 d0->d4", "edge 0 fwd mb3"
+    kind: str  # "dropped" | "nic-flap" | "timeout" | "host-down" | ...
+    where: str  # e.g. "flow 12 d0->d4"
     time: float
     attempt: int = 1
     resolved: bool = True
@@ -728,7 +687,6 @@ FAULT_CATEGORIES = (
     "degraded",
     "flap",
     "drop",
-    "straggler",
     "host",
     "domain",
     "partition",
@@ -744,8 +702,6 @@ _KIND_CATEGORY = {
     "nic-flap": "flap",
     "nic-down": "flap",
     "dropped": "drop",
-    "message-lost": "drop",
-    "straggler": "straggler",
     "host-down": "host",
     "domain-down": "domain",
     "partition": "partition",

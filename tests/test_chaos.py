@@ -24,15 +24,12 @@ from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.core.tensor import DistributedTensor
 from repro.core.validate import raise_on_plan_errors
-from repro.pipeline.executor import simulate_pipeline
-from repro.pipeline.schedules import schedule_job
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.faults import (
     DegradedWindow,
     FaultSchedule,
     FlapWindow,
     RetryPolicy,
-    StragglerWindow,
 )
 from repro.strategies import (
     AllGatherStrategy,
@@ -99,29 +96,6 @@ def test_reshard_replay_is_byte_identical():
     res = simulate_plan(plan, faults=other, retry_policy=PATIENT)
     # Different seed -> different drop draws somewhere in the trace.
     assert trace_tuple(res.network) != runs[0][1]
-
-
-def test_pipeline_replay_is_byte_identical():
-    from tests.test_pipeline_executor import make_job
-
-    job = make_job(n_stages=4, m=8, fwd=1.0, comm=0.3)
-    fs = FaultSchedule(
-        seed=11,
-        flaps=(FlapWindow(host=2, start=4.0, duration=1.5),),
-        stragglers=(StragglerWindow(stage=1, start=2.0, duration=4.0, slowdown=1.5),),
-        drop_rate=0.05,
-    )
-    orders = schedule_job("1f1b", 4, 8)
-    kw = dict(
-        faults=fs,
-        retry_policy=RetryPolicy(max_attempts=10, backoff_base=0.1),
-        stage_hosts=[0, 1, 2, 3],
-    )
-    a = simulate_pipeline(job, orders, **kw)
-    b = simulate_pipeline(job, orders, **kw)
-    assert a.iteration_time == b.iteration_time
-    assert a.comms == b.comms
-    assert [e.__dict__ for e in a.timeline] == [e.__dict__ for e in b.timeline]
 
 
 # ----------------------------------------------------------------------
@@ -240,93 +214,6 @@ def test_without_faults_missing_ops_still_raise():
     plan = BroadcastStrategy().plan(task)
     res = simulate_plan(plan)
     assert res.fault_report is None and res.completed
-
-
-# ----------------------------------------------------------------------
-# acceptance: GPT-2.6B-style pipeline survives a NIC flap
-# ----------------------------------------------------------------------
-def test_gpt_pipeline_recovers_from_nic_flap():
-    from repro.models.gpt import GPTConfig, build_gpt
-    from repro.models.parallel import resolve_comm_edges
-    from repro.pipeline.stage import PipelineJob
-
-    cfg = GPTConfig(global_batch=64)  # 2.6B shape, fewer microbatches
-    spec = build_gpt(cfg)
-    edges = resolve_comm_edges(spec, "broadcast")
-    job = PipelineJob(
-        stages=spec.profiles, edges=edges, n_microbatches=spec.n_microbatches
-    )
-    orders = schedule_job("1f1b", cfg.pp, spec.n_microbatches)
-    stage_hosts = [
-        min(spec.cluster.hosts_of(m.devices)) for m in spec.stage_meshes
-    ]
-
-    base = simulate_pipeline(job, orders, overlap=True)
-    assert base.fault_report is None
-
-    flap = FaultSchedule(
-        seed=1,
-        flaps=(
-            FlapWindow(
-                host=stage_hosts[-1],
-                start=base.iteration_time * 0.3,
-                duration=base.iteration_time * 0.05,
-            ),
-        ),
-    )
-    res = simulate_pipeline(
-        job,
-        orders,
-        overlap=True,
-        faults=flap,
-        retry_policy=RetryPolicy(
-            max_attempts=10, backoff_base=job.edges[0].fwd_time
-        ),
-        stage_hosts=stage_hosts,
-    )
-    rep = res.fault_report
-    assert rep is not None and rep.recovered, rep
-    assert rep.n_retries >= 1 and rep.added_latency > 0
-    assert any(i.kind == "message-lost" for i in rep.incidents)
-    # The iteration completed: same work, merely delayed by the outage.
-    assert len(res.timeline) == len(base.timeline)
-    assert res.iteration_time > base.iteration_time
-    retried = [c for c in res.comms if "~retry" in c.label]
-    assert retried
-
-
-def test_pipeline_fatal_when_retries_exhausted():
-    from tests.test_pipeline_executor import make_job
-
-    job = make_job(n_stages=2, m=4, fwd=1.0, comm=0.5)
-    fs = FaultSchedule(seed=0, flaps=(FlapWindow(host=1, start=0.0, duration=1e9),))
-    res = simulate_pipeline(
-        job,
-        schedule_job("1f1b", 2, 4),
-        overlap=True,
-        faults=fs,
-        retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.1),
-        stage_hosts=[0, 1],
-    )
-    assert res.fault_report.fatal
-    assert "stage" in res.fault_report.detail
-
-
-def test_pipeline_straggler_slows_stage():
-    from tests.test_pipeline_executor import make_job
-
-    job = make_job(n_stages=2, m=4, fwd=1.0, comm=0.0)
-    base = simulate_pipeline(job, schedule_job("1f1b", 2, 4), overlap=True)
-    fs = FaultSchedule(
-        seed=0,
-        stragglers=(StragglerWindow(stage=0, start=0.0, duration=3.0, slowdown=2.0),),
-    )
-    res = simulate_pipeline(
-        job, schedule_job("1f1b", 2, 4), overlap=True, faults=fs
-    )
-    assert res.iteration_time > base.iteration_time
-    assert res.fault_report.recovered
-    assert any(i.kind == "straggler" for i in res.fault_report.incidents)
 
 
 # ----------------------------------------------------------------------

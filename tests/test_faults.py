@@ -25,7 +25,6 @@ from repro.sim.faults import (
     HostFailure,
     Partition,
     RetryPolicy,
-    StragglerWindow,
 )
 from repro.strategies import BroadcastStrategy
 
@@ -55,8 +54,6 @@ def test_window_validation():
         FlapWindow(host=0, start=0.0, duration=0.0)
     with pytest.raises(ValueError, match="factor"):
         DegradedWindow(host=0, start=0.0, duration=1.0, factor=1.5)
-    with pytest.raises(ValueError, match="slowdown"):
-        StragglerWindow(stage=0, start=0.0, duration=1.0, slowdown=0.5)
     with pytest.raises(ValueError, match="drop_rate"):
         FaultSchedule(drop_rate=1.0)
 
@@ -81,16 +78,6 @@ def test_flap_window_rejects_non_finite(bad):
         FlapWindow(host=0, start=bad, duration=1.0)
     with pytest.raises(ValueError, match="duration"):
         FlapWindow(host=0, start=0.0, duration=bad)
-
-
-@pytest.mark.parametrize("bad", [NAN, INF, -INF])
-def test_straggler_window_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="start"):
-        StragglerWindow(stage=0, start=bad, duration=1.0, slowdown=2.0)
-    with pytest.raises(ValueError, match="duration"):
-        StragglerWindow(stage=0, start=0.0, duration=bad, slowdown=2.0)
-    with pytest.raises(ValueError, match="slowdown"):
-        StragglerWindow(stage=0, start=0.0, duration=1.0, slowdown=bad)
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF])
@@ -143,8 +130,6 @@ def test_nic_factor_and_host_down():
     assert fs.nic_factor(1, 4.5) == 1.0
     assert fs.host_down(2, 5.5) and not fs.host_down(2, 6.0)
     assert fs.nic_factor(2, 5.5) == 0.0
-    assert fs.host_down_during(2, 4.0, 5.5)
-    assert not fs.host_down_during(2, 6.0, 7.0)
     assert fs.boundaries() == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     assert fs.horizon() == 6.0
 
@@ -471,7 +456,6 @@ def test_fault_report_categories_zero_filled_and_stable():
     assert cats["host"] == 1
     assert cats["degraded"] == 1  # timeout = an attempt stretched past bound
     assert cats["drop"] == 2  # dropped + unknown kind
-    assert cats["straggler"] == 0
     assert sum(cats.values()) == len(rep.incidents)
 
 
@@ -534,7 +518,6 @@ def every_kind_schedule() -> FaultSchedule:
         seed=3,
         degradations=(DegradedWindow(0, 1.0, 2.0, 0.5),),
         flaps=(FlapWindow(1, 0.5, 1.5),),
-        stragglers=(StragglerWindow(0, 0.0, 1.0, 2.0),),
         drop_rate=0.25,
         host_failures=(HostFailure(2, 4.0),),
         domain_failures=(
@@ -553,7 +536,6 @@ def test_schedule_repr_is_pinned():
         "FaultSchedule(seed=3, "
         "degradations=(DegradedWindow(host=0, start=1.0, duration=2.0, factor=0.5),), "
         "flaps=(FlapWindow(host=1, start=0.5, duration=1.5),), "
-        "stragglers=(StragglerWindow(stage=0, start=0.0, duration=1.0, slowdown=2.0),), "
         "drop_rate=0.25, "
         "host_failures=(HostFailure(host=2, time=4.0),), "
         "domain_failures=(DomainFailure(domain='rack0', hosts=(0, 1), time=3.0, "
@@ -587,7 +569,7 @@ def test_shifted_answers_every_query_as_the_original_does_later(seed):
     from repro.sim.cluster import FailureDomain
     from repro.sim.faults import FAULT_KINDS
 
-    n_hosts, n_stages = 4, 2
+    n_hosts = 4
     s = FaultSchedule.generate(
         seed,
         n_hosts=n_hosts,
@@ -595,8 +577,6 @@ def test_shifted_answers_every_query_as_the_original_does_later(seed):
         n_degradations=3,
         n_flaps=2,
         drop_rate=0.1,
-        n_stragglers=2,
-        n_stages=n_stages,
         n_host_failures=2,
         domains=(FailureDomain("r0", (0, 1)), FailureDomain("r1", (2, 3))),
         n_domain_failures=2,
@@ -616,7 +596,6 @@ def test_shifted_answers_every_query_as_the_original_does_later(seed):
             [fs.host_dead(h, t) for h in hosts],
             [fs.nic_factor(h, t) for h in hosts],
             [fs.partitioned(a, b, t) for a in hosts for b in hosts],
-            [fs.straggler_factor(st, t) for st in range(n_stages)],
             fs.failed_hosts(t),
         )
 

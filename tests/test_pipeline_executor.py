@@ -283,21 +283,6 @@ def test_throughput_helper():
         r.throughput_tflops(-1, 0)  # guarded by iteration_time>0 path
 
 
-@pytest.mark.parametrize("duration", [1e6, None], ids=["windowed", "permanent"])
-def test_blocking_mode_rejects_domain_outages(duration):
-    # Blocking sends have no channel to re-send on, so a rack outage on
-    # the stage hosts must be refused, not silently ignored.
-    from repro.sim.faults import DomainFailure, FaultSchedule
-
-    job = make_job(n_stages=2, m=4, comm=0.5)
-    fs = FaultSchedule(domain_failures=(DomainFailure("r0", (0, 1), 0.0, duration),))
-    with pytest.raises(ValueError, match="overlap=True"):
-        simulate_pipeline(
-            job, schedule_job("1f1b", 2, 4), overlap=False, faults=fs,
-            stage_hosts=[0, 1],
-        )
-
-
 # ----------------------------------------------------------------------
 # edge pricing: one comm_time per (edge, direction) per run
 # ----------------------------------------------------------------------

@@ -60,8 +60,6 @@ class TestHostFailure:
     def test_host_down_includes_dead(self):
         fs = FaultSchedule(host_failures=(HostFailure(host=2, time=1.0),))
         assert fs.host_down(2, 2.0)
-        assert fs.host_down_during(2, 0.5, 1.5)
-        assert not fs.host_down_during(2, 0.0, 0.5)
         assert fs.nic_factor(2, 3.0) == 0.0
 
     def test_first_host_failure_ordering(self):

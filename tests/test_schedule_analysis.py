@@ -186,6 +186,43 @@ class TestMemoryBound:
             StageProfile(stage_id=0, fwd_time=1.0, bwd_x_time=1.0,
                          bwd_w_time=1.0, memory_capacity=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    @pytest.mark.parametrize(
+        "field", ["params_bytes", "activation_bytes", "memory_capacity"]
+    )
+    def test_non_finite_or_negative_bytes_rejected(self, field, bad):
+        # A NaN capacity or NaN/negative activations would switch S001
+        # off silently (every comparison with NaN is False).
+        with pytest.raises(ValueError, match=field):
+            StageProfile(stage_id=0, fwd_time=1.0, bwd_x_time=1.0,
+                         bwd_w_time=1.0, **{field: bad})
+
+
+# ----------------------------------------------------------------------
+# Sizes: an empty or fractional pipeline is refused, not certified
+# ----------------------------------------------------------------------
+class TestSizes:
+    @pytest.mark.parametrize(
+        "n_stages,n_microbatches", [(0, 8), (-1, 8), (4, 0), (4, -3), (2.5, 8), (4, 2.5)]
+    )
+    def test_schedule_job_rejects_bad_sizes(self, n_stages, n_microbatches):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            schedule_job("1f1b", n_stages, n_microbatches)
+
+    @pytest.mark.parametrize("m", [0, -3, 2.5, True])
+    def test_pipeline_job_rejects_bad_microbatches(self, m):
+        with pytest.raises(ValueError, match="n_microbatches"):
+            PipelineJob(stages=make_job(2).stages, n_microbatches=m)
+
+    @pytest.mark.parametrize(
+        "argv", [["--microbatches", "0"], ["--microbatches", "-3"], ["--stages", "0"]]
+    )
+    def test_cli_refuses_empty_pipeline(self, argv, capsys):
+        from repro.__main__ import main
+
+        assert main(["analyze", "--pipeline", "1f1b", *argv]) != 0
+        assert "integer >= 1" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # S002: structural checks on explicit orders
