@@ -47,6 +47,23 @@ Communication is simulated in one of two modes:
     direction, concurrently with compute; only data dependencies
     remain.
 
+Each task's bookkeeping is done once per run: when the run starts, a
+task table resolves every device's items to their job stage, duration,
+span name and attributes, activation delta, the input key they wait on
+and their sends (edge, target, channel track).  Callbacks only read it.
+
+A device is woken, not polled.  While idle, a device records the key
+its head item waits on: the ``(kind, stage, mb)`` inputs of a compute
+task, or, in blocking mode, the transfer a recv waits on.  An arrival
+or a send calls the device's ``try_start`` only when it is for that
+key; a finished item always reads the device's next head.  Blocking
+mode has one wider rule: a device blocked in its own sends has not read
+its head yet, so every send wakes it.  Its send block may end at the
+sender's very instant, before its own wake-up event is popped, and then
+the sender's callback starts it, exactly as polling would.  Wake-ups
+are plain calls, not events, so the event sequence is the same as
+calling ``try_start`` on every arrival and send.
+
 The orders are read by :func:`~repro.pipeline.schedules.read_orders`,
 the reading the static analyzers certify (``S001``/``S002``/``D002``);
 its first problem raises ``ValueError`` before anything runs.
@@ -59,34 +76,16 @@ is measurable, and equals the analyzer's static peak.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Optional
 
 from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from .schedules import ACTIVATION_DELTA, Task, read_orders
-from .stage import CommEdge, PipelineJob
+from .stage import PipelineJob
 from .timeline import CommEntry, TimelineEntry, comms_from_spans, timeline_from_spans
 
 __all__ = ["TimelineEntry", "CommEntry", "PipelineResult", "simulate_pipeline"]
-
-
-@dataclass(frozen=True)
-class _Recv:
-    """A blocking receive the consumer stage executes in program order."""
-
-    edge_idx: int
-    microbatch: int
-    direction: str  # "fwd" | "bwd"
-
-    @property
-    def key(self) -> tuple[int, int, str]:
-        return (self.edge_idx, self.microbatch, self.direction)
-
-    def __repr__(self) -> str:
-        return f"recv(e{self.edge_idx},{self.direction},mb{self.microbatch})"
-
-
-_Item = Union[Task, _Recv]
 
 
 @dataclass
@@ -161,33 +160,14 @@ class PipelineResult:
         return model_flops / self.iteration_time / n_devices / 1e12
 
 
-def _insert_recvs(
-    orders: list[list[Task]],
-    in_edges: list[list[tuple[int, CommEdge]]],
-    out_edges: list[list[tuple[int, CommEdge]]],
-) -> list[list[_Item]]:
-    """Blocking mode: put an explicit recv before each consuming task."""
-    out: list[list[_Item]] = []
-    for s, order in enumerate(orders):
-        items: list[_Item] = []
-        for t in order:
-            if t.kind == "F":
-                items += [_Recv(i, t.microbatch, "fwd") for i, _ in in_edges[s]]
-            elif t.kind in ("B", "Bx"):
-                items += [_Recv(i, t.microbatch, "bwd") for i, _ in out_edges[s]]
-            items.append(t)
-        out.append(items)
-    return out
-
-
 def _fold_stats(
     bus: TelemetryBus, n_devices: int
 ) -> tuple[float, dict[int, float], dict[int, int]]:
     """Fold iteration time, per-device busy time and activation peaks
     out of the telemetry stream (the single source of truth)."""
     iteration_time = 0.0
-    busy = dict.fromkeys(range(n_devices), 0.0)
-    peak = dict.fromkeys(range(n_devices), 0)
+    busy = [0.0] * n_devices
+    peak = [0] * n_devices
     # Folded over the raw span rows (name, cat, track, start, end,
     # depth, parent, attrs) — this runs once per simulation, right
     # after the event loop drains, so it stays off the per-event path.
@@ -203,12 +183,21 @@ def _fold_stats(
                 busy[a["busy_stage"]] += end - start
         elif cat == "send":
             busy[a["stage"]] += end - start
+    device_of_track = {f"stage:{d}": d for d in range(n_devices)}
     for name, track, _time, value in bus.counter_rows:
-        if name == "activations" and track.startswith("stage:"):
-            device = int(track[6:])
-            if value > peak[device]:
+        if name == "activations":
+            device = device_of_track.get(track)
+            if device is not None and value > peak[device]:
                 peak[device] = int(value)
-    return iteration_time, busy, peak
+    return iteration_time, dict(enumerate(busy)), dict(enumerate(peak))
+
+
+#: ``waiting[d]`` while device ``d`` runs an item or has none left: no
+#: wake-up is for it.
+_BUSY = -1
+#: ``waiting[d]`` while ``d`` is blocked in its own sends (blocking
+#: mode): its head is unread, so every wake-up is for it.
+_ANY = -2
 
 
 def simulate_pipeline(
@@ -231,117 +220,147 @@ def simulate_pipeline(
         )
     loop = EventLoop()
     bus = loop.bus
+    span = bus.span
+    call_at = loop.call_at
     n_devices = len(orders)
+    n_stages, m = job.n_stages, job.n_microbatches
+    job_edges = job.edges
 
-    # Each stage's (edge index, edge) lists, built once per run: F on
-    # stage s sends "fwd" along out_edges[s] and waits on in_edges[s];
-    # B/Bx send "bwd" along in_edges[s] and wait on out_edges[s].
-    edges = list(enumerate(job.edges))
-    in_edges = [[(i, e) for i, e in edges if e.dst_stage == s] for s in range(job.n_stages)]
-    out_edges = [[(i, e) for i, e in edges if e.src_stage == s] for s in range(job.n_stages)]
+    # Arrival slots: stage s's forward inputs of micro-batch mb are
+    # counted down in remaining[s*m + mb], its backward inputs in
+    # remaining[(n_stages + s)*m + mb]; the last m slots stay 0 (Bw
+    # waits on nothing).  sent_base + k, beyond every arrival slot, is
+    # the key a blocking-mode recv of transfer k waits on.
+    remaining = [0] * ((2 * n_stages + 1) * m)
+    for s in range(n_stages):
+        remaining[s * m:(s + 1) * m] = [len(reading.upstream[s])] * m
+        b = (n_stages + s) * m
+        remaining[b:b + m] = [len(reading.downstream[s])] * m
+    sent_base = len(remaining)
+    # Per (edge index, direction) pair pk = 2*edge + (0 fwd | 1 bwd): its
+    # per-message duration, priced on its first message (nothing in
+    # this run compiles or invalidates plans, so an edge backed by a
+    # compiled resharding returns the same simulate_plan latency for
+    # every micro-batch); and, blocking mode, when transfer pk*m + mb
+    # hits the wire.
+    price: list[Optional[float]] = [None] * (2 * len(job_edges))
+    sent_at: list[Optional[float]] = [None] * (2 * len(job_edges) * m)
 
-    items: list[list[_Item]] = (
-        [list(o) for o in orders] if overlap
-        else _insert_recvs(orders, in_edges, out_edges)
-    )
+    def comm_time(pk: int, i: int, direction: str) -> float:
+        dur = price[pk]
+        if dur is None:
+            dur = price[pk] = job_edges[i].comm_time(direction)
+        return dur
+
+    # Each stage's (edge index, edge) lists: F on stage s sends "fwd"
+    # along out_edges[s] and waits on in_edges[s]; B/Bx send "bwd" along
+    # in_edges[s] and wait on out_edges[s].
+    edges = list(enumerate(job_edges))
+    in_edges = [[(i, e) for i, e in edges if e.dst_stage == s] for s in range(n_stages)]
+    out_edges = [[(i, e) for i, e in edges if e.src_stage == s] for s in range(n_stages)]
+    chan_id: dict[str, int] = {}  # FIFO channel track -> index
+
+    def send_list(along: list, bwd: int) -> tuple:
+        """Each send: (pk, edge index, direction, target's arrival slot
+        base, target device, channel index, channel track, src device,
+        dst device, label).  A channel is one (src device, dst device,
+        direction)."""
+        direction = "bwd" if bwd else "fwd"
+        sends = []
+        for i, e in along:
+            target = e.src_stage if bwd else e.dst_stage
+            src_dev, dst_dev = device_of[e.src_stage], device_of[e.dst_stage]
+            ctrack = f"chan:{src_dev}->{dst_dev}:{direction}"
+            cid = chan_id.setdefault(ctrack, len(chan_id))
+            sends.append((2 * i + bwd, i, direction, (bwd * n_stages + target) * m,
+                          device_of[target], cid, ctrack, src_dev, dst_dev, e.label))
+        return tuple(sends)
+
+    def recv_list(along: list, bwd: int) -> tuple:
+        """Blocking mode's recvs before a consuming task: (pk, edge
+        index, direction, label, channel track, src stage, dst stage)."""
+        if overlap:
+            return ()
+        direction = "bwd" if bwd else "fwd"
+        return tuple(
+            (2 * i + bwd, i, direction, e.label,
+             f"chan:{e.src_stage}->{e.dst_stage}:{direction}", e.src_stage, e.dst_stage)
+            for i, e in along
+        )
+
+    # What each kind of task does on each stage: (arrival slot base,
+    # duration, sends, recvs).
+    per_stage = []
+    for s, prof in enumerate(job.stages):
+        fwd_base, bwd_base = s * m, (n_stages + s) * m
+        fwd_sends, bwd_sends = send_list(out_edges[s], 0), send_list(in_edges[s], 1)
+        fwd_recvs, bwd_recvs = recv_list(in_edges[s], 0), recv_list(out_edges[s], 1)
+        per_stage.append({
+            "F": (fwd_base, prof.fwd_time, fwd_sends, fwd_recvs),
+            "B": (bwd_base, prof.bwd_x_time + prof.bwd_w_time, bwd_sends, bwd_recvs),
+            "Bx": (bwd_base, prof.bwd_x_time, bwd_sends, bwd_recvs),
+            "Bw": (2 * n_stages * m, prof.bwd_w_time, (), ()),
+        })
+
+    # The per-run task table: rows[d] is device d's program.  A compute
+    # row is (-1, arrival slot, duration, span name, span attrs,
+    # activation delta, sends, microbatch, kind); a blocking-mode recv
+    # row, one before its consuming task per input edge, is (transfer
+    # index, pk, edge index, direction, span name, span track, span
+    # attrs, arrival slot).
+    rows: list[list[tuple]] = []
+    for d, order in enumerate(orders):
+        drows: list[tuple] = []
+        for t in order:
+            kind, mb = t.kind, t.microbatch
+            s = d if t.stage is None else t.stage
+            base, dur, sends, recvs = per_stage[s][kind]
+            for pk, i, direction, label, track, src, dst in recvs:
+                drows.append((
+                    pk * m + mb, pk, i, direction, label, track,
+                    {"src_stage": src, "dst_stage": dst, "direction": direction,
+                     "microbatch": mb, "label": label, "busy_stage": d},
+                    base + mb,
+                ))
+            attrs = {"stage": d, "kind": kind, "microbatch": mb}
+            if t.stage is not None:
+                attrs["chunk"] = t.stage
+            drows.append((-1, base + mb, dur, repr(t), attrs, ACTIVATION_DELTA[kind],
+                          sends, mb, kind))
+        rows.append(drows)
 
     idx = [0] * n_devices
-    busy = [False] * n_devices
+    # The key device d's head item waits on while d is idle (an arrival
+    # slot, or sent_base + a transfer index), else _BUSY or _ANY.
+    waiting = [_BUSY] * n_devices
     device_track = [f"stage:{d}" for d in range(n_devices)]
     device_free_at = [0.0] * n_devices  # > now while blocked in sends
     act = [bus.gauge("activations", track=device_track[d]) for d in range(n_devices)]
-    # FIFO channel per (src device, dst device, direction): its span
-    # track, looked up once per (src stage, dst stage, direction) since
-    # send_message sits on the hot path, and the time it next goes idle.
-    chan_track: dict[tuple[int, int, str], str] = {}
-    chan_free_at: dict[str, float] = {}
+    chan_free_at = [0.0] * len(chan_id)  # when each FIFO channel next goes idle
 
-    # Dependency arrival counters: ("F"|"B", stage, microbatch) -> count.
-    arrived: dict[tuple[str, int, int], int] = {}
-    need_fwd = [len(up) for up in reading.upstream]
-    need_bwd = [len(down) for down in reading.downstream]
+    def arrival(slot: int, device: int) -> None:
+        left = remaining[slot] - 1
+        remaining[slot] = left
+        if left <= 0 and waiting[device] == slot:
+            try_start(device)
 
-    # Blocking mode: when each transfer's data hits the wire.
-    send_started: dict[tuple[int, int, str], float] = {}
-
-    def deps_met(stage: int, t: Task) -> bool:
-        if t.kind == "F":
-            return arrived.get(("F", stage, t.microbatch), 0) >= need_fwd[stage]
-        if t.kind in ("B", "Bx"):
-            return arrived.get(("B", stage, t.microbatch), 0) >= need_bwd[stage]
-        return True  # Bw: local only
-
-    def duration(stage: int, t: Task) -> float:
-        prof = job.stages[stage]
-        if t.kind == "F":
-            return prof.fwd_time
-        if t.kind == "B":
-            return prof.bwd_x_time + prof.bwd_w_time
-        if t.kind == "Bx":
-            return prof.bwd_x_time
-        return prof.bwd_w_time
-
-    def arrival(kind: str, stage: int, mb: int) -> None:
-        key = (kind, stage, mb)
-        arrived[key] = arrived.get(key, 0) + 1
-        try_start(device_of[stage])
-
-    def send_message(
-        e, dur: float, direction: str, target: int, mb: int, earliest: float
-    ) -> None:
-        """One cross-stage message on its FIFO channel (overlap mode)."""
-        src_dev, dst_dev = device_of[e.src_stage], device_of[e.dst_stage]
-        ckey = (e.src_stage, e.dst_stage, direction)
-        ctrack = chan_track.get(ckey)
-        if ctrack is None:
-            ctrack = chan_track[ckey] = f"chan:{src_dev}->{dst_dev}:{direction}"
-        free = chan_free_at.get(ctrack, 0.0)
-        cstart = earliest if earliest > free else free
-        cend = cstart + dur
-        chan_free_at[ctrack] = cend
-        bus.span(
-            e.label, "comm", ctrack, cstart, cend,
-            {"src_stage": src_dev, "dst_stage": dst_dev,
-             "direction": direction, "microbatch": mb, "label": e.label},
-        )
-        dep_kind = "F" if direction == "fwd" else "B"
-        loop.call_at(cend, lambda: arrival(dep_kind, target, mb))
-
-    # (edge index, direction) -> per-message duration, priced on its
-    # first message.  Nothing in this run compiles or invalidates plans,
-    # so an edge backed by a compiled resharding returns the same
-    # simulate_plan latency for every micro-batch.
-    price: dict[tuple[int, str], float] = {}
-
-    def comm_time(i: int, direction: str) -> float:
-        dur = price.get((i, direction))
-        if dur is None:
-            dur = price[(i, direction)] = job.edges[i].comm_time(direction)
-        return dur
-
-    def produced_edges(stage: int, t: Task):
-        if t.kind == "F":
-            return [(e, i, comm_time(i, "fwd"), "fwd", e.dst_stage)
-                    for i, e in out_edges[stage]]
-        if t.kind in ("B", "Bx"):
-            return [(e, i, comm_time(i, "bwd"), "bwd", e.src_stage)
-                    for i, e in in_edges[stage]]
-        return []
-
-    def on_compute_done(device: int, stage: int, t: Task, start: float) -> None:
+    def on_compute_done(device: int, row: tuple, start: float) -> None:
         finish = loop.now
-        attrs = {"stage": device, "kind": t.kind, "microbatch": t.microbatch}
-        if t.stage is not None:
-            attrs["chunk"] = t.stage
-        bus.span(repr(t), "compute", device_track[device], start, finish, attrs)
-        delta = ACTIVATION_DELTA[t.kind]
+        _, _, _, name, attrs, delta, sends, mb, kind = row
+        span(name, "compute", device_track[device], start, finish, attrs)
         if delta:
-            act[device].add(delta)
-        busy[device] = False
+            act[device].add(delta, finish)
         idx[device] += 1
         if overlap:
-            for e, i, dur, direction, target in produced_edges(stage, t):
-                send_message(e, dur, direction, target, t.microbatch, finish)
+            for pk, i, direction, base, target, cid, ctrack, src, dst, label in sends:
+                free = chan_free_at[cid]
+                cstart = finish if finish > free else free
+                cend = cstart + comm_time(pk, i, direction)
+                chan_free_at[cid] = cend
+                span(label, "comm", ctrack, cstart, cend,
+                     {"src_stage": src, "dst_stage": dst, "direction": direction,
+                      "microbatch": mb, "label": label})
+                call_at(cend, partial(arrival, base + mb, target))
             try_start(device)
         else:
             # Blocking sends in program order (plain layout, so device
@@ -349,69 +368,80 @@ def simulate_pipeline(
             # outgoing transfer durations; each transfer hits the wire
             # when its send begins.
             block_until = finish
-            for e, i, dur, direction, target in produced_edges(stage, t):
-                send_started[(i, t.microbatch, direction)] = block_until
-                block_until += dur
-                try_start(target)  # its recv may now be startable
+            for pk, i, direction, _, target, _, _, _, _, _ in sends:
+                k = pk * m + mb
+                sent_at[k] = block_until
+                block_until += comm_time(pk, i, direction)
+                w = waiting[target]
+                if w == sent_base + k or w == _ANY:  # its recv may now be startable
+                    try_start(target)
             if block_until > finish:
-                bus.span(
-                    f"send:{t.kind}{t.microbatch}", "send", device_track[device],
-                    finish, block_until, {"stage": device},
-                )
+                span(f"send:{kind}{mb}", "send", device_track[device],
+                     finish, block_until, {"stage": device})
                 device_free_at[device] = block_until
-                loop.call_at(block_until, lambda d=device: try_start(d))
+                waiting[device] = _ANY
+                call_at(block_until, partial(wake, device))
             else:
                 try_start(device)
 
-    def on_recv_done(stage: int, r: _Recv, start: float) -> None:
-        e = job.edges[r.edge_idx]
-        end = loop.now
-        bus.span(
-            e.label, "comm", f"chan:{e.src_stage}->{e.dst_stage}:{r.direction}",
-            start, end,
-            {"src_stage": e.src_stage, "dst_stage": e.dst_stage,
-             "direction": r.direction, "microbatch": r.microbatch,
-             "label": e.label, "busy_stage": stage},
-        )
-        busy[stage] = False
-        idx[stage] += 1
-        dep_kind = "F" if r.direction == "fwd" else "B"
-        arrival(dep_kind, stage, r.microbatch)  # calls try_start(stage)
+    def wake(device: int) -> None:
+        """The device's send block ended: read its head, unless a
+        sender's wake-up at the same instant already did."""
+        if waiting[device] == _ANY:
+            try_start(device)
+
+    def on_recv_done(device: int, row: tuple, start: float) -> None:
+        _, _, _, _, label, track, attrs, slot = row
+        span(label, "comm", track, start, loop.now, attrs)
+        idx[device] += 1
+        remaining[slot] -= 1
+        try_start(device)
 
     def try_start(device: int) -> None:
-        if busy[device] or idx[device] >= len(items[device]):
+        drows = rows[device]
+        i = idx[device]
+        if i >= len(drows):
+            waiting[device] = _BUSY
             return
-        if loop.now < device_free_at[device] - 1e-15:
-            return  # still blocked sending; wake-up event queued
-        item = items[device][idx[device]]
-        if isinstance(item, _Recv):
-            sent_at = send_started.get(item.key)
-            if sent_at is None:
-                return  # matching send has not started yet
-            end = max(loop.now, sent_at) + comm_time(item.edge_idx, item.direction)
-            busy[device] = True
-            start = loop.now
-            loop.call_at(end, lambda s=device, r=item: on_recv_done(s, r, start))
+        now = loop.now
+        if now < device_free_at[device] - 1e-15:
+            waiting[device] = _ANY  # still blocked sending; wake-up queued
             return
-        stage = device if item.stage is None else item.stage
-        if not deps_met(stage, item):
+        row = drows[i]
+        k = row[0]
+        if k >= 0:  # a blocking recv
+            sent = sent_at[k]
+            if sent is None:
+                waiting[device] = sent_base + k  # matching send has not started
+                return
+            waiting[device] = _BUSY
+            call_at((sent if sent > now else now) + comm_time(row[1], row[2], row[3]),
+                    partial(on_recv_done, device, row, now))
             return
-        busy[device] = True
-        start = loop.now
-        loop.call_after(
-            duration(stage, item),
-            lambda d=device, s=stage, t=item: on_compute_done(d, s, t, start),
-        )
+        slot = row[1]
+        if remaining[slot] > 0:
+            waiting[device] = slot
+            return
+        waiting[device] = _BUSY
+        call_at(now + row[2], partial(on_compute_done, device, row, now))
 
     for d in range(n_devices):
         try_start(d)
     loop.run()
 
-    unfinished = [d for d in range(n_devices) if idx[d] < len(items[d])]
+    unfinished = [d for d in range(n_devices) if idx[d] < len(rows[d])]
     if unfinished:
-        detail = {d: repr(items[d][idx[d]]) for d in unfinished}
+        detail = {d: _item_name(rows[d][idx[d]]) for d in unfinished}
         raise RuntimeError(
             f"pipeline deadlocked; stages stuck at tasks {detail} "
             f"(check warm-up depths and edge directions)"
         )
     return PipelineResult(telemetry=bus, job=job, n_devices=n_devices)
+
+
+def _item_name(row: tuple) -> str:
+    """A task table row as the deadlock message names it."""
+    if row[0] < 0:
+        return row[3]
+    attrs = row[6]
+    return f"recv(e{row[2]},{attrs['direction']},mb{attrs['microbatch']})"

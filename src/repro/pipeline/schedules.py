@@ -25,6 +25,7 @@ analyzer (``D002``) all consume its :class:`OrderReading`.
 from __future__ import annotations
 
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -97,10 +98,15 @@ def eager_warmup(stage: int, n_stages: int) -> int:
     return 2 * (n_stages - stage - 1) + 1
 
 
+def _tasks(n_microbatches: int) -> tuple[list[Task], list[Task]]:
+    """``F`` and fused ``B`` of every micro-batch, each built once."""
+    return ([Task("F", i) for i in range(n_microbatches)],
+            [Task("B", i) for i in range(n_microbatches)])
+
+
 def gpipe_order(n_microbatches: int) -> list[Task]:
     """All forwards, then all backwards (every stage the same)."""
-    fwd = [Task("F", i) for i in range(n_microbatches)]
-    bwd = [Task("B", i) for i in range(n_microbatches)]
+    fwd, bwd = _tasks(n_microbatches)
     return fwd + bwd
 
 
@@ -108,62 +114,85 @@ def one_f_one_b_order(n_microbatches: int, warmup: int) -> list[Task]:
     """Warm-up forwards, then alternate backward/forward, then drain."""
     if warmup < 1:
         raise ValueError("warmup must be >= 1")
-    w = min(warmup, n_microbatches)
-    seq = [Task("F", i) for i in range(w)]
-    nf, nb = w, 0
-    while nb < n_microbatches:
-        seq.append(Task("B", nb))
-        nb += 1
-        if nf < n_microbatches:
-            seq.append(Task("F", nf))
-            nf += 1
+    return _one_f_one_b(*_tasks(n_microbatches), warmup)
+
+
+def _one_f_one_b(fwd: list[Task], bwd: list[Task], warmup: int) -> list[Task]:
+    """:func:`one_f_one_b_order` over prebuilt ``F``/``B`` tasks."""
+    m = len(fwd)
+    w = min(warmup, m)
+    seq = fwd[:w]
+    for nb in range(m):
+        seq.append(bwd[nb])
+        if w + nb < m:
+            seq.append(fwd[w + nb])
     return seq
+
+
+def _stage_order(
+    schedule: str, stage: int, n_stages: int, fwd: list[Task], bwd: list[Task]
+) -> list[Task]:
+    """:func:`stage_order` over prebuilt ``F``/``B`` tasks."""
+    if schedule == "gpipe":
+        return fwd + bwd
+    if schedule == "1f1b":
+        return _one_f_one_b(fwd, bwd, fifo_warmup(stage, n_stages))
+    if schedule == "eager_1f1b":
+        return _one_f_one_b(fwd, bwd, eager_warmup(stage, n_stages))
+    raise ValueError(f"unknown schedule {schedule!r}; options: {SCHEDULE_NAMES}")
 
 
 def stage_order(
     schedule: str, stage: int, n_stages: int, n_microbatches: int
 ) -> list[Task]:
     """The ordered task list of one stage under a named schedule."""
-    if schedule == "gpipe":
-        return gpipe_order(n_microbatches)
-    if schedule == "1f1b":
-        return one_f_one_b_order(n_microbatches, fifo_warmup(stage, n_stages))
-    if schedule == "eager_1f1b":
-        return one_f_one_b_order(n_microbatches, eager_warmup(stage, n_stages))
-    raise ValueError(f"unknown schedule {schedule!r}; options: {SCHEDULE_NAMES}")
+    return _stage_order(schedule, stage, n_stages, *_tasks(n_microbatches))
 
 
 def split_backward(order: list[Task], delay_slots: int = 1) -> list[Task]:
     """Split each ``B`` into ``Bx`` + ``Bw`` and delay ``Bw``.
 
-    ``Bw`` is pushed ``delay_slots`` compute tasks later than its
-    natural position (bounded by the end of the list), so the cross-mesh
-    gradient communication triggered by ``Bx`` overlaps the weight-
-    gradient computation — §4's backward weight delaying.  With
-    ``delay_slots=0`` the split is positional only (``Bx`` directly
-    followed by ``Bw``), which is behaviourally identical to fused ``B``.
+    ``Bx`` takes ``B``'s place; ``Bw`` follows the ``delay_slots``-th
+    task of ``order`` after that ``B`` (or ends the list, if there are
+    fewer), so the cross-mesh gradient communication triggered by ``Bx``
+    overlaps the weight-gradient computation — §4's backward weight
+    delaying.  ``delay_slots=0`` gives the same list as ``1``: ``Bw``
+    still follows the next task, never ``Bx`` directly, so ablation A5's
+    delay-0 row repeats its delay-1 row.  ``delay_slots`` must be an
+    integer >= 0.
     """
-    if delay_slots < 0:
-        raise ValueError("delay_slots must be >= 0")
+    _check_delay_slots(delay_slots)
+    return _split_backward(order, delay_slots, {})
+
+
+def _check_delay_slots(value) -> None:
+    """Reject a weight-delay depth that is not an integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"delay_slots must be an integer >= 0, got {value!r}")
+
+
+def _split_backward(
+    order: list[Task], delay_slots: int, halves: dict[Task, tuple[Task, Task]]
+) -> list[Task]:
+    """:func:`split_backward`, building each ``B``'s halves once per
+    ``halves`` memo."""
+    lag = max(delay_slots, 1)
     out: list[Task] = []
-    pending: list[tuple[int, Task]] = []  # (remaining slots, Bw task)
-
-    def advance() -> None:
-        """One original task was emitted; age pending Bw tasks."""
-        nonlocal pending
-        pending = [(left - 1, t) for left, t in pending]
-        while pending and pending[0][0] <= 0:
-            out.append(pending.pop(0)[1])
-
-    for t in order:
+    due: deque[tuple[int, Task]] = deque()  # (tasks read when Bw is due, Bw)
+    for n, t in enumerate(order, 1):
         if t.kind == "B":
-            out.append(Task("Bx", t.microbatch, t.stage))
-            advance()
-            pending.append((delay_slots, Task("Bw", t.microbatch, t.stage)))
+            pair = halves.get(t)
+            if pair is None:
+                pair = halves[t] = (Task("Bx", t.microbatch, t.stage),
+                                    Task("Bw", t.microbatch, t.stage))
+            out.append(pair[0])
         else:
             out.append(t)
-            advance()
-    out.extend(t for _, t in pending)
+        while due and due[0][0] <= n:
+            out.append(due.popleft()[1])
+        if t.kind == "B":
+            due.append((n + lag, pair[1]))
+    out.extend(bw for _, bw in due)
     return out
 
 
@@ -174,14 +203,19 @@ def schedule_job(
     delay_bw_weight: bool = False,
     delay_slots: int = 1,
 ) -> list[list[Task]]:
-    """Per-stage ordered task lists for the whole job."""
+    """Per-stage ordered task lists for the whole job.
+
+    Each distinct :class:`Task` is built once and shared by every
+    stage's list.
+    """
     check_count("n_stages", n_stages)
     check_count("n_microbatches", n_microbatches)
-    orders = [
-        stage_order(schedule, s, n_stages, n_microbatches) for s in range(n_stages)
-    ]
+    fwd, bwd = _tasks(n_microbatches)
+    orders = [_stage_order(schedule, s, n_stages, fwd, bwd) for s in range(n_stages)]
     if delay_bw_weight:
-        orders = [split_backward(o, delay_slots) for o in orders]
+        _check_delay_slots(delay_slots)
+        halves: dict[Task, tuple[Task, Task]] = {}
+        orders = [_split_backward(o, delay_slots, halves) for o in orders]
     return orders
 
 

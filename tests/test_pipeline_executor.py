@@ -271,8 +271,14 @@ def test_deadlock_detection():
     ]
     # stage0 B(0) needs stage1 B(0); stage1 B(0) needs F(1) which needs
     # stage0 F(1), which stage0 only runs after B(0): deadlock.
-    with pytest.raises(RuntimeError, match="deadlock"):
+    with pytest.raises(RuntimeError, match="deadlock") as err:
         simulate_pipeline(job, orders, overlap=True)
+    assert "stuck at tasks {0: 'B0', 1: 'F1'} " in str(err.value)
+    # blocking mode stalls one item earlier on each stage, in its recvs
+    with pytest.raises(RuntimeError, match="deadlock") as err:
+        simulate_pipeline(job, orders, overlap=False)
+    assert ("stuck at tasks {0: 'recv(e0,bwd,mb0)', 1: 'recv(e0,fwd,mb1)'} "
+            in str(err.value))
 
 
 def test_throughput_helper():

@@ -138,6 +138,63 @@ def test_split_backward_negative_rejected():
         split_backward([], delay_slots=-1)
 
 
+def test_split_backward_zero_delay_equals_one():
+    """delay_slots=0 still puts one task between Bx and Bw, like 1."""
+    order = [Task("F", 0), Task("F", 1), Task("B", 0), Task("F", 2), Task("B", 1),
+             Task("B", 2)]
+    assert split_backward(order, 0) == split_backward(order, 1) == [
+        Task("F", 0), Task("F", 1), Task("Bx", 0), Task("F", 2), Task("Bw", 0),
+        Task("Bx", 1), Task("Bx", 2), Task("Bw", 1), Task("Bw", 2),
+    ]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, 1.0, True, "1", None])
+def test_split_backward_rejects_non_integer_delay(bad):
+    """NaN and inf used to push every Bw to the end of the list; 1.5 and
+    True were taken as depths."""
+    with pytest.raises(ValueError, match="delay_slots"):
+        split_backward([Task("F", 0), Task("B", 0)], delay_slots=bad)
+    with pytest.raises(ValueError, match="delay_slots"):
+        schedule_job("1f1b", 2, 4, delay_bw_weight=True, delay_slots=bad)
+
+
+def aging_split(order, delay_slots):
+    """Reference: re-age every pending Bw after each task of ``order``."""
+    out, pending = [], []
+    for t in order:
+        out.append(Task("Bx", t.microbatch, t.stage) if t.kind == "B" else t)
+        pending = [(left - 1, bw) for left, bw in pending]
+        while pending and pending[0][0] <= 0:
+            out.append(pending.pop(0)[1])
+        if t.kind == "B":
+            pending.append((delay_slots, Task("Bw", t.microbatch, t.stage)))
+    return out + [bw for _, bw in pending]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    schedule=st.sampled_from(["gpipe", "1f1b", "eager_1f1b"]),
+    p=st.integers(1, 5),
+    m=st.integers(1, 10),
+    delay=st.integers(0, 12),
+)
+def test_split_backward_matches_aging_reference(schedule, p, m, delay):
+    for s in range(p):
+        order = stage_order(schedule, s, p, m)
+        assert split_backward(order, delay) == aging_split(order, delay)
+    assert schedule_job(schedule, p, m, delay_bw_weight=True, delay_slots=delay) == [
+        aging_split(stage_order(schedule, s, p, m), delay) for s in range(p)
+    ]
+
+
+def test_schedule_job_builds_each_task_once():
+    orders = schedule_job("1f1b", 3, 4, delay_bw_weight=True)
+    for kind, mb in [("F", 0), ("Bx", 3), ("Bw", 2)]:
+        first = next(t for t in orders[0] if (t.kind, t.microbatch) == (kind, mb))
+        for order in orders[1:]:
+            assert any(t is first for t in order)
+
+
 @settings(max_examples=20, deadline=None)
 @given(m=st.integers(1, 12), warmup=st.integers(1, 6), delay=st.integers(0, 3))
 def test_property_split_preserves_multiset(m, warmup, delay):
