@@ -19,11 +19,22 @@ Examples::
 
     # replay the last reshard/e2e run's telemetry into a Chrome trace
     python -m repro trace trace.json --filter flow
+
+Exit codes (every subcommand; errors go to stderr as ``repro <cmd>: ...``)::
+
+    0   success
+    1   a check failed: a plan rejected by validation (PlanValidationError),
+        a failed --verify, analyzer errors, fuzz/serve --check gates
+    2   bad input: a usage error or any ValueError (bad shape, spec, mesh,
+        budget, deadline, ...)
+    3   the compile deadline (--timeout) expired (CompileTimeout)
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import os
 import sys
 
 import numpy as np
@@ -52,13 +63,6 @@ def _export_trace(streams, path: str) -> None:
         print(f"wrote {len(events)} trace event(s) to {path}")
 
 
-def _persist_last_run(streams) -> None:
-    """Best-effort save for `python -m repro trace` replay."""
-    from .runtime.trace import save_last_run
-
-    save_last_run(streams)
-
-
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -84,120 +88,106 @@ def _dump_plan_state(pass_name: str, state) -> None:
         print(f"     ... {len(state.plan.ops) - 6} more op(s)")
 
 
-def cmd_reshard(args: argparse.Namespace) -> int:
-    from .compiler import CompileContext, CompileTimeout, compile_resharding
-    from .core.api import reshard
+def _resharding_task(args: argparse.Namespace, topology: str | None):
+    """The one task ``reshard`` and ``analyze --shape`` compile: Table 2's
+    microbench meshes, on the named ``topology`` (None: two-tier)."""
     from .core.task import ReshardingTask
-    from .experiments.common import fmt_bytes, fmt_seconds, make_microbench_meshes
-    from .strategies import STRATEGIES
+    from .experiments.common import make_microbench_meshes
 
-    if len(args.src_mesh) != 2 or len(args.dst_mesh) != 2:
-        print("mesh shapes must be 2-D, e.g. 2,4", file=sys.stderr)
-        return 2
     cluster = None
-    if args.topology:
+    if topology:
         from .sim.cluster import Cluster, ClusterSpec
         from .sim.topology import make_topology
 
+        # [-1], not [1]: a 1-D mesh must reach make_microbench_meshes's
+        # 2-D check, not fail here on an index
         n_hosts = args.src_mesh[0] + args.dst_mesh[0]
         kwargs: dict = {}
-        if args.topology == "torus":
+        if topology == "torus":
             kwargs = {"rows": 1, "cols": n_hosts}
-        elif args.topology == "fat_tree":
+        elif topology == "fat_tree":
             kwargs = {"hosts_per_leaf": max(1, n_hosts // 2)}
         cluster = Cluster(
             ClusterSpec(
                 n_hosts=n_hosts,
-                devices_per_host=max(args.src_mesh[1], args.dst_mesh[1]),
-                topology=make_topology(args.topology, **kwargs),
+                devices_per_host=max(args.src_mesh[-1], args.dst_mesh[-1]),
+                topology=make_topology(topology, **kwargs),
             )
         )
     _cluster, src, dst = make_microbench_meshes(
         args.src_mesh, args.dst_mesh, cluster=cluster
     )
-    strategies = (
-        sorted(STRATEGIES) if args.strategy == "all" else [args.strategy]
+    return ReshardingTask(
+        args.shape, src, args.src_spec, dst, args.dst_spec, dtype=np.float32
     )
-    tensor_or_shape = args.shape
-    if args.verify:
-        n = int(np.prod(args.shape))
-        tensor_or_shape = np.arange(n, dtype=np.float32).reshape(args.shape)
+
+
+def cmd_reshard(args: argparse.Namespace) -> int:
+    from .analysis import static_host_bounds
+    from .compiler import USE_DEFAULT_CACHE, CompileContext, compile_resharding
+    from .core.data import apply_plan
+    from .core.tensor import DistributedTensor
+    from .experiments.common import fmt_bytes, fmt_seconds
+    from .runtime.trace import save_last_run
+    from .strategies import STRATEGIES, make_strategy
+
+    if args.verify and args.strategy != "all" and not make_strategy(args.strategy).data_complete:
+        raise ValueError(
+            f"--verify: strategy {args.strategy!r} moves no data, so there is nothing to verify"
+        )
+    task = _resharding_task(args, args.topology)
+    strategies = sorted(STRATEGIES) if args.strategy == "all" else [args.strategy]
     print(
         f"reshard {args.src_spec}@{args.src_mesh} -> {args.dst_spec}@{args.dst_mesh}, "
         f"shape {args.shape} fp32"
     )
+    if args.verify:
+        array = np.arange(int(np.prod(args.shape)), dtype=np.float32).reshape(args.shape)
+    # the passes must run (not a cache hit) for --explain and dumps
+    fresh = args.no_cache or args.explain or args.dump_plan_after
     streams = []
     for name in strategies:
-        if args.explain or args.dump_plan_after or args.memory_budget is not None:
-            from .core.validate import PlanValidationError
-
-            # Compile fresh (uncached) so the pass pipeline actually
-            # runs and its instrumentation reflects real work.
-            task = ReshardingTask(
-                args.shape, src, args.src_spec, dst, args.dst_spec,
-                dtype=np.float32,
-            )
-            try:
-                compiled = compile_resharding(
-                    task,
-                    CompileContext(
-                        strategy=name,
-                        cache=None,
-                        deadline=args.timeout,
-                        dump_after=tuple(args.dump_plan_after or ()),
-                        on_dump=_dump_plan_state,
-                        memory_budget=args.memory_budget,
-                        validate=args.memory_budget is not None,
-                    ),
-                )
-            except CompileTimeout as timeout:
-                print(f"  {name:<10} compile timeout: {timeout}", file=sys.stderr)
-                return 3
-            except PlanValidationError as invalid:
-                print(
-                    f"  {name:<10} rejected by memory budget:\n    "
-                    + str(invalid).replace("\n", "\n    "),
-                    file=sys.stderr,
-                )
-                return 1
-            if args.explain:
-                print(f"  [{name}] pass pipeline:")
-                for line in compiled.diagnostics.format_table().splitlines():
-                    print("    " + line)
-                from .analysis import static_host_bounds
-
-                analysis = static_host_bounds(compiled.plan)
-                print(f"  [{name}] static peak-buffer bound:")
-                for line in analysis.format_table().splitlines():
-                    print("    " + line)
-                if args.memory_budget is not None:
-                    verdict = (
-                        "within" if analysis.peak <= args.memory_budget
-                        else "EXCEEDS"
-                    )
-                    print(
-                        f"    memory_budget {args.memory_budget:.0f} B: "
-                        f"{verdict}"
-                    )
-        cache_kwargs = {"cache": None} if args.no_cache else {}
-        try:
-            r = reshard(tensor_or_shape, src, args.src_spec, dst, args.dst_spec,
-                        strategy=name, deadline=args.timeout, **cache_kwargs)
-        except CompileTimeout as timeout:
-            print(f"  {name:<10} compile timeout: {timeout}", file=sys.stderr)
-            return 3
-        streams.append((name, r.timing.telemetry))
-        verified = ""
-        if args.verify and r.dst_tensor is not None:
-            ok = bool(np.array_equal(r.dst_tensor.to_global(), tensor_or_shape))
-            verified = f"  verified={ok}"
-            if not ok:
-                return 1
-        print(
-            f"  {name:<10} latency={fmt_seconds(r.latency):>11}  "
-            f"cross-host={fmt_bytes(r.cross_host_bytes):>11}{verified}"
+        compiled = compile_resharding(
+            task,
+            CompileContext(
+                strategy=name,
+                cache=None if fresh else USE_DEFAULT_CACHE,
+                deadline=args.timeout,
+                dump_after=tuple(args.dump_plan_after or ()),
+                on_dump=_dump_plan_state,
+                memory_budget=args.memory_budget,
+                validate=args.memory_budget is not None,
+            ),
         )
-    _persist_last_run(streams)
+        if args.explain:
+            print(f"  [{name}] pass pipeline:")
+            for line in compiled.diagnostics.format_table().splitlines():
+                print("    " + line)
+            analysis = static_host_bounds(compiled.plan)
+            print(f"  [{name}] static peak-buffer bound:")
+            for line in analysis.format_table().splitlines():
+                print("    " + line)
+            if args.memory_budget is not None:
+                verdict = "within" if analysis.peak <= args.memory_budget else "EXCEEDS"
+                print(f"    memory_budget {args.memory_budget:.0f} B: {verdict}")
+        timing = compiled.ensure_timing()
+        streams.append((name, timing.telemetry))
+        ok = True
+        verified = ""
+        if args.verify and not compiled.plan.data_complete:
+            verified = "  (moves no data; not checked)"
+        elif args.verify:
+            plan = compiled.plan
+            src = DistributedTensor.from_global(plan.task.src_mesh, plan.task.src_spec, array)
+            ok = bool(np.array_equal(apply_plan(plan, src).to_global(), array))
+            verified = f"  verified={ok}"
+        print(
+            f"  {name:<10} latency={fmt_seconds(timing.total_time):>11}  "
+            f"cross-host={fmt_bytes(timing.bytes_cross_host):>11}{verified}"
+        )
+        if not ok:
+            return 1
+    save_last_run(streams)
     if args.trace_out:
         _export_trace(streams, args.trace_out)
     return 0
@@ -207,6 +197,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
     from .models.gpt import GPT_CASES, build_gpt
     from .models.parallel import run_iteration
     from .models.utransformer import UTransformerConfig, build_utransformer
+    from .runtime.trace import save_last_run
 
     if args.model == "gpt1":
         spec = build_gpt(GPT_CASES["GPT case1"])
@@ -227,7 +218,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             f"  {method:<10} iteration={r.iteration_time:8.2f}s  "
             f"throughput={r.throughput_tflops:7.2f} TFLOPS/GPU"
         )
-    _persist_last_run(streams)
+    save_last_run(streams)
     if args.trace_out:
         _export_trace(streams, args.trace_out)
     if args.cache_stats:
@@ -254,14 +245,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
 
     path = args.input if args.input else str(last_run_path())
-    try:
-        dicts = read_jsonl(path)
-    except FileNotFoundError:
-        print(
-            f"no saved run at {path}; run `python -m repro reshard`/`e2e` first",
-            file=sys.stderr,
+    if not os.path.isfile(path):
+        raise ValueError(
+            f"no saved run at {path}; run `python -m repro reshard`/`e2e` first"
         )
-        return 2
+    dicts = read_jsonl(path)
     if args.filter == "span":
         dicts = [d for d in dicts if d.get("type") == "span"]
     elif args.filter == "counter":
@@ -327,20 +315,15 @@ def _analyze_compiled(
 
 def _golden_reshardings(workload: str):
     """Yield (label, task, strategy) for one figure's golden workloads."""
-    from .core.mesh import DeviceMesh
     from .core.task import ReshardingTask
-    from .experiments.common import make_microbench_meshes, paper_cluster
+    from .experiments.common import make_microbench_meshes
 
     strategies = ("send_recv", "allgather", "broadcast")
     if workload == "fig5":
-        from .experiments.fig5 import MESSAGE_SHAPE
+        from .experiments.fig5 import MESSAGE_SHAPE, single_to_multi_meshes
 
         for n_hosts, gpus in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (4, 2)]:
-            cluster = paper_cluster(1 + n_hosts, devices_per_host=4)
-            src = DeviceMesh(cluster, [[0]])
-            dst = DeviceMesh.from_hosts(
-                cluster, range(1, 1 + n_hosts), devices_per_host=gpus
-            )
+            src, dst = single_to_multi_meshes(n_hosts, gpus)
             task = ReshardingTask(
                 MESSAGE_SHAPE, src, "R", dst, "R", dtype=np.float32
             )
@@ -361,20 +344,10 @@ def _golden_reshardings(workload: str):
                 yield f"fig6[{case.name}:{s}]", task, s
     elif workload == "fig7":
         from .experiments.fig7 import workloads
+        from .models.parallel import boundary_tasks
 
         for model_name, spec in workloads().items():
-            for b in spec.boundaries:
-                src_mesh = spec.stage_meshes[b.src_stage]
-                dst_mesh = spec.stage_meshes[b.dst_stage]
-                dtype = np.float16 if b.dtype == "fp16" else np.float32
-                fwd = ReshardingTask(
-                    b.shape, src_mesh, b.src_spec, dst_mesh, b.dst_spec,
-                    dtype=dtype,
-                )
-                bwd = ReshardingTask(
-                    b.shape, dst_mesh, b.dst_spec, src_mesh, b.src_spec,
-                    dtype=dtype,
-                )
+            for b, fwd, bwd in boundary_tasks(spec):
                 for s in strategies:
                     yield f"fig7[{model_name}:{b.label}:fwd:{s}]", fwd, s
                     yield f"fig7[{model_name}:{b.label}:bwd:{s}]", bwd, s
@@ -419,9 +392,6 @@ def _analyze_fig7_schedules(verbose: bool) -> bool:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .core.task import ReshardingTask
-    from .experiments.common import make_microbench_meshes
-
     ok = True
     ran = False
     if args.plan_json:
@@ -446,23 +416,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.pipeline:
         from .analysis import analyze_pipeline_schedule
 
-        try:
-            report = analyze_pipeline_schedule(
-                args.pipeline, args.stages, args.microbatches
-            )
-        except ValueError as bad:
-            print(f"analyze: {bad}", file=sys.stderr)
-            return 2
+        report = analyze_pipeline_schedule(
+            args.pipeline, args.stages, args.microbatches
+        )
         ok = _print_analysis(report, args.verbose) and ok
         ran = True
     if args.shape:
         if not (args.src_spec and args.dst_spec):
-            print("--shape needs --src-spec and --dst-spec", file=sys.stderr)
-            return 2
-        _cluster, src, dst = make_microbench_meshes(args.src_mesh, args.dst_mesh)
-        task = ReshardingTask(
-            args.shape, src, args.src_spec, dst, args.dst_spec, dtype=np.float32
-        )
+            raise ValueError("--shape needs --src-spec and --dst-spec")
+        task = _resharding_task(args, None)
         label = f"{args.src_spec}->{args.dst_spec}:{args.strategy}"
         ok = _analyze_compiled(
             task, args.strategy, label, args.verbose,
@@ -470,12 +432,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ) and ok
         ran = True
     if not ran:
-        print(
+        raise ValueError(
             "nothing to analyze: pass --workload, --plan-json, --pipeline, "
-            "or --shape/--src-spec/--dst-spec",
-            file=sys.stderr,
+            "or --shape/--src-spec/--dst-spec"
         )
-        return 2
     return 0 if ok else 1
 
 
@@ -620,31 +580,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: experiment id -> its module under repro.experiments
+EXPERIMENTS = {
+    "E1": "fig5", "E2": "fig6", "E3": "table1", "E4": "fig7", "E5": "fig8",
+    "E6": "fig9", "E7": "fig3", "E8": "topology_zoo", "A0": "ablations",
+}
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments import (
-        ablations,
-        fig3,
-        fig5,
-        fig6,
-        fig7,
-        fig8,
-        fig9,
-        table1,
-        topology_zoo,
-    )
     from .experiments.common import format_markdown
 
-    modules = {
-        "E1": fig5, "E2": fig6, "E3": table1, "E4": fig7,
-        "E5": fig8, "E6": fig9, "E7": fig3, "A0": ablations,
-        "E8": topology_zoo,
-    }
-    mod = modules[args.id]
+    mod = importlib.import_module(f".experiments.{EXPERIMENTS[args.id]}", __package__)
     print(format_markdown(mod.run()))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .compiler.passes import DEFAULT_PASSES
+    from .models.parallel import METHODS
+    from .pipeline.schedules import SCHEDULE_NAMES
+    from .service import PROFILES
+    from .strategies import STRATEGIES
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Cross-mesh resharding reproduction (MLSys 2023) CLI",
@@ -657,14 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dst-spec", required=True)
     r.add_argument("--src-mesh", type=_parse_ints, default=(2, 4))
     r.add_argument("--dst-mesh", type=_parse_ints, default=(2, 4))
-    r.add_argument(
-        "--strategy",
-        default="broadcast",
-        choices=["send_recv", "allgather", "broadcast", "multicast", "signal",
-                 "auto", "all"],
-    )
+    r.add_argument("--strategy", default="broadcast", choices=[*STRATEGIES, "all"])
     r.add_argument(
         "--topology",
+        # not the topology registry: "island" is disconnected by design,
+        # so the sender and receiver hosts would have no route between them
         choices=["two_tier", "fat_tree", "torus", "rail"],
         help="cluster topology for the microbench cluster (default: the "
              "paper's two-tier shape)",
@@ -676,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument(
         "--dump-plan-after",
         action="append",
-        choices=["lower", "select", "schedule", "fault_rewrite", "emit", "validate"],
+        choices=[compiler_pass.name for compiler_pass in DEFAULT_PASSES()],
         help="dump the evolving plan after the named pass (repeatable)",
     )
     r.add_argument("--no-cache", action="store_true",
@@ -699,8 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         nargs="+",
         default=["alpa", "ours", "signal"],
-        choices=["send_recv", "alpa", "broadcast", "overlap", "ours",
-                 "ours_delay", "signal"],
+        choices=list(METHODS),
     )
     e.add_argument("--cache-stats", action="store_true",
                    help="reset the plan cache first and report hit/miss counts")
@@ -717,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
             "print (or check) the overload-safety report."
         ),
     )
-    s.add_argument("--profile", choices=["steady", "bursty"], default="bursty")
+    s.add_argument("--profile", choices=list(PROFILES), default="bursty")
     s.add_argument("--requests", type=int, default=120)
     s.add_argument("--tenants", type=int, default=4)
     s.add_argument("--workers", type=int, default=2)
@@ -738,9 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_serve)
 
     x = sub.add_parser("experiment", help="run one paper experiment")
-    x.add_argument(
-        "id", choices=["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "A0"]
-    )
+    x.add_argument("id", choices=list(EXPERIMENTS))
     x.set_defaults(fn=cmd_experiment)
 
     t = sub.add_parser("trace", help="replay the last run's telemetry")
@@ -776,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     a.add_argument("--plan-json", action="append", metavar="PATH",
                    help="analyze a plan fixture JSON file (repeatable)")
-    a.add_argument("--pipeline", choices=["gpipe", "1f1b", "eager_1f1b"],
+    a.add_argument("--pipeline", choices=list(SCHEDULE_NAMES),
                    help="analyze a named pipeline schedule")
     a.add_argument("--stages", type=int, default=4)
     a.add_argument("--microbatches", type=int, default=8)
@@ -790,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument(
         "--strategy",
         default="broadcast",
-        choices=["send_recv", "allgather", "broadcast", "multicast", "auto"],
+        choices=[name for name in STRATEGIES if name != "signal"],
     )
     a.add_argument("--memory-budget", type=float, metavar="BYTES",
                    help="per-host transient buffer budget for the memory "
@@ -850,8 +801,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exit codes are the module docstring's."""
+    from .compiler import CompileTimeout
+    from .core.validate import PlanValidationError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    prefix = f"repro {args.command}:"
+    try:
+        return args.fn(args)
+    except PlanValidationError as rejected:  # a ValueError: catch it first
+        print(f"{prefix} plan rejected: {rejected}", file=sys.stderr)
+        return 1
+    except ValueError as bad:
+        print(f"{prefix} error: {bad}", file=sys.stderr)
+        return 2
+    except CompileTimeout as timeout:
+        print(f"{prefix} compile timeout: {timeout}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

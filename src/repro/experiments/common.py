@@ -71,6 +71,10 @@ def make_microbench_meshes(
     Mesh shape ``(m1, m2)`` means ``m1`` hosts with ``m2`` devices each,
     the convention of the paper's Table 2.
     """
+    if len(send_shape) != 2 or len(recv_shape) != 2:
+        raise ValueError(
+            f"mesh shapes must be 2-D, e.g. (2, 4); got {send_shape} and {recv_shape}"
+        )
     if cluster is None:
         cluster = paper_cluster(
             send_shape[0] + recv_shape[0],

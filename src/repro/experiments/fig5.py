@@ -16,7 +16,7 @@ from ..core.api import reshard
 from ..core.mesh import DeviceMesh
 from .common import ExperimentTable, paper_cluster
 
-__all__ = ["run", "single_to_multi_latency", "STRATEGIES"]
+__all__ = ["run", "single_to_multi_latency", "single_to_multi_meshes", "STRATEGIES"]
 
 STRATEGIES = ("send_recv", "allgather", "broadcast")
 
@@ -24,15 +24,21 @@ STRATEGIES = ("send_recv", "allgather", "broadcast")
 MESSAGE_SHAPE = (1 << 28,)
 
 
-def single_to_multi_latency(
-    n_recv_hosts: int, gpus_per_host: int, strategy: str
-) -> float:
-    """Latency of 1 GB replicated -> replicated, 1 sender GPU."""
+def single_to_multi_meshes(n_recv_hosts: int, gpus_per_host: int) -> tuple[DeviceMesh, DeviceMesh]:
+    """1 sender GPU; ``n_recv_hosts`` receiver hosts of ``gpus_per_host`` GPUs."""
     cluster = paper_cluster(1 + n_recv_hosts, devices_per_host=4)
     src = DeviceMesh(cluster, [[0]])
     dst = DeviceMesh.from_hosts(
         cluster, range(1, 1 + n_recv_hosts), devices_per_host=gpus_per_host
     )
+    return src, dst
+
+
+def single_to_multi_latency(
+    n_recv_hosts: int, gpus_per_host: int, strategy: str
+) -> float:
+    """Latency of 1 GB replicated -> replicated, 1 sender GPU."""
+    src, dst = single_to_multi_meshes(n_recv_hosts, gpus_per_host)
     result = reshard(MESSAGE_SHAPE, src, "R", dst, "R", strategy=strategy)
     return result.latency
 

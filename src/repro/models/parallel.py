@@ -41,6 +41,7 @@ __all__ = [
     "ParallelJobSpec",
     "MethodSpec",
     "METHODS",
+    "boundary_tasks",
     "resolve_comm_edges",
     "run_iteration",
     "E2EResult",
@@ -109,8 +110,16 @@ METHODS: dict[str, MethodSpec] = {
 }
 
 
-def _np_dtype(name: str):
-    return np.float16 if name == "fp16" else np.float32
+def boundary_tasks(spec: ParallelJobSpec):
+    """Yield ``(boundary, fwd_task, bwd_task)`` per stage boundary: its
+    activation resharding and the reverse one its gradient takes."""
+    for b in spec.boundaries:
+        src_mesh = spec.stage_meshes[b.src_stage]
+        dst_mesh = spec.stage_meshes[b.dst_stage]
+        dtype = np.float16 if b.dtype == "fp16" else np.float32
+        fwd = ReshardingTask(b.shape, src_mesh, b.src_spec, dst_mesh, b.dst_spec, dtype=dtype)
+        bwd = ReshardingTask(b.shape, dst_mesh, b.dst_spec, src_mesh, b.src_spec, dtype=dtype)
+        yield b, fwd, bwd
 
 
 def resolve_comm_edges(
@@ -130,17 +139,7 @@ def resolve_comm_edges(
     """
     ctx = CompileContext(strategy=make_strategy(strategy_name), cache=cache)
     edges: list[CommEdge] = []
-    for b in spec.boundaries:
-        src_mesh = spec.stage_meshes[b.src_stage]
-        dst_mesh = spec.stage_meshes[b.dst_stage]
-        fwd_task = ReshardingTask(
-            b.shape, src_mesh, b.src_spec, dst_mesh, b.dst_spec,
-            dtype=_np_dtype(b.dtype),
-        )
-        bwd_task = ReshardingTask(
-            b.shape, dst_mesh, b.dst_spec, src_mesh, b.src_spec,
-            dtype=_np_dtype(b.dtype),
-        )
+    for b, fwd_task, bwd_task in boundary_tasks(spec):
         resharding = EdgeResharding(fwd_task, bwd_task, ctx)
         edges.append(
             CommEdge(

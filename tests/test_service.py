@@ -2,6 +2,7 @@
 breaker, coalescing, fairness, deadlines, and degraded mode."""
 
 import asyncio
+import re
 
 import pytest
 
@@ -569,18 +570,18 @@ def test_service_chaos_validates_partition_rate():
     assert not ServiceChaos(partition_rate=0.0).attempt_partitioned("r", 1)
 
 
-def test_load_profile_rejects_no_tenants():
+def test_load_profile_rejects_no_tenants(capsys):
     # serve --tenants 0 fails on its input, not inside randrange()
     from repro.__main__ import main
     from repro.service import LoadProfile
 
     with pytest.raises(ValueError, match="n_tenants"):
         LoadProfile(name="none", n_tenants=0)
-    with pytest.raises(ValueError, match="n_tenants"):
-        main(["serve", "--tenants", "0"])
+    assert main(["serve", "--tenants", "0"]) == 2
+    assert re.search("n_tenants", capsys.readouterr().err)
 
 
-def test_load_profile_rejects_negative_requests():
+def test_load_profile_rejects_negative_requests(capsys):
     # serve --requests -3 must not exit 0 with an empty report
     from repro.__main__ import main
     from repro.service import LoadProfile
@@ -588,8 +589,8 @@ def test_load_profile_rejects_negative_requests():
     assert LoadProfile(name="idle", n_requests=0).n_requests == 0
     with pytest.raises(ValueError, match="n_requests"):
         LoadProfile(name="negative", n_requests=-3)
-    with pytest.raises(ValueError, match="n_requests"):
-        main(["serve", "--requests", "-3"])
+    assert main(["serve", "--requests", "-3"]) == 2
+    assert re.search("n_requests", capsys.readouterr().err)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -662,11 +663,11 @@ def test_service_inputs_must_be_finite(field, build):
         build()
 
 
-def test_serve_rejects_a_nan_rate():
+def test_serve_rejects_a_nan_rate(capsys):
     from repro.__main__ import main
 
-    with pytest.raises(ValueError, match="rate"):
-        main(["serve", "--rate", "nan"])
+    assert main(["serve", "--rate", "nan"]) == 2
+    assert re.search("rate", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
