@@ -15,12 +15,16 @@ while a device can send and receive at full rate simultaneously (full
 duplex).
 
 Rates are recomputed whenever a flow starts or finishes; the event loop
-advances directly to the earliest completion, so simulation cost is
-``O(events x flows x ports)`` — comfortably fast for cluster sizes in the
-paper (dozens of devices, thousands of flows).  The active set is small
-(most solves see zero to three flows), so the cost is per-event
-bookkeeping rather than arithmetic, and the network keeps it flat with
-three memos: a ``(src, dst) -> (ports, latency)`` route table (custom
+advances directly to the earliest completion.  A full progressive fill
+costs ``O(flows x ports)`` per round, but the solver runs it only when
+the arriving or departing flow shares a port with another active flow
+(or a fault schedule is installed): a flow alone on its ports costs
+``O(ports)`` to add or remove, and the solve that follows is a no-op.
+Chunk-pipelined ring hops are mostly alone on their ports, so most
+solves skip the fill.  The active set is small (most solves see zero to
+three flows), so the cost is per-event bookkeeping rather than
+arithmetic, and the network keeps it flat with three memos: a
+``(src, dst) -> (ports, latency)`` route table (custom
 ``ports=``/``latency=`` flows bypass it), a static per-port base
 capacity (fault factors are still applied at the current instant on
 every lookup), and a device -> host table for byte accounting.  Device
@@ -331,7 +335,7 @@ class Network:
         primitives that traverse only a *segment* of the fabric (e.g.
         the switch-replicated legs of a multicast) price exactly the
         resources that segment holds instead of a full device-to-device
-        path.
+        path; ``ports`` must name at least one port (``ValueError``).
         """
         if src == dst:
             raise ValueError("flow source and destination must differ")
@@ -345,6 +349,10 @@ class Network:
             # silently wrap in the device -> host table.
             if not 0 <= d < n_devices:
                 raise KeyError(f"no device {d} in cluster of {n_devices}")
+        if ports is not None and not ports:
+            # A flow through no port would have no bottleneck, hence no
+            # finite max-min rate.
+            raise ValueError("a flow must traverse at least one port")
         if ports is None or latency is None:
             route_ports, route_latency = self._route(src, dst)
             if ports is None:

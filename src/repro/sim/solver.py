@@ -1,13 +1,21 @@
 """Max-min fair rate solvers for the flow-level simulator.
 
 Every rate reallocation — each flow arrival, completion, failure, and
-fault boundary — runs one progressive-filling fixpoint over the active
-flows.  :class:`~repro.sim.network.Network` calls it through the
-:class:`RateSolver` interface:
+fault boundary — asks for the max-min fair rates of the active flows.
+:class:`~repro.sim.network.Network` asks through the :class:`RateSolver`
+interface:
 
 * :class:`ScalarSolver` — the progressive-filling loop every network
   uses.  It is the executable specification: the golden Fig. 5/6/7
-  numbers pin its float arithmetic bit-for-bit.
+  numbers pin its float arithmetic bit-for-bit.  It keeps a per-port
+  count of active traversals across solves and skips the fill when no
+  rate can have changed: a flow that arrives sharing no port with an
+  active flow gets the minimum of its ports' capacities, and a flow
+  that leaves no port carrying another active flow changes no rate.
+  Both skips are exact because progressive filling splits over the
+  connected components of the flow-port sharing graph (see the class
+  docstring); any other arrival or departure, and every solve under a
+  fault schedule, runs the full fill.
 * :class:`VectorSolver` — a NumPy backend over a flow x port incidence
   structure that is maintained *incrementally* on flow add/remove
   instead of being rebuilt per solve.  Per filling round it does the
@@ -70,8 +78,8 @@ class RateSolver(Protocol):
     The network calls :meth:`attach` once, then :meth:`flow_added` /
     :meth:`flow_removed` as flows enter and leave the active set (in
     activation order — the order ``Network._active`` iterates), and
-    :meth:`solve` whenever rates must be recomputed.  ``solve`` writes
-    ``flow.rate`` on every active flow and returns nothing.
+    :meth:`solve` whenever rates must be recomputed.  When ``solve``
+    returns, every active flow's ``rate`` holds its max-min fair rate.
     """
 
     name: str
@@ -86,14 +94,37 @@ class RateSolver(Protocol):
 
 
 class ScalarSolver:
-    """The progressive-filling loop, kept byte-identical.
+    """The progressive-filling loop, kept byte-identical, run only when a
+    rate can have changed.
 
-    Stateless between solves: one pass over the active set builds, per
-    port, the remaining capacity (``cap``), the unassigned traversal
-    count (``load``) and the incidence list of flows through it
-    (``members``, one entry per traversal, activation order).  Each
-    filling round then fixes the still-unassigned members of the
-    bottleneck port, so no round sorts or scans the whole active set.
+    Across solves the solver keeps one count per port: how many active
+    flows traverse it (a flow that repeats a port counts twice).
+    :meth:`solve` skips the fill, leaving every rate as it is, unless a
+    flow added or removed since the last fill shared a port:
+
+    * a flow whose ports carry no other active flow gets the minimum of
+      its ports' capacities, the fill's ``cap / 1`` at its bottleneck
+      port, and no other rate moves;
+    * a flow that leaves none of its ports carrying another active flow
+      moves no remaining rate.
+
+    Any other add or remove marks the solver stale, and the next solve
+    runs the full fill.  Under a fault schedule NIC capacity depends on
+    the current instant, so every solve runs the full fill.
+
+    Both rules are exact, not approximations: progressive filling splits
+    over the connected components of the flow-port sharing graph.  A
+    round in one component never touches another component's ports, and
+    a share tie between ports of different components changes neither
+    one's values, so each component's rates are those of a fill over it
+    alone.  A lone flow is a component of its own.
+
+    The fill: one pass over the active set builds, per port, the
+    remaining capacity (``cap``), the unassigned traversal count
+    (``load``) and the incidence list of flows through it (``members``,
+    one entry per traversal, activation order).  Each filling round then
+    fixes the still-unassigned members of the bottleneck port, so no
+    round sorts or scans the whole active set.
 
     Fixing order cannot change a float: every subtraction a round makes
     is the same share, so a port's capacity after the round depends only
@@ -106,19 +137,46 @@ class ScalarSolver:
 
     def __init__(self) -> None:
         self._net: Optional["Network"] = None
+        #: port -> active flows traversing it, one per traversal
+        self._traversals: dict[str, int] = {}
+        #: a flow that shared a port came or went since the last fill
+        self._stale = False
 
     def attach(self, network: "Network") -> None:
         self._net = network
 
-    def flow_added(self, flow: "Flow") -> None:  # noqa: ARG002 - interface
-        pass
+    def flow_added(self, flow: "Flow") -> None:
+        traversals = self._traversals
+        shared = False
+        for p in flow.ports:
+            n = traversals.get(p, 0) + 1
+            traversals[p] = n
+            if n > 1:
+                shared = True
+        if shared:
+            self._stale = True
+        elif not self._stale:
+            # Alone on its ports: the fill's cap / 1 at its bottleneck.
+            net = self._net
+            assert net is not None
+            flow.rate = min(map(net._port_capacity, flow.ports))
 
-    def flow_removed(self, flow: "Flow") -> None:  # noqa: ARG002 - interface
-        pass
+    def flow_removed(self, flow: "Flow") -> None:
+        traversals = self._traversals
+        for p in flow.ports:
+            n = traversals[p] - 1
+            traversals[p] = n
+            if n:
+                self._stale = True
 
     def solve(self) -> None:
         net = self._net
         assert net is not None
+        if self._stale or net.faults is not None:
+            self._stale = False
+            self._fill(net)
+
+    def _fill(self, net: "Network") -> None:
         active = net._active
         if not active:
             return

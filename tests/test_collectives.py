@@ -45,22 +45,42 @@ def test_all_to_all_degenerate():
     assert all_to_all(net, [0, 1], 0).done
 
 
+# Ring grid: N = 2-8 devices on one host (NVLink ring) or on N hosts
+# (NIC ring), three sizes, zero latency.  Every hop is alone on its
+# ports, so the simulated time is the closed form up to rounding.
+RING_GRID = [
+    (n, n_hosts, dph, size)
+    for n in range(2, 9)
+    for n_hosts, dph in ((1, n), (n, 1))
+    for size in (1e6, GB, 3 * GB + 7)
+]
+
+
+def ring_bandwidth(net: Network, n_hosts: int) -> float:
+    spec = net.cluster.spec
+    return spec.intra_host_bandwidth if n_hosts == 1 else spec.inter_host_bandwidth
+
+
 def test_reduce_scatter_time():
-    net = make_net(n_hosts=4, dph=1)
-    h = reduce_scatter(net, [0, 1, 2, 3], GB)
-    net.run()
-    expect = 3 * (GB / 4) / net.cluster.spec.inter_host_bandwidth
-    assert h.finish_time == pytest.approx(expect)
+    """Ring reduce-scatter takes (N-1)/N * S/B."""
+    for n, n_hosts, dph, size in RING_GRID:
+        net = make_net(n_hosts=n_hosts, dph=dph)
+        h = reduce_scatter(net, list(range(n)), size)
+        net.run()
+        expect = (n - 1) / n * size / ring_bandwidth(net, n_hosts)
+        assert h.finish_time == pytest.approx(expect, rel=1e-12), (n, n_hosts, size)
+        assert h.done
 
 
 def test_all_reduce_is_two_phases():
-    net = make_net(n_hosts=4, dph=1)
-    h = all_reduce(net, [0, 1, 2, 3], GB)
-    net.run()
-    # 2 (N-1)/N * total / bw
-    expect = 2 * 3 * (GB / 4) / net.cluster.spec.inter_host_bandwidth
-    assert h.finish_time == pytest.approx(expect)
-    assert h.done
+    """Ring all-reduce = reduce-scatter + all-gather: 2(N-1)/N * S/B."""
+    for n, n_hosts, dph, size in RING_GRID:
+        net = make_net(n_hosts=n_hosts, dph=dph)
+        h = all_reduce(net, list(range(n)), size)
+        net.run()
+        expect = 2 * (n - 1) / n * size / ring_bandwidth(net, n_hosts)
+        assert h.finish_time == pytest.approx(expect, rel=1e-12), (n, n_hosts, size)
+        assert h.done
 
 
 def test_all_reduce_degenerate():

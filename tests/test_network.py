@@ -137,6 +137,16 @@ def test_unknown_device_rejected_at_submit(src, dst):
     assert net.run() == 0.0
 
 
+@pytest.mark.parametrize("latency", [None, 0.0])
+def test_empty_custom_path_rejected_at_submit(latency):
+    # A flow through no port has no bottleneck: it must not reach the
+    # solver, where it would get no finite rate.
+    net = make_net()
+    with pytest.raises(ValueError, match="at least one port"):
+        net.start_flow(0, 4, 1000, ports=(), latency=latency)
+    assert net.run() == 0.0
+
+
 def test_traffic_accounting():
     net = make_net()
     net.start_flow(0, 4, 1000)
