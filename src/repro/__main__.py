@@ -26,7 +26,7 @@ Exit codes (every subcommand; errors go to stderr as ``repro <cmd>: ...``)::
     1   a check failed: a plan rejected by validation (PlanValidationError),
         a failed --verify, analyzer errors, fuzz/serve --check gates
     2   bad input: a usage error or any ValueError (bad shape, spec, mesh,
-        budget, deadline, ...)
+        budget, deadline, --check on zero fuzz runs or serve requests, ...)
     3   the compile deadline (--timeout) expired (CompileTimeout)
 """
 
@@ -457,9 +457,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     Deterministic under ``--seed``: the same arguments always fuzz the
     identical schedules and print the identical campaign digest.  With
-    ``--check``, exit 1 on any invariant violation.
+    ``--check``, exit 1 on any invariant violation; a zero-run
+    campaign has nothing to check, so ``--check`` refuses it.
     """
     import json
+
+    if args.check and args.runs == 0:
+        raise ValueError("--check needs at least one run; --runs 0 checks nothing")
 
     from .fuzz import run_fuzz
 
@@ -511,9 +515,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     the telemetry digest).  With ``--check``, exit 1 unless the
     overload-safety gates hold: zero worker crashes, bounded queue
     depth, and (for bursty profiles) at least one coalesced compile.
+    A load of zero requests has nothing to check, so ``--check``
+    refuses it.
     """
     import dataclasses
     import json
+
+    if args.check and args.requests == 0:
+        raise ValueError(
+            "--check needs at least one request; --requests 0 checks nothing"
+        )
 
     from .service import (
         PROFILES,

@@ -1,14 +1,12 @@
-"""Compiled resharding attached to one pipeline stage edge.
+"""The compiled resharding behind one pipeline stage edge.
 
-:func:`repro.models.parallel.resolve_comm_edges` compiles each stage
-boundary's forward/backward resharding through the plan compiler and
-hangs an :class:`EdgeResharding` on the :class:`~repro.pipeline.stage
-.CommEdge`.  The pipeline executor then prices every cross-stage message
-via :meth:`EdgeResharding.time`.  Every micro-batch reshards the same
-tensor with the same layouts, so each direction resolves its plan through
-:func:`compile_resharding` once per cache epoch — one plan-cache request
-per edge direction, not per message — and the pipeline's comm latencies
-are, by construction, ``simulate_plan`` latencies of the compiled plans
+:func:`repro.models.parallel.resolve_comm_edges` builds an
+:class:`EdgeResharding` per stage boundary and reads each direction's
+latency once, as :meth:`EdgeResharding.time`, into the plain
+``fwd_time``/``bwd_time`` of a :class:`~repro.pipeline.stage.CommEdge`.
+Every micro-batch reshards the same tensor with the same layouts, so
+the pipeline executor prices every message of a direction with that one
+number: the ``simulate_plan`` latency of the direction's compiled plan
 (one shared timing path).
 """
 
@@ -16,10 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
-from .cache import PlanCache
-from .pipeline import CompileContext, CompiledPlan, compile_resharding
+from .pipeline import CompileContext, compile_resharding
 
 __all__ = ["EdgeResharding"]
 
@@ -46,17 +42,14 @@ def _check_routable(task: ReshardingTask) -> None:
 
 
 class EdgeResharding:
-    """Both directions of one cross-mesh stage edge, compiled on demand.
+    """Both directions of one cross-mesh stage edge.
 
-    Each direction's :class:`CompiledPlan` is resolved through
-    :func:`compile_resharding` and memoized together with the plan cache
-    it came from (compared by identity) and that cache's epoch.  The memo
-    is served while both still match, so :meth:`PlanCache.invalidate` and
-    :func:`~repro.compiler.cache.reset_default_plan_cache` force the next
-    call to resolve again — for cacheable and uncacheable strategies
-    alike.  The context's other fields are read as fixed once the edge is
-    built; ``validate`` is checked on every call, so a ``validate=True``
-    context never receives an unvalidated plan.
+    Construction checks that the topology routes every host pair the
+    edge crosses.  :meth:`time` compiles the direction's task through
+    :func:`compile_resharding` under the edge's context on every call;
+    the context's plan cache, not the edge, decides whether that is a
+    hit, and a ``validate=True`` context never receives an unvalidated
+    plan.
     """
 
     def __init__(
@@ -69,10 +62,6 @@ class EdgeResharding:
         self.fwd_task = fwd_task
         self.bwd_task = bwd_task
         self.ctx = ctx if ctx is not None else CompileContext()
-        #: direction -> (plan, the cache it was resolved against, its epoch)
-        self._memo: dict[
-            str, tuple[CompiledPlan, Optional[PlanCache], Optional[int]]
-        ] = {}
 
     def task(self, direction: str) -> ReshardingTask:
         if direction == "fwd":
@@ -81,25 +70,9 @@ class EdgeResharding:
             return self.bwd_task
         raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
 
-    def compiled(self, direction: str) -> CompiledPlan:
-        cache = self.ctx.resolved_cache()
-        epoch = None if cache is None else cache.epoch
-        memo = self._memo.get(direction)
-        if memo is not None and memo[1] is cache and memo[2] == epoch:
-            found = memo[0]
-            if self.ctx.validate:
-                found.ensure_validated()
-            return found
-        found = compile_resharding(self.task(direction), self.ctx)
-        self._memo[direction] = (found, cache, epoch)
-        return found
-
-    def plan(self, direction: str) -> CommPlan:
-        return self.compiled(direction).plan
-
     def time(self, direction: str) -> float:
         """Simulated resharding latency of one message in ``direction``."""
-        return self.compiled(direction).total_time
+        return compile_resharding(self.task(direction), self.ctx).total_time
 
     def __repr__(self) -> str:
         return (

@@ -89,10 +89,6 @@ class TimingResult:
     host_peak_buffers: dict[int, float] = field(default_factory=dict)
 
     @property
-    def makespan(self) -> float:
-        return self.total_time
-
-    @property
     def completed(self) -> bool:
         """True when every op delivered its payload intact."""
         return not self.failed_ops and not self.corrupted_ops

@@ -127,15 +127,16 @@ def resolve_comm_edges(
     strategy_name: str,
     cache: Any = USE_DEFAULT_CACHE,
 ) -> list[CommEdge]:
-    """Compile each boundary resharding (both directions) and attach it.
+    """One :class:`CommEdge` per boundary, timed by its compiled plans.
 
     Every micro-batch reshards the same tensor with the same layout, so
-    the :class:`~repro.compiler.EdgeResharding` hung on each edge
-    resolves each direction's plan once per plan-cache epoch, and the
-    pipeline executor prices every message with that plan's
-    ``simulate_plan`` latency.  ``cache=None`` compiles each edge
-    direction once, uncached — tests use it to prove the cache changes
-    compile counts, never results.
+    each direction is compiled once here, through an
+    :class:`~repro.compiler.EdgeResharding` (which also checks the
+    topology routes the edge), and its ``simulate_plan`` latency becomes
+    the edge's ``fwd_time``/``bwd_time``: the one number the pipeline
+    executor prices every message of that direction with.
+    ``cache=None`` compiles each edge direction once, uncached — tests
+    use it to prove the cache changes compile counts, never results.
     """
     ctx = CompileContext(strategy=make_strategy(strategy_name), cache=cache)
     edges: list[CommEdge] = []
@@ -150,7 +151,6 @@ def resolve_comm_edges(
                 fwd_bytes=b.nbytes(),
                 bwd_bytes=b.nbytes(),
                 label=b.label,
-                resharding=resharding,
             )
         )
     return edges

@@ -14,8 +14,9 @@ additionally waits for its cross-mesh inputs:
 * ``B``/``Bx``\\ ``(s, mb)`` waits for the activation gradient of every
   out-edge, sent when the downstream ``B``/``Bx`` finished.
 
-Each edge direction is priced once per run, by
-:meth:`~repro.pipeline.stage.CommEdge.comm_time` on its first message.
+Every message along an edge takes the edge's ``fwd_time`` or
+``bwd_time`` (:class:`~repro.pipeline.stage.CommEdge`), read into the
+task table below.
 
 Dependencies, durations and edges are keyed by job stage; occupancy,
 order cursors, ``stage:<d>`` tracks, activation gauges and the FIFO
@@ -50,7 +51,7 @@ Communication is simulated in one of two modes:
 Each task's bookkeeping is done once per run: when the run starts, a
 task table resolves every device's items to their job stage, duration,
 span name and attributes, activation delta, the input key they wait on
-and their sends (edge, target, channel track).  Callbacks only read it.
+and their sends (duration, target, channel track).  Callbacks only read it.
 
 A device is woken, not polled.  While idle, a device records the key
 its head item waits on: the ``(kind, stage, mb)`` inputs of a compute
@@ -151,14 +152,6 @@ class PipelineResult:
             self._comms_cache = (len(spans), comms_from_spans(spans))
         return self._comms_cache[1]
 
-    def throughput_tflops(self, model_flops: float, n_devices: int) -> float:
-        """Aggregate per-GPU TFLOPS given total model FLOPs/iteration."""
-        if self.iteration_time <= 0:
-            raise ValueError("iteration time must be positive")
-        if n_devices <= 0:
-            raise ValueError("n_devices must be positive")
-        return model_flops / self.iteration_time / n_devices / 1e12
-
 
 def _fold_stats(
     bus: TelemetryBus, n_devices: int
@@ -237,20 +230,9 @@ def simulate_pipeline(
         b = (n_stages + s) * m
         remaining[b:b + m] = [len(reading.downstream[s])] * m
     sent_base = len(remaining)
-    # Per (edge index, direction) pair pk = 2*edge + (0 fwd | 1 bwd): its
-    # per-message duration, priced on its first message (nothing in
-    # this run compiles or invalidates plans, so an edge backed by a
-    # compiled resharding returns the same simulate_plan latency for
-    # every micro-batch); and, blocking mode, when transfer pk*m + mb
-    # hits the wire.
-    price: list[Optional[float]] = [None] * (2 * len(job_edges))
+    # Blocking mode: when transfer pk*m + mb hits the wire, for each
+    # (edge index, direction) pair pk = 2*edge + (0 fwd | 1 bwd).
     sent_at: list[Optional[float]] = [None] * (2 * len(job_edges) * m)
-
-    def comm_time(pk: int, i: int, direction: str) -> float:
-        dur = price[pk]
-        if dur is None:
-            dur = price[pk] = job_edges[i].comm_time(direction)
-        return dur
 
     # Each stage's (edge index, edge) lists: F on stage s sends "fwd"
     # along out_edges[s] and waits on in_edges[s]; B/Bx send "bwd" along
@@ -261,7 +243,7 @@ def simulate_pipeline(
     chan_id: dict[str, int] = {}  # FIFO channel track -> index
 
     def send_list(along: list, bwd: int) -> tuple:
-        """Each send: (pk, edge index, direction, target's arrival slot
+        """Each send: (pk, duration, direction, target's arrival slot
         base, target device, channel index, channel track, src device,
         dst device, label).  A channel is one (src device, dst device,
         direction)."""
@@ -272,18 +254,20 @@ def simulate_pipeline(
             src_dev, dst_dev = device_of[e.src_stage], device_of[e.dst_stage]
             ctrack = f"chan:{src_dev}->{dst_dev}:{direction}"
             cid = chan_id.setdefault(ctrack, len(chan_id))
-            sends.append((2 * i + bwd, i, direction, (bwd * n_stages + target) * m,
+            sends.append((2 * i + bwd, e.bwd_time if bwd else e.fwd_time, direction,
+                          (bwd * n_stages + target) * m,
                           device_of[target], cid, ctrack, src_dev, dst_dev, e.label))
         return tuple(sends)
 
     def recv_list(along: list, bwd: int) -> tuple:
-        """Blocking mode's recvs before a consuming task: (pk, edge
-        index, direction, label, channel track, src stage, dst stage)."""
+        """Blocking mode's recvs before a consuming task: (pk, duration,
+        edge index, direction, label, channel track, src stage, dst
+        stage)."""
         if overlap:
             return ()
         direction = "bwd" if bwd else "fwd"
         return tuple(
-            (2 * i + bwd, i, direction, e.label,
+            (2 * i + bwd, e.bwd_time if bwd else e.fwd_time, i, direction, e.label,
              f"chan:{e.src_stage}->{e.dst_stage}:{direction}", e.src_stage, e.dst_stage)
             for i, e in along
         )
@@ -306,8 +290,8 @@ def simulate_pipeline(
     # row is (-1, arrival slot, duration, span name, span attrs,
     # activation delta, sends, microbatch, kind); a blocking-mode recv
     # row, one before its consuming task per input edge, is (transfer
-    # index, pk, edge index, direction, span name, span track, span
-    # attrs, arrival slot).
+    # index, duration, edge index, span name, span track, span attrs,
+    # arrival slot).
     rows: list[list[tuple]] = []
     for d, order in enumerate(orders):
         drows: list[tuple] = []
@@ -315,9 +299,9 @@ def simulate_pipeline(
             kind, mb = t.kind, t.microbatch
             s = d if t.stage is None else t.stage
             base, dur, sends, recvs = per_stage[s][kind]
-            for pk, i, direction, label, track, src, dst in recvs:
+            for pk, dur_in, i, direction, label, track, src, dst in recvs:
                 drows.append((
-                    pk * m + mb, pk, i, direction, label, track,
+                    pk * m + mb, dur_in, i, label, track,
                     {"src_stage": src, "dst_stage": dst, "direction": direction,
                      "microbatch": mb, "label": label, "busy_stage": d},
                     base + mb,
@@ -352,10 +336,10 @@ def simulate_pipeline(
             act[device].add(delta, finish)
         idx[device] += 1
         if overlap:
-            for pk, i, direction, base, target, cid, ctrack, src, dst, label in sends:
+            for _, dur, direction, base, target, cid, ctrack, src, dst, label in sends:
                 free = chan_free_at[cid]
                 cstart = finish if finish > free else free
-                cend = cstart + comm_time(pk, i, direction)
+                cend = cstart + dur
                 chan_free_at[cid] = cend
                 span(label, "comm", ctrack, cstart, cend,
                      {"src_stage": src, "dst_stage": dst, "direction": direction,
@@ -368,10 +352,10 @@ def simulate_pipeline(
             # outgoing transfer durations; each transfer hits the wire
             # when its send begins.
             block_until = finish
-            for pk, i, direction, _, target, _, _, _, _, _ in sends:
+            for pk, dur, _, _, target, _, _, _, _, _ in sends:
                 k = pk * m + mb
                 sent_at[k] = block_until
-                block_until += comm_time(pk, i, direction)
+                block_until += dur
                 w = waiting[target]
                 if w == sent_base + k or w == _ANY:  # its recv may now be startable
                     try_start(target)
@@ -391,7 +375,7 @@ def simulate_pipeline(
             try_start(device)
 
     def on_recv_done(device: int, row: tuple, start: float) -> None:
-        _, _, _, _, label, track, attrs, slot = row
+        _, _, _, label, track, attrs, slot = row
         span(label, "comm", track, start, loop.now, attrs)
         idx[device] += 1
         remaining[slot] -= 1
@@ -415,7 +399,7 @@ def simulate_pipeline(
                 waiting[device] = sent_base + k  # matching send has not started
                 return
             waiting[device] = _BUSY
-            call_at((sent if sent > now else now) + comm_time(row[1], row[2], row[3]),
+            call_at((sent if sent > now else now) + row[1],
                     partial(on_recv_done, device, row, now))
             return
         slot = row[1]
@@ -443,5 +427,5 @@ def _item_name(row: tuple) -> str:
     """A task table row as the deadlock message names it."""
     if row[0] < 0:
         return row[3]
-    attrs = row[6]
+    attrs = row[5]
     return f"recv(e{row[2]},{attrs['direction']},mb{attrs['microbatch']})"

@@ -56,14 +56,8 @@ class CommEdge:
 
     ``fwd_time`` is the resharding latency of the forward activation per
     micro-batch; ``bwd_time`` of its gradient on the backward pass.
-
-    ``resharding`` optionally carries the compiled resharding behind the
-    edge (an :class:`~repro.compiler.EdgeResharding`, duck-typed to keep
-    this module compiler-agnostic).  When present, :meth:`comm_time`
-    prices each message with the ``simulate_plan`` latency of the
-    direction's compiled plan — the one shared timing path — which the
-    edge resolves once per plan-cache epoch; when absent the
-    pre-resolved ``fwd_time``/``bwd_time`` scalars are used.
+    Every micro-batch repeats the same boundary resharding, so these two
+    numbers price every message the executor sends along the edge.
     """
 
     src_stage: int
@@ -73,18 +67,6 @@ class CommEdge:
     fwd_bytes: float = 0.0
     bwd_bytes: float = 0.0
     label: str = ""
-    #: compiled resharding behind this edge (None = scalar times only)
-    resharding: object = field(default=None, compare=False, repr=False)
-
-    def comm_time(self, direction: str) -> float:
-        """Per-micro-batch transfer duration in ``direction``."""
-        if self.resharding is not None:
-            return self.resharding.time(direction)
-        if direction == "fwd":
-            return self.fwd_time
-        if direction == "bwd":
-            return self.bwd_time
-        raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
 
     def __post_init__(self) -> None:
         if self.src_stage == self.dst_stage:

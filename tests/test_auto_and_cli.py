@@ -166,6 +166,13 @@ CONTRACT = [
                  "exceeded its deadline", id="timeout"),
     pytest.param(["serve", "--workers", "0"], 2, "n_workers", id="serve-no-workers"),
     pytest.param(["fuzz", "--runs", "-1"], 2, "runs", id="fuzz-negative-runs"),
+    # --check on an empty run would pass without checking anything
+    pytest.param(["fuzz", "--runs", "0", "--check"], 2, "checks nothing",
+                 id="fuzz-check-zero-runs"),
+    pytest.param(["serve", "--profile", "steady", "--requests", "0", "--check"], 2,
+                 "checks nothing", id="serve-check-zero-requests"),
+    pytest.param(["serve", "--profile", "steady", "--requests", "0", "--check",
+                  "--chaos"], 2, "checks nothing", id="serve-chaos-check-zero-requests"),
     pytest.param(["trace", "{tmp}/out.json", "--input", "{tmp}/missing.jsonl"], 2,
                  "no saved run", id="trace-missing-input"),
     pytest.param(["analyze", "--shape", "8,8,8"], 2, "needs --src-spec",

@@ -221,11 +221,26 @@ class TestInvalidation:
             task, key, epoch=1
         )
 
-    def test_host_failure_invalidates_default_cache(self):
-        """The recovery runtime drops the cache when a host dies."""
+    def test_host_failure_invalidates_default_cache(self, monkeypatch):
+        """The recovery runtime drops the cache when a host dies, and
+        the post-failure iteration compiles its stage edges afresh."""
         from repro.models.gpt import GPTConfig, build_gpt
+        from repro.models.parallel import run_iteration
+        from repro.recovery import runtime
         from repro.recovery.checkpoint import CheckpointConfig
         from repro.recovery.runtime import simulate_training_run
+
+        iterations = []  # (spec, epoch, new misses, new hits, iteration time)
+
+        def spy(spec, method):
+            before = default_plan_cache().stats()
+            r = run_iteration(spec, method)
+            after = default_plan_cache().stats()
+            iterations.append((spec, after.epoch, after.misses - before.misses,
+                               after.hits - before.hits, r.iteration_time))
+            return r
+
+        monkeypatch.setattr(runtime, "run_iteration", spy)
 
         cluster = Cluster(
             ClusterSpec(n_hosts=3, devices_per_host=4, n_spare_hosts=1)
@@ -245,6 +260,17 @@ class TestInvalidation:
         assert stats.n_invalidations == 1
         assert stats.epoch == 1
         assert "host 1" in default_plan_cache().last_invalidation_reason
+        # One iteration per placement.  The recovered one runs in the
+        # new epoch, and every edge direction is a fresh compile there
+        # (a miss, never a hit on a pre-failure plan).
+        assert [i[1] for i in iterations] == [0, 1]
+        recovered, _, misses, hits, iteration_time = iterations[1]
+        assert (misses, hits) == (2 * len(recovered.boundaries), 0)
+        # ...and it times the iteration exactly as an uncached run of
+        # the recovered placement does.
+        assert iteration_time == run_iteration(
+            recovered, "broadcast", cache=None
+        ).iteration_time
 
 
 # ----------------------------------------------------------------------
@@ -334,36 +360,17 @@ class TestUncacheable:
         custom.scheduler_name = "custom"
         assert custom.cache_key() is None
 
-    def test_edge_resharding_memoizes_uncacheable(self):
-        edge = make_edge(CompileContext(strategy=NoKeyStrategy(), cache=None))
-        assert edge.compiled("fwd") is edge.compiled("fwd")
-        assert edge.time("fwd") == simulate_plan(edge.plan("fwd")).total_time
-        with pytest.raises(ValueError):
-            edge.time("sideways")
-
 
 # ----------------------------------------------------------------------
-# EdgeResharding: one resolved plan per direction per cache epoch
+# EdgeResharding: every time() compiles through the edge's context
 # ----------------------------------------------------------------------
 class TestEdgeMemo:
-    def test_repeated_messages_make_one_cache_request(self):
-        cache = reset_default_plan_cache()
-        edge = make_edge()
-        first = edge.compiled("fwd")
-        for _ in range(5):
-            assert edge.compiled("fwd") is first
-            edge.time("fwd")
-        stats = cache.stats()
-        assert (stats.requests, stats.misses) == (1, 1)
-
     def test_invalidate_forces_a_fresh_resolve(self):
         reset_default_plan_cache()
         edge = make_edge()
-        first = edge.compiled("fwd")
+        first = edge.time("fwd")
         default_plan_cache().invalidate("host failure")
-        second = edge.compiled("fwd")
-        assert second is not first
-        assert edge.compiled("fwd") is second
+        assert edge.time("fwd") == first
         stats = default_plan_cache().stats()
         assert stats.epoch == 1
         assert (stats.requests, stats.misses) == (2, 2)
@@ -371,19 +378,17 @@ class TestEdgeMemo:
     def test_reset_default_cache_forces_a_fresh_resolve(self):
         reset_default_plan_cache()
         edge = make_edge()
-        first = edge.compiled("fwd")
+        first = edge.time("fwd")
         fresh = reset_default_plan_cache()
-        second = edge.compiled("fwd")
-        assert second is not first
+        assert edge.time("fwd") == first
         assert (fresh.stats().requests, fresh.stats().misses) == (1, 1)
 
     def test_uncacheable_strategy_re_resolves_after_epoch_bump(self):
         cache = PlanCache()
         edge = make_edge(CompileContext(strategy=NoKeyStrategy(), cache=cache))
-        first = edge.compiled("fwd")
-        assert edge.compiled("fwd") is first
+        first = edge.time("fwd")
         cache.invalidate()
-        assert edge.compiled("fwd") is not first
+        assert edge.time("fwd") == first
         assert cache.stats().requests == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -407,7 +412,7 @@ class TestEdgeMemo:
         ctx = CompileContext(strategy="send_recv", cache=PlanCache(),
                              memory_budget=1.0)
         edge = make_edge(ctx)
-        assert not edge.compiled("fwd").validated
+        assert not compile_resharding(edge.task("fwd"), ctx).validated
         ctx.validate = True
         with pytest.raises(PlanValidationError, match="M001"):
             edge.time("fwd")
@@ -425,9 +430,10 @@ class TestEdgeMemo:
                                         strategy_kwargs={"scheduler": "naive"},
                                         cache=PlanCache()))
         for direction in ("fwd", "bwd"):
-            assert edge.time(direction) == simulate_plan(
-                edge.plan(direction)
-            ).total_time
+            plan = compile_resharding(edge.task(direction), edge.ctx).plan
+            assert edge.time(direction) == simulate_plan(plan).total_time
+        with pytest.raises(ValueError, match="direction"):
+            edge.time("sideways")
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_pipeline_job_chains_chunks():
     assert pj.n_stages == job.n_chunks == 6
     assert [(e.src_stage, e.dst_stage) for e in pj.edges] == [(c, c + 1) for c in range(5)]
     assert all(s.bwd_w_time == 0.0 and s.bwd_x_time == 2.0 for s in pj.stages)
-    assert all(e.comm_time("fwd") == e.comm_time("bwd") == 0.25 for e in pj.edges)
+    assert all(e.fwd_time == e.bwd_time == 0.25 for e in pj.edges)
 
 
 # ----------------------------------------------------------------------

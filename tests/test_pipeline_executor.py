@@ -1,8 +1,5 @@
 """Tests for the event-driven pipeline executor."""
 
-from collections import Counter
-
-import numpy as np
 import pytest
 
 from repro.pipeline.executor import simulate_pipeline
@@ -281,36 +278,13 @@ def test_deadlock_detection():
             in str(err.value))
 
 
-def test_throughput_helper():
-    job = make_job(n_stages=1, m=2)
-    r = simulate_pipeline(job, schedule_job("1f1b", 1, 2))
-    assert r.throughput_tflops(6e12, 4) == pytest.approx(6e12 / r.iteration_time / 4 / 1e12)
-    with pytest.raises(ValueError):
-        r.throughput_tflops(-1, 0)  # guarded by iteration_time>0 path
-
-
 # ----------------------------------------------------------------------
-# edge pricing: one comm_time per (edge, direction) per run
+# edge pricing: one price per (edge, direction), read once per run
 # ----------------------------------------------------------------------
-class CountingResharding:
-    """Duck-typed stand-in for ``EdgeResharding`` that counts pricings."""
-
-    def __init__(self, fwd, bwd):
-        self.times = {"fwd": fwd, "bwd": bwd}
-        self.calls = Counter()
-
-    def time(self, direction):
-        self.calls[direction] += 1
-        return self.times[direction]
-
-
-def counted_job():
+def priced_job():
     stages = [StageProfile(s, 1.0, 0.75, 0.5) for s in range(3)]
-    edges = [
-        CommEdge(0, 1, 0.0, 0.0, resharding=CountingResharding(0.25, 0.375)),
-        CommEdge(1, 2, 0.0, 0.0, resharding=CountingResharding(0.125, 0.5)),
-        CommEdge(0, 2, 0.0, 0.0, resharding=CountingResharding(0.3, 0.2)),
-    ]
+    edges = [CommEdge(0, 1, 0.25, 0.375), CommEdge(1, 2, 0.125, 0.5),
+             CommEdge(0, 2, 0.3, 0.2)]
     return PipelineJob(stages, edges, n_microbatches=4)
 
 
@@ -326,46 +300,57 @@ def counted_job():
     ],
 )
 def test_each_edge_direction_is_priced_once_per_run(schedule, delay, overlap, makespan):
-    job = counted_job()
+    job = priced_job()
     orders = schedule_job(schedule, 3, 4, delay_bw_weight=delay)
     r = simulate_pipeline(job, orders, overlap=overlap)
-    assert r.iteration_time == makespan  # as when every message was priced
-    for e in job.edges:
-        assert e.resharding.calls == {"fwd": 1, "bwd": 1}
+    assert r.iteration_time == makespan
+    # Every message pays its edge's time for its direction: a channel
+    # transfer (overlap) or its share of the sender's block (blocking).
+    if overlap:
+        for c in r.comms:
+            (edge,) = [e for e in job.edges if (e.src_stage, e.dst_stage)
+                       == (c.src_stage, c.dst_stage)]
+            price = getattr(edge, f"{c.direction}_time")
+            assert c.end - c.start == pytest.approx(price, rel=1e-12)
+    else:
+        blocks = [s for s in r.telemetry.spans if s.cat == "send"]
+        assert blocks
+        for s in blocks:
+            stage = s.attrs["stage"]
+            if s.name.startswith("send:F"):
+                price = sum(e.fwd_time for e in job.edges if e.src_stage == stage)
+            else:
+                price = sum(e.bwd_time for e in job.edges if e.dst_stage == stage)
+            assert s.end - s.start == pytest.approx(price, rel=1e-12)
 
 
 @pytest.mark.parametrize("overlap, makespan", [(True, 3.25), (False, 3.5)])
 def test_forward_only_run_never_prices_backward(overlap, makespan):
-    edge = CommEdge(0, 1, 0.0, 0.0, resharding=CountingResharding(0.25, 0.5))
+    edge = CommEdge(0, 1, 0.25, 0.5)
     job = PipelineJob([StageProfile(i, 1, 1, 1) for i in (0, 1)], [edge], 2)
     r = simulate_pipeline(job, [[Task("F", 0), Task("F", 1)]] * 2, overlap=overlap)
     assert r.iteration_time == makespan
-    assert edge.resharding.calls == {"fwd": 1}
+    assert {c.direction for c in r.comms} == {"fwd"}
 
 
 def test_invalidated_plan_cache_is_resolved_again_next_run():
-    from repro.compiler import EdgeResharding, reset_default_plan_cache
-    from repro.core.mesh import DeviceMesh
-    from repro.core.task import ReshardingTask
+    from repro.compiler import reset_default_plan_cache
+    from repro.models.gpt import GPTConfig, build_gpt
+    from repro.models.parallel import run_iteration
     from repro.sim.cluster import Cluster, ClusterSpec
 
-    cluster = Cluster(ClusterSpec(n_hosts=4, devices_per_host=4))
-    a = DeviceMesh.from_hosts(cluster, [0, 1])
-    b = DeviceMesh.from_hosts(cluster, [2, 3])
-    fwd = ReshardingTask((64, 64, 64), a, "RS0R", b, "S0RR", dtype=np.float32)
-    bwd = ReshardingTask((64, 64, 64), b, "S0RR", a, "RS0R", dtype=np.float32)
-    edge = CommEdge(0, 1, 0.0, 0.0, resharding=EdgeResharding(fwd, bwd))
-    job = PipelineJob([StageProfile(i, 1e-3, 1e-3, 1e-3) for i in (0, 1)], [edge], 4)
-    orders = schedule_job("1f1b", 2, 4)
+    cluster = Cluster(ClusterSpec(n_hosts=2, devices_per_host=4))
+    spec = build_gpt(GPTConfig(name="GPT-tiny", n_layers=4, hidden=1024,
+                               global_batch=32, dp=2, op=2, pp=2), cluster=cluster)
     cache = reset_default_plan_cache()
     try:
-        first = simulate_pipeline(job, orders).iteration_time
-        assert cache.stats().requests == 2  # one per direction
-        simulate_pipeline(job, orders)
-        assert cache.stats().requests == 2  # the edge's memo serves both
+        first = run_iteration(spec, "overlap").iteration_time
+        assert (cache.stats().requests, cache.stats().misses) == (2, 2)  # one per direction
+        run_iteration(spec, "overlap")
+        assert (cache.stats().requests, cache.stats().hits) == (4, 2)  # the cache serves both
         cache.invalidate()
-        again = simulate_pipeline(job, orders).iteration_time
-        assert cache.stats().requests == 4  # both directions resolved again
+        again = run_iteration(spec, "overlap").iteration_time
+        assert (cache.stats().requests, cache.stats().misses) == (6, 4)  # both compiled again
         assert again == first
     finally:
         reset_default_plan_cache()

@@ -157,9 +157,3 @@ def test_send_recv_cross_bytes_scale_with_replication():
     r = simulate_plan(plan)
     # 4 replicas per destination tile -> 4x the tensor over the wire
     assert r.bytes_cross_host == pytest.approx(4 * task.total_nbytes)
-
-
-def test_timing_result_makespan_alias():
-    task = make_task()
-    r = simulate_plan(make_strategy("signal").plan(task))
-    assert r.makespan == r.total_time

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compiler import default_plan_cache, reset_default_plan_cache
+from repro.compiler import (
+    CompileContext,
+    compile_resharding,
+    default_plan_cache,
+    reset_default_plan_cache,
+)
 from repro.compiler import pipeline as compiler_pipeline
 from repro.core.executor import simulate_plan
 from repro.experiments.fig5 import STRATEGIES, single_to_multi_latency
 from repro.experiments.fig6 import TABLE2_CASES, case_latency
 from repro.models.gpt import GPTConfig, build_gpt
-from repro.models.parallel import run_iteration
+from repro.models.parallel import boundary_tasks, run_iteration
 from repro.sim.cluster import Cluster, ClusterSpec
 
 
@@ -35,15 +40,15 @@ def tiny_gpt():
 # ----------------------------------------------------------------------
 class TestTimingUnification:
     def test_edge_time_is_simulate_plan_of_compiled_plan(self):
-        result = run_iteration(tiny_gpt(), "broadcast")
-        assert result.comm_edges
-        for edge in result.comm_edges:
-            for direction in ("fwd", "bwd"):
-                plan = edge.resharding.plan(direction)
-                fresh = simulate_plan(plan).total_time
-                assert edge.comm_time(direction) == pytest.approx(
-                    fresh, rel=1e-12, abs=0.0
-                )
+        spec = tiny_gpt()
+        result = run_iteration(spec, "broadcast")
+        tasks = list(boundary_tasks(spec))
+        assert len(result.comm_edges) == len(tasks) >= 1
+        ctx = CompileContext(strategy="broadcast", cache=None)
+        for edge, (_, fwd, bwd) in zip(result.comm_edges, tasks):
+            for time, task in ((edge.fwd_time, fwd), (edge.bwd_time, bwd)):
+                plan = compile_resharding(task, ctx).plan
+                assert time == simulate_plan(plan).total_time
 
     def test_executor_comm_entries_match_compiled_plans(self):
         """Overlap mode: every message occupies the channel for exactly
@@ -62,7 +67,7 @@ class TestTimingUnification:
             )
             key = (min(key), max(key))
             edge = by_pair[key]
-            expected = edge.comm_time(entry.direction)
+            expected = getattr(edge, f"{entry.direction}_time")
             assert entry.end - entry.start == pytest.approx(
                 expected, rel=1e-12, abs=0.0
             )
@@ -74,7 +79,7 @@ class TestTimingUnification:
         result = run_iteration(tiny_gpt(), "broadcast")
         (edge,) = result.comm_edges
         for direction in ("fwd", "bwd"):
-            expected = edge.comm_time(direction)
+            expected = getattr(edge, f"{direction}_time")
             durations = [
                 e.end - e.start
                 for e in result.pipeline.comms
