@@ -17,16 +17,19 @@ Examples::
     # BENCH_*.json artifacts under benchmarks/results/ next to it
     python -m repro report --output EXPERIMENTS.md
 
-    # replay the last reshard/e2e run's telemetry into a Chrome trace
-    python -m repro trace trace.json --filter flow
+    # dump every strategy's telemetry as one Chrome trace (or .jsonl)
+    python -m repro reshard --shape 64,64,64 --src-spec S0RR --dst-spec RS1R \\
+        --strategy all --trace-out trace.json
 
 Exit codes (every subcommand; errors go to stderr as ``repro <cmd>: ...``)::
 
     0   success
     1   a check failed: a plan rejected by validation (PlanValidationError),
         a failed --verify, analyzer errors, fuzz/serve --check gates
-    2   bad input: a usage error or any ValueError (bad shape, spec, mesh,
-        budget, deadline, --check on zero fuzz runs or serve requests, ...)
+    2   bad input: a usage error, any ValueError (bad shape, spec, mesh,
+        budget, deadline, --check on zero fuzz runs or serve requests, a
+        lint path with no .py file, ...) or OSError (an unreadable input
+        or unwritable output file)
     3   the compile deadline (--timeout) expired (CompileTimeout)
 """
 
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import os
 import sys
 
 import numpy as np
@@ -128,7 +130,6 @@ def cmd_reshard(args: argparse.Namespace) -> int:
     from .core.data import apply_plan
     from .core.tensor import DistributedTensor
     from .experiments.common import fmt_bytes, fmt_seconds
-    from .runtime.trace import save_last_run
     from .strategies import STRATEGIES, make_strategy
 
     if args.verify and args.strategy != "all" and not make_strategy(args.strategy).data_complete:
@@ -187,7 +188,6 @@ def cmd_reshard(args: argparse.Namespace) -> int:
         )
         if not ok:
             return 1
-    save_last_run(streams)
     if args.trace_out:
         _export_trace(streams, args.trace_out)
     return 0
@@ -197,7 +197,6 @@ def cmd_e2e(args: argparse.Namespace) -> int:
     from .models.gpt import GPT_CASES, build_gpt
     from .models.parallel import run_iteration
     from .models.utransformer import UTransformerConfig, build_utransformer
-    from .runtime.trace import save_last_run
 
     if args.model == "gpt1":
         spec = build_gpt(GPT_CASES["GPT case1"])
@@ -218,7 +217,6 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             f"  {method:<10} iteration={r.iteration_time:8.2f}s  "
             f"throughput={r.throughput_tflops:7.2f} TFLOPS/GPU"
         )
-    save_last_run(streams)
     if args.trace_out:
         _export_trace(streams, args.trace_out)
     if args.cache_stats:
@@ -230,51 +228,6 @@ def cmd_e2e(args: argparse.Namespace) -> int:
             f"({stats.hit_rate:.1%}), {stats.misses} compile(s), "
             f"epoch {stats.epoch}"
         )
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Replay the last run's telemetry into a Chrome trace (or JSONL)."""
-    from .runtime.trace import (
-        chrome_trace_events,
-        dicts_to_records,
-        last_run_path,
-        read_jsonl,
-        write_chrome_trace_file,
-        write_jsonl,
-    )
-
-    path = args.input if args.input else str(last_run_path())
-    if not os.path.isfile(path):
-        raise ValueError(
-            f"no saved run at {path}; run `python -m repro reshard`/`e2e` first"
-        )
-    dicts = read_jsonl(path)
-    if args.filter == "span":
-        dicts = [d for d in dicts if d.get("type") == "span"]
-    elif args.filter == "counter":
-        dicts = [d for d in dicts if d.get("type") == "counter"]
-    elif args.filter == "flow":
-        dicts = [
-            d for d in dicts if d.get("type") == "span" and d.get("cat") == "flow"
-        ]
-    if args.out.endswith(".jsonl"):
-        n = write_jsonl(dicts, args.out)
-        print(f"wrote {n} telemetry record(s) to {args.out}")
-        return 0
-    runs: list[str] = []
-    for d in dicts:
-        run = str(d.get("run", ""))
-        if run not in runs:
-            runs.append(run)
-    events: list[dict] = []
-    for run in runs:
-        recs = dicts_to_records(
-            d for d in dicts if str(d.get("run", "")) == run
-        )
-        events.extend(chrome_trace_events(recs, run=run))
-    write_chrome_trace_file(events, args.out)
-    print(f"wrote {len(events)} trace event(s) to {args.out}")
     return 0
 
 
@@ -705,14 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("id", choices=list(EXPERIMENTS))
     x.set_defaults(fn=cmd_experiment)
 
-    t = sub.add_parser("trace", help="replay the last run's telemetry")
-    t.add_argument("out", help="output path (.json Chrome trace or .jsonl)")
-    t.add_argument("--filter", choices=["span", "counter", "flow"],
-                   help="keep only spans, counter samples, or network flow spans")
-    t.add_argument("--input", metavar="PATH",
-                   help="read this JSONL instead of the saved last run")
-    t.set_defaults(fn=cmd_trace)
-
     rep = sub.add_parser(
         "report", help="regenerate EXPERIMENTS.md and the BENCH_*.json artifacts"
     )
@@ -823,7 +768,7 @@ def main(argv=None) -> int:
     except PlanValidationError as rejected:  # a ValueError: catch it first
         print(f"{prefix} plan rejected: {rejected}", file=sys.stderr)
         return 1
-    except ValueError as bad:
+    except (ValueError, OSError) as bad:
         print(f"{prefix} error: {bad}", file=sys.stderr)
         return 2
     except CompileTimeout as timeout:

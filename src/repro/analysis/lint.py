@@ -382,8 +382,17 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> list[Path]:
 def lint_paths(
     paths: Sequence[Union[str, Path]], codes: Optional[Iterable[str]] = None
 ) -> AnalysisReport:
-    """Lint every ``.py`` file under ``paths``; one combined report."""
+    """Lint every ``.py`` file under ``paths``; one combined report.
+
+    Raises ``ValueError`` when ``paths`` name no ``.py`` file: a
+    misspelled path must not pass as clean without checking anything.
+    """
+    files = iter_python_files(paths)
+    if not files:
+        raise ValueError(
+            f"no .py file under {' '.join(map(str, paths))}; nothing to lint"
+        )
     report = AnalysisReport(subject="repro-lint")
-    for f in iter_python_files(paths):
+    for f in files:
         report.diagnostics.extend(lint_file(f, codes=codes))
     return report

@@ -14,8 +14,8 @@ Layout:
 * :mod:`repro.runtime.kernel` — heap-scheduled events, simulated clock,
   and the bus that clock drives;
 * :mod:`repro.runtime.telemetry` — spans, counters, gauges, and marks;
-* :mod:`repro.runtime.trace` — Chrome-trace / JSONL export of a bus and
-  the ``last run`` persistence behind ``python -m repro trace``.
+* :mod:`repro.runtime.trace` — Chrome-trace / JSONL export of a bus,
+  behind the CLI's ``--trace-out``.
 """
 
 from .kernel import Event, EventLoop
@@ -29,9 +29,6 @@ from .telemetry import (
 )
 from .trace import (
     chrome_trace_events,
-    last_run_path,
-    read_jsonl,
-    save_last_run,
     write_chrome_trace_file,
     write_jsonl,
 )
@@ -48,7 +45,4 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace_file",
     "write_jsonl",
-    "read_jsonl",
-    "save_last_run",
-    "last_run_path",
 ]

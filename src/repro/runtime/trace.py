@@ -1,4 +1,4 @@
-"""Export a telemetry bus: Chrome trace JSON, JSONL, last-run replay.
+"""Export a telemetry bus: Chrome trace JSON or JSONL.
 
 One exporter for every simulator, replacing the three bespoke record
 formats (pipeline timeline entries, interleaved tuples, network flow
@@ -7,12 +7,11 @@ records) that used to each have their own dump path:
 * :func:`chrome_trace_events` — generic ``chrome://tracing`` /
   Perfetto "trace event" conversion: one process per track group, one
   thread per track, counters as ``C`` events, marks as instants;
-* :func:`write_jsonl` / :func:`read_jsonl` — a line-per-record format
-  that round-trips the full bus (spans, counters, marks);
-* :func:`save_last_run` / :func:`last_run_path` — the persistence
-  behind ``python -m repro trace``: CLI commands append their bus
-  streams (tagged with a run label) so the last invocation can be
-  replayed into a Chrome trace after the fact.
+* :func:`records_to_jsonl_dicts` / :func:`write_jsonl` — a
+  line-per-record dump of the full bus (spans, counters, marks).
+
+Both back the CLI's ``--trace-out``; the simulator is deterministic,
+so re-running a command reproduces its trace exactly.
 
 Timestamps in Chrome traces are microseconds (the format's convention);
 JSONL keeps raw simulated seconds.
@@ -21,9 +20,7 @@ JSONL keeps raw simulated seconds.
 from __future__ import annotations
 
 import json
-import os
-import pathlib
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
 from .telemetry import CounterSample, MarkRecord, SpanRecord, TelemetryBus
 
@@ -31,15 +28,10 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace_file",
     "write_jsonl",
-    "read_jsonl",
     "records_to_jsonl_dicts",
-    "save_last_run",
-    "last_run_path",
 ]
 
 _US = 1e6
-
-Record = Union[SpanRecord, CounterSample, MarkRecord]
 
 
 def _track_ids(tracks: Sequence[str]) -> dict[str, tuple[int, int]]:
@@ -64,19 +56,9 @@ def _track_ids(tracks: Sequence[str]) -> dict[str, tuple[int, int]]:
     return ids
 
 
-def chrome_trace_events(
-    records: Union[TelemetryBus, Iterable[Record]],
-    run: str = "",
-) -> list[dict[str, object]]:
-    """Convert bus records to Chrome trace events (generic layout)."""
-    if isinstance(records, TelemetryBus):
-        recs: list[Record] = [
-            *records.spans,
-            *records.counters,
-            *records.marks,
-        ]
-    else:
-        recs = list(records)
+def chrome_trace_events(bus: TelemetryBus, run: str = "") -> list[dict[str, object]]:
+    """Convert a bus's records to Chrome trace events (generic layout)."""
+    recs: list[SpanRecord | CounterSample | MarkRecord] = [*bus.spans, *bus.counters, *bus.marks]
     prefix = f"{run}/" if run else ""
     tracks = [r.track for r in recs]
     ids = _track_ids([prefix + t if t else prefix.rstrip("/") or "run" for t in tracks])
@@ -138,7 +120,7 @@ def write_chrome_trace_file(events: list[dict[str, object]], path: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# JSONL round-trip
+# JSONL
 # ----------------------------------------------------------------------
 def records_to_jsonl_dicts(
     bus: TelemetryBus, run: str = ""
@@ -194,93 +176,3 @@ def write_jsonl(dicts: Iterable[dict[str, object]], path: str) -> int:
             f.write("\n")
             n += 1
     return n
-
-
-def read_jsonl(path: str) -> list[dict[str, object]]:
-    """Read a JSONL file back into dicts (inverse of :func:`write_jsonl`)."""
-    out: list[dict[str, object]] = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                loaded = json.loads(line)
-                if not isinstance(loaded, dict):
-                    raise ValueError(f"expected a JSON object per line, got {line!r}")
-                out.append(loaded)
-    return out
-
-
-def dicts_to_records(dicts: Iterable[dict[str, object]]) -> list[Record]:
-    """Rebuild typed records from JSONL dicts (unknown types rejected)."""
-    recs: list[Record] = []
-    for d in dicts:
-        kind = d.get("type")
-        if kind == "span":
-            recs.append(
-                SpanRecord(
-                    name=str(d["name"]),
-                    cat=str(d["cat"]),
-                    track=str(d["track"]),
-                    start=float(d["start"]),  # type: ignore[arg-type]
-                    end=float(d["end"]),  # type: ignore[arg-type]
-                    depth=int(d.get("depth", 0)),  # type: ignore[arg-type]
-                    parent=str(d.get("parent", "")),
-                    attrs=d.get("attrs", {}),  # type: ignore[arg-type]
-                )
-            )
-        elif kind == "counter":
-            recs.append(
-                CounterSample(
-                    name=str(d["name"]),
-                    track=str(d["track"]),
-                    time=float(d["time"]),  # type: ignore[arg-type]
-                    value=float(d["value"]),  # type: ignore[arg-type]
-                )
-            )
-        elif kind == "mark":
-            recs.append(
-                MarkRecord(
-                    name=str(d["name"]),
-                    track=str(d["track"]),
-                    time=float(d["time"]),  # type: ignore[arg-type]
-                    attrs=d.get("attrs", {}),  # type: ignore[arg-type]
-                )
-            )
-        else:
-            raise ValueError(f"unknown record type {kind!r}")
-    return recs
-
-
-# ----------------------------------------------------------------------
-# Last-run persistence (python -m repro trace)
-# ----------------------------------------------------------------------
-def last_run_path() -> pathlib.Path:
-    """Where CLI commands persist their bus streams.
-
-    Override the directory with ``REPRO_TRACE_DIR``; defaults to
-    ``~/.cache/repro``.
-    """
-    root = os.environ.get("REPRO_TRACE_DIR")
-    base = pathlib.Path(root) if root else pathlib.Path.home() / ".cache" / "repro"
-    return base / "last_run.jsonl"
-
-
-def save_last_run(
-    streams: Sequence[tuple[str, TelemetryBus]],
-    path: Optional[pathlib.Path] = None,
-) -> Optional[pathlib.Path]:
-    """Persist labelled bus streams as the replayable "last run".
-
-    Returns the path written, or ``None`` when the directory cannot be
-    created (read-only environments must not break the CLI).
-    """
-    target = path if path is not None else last_run_path()
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        dicts: list[dict[str, object]] = []
-        for run, bus in streams:
-            dicts.extend(records_to_jsonl_dicts(bus, run=run))
-        write_jsonl(dicts, str(target))
-    except OSError:
-        return None
-    return target

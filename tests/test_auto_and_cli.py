@@ -173,8 +173,14 @@ CONTRACT = [
                  "checks nothing", id="serve-check-zero-requests"),
     pytest.param(["serve", "--profile", "steady", "--requests", "0", "--check",
                   "--chaos"], 2, "checks nothing", id="serve-chaos-check-zero-requests"),
-    pytest.param(["trace", "{tmp}/out.json", "--input", "{tmp}/missing.jsonl"], 2,
-                 "no saved run", id="trace-missing-input"),
+    # a file the command cannot open is bad input, not a failed check
+    pytest.param([*RESHARD, "--trace-out", "{tmp}/missing/x.json"], 2,
+                 "No such file", id="trace-out-missing-dir"),
+    pytest.param(["analyze", "--plan-json", "{tmp}/missing.json"], 2,
+                 "No such file", id="analyze-missing-plan-json"),
+    # a path with no .py file would lint nothing and pass as clean
+    pytest.param(["lint", "{tmp}/missing_dir"], 2, "nothing to lint",
+                 id="lint-no-python-files"),
     pytest.param(["analyze", "--shape", "8,8,8"], 2, "needs --src-spec",
                  id="analyze-shape-without-specs"),
     pytest.param(AUTO_UNDER_BUDGET, 0, r"auto +latency= +2\.86 ms",
@@ -194,6 +200,19 @@ def test_cli_error_contract(argv, code, pattern, tmp_path, capsys):
     else:
         assert err == ""
         assert re.search(pattern, out)
+
+
+def test_cli_writes_only_what_it_is_asked_to(tmp_path, monkeypatch, capsys):
+    home, out = tmp_path / "home", tmp_path / "out"
+    home.mkdir()
+    out.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    assert main(RESHARD) == 0
+    assert main(["e2e", "--model", "gpt1", "--method", "ours"]) == 0
+    assert list(home.iterdir()) == []
+    assert main([*RESHARD, "--trace-out", str(out / "t.json")]) == 0
+    assert list(home.iterdir()) == []
+    assert list(out.iterdir()) == [out / "t.json"]
 
 
 def test_cli_verify_refuses_signal_up_front(capsys):

@@ -1,18 +1,17 @@
 """Tests for the telemetry bus: nesting, monotonicity, export, parity."""
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.runtime.telemetry import (
-    CounterSample,
-    MarkRecord,
-    SpanRecord,
-    TelemetryBus,
-)
-from repro.runtime.trace import (
-    chrome_trace_events,
-    dicts_to_records,
-    records_to_jsonl_dicts,
-)
+from repro.__main__ import main
+from repro.compiler import CompileContext, compile_resharding
+from repro.core.task import ReshardingTask
+from repro.experiments.common import make_microbench_meshes
+from repro.runtime.telemetry import TelemetryBus
+from repro.runtime.trace import chrome_trace_events, records_to_jsonl_dicts
+from repro.strategies import STRATEGIES
 
 
 def make_bus(t=0.0):
@@ -96,21 +95,31 @@ def test_gauge_moves_both_ways_and_counter_is_separate_series():
 
 
 # ----------------------------------------------------------------------
-# JSONL round-trip
+# --trace-out: the CLI's one telemetry exporter
 # ----------------------------------------------------------------------
-def test_jsonl_dicts_round_trip_to_records():
-    bus, clock = make_bus()
-    bus.span("s", "c", "t", 0.0, 1.0, {"k": 3})
-    bus.counter("n", track="t").add(2.0)
-    clock["t"] = 1.0
-    bus.mark("m", track="t", why="x")
-    recs = dicts_to_records(records_to_jsonl_dicts(bus, run="r"))
-    span = next(r for r in recs if isinstance(r, SpanRecord))
-    counter = next(r for r in recs if isinstance(r, CounterSample))
-    mark = next(r for r in recs if isinstance(r, MarkRecord))
-    assert (span.name, span.cat, span.attrs["k"]) == ("s", "c", 3)
-    assert (counter.name, counter.value) == ("n", 2.0)
-    assert (mark.name, mark.attrs["why"], mark.time) == ("m", "x", 1.0)
+def test_trace_out_writes_each_strategy_bus(tmp_path, capsys):
+    """``reshard --strategy all --trace-out`` dumps every strategy's
+    timing bus, in strategy order, as Chrome JSON or as JSONL."""
+    shape = (8, 8, 8)
+    argv = ["reshard", "--shape", "8,8,8", "--src-spec", "S0RR",
+            "--dst-spec", "RS1R", "--strategy", "all", "--trace-out"]
+    json_path, jsonl_path = tmp_path / "t.json", tmp_path / "t.jsonl"
+    assert main([*argv, str(json_path)]) == 0
+    assert main([*argv, str(jsonl_path)]) == 0
+    capsys.readouterr()
+
+    _cluster, src, dst = make_microbench_meshes((2, 4), (2, 4))
+    task = ReshardingTask(shape, src, "S0RR", dst, "RS1R", dtype=np.float32)
+    buses = [
+        (name, compile_resharding(task, CompileContext(strategy=name, cache=None))
+         .ensure_timing().telemetry)
+        for name in sorted(STRATEGIES)
+    ]
+    events = [e for name, bus in buses for e in chrome_trace_events(bus, run=name)]
+    assert json.loads(json_path.read_text())["traceEvents"] == events
+    dicts = [d for name, bus in buses for d in records_to_jsonl_dicts(bus, run=name)]
+    lines = jsonl_path.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == dicts
 
 
 def test_chrome_trace_groups_tracks_by_prefix():
