@@ -25,6 +25,14 @@ Two tasks on *different* :class:`~repro.sim.cluster.Cluster` objects
 with identical content hash identically — the cache is content-
 addressed, not identity-addressed.  A strategy without a cache key
 (custom subclasses) makes the compile uncacheable rather than wrong.
+
+The signature keys the compile *request*, and distinct requests often
+compile to the same plan: two schedulers that agree, or an ablation row
+that equals the default.  So each cache also owns a
+:class:`TimingMemo` keyed by the compiled plan's *content*
+(:func:`timing_signature`): a :class:`~repro.compiler.pipeline
+.CompiledPlan` from a cached compile simulates a plan the memo has
+already seen only once.
 """
 
 from __future__ import annotations
@@ -38,13 +46,17 @@ from ..sim.cluster import ClusterSpec
 from ..sim.faults import FaultSchedule, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.executor import TimingResult
+    from ..core.plan import CommPlan
     from ..core.task import ReshardingTask
     from .pipeline import CompiledPlan
 
 __all__ = [
     "task_signature",
     "plan_signature",
+    "timing_signature",
     "CacheStats",
+    "TimingMemo",
     "PlanCache",
     "default_plan_cache",
     "reset_default_plan_cache",
@@ -123,6 +135,76 @@ def plan_signature(
     return h.hexdigest()
 
 
+def timing_signature(
+    plan: "CommPlan",
+    faults: Optional[FaultSchedule] = None,
+    retry_policy: Optional[RetryPolicy] = None,
+) -> str:
+    """SHA-256 over every input a :class:`~repro.core.executor.PlanRunner`
+    run of ``plan`` reads.
+
+    Those are each op (its type and every field), the schedule order and
+    the hosts each gated task occupies (together the Eq. 3 gating), the
+    cluster, and the fault scenario.  The strategy, the assignment and
+    the task's layouts enter only through them, so two requests that
+    compile to the same plan share one key.
+    """
+    schedule = plan.schedule
+    gating = (
+        None
+        if schedule is None
+        else (
+            schedule.order,
+            tuple((tid, sorted(hosts)) for tid, hosts in plan.gating_hosts().items()),
+        )
+    )
+    h = hashlib.sha256()
+    h.update(
+        repr(
+            (
+                plan.ops,
+                gating,
+                _cluster_key(plan.task.cluster.spec),
+                _faults_key(faults),
+                _retry_key(retry_policy),
+            )
+        ).encode()
+    )
+    return h.hexdigest()
+
+
+class TimingMemo:
+    """LRU of simulation results keyed by :func:`timing_signature`.
+
+    Owned by one :class:`PlanCache`: emptied by its :meth:`~PlanCache
+    .invalidate`, bounded by its ``max_entries``.  It keeps no counters,
+    so the plan cache's hit/miss statistics count compile requests only.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self._entries: OrderedDict[str, "TimingResult"] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key: str) -> "Optional[TimingResult]":
+        found = self._entries.get(key)
+        if found is not None:
+            self._entries.move_to_end(key)
+        return found
+
+    def store(self, key: str, timing: "TimingResult") -> None:
+        entries = self._entries
+        if key not in entries and len(entries) >= self.max_entries:
+            entries.popitem(last=False)
+        entries[key] = timing
+        entries.move_to_end(key)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """A snapshot of one cache's counters."""
@@ -156,6 +238,9 @@ class PlanCache:
     ``max_entries`` evicts the least-recently-used entry.  Hit, miss and
     eviction counters are exposed through :meth:`stats`.
 
+    ``timings`` is the cache's :class:`TimingMemo`, the simulation
+    results of the plans its compiles produced.
+
     :meth:`invalidate` drops everything *and* bumps the epoch that is
     folded into every signature — explicit invalidation on fault events.
     It is safe to call concurrently with in-flight compiles: a compile
@@ -170,6 +255,7 @@ class PlanCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._entries: OrderedDict[str, "CompiledPlan"] = OrderedDict()
+        self.timings = TimingMemo(max_entries)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -233,6 +319,7 @@ class PlanCache:
         # can observe the invalidation.
         self.epoch += 1
         self._entries.clear()
+        self.timings.clear()
         self.n_invalidations += 1
         self.last_invalidation_reason = reason
 

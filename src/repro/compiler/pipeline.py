@@ -29,7 +29,13 @@ from ..sim.faults import FaultSchedule, RetryPolicy
 from ..strategies import make_strategy
 from ..strategies.base import CommStrategy
 from .budget import CompileBudget, CompileTimeout, charge_pass
-from .cache import PlanCache, default_plan_cache, plan_signature
+from .cache import (
+    PlanCache,
+    TimingMemo,
+    default_plan_cache,
+    plan_signature,
+    timing_signature,
+)
 from .passes import DEFAULT_PASSES, CompilerPass, PlanState
 
 __all__ = [
@@ -186,6 +192,9 @@ class CompiledPlan:
     consumer never simulates the same plan twice.  ``faults`` and
     ``retry_policy`` record the scenario the plan was compiled (and is
     simulated) under; they are part of the cache signature.
+    ``timings`` is the :class:`~repro.compiler.cache.TimingMemo` of the
+    cache the compile was given (``None`` for ``cache=None``), through
+    which :meth:`ensure_timing` shares results.
     """
 
     plan: CommPlan
@@ -199,18 +208,38 @@ class CompiledPlan:
     scores: list[tuple[str, float]] = field(default_factory=list)
     #: the compile's ``memory_budget`` override, held for warm validation
     memory_budget: Optional[float] = field(default=None, init=False)
+    timings: Optional[TimingMemo] = field(default=None, init=False, repr=False)
 
     @property
     def strategy_name(self) -> str:
         return self.plan.strategy
 
     def ensure_timing(self) -> TimingResult:
-        """Simulate the plan once; memoized for every later caller."""
+        """Simulate the plan once; memoized for every later caller.
+
+        A plan compiled through a cache first asks that cache's timing memo:
+        when another compile through that cache already simulated a plan
+        of identical content under the same faults, this plan shares that
+        :class:`TimingResult` instead of simulating again.  A shared
+        result is read-only, as a plan-cache hit's already is.
+        """
         if self.timing is None:
-            self.timing = simulate_plan(
-                self.plan, faults=self.faults, retry_policy=self.retry_policy
-            )
+            memo = self.timings
+            if memo is None:
+                self.timing = self._simulate()
+            else:
+                key = timing_signature(self.plan, self.faults, self.retry_policy)
+                timing = memo.lookup(key)
+                if timing is None:
+                    timing = self._simulate()
+                    memo.store(key, timing)
+                self.timing = timing
         return self.timing
+
+    def _simulate(self) -> TimingResult:
+        return simulate_plan(
+            self.plan, faults=self.faults, retry_policy=self.retry_policy
+        )
 
     @property
     def total_time(self) -> float:
@@ -298,6 +327,8 @@ def compile_resharding(
         scores=list(state.scores),
     )
     compiled.memory_budget = ctx.memory_budget
+    if cache is not None:
+        compiled.timings = cache.timings
     if signature is not None:
         cache.store(signature, compiled, epoch=epoch)
     return compiled

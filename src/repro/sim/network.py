@@ -23,12 +23,16 @@ the arriving or departing flow shares a port with another active flow
 Chunk-pipelined ring hops are mostly alone on their ports, so most
 solves skip the fill.  The active set is small (most solves see zero to
 three flows), so the cost is per-event bookkeeping rather than
-arithmetic, and the network keeps it flat with three memos: a
+arithmetic, and the network keeps it flat with memos: a
 ``(src, dst) -> (ports, latency)`` route table (custom
 ``ports=``/``latency=`` flows bypass it), a static per-port base
 capacity (fault factors are still applied at the current instant on
-every lookup), and a device -> host table for byte accounting.  Device
-ids are validated once, at submission.
+every lookup), a device -> host table for byte accounting and a
+device -> ``dev:<d>`` telemetry track table.  Device ids are
+validated once, at submission.  Each reallocation walks the active set
+once for the earliest ETA and keeps every flow's ETA for the tie set;
+every float operation on ``remaining``, ``rate`` and the completion
+instant is the one the golden digests pin, in the same order.
 
 The network runs on the unified runtime kernel
 (:class:`~repro.runtime.kernel.EventLoop`) and reports through its
@@ -68,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..runtime.kernel import Event, EventLoop
@@ -194,6 +199,8 @@ class Network:
         # A cluster never changes once built, so a device's host, a
         # route, and a port's fault-free capacity are computed once.
         self._host_of: list[int] = [d.host_id for d in cluster.devices]
+        #: telemetry track of each device's flows
+        self._dev_track: list[str] = [f"dev:{d.device_id}" for d in cluster.devices]
         self._routes: dict[tuple[int, int], tuple[tuple[str, ...], float]] = {}
         self._base_capacity: dict[str, float] = {}
         self.loop = EventLoop()
@@ -373,7 +380,7 @@ class Network:
             base_latency=latency,
         )
         self._next_id += 1
-        self.loop.call_after(latency + extra_latency, lambda: self._activate(flow))
+        self.loop.call_after(latency + extra_latency, partial(self._activate, flow))
         return flow
 
     # ------------------------------------------------------------------
@@ -388,7 +395,7 @@ class Network:
         self.bus.span(
             flow.tag or f"flow{flow.flow_id}",
             "flow",
-            f"dev:{flow.src}",
+            self._dev_track[flow.src],
             start,
             finish,
             {
@@ -454,35 +461,36 @@ class Network:
         dt = now - self._last_update
         if dt > 0.0:
             for f in self._active.values():
-                f.remaining = max(0.0, f.remaining - f.rate * dt)
+                # Exactly max(0.0, remaining), -0.0 and NaN included
+                # (both clamp to 0.0), without the call.
+                remaining = f.remaining - f.rate * dt
+                f.remaining = remaining if remaining > 0.0 else 0.0
         self._last_update = now
 
     def _reallocate_and_schedule(self) -> None:
         self.solver.solve()
-        if not self._active:
+        active = self._active
+        if not active:
             if self._completion_event is not None:
                 self._completion_event.cancel()
                 self._completion_event = None
             return
-        # Two cheap passes instead of building a per-reallocation dict:
-        # the first finds the earliest ETA, the second collects ties.
-        next_eta = float("inf")
-        for f in self._active.values():
+        # One walk: the earliest ETA, and each ETA kept for the ties.
+        next_eta = math.inf
+        etas = []
+        for fid, f in active.items():
             if f.rate > 0:
                 eta = f.remaining / f.rate
+                etas.append((fid, eta))
                 if eta < next_eta:
                     next_eta = eta
-        if next_eta == float("inf"):  # pragma: no cover - defensive
+        if next_eta == math.inf:  # pragma: no cover - defensive
             raise RuntimeError("active flows with zero rate: allocation bug")
         # Flows whose ETA ties the minimum (within float tolerance) are
         # force-finished at the event, so rounding residue in `remaining`
         # can never stall the simulation at a fixed timestamp.
         bound = next_eta + 1e-12 * max(next_eta, 1.0) + 1e-15
-        self._expected_finish = [
-            fid
-            for fid, f in self._active.items()
-            if f.rate > 0 and f.remaining / f.rate <= bound
-        ]
+        self._expected_finish = [fid for fid, eta in etas if eta <= bound]
         when = self.loop.now + next_eta
         armed = self._completion_event
         if armed is not None:
@@ -497,13 +505,15 @@ class Network:
     def _on_completion(self) -> None:
         self._completion_event = None
         self._advance_to_now()
+        active = self._active
         for fid in self._expected_finish:
-            if fid in self._active:
-                self._active[fid].remaining = 0.0
+            f = active.get(fid)
+            if f is not None:
+                f.remaining = 0.0
         self._expected_finish = []
-        finished = [f for f in self._active.values() if f.remaining <= 0.0]
+        finished = [f for f in active.values() if f.remaining <= 0.0]
         for f in finished:
-            del self._active[f.flow_id]
+            del active[f.flow_id]
             self.solver.flow_removed(f)
         # Finish callbacks may submit new flows; they will trigger their
         # own reallocation on activation, but we reallocate here too in
@@ -607,9 +617,7 @@ class Network:
         flow.rate = 0.0
         # The flow's own base latency, not a fresh route lookup: custom-
         # port flows (multicast segments) must retry over the same path.
-        self.loop.call_after(
-            delay + flow.base_latency, lambda: self._activate(flow)
-        )
+        self.loop.call_after(delay + flow.base_latency, partial(self._activate, flow))
 
     def _arm_timeout(self, flow: Flow) -> None:
         if self.faults is None or self.retry_policy.flow_timeout is None:

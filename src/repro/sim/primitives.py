@@ -279,13 +279,11 @@ def ring_broadcast(
     done = [[False] * n_hops for _ in range(n_chunks)]
     started = [[False] * n_hops for _ in range(n_chunks)]
 
-    def deps_met(c: int, h: int) -> bool:
-        arrived = h == 0 or done[c][h - 1]
-        forwarded_prev = c == 0 or done[c - 1][h]
-        return arrived and forwarded_prev
-
     def maybe_start(c: int, h: int) -> None:
-        if c >= n_chunks or h >= n_hops or started[c][h] or not deps_met(c, h):
+        if c >= n_chunks or h >= n_hops or started[c][h]:
+            return
+        # Chunk c has arrived at hop h, and hop h forwarded chunk c - 1.
+        if (h and not done[c][h - 1]) or (c and not done[c - 1][h]):
             return
         started[c][h] = True
 

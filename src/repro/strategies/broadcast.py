@@ -20,6 +20,7 @@ schedule.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Optional, Union
 
 from ..core.plan import BroadcastOp, CommOp, CommPlan
@@ -69,8 +70,12 @@ class BroadcastStrategy(CommStrategy):
         else:
             self._scheduler = scheduler
             self.scheduler_name = getattr(scheduler, "__name__", "custom")
-        if n_chunks is not None and int(n_chunks) < 1:
-            raise ValueError("n_chunks must be >= 1")
+        if n_chunks is not None and (
+            isinstance(n_chunks, bool)
+            or not isinstance(n_chunks, numbers.Integral)
+            or n_chunks < 1
+        ):
+            raise ValueError(f"n_chunks must be an integer >= 1, got {n_chunks!r}")
         self.n_chunks = None if n_chunks is None else int(n_chunks)
         self.gate_on_schedule = gate_on_schedule
 

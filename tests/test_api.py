@@ -1,5 +1,7 @@
 """Tests for the top-level reshard() API."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,27 @@ def test_reshard_strategy_kwargs(meshes):
                 scheduler="naive", n_chunks=3)
     assert all(op.n_chunks == 3 for op in r.plan.ops)
     assert r.plan.schedule.algorithm == "naive"
+
+
+@pytest.mark.parametrize(
+    "n_chunks", [float("inf"), float("nan"), 2.5, 4.0, "4", True, False, 0, -3]
+)
+def test_broadcast_rejects_a_chunk_count_that_is_not_a_positive_int(
+    meshes, n_chunks
+):
+    src, dst = meshes
+    with pytest.raises(ValueError, match=re.escape(repr(n_chunks))):
+        reshard((8, 8), src, "S0R", dst, "S0R", strategy="broadcast",
+                n_chunks=n_chunks, cache=None)
+
+
+@pytest.mark.parametrize("n_chunks", [1, 3, np.int64(3)])
+def test_broadcast_accepts_any_positive_integer_chunk_count(meshes, n_chunks):
+    src, dst = meshes
+    r = reshard((8, 8), src, "S0R", dst, "S0R", strategy="broadcast",
+                n_chunks=n_chunks, cache=None)
+    assert all(type(op.n_chunks) is int and op.n_chunks == n_chunks
+               for op in r.plan.ops)
 
 
 def test_strategy_plan_compile_only(meshes):

@@ -10,11 +10,14 @@ the legacy ``strategy.plan()`` equivalence.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.compiler import (
     CompileContext,
+    CompiledPlan,
     EdgeResharding,
     PlanCache,
     compile_resharding,
@@ -23,12 +26,17 @@ from repro.compiler import (
     reset_default_plan_cache,
     task_signature,
 )
+from repro.compiler.cache import TimingMemo, timing_signature
+from repro.core.api import reshard
 from repro.core.data import apply_plan
-from repro.core.executor import simulate_plan
+from repro.core.executor import PlanRunner, simulate_plan
+from repro.core.plan import BroadcastOp
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.core.tensor import DistributedTensor
 from repro.core.validate import PlanValidationError
+from repro.experiments.common import make_microbench_meshes
+from repro.experiments.fig6 import TABLE2_CASES, TENSOR_SHAPE
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.faults import FaultSchedule, HostFailure, RetryPolicy
 from repro.strategies import (
@@ -325,6 +333,165 @@ class TestCachedSemantics:
         assert compiled.validated
         report = compiled.certify(strict=True)
         assert report.certified
+
+
+# ----------------------------------------------------------------------
+# The timing memo: one simulation per distinct plan per cache
+# ----------------------------------------------------------------------
+@pytest.fixture
+def runs(monkeypatch):
+    """The plans ``PlanRunner.run`` simulated, in call order."""
+    calls = []
+    run = PlanRunner.run
+
+    def spy(self):
+        calls.append(self.plan)
+        return run(self)
+
+    monkeypatch.setattr(PlanRunner, "run", spy)
+    return calls
+
+
+class OtherBroadcastOp(BroadcastOp):
+    """A BroadcastOp's fields under another op type."""
+
+
+def _timed(plan, memo, faults=None, retry_policy=None):
+    compiled = CompiledPlan(plan=plan, faults=faults, retry_policy=retry_policy)
+    compiled.timings = memo
+    return compiled.ensure_timing()
+
+
+def _replace_op0(plan, **changes):
+    ops = list(plan.ops)
+    ops[0] = dataclasses.replace(ops[0], **changes)
+    return dataclasses.replace(plan, ops=ops)
+
+
+def _retype_op0(plan):
+    op = plan.ops[0]
+    fields = {f.name: getattr(op, f.name) for f in dataclasses.fields(op)}
+    return dataclasses.replace(plan, ops=[OtherBroadcastOp(**fields), *plan.ops[1:]])
+
+
+def _reorder(plan):
+    order = tuple(reversed(plan.schedule.order))
+    return dataclasses.replace(
+        plan, schedule=dataclasses.replace(plan.schedule, order=order)
+    )
+
+
+def _move_sender_host(plan):
+    # The ops stay; only the host the schedule assigns task 0 to moves,
+    # and with it the hosts that task gates on.
+    assignment = dict(plan.schedule.assignment)
+    tid = plan.schedule.order[0]
+    assignment[tid] = 1 - assignment[tid]
+    return dataclasses.replace(
+        plan, schedule=dataclasses.replace(plan.schedule, assignment=assignment)
+    )
+
+
+def _faster_cluster(plan):
+    spec = plan.task.cluster.spec
+    cluster = make_cluster(inter_host_bandwidth=2 * spec.inter_host_bandwidth)
+    return dataclasses.replace(plan, task=make_task(cluster))
+
+
+#: one changed simulation input each: (plan, faults, retry policy)
+PERTURBATIONS = {
+    "op_field": lambda p: (_replace_op0(p, n_chunks=p.ops[0].n_chunks + 1), None, None),
+    "op_type": lambda p: (_retype_op0(p), None, None),
+    "schedule_order": lambda p: (_reorder(p), None, None),
+    "gating_host": lambda p: (_move_sender_host(p), None, None),
+    "cluster_spec": lambda p: (_faster_cluster(p), None, None),
+    "faults": lambda p: (p, FaultSchedule(seed=1), None),
+    "retry_policy": lambda p: (p, None, RetryPolicy(max_attempts=7)),
+}
+
+
+class TestTimingMemo:
+    def base_plan(self):
+        plan = compile_resharding(make_task(), CompileContext(cache=None)).plan
+        assert len(plan.ops) > 1 and plan.schedule is not None
+        return plan
+
+    def test_equal_table2_plans_simulate_once(self, runs):
+        # Case 8: Fig. 8's naive and ensemble schedulers emit one plan.
+        case = TABLE2_CASES[7]
+        _cluster, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
+        cache = PlanCache()
+        results = [
+            reshard(TENSOR_SHAPE, src, case.send_spec, dst, case.recv_spec,
+                    scheduler=s, cache=cache)
+            for s in ("naive", "ensemble")
+        ]
+        assert results[1].timing is results[0].timing
+        assert len(runs) == 1
+        # Two distinct compile requests: the plan cache's own counts.
+        assert (cache.hits, cache.misses) == (0, 2)
+
+    @pytest.mark.parametrize("perturb", sorted(PERTURBATIONS))
+    def test_changing_one_input_misses(self, perturb, runs):
+        plan = self.base_plan()
+        memo = TimingMemo(8)
+        base = _timed(plan, memo)
+        other, faults, retry = PERTURBATIONS[perturb](plan)
+        assert timing_signature(other, faults, retry) != timing_signature(plan)
+        assert _timed(other, memo, faults, retry) is not base
+        assert len(runs) == 2 and len(memo) == 2
+
+    def test_uncached_compile_never_consults_the_memo(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("memo consulted")
+
+        monkeypatch.setattr(TimingMemo, "lookup", forbidden)
+        monkeypatch.setattr(TimingMemo, "store", forbidden)
+        compiled = compile_resharding(make_task(), CompileContext(cache=None))
+        assert compiled.timings is None
+        assert compiled.ensure_timing().total_time > 0
+
+    def test_invalidate_and_reset_empty_the_memo(self):
+        cache = PlanCache()
+        compile_resharding(make_task(), CompileContext(cache=cache)).ensure_timing()
+        assert len(cache.timings) == 1
+        cache.invalidate("test")
+        assert len(cache.timings) == 0
+
+        default = reset_default_plan_cache()
+        compile_resharding(make_task(), CompileContext()).ensure_timing()
+        assert len(default.timings) == 1
+        assert len(reset_default_plan_cache().timings) == 0
+        assert len(default_plan_cache().timings) == 0
+
+    def test_memo_is_lru_bounded_by_max_entries(self, runs):
+        cache = PlanCache(max_entries=2)
+        plans = [
+            compile_resharding(make_task(shape=(8 * k, 8, 8)),
+                               CompileContext(cache=None)).plan
+            for k in (1, 2, 3)
+        ]
+        _timed(plans[0], cache.timings)
+        _timed(plans[1], cache.timings)
+        _timed(plans[0], cache.timings)  # a hit refreshes plan 0
+        _timed(plans[2], cache.timings)  # evicts plan 1, the least recent
+        assert len(cache.timings) == 2 and len(runs) == 3
+        _timed(plans[0], cache.timings)
+        assert len(runs) == 3
+        _timed(plans[1], cache.timings)
+        assert len(runs) == 4
+
+    def test_content_equal_plan_hits_and_equals_a_fresh_simulation(self, runs):
+        cache = PlanCache()
+        compiled = compile_resharding(make_task(), CompileContext(cache=cache))
+        first = compiled.ensure_timing()
+        plan = dataclasses.replace(compiled.plan, ops=list(compiled.plan.ops))
+        hit = _timed(plan, cache.timings)
+        assert hit is first and len(runs) == 1
+        fresh = simulate_plan(plan)
+        assert hit.total_time == fresh.total_time
+        assert hit.op_finish == fresh.op_finish
+        assert hit.telemetry.digest() == fresh.telemetry.digest()
 
 
 # ----------------------------------------------------------------------

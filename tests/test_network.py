@@ -292,3 +292,41 @@ def test_nic_window_open_and_close_mid_flow_hand_computed():
     assert net.run() == 5.5
     assert f.finish_time == 5.5
     assert net._base_capacity["ns0"] == 1024.0
+
+
+# ----------------------------------------------------------------------
+# Completion ties and the cost of a retried attempt
+# ----------------------------------------------------------------------
+def test_completion_tie_tolerance_is_relative_above_one_second():
+    # Two lone flows whose ETAs, near 1024 s, differ by 2**-33 s (~1.2e-10):
+    # within the tolerance 1e-12 * ETA, so both finish at the first one's
+    # event.  An absolute 1e-12 s tolerance would finish the second later.
+    net = make_net(inter_host_bandwidth=1024.0, intra_host_bandwidth=4096.0)
+    a = net.start_flow(0, 4, 2.0**20)
+    b = net.start_flow(8, 12, 2.0**20 + 2.0**-23)
+    assert net.run() == 1024.0
+    assert a.finish_time == b.finish_time == 1024.0
+
+
+def test_retry_charges_an_attempt_that_started_at_time_zero():
+    # A 4096 B flow at 1024 B/s starts at exactly t = 0 and is killed by
+    # a flap at t = 1: the lost attempt ran 1 s (1024 B), and the retry
+    # waits the 2 s backoff.  start_time 0.0 is a started attempt.
+    from repro.sim.faults import FaultSchedule, FlapWindow, RetryPolicy
+
+    spec = ClusterSpec(
+        n_hosts=2,
+        devices_per_host=2,
+        inter_host_bandwidth=1024.0,
+        intra_host_bandwidth=4096.0,
+        inter_host_latency=0.0,
+        intra_host_latency=0.0,
+    )
+    faults = FaultSchedule(flaps=(FlapWindow(host=1, start=1.0, duration=0.5),))
+    policy = RetryPolicy(max_attempts=3, backoff_base=2.0, jitter=0.0)
+    net = Network(Cluster(spec), faults=faults, retry_policy=policy)
+    f = net.start_flow(0, 2, 4096.0)
+    assert net.run() == 7.0
+    assert f.attempts == 2
+    assert net.fault_report().added_latency == 1.0 + 2.0
+    assert net.wasted_bytes == 1024.0

@@ -8,6 +8,7 @@ from repro.sim.analysis import (
     latency_send_recv,
 )
 from repro.sim.cluster import GB, Cluster, ClusterSpec
+from repro.sim.collectives import all_reduce, all_to_all, reduce_scatter
 from repro.sim.network import Network
 from repro.sim.primitives import (
     p2p,
@@ -16,7 +17,9 @@ from repro.sim.primitives import (
     ring_order,
     scatter,
     split_chunks,
+    switch_multicast,
 )
+from repro.sim.topology import FatTreeTopology
 
 
 def make_net(n_hosts=5, dph=4) -> Network:
@@ -219,3 +222,50 @@ def test_collective_handle_callback_fires_once():
     # late registration fires immediately
     h.add_done_callback(lambda x: calls.append("late"))
     assert calls == [h, "late"]
+
+
+# ----------------------------------------------------------------------
+# Every flow enters through Network.start_flow
+# ----------------------------------------------------------------------
+def _multicast(net):
+    return switch_multicast(net, 0, [2, 3, 4, 6], 4096.0, switch="spine", n_chunks=3)
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [
+        lambda net: p2p(net, 0, 4, 4096.0),
+        lambda net: scatter(net, 0, [1, 4, 5, 6], 4096.0),
+        lambda net: ring_allgather(net, [0, 1, 2, 3, 4, 5, 6, 7], 512.0),
+        lambda net: ring_broadcast(net, 0, [1, 2, 3, 4, 5, 6], 4096.0, n_chunks=5),
+        _multicast,
+        lambda net: all_to_all(net, [0, 1, 2, 3, 4, 5], 256.0),
+        lambda net: reduce_scatter(net, [0, 1, 2, 3, 4, 5], 4096.0),
+        lambda net: all_reduce(net, [0, 1, 2, 3, 4, 5], 4096.0),
+    ],
+    ids=["p2p", "scatter", "ring_allgather", "ring_broadcast", "switch_multicast",
+         "all_to_all", "reduce_scatter", "all_reduce"],
+)
+def test_every_flow_enters_through_start_flow(launch, monkeypatch):
+    net = Network(
+        Cluster(
+            ClusterSpec(
+                n_hosts=4,
+                devices_per_host=2,
+                topology=FatTreeTopology(hosts_per_leaf=2, oversubscription=2.0),
+            )
+        )
+    )
+    calls = []
+    start_flow = Network.start_flow
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return start_flow(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "start_flow", spy)
+    handle = launch(net)
+    net.run()
+    assert handle.done and not handle.failed
+    n_spans = sum(1 for row in net.bus.span_rows if row[1] == "flow")
+    assert len(calls) == n_spans == net._next_id > 0
