@@ -33,6 +33,15 @@ that equals the default.  So each cache also owns a
 (:func:`timing_signature`): a :class:`~repro.compiler.pipeline
 .CompiledPlan` from a cached compile simulates a plan the memo has
 already seen only once.
+
+A cache also remembers its **rejections**.  A ``validate=True`` compile
+through the default pass list that raises
+:class:`~repro.core.validate.PlanValidationError` stores the message
+under its plan signature (which already folds in the memory budget, the
+faults and the epoch), so a later such compile of that signature
+re-raises it without running a pass.  A rejection is never a plan:
+:meth:`PlanCache.lookup` never returns one, and no hit, miss, store or
+size counter sees it.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generic, Optional, TypeVar
 
 from ..sim.cluster import ClusterSpec
 from ..sim.faults import FaultSchedule, RetryPolicy
@@ -56,6 +65,7 @@ __all__ = [
     "plan_signature",
     "timing_signature",
     "CacheStats",
+    "BoundedLRU",
     "TimingMemo",
     "PlanCache",
     "default_plan_cache",
@@ -99,17 +109,30 @@ def _retry_key(policy: Optional[RetryPolicy]) -> str:
     return "none" if policy is None else repr(policy)
 
 
+def _task_key(task: "ReshardingTask") -> tuple[tuple[object, ...], str]:
+    """:func:`task_signature` of ``task`` and its ``repr``, built once per task.
+
+    Memoized on the task like its unit tasks: every input is fixed when
+    the task is built (its cluster's spec is a frozen dataclass).
+    """
+    memo = task._signature
+    if memo is None:
+        key = (
+            task.shape,
+            task.dtype.str,
+            str(task.src_spec),
+            str(task.dst_spec),
+            task.src_mesh.grid,
+            task.dst_mesh.grid,
+            _cluster_key(task.cluster.spec),
+        )
+        memo = task._signature = (key, repr(key))
+    return memo
+
+
 def task_signature(task: "ReshardingTask") -> tuple[object, ...]:
     """Canonical content key of one resharding task (no strategy/faults)."""
-    return (
-        task.shape,
-        task.dtype.str,
-        str(task.src_spec),
-        str(task.dst_spec),
-        task.src_mesh.grid,
-        task.dst_mesh.grid,
-        _cluster_key(task.cluster.spec),
-    )
+    return _task_key(task)[0]
 
 
 def plan_signature(
@@ -119,20 +142,17 @@ def plan_signature(
     retry_policy: Optional[RetryPolicy] = None,
     epoch: int = 0,
 ) -> str:
-    """SHA-256 over the canonical signature of one compile request."""
-    h = hashlib.sha256()
-    h.update(
-        repr(
-            (
-                task_signature(task),
-                strategy_key,
-                _faults_key(faults),
-                _retry_key(retry_policy),
-                epoch,
-            )
-        ).encode()
+    """SHA-256 over the canonical signature of one compile request.
+
+    The hashed bytes are the ``repr`` of the 5-tuple ``(task_signature,
+    strategy_key, faults key, retry key, epoch)``, spelled out from the
+    task's memoized ``repr`` so the task part is formatted once per task.
+    """
+    text = (
+        f"({_task_key(task)[1]}, {strategy_key!r}, {_faults_key(faults)!r}, "
+        f"{_retry_key(retry_policy)!r}, {epoch!r})"
     )
-    return h.hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def timing_signature(
@@ -173,36 +193,45 @@ def timing_signature(
     return h.hexdigest()
 
 
-class TimingMemo:
+K = TypeVar("K")
+V = TypeVar("V")
+
+
+class BoundedLRU(Generic[K, V]):
+    """A map of at most ``max_entries`` entries that evicts the least
+    recently looked-up or stored one.  It keeps no counters."""
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self._entries: OrderedDict[K, V] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key: K) -> Optional[V]:
+        found = self._entries.get(key)
+        if found is not None:
+            self._entries.move_to_end(key)
+        return found
+
+    def store(self, key: K, value: V) -> None:
+        entries = self._entries
+        if key not in entries and len(entries) >= self.max_entries:
+            entries.popitem(last=False)
+        entries[key] = value
+        entries.move_to_end(key)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+class TimingMemo(BoundedLRU[str, "TimingResult"]):
     """LRU of simulation results keyed by :func:`timing_signature`.
 
     Owned by one :class:`PlanCache`: emptied by its :meth:`~PlanCache
     .invalidate`, bounded by its ``max_entries``.  It keeps no counters,
     so the plan cache's hit/miss statistics count compile requests only.
     """
-
-    def __init__(self, max_entries: int) -> None:
-        self.max_entries = max_entries
-        self._entries: OrderedDict[str, "TimingResult"] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: str) -> "Optional[TimingResult]":
-        found = self._entries.get(key)
-        if found is not None:
-            self._entries.move_to_end(key)
-        return found
-
-    def store(self, key: str, timing: "TimingResult") -> None:
-        entries = self._entries
-        if key not in entries and len(entries) >= self.max_entries:
-            entries.popitem(last=False)
-        entries[key] = timing
-        entries.move_to_end(key)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 @dataclass(frozen=True)
@@ -239,15 +268,21 @@ class PlanCache:
     eviction counters are exposed through :meth:`stats`.
 
     ``timings`` is the cache's :class:`TimingMemo`, the simulation
-    results of the plans its compiles produced.
+    results of the plans its compiles produced.  ``rejections`` maps the
+    signature of a rejected ``validate=True`` compile to its
+    :class:`~repro.core.validate.PlanValidationError` message (see
+    :meth:`reject`); it is bounded by ``max_entries`` too, and
+    :meth:`lookup` never returns one of its entries.
 
-    :meth:`invalidate` drops everything *and* bumps the epoch that is
-    folded into every signature — explicit invalidation on fault events.
-    It is safe to call concurrently with in-flight compiles: a compile
-    that computed its signature (and captured the epoch) before the bump
-    may still call :meth:`store`, but the write is detected as stale and
-    dropped (counted in ``stale_stores``) rather than resurrecting a
-    pre-invalidation plan — the epoch bump is never lost.
+    :meth:`invalidate` drops everything (rejections included) *and*
+    bumps the epoch that is folded into every signature — explicit
+    invalidation on fault events.  It is safe to call concurrently with
+    in-flight compiles: a compile that computed its signature (and
+    captured the epoch) before the bump may still call :meth:`store` or
+    :meth:`reject`, but the write is detected as stale and dropped
+    (a stale plan store is counted in ``stale_stores``) rather than
+    resurrecting a pre-invalidation verdict — the epoch bump is never
+    lost.
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
@@ -256,6 +291,7 @@ class PlanCache:
         self.max_entries = max_entries
         self._entries: OrderedDict[str, "CompiledPlan"] = OrderedDict()
         self.timings = TimingMemo(max_entries)
+        self.rejections: BoundedLRU[str, str] = BoundedLRU(max_entries)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -312,6 +348,16 @@ class PlanCache:
         entries[signature] = compiled
         return True
 
+    def reject(self, signature: str, message: str, epoch: int) -> None:
+        """Remember that the compile of ``signature`` was rejected.
+
+        ``epoch`` is the cache epoch captured with the signature; a
+        rejection computed under a stale epoch is dropped, like a stale
+        :meth:`store`.  No counter moves.
+        """
+        if epoch == self.epoch:
+            self.rejections.store(signature, message)
+
     def invalidate(self, reason: str = "") -> None:
         """Drop every entry and open a new epoch (fault-event hook)."""
         # Bump the epoch *before* clearing: any in-flight store that
@@ -320,6 +366,7 @@ class PlanCache:
         self.epoch += 1
         self._entries.clear()
         self.timings.clear()
+        self.rejections.clear()
         self.n_invalidations += 1
         self.last_invalidation_reason = reason
 

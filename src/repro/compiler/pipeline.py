@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, Union
 from ..core.executor import TimingResult, simulate_plan
 from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
-from ..core.validate import raise_on_plan_errors
+from ..core.validate import PlanValidationError, raise_on_plan_errors
 from ..core.verify_data import IntegrityReport, verify_delivery
 from ..sim.cluster import check_memory_budget
 from ..sim.faults import FaultSchedule, RetryPolicy
@@ -273,6 +273,14 @@ def compile_resharding(
     without one compile uncached rather than wrongly).  A hit returns
     the stored :class:`CompiledPlan` — including its memoized timing —
     without running any pass.
+
+    A ``validate=True`` compile through the default pass list that
+    raises :class:`~repro.core.validate.PlanValidationError` is
+    remembered by the cache (:meth:`~repro.compiler.cache.PlanCache
+    .reject`); a later such compile of the same signature misses the
+    lookup as before, then re-raises the same message without running a
+    pass.  It is served only to a compile without a ``deadline``: under
+    one, the rejected compile might not have reached its verdict in time.
     """
     if ctx is None:
         ctx = CompileContext(**ctx_kwargs)
@@ -290,6 +298,7 @@ def compile_resharding(
 
     cache = ctx.resolved_cache()
     signature: Optional[str] = None
+    remembering: Optional[PlanCache] = None
     epoch = 0
     if cache is not None:
         strategy_key = strategy.cache_key()
@@ -311,10 +320,23 @@ def compile_resharding(
                 if ctx.validate:
                     hit.ensure_validated()
                 return hit
+            # Only a validate=True compile through the default passes has
+            # one verdict per signature: the rejections' readers and writers.
+            if ctx.validate and ctx.passes is None:
+                remembering = cache
+                if ctx.deadline is None:
+                    rejected = cache.rejections.lookup(signature)
+                    if rejected is not None:
+                        raise PlanValidationError(rejected)
 
     ctx.budget = budget
     state = PlanState(task=task, strategy=strategy)
-    diagnostics = PassManager(ctx.passes).run(state, ctx)
+    try:
+        diagnostics = PassManager(ctx.passes).run(state, ctx)
+    except PlanValidationError as rejection:
+        if remembering is not None and signature is not None:
+            remembering.reject(signature, str(rejection), epoch)
+        raise
     assert state.plan is not None
     compiled = CompiledPlan(
         plan=state.plan,

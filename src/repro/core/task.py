@@ -97,6 +97,8 @@ class ReshardingTask:
         self.dst_grid = TileGrid(self.shape, self.dst_spec, dst_mesh)
         self._unit_tasks: dict[str, list[UnitCommTask]] = {}
         self._intersections: Optional[list[IntersectionTransfer]] = None
+        #: the plan cache's task signature and its repr, built on first use
+        self._signature: Optional[tuple[tuple[object, ...], str]] = None
 
     # ------------------------------------------------------------------
     @property

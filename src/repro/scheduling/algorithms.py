@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import Iterable, Optional
 
 from .problem import Schedule, SchedulingProblem, evaluate
 
@@ -213,9 +213,32 @@ def randomized_greedy_schedule(problem: SchedulingProblem, seed: int = 0) -> Sch
     (no shared sender or receiver host); the trial covering the most
     devices wins the round.  Concatenating rounds yields the global
     order; list scheduling then recovers concurrency inside rounds.
+
+    A trial's used hosts are one bitmask.  Each task's receiver hosts
+    are a mask, and its sender options are sorted once by ``(duration,
+    host)``, so the first option not in use is the fastest compatible
+    sender host.  The draws (one ``rng.shuffle`` of the sorted remaining
+    ids per trial) fix every schedule.
     """
     rng = random.Random(seed)
-    remaining = {t.task_id: t for t in problem.tasks}
+    bit: dict[int, int] = {}
+
+    def mask(hosts: Iterable[int]) -> int:
+        m = 0
+        for h in hosts:
+            m |= bit.setdefault(h, 1 << len(bit))
+        return m
+
+    # task id -> (receiver mask, [(sender host, its mask)] fastest first, devices)
+    prepared: dict[int, tuple[int, list[tuple[int, int]], int]] = {}
+    for t in problem.tasks:
+        options = sorted(t.sender_host_options, key=lambda h: (t.duration(h), h))
+        prepared[t.task_id] = (
+            mask(t.receiver_hosts),
+            [(h, mask((h,))) for h in options],
+            t.n_devices,
+        )
+    remaining = set(prepared)
     assignment: dict[int, int] = {}
     order: list[int] = []
     while remaining:
@@ -225,28 +248,26 @@ def randomized_greedy_schedule(problem: SchedulingProblem, seed: int = 0) -> Sch
         for _ in range(N_TRIALS):
             perm = ids[:]
             rng.shuffle(perm)
-            used_hosts: set[int] = set()
+            used = 0
             chosen: list[tuple[int, int]] = []
             score = 0
             for tid in perm:
-                t = remaining[tid]
-                if used_hosts & t.receiver_hosts:
+                receivers, options, n_devices = prepared[tid]
+                if used & receivers:
                     continue
-                # Prefer the fastest compatible sender host.
-                options = [h for h in t.sender_host_options if h not in used_hosts]
-                if not options:
-                    continue
-                h = min(options, key=lambda x: (t.duration(x), x))
-                chosen.append((tid, h))
-                used_hosts |= t.hosts(h)
-                score += t.n_devices
+                for h, sender in options:
+                    if not used & sender:
+                        chosen.append((tid, h))
+                        used |= receivers | sender
+                        score += n_devices
+                        break
             if score > best_score:
                 best_score = score
                 best_set = chosen
         for tid, h in sorted(best_set):
             assignment[tid] = h
             order.append(tid)
-            del remaining[tid]
+            remaining.discard(tid)
     return _finalize(problem, assignment, tuple(order), "randomized_greedy")
 
 

@@ -31,7 +31,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Deque, Generic, Optional, TypeVar
 
-from .request import Overloaded, check_non_negative
+from .request import Overloaded, check_count, check_non_negative
 
 __all__ = ["AdmissionConfig", "TokenBucket", "FairQueue", "AdmissionController"]
 
@@ -53,10 +53,8 @@ class AdmissionConfig:
     burst: float = 8.0
 
     def __post_init__(self) -> None:
-        if not self.max_queue_depth >= 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        if not self.per_tenant_depth >= 1:
-            raise ValueError("per_tenant_depth must be >= 1")
+        check_count("max_queue_depth", self.max_queue_depth)
+        check_count("per_tenant_depth", self.per_tenant_depth)
         check_non_negative("rate", self.rate)
         if self.rate > 0 and not 1 <= self.burst < math.inf:
             raise ValueError(

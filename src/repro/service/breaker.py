@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .request import check_positive
+from .request import check_count, check_positive
 
 __all__ = ["BreakerConfig", "CircuitBreaker"]
 
@@ -61,11 +61,9 @@ class BreakerConfig:
     half_open_probes: int = 2
 
     def __post_init__(self) -> None:
-        if not self.failure_threshold >= 1:
-            raise ValueError("failure_threshold must be >= 1")
+        check_count("failure_threshold", self.failure_threshold)
         check_positive("cooldown", self.cooldown)
-        if not self.half_open_probes >= 1:
-            raise ValueError("half_open_probes must be >= 1")
+        check_count("half_open_probes", self.half_open_probes)
 
 
 class CircuitBreaker:

@@ -28,7 +28,13 @@ from ..experiments.common import make_microbench_meshes
 from .admission import AdmissionConfig
 from .chaos import ServiceChaos
 from .clock import run_virtual
-from .request import CompileRequest, CompileResponse, check_non_negative, check_positive
+from .request import (
+    CompileRequest,
+    CompileResponse,
+    check_count,
+    check_non_negative,
+    check_positive,
+)
 from .service import ReshardingService, ServiceConfig
 
 __all__ = [
@@ -63,16 +69,11 @@ class LoadProfile:
     bursty: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_tenants < 1:
-            raise ValueError(f"n_tenants must be >= 1, got {self.n_tenants}")
-        if self.n_requests < 0:
-            raise ValueError(f"n_requests must be >= 0, got {self.n_requests}")
-        # Written so NaN fails too; a zero rate or period would divide
-        # by zero when the arrivals are drawn.
-        if not self.n_distinct_tasks >= 1:
-            raise ValueError(
-                f"n_distinct_tasks must be >= 1, got {self.n_distinct_tasks}"
-            )
+        check_count("n_tenants", self.n_tenants)
+        check_count("n_requests", self.n_requests, minimum=0)
+        check_count("n_distinct_tasks", self.n_distinct_tasks)
+        # A zero rate or period would divide by zero when the arrivals
+        # are drawn.
         check_positive("base_rate", self.base_rate)
         check_positive("burst_rate", self.burst_rate)
         check_positive("burst_every", self.burst_every)

@@ -26,6 +26,7 @@ __all__ = [
     "CompileResponse",
     "check_positive",
     "check_non_negative",
+    "check_count",
 ]
 
 
@@ -44,6 +45,18 @@ def check_non_negative(name: str, value: Optional[float]) -> None:
     """Like :func:`check_positive`, but 0 is allowed."""
     if value is not None and not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an ``int``
+    (not a ``bool``) >= ``minimum``.
+
+    The one rule for every service count: a float or NaN would otherwise
+    fail late inside ``range``/``randrange``, or pass silently, and
+    ``True`` would mean 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 #: terminal request states, in rough order of desirability:

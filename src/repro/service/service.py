@@ -51,6 +51,7 @@ from .request import (
     CompileResponse,
     Overloaded,
     TransientCompileFault,
+    check_count,
     check_positive,
 )
 
@@ -78,8 +79,7 @@ class ServiceConfig:
     base_service_time: float = 0.01
 
     def __post_init__(self) -> None:
-        if not self.n_workers >= 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        check_count("n_workers", self.n_workers)
         check_positive("base_service_time", self.base_service_time)
 
     @property

@@ -354,3 +354,26 @@ def test_invalidated_plan_cache_is_resolved_again_next_run():
         assert again == first
     finally:
         reset_default_plan_cache()
+
+
+def test_blocking_busy_time_counts_sends_and_recvs_exactly():
+    """Blocking mode busies each stage for its own sends and recvs.
+
+    One micro-batch through two stages (F = Bx = Bw = 1 s, the edge 0.5 s
+    forward and 0.25 s backward), by hand:
+
+    * stage 0: F [0, 1], send [1, 1.5], recv of the gradient [4.5, 4.75],
+      B [4.75, 6.75] — busy 3 + 0.5 + 0.25;
+    * stage 1: recv [1, 1.5], F [1.5, 2.5], B [2.5, 4.5], send
+      [4.5, 4.75] — busy 3 + 0.5 + 0.25.
+
+    Dropping the send term gives {0: 3.25, 1: 3.5}; dropping the recv
+    term gives {0: 3.5, 1: 3.25}.
+    """
+    job = make_job(n_stages=2, m=1, edges=[CommEdge(0, 1, fwd_time=0.5, bwd_time=0.25)])
+    orders = schedule_job("gpipe", 2, 1)
+    blocking = simulate_pipeline(job, orders, overlap=False)
+    assert blocking.iteration_time == 6.75
+    assert blocking.stage_busy_time == {0: 3.75, 1: 3.75}
+    # overlapped transfers ride their channels: compute only
+    assert simulate_pipeline(job, orders).stage_busy_time == {0: 3.0, 1: 3.0}

@@ -663,6 +663,42 @@ def test_service_inputs_must_be_finite(field, build):
         build()
 
 
+@pytest.mark.parametrize(
+    "field, value, build",
+    [
+        ("n_workers", 2.5, lambda v: ServiceConfig(n_workers=v)),
+        ("n_workers", True, lambda v: ServiceConfig(n_workers=v)),
+        ("n_requests", 2.5, lambda v: _profile(n_requests=v)),
+        ("n_requests", NAN, lambda v: _profile(n_requests=v)),
+        ("n_tenants", 1.5, lambda v: _profile(n_tenants=v)),
+        ("n_tenants", NAN, lambda v: _profile(n_tenants=v)),
+        ("n_distinct_tasks", 1.5, lambda v: _profile(n_distinct_tasks=v)),
+        ("max_queue_depth", 2.5, lambda v: AdmissionConfig(max_queue_depth=v)),
+        ("per_tenant_depth", 1.5, lambda v: AdmissionConfig(per_tenant_depth=v)),
+        ("failure_threshold", 1.5, lambda v: BreakerConfig(failure_threshold=v)),
+        ("half_open_probes", True, lambda v: BreakerConfig(half_open_probes=v)),
+    ],
+)
+def test_service_counts_take_only_integers(field, value, build):
+    """A count that is a float, NaN or bool fails on its own field, naming
+    the value: never a bare ``TypeError`` at ``start()`` or inside
+    ``randrange``, and never accepted silently."""
+    with pytest.raises(ValueError, match=rf"{field} must be an integer.*{value!r}"):
+        build(value)
+
+
+def test_service_counts_keep_their_bounds():
+    assert _profile(n_requests=0).n_requests == 0
+    assert ServiceConfig(n_workers=1).n_workers == 1
+    for build in (
+        lambda: ServiceConfig(n_workers=0),
+        lambda: _profile(n_requests=-1),
+        lambda: AdmissionConfig(per_tenant_depth=0),
+    ):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            build()
+
+
 def test_serve_rejects_a_nan_rate(capsys):
     from repro.__main__ import main
 
