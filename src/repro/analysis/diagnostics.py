@@ -192,9 +192,6 @@ class AnalysisReport:
     def codes(self) -> set[str]:
         return {d.code for d in self.diagnostics}
 
-    def by_code(self, code: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
 

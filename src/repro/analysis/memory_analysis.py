@@ -102,15 +102,6 @@ class MemoryAnalysis:
         """The worst per-host bound (0.0 for an op-free plan)."""
         return max(self.per_host.values(), default=0.0)
 
-    @property
-    def peak_host(self) -> Optional[int]:
-        """The host attaining :attr:`peak` (lowest id wins ties)."""
-        if not self.per_host:
-            return None
-        return min(
-            self.per_host, key=lambda h: (-self.per_host[h], h)
-        )
-
     def dominates(self, observed: dict[int, float]) -> bool:
         """True when the bound covers an observed per-host peak map."""
         return all(

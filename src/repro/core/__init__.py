@@ -20,7 +20,6 @@ from .slices import (
     region_intersection,
     region_shape,
     region_size,
-    relative_region,
     split_offsets,
 )
 from .spec import REPLICATED, ShardingSpec, parse_spec
@@ -39,7 +38,6 @@ __all__ = [
     "region_intersection",
     "region_shape",
     "region_size",
-    "relative_region",
     "split_offsets",
     "ReshardingTask",
     "UnitCommTask",

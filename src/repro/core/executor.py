@@ -89,11 +89,6 @@ class TimingResult:
     host_peak_buffers: dict[int, float] = field(default_factory=dict)
 
     @property
-    def completed(self) -> bool:
-        """True when every op delivered its payload intact."""
-        return not self.failed_ops and not self.corrupted_ops
-
-    @property
     def telemetry(self) -> "TelemetryBus":
         """The run's span stream (op/task/flow records) on the network's bus."""
         return self.network.bus

@@ -113,11 +113,6 @@ class DeviceMesh:
         except KeyError:
             raise KeyError(f"device {device_id} not in mesh") from None
 
-    def host_of(self, device_id: int) -> int:
-        if device_id not in self._coords:
-            raise KeyError(f"device {device_id} not in mesh")
-        return self.cluster.host_of(device_id)
-
     def disjoint_from(self, other: "DeviceMesh") -> bool:
         """True when the two meshes share no device (cross-mesh setting)."""
         return not set(self.devices) & set(other.devices)

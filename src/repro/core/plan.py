@@ -247,8 +247,7 @@ class CommPlan:
 
         The index is rebuilt when the ops list was appended to (or
         swapped out) since the last build; both interpreters walk every
-        unit task, so the old per-call linear scan made ``ops_of_task``
-        O(n·m) overall.
+        unit task, so a per-call linear scan would be O(n·m) overall.
         """
         key = (len(self.ops), id(self.ops))
         if self._ops_index is None or self._indexed != key:
@@ -258,9 +257,6 @@ class CommPlan:
             self._ops_index = index
             self._indexed = key
         return self._ops_index
-
-    def ops_of_task(self, unit_task_id: int) -> list[CommOp]:
-        return list(self.ops_by_task().get(unit_task_id, ()))
 
     def gating_hosts(self) -> dict[int, frozenset[int]]:
         """Hosts each scheduled unit task occupies, in schedule order.
@@ -280,11 +276,6 @@ class CommPlan:
             for tid in schedule.order
             if tid in task_ops and tid in ut_by_id and tid in schedule.assignment
         }
-
-    def total_bytes(self) -> float:
-        """Sum of bytes injected by each op (broadcast counts once per hop
-        at execution time; here we count the op's payload once)."""
-        return sum(op.nbytes for op in self.ops)
 
     def __repr__(self) -> str:
         kinds: dict[str, int] = {}

@@ -28,7 +28,6 @@ __all__ = [
     "region_intersection",
     "region_size",
     "region_shape",
-    "relative_region",
     "TileGrid",
 ]
 
@@ -72,19 +71,6 @@ def region_shape(r: Region) -> tuple[int, ...]:
 def region_size(r: Region) -> int:
     """Number of elements in the region."""
     return reduce(lambda x, y: x * y, (hi - lo for lo, hi in r), 1)
-
-
-def relative_region(outer: Region, inner: Region) -> Region:
-    """Express ``inner`` in coordinates relative to ``outer``'s origin.
-
-    ``inner`` must be contained in ``outer``.
-    """
-    out = []
-    for (o0, o1), (i0, i1) in zip(outer, inner):
-        if not (o0 <= i0 and i1 <= o1):
-            raise ValueError(f"{inner} is not contained in {outer}")
-        out.append((i0 - o0, i1 - o0))
-    return tuple(out)
 
 
 class TileGrid:

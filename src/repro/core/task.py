@@ -219,9 +219,6 @@ class ReshardingTask:
         """
         return self.receiver_hosts(task) | {sender_host}
 
-    def senders_on_host(self, task: UnitCommTask, host: int) -> tuple[int, ...]:
-        return tuple(d for d in task.senders if self.cluster.host_of(d) == host)
-
     def holds(self, device: int, region: Region) -> bool:
         """True when source device ``device`` holds all of ``region``."""
         if device not in self.src_mesh.devices:

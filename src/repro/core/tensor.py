@@ -105,9 +105,6 @@ class DistributedTensor:
         return cls(mesh, spec, array.shape, shards, dtype=array.dtype)
 
     # ------------------------------------------------------------------
-    def shard_of(self, device_id: int) -> np.ndarray:
-        return self.shards[device_id]
-
     def device_region(self, device_id: int) -> Region:
         return self.grid.device_region(device_id)
 

@@ -89,7 +89,8 @@ class IntegrityReport:
     discredited_ops: tuple[int, ...] = ()
     #: plan-time re-roots that were honoured (from ``CommPlan.fallbacks``)
     n_fallbacks: int = 0
-    #: flows the network delivered only after retrying (when known)
+    #: flows the network delivered only after retrying (when known),
+    #: corrupted deliveries included
     n_retried_flows: int = 0
     #: ops whose delivery was corrupted and *detected* by checksum
     #: (payload discarded, no delivery credit)
@@ -304,7 +305,13 @@ def verify_delivery(
         discredited_ops=tuple(walk.discredited),
         n_fallbacks=len(plan.fallbacks),
         n_retried_flows=(
-            sum(1 for r in timing.network.trace if r.status == "retried")
+            sum(
+                1
+                for row in timing.network.bus.span_rows
+                if row[1] == "flow"
+                and row[7]["attempts"] != 1
+                and row[7]["status"] not in ("failed", "abandoned")
+            )
             if timing is not None
             else 0
         ),

@@ -11,8 +11,6 @@ from .costs import (
     transformer_layer_params,
 )
 from .gpt import GPT_CASES, GPTConfig, build_gpt, gpt_layer_memory_table
-from .inference import InferenceResult, forward_only_orders, run_inference
-from .moe import MoEConfig, build_moe, dispatch_all_to_all_time, moe_params
 from .parallel import (
     Boundary,
     E2EResult,
@@ -43,13 +41,6 @@ __all__ = [
     "GPT_CASES",
     "build_gpt",
     "gpt_layer_memory_table",
-    "MoEConfig",
-    "build_moe",
-    "moe_params",
-    "dispatch_all_to_all_time",
-    "InferenceResult",
-    "run_inference",
-    "forward_only_orders",
     "UTransformerConfig",
     "build_utransformer",
     "utransformer_modules",

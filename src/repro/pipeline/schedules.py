@@ -256,7 +256,7 @@ def read_orders(
     device; only :data:`ACTIVATION_DELTA`'s kinds, none twice; forwards
     cover ``0..m-1``, and fused ``B`` covers every micro-batch or ``Bx``
     and ``Bw`` both do, never a mix (with no backward task anywhere the
-    orders are forward-only, i.e. inference); a backward follows its
+    orders are forward-only); a backward follows its
     forward, ``Bw`` its ``Bx``.
     """
     if job is None:

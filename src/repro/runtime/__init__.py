@@ -5,9 +5,10 @@ Every simulator in the repo — the flow-level network model behind
 schedules alike), and the elastic-recovery supervisor — executes on one
 discrete-event :class:`EventLoop` and reports what happened through the
 loop's structured :class:`TelemetryBus`.  Timelines, Gantt charts,
-Chrome traces, and the result objects' ``timeline``/``comms``/``trace``
-views are all *derived* from the bus's span stream; no executor keeps
-private bookkeeping lists anymore.
+Chrome traces, and the result objects' ``timeline``/``comms`` views are
+all *derived* from the bus's span stream, and a network flow's one
+record is its ``flow`` span; no executor keeps private bookkeeping
+lists.
 
 Layout:
 

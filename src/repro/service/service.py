@@ -210,13 +210,6 @@ class ReshardingService:
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
-    async def submit(self, request: CompileRequest) -> CompileResponse:
-        """Submit and wait for the terminal response."""
-        outcome = self.try_submit(request)
-        if isinstance(outcome, CompileResponse):
-            return outcome
-        return await outcome.wait()
-
     def try_submit(
         self, request: CompileRequest
     ) -> Union[RequestHandle, CompileResponse]:

@@ -6,9 +6,8 @@ substitution argument.
 """
 
 from .cluster import GB, GBPS, Cluster, ClusterSpec, Device, FailureDomain, Host
-from .collectives import all_reduce, all_to_all, reduce_scatter
+from .collectives import all_reduce, reduce_scatter
 from .faults import (
-    FAULT_CATEGORIES,
     CorruptionWindow,
     DegradedWindow,
     DomainFailure,
@@ -20,7 +19,7 @@ from .faults import (
     Partition,
     RetryPolicy,
 )
-from .network import Flow, FlowRecord, Network
+from .network import Flow, Network
 from .primitives import (
     DEFAULT_BROADCAST_CHUNKS,
     CollectiveHandle,
@@ -41,7 +40,6 @@ __all__ = [
     "Device",
     "Host",
     "Flow",
-    "FlowRecord",
     "Network",
     "RateSolver",
     "ScalarSolver",
@@ -51,7 +49,6 @@ __all__ = [
     "DomainFailure",
     "Partition",
     "CorruptionWindow",
-    "FAULT_CATEGORIES",
     "FaultSchedule",
     "RetryPolicy",
     "FaultIncident",
@@ -63,7 +60,6 @@ __all__ = [
     "ring_broadcast",
     "ring_order",
     "scatter",
-    "all_to_all",
     "reduce_scatter",
     "all_reduce",
 ]

@@ -277,10 +277,6 @@ class ClusterSpec:
         check_memory_budget(self.memory_budget)
 
     @property
-    def n_devices(self) -> int:
-        return self.n_hosts * self.devices_per_host
-
-    @property
     def n_active_hosts(self) -> int:
         """Hosts that carry work from the start (non-spares)."""
         return self.n_hosts - self.n_spare_hosts
@@ -313,13 +309,6 @@ class ClusterSpec:
             if sw.failure_domain
         )
         return self.failure_domains + switch_domains
-
-    def domain(self, name: str) -> FailureDomain:
-        """The failure domain called ``name`` (KeyError if unknown)."""
-        for dom in self.effective_failure_domains:
-            if dom.name == name:
-                return dom
-        raise KeyError(f"no failure domain named {name!r}")
 
     def domains_of_host(self, host: int) -> tuple[FailureDomain, ...]:
         """Every failure domain ``host`` belongs to (declaration order)."""
@@ -403,37 +392,11 @@ class Cluster:
         return len(self.devices)
 
     @property
-    def n_hosts(self) -> int:
-        return len(self.hosts)
-
-    @property
-    def active_host_ids(self) -> tuple[int, ...]:
-        """Hosts initially carrying work (everything but the spares)."""
-        return tuple(range(self.spec.n_active_hosts))
-
-    @property
     def spare_host_ids(self) -> tuple[int, ...]:
         """Warm spare hosts reserved for elastic recovery."""
         return tuple(range(self.spec.n_active_hosts, self.spec.n_hosts))
 
     # ------------------------------------------------------------------
-    def link_bandwidth(self, src: int, dst: int) -> float:
-        """Point-to-point bandwidth (bytes/s) between two devices.
-
-        Cross-host pairs are priced by the bound topology (NIC rates,
-        contended fabric links, per-pair overrides) — the single lookup
-        that used to be three inlined ``intra if same host else inter``
-        ternaries.
-        """
-        if src == dst:
-            raise ValueError("no link from a device to itself")
-        if self.same_host(src, dst):
-            return self.spec.intra_host_bandwidth
-        a, b = self.device(src), self.device(dst)
-        return self.topo.path_bandwidth(
-            a.host_id, b.host_id, a.local_id, b.local_id
-        )
-
     def link_latency(self, src: int, dst: int) -> float:
         """Fixed startup latency (s) between two devices."""
         if src == dst:
@@ -447,6 +410,6 @@ class Cluster:
 
     def __repr__(self) -> str:
         return (
-            f"Cluster(hosts={self.n_hosts}, devices_per_host="
+            f"Cluster(hosts={self.spec.n_hosts}, devices_per_host="
             f"{self.spec.devices_per_host})"
         )

@@ -1,16 +1,15 @@
-"""Additional timed collectives: all-to-all, reduce-scatter, all-reduce.
+"""Timed ring collectives for partial-sum layouts: reduce-scatter, all-reduce.
 
-These complete the §2.1 substrate: *intra-mesh* layout conversion
-(resharding within one mesh) is implemented with collective
-communication — all-gather (see :mod:`repro.sim.primitives`), all-to-all
-for shard-axis swaps, and all-reduce/reduce-scatter for partial-sum
-layouts.  All are ring/pairwise algorithms with the standard
-bandwidth-optimal costs:
+The paper's §2.1 (Fig. 1b) resolves a partial-sum layout with
+all-reduce or reduce-scatter.  Both are ring algorithms with the
+standard bandwidth-optimal costs, built on the ring all-gather of
+:mod:`repro.sim.primitives`:
 
-* pairwise all-to-all: each device exchanges ``total/N`` with every
-  other device; time ~ ``(N-1)/N * total / bw`` per port;
 * ring reduce-scatter: ``N-1`` rounds of ``total/N`` shards;
 * ring all-reduce = reduce-scatter + all-gather: ``2 (N-1)/N * total/bw``.
+
+Intra-mesh layout conversion (:mod:`repro.core.intra`) does not call
+these; it compiles a ``CommPlan`` like cross-mesh resharding does.
 """
 
 from __future__ import annotations
@@ -24,51 +23,7 @@ from .primitives import (
     ring_allgather,
 )
 
-__all__ = ["all_to_all", "reduce_scatter", "all_reduce"]
-
-
-def all_to_all(
-    network: Network,
-    devices: Sequence[int],
-    per_pair_bytes: float,
-    tag: str = "all_to_all",
-) -> CollectiveHandle:
-    """Pairwise exchange: every device sends ``per_pair_bytes`` to every
-    other device.
-
-    Implemented as ``N-1`` pairwise rounds (round ``r``: device ``i``
-    sends to ``i xor``-style partner ``(i + r) mod N``), each round's
-    flows running concurrently; rounds are chained per sender so a
-    device's NIC handles one outgoing partner at a time.
-    """
-    devs = list(devices)
-    n = len(devs)
-    if n <= 1 or per_pair_bytes <= 0:
-        return _empty_handle(network, tag)
-    handle = CollectiveHandle(network, tag)
-    n_rounds = n - 1
-    handle._expect(n_rounds * n)
-
-    def start_round(r: int) -> None:
-        if r > n_rounds:
-            return
-        remaining = [n]
-
-        def on_done(_f) -> None:
-            handle._flow_done()
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                start_round(r + 1)
-
-        for i in range(n):
-            j = (i + r) % n
-            network.start_flow(
-                devs[i], devs[j], per_pair_bytes, on_done, tag=f"{tag}:r{r}"
-            )
-
-    start_round(1)
-    handle._seal()
-    return handle
+__all__ = ["reduce_scatter", "all_reduce"]
 
 
 def reduce_scatter(

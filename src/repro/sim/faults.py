@@ -55,7 +55,6 @@ __all__ = [
     "RetryPolicy",
     "FaultIncident",
     "FaultReport",
-    "FAULT_CATEGORIES",
 ]
 
 
@@ -359,7 +358,8 @@ class FaultSchedule:
         """Name of a failure domain downing ``host`` at ``t`` (None if none).
 
         Covers both permanent and windowed domain failures; used for
-        fault attribution (``categories()``) and the F003 analyzer check.
+        fault attribution (``domain-down`` incidents) and the F003 analyzer
+        check.
         """
         o = self.outage_at(host, t)
         return o.domain if isinstance(o, DomainFailure) else None
@@ -682,33 +682,6 @@ class FaultIncident:
     resolved: bool = True
 
 
-#: stable category keys of :meth:`FaultReport.categories`, in fixed order
-FAULT_CATEGORIES = (
-    "degraded",
-    "flap",
-    "drop",
-    "host",
-    "domain",
-    "partition",
-    "corruption",
-)
-
-#: incident ``kind`` -> category; unknown kinds land in "drop" (a lost
-#: delivery with no finer attribution) so the summary never crashes on a
-#: kind added later — but every kind the repo emits is mapped here.
-_KIND_CATEGORY = {
-    "degraded": "degraded",
-    "timeout": "degraded",  # an attempt stretched past its bound
-    "nic-flap": "flap",
-    "nic-down": "flap",
-    "dropped": "drop",
-    "host-down": "host",
-    "domain-down": "domain",
-    "partition": "partition",
-    "corruption": "corruption",
-}
-
-
 @dataclass
 class FaultReport:
     """Structured outcome of a run under fault injection.
@@ -750,24 +723,6 @@ class FaultReport:
         self.escalations.append(f"{self.status}->fatal: {detail}")
         self.status = "fatal"
         self.detail = f"{self.detail}; {detail}" if self.detail else detail
-
-    def categories(self) -> dict[str, int]:
-        """Incident counts bucketed by stable category.
-
-        Returns every key of :data:`FAULT_CATEGORIES` (zero-filled, fixed
-        order) so tests and telemetry consume
-        ``report.categories()["partition"]`` instead of string-matching
-        incident reprs.  Each incident counts once, under the category of
-        its ``kind``.
-        """
-        out = {c: 0 for c in FAULT_CATEGORIES}
-        for inc in self.incidents:
-            out[_KIND_CATEGORY.get(inc.kind, "drop")] += 1
-        return out
-
-    @property
-    def recovered(self) -> bool:
-        return self.status == "recovered"
 
     @property
     def fatal(self) -> bool:

@@ -38,8 +38,9 @@ The network runs on the unified runtime kernel
 (:class:`~repro.runtime.kernel.EventLoop`) and reports through its
 telemetry bus: every delivered/failed/abandoned flow attempt is emitted
 as a ``cat="flow"`` span, byte totals are counters, and fault incidents
-are marks.  ``Network.trace`` is a *derived view* over those spans (the
-legacy :class:`FlowRecord` format), not separate bookkeeping.
+are marks.  A flow's record is its span, held once, in the bus: read
+``[s for s in network.bus.spans if s.cat == "flow"]``.
+:meth:`Network._emit_flow` lists the span's attrs and statuses.
 
 **Fault tolerance** (optional): constructed with a
 :class:`~repro.sim.faults.FaultSchedule`, the network becomes lossy —
@@ -49,22 +50,22 @@ arrival, and individual deliveries can be dropped.  Failed flows are
 retried under a :class:`~repro.sim.faults.RetryPolicy` (bounded
 attempts, exponential backoff with deterministic jitter, optional
 per-attempt timeout); exhausted flows are *abandoned* and reported via
-the ``on_abandon`` callback.  The trace distinguishes first-try
-(``ok``), retried-to-success (``retried``), per-attempt ``failed``, and
-``abandoned`` records.  Without a schedule every fault hook is skipped,
-so the healthy path is byte-identical to the fault-free simulator.
+the ``on_abandon`` callback.  Each disposition (a delivery, one failed
+attempt, an abandonment) is one ``flow`` span with its ``status``.
+Without a schedule every fault hook is skipped, so the healthy path is
+byte-identical to the fault-free simulator.
 
 Failure attribution is causal, not just symptomatic: a flow killed by a
 correlated :class:`~repro.sim.faults.DomainFailure` records a
 ``domain-down`` incident, a lone dead host ``host-down``, a flap
-``nic-flap``/``nic-down`` — so ``FaultReport.categories()`` can tell a
-rack loss from a flaky NIC.  Asymmetric
+``nic-flap``/``nic-down`` — so a report's incident kinds tell a rack
+loss from a flaky NIC.  Asymmetric
 :class:`~repro.sim.faults.Partition` windows are honoured distinctly
 from host-down: affected src→dst flows fail (``partition``) while all
 other traffic through the same NICs proceeds at full rate.  Gray
 :class:`~repro.sim.faults.CorruptionWindow` events never fail a flow at
 all: the delivery completes with normal timing, is marked
-``corrupted`` in the trace, and is only caught downstream by per-slice
+``corrupted`` in its span, and is only caught downstream by per-slice
 checksums (:mod:`repro.core.verify_data`).
 """
 
@@ -76,7 +77,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from ..runtime.kernel import Event, EventLoop
-from ..runtime.telemetry import SpanRow, TelemetryBus
+from ..runtime.telemetry import TelemetryBus
 from .cluster import Cluster
 from .faults import (
     DomainFailure,
@@ -88,7 +89,7 @@ from .faults import (
 )
 from .solver import RateSolver, ScalarSolver
 
-__all__ = ["Flow", "FlowRecord", "Network"]
+__all__ = ["Flow", "Network"]
 
 
 # Slotted: tens of thousands are alive at once in large simulations, and
@@ -119,64 +120,6 @@ class Flow:
     @property
     def done(self) -> bool:
         return self.finish_time >= 0.0
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """Immutable trace entry for one disposition of a flow.
-
-    ``status`` is ``"ok"`` (delivered first try), ``"retried"``
-    (delivered after at least one failure), ``"failed"`` (one failed
-    attempt; the flow lives on), or ``"abandoned"`` (retry budget
-    exhausted, data never delivered).
-    """
-
-    flow_id: int
-    src: int
-    dst: int
-    nbytes: float
-    submit_time: float
-    start_time: float
-    finish_time: float
-    tag: str = ""
-    attempts: int = 1
-    status: str = "ok"
-
-    @property
-    def duration(self) -> float:
-        """Active transfer time; queue-inclusive for never-active flows.
-
-        Flows that never became bandwidth-active (``start_time == -1``,
-        e.g. fast-failed against a down NIC) are measured from
-        ``submit_time`` instead of producing a nonsensical negative
-        value.
-        """
-        if self.start_time < 0.0:
-            return self.finish_time - self.submit_time
-        return self.finish_time - self.start_time
-
-    @property
-    def queued_time(self) -> float:
-        """Time spent between submission and becoming bandwidth-active."""
-        active_from = self.start_time if self.start_time >= 0.0 else self.finish_time
-        return active_from - self.submit_time
-
-
-def _flow_record_from_row(row: SpanRow) -> FlowRecord:
-    """Rebuild the legacy record from one raw ``cat="flow"`` span row."""
-    a = row[7]
-    return FlowRecord(
-        flow_id=int(a["flow_id"]),  # type: ignore[arg-type]
-        src=int(a["src"]),  # type: ignore[arg-type]
-        dst=int(a["dst"]),  # type: ignore[arg-type]
-        nbytes=float(a["nbytes"]),  # type: ignore[arg-type]
-        submit_time=float(a["submit_time"]),  # type: ignore[arg-type]
-        start_time=float(a["active_start"]),  # type: ignore[arg-type]
-        finish_time=row[4],
-        tag=str(a["tag"]),
-        attempts=int(a["attempts"]),  # type: ignore[arg-type]
-        status=str(a["status"]),
-    )
 
 
 class Network:
@@ -213,8 +156,6 @@ class Network:
         self._completion_event: Optional[Event] = None
         self._expected_finish: list[int] = []
         self._last_update = 0.0
-        self._trace_view: list[FlowRecord] = []
-        self._trace_cursor = 0
         self.bytes_cross_host = 0.0
         self.bytes_intra_host = 0.0
         self._c_cross = self.bus.counter("bytes_cross_host", track="net")
@@ -384,12 +325,28 @@ class Network:
         return flow
 
     # ------------------------------------------------------------------
-    # Telemetry: the bus is the source of truth; `trace` is a view
+    # Telemetry: the bus holds the one record of every flow
     # ------------------------------------------------------------------
     def _emit_flow(
         self, flow: Flow, status: str, finish_time: Optional[float] = None
     ) -> None:
-        """Emit one flow disposition as a ``cat="flow"`` span."""
+        """Emit one flow disposition as a ``cat="flow"`` span.
+
+        The span is named ``flow.tag`` (``flow<id>`` when untagged), sits
+        on the sender's ``dev:<src>`` track and runs from the attempt's
+        ``active_start`` (``submit_time`` if the attempt never became
+        bandwidth-active) to its finish.  Its nine attrs are ``flow_id``,
+        ``src``, ``dst``, ``nbytes``, ``submit_time``, ``active_start``
+        (``-1.0`` when never active), ``attempts`` (1-based),
+        ``status`` and ``tag``.  ``status`` is one of:
+
+        * ``ok``: delivered intact on the first attempt;
+        * ``retried``: delivered intact after at least one failed attempt;
+        * ``corrupted``: delivered, on any attempt, with bad bytes (a
+          gray failure only end-to-end checksums catch);
+        * ``failed``: one attempt failed, and the flow is retried;
+        * ``abandoned``: the retry budget ran out; never delivered.
+        """
         finish = flow.finish_time if finish_time is None else finish_time
         start = flow.start_time if flow.start_time >= 0.0 else flow.submit_time
         self.bus.span(
@@ -410,25 +367,6 @@ class Network:
                 "tag": flow.tag,
             },
         )
-
-    @property
-    def trace(self) -> list[FlowRecord]:
-        """Flow dispositions as legacy :class:`FlowRecord`\\ s.
-
-        Derived from the telemetry bus's ``flow`` spans.  The view is
-        incremental: a cursor over the bus's raw span rows appends only
-        the records emitted since the last access, instead of scanning
-        and rebuilding the whole span list every time.
-        """
-        rows = self.bus.span_rows
-        cursor = self._trace_cursor
-        if cursor < len(rows):
-            view = self._trace_view
-            for row in rows[cursor:]:
-                if row[1] == "flow":
-                    view.append(_flow_record_from_row(row))
-            self._trace_cursor = len(rows)
-        return self._trace_view
 
     # ------------------------------------------------------------------
     # Internals
@@ -661,8 +599,8 @@ class Network:
 
         Gray corruption does *not* move ``status`` here: at the flow
         layer the delivery looked healthy, which is the point of a gray
-        failure.  Corruption incidents are in ``incidents`` (and hence
-        ``categories()``); the executor escalates the report to fatal
+        failure.  Corruption incidents are in ``incidents``; the executor
+        escalates the report to fatal
         when per-op checksums expose the bad bytes.
         """
         if self.faults is None:

@@ -58,9 +58,9 @@ def plan_under(strategy, task, faults, retry_policy=None):
 
 def trace_tuple(network):
     return [
-        (r.flow_id, r.src, r.dst, r.nbytes, r.submit_time, r.start_time,
-         r.finish_time, r.status, r.attempts, r.tag)
-        for r in network.trace
+        (s.start, s.end, *s.attrs.values())
+        for s in network.bus.spans
+        if s.cat == "flow"
     ]
 
 
@@ -119,7 +119,7 @@ def test_strategies_deliver_exact_slices_under_faults(strategy, specs):
     out = apply_plan(plan, src_tensor)
     assert np.array_equal(out.to_global(), arr)
     res = simulate_plan(plan, faults=RECOVERABLE, retry_policy=PATIENT)
-    assert res.completed
+    assert not res.failed_ops and not res.corrupted_ops
     assert res.fault_report.status in ("clean", "recovered")
 
 
@@ -149,7 +149,8 @@ def test_broadcast_reroots_around_down_sender_host():
     raise_on_plan_errors(plan)
     assert np.array_equal(apply_plan(plan, src_tensor).to_global(), arr)
     res = simulate_plan(plan, faults=fs, retry_policy=PATIENT)
-    assert res.completed and not res.fault_report.fatal
+    assert not res.failed_ops and not res.corrupted_ops
+    assert not res.fault_report.fatal
 
 
 def test_no_reroot_without_faults():
@@ -203,7 +204,7 @@ def test_simulate_plan_fatal_report_instead_of_hang():
     plan = BroadcastStrategy().plan(task)
     res = simulate_plan(plan, faults=fs, retry_policy=brief)  # must return
     assert res.fault_report.fatal
-    assert not res.completed and res.failed_ops
+    assert res.failed_ops
     assert res.fault_report.n_abandoned >= 1
 
 
@@ -213,7 +214,8 @@ def test_without_faults_missing_ops_still_raise():
     task, _, _ = build("RRR", "S0RR")
     plan = BroadcastStrategy().plan(task)
     res = simulate_plan(plan)
-    assert res.fault_report is None and res.completed
+    assert res.fault_report is None
+    assert not res.failed_ops and not res.corrupted_ops
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +239,7 @@ def test_chaos_sweep_never_hangs_or_corrupts(seed):
     res = simulate_plan(plan, faults=fs, retry_policy=PATIENT)
     rep = res.fault_report
     assert rep.status in ("clean", "recovered", "fatal")
-    assert res.completed == (not rep.fatal)
+    assert (not res.failed_ops and not res.corrupted_ops) == (not rep.fatal)
     # Replay: chaos is a pure function of the seed.
     plan2 = plan_under(BroadcastStrategy(), task, fs)
     res2 = simulate_plan(plan2, faults=fs, retry_policy=PATIENT)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.cluster import GB, GBPS, Cluster, ClusterSpec
+from repro.sim.network import Network
 
 
 def test_default_spec_matches_paper_testbed():
@@ -20,7 +21,7 @@ def test_gbps_constant():
 def test_device_enumeration():
     c = Cluster(ClusterSpec(n_hosts=3, devices_per_host=2))
     assert c.n_devices == 6
-    assert c.n_hosts == 3
+    assert len(c.hosts) == 3
     assert [d.device_id for d in c.devices] == list(range(6))
     assert [d.host_id for d in c.devices] == [0, 0, 1, 1, 2, 2]
     assert [d.local_id for d in c.devices] == [0, 1, 0, 1, 0, 1]
@@ -32,6 +33,12 @@ def test_host_of_and_same_host():
     assert c.host_of(5) == 1
     assert c.same_host(0, 3)
     assert not c.same_host(3, 4)
+
+
+def test_repr_names_hosts_and_devices_per_host():
+    c = Cluster(ClusterSpec(n_hosts=2, devices_per_host=4))
+    assert repr(c) == "Cluster(hosts=2, devices_per_host=4)"
+    assert str(c) == repr(c)
 
 
 def test_hosts_of_set():
@@ -48,18 +55,21 @@ def test_unknown_device_raises():
 
 
 def test_link_bandwidth_intra_vs_inter():
+    """A lone flow runs at NVLink rate inside a host, NIC rate across."""
     spec = ClusterSpec(n_hosts=2, devices_per_host=2)
     c = Cluster(spec)
-    assert c.link_bandwidth(0, 1) == spec.intra_host_bandwidth
-    assert c.link_bandwidth(0, 2) == spec.inter_host_bandwidth
+    for dst, bw, latency in ((1, spec.intra_host_bandwidth, spec.intra_host_latency),
+                             (2, spec.inter_host_bandwidth, spec.inter_host_latency)):
+        net = Network(c)
+        flow = net.start_flow(0, dst, GB)
+        net.run()
+        assert flow.finish_time == pytest.approx(latency + GB / bw)
     assert c.link_latency(0, 1) == spec.intra_host_latency
     assert c.link_latency(0, 2) == spec.inter_host_latency
 
 
 def test_self_link_rejected():
     c = Cluster(ClusterSpec())
-    with pytest.raises(ValueError):
-        c.link_bandwidth(0, 0)
     with pytest.raises(ValueError):
         c.link_latency(3, 3)
 
@@ -77,10 +87,6 @@ def test_self_link_rejected():
 def test_invalid_spec_rejected(kw):
     with pytest.raises(ValueError):
         ClusterSpec(**kw)
-
-
-def test_spec_n_devices():
-    assert ClusterSpec(n_hosts=3, devices_per_host=4).n_devices == 12
 
 
 def test_host_device_cross_reference():

@@ -1,9 +1,9 @@
-"""Tests for the extra collectives (all-to-all, reduce-scatter, all-reduce)."""
+"""Tests for the ring collectives (reduce-scatter, all-reduce)."""
 
 import pytest
 
 from repro.sim.cluster import GB, Cluster, ClusterSpec
-from repro.sim.collectives import all_reduce, all_to_all, reduce_scatter
+from repro.sim.collectives import all_reduce, reduce_scatter
 from repro.sim.network import Network
 from repro.sim.primitives import ring_order
 
@@ -19,30 +19,6 @@ def make_net(n_hosts=4, dph=2) -> Network:
             )
         )
     )
-
-
-def test_all_to_all_intra_host():
-    net = make_net(n_hosts=1, dph=4)
-    h = all_to_all(net, [0, 1, 2, 3], GB / 4)
-    net.run()
-    # 3 rounds, each GB/4 per device over NVLink
-    expect = 3 * (GB / 4) / net.cluster.spec.intra_host_bandwidth
-    assert h.finish_time == pytest.approx(expect)
-    assert len(net.trace) == 12
-
-
-def test_all_to_all_cross_host():
-    net = make_net(n_hosts=4, dph=1)
-    h = all_to_all(net, [0, 1, 2, 3], GB / 4)
-    net.run()
-    expect = 3 * (GB / 4) / net.cluster.spec.inter_host_bandwidth
-    assert h.finish_time == pytest.approx(expect)
-
-
-def test_all_to_all_degenerate():
-    net = make_net()
-    assert all_to_all(net, [0], GB).done
-    assert all_to_all(net, [0, 1], 0).done
 
 
 # Ring grid: N = 2-8 devices on one host (NVLink ring) or on N hosts

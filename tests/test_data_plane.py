@@ -166,8 +166,8 @@ def test_distributed_tensor_from_global_shards():
     mesh = DeviceMesh.from_hosts(c, [0])
     arr = np.arange(16.0).reshape(4, 4)
     dt = DistributedTensor.from_global(mesh, "RS1", arr)
-    assert dt.shard_of(0).shape == (4, 1)
-    assert np.array_equal(dt.shard_of(2)[:, 0], arr[:, 2])
+    assert dt.shards[0].shape == (4, 1)
+    assert np.array_equal(dt.shards[2][:, 0], arr[:, 2])
     assert np.array_equal(dt.to_global(), arr)
 
 

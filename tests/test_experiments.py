@@ -46,7 +46,7 @@ def test_make_microbench_meshes_disjoint():
     assert src.shape == (2, 4)
     assert dst.shape == (3, 2)
     assert src.disjoint_from(dst)
-    assert cluster.n_hosts == 5
+    assert len(cluster.hosts) == 5
 
 
 def test_formatters():

@@ -78,9 +78,6 @@ class TestFailureDomainTopology:
 
     def test_spec_lookup_helpers(self):
         spec = domain_cluster().spec
-        assert spec.domain("rack0").hosts == (0, 1)
-        with pytest.raises(KeyError):
-            spec.domain("rack9")
         assert [d.name for d in spec.domains_of_host(1)] == ["rack0"]
         assert spec.shares_domain(0, 1)
         assert not spec.shares_domain(1, 2)
@@ -169,7 +166,6 @@ class TestNetworkDomainFailure:
         rep = net.fault_report()
         assert rep.fatal
         assert any(i.kind == "domain-down" for i in rep.incidents)
-        assert rep.categories()["domain"] >= 1
 
     def test_domain_down_outranks_flap_in_attribution(self):
         # Causal attribution: when a whole rack is down, a member's
@@ -205,7 +201,6 @@ class TestNetworkPartition:
         assert not reverse.abandoned and not bystander.abandoned
         rep = net.fault_report()
         assert any(i.kind == "partition" for i in rep.incidents)
-        assert rep.categories()["partition"] >= 1
 
     def test_partition_window_heals(self):
         fs = FaultSchedule(partitions=(Partition((0,), (1,), 0.0, 0.05),))
@@ -218,7 +213,7 @@ class TestNetworkPartition:
         net.run()
         assert not f.abandoned
         assert f.finish_time >= 0.05  # had to wait out the partition
-        assert net.fault_report().recovered
+        assert net.fault_report().status == "recovered"
 
     def test_partitioned_predicate(self):
         fs = FaultSchedule(partitions=(Partition((0, 1), (2,), 1.0, 2.0),))
@@ -244,14 +239,17 @@ class TestNetworkCorruption:
         assert f.finish_time == g.finish_time
         assert not f.abandoned and f.attempts == 1
         assert net.corrupted_flows and net.n_corrupted == 1
-        trace = [r for r in net.trace if r.flow_id == f.flow_id]
-        assert trace[-1].status == "corrupted"
+        statuses = [
+            s.attrs["status"]
+            for s in net.bus.spans
+            if s.cat == "flow" and s.attrs["flow_id"] == f.flow_id
+        ]
+        assert statuses[-1] == "corrupted"
         rep = net.fault_report()
         # Flow-level status stays healthy-looking; only the incident
         # list (and downstream checksums) reveal the corruption.
         assert rep.status == "clean"
-        assert any(i.kind == "corruption" for i in rep.incidents)
-        assert rep.categories()["corruption"] == 1
+        assert [i.kind for i in rep.incidents] == ["corruption"]
 
     def test_corruption_rate_is_seeded_and_partial(self):
         fs = FaultSchedule(

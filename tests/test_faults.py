@@ -207,7 +207,7 @@ def test_fault_report_status():
     with pytest.raises(ValueError, match="status"):
         FaultReport(status="weird")
     r = FaultReport(status="recovered", n_faults=2, n_retries=2)
-    assert r.recovered and not r.fatal
+    assert r.status == "recovered" and not r.fatal
 
 
 # ----------------------------------------------------------------------
@@ -251,10 +251,14 @@ def test_flap_kills_mid_flight_and_retries():
     net.run()
     assert done and f.attempts > 1 and not f.abandoned
     assert f.finish_time > 1.5 * T  # flap + full re-transfer
-    statuses = [r.status for r in net.trace if r.flow_id == f.flow_id]
+    statuses = [
+        s.attrs["status"]
+        for s in net.bus.spans
+        if s.cat == "flow" and s.attrs["flow_id"] == f.flow_id
+    ]
     assert statuses[0] == "failed" and statuses[-1] == "retried"
     rep = net.fault_report()
-    assert rep.recovered and rep.n_retries >= 1 and rep.added_latency > 0
+    assert rep.status == "recovered" and rep.n_retries >= 1 and rep.added_latency > 0
     assert any(i.kind == "nic-flap" for i in rep.incidents)
 
 
@@ -266,15 +270,15 @@ def test_fast_fail_while_nic_down():
     f = net.start_flow(0, 4, GB)
     net.run()
     assert not f.abandoned
-    failed = [r for r in net.trace if r.status == "failed"]
-    assert failed and all(r.start_time == -1.0 for r in failed)
-    # Satellite: never-active records report queue-inclusive durations.
-    assert all(r.duration >= 0.0 for r in failed)
-    assert all(r.queued_time == r.duration for r in failed)
-    ok = [r for r in net.trace if r.status == "retried"]
-    assert len(ok) == 1 and ok[0].queued_time == pytest.approx(
-        ok[0].start_time - ok[0].submit_time
-    )
+    flows = [s for s in net.bus.spans if s.cat == "flow"]
+    failed = [s for s in flows if s.attrs["status"] == "failed"]
+    assert failed and all(s.attrs["active_start"] == -1.0 for s in failed)
+    # A never-active attempt's span starts at its submission.
+    assert all(s.start == s.attrs["submit_time"] == 0.0 for s in failed)
+    assert all(s.duration >= 0.0 for s in failed)
+    ok = [s for s in flows if s.attrs["status"] == "retried"]
+    assert len(ok) == 1
+    assert ok[0].start == ok[0].attrs["active_start"] > ok[0].attrs["submit_time"]
 
 
 def test_abandonment_fires_on_abandon_not_on_complete():
@@ -292,7 +296,9 @@ def test_abandonment_fires_on_abandon_not_on_complete():
     assert f.attempts == 3
     rep = net.fault_report()
     assert rep.fatal and rep.n_abandoned == 1
-    assert [r.status for r in net.trace] == ["failed", "failed", "abandoned"]
+    assert [s.attrs["status"] for s in net.bus.spans if s.cat == "flow"] == [
+        "failed", "failed", "abandoned"
+    ]
     assert not any(i.resolved for i in rep.incidents if i.attempt == 3)
 
 
@@ -350,17 +356,7 @@ def test_healthy_network_unaffected_by_fault_plumbing():
     assert (f1.finish_time, f2.finish_time) == (g1.finish_time, g2.finish_time)
     assert plain.fault_report() is None
     assert nofault.fault_report().status == "clean"
-    rec = [
-        (r.flow_id, r.src, r.dst, r.submit_time, r.start_time, r.finish_time,
-         r.status, r.attempts)
-        for r in plain.trace
-    ]
-    rec2 = [
-        (r.flow_id, r.src, r.dst, r.submit_time, r.start_time, r.finish_time,
-         r.status, r.attempts)
-        for r in nofault.trace
-    ]
-    assert rec == rec2
+    assert plain.bus.span_rows == nofault.bus.span_rows
 
 
 @pytest.mark.parametrize(
@@ -392,7 +388,7 @@ def test_zero_fault_schedule_is_exactly_the_fault_free_run(faults):
 
 
 # ----------------------------------------------------------------------
-# Satellites: mean_nic_factor coverage, categories(), shifted() clipping
+# Satellites: mean_nic_factor coverage, shifted() clipping
 # ----------------------------------------------------------------------
 def test_mean_nic_factor_overlapping_windows():
     from repro.sim.faults import DegradedWindow
@@ -423,40 +419,6 @@ def test_mean_nic_factor_explicit_short_horizon():
     )
     # Horizon entirely before the window: nothing degraded yet.
     assert fs.mean_nic_factor(0, horizon=1.0) == pytest.approx(1.0)
-
-
-def test_fault_report_categories_zero_filled_and_stable():
-    from repro.sim.faults import FAULT_CATEGORIES, FaultIncident
-
-    empty = FaultReport(status="clean")
-    assert tuple(empty.categories()) == FAULT_CATEGORIES
-    assert all(v == 0 for v in empty.categories().values())
-
-    rep = FaultReport(
-        status="fatal",
-        incidents=[
-            FaultIncident(kind="nic-flap", where="flow 0", time=0.1),
-            FaultIncident(kind="nic-down", where="flow 1", time=0.2),
-            FaultIncident(kind="domain-down", where="flow 2", time=0.3),
-            FaultIncident(kind="partition", where="flow 3", time=0.4),
-            FaultIncident(kind="corruption", where="flow 4", time=0.5),
-            FaultIncident(kind="host-down", where="flow 5", time=0.6),
-            FaultIncident(kind="timeout", where="flow 6", time=0.7),
-            FaultIncident(kind="dropped", where="flow 7", time=0.8),
-            # Unknown kinds must not crash the summary; they land in "drop".
-            FaultIncident(kind="haunted", where="flow 8", time=0.9),
-        ],
-    )
-    cats = rep.categories()
-    assert tuple(cats) == FAULT_CATEGORIES  # fixed key order
-    assert cats["flap"] == 2
-    assert cats["domain"] == 1
-    assert cats["partition"] == 1
-    assert cats["corruption"] == 1
-    assert cats["host"] == 1
-    assert cats["degraded"] == 1  # timeout = an attempt stretched past bound
-    assert cats["drop"] == 2  # dropped + unknown kind
-    assert sum(cats.values()) == len(rep.incidents)
 
 
 def test_shifted_clips_pre_origin_host_failures_to_one_event():

@@ -42,9 +42,17 @@ def test_host_nic_bandwidth_lookup():
 
 
 def test_link_bandwidth_is_min_of_endpoints():
+    """A cross-host flow runs at the slower of its two NICs, whichever
+    end is slow."""
     c = hetero_cluster(slow_host=0)
-    assert c.link_bandwidth(0, 4) == pytest.approx(5 * GBPS)  # slow host 0
-    assert c.link_bandwidth(4, 8) == pytest.approx(10 * GBPS)
+    times = {}
+    for src, dst in ((0, 4), (4, 0), (4, 8)):
+        net = Network(c)
+        flow = net.start_flow(src, dst, GB)
+        net.run()
+        times[src, dst] = flow.finish_time
+    assert times[0, 4] == times[4, 0] == pytest.approx(GB / (5 * GBPS))
+    assert times[4, 8] == pytest.approx(GB / (10 * GBPS))
 
 
 def test_flow_through_slow_nic_is_slower():

@@ -169,10 +169,11 @@ def test_network_accounting_matches_plan_bytes():
     task = make_task("S0RR", "RS1R")
     plan = BroadcastStrategy().plan(task)
     r = simulate_plan(plan)
-    trace_bytes = sum(rec.nbytes for rec in r.network.trace)
+    flows = [s for s in r.network.bus.spans if s.cat == "flow"]
+    trace_bytes = sum(s.attrs["nbytes"] for s in flows)
     assert trace_bytes == pytest.approx(
         r.bytes_cross_host + r.network.bytes_intra_host
     )
-    # every flow in the trace has consistent times
-    for rec in r.network.trace:
-        assert rec.submit_time <= rec.start_time <= rec.finish_time
+    # every flow span has consistent times
+    for s in flows:
+        assert s.attrs["submit_time"] <= s.attrs["active_start"] == s.start <= s.end

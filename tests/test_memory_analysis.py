@@ -156,7 +156,6 @@ class TestStaticHostBounds:
     def test_empty_plan_has_zero_peak(self):
         mem = static_host_bounds(fixture_plan([]))
         assert mem.peak == 0.0
-        assert mem.peak_host is None
 
     def test_dominates_allows_float_residue(self):
         mem = static_host_bounds(fixture_plan([

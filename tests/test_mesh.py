@@ -71,14 +71,6 @@ def test_coords_unknown_device(cluster):
         m.coords_of(5)
 
 
-def test_host_of(cluster):
-    m = DeviceMesh.from_hosts(cluster, [1, 2])
-    assert m.host_of(4) == 1
-    assert m.host_of(8) == 2
-    with pytest.raises(KeyError):
-        m.host_of(0)  # not in mesh, even though it exists in the cluster
-
-
 def test_disjoint_from(cluster):
     a = DeviceMesh.from_hosts(cluster, [0, 1])
     b = DeviceMesh.from_hosts(cluster, [2, 3])

@@ -96,6 +96,12 @@ def test_build_gpt_structure():
     assert set(spec.stage_meshes[0].devices).isdisjoint(spec.stage_meshes[1].devices)
 
 
+def test_built_specs_print():
+    """A job spec's dataclass repr includes its cluster's repr."""
+    assert "Cluster(hosts=2, devices_per_host=4)" in repr(build_gpt(GPTConfig()))
+    assert "Cluster(" in repr(build_utransformer(UTransformerConfig()))
+
+
 def test_build_gpt_stage_times_scale_with_op():
     t1 = build_gpt(GPTConfig(dp=2, op=2, pp=2)).profiles[0].fwd_time
     t2 = build_gpt(GPTConfig(dp=2, op=1, pp=2, micro_batch_per_dp=2)).profiles[0].fwd_time

@@ -160,11 +160,12 @@ def test_trace_records():
     net = make_net()
     net.start_flow(0, 4, GB, tag="x")
     net.run()
-    assert len(net.trace) == 1
-    rec = net.trace[0]
-    assert rec.tag == "x"
-    assert rec.src == 0 and rec.dst == 4
-    assert rec.duration == pytest.approx(cross_t(net, GB))
+    flows = [s for s in net.bus.spans if s.cat == "flow"]
+    assert len(flows) == 1
+    span = flows[0]
+    assert span.name == span.attrs["tag"] == "x"
+    assert span.attrs["src"] == 0 and span.attrs["dst"] == 4
+    assert span.duration == pytest.approx(cross_t(net, GB))
 
 
 def test_callback_chaining_flows():

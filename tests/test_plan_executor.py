@@ -42,9 +42,9 @@ def test_plan_add_sequencing():
 def test_plan_queries():
     task = make_task()
     plan = make_strategy("broadcast").plan(task)
-    assert plan.total_bytes() == pytest.approx(task.total_nbytes)
-    first = plan.ops_of_task(0)
-    assert all(op.unit_task_id == 0 for op in first)
+    assert sum(op.nbytes for op in plan.ops) == pytest.approx(task.total_nbytes)
+    first = plan.ops_by_task()[0]
+    assert first and all(op.unit_task_id == 0 for op in first)
 
 
 # ----------------------------------------------------------------------

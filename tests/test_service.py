@@ -21,6 +21,7 @@ from repro.service import (
     BreakerConfig,
     CircuitBreaker,
     CompileRequest,
+    CompileResponse,
     FairQueue,
     ReshardingService,
     ServiceConfig,
@@ -38,6 +39,14 @@ def make_task(shape=(64, 64), src_spec="S0R", dst_spec="RS0"):
     src = DeviceMesh.from_hosts(c, [0, 1])
     dst = DeviceMesh.from_hosts(c, [2, 3])
     return ReshardingTask(shape, src, src_spec, dst, dst_spec)
+
+
+async def submit(service, request):
+    """Submit and wait for the terminal response, as the load generator does."""
+    outcome = service.try_submit(request)
+    if isinstance(outcome, CompileResponse):
+        return outcome
+    return await outcome.wait()
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +282,7 @@ def test_single_flight_coalesces_identical_requests():
             CompileRequest(request_id=f"r{i}", tenant="t", task=task)
             for i in range(4)
         ]
-        responses = await asyncio.gather(*(service.submit(r) for r in requests))
+        responses = await asyncio.gather(*(submit(service, r) for r in requests))
         await service.shutdown()
         return service, responses
 
@@ -292,10 +301,10 @@ def test_identical_request_after_completion_hits_cache():
     async def main():
         service = ReshardingService(service_config())
         await service.start()
-        first = await service.submit(
-            CompileRequest(request_id="r0", tenant="t", task=task))
-        second = await service.submit(
-            CompileRequest(request_id="r1", tenant="t", task=task))
+        first = await submit(
+            service, CompileRequest(request_id="r0", tenant="t", task=task))
+        second = await submit(
+            service, CompileRequest(request_id="r1", tenant="t", task=task))
         await service.shutdown()
         return first, second
 
@@ -325,11 +334,11 @@ def test_fairness_bursty_tenant_cannot_starve_others():
         ]
 
         async def run_flood():
-            return await asyncio.gather(*(service.submit(r) for r in flood))
+            return await asyncio.gather(*(submit(service, r) for r in flood))
 
         async def run_polite():
             await asyncio.sleep(0.001)  # arrive just after the flood
-            return await asyncio.gather(*(service.submit(r) for r in polite))
+            return await asyncio.gather(*(submit(service, r) for r in polite))
 
         flood_rs, polite_rs = await asyncio.gather(run_flood(), run_polite())
         await service.shutdown()
@@ -355,7 +364,7 @@ def test_overload_sheds_with_structured_response():
             CompileRequest(request_id=f"r{i}", tenant="t", task=tasks[i])
             for i in range(8)
         ]
-        responses = await asyncio.gather(*(service.submit(r) for r in requests))
+        responses = await asyncio.gather(*(submit(service, r) for r in requests))
         await service.shutdown()
         return responses
 
@@ -420,18 +429,18 @@ def test_breaker_open_serves_stale_plan_degraded():
         service = ReshardingService(service_config(
             breaker=BreakerConfig(failure_threshold=2, cooldown=100.0)))
         await service.start()
-        fresh = await service.submit(
-            CompileRequest(request_id="warm", tenant="t", task=task))
+        fresh = await submit(
+            service, CompileRequest(request_id="warm", tenant="t", task=task))
         # a config deploy invalidates the cache; the stale store survives
         service.cache.invalidate("config deploy")
         # the compiler starts failing hard and the breaker trips
         service.breaker.record_failure(service._now())
         service.breaker.record_failure(service._now())
         assert service.breaker.is_open
-        degraded = await service.submit(
-            CompileRequest(request_id="stale-ok", tenant="t", task=task))
-        shed = await service.submit(
-            CompileRequest(request_id="no-stale", tenant="t", task=other))
+        degraded = await submit(
+            service, CompileRequest(request_id="stale-ok", tenant="t", task=task))
+        shed = await submit(
+            service, CompileRequest(request_id="no-stale", tenant="t", task=other))
         await service.shutdown()
         return fresh, degraded, shed
 
@@ -465,8 +474,8 @@ def test_transient_faults_retried_with_deterministic_backoff():
             chaos=chaos,
         )
         await service.start()
-        response = await service.submit(
-            CompileRequest(request_id="r0", tenant="t", task=task))
+        response = await submit(
+            service, CompileRequest(request_id="r0", tenant="t", task=task))
         await service.shutdown()
         return service, response
 
@@ -545,8 +554,8 @@ def test_partition_faults_retried_and_counted_separately():
             chaos=chaos,
         )
         await service.start()
-        response = await service.submit(
-            CompileRequest(request_id="r0", tenant="t", task=task))
+        response = await submit(
+            service, CompileRequest(request_id="r0", tenant="t", task=task))
         await service.shutdown()
         return service, response
 

@@ -11,7 +11,6 @@ from repro.core.slices import (
     region_intersection,
     region_shape,
     region_size,
-    relative_region,
     split_offsets,
 )
 from repro.core.spec import ShardingSpec
@@ -85,17 +84,6 @@ def test_region_size_and_shape():
     r = ((1, 4), (0, 2), (5, 6))
     assert region_shape(r) == (3, 2, 1)
     assert region_size(r) == 6
-
-
-def test_relative_region():
-    outer = ((10, 20), (0, 8))
-    inner = ((12, 15), (4, 8))
-    assert relative_region(outer, inner) == ((2, 5), (4, 8))
-
-
-def test_relative_region_not_contained():
-    with pytest.raises(ValueError):
-        relative_region(((0, 4),), ((2, 6),))
 
 
 # ----------------------------------------------------------------------

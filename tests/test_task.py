@@ -91,8 +91,6 @@ def test_host_level_views():
     ut = t.unit_tasks()[0]
     assert t.sender_hosts(ut) == frozenset({0})
     assert t.receiver_hosts(ut) == frozenset({2})
-    assert t.senders_on_host(ut, 0) == ut.senders
-    assert t.senders_on_host(ut, 1) == ()
 
 
 def test_intersections_match_unit_tasks():

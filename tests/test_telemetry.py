@@ -138,13 +138,12 @@ def test_chrome_trace_groups_tracks_by_prefix():
 
 
 # ----------------------------------------------------------------------
-# Parity: bus-derived Chrome trace == the FlowRecord view
+# Parity: the Chrome trace's flow events == the bus's flow spans
 # ----------------------------------------------------------------------
 def test_fig6_flow_trace_parity():
-    """On a fixed Fig. 6 (Table 2) case the Chrome trace built straight
-    from the telemetry spans must match the derived FlowRecord view —
-    one flow event per record, same order, same names, times, and
-    endpoints."""
+    """On a fixed Fig. 6 (Table 2) case the exporter writes one Chrome
+    flow event per ``flow`` span, in order, with the span's name, start,
+    duration and attrs."""
     from repro.core.api import reshard
     from repro.experiments.common import make_microbench_meshes
     from repro.experiments.fig6 import TABLE2_CASES
@@ -153,14 +152,14 @@ def test_fig6_flow_trace_parity():
     _cluster, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
     r = reshard((256, 256, 64), src, case.send_spec, dst, case.recv_spec,
                 strategy="broadcast", cache=None)
-    records = r.timing.network.trace
+    spans = [s for s in r.timing.telemetry.spans if s.cat == "flow"]
     events = [e for e in chrome_trace_events(r.timing.telemetry)
               if e.get("cat") == "flow"]
-    assert events and len(events) == len(records)
-    for e, rec in zip(events, records):
-        start = rec.start_time if rec.start_time >= 0.0 else rec.submit_time
-        assert e["name"] == (rec.tag or f"flow{rec.flow_id}")
-        assert e["ts"] == start * 1e6
-        assert e["dur"] == max(rec.duration * 1e6, 0.01)
-        a = e["args"]
-        assert (a["src"], a["dst"], a["nbytes"]) == (rec.src, rec.dst, rec.nbytes)
+    assert events and len(events) == len(spans)
+    for e, span in zip(events, spans):
+        a = span.attrs
+        assert span.name == (a["tag"] or f"flow{a['flow_id']}")
+        assert e["name"] == span.name
+        assert e["ts"] == span.start * 1e6
+        assert e["dur"] == max(span.duration * 1e6, 0.01)
+        assert e["args"] == a

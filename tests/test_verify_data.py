@@ -20,8 +20,20 @@ from repro.core.tensor import DistributedTensor
 from repro.core.verify_data import IntegrityError, tile_arrivals, verify_delivery
 from repro.experiments.common import make_microbench_meshes, paper_cluster
 from repro.experiments.fig6 import TABLE2_CASES
-from repro.sim.faults import DegradedWindow, FaultSchedule, FlapWindow, RetryPolicy
-from repro.strategies import STRATEGIES, AllGatherStrategy, BroadcastStrategy
+from repro.sim.cluster import Cluster, ClusterSpec
+from repro.sim.faults import (
+    CorruptionWindow,
+    DegradedWindow,
+    FaultSchedule,
+    FlapWindow,
+    RetryPolicy,
+)
+from repro.strategies import (
+    STRATEGIES,
+    AllGatherStrategy,
+    BroadcastStrategy,
+    SendRecvStrategy,
+)
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures" / "bad_plans").glob("*.json"))
 
@@ -128,10 +140,44 @@ def test_retried_flows_still_certify(cluster4x4):
     timing = simulate_plan(
         plan, faults=faults, retry_policy=RetryPolicy(max_attempts=12)
     )
-    assert timing.completed, "retry policy should recover every drop"
+    assert not timing.failed_ops, "retry policy should recover every drop"
+    assert not timing.corrupted_ops
     report = verify_delivery(plan, timing)
     assert report.certified
     assert report.n_retried_flows > 0
+
+
+def test_retried_count_includes_corrupted_deliveries():
+    """A flow delivered after a retry counts as retried even when its
+    delivery is corrupted (status ``corrupted``, not ``retried``)."""
+    cluster = Cluster(ClusterSpec(n_hosts=2, devices_per_host=2))
+    task = ReshardingTask(
+        (512, 512),
+        DeviceMesh.from_hosts(cluster, [0]),
+        "S0R",
+        DeviceMesh.from_hosts(cluster, [1]),
+        "S0R",
+    )
+    faults = FaultSchedule(
+        seed=0,
+        drop_rate=0.5,
+        corruptions=(CorruptionWindow(host=1, start=0.0, duration=1e9),),
+    )
+    plan = SendRecvStrategy().plan(task)
+    timing = simulate_plan(plan, faults=faults, retry_policy=RetryPolicy(max_attempts=8))
+    delivered = [
+        s.attrs
+        for s in timing.telemetry.spans
+        if s.cat == "flow" and s.attrs["status"] not in ("failed", "abandoned")
+    ]
+    # both deliveries came after at least one drop, and both are corrupted
+    assert [(a["status"], a["attempts"] > 1) for a in delivered] == [
+        ("corrupted", True),
+        ("corrupted", True),
+    ]
+    report = verify_delivery(plan, timing, raise_on_error=False)
+    assert report.corrupted_ops == (0, 1)
+    assert report.n_retried_flows == 2
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +222,7 @@ def test_reroot_fallback_delivers_identical_bytes(cluster4x4, rng):
         )
 
     timing = simulate_plan(plan, faults=faults, retry_policy=RetryPolicy())
-    assert timing.completed
+    assert not timing.failed_ops and not timing.corrupted_ops
     report = verify_delivery(plan, timing)
     assert report.certified
     assert report.n_fallbacks == len(plan.fallbacks)
