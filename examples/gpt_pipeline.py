@@ -8,7 +8,7 @@ Run:  python examples/gpt_pipeline.py
 """
 
 from repro.models import GPT_CASES, METHODS, build_gpt, run_iteration
-from repro.pipeline import analytic_peak_inflight, memory_report
+from repro.pipeline import analytic_peak_inflight
 
 
 def main() -> None:
@@ -38,11 +38,12 @@ def main() -> None:
         eager = run_iteration(spec, "ours").pipeline
         print("  peak per-GPU memory (weights+opt + live activations):")
         for sched_name, res in (("1F1B", plain), ("eager-1F1B", eager)):
-            rep = memory_report(res.job, res)
+            peaks = res.peak_activation_counts
             mems = ", ".join(
-                f"stage{m.stage}: {m.total / 2**30:.2f} GiB "
-                f"({m.peak_activation_count} act)"
-                for m in rep
+                f"stage{p.stage_id}: "
+                f"{(p.params_bytes + peaks[p.stage_id] * p.activation_bytes) / 2**30:.2f} GiB "
+                f"({peaks[p.stage_id]} act)"
+                for p in res.job.stages
             )
             print(f"    {sched_name:<11} {mems}")
         for s in range(len(spec.profiles)):

@@ -58,14 +58,18 @@ def main() -> None:
 
     # -- a small window of the eager-1F1B timeline ----------------------
     print("\neager-1F1B timeline (stage 0, first 12 events):")
-    tl = sorted(results["ours"].pipeline.timeline, key=lambda e: e.start)
-    for e in [e for e in tl if e.stage == 0][:12]:
-        print(f"  t={e.start * 1e3:8.1f}..{e.end * 1e3:8.1f} ms  {e.kind}{e.microbatch}")
-    comms = sorted(results["ours"].pipeline.comms, key=lambda c: c.start)[:6]
+    # the run's record is its telemetry spans (see repro.pipeline.executor)
+    spans = results["ours"].pipeline.telemetry.spans
+    compute = [s for s in spans if s.cat == "compute" and s.attrs["stage"] == 0]
+    for s in sorted(compute, key=lambda s: s.start)[:12]:
+        a = s.attrs
+        print(f"  t={s.start * 1e3:8.1f}..{s.end * 1e3:8.1f} ms  {a['kind']}{a['microbatch']}")
+    comms = sorted((s for s in spans if s.cat == "comm"), key=lambda s: s.start)[:6]
     print("overlapped transfers (first 6):")
     for c in comms:
+        a = c.attrs
         print(f"  t={c.start * 1e3:8.1f}..{c.end * 1e3:8.1f} ms  "
-              f"{c.label} {c.direction} mb{c.microbatch}")
+              f"{a['label']} {a['direction']} mb{a['microbatch']}")
 
 
 if __name__ == "__main__":

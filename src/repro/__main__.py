@@ -90,32 +90,37 @@ def _dump_plan_state(pass_name: str, state) -> None:
         print(f"     ... {len(state.plan.ops) - 6} more op(s)")
 
 
-def _resharding_task(args: argparse.Namespace, topology: str | None):
+def _resharding_task(
+    args: argparse.Namespace, topology: str | None, memory_budget: float | None
+):
     """The one task ``reshard`` and ``analyze --shape`` compile: Table 2's
-    microbench meshes, on the named ``topology`` (None: two-tier)."""
+    microbench meshes, on a cluster of the named ``topology`` (None:
+    two-tier) whose spec carries ``memory_budget`` (None: no budget)."""
     from .core.task import ReshardingTask
     from .experiments.common import make_microbench_meshes
+    from .sim.cluster import Cluster, ClusterSpec
 
-    cluster = None
+    # [-1], not [1]: a 1-D mesh must reach make_microbench_meshes's
+    # 2-D check, not fail here on an index
+    n_hosts = args.src_mesh[0] + args.dst_mesh[0]
+    fabric = None
     if topology:
-        from .sim.cluster import Cluster, ClusterSpec
         from .sim.topology import make_topology
 
-        # [-1], not [1]: a 1-D mesh must reach make_microbench_meshes's
-        # 2-D check, not fail here on an index
-        n_hosts = args.src_mesh[0] + args.dst_mesh[0]
         kwargs: dict = {}
         if topology == "torus":
             kwargs = {"rows": 1, "cols": n_hosts}
         elif topology == "fat_tree":
             kwargs = {"hosts_per_leaf": max(1, n_hosts // 2)}
-        cluster = Cluster(
-            ClusterSpec(
-                n_hosts=n_hosts,
-                devices_per_host=max(args.src_mesh[-1], args.dst_mesh[-1]),
-                topology=make_topology(topology, **kwargs),
-            )
+        fabric = make_topology(topology, **kwargs)
+    cluster = Cluster(
+        ClusterSpec(
+            n_hosts=n_hosts,
+            devices_per_host=max(args.src_mesh[-1], args.dst_mesh[-1]),
+            topology=fabric,
+            memory_budget=memory_budget,
         )
+    )
     _cluster, src, dst = make_microbench_meshes(
         args.src_mesh, args.dst_mesh, cluster=cluster
     )
@@ -136,7 +141,7 @@ def cmd_reshard(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--verify: strategy {args.strategy!r} moves no data, so there is nothing to verify"
         )
-    task = _resharding_task(args, args.topology)
+    task = _resharding_task(args, args.topology, args.memory_budget)
     strategies = sorted(STRATEGIES) if args.strategy == "all" else [args.strategy]
     print(
         f"reshard {args.src_spec}@{args.src_mesh} -> {args.dst_spec}@{args.dst_mesh}, "
@@ -156,7 +161,6 @@ def cmd_reshard(args: argparse.Namespace) -> int:
                 deadline=args.timeout,
                 dump_after=tuple(args.dump_plan_after or ()),
                 on_dump=_dump_plan_state,
-                memory_budget=args.memory_budget,
                 validate=args.memory_budget is not None,
             ),
         )
@@ -377,7 +381,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.shape:
         if not (args.src_spec and args.dst_spec):
             raise ValueError("--shape needs --src-spec and --dst-spec")
-        task = _resharding_task(args, None)
+        # --memory-budget is a what-if for check_plan, not the cluster's
+        task = _resharding_task(args, None, None)
         label = f"{args.src_spec}->{args.dst_spec}:{args.strategy}"
         ok = _analyze_compiled(
             task, args.strategy, label, args.verbose,

@@ -1,7 +1,7 @@
 """Static analysis of pipeline schedules: memory bounds and structure.
 
 The executor measures peak in-flight activations by running a schedule
-(:func:`repro.pipeline.memory.memory_report`); this module *bounds* them
+(``PipelineResult.peak_activation_counts``); this module *bounds* them
 without running anything, from the executor's own reading of the
 per-device task orders (:func:`repro.pipeline.schedules.read_orders`).
 It flags schedules that cannot fit a device's memory capacity

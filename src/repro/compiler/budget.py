@@ -75,10 +75,6 @@ class CompileBudget:
             raise ValueError(f"deadline must be positive and finite, got {deadline}")
         return cls(deadline=deadline, node_budget=max(1, int(deadline * NODES_PER_SECOND)))
 
-    @property
-    def remaining(self) -> int:
-        return max(0, self.node_budget - self.spent)
-
     def charge(self, nodes: int, phase: str) -> None:
         """Record ``nodes`` of work; raise :class:`CompileTimeout` when over."""
         self.spent += max(0, nodes)

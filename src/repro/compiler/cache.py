@@ -310,10 +310,6 @@ class PlanCache:
     def requests(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
     def lookup(self, signature: str) -> "Optional[CompiledPlan]":
         found = self._entries.get(signature)
         if found is None:
@@ -369,12 +365,6 @@ class PlanCache:
         self.rejections.clear()
         self.n_invalidations += 1
         self.last_invalidation_reason = reason
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stale_stores = 0
 
     def stats(self) -> CacheStats:
         return CacheStats(

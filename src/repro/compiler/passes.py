@@ -54,6 +54,7 @@ from ..strategies.base import CommStrategy, LoadTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.diagnostics import AnalysisReport
+    from .budget import CompileBudget
     from .pipeline import CompileContext
 
 __all__ = [
@@ -82,10 +83,17 @@ class CompilerPass(Protocol):
 
 @dataclass
 class PlanState:
-    """Mutable state threaded through the pass pipeline."""
+    """Mutable state threaded through the pass pipeline.
+
+    The passes write this state; the context and the strategy are
+    read-only inputs to a compile.
+    """
 
     task: ReshardingTask
     strategy: CommStrategy
+    #: this compile's deadline ledger (``None``: unbounded); every pass,
+    #: and each select candidate's sub-state, charges it
+    budget: Optional["CompileBudget"]
     unit_tasks: list[UnitCommTask] = field(default_factory=list)
     problem: Optional[SchedulingProblem] = None
     schedule: Optional[Schedule] = None
@@ -194,7 +202,7 @@ class SelectPass:
 
         from .budget import charge_pass
 
-        memory_budget = ctx.effective_memory_budget(state.task)
+        memory_budget = state.task.cluster.spec.memory_budget
         if memory_budget is not None:
             # Lazy for the same circularity reason as ValidatePass.
             from ..analysis.memory_analysis import static_host_bounds
@@ -210,16 +218,16 @@ class SelectPass:
                 skipped.append(cand.name)
                 state.scores.append((cand.name, float("inf")))
                 continue
-            sub = PlanState(task=state.task, strategy=cand)
+            sub = PlanState(task=state.task, strategy=cand, budget=state.budget)
             for p in sub_passes:
                 detail = p.run(sub, ctx)
-                charge_pass(ctx.budget, p.name, sub, detail)
+                charge_pass(sub.budget, p.name, sub, detail)
             result = simulate_plan(
                 sub.plan, faults=ctx.faults, retry_policy=ctx.retry_policy
             )
-            if ctx.budget is not None:
+            if sub.budget is not None:
                 # simulating a candidate costs roughly its op count
-                ctx.budget.charge(max(1, sub.n_ops) * 8, "select")
+                sub.budget.charge(max(1, sub.n_ops) * 8, "select")
             fatal = result.fault_report is not None and result.fault_report.fatal
             infeasible = False
             if memory_budget is not None and sub.plan is not None:
@@ -254,7 +262,6 @@ class SelectPass:
         state.fallbacks = winner.fallbacks
         state.plan = winner.plan
         state.timing = winner.timing
-        strategy.last_scores = list(state.scores)
         # Record the scoring decision on the winner's telemetry stream,
         # so a trace of the kept timing also explains *why* this plan:
         # one mark per candidate plus the verdict.
@@ -363,11 +370,8 @@ class ValidatePass:
         if not ctx.validate:
             return "skipped (ctx.validate=False)"
         assert state.plan is not None
-        state.analysis = raise_on_plan_errors(
-            state.plan,
-            faults=ctx.faults,
-            memory_budget=ctx.memory_budget,
-        )
+        # the cluster's memory budget, if any, is the plan's own
+        state.analysis = raise_on_plan_errors(state.plan, faults=ctx.faults)
         if not state.plan.data_complete:
             return f"skipped ({state.plan.strategy!r} plans carry no data)"
         n_receivers = len(state.plan.task.dst_mesh.devices)

@@ -24,7 +24,6 @@ from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
 from ..core.validate import PlanValidationError, raise_on_plan_errors
 from ..core.verify_data import IntegrityReport, verify_delivery
-from ..sim.cluster import check_memory_budget
 from ..sim.faults import FaultSchedule, RetryPolicy
 from ..strategies import make_strategy
 from ..strategies.base import CommStrategy
@@ -110,7 +109,7 @@ class PassManager:
                     detail=detail,
                 )
             )
-            charge_pass(ctx.budget, p.name, state, detail)
+            charge_pass(state.budget, p.name, state, detail)
             if p.name in ctx.dump_after and ctx.on_dump is not None:
                 ctx.on_dump(p.name, state)
         return diag
@@ -125,13 +124,15 @@ class CompileContext:
     """Everything a compile depends on besides the task itself.
 
     ``strategy`` may be a registry name (instantiated via
-    :func:`~repro.strategies.make_strategy` with ``strategy_kwargs``) or
-    a ready :class:`~repro.strategies.CommStrategy` instance.
-    ``faults``/``retry_policy`` are the compile's fault scenario, and
-    this is the only place one is set (no strategy carries one); both
-    feed the cache signature.  ``cache`` defaults to the process-wide
-    :func:`~repro.compiler.cache.default_plan_cache`; pass ``None`` to
-    compile uncached.
+    :func:`~repro.strategies.make_strategy` with ``strategy_kwargs``,
+    once per compile) or a ready :class:`~repro.strategies.CommStrategy`
+    instance.  ``faults``/``retry_policy`` are the compile's fault
+    scenario, and this is the only place one is set (no strategy carries
+    one); both feed the cache signature.  ``cache`` defaults to the
+    process-wide :func:`~repro.compiler.cache.default_plan_cache`; pass
+    ``None`` to compile uncached.  The per-host memory budget is the
+    task's cluster's (``ClusterSpec.memory_budget``), never the
+    context's.  A compile reads the context and writes none of it.
     """
 
     strategy: Union[str, CommStrategy] = "broadcast"
@@ -142,45 +143,17 @@ class CompileContext:
     #: deterministic compile deadline in nominal seconds (see
     #: :mod:`repro.compiler.budget`); ``None`` leaves compiles unbounded
     deadline: Optional[float] = None
-    #: the per-compile ledger; reset by ``compile_resharding`` per call
-    budget: Optional[CompileBudget] = None
     #: run the static coverage validator as the final pass
     validate: bool = False
-    #: per-host transient buffer budget (bytes) for this compile; when
-    #: ``None`` the task's :class:`~repro.sim.cluster.ClusterSpec`
-    #: ``memory_budget`` (if any) applies.  Feeds the cache signature
-    #: (only when set), the select pass's feasibility scoring (M003),
-    #: and the validate pass (M001).
-    memory_budget: Optional[float] = None
     #: pass names after which ``on_dump(name, state)`` fires
     dump_after: tuple[str, ...] = ()
     on_dump: Optional[Callable[[str, PlanState], None]] = None
     passes: Optional[list[CompilerPass]] = None
 
-    def resolved_strategy(self) -> CommStrategy:
-        if isinstance(self.strategy, CommStrategy):
-            if self.strategy_kwargs:
-                raise ValueError("cannot pass strategy_kwargs with an instance")
-            return self.strategy
-        strategy = make_strategy(self.strategy, **self.strategy_kwargs)
-        # Rebind so repeated compiles through one context reuse the
-        # instance (and, for auto, its accumulated last_scores).  The
-        # kwargs are now baked into that instance: clear them, or the
-        # next call would reject them as passed alongside an instance.
-        self.strategy = strategy
-        self.strategy_kwargs = {}
-        return strategy
-
     def resolved_cache(self) -> Optional[PlanCache]:
         if self.cache is USE_DEFAULT_CACHE:
             return default_plan_cache()
         return self.cache
-
-    def effective_memory_budget(self, task: ReshardingTask) -> Optional[float]:
-        """The budget in force for ``task``: context override, else spec."""
-        if self.memory_budget is not None:
-            return self.memory_budget
-        return task.cluster.spec.memory_budget
 
 
 @dataclass
@@ -206,13 +179,7 @@ class CompiledPlan:
     validated: bool = False
     #: strategy-choice scores from the select pass (auto strategy only)
     scores: list[tuple[str, float]] = field(default_factory=list)
-    #: the compile's ``memory_budget`` override, held for warm validation
-    memory_budget: Optional[float] = field(default=None, init=False)
     timings: Optional[TimingMemo] = field(default=None, init=False, repr=False)
-
-    @property
-    def strategy_name(self) -> str:
-        return self.plan.strategy
 
     def ensure_timing(self) -> TimingResult:
         """Simulate the plan once; memoized for every later caller.
@@ -248,11 +215,12 @@ class CompiledPlan:
     def ensure_validated(self) -> "CompiledPlan":
         """Run the validate pass's check on a cached plan (idempotent).
 
-        Held to the compile's own faults and memory budget, so a warm
-        hit raises exactly what a cold ``validate=True`` compile would.
+        Held to the compile's own faults and its cluster's memory budget,
+        so a warm hit raises exactly what a cold ``validate=True`` compile
+        would.
         """
         if not self.validated:
-            raise_on_plan_errors(self.plan, self.faults, self.memory_budget)
+            raise_on_plan_errors(self.plan, self.faults)
             self.validated = True
         return self
 
@@ -286,15 +254,14 @@ def compile_resharding(
         ctx = CompileContext(**ctx_kwargs)
     elif ctx_kwargs:
         raise ValueError("pass either a CompileContext or kwargs, not both")
-    # The deadline bounds one compile: open a fresh ledger per call so a
-    # reused context never inherits spend from an earlier compile.  It and
-    # the memory budget are checked before the cache lookup so a bad value
-    # raises the same way whether or not the plan is already cached.
+    # The deadline bounds one compile: open a fresh ledger per call, held
+    # by the compile's own state, so a reused context never inherits spend
+    # from an earlier compile.  It is checked before the cache lookup so a
+    # bad value raises the same way whether or not the plan is cached.
     budget = (
         CompileBudget.from_deadline(ctx.deadline) if ctx.deadline is not None else None
     )
-    check_memory_budget(ctx.memory_budget)
-    strategy = ctx.resolved_strategy()
+    strategy = make_strategy(ctx.strategy, **ctx.strategy_kwargs)
 
     cache = ctx.resolved_cache()
     signature: Optional[str] = None
@@ -303,14 +270,6 @@ def compile_resharding(
     if cache is not None:
         strategy_key = strategy.cache_key()
         if strategy_key is not None:
-            # A context-level budget override shapes the compile (select
-            # feasibility, validation), so it must shape the signature —
-            # folded in only when set, keeping budget-free signatures
-            # byte-identical to before.
-            if ctx.memory_budget is not None:
-                strategy_key = strategy_key + (
-                    ("memory_budget", ctx.memory_budget),
-                )
             epoch = cache.epoch
             signature = plan_signature(
                 task, strategy_key, ctx.faults, ctx.retry_policy, epoch=epoch
@@ -329,8 +288,7 @@ def compile_resharding(
                     if rejected is not None:
                         raise PlanValidationError(rejected)
 
-    ctx.budget = budget
-    state = PlanState(task=task, strategy=strategy)
+    state = PlanState(task=task, strategy=strategy, budget=budget)
     try:
         diagnostics = PassManager(ctx.passes).run(state, ctx)
     except PlanValidationError as rejection:
@@ -348,7 +306,6 @@ def compile_resharding(
         validated=ctx.validate,
         scores=list(state.scores),
     )
-    compiled.memory_budget = ctx.memory_budget
     if cache is not None:
         compiled.timings = cache.timings
     if signature is not None:

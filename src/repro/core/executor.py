@@ -147,7 +147,6 @@ class PlanRunner:
         faults: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
         on_task_done: Optional[Callable[[int], None]] = None,
-        track_buffers: bool = False,
     ) -> None:
         if network is not None and faults is not None:
             raise ValueError("pass faults via the Network, not alongside one")
@@ -160,11 +159,6 @@ class PlanRunner:
         self.base_cross = self.net.bytes_cross_host
         self.base_intra = self.net.bytes_intra_host
         self.on_task_done = on_task_done
-        #: emit ``buffer_bytes`` gauges per host on the telemetry bus.
-        #: Opt-in: gauge samples enter the bus digest, so tracking must
-        #: not change the byte-identity of existing runs.  The plain
-        #: dict accounting below is always on (it never touches the bus).
-        self.track_buffers = track_buffers
 
         # ---- run state (copyable by checkpoints, preloadable on resume)
         self.op_finish: dict[int, float] = {}
@@ -176,7 +170,9 @@ class PlanRunner:
         self.task_release: dict[int, float] = {}
         self.released: set[int] = set()
         #: live transient buffer bytes per host (charged at op launch,
-        #: released at op completion — see :mod:`repro.core.buffers`)
+        #: released at op completion — see :mod:`repro.core.buffers`);
+        #: plain dicts, never on the telemetry bus, so the digest does
+        #: not depend on them
         self.host_live: dict[int, float] = {}
         #: per-host high-water mark of ``host_live``
         self.host_peak: dict[int, float] = {}
@@ -214,12 +210,8 @@ class PlanRunner:
             self.host_live[host] = live
             if live > self.host_peak.get(host, 0.0):
                 self.host_peak[host] = live
-            if self.track_buffers:
-                self.net.bus.gauge("buffer_bytes", f"host{host}").add(
-                    nbytes, at=self.net.loop.now
-                )
 
-    def _buffer_release(self, op: CommOp, at: float) -> None:
+    def _buffer_release(self, op: CommOp) -> None:
         """Release the op's buffers; called when the op completes.
 
         Runs *before* any dependent op or gated successor task launches,
@@ -227,13 +219,9 @@ class PlanRunner:
         """
         for host, nbytes in sorted(op_host_buffers(self.net.cluster, op).items()):
             self.host_live[host] = self.host_live.get(host, 0.0) - nbytes
-            if self.track_buffers:
-                self.net.bus.gauge("buffer_bytes", f"host{host}").add(
-                    -nbytes, at=at
-                )
 
     def on_op_done(self, op: CommOp, handle: CollectiveHandle) -> None:
-        self._buffer_release(op, handle.finish_time)
+        self._buffer_release(op)
         self.op_done.add(op.op_id)
         self.op_finish[op.op_id] = handle.finish_time
         if handle.failed:
@@ -405,7 +393,6 @@ def simulate_plan(
     network: Optional[Network] = None,
     faults: Optional[FaultSchedule] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    track_buffers: bool = False,
 ) -> TimingResult:
     """Simulate ``plan``; returns latency and traffic statistics.
 
@@ -413,17 +400,11 @@ def simulate_plan(
     a lossy network; transfers are retried per the policy and the result
     carries a :class:`~repro.sim.faults.FaultReport`.  An op whose
     collective is abandoned is recorded in ``failed_ops`` instead of
-    deadlocking the simulation.  ``track_buffers=True`` additionally
-    emits per-host ``buffer_bytes`` gauges on the telemetry bus (the
-    result's ``host_peak_buffers`` high-water marks are recorded either
-    way; only the gauge stream — and hence the bus digest — is opt-in).
+    deadlocking the simulation.  The result's ``host_peak_buffers``
+    holds each host's high-water mark of transient buffer bytes.
     """
     return PlanRunner(
-        plan,
-        network=network,
-        faults=faults,
-        retry_policy=retry_policy,
-        track_buffers=track_buffers,
+        plan, network=network, faults=faults, retry_policy=retry_policy
     ).run()
 
 

@@ -34,22 +34,20 @@ class PlanValidationError(ValueError):
 
 
 def raise_on_plan_errors(
-    plan: CommPlan,
-    faults: "Optional[FaultSchedule]" = None,
-    memory_budget: Optional[float] = None,
+    plan: CommPlan, faults: "Optional[FaultSchedule]" = None
 ) -> "AnalysisReport":
     """Run :func:`repro.analysis.check_plan`; raise on any ERROR.
 
-    ``faults`` and ``memory_budget`` are the compile's own (see
-    :func:`~repro.analysis.check_plan`), so a cached plan is held to the
-    same bar as a fresh compile.  The exception message carries every
-    ERROR diagnostic (code, op ids, message), one per line.
+    ``faults`` are the compile's own and the memory budget is the plan's
+    cluster's (see :func:`~repro.analysis.check_plan`), so a cached plan
+    is held to the same bar as a fresh compile.  The exception message
+    carries every ERROR diagnostic (code, op ids, message), one per line.
     """
     # Imported here: repro.analysis builds plans (loader) and therefore
     # imports repro.core; a module-level import would be circular.
     from ..analysis.plan_checker import check_plan
 
-    report = check_plan(plan, faults=faults, memory_budget=memory_budget)
+    report = check_plan(plan, faults=faults)
     errors = report.errors
     if errors:
         raise PlanValidationError("\n".join(diag.format() for diag in errors))

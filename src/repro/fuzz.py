@@ -306,7 +306,7 @@ class LeakyBufferRunner(PlanRunner):
     replay determinism is unaffected.
     """
 
-    def _buffer_release(self, op: Any, at: float) -> None:
+    def _buffer_release(self, op: Any) -> None:
         pass
 
 

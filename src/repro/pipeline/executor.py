@@ -22,11 +22,28 @@ Dependencies, durations and edges are keyed by job stage; occupancy,
 order cursors, ``stage:<d>`` tracks, activation gauges and the FIFO
 channels are keyed by device.  The executor runs on the shared runtime
 kernel (:class:`~repro.runtime.kernel.EventLoop`) and emits every
-compute/transfer interval to the loop's telemetry bus.  The result
-object keeps **no private timeline lists** — ``timeline``/``comms`` are
-views rebuilt from the span stream, and the scalar statistics
-(iteration time, busy time, activation peaks) are folded from the same
-records.
+compute/transfer interval to the loop's telemetry bus.  A run's record
+**is** its span stream: the result keeps no list of its own, and the
+scalar statistics (iteration time, busy time, activation peaks) are
+folded from the same records.  Its spans (``<d>`` is a device, i.e. the
+index of a task list):
+
+* compute: ``cat="compute"``, named ``repr(task)``, track ``stage:<d>``;
+  attrs ``stage`` (the device), ``kind``, ``microbatch``, plus ``chunk``
+  (the job stage) when the task names its stage, as interleaved
+  schedules do;
+* transfer: ``cat="comm"``, named after the edge's label, track
+  ``chan:<src>-><dst>:<direction>`` over the devices of the edge's
+  forward endpoints; attrs ``src_stage``/``dst_stage`` (those devices),
+  ``direction`` (``"fwd"`` | ``"bwd"``), ``microbatch``, ``label``, plus
+  ``busy_stage`` when the recv occupies a stage in blocking mode;
+* blocking send: ``cat="send"``, named ``send:<kind><mb>``, track
+  ``stage:<d>``; attr ``stage``; it covers the interval the producer
+  stage is wedged in program-order sends.
+
+Each device also steps an ``activations`` gauge on its ``stage:<d>``
+track.  A reader selects what it needs, e.g.
+``[s for s in result.telemetry.spans if s.cat == "comm"]``.
 
 Communication is simulated in one of two modes:
 
@@ -84,31 +101,23 @@ from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from .schedules import ACTIVATION_DELTA, Task, read_orders
 from .stage import PipelineJob
-from .timeline import CommEntry, TimelineEntry, comms_from_spans, timeline_from_spans
 
-__all__ = ["TimelineEntry", "CommEntry", "PipelineResult", "simulate_pipeline"]
+__all__ = ["PipelineResult", "simulate_pipeline"]
 
 
 @dataclass
 class PipelineResult:
     """Outcome of simulating one training iteration.
 
-    ``timeline`` and ``comms`` are derived views over the run's
-    telemetry spans (``cat="compute"`` / ``cat="comm"``), not stored
-    lists.  ``n_devices`` is the number of task lists the iteration ran
-    on (``job.n_stages`` in the plain layout); the per-device statistics
-    are keyed ``0..n_devices-1``.
+    ``telemetry`` holds the run's spans (see the module docstring); the
+    statistics below are folded from them.  ``n_devices`` is the number
+    of task lists the iteration ran on (``job.n_stages`` in the plain
+    layout); the per-device statistics are keyed ``0..n_devices-1``.
     """
 
     telemetry: TelemetryBus = field(repr=False, compare=False)
     job: PipelineJob = field(repr=False)
     n_devices: int
-    _timeline_cache: Optional[tuple[int, list[TimelineEntry]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _comms_cache: Optional[tuple[int, list[CommEntry]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _stats_cache: Optional[tuple[float, dict[int, float], dict[int, int]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -135,22 +144,6 @@ class PipelineResult:
     def peak_activation_counts(self) -> dict[int, int]:
         """Peak live activations per device, from the gauge samples."""
         return self._stats()[2]
-
-    @property
-    def timeline(self) -> list[TimelineEntry]:
-        """Compute intervals, rebuilt from the telemetry span stream."""
-        spans = self.telemetry.spans
-        if self._timeline_cache is None or self._timeline_cache[0] != len(spans):
-            self._timeline_cache = (len(spans), timeline_from_spans(spans))
-        return self._timeline_cache[1]
-
-    @property
-    def comms(self) -> list[CommEntry]:
-        """Transfer intervals, rebuilt from the telemetry span stream."""
-        spans = self.telemetry.spans
-        if self._comms_cache is None or self._comms_cache[0] != len(spans):
-            self._comms_cache = (len(spans), comms_from_spans(spans))
-        return self._comms_cache[1]
 
 
 def _fold_stats(

@@ -15,7 +15,9 @@ device ``i``).  Task kinds:
 eager-1F1B runs ``2 * (#stages - i - 1) + 1``, shifting forwards earlier
 to open gaps into which cross-mesh communication can be overlapped.
 Both reduce to the same steady one-forward-one-backward pattern and have
-identical latency when communication is free.
+identical latency when communication is free.  The §4 memory closed
+forms, :func:`analytic_peak_inflight` and :func:`eager_memory_increase`,
+are functions of those warm-up depths.
 
 :func:`read_orders` is the one reading of a job's task lists: the
 executor, the schedule analyzer (``S001``/``S002``) and the deadlock
@@ -37,11 +39,11 @@ __all__ = [
     "ACTIVATION_DELTA",
     "OrderReading",
     "read_orders",
-    "gpipe_order",
     "one_f_one_b_order",
     "eager_warmup",
     "fifo_warmup",
-    "stage_order",
+    "analytic_peak_inflight",
+    "eager_memory_increase",
     "schedule_job",
     "split_backward",
     "check_count",
@@ -98,16 +100,38 @@ def eager_warmup(stage: int, n_stages: int) -> int:
     return 2 * (n_stages - stage - 1) + 1
 
 
+def analytic_peak_inflight(
+    schedule: str, stage: int, n_stages: int, n_microbatches: int
+) -> int:
+    """Upper bound on concurrently stored activations at one stage.
+
+    In the steady state of 1F1B-style schedules a stage holds exactly
+    its warm-up depth of activations; GPipe holds all micro-batches.
+    The executor's ``peak_activation_counts`` measure the same peak.
+    """
+    if schedule == "gpipe":
+        return n_microbatches
+    if schedule == "1f1b":
+        return min(n_microbatches, fifo_warmup(stage, n_stages))
+    if schedule == "eager_1f1b":
+        return min(n_microbatches, eager_warmup(stage, n_stages))
+    raise ValueError(f"unknown schedule {schedule!r}")
+
+
+def eager_memory_increase(stage: int, n_stages: int, activation_bytes: float) -> float:
+    """Extra bytes eager-1F1B stores at ``stage`` compared to 1F1B.
+
+    ``(2(p - s - 1) + 1) - (p - s) = p - s - 1 <= #stages`` in-flight
+    activations — the paper's bound (§4).
+    """
+    delta = eager_warmup(stage, n_stages) - fifo_warmup(stage, n_stages)
+    return max(0, delta) * activation_bytes
+
+
 def _tasks(n_microbatches: int) -> tuple[list[Task], list[Task]]:
     """``F`` and fused ``B`` of every micro-batch, each built once."""
     return ([Task("F", i) for i in range(n_microbatches)],
             [Task("B", i) for i in range(n_microbatches)])
-
-
-def gpipe_order(n_microbatches: int) -> list[Task]:
-    """All forwards, then all backwards (every stage the same)."""
-    fwd, bwd = _tasks(n_microbatches)
-    return fwd + bwd
 
 
 def one_f_one_b_order(n_microbatches: int, warmup: int) -> list[Task]:
@@ -132,7 +156,8 @@ def _one_f_one_b(fwd: list[Task], bwd: list[Task], warmup: int) -> list[Task]:
 def _stage_order(
     schedule: str, stage: int, n_stages: int, fwd: list[Task], bwd: list[Task]
 ) -> list[Task]:
-    """:func:`stage_order` over prebuilt ``F``/``B`` tasks."""
+    """The ordered task list of one stage under a named schedule, over
+    prebuilt ``F``/``B`` tasks."""
     if schedule == "gpipe":
         return fwd + bwd
     if schedule == "1f1b":
@@ -140,13 +165,6 @@ def _stage_order(
     if schedule == "eager_1f1b":
         return _one_f_one_b(fwd, bwd, eager_warmup(stage, n_stages))
     raise ValueError(f"unknown schedule {schedule!r}; options: {SCHEDULE_NAMES}")
-
-
-def stage_order(
-    schedule: str, stage: int, n_stages: int, n_microbatches: int
-) -> list[Task]:
-    """The ordered task list of one stage under a named schedule."""
-    return _stage_order(schedule, stage, n_stages, *_tasks(n_microbatches))
 
 
 def split_backward(order: list[Task], delay_slots: int = 1) -> list[Task]:

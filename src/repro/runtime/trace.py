@@ -1,8 +1,9 @@
 """Export a telemetry bus: Chrome trace JSON or JSONL.
 
-One exporter for every simulator, replacing the three bespoke record
-formats (pipeline timeline entries, interleaved tuples, network flow
-records) that used to each have their own dump path:
+One exporter for every simulator.  Each simulator's one record of a
+run is its spans on the bus (a pipeline iteration's ``compute``/
+``comm``/``send`` spans, a network flow's ``flow`` span), so no record
+format has a dump path of its own:
 
 * :func:`chrome_trace_events` — generic ``chrome://tracing`` /
   Perfetto "trace event" conversion: one process per track group, one

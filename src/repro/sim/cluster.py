@@ -41,8 +41,8 @@ def check_memory_budget(budget: Optional[float]) -> None:
     """Raise ``ValueError`` unless ``budget`` is ``None`` or a positive
     finite number of bytes per host.
 
-    The one rule for every ``memory_budget``: the cluster's own and each
-    per-compile or per-check override.  A NaN budget would fail every
+    The one rule for every ``memory_budget``: the cluster's own and the
+    analyzer's what-if override (``check_plan(memory_budget=...)``).  A NaN budget would fail every
     M001 comparison and certify a plan against no budget at all.
     """
     if budget is not None and not (math.isfinite(budget) and budget > 0):

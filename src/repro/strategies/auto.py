@@ -46,8 +46,6 @@ class AutoStrategy(CommStrategy):
         )
         if not self.candidates:
             raise ValueError("need at least one candidate strategy")
-        #: (strategy name, simulated latency) pairs of the last plan() call
-        self.last_scores: list[tuple[str, float]] = []
 
     def cache_key(self) -> Optional[tuple]:
         keys = tuple(c.cache_key() for c in self.candidates)

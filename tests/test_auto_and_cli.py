@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
+from repro.compiler import CompileContext, compile_resharding
 from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
@@ -29,13 +30,14 @@ def make_task(src_spec="RS0R", dst_spec="S0RR", shape=(64, 64, 64)):
 # ----------------------------------------------------------------------
 def test_auto_picks_fastest_candidate():
     task = make_task()
-    auto = AutoStrategy()
-    plan = auto.plan(task)
-    t_auto = simulate_plan(plan).total_time
+    compiled = compile_resharding(
+        task, CompileContext(strategy=AutoStrategy(), cache=None)
+    )
+    t_auto = simulate_plan(compiled.plan).total_time
     for name in ("send_recv", "allgather", "broadcast"):
         t = simulate_plan(make_strategy(name).plan(task)).total_time
         assert t_auto <= t + 1e-12
-    assert len(auto.last_scores) == 3
+    assert len(compiled.scores) == 3
 
 
 def test_auto_registered_in_registry():

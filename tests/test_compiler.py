@@ -61,9 +61,9 @@ def make_task(cluster=None, shape=(64, 64, 64), src_spec="RS0R",
     return ReshardingTask(shape, src, src_spec, dst, dst_spec, dtype=np.float32)
 
 
-def make_edge(ctx=None) -> EdgeResharding:
-    fwd = make_task()
-    bwd = make_task(src_spec="S0RR", dst_spec="RS0R",
+def make_edge(ctx=None, cluster=None) -> EdgeResharding:
+    fwd = make_task(cluster)
+    bwd = make_task(cluster, src_spec="S0RR", dst_spec="RS0R",
                     src_hosts=(2, 3), dst_hosts=(0, 1))
     return EdgeResharding(fwd, bwd, ctx)
 
@@ -563,22 +563,21 @@ class TestEdgeMemo:
         # Like a cold compile: the first message raises, and so does
         # every later one (nothing unvalidated is memoized).
         cache = PlanCache()
+        tight = make_cluster(memory_budget=1.0)
         if warm:  # an unvalidated plan for the same signature is cached
             compile_resharding(
-                make_task(),
-                CompileContext(strategy="send_recv", cache=cache,
-                               memory_budget=1.0),
+                make_task(tight),
+                CompileContext(strategy="send_recv", cache=cache),
             )
         edge = make_edge(CompileContext(strategy="send_recv", cache=cache,
-                                        validate=True, memory_budget=1.0))
+                                        validate=True), tight)
         for _ in range(2):
             with pytest.raises(PlanValidationError, match="M001"):
                 edge.time("fwd")
 
     def test_memoized_plan_is_validated_once_the_context_asks(self):
-        ctx = CompileContext(strategy="send_recv", cache=PlanCache(),
-                             memory_budget=1.0)
-        edge = make_edge(ctx)
+        ctx = CompileContext(strategy="send_recv", cache=PlanCache())
+        edge = make_edge(ctx, make_cluster(memory_budget=1.0))
         assert not compile_resharding(edge.task("fwd"), ctx).validated
         ctx.validate = True
         with pytest.raises(PlanValidationError, match="M001"):
@@ -590,7 +589,7 @@ class TestEdgeMemo:
                              cache=PlanCache())
         first = compile_resharding(make_task(), ctx)
         assert compile_resharding(make_task(), ctx) is first
-        assert ctx.strategy.scheduler_name == "naive"
+        assert (ctx.strategy, ctx.strategy_kwargs) == ("broadcast", {"scheduler": "naive"})
 
     def test_edge_with_strategy_kwargs_times_both_directions(self):
         edge = make_edge(CompileContext(strategy="broadcast",
@@ -649,10 +648,33 @@ class TestInstrumentation:
             compile_resharding(
                 make_task(), CompileContext(cache=None), strategy="send_recv"
             )
-        with pytest.raises(ValueError):
-            CompileContext(
-                strategy=BroadcastStrategy(), strategy_kwargs={"n_chunks": 2}
-            ).resolved_strategy()
+        with pytest.raises(ValueError, match="kwargs"):
+            compile_resharding(
+                make_task(),
+                CompileContext(strategy=BroadcastStrategy(),
+                               strategy_kwargs={"n_chunks": 2}, cache=None),
+            )
+
+
+# ----------------------------------------------------------------------
+# A compile reads its inputs and writes none of them
+# ----------------------------------------------------------------------
+def test_a_compile_leaves_its_context_and_strategy_alone():
+    auto = AutoStrategy()
+    contexts = [
+        CompileContext(strategy="broadcast", strategy_kwargs={"n_chunks": 2},
+                       deadline=10.0, cache=PlanCache()),
+        CompileContext(strategy=auto, cache=PlanCache()),
+    ]
+    for ctx in contexts:
+        ctx_before = dict(vars(ctx))
+        kwargs_before = dict(ctx.strategy_kwargs)
+        auto_before = dict(vars(auto))
+        for _ in range(2):  # a miss, then a hit
+            compile_resharding(make_task(), ctx)
+        assert vars(ctx) == ctx_before
+        assert ctx.strategy_kwargs == kwargs_before
+        assert vars(auto) == auto_before
 
 
 # ----------------------------------------------------------------------
@@ -660,15 +682,14 @@ class TestInstrumentation:
 # ----------------------------------------------------------------------
 class TestAutoSelect:
     def test_plan_scored_attaches_timing(self):
-        auto = AutoStrategy()
         compiled = compile_resharding(
-            make_task(), CompileContext(strategy=auto, cache=None)
+            make_task(), CompileContext(strategy=AutoStrategy(), cache=None)
         )
         timing = compiled.timing
         assert timing is not None
-        assert len(auto.last_scores) == 3
+        assert len(compiled.scores) == 3
         # The winner's attached timing is the score it won with.
-        assert timing.total_time == min(t for _, t in auto.last_scores)
+        assert timing.total_time == min(t for _, t in compiled.scores)
         assert compiled.plan.strategy in {"send_recv", "allgather", "broadcast"}
 
     def test_compiled_auto_never_resimulates(self):

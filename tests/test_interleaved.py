@@ -134,8 +134,10 @@ def test_interleaving_costs_memory():
 def test_causality_across_chunks():
     job = make_job(p=2, v=2, m=4, comm=0.3)
     r = simulate(job)
-    ends = {(t.kind, t.chunk, t.microbatch): t.end for t in r.timeline}
-    starts = {(t.kind, t.chunk, t.microbatch): t.start for t in r.timeline}
+    compute = [t for t in r.telemetry.spans if t.cat == "compute"]
+    key = {t: (t.attrs["kind"], t.attrs["chunk"], t.attrs["microbatch"]) for t in compute}
+    ends = {key[t]: t.end for t in compute}
+    starts = {key[t]: t.start for t in compute}
     for mb in range(4):
         for c in range(1, job.n_chunks):
             assert starts[("F", c, mb)] >= ends[("F", c - 1, mb)] + 0.3 - 1e-9
@@ -149,10 +151,11 @@ def test_causality_across_chunks():
 def test_stage_exclusivity():
     job = make_job(p=3, v=2, m=6, comm=0.2)
     r = simulate(job)
-    assert {t.stage for t in r.timeline} == {0, 1, 2}
+    compute = [t for t in r.telemetry.spans if t.cat == "compute"]
+    assert {t.attrs["stage"] for t in compute} == {0, 1, 2}
     for s in range(3):
         entries = sorted(
-            [(t.start, t.end) for t in r.timeline if t.stage == s]
+            [(t.start, t.end) for t in compute if t.attrs["stage"] == s]
         )
         for (a1, e1), (a2, _e2) in zip(entries, entries[1:]):
             assert e1 <= a2 + 1e-9
@@ -162,7 +165,8 @@ def test_total_compute_conserved():
     job = make_job(p=2, v=2, m=4, fwd=1.0, comm=0.1)
     r = simulate(job)
     for s in range(2):
-        busy = sum(t.end - t.start for t in r.timeline if t.stage == s)
+        busy = sum(t.end - t.start for t in r.telemetry.spans
+                   if t.cat == "compute" and t.attrs["stage"] == s)
         # per stage: v chunks x m microbatches x (fwd + bwd)
         assert busy == pytest.approx(2 * 4 * 3.0)
         assert r.stage_busy_time[s] == pytest.approx(busy)

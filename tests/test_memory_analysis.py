@@ -8,9 +8,9 @@ The contract under test, end to end:
 * :func:`repro.analysis.static_host_bounds` is a **sound** upper bound:
   on every workload, strategy, topology, and fault schedule we can
   simulate, ``bound[h] >= TimingResult.host_peak_buffers[h]``;
-* ``memory_budget`` threads from :class:`ClusterSpec`/``CompileContext``
-  into validation (M001), auto-strategy selection (M003), and the cache
-  signature — and ``memory_budget=None`` leaves every signature and
+* ``memory_budget`` lives on :class:`ClusterSpec` only and threads from
+  there into validation (M001), auto-strategy selection (M003), and the
+  cache signature — and ``memory_budget=None`` leaves every signature and
   telemetry digest byte-identical to a world without budgets.
 """
 
@@ -228,7 +228,7 @@ class TestSoundness:
 
 
 # ----------------------------------------------------------------------
-# Runtime accounting: gauges opt-in, digests stable
+# Runtime accounting: off the bus, digests stable
 # ----------------------------------------------------------------------
 class TestRuntimeAccounting:
     def test_peaks_recorded_without_gauges(self):
@@ -240,18 +240,6 @@ class TestRuntimeAccounting:
         rows = timing.telemetry.counter_rows
         assert not any("buffer_bytes" in repr(r) for r in rows)
 
-    def test_gauges_only_with_track_buffers(self):
-        task = make_task()
-        compiled = compile_resharding(task, CompileContext(cache=None))
-        base = simulate_plan(compiled.plan)
-        tracked = simulate_plan(compiled.plan, track_buffers=True)
-        assert tracked.host_peak_buffers == base.host_peak_buffers
-        assert any(
-            "buffer_bytes" in repr(r) for r in tracked.telemetry.counter_rows
-        )
-        # the gauge stream is the only difference, and it is opt-in
-        assert base.telemetry.digest() != tracked.telemetry.digest()
-
     def test_default_digest_is_deterministic(self):
         task = make_task()
         digests = set()
@@ -262,7 +250,7 @@ class TestRuntimeAccounting:
 
 
 # ----------------------------------------------------------------------
-# memory_budget threading: spec, context, select, cache signature
+# memory_budget threading: spec, select, validate, cache signature
 # ----------------------------------------------------------------------
 class TestBudgetThreading:
     def test_spec_rejects_nonpositive_and_nonfinite_budgets(self):
@@ -274,17 +262,12 @@ class TestBudgetThreading:
     def test_budget_overrides_get_the_spec_rule(self, bad):
         # A NaN budget fails every M001 comparison and would certify the
         # plan against no budget at all; 0 and -1 are input errors, not an
-        # M001 PlanValidationError.
-        task = make_task()
-        for cache in (None, PlanCache()):
-            with pytest.raises(ValueError, match="memory_budget must be"):
-                compile_resharding(
-                    task,
-                    CompileContext(strategy="send_recv", cache=cache,
-                                   validate=True, memory_budget=bad),
-                )
+        # M001 PlanValidationError.  check_plan's what-if budget is the
+        # one override of the cluster's.
+        with pytest.raises(ValueError, match="memory_budget must be"):
+            make_task(memory_budget=bad)
         plan = compile_resharding(
-            task, CompileContext(strategy="send_recv", cache=None)
+            make_task(), CompileContext(strategy="send_recv", cache=None)
         ).plan
         with pytest.raises(ValueError, match="memory_budget must be"):
             check_plan(plan, memory_budget=bad)
@@ -307,56 +290,48 @@ class TestBudgetThreading:
         assert "M001" in report.codes
 
     def test_validate_pass_rejects_over_budget_compiles(self):
-        task = make_task()
+        task = make_task(memory_budget=64.0)
         with pytest.raises(PlanValidationError, match="M001"):
             compile_resharding(
                 task,
-                CompileContext(strategy="send_recv", cache=None,
-                               validate=True, memory_budget=64.0),
+                CompileContext(strategy="send_recv", cache=None, validate=True),
             )
 
     def test_warm_validate_raises_m001_like_a_cold_compile(self):
         # The budget is in the signature but validation is not: a plan
         # cached by a validate=False compile must still be held to the
-        # compile's budget when a validate=True compile hits it.
-        task = make_task()
+        # cluster's budget when a validate=True compile hits it.
+        task = make_task(memory_budget=1.0)
         with pytest.raises(PlanValidationError, match="M001"):
             compile_resharding(
                 task,
                 CompileContext(strategy="send_recv", cache=PlanCache(),
-                               validate=True, memory_budget=1.0),
+                               validate=True),
             )
         cache = PlanCache()
         cached = compile_resharding(
-            task,
-            CompileContext(strategy="send_recv", cache=cache, memory_budget=1.0),
+            task, CompileContext(strategy="send_recv", cache=cache)
         )
         assert not cached.validated
         with pytest.raises(PlanValidationError, match="M001"):
             compile_resharding(
                 task,
-                CompileContext(strategy="send_recv", cache=cache,
-                               validate=True, memory_budget=1.0),
+                CompileContext(strategy="send_recv", cache=cache, validate=True),
             )
         assert not cached.validated
 
     def test_generous_budget_is_feasible(self):
-        task = make_task()
+        task = make_task(memory_budget=1e12)
         compiled = compile_resharding(
             task,
-            CompileContext(strategy="send_recv", cache=None, validate=True,
-                           memory_budget=1e12),
+            CompileContext(strategy="send_recv", cache=None, validate=True),
         )
         assert compiled.validated
 
     def test_auto_select_raises_m003_when_every_candidate_exceeds(self):
-        task = make_task()
+        task = make_task(memory_budget=1.0)
         with pytest.raises(PlanValidationError, match="M003"):
-            compile_resharding(
-                task,
-                CompileContext(strategy="auto", cache=None,
-                               memory_budget=1.0),
-            )
+            compile_resharding(task, CompileContext(strategy="auto", cache=None))
 
     def test_auto_select_prefers_feasible_candidates(self):
         task = make_task()
@@ -375,8 +350,8 @@ class TestBudgetThreading:
         if all(p > budget for p in peaks.values()):
             pytest.skip("no strategy separation on this workload")
         constrained = compile_resharding(
-            task,
-            CompileContext(strategy="auto", cache=None, memory_budget=budget),
+            make_task(memory_budget=budget),
+            CompileContext(strategy="auto", cache=None),
         )
         assert static_host_bounds(constrained.plan).peak <= budget
         assert unconstrained.plan is not constrained.plan
@@ -391,15 +366,6 @@ class TestBudgetThreading:
         budgeted = make_task(memory_budget=1024.0)
         assert plan_signature(budgeted, ("broadcast",)) != sig_plain
         assert spec.memory_budget is None
-
-    def test_context_budget_folds_into_cache_signature(self):
-        task = make_task()
-        plain = compile_resharding(task, CompileContext(strategy="broadcast"))
-        budgeted = compile_resharding(
-            task,
-            CompileContext(strategy="broadcast", memory_budget=1e12),
-        )
-        assert plain.signature != budgeted.signature
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.pipeline.executor import simulate_pipeline
-from repro.pipeline.memory import memory_report
 from repro.pipeline.schedules import Task, schedule_job
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
 
@@ -199,7 +198,9 @@ def test_peak_memory_bytes():
     job.stages[0] = StageProfile(0, 1, 1, 1, params_bytes=100.0,
                                  activation_bytes=10.0)
     r = simulate_pipeline(job, schedule_job("1f1b", 2, 4))
-    assert memory_report(job, r)[0].total == pytest.approx(100.0 + 2 * 10.0)
+    stage = job.stages[0]
+    total = stage.params_bytes + r.peak_activation_counts[0] * stage.activation_bytes
+    assert total == pytest.approx(100.0 + 2 * 10.0)
 
 
 def test_delay_bw_weight_increases_peak_memory():
@@ -216,8 +217,13 @@ def test_delay_bw_weight_increases_peak_memory():
 # dependency correctness
 # ----------------------------------------------------------------------
 def _events(result, stage, kind, mb):
-    return [e for e in result.timeline
-            if e.stage == stage and e.kind == kind and e.microbatch == mb][0]
+    return [s for s in result.telemetry.spans
+            if s.cat == "compute" and (s.attrs["stage"], s.attrs["kind"],
+                                       s.attrs["microbatch"]) == (stage, kind, mb)][0]
+
+
+def _comms(result):
+    return [s for s in result.telemetry.spans if s.cat == "comm"]
 
 
 @pytest.mark.parametrize("sched", ["gpipe", "1f1b", "eager_1f1b"])
@@ -247,11 +253,11 @@ def test_skip_connection_edges():
     job = make_job(n_stages=2, m=4, edges=edges)
     r = simulate_pipeline(job, schedule_job("1f1b", 2, 4), overlap=True)
     # both transfers happen per micro-batch, in both directions
-    fwd = [c for c in r.comms if c.direction == "fwd"]
-    bwd = [c for c in r.comms if c.direction == "bwd"]
+    fwd = [c for c in _comms(r) if c.attrs["direction"] == "fwd"]
+    bwd = [c for c in _comms(r) if c.attrs["direction"] == "bwd"]
     assert len(fwd) == 8 and len(bwd) == 8
     # channel serializes same-direction transfers of one micro-batch
-    labels = {(c.microbatch, c.label): c for c in fwd}
+    labels = {(c.attrs["microbatch"], c.attrs["label"]): c for c in fwd}
     for mb in range(4):
         a, b = labels[(mb, "seq")], labels[(mb, "skip")]
         assert a.end <= b.start + 1e-9 or b.end <= a.start + 1e-9
@@ -307,10 +313,11 @@ def test_each_edge_direction_is_priced_once_per_run(schedule, delay, overlap, ma
     # Every message pays its edge's time for its direction: a channel
     # transfer (overlap) or its share of the sender's block (blocking).
     if overlap:
-        for c in r.comms:
+        for c in _comms(r):
+            a = c.attrs
             (edge,) = [e for e in job.edges if (e.src_stage, e.dst_stage)
-                       == (c.src_stage, c.dst_stage)]
-            price = getattr(edge, f"{c.direction}_time")
+                       == (a["src_stage"], a["dst_stage"])]
+            price = getattr(edge, f"{a['direction']}_time")
             assert c.end - c.start == pytest.approx(price, rel=1e-12)
     else:
         blocks = [s for s in r.telemetry.spans if s.cat == "send"]
@@ -330,7 +337,7 @@ def test_forward_only_run_never_prices_backward(overlap, makespan):
     job = PipelineJob([StageProfile(i, 1, 1, 1) for i in (0, 1)], [edge], 2)
     r = simulate_pipeline(job, [[Task("F", 0), Task("F", 1)]] * 2, overlap=overlap)
     assert r.iteration_time == makespan
-    assert {c.direction for c in r.comms} == {"fwd"}
+    assert {c.attrs["direction"] for c in _comms(r)} == {"fwd"}
 
 
 def test_invalidated_plan_cache_is_resolved_again_next_run():

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.pipeline.executor import simulate_pipeline
-from repro.pipeline.memory import (
+from repro.pipeline.schedules import (
     analytic_peak_inflight,
     eager_memory_increase,
-    memory_report,
+    schedule_job,
 )
-from repro.pipeline.schedules import schedule_job
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
 
 
@@ -54,13 +53,13 @@ def test_eager_increase_bounded_by_stages_times_activation():
             assert eager_memory_increase(s, p, 1.0) <= p
 
 
-def test_memory_report():
+def test_peak_stage_memory_is_params_plus_live_activations():
     p, m = 2, 4
     job = make_job(p, m, act=7.0)
     r = simulate_pipeline(job, schedule_job("1f1b", p, m))
-    rep = memory_report(job, r)
-    assert len(rep) == p
-    assert rep[0].stage == 0
-    assert rep[0].peak_activation_count == 2
-    assert rep[0].activation_total == pytest.approx(14.0)
-    assert rep[0].total == pytest.approx(1014.0)
+    assert sorted(r.peak_activation_counts) == list(range(p))
+    stage = job.stages[0]
+    peak = r.peak_activation_counts[0]
+    assert peak == 2
+    assert peak * stage.activation_bytes == pytest.approx(14.0)
+    assert stage.params_bytes + peak * stage.activation_bytes == pytest.approx(1014.0)

@@ -8,11 +8,9 @@ from repro.pipeline.schedules import (
     Task,
     eager_warmup,
     fifo_warmup,
-    gpipe_order,
     one_f_one_b_order,
     schedule_job,
     split_backward,
-    stage_order,
 )
 
 
@@ -58,10 +56,10 @@ def test_eager_extra_memory_bound():
 # ----------------------------------------------------------------------
 # orders
 # ----------------------------------------------------------------------
-def test_gpipe_order():
-    order = gpipe_order(3)
-    assert order == [Task("F", 0), Task("F", 1), Task("F", 2),
-                     Task("B", 0), Task("B", 1), Task("B", 2)]
+def test_gpipe_runs_all_forwards_then_all_backwards():
+    expected = [Task("F", 0), Task("F", 1), Task("F", 2),
+                Task("B", 0), Task("B", 1), Task("B", 2)]
+    assert schedule_job("gpipe", 2, 3) == [expected, expected]
 
 
 def test_one_f_one_b_steady_pattern():
@@ -87,7 +85,7 @@ def test_one_f_one_b_invalid_warmup():
 @pytest.mark.parametrize("p,m", [(1, 4), (2, 8), (4, 4), (4, 16)])
 def test_orders_complete_and_causal(sched, p, m):
     for s in range(p):
-        order = stage_order(sched, s, p, m)
+        order = schedule_job(sched, p, m)[s]
         fwd = [t.microbatch for t in order if t.kind == "F"]
         bwd = [t.microbatch for t in order if t.kind == "B"]
         assert sorted(fwd) == list(range(m))
@@ -99,7 +97,7 @@ def test_orders_complete_and_causal(sched, p, m):
 
 def test_unknown_schedule():
     with pytest.raises(ValueError, match="unknown schedule"):
-        stage_order("2f2b", 0, 2, 4)
+        schedule_job("2f2b", 2, 4)
 
 
 # ----------------------------------------------------------------------
@@ -179,11 +177,11 @@ def aging_split(order, delay_slots):
     delay=st.integers(0, 12),
 )
 def test_split_backward_matches_aging_reference(schedule, p, m, delay):
-    for s in range(p):
-        order = stage_order(schedule, s, p, m)
+    orders = schedule_job(schedule, p, m)
+    for order in orders:
         assert split_backward(order, delay) == aging_split(order, delay)
     assert schedule_job(schedule, p, m, delay_bw_weight=True, delay_slots=delay) == [
-        aging_split(stage_order(schedule, s, p, m), delay) for s in range(p)
+        aging_split(order, delay) for order in orders
     ]
 
 

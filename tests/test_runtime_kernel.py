@@ -97,7 +97,8 @@ def test_serial_channel_matches_max_rule():
     stages = [StageProfile(s, 1.0, 1.0, 1.0) for s in range(p)]
     edges = [CommEdge(s, s + 1, comm, comm) for s in range(p - 1)]
     r = simulate_pipeline(PipelineJob(stages, edges, m), schedule_job("1f1b", p, m))
-    finish = {(e.stage, e.kind, e.microbatch): e.end for e in r.timeline}
+    finish = {(e.attrs["stage"], e.attrs["kind"], e.attrs["microbatch"]): e.end
+              for e in r.telemetry.spans if e.cat == "compute"}
     free: dict[str, float] = {}
     queued = 0
     for s in r.telemetry.spans:

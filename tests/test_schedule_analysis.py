@@ -2,7 +2,7 @@
 
 Pins the static in-flight bound to the executor's measured peaks and to
 the paper's analytic warm-up depths
-(:func:`repro.pipeline.memory.analytic_peak_inflight`), and exercises
+(:func:`repro.pipeline.schedules.analytic_peak_inflight`), and exercises
 the memory (S001), structure (S002), and deadlock (D002) rules.
 """
 
@@ -18,8 +18,12 @@ from repro.analysis import (
 )
 from repro.pipeline.executor import simulate_pipeline
 from repro.pipeline.interleaved import InterleavedJob
-from repro.pipeline.memory import analytic_peak_inflight, memory_report
-from repro.pipeline.schedules import SCHEDULE_NAMES, Task, schedule_job
+from repro.pipeline.schedules import (
+    SCHEDULE_NAMES,
+    Task,
+    analytic_peak_inflight,
+    schedule_job,
+)
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
 
 
@@ -179,7 +183,9 @@ class TestMemoryBound:
         assert flagged == [(0,)]
         run = simulate_pipeline(job, schedule_job("1f1b", 4, 8,
                                                   delay_bw_weight=True))
-        assert memory_report(job, run)[0].total == 150.0
+        stage = job.stages[0]
+        peak = run.peak_activation_counts[0]
+        assert stage.params_bytes + peak * stage.activation_bytes == 150.0
 
     def test_negative_capacity_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -54,20 +54,21 @@ class TestTimingUnification:
         """Overlap mode: every message occupies the channel for exactly
         the compiled plan's simulated duration."""
         result = run_iteration(tiny_gpt(), "overlap")
-        comms = result.pipeline.comms
+        comms = [s for s in result.pipeline.telemetry.spans if s.cat == "comm"]
         assert comms
         by_pair = {
             (e.src_stage, e.dst_stage): e for e in result.comm_edges
         }
         for entry in comms:
+            a = entry.attrs
             key = (
-                (entry.src_stage, entry.dst_stage)
-                if entry.direction == "fwd"
-                else (entry.dst_stage, entry.src_stage)
+                (a["src_stage"], a["dst_stage"])
+                if a["direction"] == "fwd"
+                else (a["dst_stage"], a["src_stage"])
             )
             key = (min(key), max(key))
             edge = by_pair[key]
-            expected = getattr(edge, f"{entry.direction}_time")
+            expected = getattr(edge, f"{a['direction']}_time")
             assert entry.end - entry.start == pytest.approx(
                 expected, rel=1e-12, abs=0.0
             )
@@ -82,8 +83,8 @@ class TestTimingUnification:
             expected = getattr(edge, f"{direction}_time")
             durations = [
                 e.end - e.start
-                for e in result.pipeline.comms
-                if e.direction == direction
+                for e in result.pipeline.telemetry.spans
+                if e.cat == "comm" and e.attrs["direction"] == direction
             ]
             assert durations
             assert all(d >= expected - 1e-12 for d in durations)

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis import check_plan
 from repro.analysis.loader import plan_from_dict
+from repro.compiler import CompileContext, compile_resharding
 from repro.compiler.edge import EdgeResharding
 from repro.core.data import apply_plan
 from repro.core.mesh import DeviceMesh
@@ -367,9 +368,11 @@ class TestSelectPassSkip:
         auto = AutoStrategy(
             candidates=[BroadcastStrategy(), MulticastStrategy()]
         )
-        plan = auto.plan(task)
-        assert plan.ops
-        scores = dict(auto.last_scores)
+        compiled = compile_resharding(
+            task, CompileContext(strategy=auto, cache=None)
+        )
+        assert compiled.plan.ops
+        scores = dict(compiled.scores)
         assert scores["multicast"] == float("inf")
         assert scores["broadcast"] < float("inf")
 
