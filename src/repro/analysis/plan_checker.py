@@ -53,11 +53,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .. import checks
 from ..core.plan import AllGatherOp, CommOp, CommPlan, MulticastOp, gating_order
 from ..core.slices import region_intersection, region_size
 from ..core.task import UnitCommTask
 from ..core.verify_data import tile_arrivals, walk_deliveries
-from ..sim.cluster import check_memory_budget
 from ..sim.faults import FaultSchedule
 from .deadlock import check_plan_deadlock, find_cycle
 from .diagnostics import AnalysisReport, Severity
@@ -520,7 +520,8 @@ def check_plan(
     # top-level cross-import would make the package import order matter.
     from .memory_analysis import check_plan_memory
 
-    check_memory_budget(memory_budget)
+    if memory_budget is not None:
+        checks.real("memory_budget", memory_budget, "(0, inf)")
     report = AnalysisReport(subject=f"plan[{plan.strategy}]")
     _check_structure(plan, report)
     _check_deps(plan, report)

@@ -18,9 +18,10 @@ candidate, so auto-strategy scoring is bounded too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
+
+from .. import checks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .passes import PlanState
@@ -71,8 +72,7 @@ class CompileBudget:
 
     @classmethod
     def from_deadline(cls, deadline: float) -> "CompileBudget":
-        if not (math.isfinite(deadline) and deadline > 0):
-            raise ValueError(f"deadline must be positive and finite, got {deadline}")
+        checks.real("deadline", deadline, "(0, inf)")
         return cls(deadline=deadline, node_budget=max(1, int(deadline * NODES_PER_SECOND)))
 
     def charge(self, nodes: int, phase: str) -> None:

@@ -51,6 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generic, Optional, TypeVar
 
+from .. import checks
 from ..sim.cluster import ClusterSpec
 from ..sim.faults import FaultSchedule, RetryPolicy
 
@@ -208,18 +209,24 @@ class BoundedLRU(Generic[K, V]):
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: K) -> bool:
+        return key in self._entries
+
     def lookup(self, key: K) -> Optional[V]:
         found = self._entries.get(key)
         if found is not None:
             self._entries.move_to_end(key)
         return found
 
-    def store(self, key: K, value: V) -> None:
+    def store(self, key: K, value: V) -> bool:
+        """Insert or refresh ``key``; True when that evicted another entry."""
         entries = self._entries
-        if key not in entries and len(entries) >= self.max_entries:
+        evicted = key not in entries and len(entries) >= self.max_entries
+        if evicted:
             entries.popitem(last=False)
         entries[key] = value
         entries.move_to_end(key)
+        return evicted
 
     def clear(self) -> None:
         self._entries.clear()
@@ -263,9 +270,10 @@ class CacheStats:
 class PlanCache:
     """Content-addressed store of :class:`CompiledPlan` objects.
 
-    One LRU: a hit refreshes recency, and an insert beyond
-    ``max_entries`` evicts the least-recently-used entry.  Hit, miss and
-    eviction counters are exposed through :meth:`stats`.
+    Its plans live in a :class:`BoundedLRU`: a hit refreshes recency,
+    and an insert beyond ``max_entries`` evicts the least-recently-used
+    entry.  Hit, miss and eviction counters are exposed through
+    :meth:`stats`.
 
     ``timings`` is the cache's :class:`TimingMemo`, the simulation
     results of the plans its compiles produced.  ``rejections`` maps the
@@ -286,10 +294,9 @@ class PlanCache:
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        checks.integer("max_entries", max_entries, 1)
         self.max_entries = max_entries
-        self._entries: OrderedDict[str, "CompiledPlan"] = OrderedDict()
+        self._entries: BoundedLRU[str, "CompiledPlan"] = BoundedLRU(max_entries)
         self.timings = TimingMemo(max_entries)
         self.rejections: BoundedLRU[str, str] = BoundedLRU(max_entries)
         self.hits = 0
@@ -311,12 +318,11 @@ class PlanCache:
         return self.hits + self.misses
 
     def lookup(self, signature: str) -> "Optional[CompiledPlan]":
-        found = self._entries.get(signature)
+        found = self._entries.lookup(signature)
         if found is None:
             self.misses += 1
         else:
             self.hits += 1
-            self._entries.move_to_end(signature)
         return found
 
     def store(
@@ -335,13 +341,8 @@ class PlanCache:
         if epoch is not None and epoch != self.epoch:
             self.stale_stores += 1
             return False
-        entries = self._entries
-        if signature in entries:
-            entries.move_to_end(signature)
-        elif len(entries) >= self.max_entries:
-            entries.popitem(last=False)
+        if self._entries.store(signature, compiled):
             self.evictions += 1
-        entries[signature] = compiled
         return True
 
     def reject(self, signature: str, message: str, epoch: int) -> None:

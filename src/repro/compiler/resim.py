@@ -64,6 +64,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import checks
 from ..core.executor import PlanRunner, TimingResult
 from ..core.plan import CommPlan
 from ..runtime.telemetry import CounterRow, MarkRecord, SpanRow
@@ -148,8 +149,7 @@ class ResimCache:
     """LRU store of :class:`SimCheckpoint`\\ s keyed by prefix digest."""
 
     def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        checks.integer("max_entries", max_entries, 1)
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, SimCheckpoint]" = OrderedDict()
         self.requests = 0

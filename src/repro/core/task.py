@@ -15,11 +15,13 @@ send/recv), :meth:`ReshardingTask.intersections` yields the finer
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .. import checks
 from .mesh import DeviceMesh
 from .slices import Region, TileGrid, region_intersection
 from .spec import ShardingSpec, parse_spec
@@ -77,9 +79,9 @@ class ReshardingTask:
     ) -> None:
         shape = tuple(shape)
         for s in shape:
-            # int() would silently truncate 8.5 and accept "8" or True
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise ValueError(f"shape entries must be integers, got {s!r} in {shape}")
+            # int() would silently truncate 8.5 and accept "8" or True;
+            # a size below 1 fails where the dimension is split
+            checks.integer("shape", s, -math.inf)
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.src_mesh = src_mesh

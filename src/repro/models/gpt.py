@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import checks
 from ..core.mesh import DeviceMesh
 from ..pipeline.stage import StageProfile
 from ..sim.cluster import Cluster, ClusterSpec
@@ -46,10 +47,13 @@ class GPTConfig:
     pp: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("n_layers", "hidden", "seq_len", "vocab", "global_batch",
+                     "micro_batch_per_dp", "dp", "op", "pp"):
+            checks.integer(name, getattr(self, name), 1)
         if self.n_layers % self.pp != 0:
-            raise ValueError(f"{self.n_layers} layers not divisible by pp={self.pp}")
+            raise ValueError(f"n_layers={self.n_layers} not divisible by pp={self.pp}")
         if self.global_batch % (self.dp * self.micro_batch_per_dp) != 0:
-            raise ValueError("global batch must divide into dp x micro_batch")
+            raise ValueError("global_batch must divide into dp x micro_batch_per_dp")
 
     # ------------------------------------------------------------------
     @property

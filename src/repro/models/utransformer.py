@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .. import checks
 from ..core.mesh import DeviceMesh
 from ..pipeline.stage import StageProfile
 from ..sim.cluster import Cluster, ClusterSpec
@@ -57,12 +58,19 @@ class UTransformerConfig:
     dp: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("image_size", "in_channels", "bottleneck_channels",
+                     "global_batch", "micro_batch", "dp"):
+            checks.integer(name, getattr(self, name), 1)
+        for name in ("bottleneck_attn_layers", "skip_attn_layers"):
+            checks.integer(name, getattr(self, name), 0)
+        for c in self.channels:
+            checks.integer("channels", c, 1)
         if self.image_size % (2 ** len(self.channels)) != 0:
-            raise ValueError("image size must be divisible by 2^levels")
+            raise ValueError("image_size must be divisible by 2**len(channels)")
         if self.micro_batch % self.dp != 0:
-            raise ValueError("micro batch must divide by dp")
+            raise ValueError("micro_batch must divide by dp")
         if self.global_batch % self.micro_batch != 0:
-            raise ValueError("global batch must divide into micro batches")
+            raise ValueError("global_batch must divide into micro_batch")
 
     @property
     def n_levels(self) -> int:

@@ -24,9 +24,9 @@ interleaving exists to create overlap opportunities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .. import checks
 from .schedules import Task
 from .stage import CommEdge, PipelineJob, StageProfile
 
@@ -52,20 +52,19 @@ class InterleavedJob:
     activation_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_stages < 1 or self.n_virtual < 1:
-            raise ValueError("need at least one stage and one chunk")
-        if self.n_microbatches < 1:
-            raise ValueError("need at least one micro-batch")
+        checks.integer("n_stages", self.n_stages, 1)
+        checks.integer("n_virtual", self.n_virtual, 1)
+        checks.integer("n_microbatches", self.n_microbatches, 1)
         if self.n_microbatches % self.n_stages != 0:
             raise ValueError(
-                "interleaved 1F1B needs micro-batches divisible by the "
-                f"number of stages ({self.n_microbatches} % {self.n_stages})"
+                "interleaved 1F1B needs n_microbatches divisible by "
+                f"n_stages ({self.n_microbatches} % {self.n_stages})"
             )
-        times = (self.fwd_time, self.bwd_time, self.comm_fwd, self.comm_bwd)
-        if not all(math.isfinite(t) for t in times):
-            raise ValueError(f"times must be finite, got {times}")
-        if min(times) < 0:
-            raise ValueError("times must be non-negative")
+        checks.real("fwd_time", self.fwd_time, "[0, inf)")
+        checks.real("bwd_time", self.bwd_time, "[0, inf)")
+        checks.real("comm_fwd", self.comm_fwd, "[0, inf)")
+        checks.real("comm_bwd", self.comm_bwd, "[0, inf)")
+        checks.real("activation_bytes", self.activation_bytes, "[0, inf)")
 
     @property
     def n_chunks(self) -> int:

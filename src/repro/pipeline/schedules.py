@@ -26,10 +26,11 @@ analyzer (``D002``) all consume its :class:`OrderReading`.
 
 from __future__ import annotations
 
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
+
+from .. import checks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stage import PipelineJob
@@ -46,7 +47,6 @@ __all__ = [
     "eager_memory_increase",
     "schedule_job",
     "split_backward",
-    "check_count",
     "SCHEDULE_NAMES",
 ]
 
@@ -76,12 +76,6 @@ class Task:
         if self.stage is None:
             return f"{self.kind}{self.microbatch}"
         return f"{self.kind}{self.microbatch}c{self.stage}"
-
-
-def check_count(name: str, value) -> None:
-    """Reject a stage or micro-batch count that is not an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def fifo_warmup(stage: int, n_stages: int) -> int:
@@ -179,14 +173,8 @@ def split_backward(order: list[Task], delay_slots: int = 1) -> list[Task]:
     delay-0 row repeats its delay-1 row.  ``delay_slots`` must be an
     integer >= 0.
     """
-    _check_delay_slots(delay_slots)
+    checks.integer("delay_slots", delay_slots, 0)
     return _split_backward(order, delay_slots, {})
-
-
-def _check_delay_slots(value) -> None:
-    """Reject a weight-delay depth that is not an integer >= 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"delay_slots must be an integer >= 0, got {value!r}")
 
 
 def _split_backward(
@@ -226,12 +214,12 @@ def schedule_job(
     Each distinct :class:`Task` is built once and shared by every
     stage's list.
     """
-    check_count("n_stages", n_stages)
-    check_count("n_microbatches", n_microbatches)
+    checks.integer("n_stages", n_stages, 1)
+    checks.integer("n_microbatches", n_microbatches, 1)
     fwd, bwd = _tasks(n_microbatches)
     orders = [_stage_order(schedule, s, n_stages, fwd, bwd) for s in range(n_stages)]
     if delay_bw_weight:
-        _check_delay_slots(delay_slots)
+        checks.integer("delay_slots", delay_slots, 0)
         halves: dict[Task, tuple[Task, Task]] = {}
         orders = [_split_backward(o, delay_slots, halves) for o in orders]
     return orders

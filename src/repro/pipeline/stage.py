@@ -12,10 +12,9 @@ chosen strategy) so the pipeline executor stays strategy-agnostic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .schedules import check_count
+from .. import checks
 
 __all__ = ["StageProfile", "CommEdge", "PipelineJob"]
 
@@ -38,16 +37,13 @@ class StageProfile:
     memory_capacity: float = 0.0
 
     def __post_init__(self) -> None:
-        times = (self.fwd_time, self.bwd_x_time, self.bwd_w_time)
-        if not all(math.isfinite(t) for t in times):
-            raise ValueError(f"stage times must be finite, got {times}")
-        if min(times) < 0:
-            raise ValueError("stage times must be non-negative")
-        for name in ("params_bytes", "activation_bytes", "memory_capacity"):
-            value = getattr(self, name)
-            # Written so NaN fails too: every comparison with NaN is False.
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        checks.integer("stage_id", self.stage_id, 0)
+        checks.real("fwd_time", self.fwd_time, "[0, inf)")
+        checks.real("bwd_x_time", self.bwd_x_time, "[0, inf)")
+        checks.real("bwd_w_time", self.bwd_w_time, "[0, inf)")
+        checks.real("params_bytes", self.params_bytes, "[0, inf)")
+        checks.real("activation_bytes", self.activation_bytes, "[0, inf)")
+        checks.real("memory_capacity", self.memory_capacity, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -69,19 +65,21 @@ class CommEdge:
     label: str = ""
 
     def __post_init__(self) -> None:
+        checks.integer("src_stage", self.src_stage, 0)
+        checks.integer("dst_stage", self.dst_stage, 0)
         if self.src_stage == self.dst_stage:
-            raise ValueError("comm edge must cross stages")
+            raise ValueError(
+                f"comm edge must cross stages, got src_stage == dst_stage == {self.src_stage}"
+            )
         if self.src_stage > self.dst_stage:
             raise ValueError(
-                "edges are directed along the forward pass (src < dst); "
+                "edges are directed along the forward pass (src_stage < dst_stage); "
                 "the backward transfer is implied"
             )
-        if not (math.isfinite(self.fwd_time) and math.isfinite(self.bwd_time)):
-            raise ValueError(
-                f"edge times must be finite, got {(self.fwd_time, self.bwd_time)}"
-            )
-        if self.fwd_time < 0 or self.bwd_time < 0:
-            raise ValueError("edge times must be non-negative")
+        checks.real("fwd_time", self.fwd_time, "[0, inf)")
+        checks.real("bwd_time", self.bwd_time, "[0, inf)")
+        checks.real("fwd_bytes", self.fwd_bytes, "[0, inf)")
+        checks.real("bwd_bytes", self.bwd_bytes, "[0, inf)")
 
 
 @dataclass
@@ -96,7 +94,7 @@ class PipelineJob:
         ids = [s.stage_id for s in self.stages]
         if ids != list(range(len(self.stages))):
             raise ValueError(f"stage ids must be 0..{len(self.stages) - 1}, got {ids}")
-        check_count("n_microbatches", self.n_microbatches)
+        checks.integer("n_microbatches", self.n_microbatches, 1)
         for e in self.edges:
             if not (0 <= e.src_stage < len(self.stages)):
                 raise ValueError(f"edge references unknown stage {e.src_stage}")

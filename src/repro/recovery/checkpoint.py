@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import checks
 from ..core.mesh import DeviceMesh
 
 __all__ = [
@@ -86,12 +87,10 @@ class CheckpointConfig:
     detection_latency: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.interval < 0:
-            raise ValueError(f"interval must be >= 0, got {self.interval}")
-        if self.write_bandwidth <= 0 or self.read_bandwidth <= 0:
-            raise ValueError("storage bandwidths must be positive")
-        if self.detection_latency < 0:
-            raise ValueError("detection_latency must be >= 0")
+        checks.integer("interval", self.interval, 0)
+        checks.real("write_bandwidth", self.write_bandwidth, "(0, inf)")
+        checks.real("read_bandwidth", self.read_bandwidth, "(0, inf)")
+        checks.real("detection_latency", self.detection_latency, "[0, inf)")
 
     @property
     def enabled(self) -> bool:

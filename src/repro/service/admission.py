@@ -26,12 +26,12 @@ the number of active tenants, not by the depth of anyone else's burst.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Deque, Generic, Optional, TypeVar
 
-from .request import Overloaded, check_count, check_non_negative
+from .. import checks
+from .request import Overloaded
 
 __all__ = ["AdmissionConfig", "TokenBucket", "FairQueue", "AdmissionController"]
 
@@ -53,14 +53,11 @@ class AdmissionConfig:
     burst: float = 8.0
 
     def __post_init__(self) -> None:
-        check_count("max_queue_depth", self.max_queue_depth)
-        check_count("per_tenant_depth", self.per_tenant_depth)
-        check_non_negative("rate", self.rate)
-        if self.rate > 0 and not 1 <= self.burst < math.inf:
-            raise ValueError(
-                f"burst must be finite and >= 1 when rate limiting is on, "
-                f"got {self.burst}"
-            )
+        checks.integer("max_queue_depth", self.max_queue_depth, 1)
+        checks.integer("per_tenant_depth", self.per_tenant_depth, 1)
+        checks.real("rate", self.rate, "[0, inf)")
+        if self.rate > 0:
+            checks.real("burst", self.burst, "[1, inf)")
 
 
 class TokenBucket:

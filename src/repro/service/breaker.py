@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .request import check_count, check_positive
+from .. import checks
 
 __all__ = ["BreakerConfig", "CircuitBreaker"]
 
@@ -61,9 +61,9 @@ class BreakerConfig:
     half_open_probes: int = 2
 
     def __post_init__(self) -> None:
-        check_count("failure_threshold", self.failure_threshold)
-        check_positive("cooldown", self.cooldown)
-        check_count("half_open_probes", self.half_open_probes)
+        checks.integer("failure_threshold", self.failure_threshold, 1)
+        checks.real("cooldown", self.cooldown, "(0, inf)")
+        checks.integer("half_open_probes", self.half_open_probes, 1)
 
 
 class CircuitBreaker:

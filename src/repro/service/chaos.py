@@ -20,11 +20,12 @@ request, never the worker, and never trip the breaker" path end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .. import checks
 from ..sim.faults import seeded_uniform
-from .request import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..compiler.passes import PlanState
@@ -58,12 +59,11 @@ class ServiceChaos:
     poison_requests: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        checks.integer("seed", self.seed, -math.inf)
         for name in ("slow_rate", "fault_rate", "partition_rate", "cancel_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
-        check_non_negative("slow_extra", self.slow_extra)
-        check_non_negative("cancel_after", self.cancel_after)
+            checks.real(name, getattr(self, name), "[0, 1)")
+        checks.real("slow_extra", self.slow_extra, "[0, inf)")
+        checks.real("cancel_after", self.cancel_after, "[0, inf)")
 
     # ------------------------------------------------------------------
     # Per-request decisions (pure functions of seed + stable ids)

@@ -23,18 +23,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import checks
 from ..core.task import ReshardingTask
 from ..experiments.common import make_microbench_meshes
 from .admission import AdmissionConfig
 from .chaos import ServiceChaos
 from .clock import run_virtual
-from .request import (
-    CompileRequest,
-    CompileResponse,
-    check_count,
-    check_non_negative,
-    check_positive,
-)
+from .request import CompileRequest, CompileResponse
 from .service import ReshardingService, ServiceConfig
 
 __all__ = [
@@ -69,15 +64,15 @@ class LoadProfile:
     bursty: bool = True
 
     def __post_init__(self) -> None:
-        check_count("n_tenants", self.n_tenants)
-        check_count("n_requests", self.n_requests, minimum=0)
-        check_count("n_distinct_tasks", self.n_distinct_tasks)
+        checks.integer("n_tenants", self.n_tenants, 1)
+        checks.integer("n_requests", self.n_requests, 0)
+        checks.integer("n_distinct_tasks", self.n_distinct_tasks, 1)
         # A zero rate or period would divide by zero when the arrivals
         # are drawn.
-        check_positive("base_rate", self.base_rate)
-        check_positive("burst_rate", self.burst_rate)
-        check_positive("burst_every", self.burst_every)
-        check_non_negative("burst_len", self.burst_len)
+        checks.real("base_rate", self.base_rate, "(0, inf)")
+        checks.real("burst_rate", self.burst_rate, "(0, inf)")
+        checks.real("burst_every", self.burst_every, "(0, inf)")
+        checks.real("burst_len", self.burst_len, "[0, inf)")
 
     def rate_at(self, t: float) -> float:
         if self.bursty and (t % self.burst_every) < self.burst_len:

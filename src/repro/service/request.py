@@ -11,9 +11,10 @@ come back, so backoff is informed rather than guessed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
+
+from ..checks import real
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.task import ReshardingTask
@@ -24,39 +25,7 @@ __all__ = [
     "CompileRequest",
     "Overloaded",
     "CompileResponse",
-    "check_positive",
-    "check_non_negative",
-    "check_count",
 ]
-
-
-def check_positive(name: str, value: Optional[float]) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is ``None``
-    (unset) or a finite number > 0.
-
-    The one rule for every service duration and rate that must be
-    positive; NaN would silently disable whatever it bounds.
-    """
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def check_non_negative(name: str, value: Optional[float]) -> None:
-    """Like :func:`check_positive`, but 0 is allowed."""
-    if value is not None and not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def check_count(name: str, value: object, minimum: int = 1) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an ``int``
-    (not a ``bool``) >= ``minimum``.
-
-    The one rule for every service count: a float or NaN would otherwise
-    fail late inside ``range``/``randrange``, or pass silently, and
-    ``True`` would mean 1.
-    """
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 #: terminal request states, in rough order of desirability:
@@ -119,8 +88,10 @@ class CompileRequest:
             raise ValueError("request_id must be non-empty")
         if not self.tenant:
             raise ValueError("tenant must be non-empty")
-        check_positive("deadline", self.deadline)
-        check_positive("timeout", self.timeout)
+        if self.deadline is not None:
+            real("deadline", self.deadline, "(0, inf)")
+        if self.timeout is not None:
+            real("timeout", self.timeout, "(0, inf)")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .. import checks
 from ..compiler import (
     CompiledPlan,
     CompileContext,
@@ -51,8 +52,6 @@ from .request import (
     CompileResponse,
     Overloaded,
     TransientCompileFault,
-    check_count,
-    check_positive,
 )
 
 __all__ = ["ServiceConfig", "RequestHandle", "ReshardingService"]
@@ -79,8 +78,8 @@ class ServiceConfig:
     base_service_time: float = 0.01
 
     def __post_init__(self) -> None:
-        check_count("n_workers", self.n_workers)
-        check_positive("base_service_time", self.base_service_time)
+        checks.integer("n_workers", self.n_workers, 1)
+        checks.real("base_service_time", self.base_service_time, "(0, inf)")
 
     @property
     def drain_rate(self) -> float:

@@ -16,10 +16,10 @@ in :mod:`repro.sim.network`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import checks
 from .topology import BoundTopology, Topology
 
 __all__ = [
@@ -31,26 +31,10 @@ __all__ = [
     "Cluster",
     "GBPS",
     "GB",
-    "check_memory_budget",
 ]
 
 GBPS = 1e9 / 8.0  # 1 Gbit/s in bytes/second
 GB = 1 << 30  # one gibibyte in bytes
-
-def check_memory_budget(budget: Optional[float]) -> None:
-    """Raise ``ValueError`` unless ``budget`` is ``None`` or a positive
-    finite number of bytes per host.
-
-    The one rule for every ``memory_budget``: the cluster's own and the
-    analyzer's what-if override (``check_plan(memory_budget=...)``).  A NaN budget would fail every
-    M001 comparison and certify a plan against no budget at all.
-    """
-    if budget is not None and not (math.isfinite(budget) and budget > 0):
-        raise ValueError(
-            f"memory_budget must be a positive finite number of bytes "
-            f"per host (or None to disable), got {budget}"
-        )
-
 
 #: failure-domain kinds with a conventional meaning (free-form is allowed)
 DOMAIN_KINDS = ("rack", "switch", "pdu", "spine")
@@ -85,11 +69,7 @@ class FailureDomain:
         if len(set(self.hosts)) != len(self.hosts):
             raise ValueError(f"failure domain {self.name!r} lists a host twice")
         for h in self.hosts:
-            if not isinstance(h, int) or isinstance(h, bool) or h < 0:
-                raise ValueError(
-                    f"failure domain {self.name!r}: host ids must be "
-                    f"non-negative ints, got {h!r}"
-                )
+            checks.host(f"failure domain {self.name!r}", h)
         if not self.kind:
             raise ValueError(f"failure domain {self.name!r} needs a kind")
 
@@ -112,35 +92,23 @@ class LinkOverride:
     latency: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for h in (self.src_host, self.dst_host):
-            if not isinstance(h, int) or isinstance(h, bool):
-                raise ValueError(
-                    f"link override host ids must be ints, got {h!r}"
-                )
+        checks.host("src_host", self.src_host)
+        checks.host("dst_host", self.dst_host)
         if self.src_host == self.dst_host:
             raise ValueError(
                 f"link override is a self-loop on host {self.src_host} "
-                "(intra-host links are not overridable)"
+                "(src_host == dst_host; intra-host links are not overridable)"
             )
         if self.bandwidth is None and self.latency is None:
             raise ValueError(
                 f"link override {self.src_host}<->{self.dst_host} sets "
                 "neither bandwidth nor latency"
             )
-        if self.bandwidth is not None and not (
-            self.bandwidth > 0 and self.bandwidth != float("inf")
-        ):
-            raise ValueError(
-                f"link override {self.src_host}<->{self.dst_host}: bandwidth "
-                f"must be positive and finite, got {self.bandwidth}"
-            )
-        if self.latency is not None and not (
-            0 <= self.latency < float("inf")
-        ):
-            raise ValueError(
-                f"link override {self.src_host}<->{self.dst_host}: latency "
-                f"must be finite and >= 0, got {self.latency}"
-            )
+        where = f"link override {self.src_host}<->{self.dst_host}"
+        if self.bandwidth is not None:
+            checks.real(f"{where} bandwidth", self.bandwidth, "(0, inf)")
+        if self.latency is not None:
+            checks.real(f"{where} latency", self.latency, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -187,46 +155,25 @@ class ClusterSpec:
     memory_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_hosts < 1:
-            raise ValueError(f"n_hosts must be >= 1, got {self.n_hosts}")
-        if not 0 <= self.n_spare_hosts < self.n_hosts:
+        checks.integer("n_hosts", self.n_hosts, 1)
+        checks.integer("n_spare_hosts", self.n_spare_hosts, 0)
+        if self.n_spare_hosts >= self.n_hosts:
             raise ValueError(
                 f"n_spare_hosts must be in [0, n_hosts), got "
                 f"{self.n_spare_hosts} of {self.n_hosts}"
             )
-        if self.devices_per_host < 1:
-            raise ValueError(
-                f"devices_per_host must be >= 1, got {self.devices_per_host}"
-            )
-        # Written as "not (ok)" so NaN, for which every comparison is
-        # false, is rejected too.
-        for name in ("inter_host_bandwidth", "intra_host_bandwidth"):
-            bw = getattr(self, name)
-            if not 0 < bw < float("inf"):
-                raise ValueError(f"{name} must be positive and finite, got {bw}")
-        for name in ("inter_host_latency", "intra_host_latency"):
-            lat = getattr(self, name)
-            if not 0 <= lat < float("inf"):
-                raise ValueError(f"{name} must be finite and >= 0, got {lat}")
+        checks.integer("devices_per_host", self.devices_per_host, 1)
+        checks.real("inter_host_bandwidth", self.inter_host_bandwidth, "(0, inf)")
+        checks.real("intra_host_bandwidth", self.intra_host_bandwidth, "(0, inf)")
+        checks.real("inter_host_latency", self.inter_host_latency, "[0, inf)")
+        checks.real("intra_host_latency", self.intra_host_latency, "[0, inf)")
         seen: set[int] = set()
         for host, bw in self.host_bandwidth_overrides:
-            if not isinstance(host, int) or isinstance(host, bool):
-                raise ValueError(
-                    f"override host id must be an int, got {host!r}"
-                )
-            if not 0 <= host < self.n_hosts:
-                raise ValueError(
-                    f"override references unknown host {host} "
-                    f"(valid: 0..{self.n_hosts - 1})"
-                )
+            checks.host("override", host, self.n_hosts)
             if host in seen:
                 raise ValueError(f"duplicate bandwidth override for host {host}")
             seen.add(host)
-            if not bw > 0 or bw != bw or bw == float("inf"):
-                raise ValueError(
-                    f"override bandwidth for host {host} must be a positive "
-                    f"finite number of bytes/s, got {bw}"
-                )
+            checks.real(f"override bandwidth for host {host}", bw, "(0, inf)")
         names: set[str] = set()
         for dom in self.failure_domains:
             if not isinstance(dom, FailureDomain):
@@ -237,11 +184,7 @@ class ClusterSpec:
                 raise ValueError(f"duplicate failure domain name {dom.name!r}")
             names.add(dom.name)
             for h in dom.hosts:
-                if not 0 <= h < self.n_hosts:
-                    raise ValueError(
-                        f"failure domain {dom.name!r} references unknown host "
-                        f"{h} (valid: 0..{self.n_hosts - 1})"
-                    )
+                checks.host(f"failure domain {dom.name!r}", h, self.n_hosts)
         if self.topology is not None:
             if not isinstance(self.topology, Topology):
                 raise ValueError(
@@ -261,12 +204,7 @@ class ClusterSpec:
                     f"link_overrides entries must be LinkOverride, got {ov!r}"
                 )
             for h in (ov.src_host, ov.dst_host):
-                if not 0 <= h < self.n_hosts:
-                    raise ValueError(
-                        f"link override {ov.src_host}<->{ov.dst_host} "
-                        f"references unknown host {h} "
-                        f"(valid: 0..{self.n_hosts - 1})"
-                    )
+                checks.host(f"link override {ov.src_host}<->{ov.dst_host}", h, self.n_hosts)
             pair = (min(ov.src_host, ov.dst_host), max(ov.src_host, ov.dst_host))
             if pair in pairs:
                 raise ValueError(
@@ -274,7 +212,8 @@ class ClusterSpec:
                     f"{pair[0]}<->{pair[1]}"
                 )
             pairs.add(pair)
-        check_memory_budget(self.memory_budget)
+        if self.memory_budget is not None:
+            checks.real("memory_budget", self.memory_budget, "(0, inf)")
 
     @property
     def n_active_hosts(self) -> int:

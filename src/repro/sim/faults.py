@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from .. import checks
+
 __all__ = [
     "seeded_uniform",
     "FaultInterval",
@@ -56,11 +58,6 @@ __all__ = [
     "FaultIncident",
     "FaultReport",
 ]
-
-
-def _check_onset(time: float) -> None:
-    if not 0.0 <= time < math.inf:
-        raise ValueError(f"failure time must be finite and >= 0, got {time}")
 
 
 def seeded_uniform(*key) -> float:
@@ -92,17 +89,9 @@ class FaultInterval:
     _ONSET = "start"
 
     def __post_init__(self) -> None:
-        """Reject a window that could never strike or never end.
-
-        Each check is phrased so that NaN, which fails every comparison,
-        is rejected rather than let through.
-        """
-        if not math.isfinite(self.start):
-            raise ValueError(f"window start must be finite, got {self.start}")
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError(
-                f"window duration must be positive and finite, got {self.duration}"
-            )
+        """Reject a window that could never strike or never end."""
+        checks.real("start", self.start, "(-inf, inf)")
+        checks.real("duration", self.duration, "(0, inf)")
 
     @property
     def onset(self) -> float:
@@ -147,9 +136,9 @@ class DegradedWindow(FaultInterval):
     factor: float
 
     def __post_init__(self) -> None:
+        checks.host("host", self.host)
         super().__post_init__()
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"degradation factor must be in (0, 1), got {self.factor}")
+        checks.real("factor", self.factor, "(0, 1)")
 
 
 @dataclass(frozen=True)
@@ -159,6 +148,10 @@ class FlapWindow(FaultInterval):
     host: int
     start: float
     duration: float
+
+    def __post_init__(self) -> None:
+        checks.host("host", self.host)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -177,7 +170,8 @@ class HostFailure(FaultInterval):
     time: float
 
     def __post_init__(self) -> None:
-        _check_onset(self.time)
+        checks.host("host", self.host)
+        checks.real("time", self.time, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -203,12 +197,11 @@ class DomainFailure(FaultInterval):
     def __post_init__(self) -> None:
         if not self.hosts:
             raise ValueError(f"domain failure {self.domain!r} downs no hosts")
-        _check_onset(self.time)
-        if self.duration is not None and not 0.0 < self.duration < math.inf:
-            raise ValueError(
-                f"domain outage duration must be positive and finite (or "
-                f"None for permanent), got {self.duration}"
-            )
+        for h in self.hosts:
+            checks.host("hosts", h)
+        checks.real("time", self.time, "[0, inf)")
+        if self.duration is not None:
+            checks.real("duration", self.duration, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -231,6 +224,10 @@ class Partition(FaultInterval):
     def __post_init__(self) -> None:
         if not self.src_hosts or not self.dst_hosts:
             raise ValueError("partition needs non-empty src and dst host sets")
+        for h in self.src_hosts:
+            checks.host("src_hosts", h)
+        for h in self.dst_hosts:
+            checks.host("dst_hosts", h)
         super().__post_init__()
 
 
@@ -253,9 +250,9 @@ class CorruptionWindow(FaultInterval):
     rate: float = 1.0
 
     def __post_init__(self) -> None:
+        checks.host("host", self.host)
         super().__post_init__()
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError(f"corruption rate must be in (0, 1], got {self.rate}")
+        checks.real("rate", self.rate, "(0, 1]")
 
 
 #: schedule field name -> fault class, in :class:`FaultSchedule` field
@@ -294,8 +291,8 @@ class FaultSchedule:
     corruptions: tuple[CorruptionWindow, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
+        checks.integer("seed", self.seed, -math.inf)
+        checks.real("drop_rate", self.drop_rate, "[0, 1)")
 
     # -- host outages --------------------------------------------------
     @cached_property
@@ -534,12 +531,19 @@ class FaultSchedule:
         ``n_domain_failures`` is ignored and partitions split single
         hosts off the fabric.
         """
-        if n_hosts < 1:
-            raise ValueError("n_hosts must be >= 1")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        rng = random.Random(seed)
+        checks.integer("seed", seed, -math.inf)
+        checks.integer("n_hosts", n_hosts, 1)
+        checks.real("horizon", horizon, "(0, inf)")
+        checks.real("max_window_frac", max_window_frac, "(0, inf)")
+        for name, n in (("n_degradations", n_degradations), ("n_flaps", n_flaps),
+                        ("n_host_failures", n_host_failures),
+                        ("n_domain_failures", n_domain_failures),
+                        ("n_partitions", n_partitions), ("n_corruptions", n_corruptions)):
+            checks.integer(name, n, 0)
+        rng = random.Random(int(seed))
         max_dur = max_window_frac * horizon
+        checks.real("the shortest window, 0.05 x max_window_frac x horizon,",
+                    0.05 * max_dur, "(0, inf)")
 
         def window() -> tuple[float, float]:
             """``(start, duration)`` from the sequential stream."""
@@ -640,24 +644,12 @@ class RetryPolicy:
     flow_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Written so NaN fails too: every comparison with NaN is False.
-        if not self.max_attempts >= 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not 0.0 <= self.backoff_base < math.inf:
-            raise ValueError(
-                f"backoff_base must be finite and >= 0, got {self.backoff_base}"
-            )
-        if not 1.0 <= self.backoff_factor < math.inf:
-            raise ValueError(
-                f"backoff_factor must be finite and >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.flow_timeout is not None and not 0.0 < self.flow_timeout < math.inf:
-            raise ValueError(
-                f"flow_timeout must be finite and positive (or None), "
-                f"got {self.flow_timeout}"
-            )
+        checks.integer("max_attempts", self.max_attempts, 1)
+        checks.real("backoff_base", self.backoff_base, "[0, inf)")
+        checks.real("backoff_factor", self.backoff_factor, "[1, inf)")
+        checks.real("jitter", self.jitter, "[0, 1]")
+        if self.flow_timeout is not None:
+            checks.real("flow_timeout", self.flow_timeout, "(0, inf)")
 
     def backoff(self, attempt: int, *key) -> float:
         """Delay before retrying after failed attempt ``attempt`` (1-based)."""

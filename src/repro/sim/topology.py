@@ -66,6 +66,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
+from .. import checks
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import ClusterSpec
 
@@ -118,10 +120,8 @@ class Link:
                 f"link name {self.name!r} collides with the simulator's "
                 "device/NIC port namespace (must not start with 'd' or 'n')"
             )
-        if not self.bandwidth > 0:
-            raise ValueError(f"link {self.name!r}: bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError(f"link {self.name!r}: latency must be >= 0")
+        checks.real(f"link {self.name!r} bandwidth", self.bandwidth, "(0, inf]")
+        checks.real(f"link {self.name!r} latency", self.latency, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -265,14 +265,9 @@ class FatTreeTopology(Topology):
     name: str = "fat_tree"
 
     def validate(self, spec: "ClusterSpec") -> None:
-        if self.hosts_per_leaf < 1:
-            raise ValueError("hosts_per_leaf must be >= 1")
-        if not self.oversubscription >= 1.0:
-            raise ValueError(
-                f"oversubscription must be >= 1, got {self.oversubscription}"
-            )
-        if self.spine_extra_latency < 0:
-            raise ValueError("spine_extra_latency must be >= 0")
+        checks.integer("hosts_per_leaf", self.hosts_per_leaf, 1)
+        checks.real("oversubscription", self.oversubscription, "[1, inf)")
+        checks.real("spine_extra_latency", self.spine_extra_latency, "[0, inf)")
 
     def leaf_of(self, host: int) -> int:
         return host // self.hosts_per_leaf
@@ -363,12 +358,12 @@ class TorusTopology(Topology):
     name: str = "torus"
 
     def validate(self, spec: "ClusterSpec") -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("torus dimensions must be >= 1")
+        checks.integer("rows", self.rows, 1)
+        checks.integer("cols", self.cols, 1)
         if self.rows * self.cols != spec.n_hosts:
             raise ValueError(
-                f"torus is {self.rows}x{self.cols} = {self.rows * self.cols} "
-                f"hosts but the spec has {spec.n_hosts}"
+                f"torus rows x cols is {self.rows}x{self.cols} = "
+                f"{self.rows * self.cols} hosts but the spec has n_hosts={spec.n_hosts}"
             )
 
     def _coord(self, host: int) -> tuple[int, int]:
@@ -435,8 +430,7 @@ class RailOptimizedTopology(Topology):
     name: str = "rail"
 
     def validate(self, spec: "ClusterSpec") -> None:
-        if not self.cross_rail_capacity_factor > 0:
-            raise ValueError("cross_rail_capacity_factor must be positive")
+        checks.real("cross_rail_capacity_factor", self.cross_rail_capacity_factor, "(0, inf)")
 
     def path(
         self, spec: "ClusterSpec", src_host: int, dst_host: int,
@@ -488,8 +482,7 @@ class IslandTopology(Topology):
     name: str = "island"
 
     def validate(self, spec: "ClusterSpec") -> None:
-        if self.island_size < 1:
-            raise ValueError("island_size must be >= 1")
+        checks.integer("island_size", self.island_size, 1)
 
     def island_of(self, host: int) -> int:
         return host // self.island_size

@@ -20,9 +20,9 @@ schedule.
 
 from __future__ import annotations
 
-import numbers
 from typing import Callable, Optional, Union
 
+from .. import checks
 from ..core.plan import BroadcastOp, CommOp, CommPlan
 from ..core.task import ReshardingTask
 from ..scheduling import SCHEDULERS, Schedule, SchedulingProblem
@@ -70,12 +70,8 @@ class BroadcastStrategy(CommStrategy):
         else:
             self._scheduler = scheduler
             self.scheduler_name = getattr(scheduler, "__name__", "custom")
-        if n_chunks is not None and (
-            isinstance(n_chunks, bool)
-            or not isinstance(n_chunks, numbers.Integral)
-            or n_chunks < 1
-        ):
-            raise ValueError(f"n_chunks must be an integer >= 1, got {n_chunks!r}")
+        if n_chunks is not None:
+            checks.integer("n_chunks", n_chunks, 1)
         self.n_chunks = None if n_chunks is None else int(n_chunks)
         self.gate_on_schedule = gate_on_schedule
 

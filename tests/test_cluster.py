@@ -106,3 +106,15 @@ def test_host_device_cross_reference():
 def test_non_finite_spec_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         ClusterSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_hosts", 2.5), ("n_hosts", True), ("n_hosts", "2"),
+     ("devices_per_host", 2.0), ("n_spare_hosts", 0.5)],
+)
+def test_spec_counts_take_only_integers(field, value):
+    """A float or bool host count used to build a spec (a ``"2"`` failed
+    with a bare ``TypeError``); now each fails on its own field."""
+    with pytest.raises(ValueError, match=rf"{field} must be an integer.*{value!r}"):
+        ClusterSpec(**{field: value})

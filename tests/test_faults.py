@@ -193,12 +193,15 @@ def test_retry_policy_backoff():
         ("flow_timeout", math.nan),
         ("flow_timeout", 0.0),
         ("max_attempts", math.nan),
+        ("max_attempts", 2.5),
+        ("max_attempts", True),
     ],
 )
 def test_retry_policy_rejects_non_finite_and_out_of_range(name, value):
     # backoff_base=inf used to return iteration_time=inf with
     # added_latency=nan as a "recovered" run; NaN failed mid-run in the
-    # kernel's past-event guard.
+    # kernel's past-event guard; 2.5 attempts built and simulated, and
+    # True meant one attempt.
     with pytest.raises(ValueError, match=name):
         RetryPolicy(**{name: value})
 
@@ -567,3 +570,38 @@ def test_shifted_answers_every_query_as_the_original_does_later(seed):
             if m > origin:
                 t = m - origin
                 assert answers(view, t) == answers(s, t + origin), (origin, m)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("host", lambda: DegradedWindow(host=1.5, start=0.0, duration=1.0, factor=0.5)),
+        ("seed", lambda: FaultSchedule(seed=1.5)),
+        ("drop_rate", lambda: FaultSchedule(drop_rate="0.1")),
+        ("n_hosts", lambda: FaultSchedule.generate(seed=0, n_hosts=2.5, horizon=1.0)),
+    ],
+)
+def test_schedule_numbers_are_checked_where_they_enter(field, build):
+    """A fractional host or seed used to build a schedule, a string drop
+    rate failed with a bare ``TypeError``, and ``generate``'s fractional
+    host count failed inside ``randrange`` with a message naming no
+    parameter."""
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+@pytest.mark.parametrize("horizon, frac", [(5e-324, 0.25), (10.0, 1e308)])
+def test_generate_rejects_a_window_length_that_underflows_or_overflows(horizon, frac):
+    # both used to fail on a generated window's duration (0.0 or NaN),
+    # naming neither argument
+    with pytest.raises(ValueError, match="max_window_frac x horizon"):
+        FaultSchedule.generate(seed=0, n_hosts=4, horizon=horizon, max_window_frac=frac)
+
+
+def test_generate_takes_a_numpy_seed():
+    # random.Random refused np.int64 with a bare TypeError
+    import numpy as np
+
+    assert FaultSchedule.generate(seed=np.int64(3), n_hosts=4, horizon=1.0) == (
+        FaultSchedule.generate(seed=3, n_hosts=4, horizon=1.0)
+    )

@@ -49,6 +49,16 @@ def test_job_validation():
             InterleavedJob(2, 2, 4, 1, 1, 0, bad)
 
 
+@pytest.mark.parametrize(
+    "field, args",
+    [("n_stages", (2.0, 1, 4)), ("n_virtual", (2, True, 4)), ("n_microbatches", (2, 1, 4.0))],
+)
+def test_job_counts_take_only_integers(field, args):
+    # each of these used to build a job
+    with pytest.raises(ValueError, match=rf"{field} must be an integer"):
+        InterleavedJob(*args, 1, 1, 0, 0)
+
+
 def test_order_covers_all_chunk_microbatch_pairs():
     job = make_job()
     for rank in range(job.n_stages):

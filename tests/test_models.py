@@ -83,6 +83,13 @@ def test_gpt_config_validation():
         GPTConfig(global_batch=1000, dp=3)
 
 
+@pytest.mark.parametrize("field", ["pp", "dp"])
+def test_gpt_parallel_degrees_must_be_positive(field):
+    # pp=0 and dp=0 used to raise a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1"):
+        GPTConfig(**{field: 0})
+
+
 def test_build_gpt_structure():
     spec = build_gpt(GPTConfig())
     assert len(spec.stage_meshes) == 2
@@ -170,6 +177,12 @@ def test_utransformer_config_validation():
         UTransformerConfig(micro_batch=6, dp=4)
     with pytest.raises(ValueError, match="batch"):
         UTransformerConfig(global_batch=100, micro_batch=8)
+
+
+def test_utransformer_dp_must_be_positive():
+    # dp=0 used to raise a bare ZeroDivisionError
+    with pytest.raises(ValueError, match="dp must be an integer >= 1"):
+        UTransformerConfig(dp=0)
 
 
 def test_balanced_split_minimizes_gap():

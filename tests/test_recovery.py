@@ -205,6 +205,16 @@ class TestCheckpoint:
         assert [m.hosts for m in ck.replicas_of(0)] == [(0,), (1,)]
         assert [m.hosts for m in ck.replicas_of(1)] == [(1,), (0,)]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("interval", float("nan")), ("interval", 2.5),
+         ("write_bandwidth", float("nan")), ("detection_latency", float("nan"))],
+    )
+    def test_config_rejects_nan_and_fractional_interval(self, field, value):
+        # each of these used to build a config
+        with pytest.raises(ValueError, match=field):
+            CheckpointConfig(**{field: value})
+
     def test_interval_zero_disables(self):
         store = CheckpointStore(CheckpointConfig(interval=0))
         assert store.write(0, 0.0, {0: np.zeros(4)}, []) == 0.0

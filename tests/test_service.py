@@ -579,6 +579,21 @@ def test_service_chaos_validates_partition_rate():
     assert not ServiceChaos(partition_rate=0.0).attempt_partitioned("r", 1)
 
 
+def test_admission_rate_takes_only_numbers():
+    # a string rate failed with a bare TypeError inside math.isfinite
+    with pytest.raises(ValueError, match="rate"):
+        AdmissionConfig(rate="1")
+
+
+def test_load_profile_takes_numpy_integers():
+    # schedule_job took np.int64 counts while the service's rule refused them
+    import numpy as np
+
+    from repro.service import LoadProfile
+
+    assert LoadProfile(name="np", n_requests=np.int64(5)).n_requests == 5
+
+
 def test_load_profile_rejects_no_tenants(capsys):
     # serve --tenants 0 fails on its input, not inside randrange()
     from repro.__main__ import main

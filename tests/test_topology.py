@@ -32,6 +32,7 @@ from repro.sim.network import Network
 from repro.sim.topology import (
     FatTreeTopology,
     IslandTopology,
+    Link,
     TorusTopology,
     TwoTierTopology,
     make_topology,
@@ -81,6 +82,21 @@ class TestTwoTierIdentity:
         c = Cluster(ClusterSpec(n_hosts=4, devices_per_host=2))
         assert c.topo.group_bandwidth([1]) == c.spec.intra_host_bandwidth
         assert c.topo.group_bandwidth([0, 2, 3]) == c.spec.inter_host_bandwidth
+
+
+# ----------------------------------------------------------------------
+# Link and zoo-topology validation
+# ----------------------------------------------------------------------
+def test_link_rejects_a_nan_latency():
+    # it used to build, and every path through it took NaN seconds
+    with pytest.raises(ValueError, match="latency"):
+        Link("sw:x", bandwidth=GBPS, latency=float("nan"))
+
+
+def test_fat_tree_hosts_per_leaf_takes_only_integers():
+    # 2.5 hosts per leaf failed with a bare TypeError inside range()
+    with pytest.raises(ValueError, match="hosts_per_leaf must be an integer"):
+        ClusterSpec(n_hosts=4, topology=FatTreeTopology(hosts_per_leaf=2.5))
 
 
 # ----------------------------------------------------------------------
