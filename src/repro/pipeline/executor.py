@@ -69,6 +69,10 @@ Each task's bookkeeping is done once per run: when the run starts, a
 task table resolves every device's items to their job stage, duration,
 span name and attributes, activation delta, the input key they wait on
 and their sends (duration, target, channel track).  Callbacks only read it.
+Every event carries its callback's arguments (``call_at(when, fn,
+*args)``), so no closure or ``partial`` is built per event, and every
+span is appended to the bus as one raw row: the executor opens no
+nested spans, so each row is what ``TelemetryBus.span`` would append.
 
 A device is woken, not polled.  While idle, a device records the key
 its head item waits on: the ``(kind, stage, mb)`` inputs of a compute
@@ -94,13 +98,13 @@ is measurable, and equals the analyzer's static peak.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional
+from functools import cached_property
+from typing import Any, Optional
 
 from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from .schedules import ACTIVATION_DELTA, Task, read_orders
-from .stage import PipelineJob
+from .stage import CommEdge, PipelineJob
 
 __all__ = ["PipelineResult", "simulate_pipeline"]
 
@@ -118,46 +122,41 @@ class PipelineResult:
     telemetry: TelemetryBus = field(repr=False, compare=False)
     job: PipelineJob = field(repr=False)
     n_devices: int
-    _stats_cache: Optional[tuple[float, dict[int, float], dict[int, int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def _stats(self) -> tuple[float, dict[int, float], dict[int, int]]:
-        # One fold over the span stream, on first access — keeping it
-        # out of simulate_pipeline itself, whose per-event path every
-        # Fig. 7 iteration runs.
-        if self._stats_cache is None:
-            self._stats_cache = _fold_stats(self.telemetry, self.n_devices)
-        return self._stats_cache
+    # Each statistic is folded from the stream on first access — keeping
+    # the folds out of simulate_pipeline itself, whose per-event path
+    # every Fig. 7 iteration runs, and the counter fold out of callers
+    # that read only the makespan.
+    @cached_property
+    def _span_stats(self) -> tuple[float, dict[int, float]]:
+        return _fold_spans(self.telemetry, self.n_devices)
 
     @property
     def iteration_time(self) -> float:
         """Makespan: latest compute/comm span end in the stream."""
-        return self._stats()[0]
+        return self._span_stats[0]
 
     @property
     def stage_busy_time(self) -> dict[int, float]:
         """Seconds each device spent computing (plus blocking sends)."""
-        return self._stats()[1]
+        return self._span_stats[1]
 
-    @property
+    @cached_property
     def peak_activation_counts(self) -> dict[int, int]:
         """Peak live activations per device, from the gauge samples."""
-        return self._stats()[2]
+        return _fold_peaks(self.telemetry, self.n_devices)
 
 
-def _fold_stats(
-    bus: TelemetryBus, n_devices: int
-) -> tuple[float, dict[int, float], dict[int, int]]:
-    """Fold iteration time, per-device busy time and activation peaks
-    out of the telemetry stream (the single source of truth)."""
+def _fold_spans(bus: TelemetryBus, n_devices: int) -> tuple[float, dict[int, float]]:
+    """Fold the iteration time and per-device busy time out of the
+    span stream (the single source of truth)."""
     iteration_time = 0.0
     busy = [0.0] * n_devices
-    peak = [0] * n_devices
     # Folded over the raw span rows (name, cat, track, start, end,
-    # depth, parent, attrs) — this runs once per simulation, right
-    # after the event loop drains, so it stays off the per-event path.
-    for _name, cat, _track, start, end, _depth, _parent, a in bus.span_rows:
+    # depth, parent, attrs).  Read as Any: the executor's device attrs
+    # are ints.
+    rows: list[Any] = bus.span_rows
+    for _name, cat, _track, start, end, _depth, _parent, a in rows:
         if cat == "compute":
             if end > iteration_time:
                 iteration_time = end
@@ -169,14 +168,24 @@ def _fold_stats(
                 busy[a["busy_stage"]] += end - start
         elif cat == "send":
             busy[a["stage"]] += end - start
+    return iteration_time, dict(enumerate(busy))
+
+
+def _fold_peaks(bus: TelemetryBus, n_devices: int) -> dict[int, int]:
+    """Fold each device's peak live activations out of its
+    ``activations`` gauge samples."""
+    peak = [0] * n_devices
     device_of_track = {f"stage:{d}": d for d in range(n_devices)}
     for name, track, _time, value in bus.counter_rows:
         if name == "activations":
             device = device_of_track.get(track)
             if device is not None and value > peak[device]:
                 peak[device] = int(value)
-    return iteration_time, dict(enumerate(busy)), dict(enumerate(peak))
+    return dict(enumerate(peak))
 
+
+#: a row of the per-run task table (see :func:`simulate_pipeline`)
+Row = tuple[Any, ...]
 
 #: ``waiting[d]`` while device ``d`` runs an item or has none left: no
 #: wake-up is for it.
@@ -206,7 +215,6 @@ def simulate_pipeline(
         )
     loop = EventLoop()
     bus = loop.bus
-    span = bus.span
     call_at = loop.call_at
     n_devices = len(orders)
     n_stages, m = job.n_stages, job.n_microbatches
@@ -235,13 +243,13 @@ def simulate_pipeline(
     out_edges = [[(i, e) for i, e in edges if e.src_stage == s] for s in range(n_stages)]
     chan_id: dict[str, int] = {}  # FIFO channel track -> index
 
-    def send_list(along: list, bwd: int) -> tuple:
+    def send_list(along: list[tuple[int, CommEdge]], bwd: int) -> tuple[Row, ...]:
         """Each send: (pk, duration, direction, target's arrival slot
         base, target device, channel index, channel track, src device,
         dst device, label).  A channel is one (src device, dst device,
         direction)."""
         direction = "bwd" if bwd else "fwd"
-        sends = []
+        sends: list[Row] = []
         for i, e in along:
             target = e.src_stage if bwd else e.dst_stage
             src_dev, dst_dev = device_of[e.src_stage], device_of[e.dst_stage]
@@ -252,7 +260,7 @@ def simulate_pipeline(
                           device_of[target], cid, ctrack, src_dev, dst_dev, e.label))
         return tuple(sends)
 
-    def recv_list(along: list, bwd: int) -> tuple:
+    def recv_list(along: list[tuple[int, CommEdge]], bwd: int) -> tuple[Row, ...]:
         """Blocking mode's recvs before a consuming task: (pk, duration,
         edge index, direction, label, channel track, src stage, dst
         stage)."""
@@ -266,17 +274,18 @@ def simulate_pipeline(
         )
 
     # What each kind of task does on each stage: (arrival slot base,
-    # duration, sends, recvs).
-    per_stage = []
+    # duration, sends, recvs, activation delta).
+    per_stage: list[dict[str, Row]] = []
     for s, prof in enumerate(job.stages):
         fwd_base, bwd_base = s * m, (n_stages + s) * m
         fwd_sends, bwd_sends = send_list(out_edges[s], 0), send_list(in_edges[s], 1)
         fwd_recvs, bwd_recvs = recv_list(in_edges[s], 0), recv_list(out_edges[s], 1)
         per_stage.append({
-            "F": (fwd_base, prof.fwd_time, fwd_sends, fwd_recvs),
-            "B": (bwd_base, prof.bwd_x_time + prof.bwd_w_time, bwd_sends, bwd_recvs),
-            "Bx": (bwd_base, prof.bwd_x_time, bwd_sends, bwd_recvs),
-            "Bw": (2 * n_stages * m, prof.bwd_w_time, (), ()),
+            "F": (fwd_base, prof.fwd_time, fwd_sends, fwd_recvs, ACTIVATION_DELTA["F"]),
+            "B": (bwd_base, prof.bwd_x_time + prof.bwd_w_time, bwd_sends, bwd_recvs,
+                  ACTIVATION_DELTA["B"]),
+            "Bx": (bwd_base, prof.bwd_x_time, bwd_sends, bwd_recvs, ACTIVATION_DELTA["Bx"]),
+            "Bw": (2 * n_stages * m, prof.bwd_w_time, (), (), ACTIVATION_DELTA["Bw"]),
         })
 
     # The per-run task table: rows[d] is device d's program.  A compute
@@ -284,26 +293,29 @@ def simulate_pipeline(
     # activation delta, sends, microbatch, kind); a blocking-mode recv
     # row, one before its consuming task per input edge, is (transfer
     # index, duration, edge index, span name, span track, span attrs,
-    # arrival slot).
-    rows: list[list[tuple]] = []
+    # arrival slot).  A compute span's name is the text of repr(task)
+    # (Task.__repr__), spelled out here: the table builds one per task.
+    rows: list[list[Row]] = []
     for d, order in enumerate(orders):
-        drows: list[tuple] = []
+        drows: list[Row] = []
+        append = drows.append
         for t in order:
-            kind, mb = t.kind, t.microbatch
-            s = d if t.stage is None else t.stage
-            base, dur, sends, recvs = per_stage[s][kind]
-            for pk, dur_in, i, direction, label, track, src, dst in recvs:
-                drows.append((
-                    pk * m + mb, dur_in, i, label, track,
-                    {"src_stage": src, "dst_stage": dst, "direction": direction,
-                     "microbatch": mb, "label": label, "busy_stage": d},
-                    base + mb,
-                ))
-            attrs = {"stage": d, "kind": kind, "microbatch": mb}
-            if t.stage is not None:
-                attrs["chunk"] = t.stage
-            drows.append((-1, base + mb, dur, repr(t), attrs, ACTIVATION_DELTA[kind],
-                          sends, mb, kind))
+            kind, mb, stage = t.kind, t.microbatch, t.stage
+            base, dur, sends, recvs, delta = per_stage[d if stage is None else stage][kind]
+            if recvs:
+                for pk, dur_in, i, direction, label, track, src, dst in recvs:
+                    append((
+                        pk * m + mb, dur_in, i, label, track,
+                        {"src_stage": src, "dst_stage": dst, "direction": direction,
+                         "microbatch": mb, "label": label, "busy_stage": d},
+                        base + mb,
+                    ))
+            if stage is None:
+                name, attrs = f"{kind}{mb}", {"stage": d, "kind": kind, "microbatch": mb}
+            else:
+                name = f"{kind}{mb}c{stage}"
+                attrs = {"stage": d, "kind": kind, "microbatch": mb, "chunk": stage}
+            append((-1, base + mb, dur, name, attrs, delta, sends, mb, kind))
         rows.append(drows)
 
     idx = [0] * n_devices
@@ -314,6 +326,9 @@ def simulate_pipeline(
     device_free_at = [0.0] * n_devices  # > now while blocked in sends
     act = [bus.gauge("activations", track=device_track[d]) for d in range(n_devices)]
     chan_free_at = [0.0] * len(chan_id)  # when each FIFO channel next goes idle
+    # The executor opens no spans, so each of its spans is one raw row at
+    # depth 0 (what TelemetryBus.span would append).
+    emit = bus.span_rows.append
 
     def arrival(slot: int, device: int) -> None:
         left = remaining[slot] - 1
@@ -321,10 +336,10 @@ def simulate_pipeline(
         if left <= 0 and waiting[device] == slot:
             try_start(device)
 
-    def on_compute_done(device: int, row: tuple, start: float) -> None:
+    def on_compute_done(device: int, row: Row, start: float) -> None:
         finish = loop.now
         _, _, _, name, attrs, delta, sends, mb, kind = row
-        span(name, "compute", device_track[device], start, finish, attrs)
+        emit((name, "compute", device_track[device], start, finish, 0, "", attrs))
         if delta:
             act[device].add(delta, finish)
         idx[device] += 1
@@ -334,10 +349,10 @@ def simulate_pipeline(
                 cstart = finish if finish > free else free
                 cend = cstart + dur
                 chan_free_at[cid] = cend
-                span(label, "comm", ctrack, cstart, cend,
-                     {"src_stage": src, "dst_stage": dst, "direction": direction,
-                      "microbatch": mb, "label": label})
-                call_at(cend, partial(arrival, base + mb, target))
+                emit((label, "comm", ctrack, cstart, cend, 0, "",
+                      {"src_stage": src, "dst_stage": dst, "direction": direction,
+                       "microbatch": mb, "label": label}))
+                call_at(cend, arrival, base + mb, target)
             try_start(device)
         else:
             # Blocking sends in program order (plain layout, so device
@@ -353,11 +368,11 @@ def simulate_pipeline(
                 if w == sent_base + k or w == _ANY:  # its recv may now be startable
                     try_start(target)
             if block_until > finish:
-                span(f"send:{kind}{mb}", "send", device_track[device],
-                     finish, block_until, {"stage": device})
+                emit((f"send:{kind}{mb}", "send", device_track[device],
+                      finish, block_until, 0, "", {"stage": device}))
                 device_free_at[device] = block_until
                 waiting[device] = _ANY
-                call_at(block_until, partial(wake, device))
+                call_at(block_until, wake, device)
             else:
                 try_start(device)
 
@@ -367,9 +382,9 @@ def simulate_pipeline(
         if waiting[device] == _ANY:
             try_start(device)
 
-    def on_recv_done(device: int, row: tuple, start: float) -> None:
+    def on_recv_done(device: int, row: Row, start: float) -> None:
         _, _, _, label, track, attrs, slot = row
-        span(label, "comm", track, start, loop.now, attrs)
+        emit((label, "comm", track, start, loop.now, 0, "", attrs))
         idx[device] += 1
         remaining[slot] -= 1
         try_start(device)
@@ -393,14 +408,14 @@ def simulate_pipeline(
                 return
             waiting[device] = _BUSY
             call_at((sent if sent > now else now) + row[1],
-                    partial(on_recv_done, device, row, now))
+                    on_recv_done, device, row, now)
             return
         slot = row[1]
         if remaining[slot] > 0:
             waiting[device] = slot
             return
         waiting[device] = _BUSY
-        call_at(now + row[2], partial(on_compute_done, device, row, now))
+        call_at(now + row[2], on_compute_done, device, row, now)
 
     for d in range(n_devices):
         try_start(d)
@@ -416,9 +431,9 @@ def simulate_pipeline(
     return PipelineResult(telemetry=bus, job=job, n_devices=n_devices)
 
 
-def _item_name(row: tuple) -> str:
+def _item_name(row: Row) -> str:
     """A task table row as the deadlock message names it."""
     if row[0] < 0:
-        return row[3]
+        return str(row[3])
     attrs = row[5]
     return f"recv(e{row[2]},{attrs['direction']},mb{attrs['microbatch']})"

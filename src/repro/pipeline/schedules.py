@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lt
 from typing import TYPE_CHECKING, Optional
 
 from .. import checks
@@ -73,6 +75,8 @@ class Task:
     stage: Optional[int] = None
 
     def __repr__(self) -> str:
+        # The pipeline executor spells this text out to name compute
+        # spans (tests/test_executor_pins.py pins both forms).
         if self.stage is None:
             return f"{self.kind}{self.microbatch}"
         return f"{self.kind}{self.microbatch}c{self.stage}"
@@ -274,55 +278,90 @@ def read_orders(
     upstream = tuple(tuple(a for a, b in edges if b == s) for s in range(n_stages))
     downstream = tuple(tuple(b for a, b in edges if a == s) for s in range(n_stages))
     device_of = [-1] * n_stages
-    position: dict[tuple[int, str, int], tuple[int, int]] = {}
     problems: list[tuple[int, str]] = []
     stage_tasks: list[list[Task]] = [[] for _ in range(n_stages)]
+    # Per stage and kind, the micro-batches of its tasks and their
+    # indices in the device's order, in program order.
+    mbs: list[dict[str, list[int]]] = [
+        {kind: [] for kind in ACTIVATION_DELTA} for _ in range(n_stages)
+    ]
+    where: list[dict[str, list[int]]] = [
+        {kind: [] for kind in ACTIVATION_DELTA} for _ in range(n_stages)
+    ]
     for d, order in enumerate(orders):
         for i, t in enumerate(order):
             s = d if t.stage is None else t.stage
+            kind = t.kind
             if not 0 <= s < n_stages:
                 problems.append((s, f"device {d}: task {t!r} names no stage of "
                                     f"the {n_stages}-stage job"))
-            elif device_of[s] not in (-1, d):
-                where = f"devices {device_of[s]} and {d}"
-                problems.append((s, f"stage {s} placed on {where}"))
-            elif t.kind not in ACTIVATION_DELTA:
-                problems.append((s, f"stage {s}: {t!r} has unknown kind {t.kind!r}"))
+            elif device_of[s] != d and device_of[s] != -1:
+                devices = f"devices {device_of[s]} and {d}"
+                problems.append((s, f"stage {s} placed on {devices}"))
+            elif kind not in ACTIVATION_DELTA:
+                problems.append((s, f"stage {s}: {t!r} has unknown kind {kind!r}"))
             else:
                 device_of[s] = d
                 stage_tasks[s].append(t)
-                position.setdefault((s, t.kind, t.microbatch), (d, i))
+                mbs[s][kind].append(t.microbatch)
+                where[s][kind].append(i)
+    # A stage's tasks all sit on its device.  Inserted last to first, so
+    # a repeated task keeps its first position.
+    position: dict[tuple[int, str, int], tuple[int, int]] = {}
+    for s, d in enumerate(device_of):
+        for kind, kind_mbs in mbs[s].items():
+            position.update(zip(zip(repeat(s), repeat(kind), reversed(kind_mbs)),
+                                zip(repeat(d), reversed(where[s][kind]))))
 
     m = n_microbatches
     everything = set(range(m))
-    training = any(t.kind != "F" for tasks in stage_tasks for t in tasks)
+    training = any(k[kind] for k in mbs for kind in ("B", "Bx", "Bw"))
     for s, tasks in enumerate(stage_tasks):
-        mbs: dict[str, list[int]] = {kind: [] for kind in ACTIVATION_DELTA}
-        for t in tasks:
-            mbs[t.kind].append(t.microbatch)
-        fwd = sorted(mbs["F"])
+        k, w = mbs[s], where[s]
+        fwd = sorted(k["F"])
         if fwd != list(range(m)):
             problems.append((s, f"stage {s}: forwards {fwd} != 0..{m - 1}"))
-        fused, bx, bw = set(mbs["B"]), set(mbs["Bx"]), set(mbs["Bw"])
+        fused, bx, bw = set(k["B"]), set(k["Bx"]), set(k["Bw"])
         if fused & (bx | bw):
             problems.append((s, f"stage {s}: mixes fused B and split Bx/Bw"))
         elif training and fused != everything and not bx == bw == everything:
             problems.append((s, f"stage {s}: backward coverage incomplete"))
-        seen: dict[tuple[str, int], None] = {}  # insertion-ordered set
-        for t in tasks:
-            if (t.kind, t.microbatch) in seen:
-                problems.append((s, f"stage {s}: duplicate task {t!r}"))
-            seen[(t.kind, t.microbatch)] = None
-        for kind, mb in seen:
-            if kind == "F":
+        # No task twice, and every backward after its forward (Bw after
+        # its Bx), checked kind by kind; only a stage that fails is
+        # walked task by task, to name its problems in order.
+        if (len(set(fwd)) == len(fwd) and len(fused) == len(k["B"])
+                and len(bx) == len(k["Bx"]) and len(bw) == len(k["Bw"])):
+            fpos, xpos = dict(zip(k["F"], w["F"])), dict(zip(k["Bx"], w["Bx"]))
+            if all(all(map(lt, map(first.get, k[kind], w[kind]), w[kind]))
+                   for kind, first in (("B", fpos), ("Bx", fpos), ("Bw", xpos))):
                 continue
-            here = position[(s, kind, mb)]
-            if kind != "Bw" and not position.get((s, "F", mb), here) < here:
-                problems.append(
-                    (s, f"stage {s}: backward of mb {mb} precedes its forward")
-                )
-            elif kind == "Bw" and not position.get((s, "Bx", mb), here) < here:
-                problems.append((s, f"stage {s}: Bw{mb} precedes Bx"))
+        problems.extend(_order_problems(s, tasks, position))
     return OrderReading(
         tuple(device_of), position, upstream, downstream, tuple(problems)
     )
+
+
+def _order_problems(
+    s: int,
+    tasks: list[Task],
+    position: dict[tuple[int, str, int], tuple[int, int]],
+) -> list[tuple[int, str]]:
+    """Stage ``s``'s repeated tasks, and its backwards that do not follow
+    their forward (``Bw``: its ``Bx``), in program order."""
+    problems: list[tuple[int, str]] = []
+    seen: dict[tuple[str, int], None] = {}  # insertion-ordered set
+    for t in tasks:
+        if (t.kind, t.microbatch) in seen:
+            problems.append((s, f"stage {s}: duplicate task {t!r}"))
+        seen[(t.kind, t.microbatch)] = None
+    for kind, mb in seen:
+        if kind == "F":
+            continue
+        here = position[(s, kind, mb)]
+        if kind != "Bw" and not position.get((s, "F", mb), here) < here:
+            problems.append(
+                (s, f"stage {s}: backward of mb {mb} precedes its forward")
+            )
+        elif kind == "Bw" and not position.get((s, "Bx", mb), here) < here:
+            problems.append((s, f"stage {s}: Bw{mb} precedes Bx"))
+    return problems

@@ -20,7 +20,7 @@ Layout:
   behind the CLI's ``--trace-out``.
 """
 
-from .kernel import Event, EventLoop
+from .kernel import EventLoop
 from .telemetry import (
     Counter,
     CounterSample,
@@ -36,7 +36,6 @@ from .trace import (
 )
 
 __all__ = [
-    "Event",
     "EventLoop",
     "TelemetryBus",
     "SpanRecord",

@@ -5,14 +5,24 @@ it owns the run's :class:`~repro.runtime.telemetry.TelemetryBus`, whose
 clock is the loop's ``now`` — so every executor reports through one span
 stream.  All simulated time is in seconds (float).
 
-The queue is one heap of ``(time, seq, event)`` tuples, ``seq`` a
-per-loop counter: events run in ``(time, insertion order)``, so two runs
-over the same inputs produce identical schedules on every Python
-version, and ``seq`` is unique, so the heap never compares events.  A
-cancel is a flag flip (lazy cancellation, skipped at pop time); when
-dead events dominate a large queue it is compacted in one ``O(n)``
-sweep.  This plain heap was measured faster than batching events per
-distinct timestamp on every benchmark workload that dispatches events.
+An event is one plain heap entry, the list ``[time, seq, fn, args]``:
+``call_at(when, fn, *args)`` pushes it and returns it as the event's
+handle, and the loop runs it as ``fn(*args)``, so a caller passes its
+arguments instead of building a closure or ``partial`` per event.
+``seq`` is a per-loop counter: events run in ``(time, insertion
+order)``, so two runs over the same inputs produce identical schedules
+on every Python version, and ``seq`` is unique, so the heap never
+compares past it.  :meth:`EventLoop.cancel` blanks the entry's ``fn``
+(lazy cancellation: a blank entry is skipped at pop time); the loop
+blanks every entry it pops before running it, so cancelling an event
+that already ran, or cancelling twice, is a no-op.  When blank entries
+dominate a large queue they are compacted out in one ``O(n)`` sweep.
+This plain heap was measured faster than batching events per distinct
+timestamp on every benchmark workload that dispatches events.
+
+The loop keeps no per-event counters: ``pending`` and ``processed`` are
+derived from the heap's length, the ``seq`` counter and the number of
+blank entries removed, so they stay exact even when a callback raises.
 
 The engine stays deliberately tiny: the network model
 (:mod:`repro.sim.network`), the pipeline executor, and the recovery
@@ -23,37 +33,13 @@ which keeps stack traces shallow and the hot loop cheap.  Contention
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from heapq import heapify, heappop, heappush
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .telemetry import TelemetryBus
 
-__all__ = ["Event", "EventLoop"]
-
-
-@dataclass(slots=True)
-class Event:
-    """A scheduled callback: the handle :meth:`EventLoop.call_at` returns.
-
-    Slotted: the network simulator arms (and mostly cancels) one of
-    these per flow timeout and per rate reallocation.
-    """
-
-    time: float
-    fn: Callable[[], None]
-    cancelled: bool = False
-    #: owning loop while the event is still queued; dropped (set to
-    #: None) once the event runs, so a late cancel() cannot skew the
-    #: loop's live/cancelled accounting.
-    loop: Optional["EventLoop"] = field(default=None, repr=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the loop skips it when popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.loop is not None:
-                self.loop._note_cancel()
+__all__ = ["EventLoop"]
 
 
 #: queue-size floor below which compaction is never attempted
@@ -66,7 +52,7 @@ class EventLoop:
     Usage::
 
         loop = EventLoop()
-        loop.call_at(1.5, lambda: print("hello at t=1.5"))
+        loop.call_at(1.5, print, "hello at t=1.5")
         loop.run()
         assert loop.now == 1.5
 
@@ -75,61 +61,63 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.bus = TelemetryBus(clock=lambda: self.now)
-        #: min-heap of (time, seq, event); compaction edits it in place
-        self._heap: list[tuple[float, int, Event]] = []
+        #: min-heap of [time, seq, fn, args] entries; fn is None once
+        #: the entry is cancelled or popped.  Compaction edits it in place.
+        self._heap: list[list[Any]] = []
         self._seq = 0
         self.now: float = 0.0
-        self._n_processed = 0
-        self._n_live = 0  # queued and not cancelled
-        self._n_cancelled = 0  # queued and cancelled (lazy, not yet skipped)
+        self._n_cancels = 0  # cancel() calls that blanked a queued entry
+        self._n_dropped = 0  # of those, entries since popped or compacted out
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def call_at(self, when: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run at absolute simulated time ``when``."""
+    def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> list[Any]:
+        """Schedule ``fn(*args)`` at absolute simulated time ``when``.
+
+        Returns the event's heap entry, the handle :meth:`cancel` takes.
+        """
         now = self.now
         # Written so NaN fails too: every comparison with NaN is False.
         if not when >= now - 1e-12:
             raise ValueError(
                 f"cannot schedule event in the past (or at NaN): {when} < now={now}"
             )
-        t = when if when > now else now
-        ev = Event(t, fn, False, self)
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (t, seq, ev))
-        self._n_live += 1
-        return ev
+        entry: list[Any] = [when if when > now else now, seq, fn, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def call_after(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run ``delay`` seconds from now."""
+    def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> list[Any]:
+        """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if not delay >= 0:
             raise ValueError(f"negative or NaN delay: {delay}")
-        return self.call_at(self.now + delay, fn)
+        return self.call_at(self.now + delay, fn, *args)
 
-    # ------------------------------------------------------------------
-    # Queue accounting
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """A queued event flipped to cancelled (lazy cancellation)."""
-        self._n_live -= 1
-        self._n_cancelled += 1
+    def cancel(self, entry: list[Any]) -> None:
+        """Cancel a queued event: blank its entry so the loop skips it.
+
+        A no-op on an entry that already ran or was already cancelled.
+        """
+        if entry[2] is None:
+            return
+        entry[2] = None
+        self._n_cancels += 1
         # When dead events dominate a large queue, sweep them out so the
         # heap stays proportional to live work.  Amortized O(1): each
         # sweep halves the queue.
-        if (
-            self._n_cancelled > _COMPACT_MIN
-            and self._n_cancelled > self._n_live
-        ):
+        dead = self._n_cancels - self._n_dropped
+        if dead > _COMPACT_MIN and dead > len(self._heap) - dead:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every cancelled event and re-heapify the survivors."""
+        """Drop every blank entry and re-heapify the survivors."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        n = len(heap)
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapify(heap)
-        self._n_cancelled = 0
+        self._n_dropped += n - len(heap)
 
     # ------------------------------------------------------------------
     # Execution
@@ -137,35 +125,44 @@ class EventLoop:
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains (or simulated time passes ``until``).
 
-        Returns the final simulated time.  ``max_events`` is a runaway
-        guard; hitting it raises ``RuntimeError``.
+        Returns the final simulated time; when the next event lies past
+        ``until``, the clock stops at ``until``.  ``until`` may not lie
+        before ``now`` (nor be NaN).  ``max_events`` is a runaway guard:
+        at most that many callbacks run, and a further due event raises
+        ``RuntimeError`` (it stays queued).
         """
+        if until is None:
+            until = math.inf
+        elif not until >= self.now:
+            raise ValueError(f"run(until={until}) lies before now={self.now} (or is NaN)")
         heap = self._heap
         n = 0
         while heap:
-            if until is not None and heap[0][0] > until:
-                self.now = until
-                break
-            t, _, ev = heappop(heap)
-            if ev.cancelled:
-                self._n_cancelled -= 1
+            entry = heappop(heap)
+            fn = entry[2]
+            if fn is None:
+                self._n_dropped += 1
                 continue
-            self.now = t
-            self._n_processed += 1
-            self._n_live -= 1
-            ev.loop = None
-            ev.fn()
-            n += 1
-            if n > max_events:
+            t = entry[0]
+            if t > until or n >= max_events:
+                heappush(heap, entry)  # same (time, seq): order unchanged
+                if t > until:
+                    self.now = until
+                    break
                 raise RuntimeError(f"event budget exceeded ({max_events} events)")
+            n += 1
+            self.now = t
+            entry[2] = None
+            fn(*entry[3])
         return self.now
 
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return self._n_live
+        return len(self._heap) - (self._n_cancels - self._n_dropped)
 
     @property
     def processed(self) -> int:
-        """Total number of events executed so far."""
-        return self._n_processed
+        """Total number of events popped to run so far (a callback that
+        raised included)."""
+        return self._seq - len(self._heap) - self._n_dropped

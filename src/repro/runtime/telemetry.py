@@ -289,8 +289,11 @@ class TelemetryBus:
     @property
     def span_rows(self) -> list[SpanRow]:
         """Raw span rows ``(name, cat, track, start, end, depth, parent,
-        attrs)`` — the zero-copy view for hot folding loops.  Treat as
-        read-only and append-only."""
+        attrs)`` — the zero-copy view for hot folding loops.  Readers
+        treat it as read-only.  An emitter that never opens a span
+        (:meth:`begin`) on its tracks may append its rows here directly,
+        each at depth 0 with parent ``""`` — exactly the row
+        :meth:`span` would append; the pipeline executor does."""
         return self._span_rows
 
     @property

@@ -73,10 +73,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
-from ..runtime.kernel import Event, EventLoop
+from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
 from .cluster import Cluster
 from .faults import (
@@ -113,7 +112,8 @@ class Flow:
     attempts: int = 1
     abandoned: bool = False
     on_abandon: Optional[Callable[["Flow"], None]] = None
-    timeout_event: Optional[Event] = None
+    #: the armed timeout's kernel entry (cancelled through the loop)
+    timeout_event: Optional[list[Any]] = None
     #: fixed startup latency re-applied on every retry attempt
     base_latency: float = 0.0
 
@@ -153,7 +153,7 @@ class Network:
         self.solver: RateSolver = solver if solver is not None else ScalarSolver()
         self.solver.attach(self)
         self._next_id = 0
-        self._completion_event: Optional[Event] = None
+        self._completion_event: Optional[list[Any]] = None
         self._expected_finish: list[int] = []
         self._last_update = 0.0
         self.bytes_cross_host = 0.0
@@ -321,7 +321,7 @@ class Network:
             base_latency=latency,
         )
         self._next_id += 1
-        self.loop.call_after(latency + extra_latency, partial(self._activate, flow))
+        self.loop.call_after(latency + extra_latency, self._activate, flow)
         return flow
 
     # ------------------------------------------------------------------
@@ -410,7 +410,7 @@ class Network:
         active = self._active
         if not active:
             if self._completion_event is not None:
-                self._completion_event.cancel()
+                self.loop.cancel(self._completion_event)
                 self._completion_event = None
             return
         # One walk: the earliest ETA, and each ETA kept for the ties.
@@ -432,12 +432,13 @@ class Network:
         when = self.loop.now + next_eta
         armed = self._completion_event
         if armed is not None:
-            if armed.time == when and not armed.cancelled:
+            # armed is the kernel entry [time, seq, fn, args]
+            if armed[0] == when and armed[2] is not None:
                 # The completion instant did not move: keep the armed
                 # event instead of churning the heap with a cancel +
                 # re-push pair (lazy cancellation's common case).
                 return
-            armed.cancel()
+            self.loop.cancel(armed)
         self._completion_event = self.loop.call_at(when, self._on_completion)
 
     def _on_completion(self) -> None:
@@ -555,20 +556,19 @@ class Network:
         flow.rate = 0.0
         # The flow's own base latency, not a fresh route lookup: custom-
         # port flows (multicast segments) must retry over the same path.
-        self.loop.call_after(delay + flow.base_latency, partial(self._activate, flow))
+        self.loop.call_after(delay + flow.base_latency, self._activate, flow)
 
     def _arm_timeout(self, flow: Flow) -> None:
         if self.faults is None or self.retry_policy.flow_timeout is None:
             return
         attempt = flow.attempts
         flow.timeout_event = self.loop.call_after(
-            self.retry_policy.flow_timeout,
-            lambda: self._on_flow_timeout(flow, attempt),
+            self.retry_policy.flow_timeout, self._on_flow_timeout, flow, attempt
         )
 
     def _cancel_timeout(self, flow: Flow) -> None:
         if flow.timeout_event is not None:
-            flow.timeout_event.cancel()
+            self.loop.cancel(flow.timeout_event)
             flow.timeout_event = None
 
     def _on_flow_timeout(self, flow: Flow, attempt: int) -> None:

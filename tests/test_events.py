@@ -69,7 +69,7 @@ def test_cancel_skips_event():
     seen = []
     ev = loop.call_at(1.0, lambda: seen.append("cancelled"))
     loop.call_at(2.0, lambda: seen.append("kept"))
-    ev.cancel()
+    loop.cancel(ev)
     loop.run()
     assert seen == ["kept"]
 
@@ -80,6 +80,20 @@ def test_cannot_schedule_in_past():
     loop.run()
     with pytest.raises(ValueError, match="past"):
         loop.call_at(1.0, lambda: None)
+
+
+def test_time_within_tolerance_before_now_runs_at_now():
+    """A time up to 1e-12 before now is float residue, not the past: it
+    is clamped to now, and anything earlier is rejected."""
+    loop = EventLoop()
+    loop.call_at(1.0, lambda: None)
+    loop.run()
+    seen = []
+    loop.call_at(1.0 - 1e-12, lambda: seen.append(loop.now))
+    with pytest.raises(ValueError, match="past"):
+        loop.call_at(1.0 - 2e-12, lambda: None)
+    loop.run()
+    assert seen == [1.0]
 
 
 def test_negative_delay_rejected():
@@ -111,6 +125,117 @@ def test_run_until_stops_before_later_events():
     assert seen == [1, 10]
 
 
+def test_run_until_cannot_turn_the_clock_back():
+    """An until below now used to set now back to it: an event at 3
+    queued behind it then ran at simulated time 3 after time 5."""
+    loop = EventLoop()
+    loop.call_at(5.0, lambda: None)
+    loop.call_at(6.0, lambda: None)
+    loop.run(until=5.0)
+    assert loop.now == 5.0
+    with pytest.raises(ValueError, match="before now"):
+        loop.run(until=2.0)
+    assert loop.now == 5.0 and loop.pending == 1
+
+
+def test_run_until_nan_rejected():
+    """A NaN until compares False with every time, so it was silently
+    ignored and the loop ran to completion."""
+    loop = EventLoop()
+    seen = []
+    loop.call_at(1.0, lambda: seen.append(1))
+    with pytest.raises(ValueError, match="NaN"):
+        loop.run(until=float("nan"))
+    assert seen == [] and loop.pending == 1
+
+
+def test_run_until_now_runs_due_events():
+    loop = EventLoop()
+    seen = []
+    loop.call_at(0.0, lambda: seen.append(0))
+    loop.call_at(1.0, lambda: seen.append(1))
+    loop.run(until=0.0)
+    assert seen == [0] and loop.now == 0.0
+
+
+def test_event_budget_runs_at_most_max_events():
+    """run(max_events=3) used to run a fourth callback before raising."""
+    loop = EventLoop()
+    seen = []
+    for i in range(5):
+        loop.call_at(float(i), lambda i=i: seen.append(i))
+    with pytest.raises(RuntimeError, match=r"budget exceeded \(3 events\)"):
+        loop.run(max_events=3)
+    assert seen == [0, 1, 2]
+    assert loop.processed == 3 and loop.pending == 2 and loop.now == 2.0
+    loop.run()  # the event the budget stopped is still queued
+    assert seen == [0, 1, 2, 3, 4]
+
+
+def test_event_budget_applies_to_events_due_at_until():
+    """An event due at until is run, so a spent budget raises there
+    instead of stopping the clock as if the event lay past until."""
+    loop = EventLoop()
+    for t in (1.0, 2.0, 3.0):
+        loop.call_at(t, lambda: None)
+    with pytest.raises(RuntimeError, match="budget"):
+        loop.run(until=2.0, max_events=1)
+    assert loop.now == 1.0 and loop.processed == 1
+
+
+def test_event_budget_allows_exactly_max_events():
+    loop = EventLoop()
+    for i in range(3):
+        loop.call_at(float(i), lambda: None)
+    assert loop.run(max_events=3) == 2.0
+    assert loop.processed == 3
+
+
+def test_counts_stay_exact_when_a_callback_raises():
+    """The raising event counts as processed (it was popped and run);
+    what is still queued stays pending, cancelled events excluded."""
+    loop = EventLoop()
+
+    def boom():
+        raise KeyError("boom")
+
+    loop.call_at(1.0, lambda: None)
+    loop.call_at(2.0, boom)
+    loop.call_at(3.0, lambda: None)
+    dead = loop.call_at(4.0, lambda: None)
+    loop.cancel(dead)
+    with pytest.raises(KeyError):
+        loop.run()
+    assert loop.processed == 2
+    assert loop.pending == 1
+    assert loop.now == 2.0
+    loop.run()
+    assert loop.processed == 3 and loop.pending == 0
+
+
+def test_callback_receives_positional_args():
+    loop = EventLoop()
+    seen = []
+    loop.call_at(1.0, seen.append, "at")
+    loop.call_after(2.0, lambda *a: seen.append(a), 1, "two")
+    loop.run()
+    assert seen == ["at", (1, "two")]
+
+
+def test_cancel_after_run_and_double_cancel_are_noops():
+    loop = EventLoop()
+    ran = loop.call_at(1.0, lambda: None)
+    kept = loop.call_at(2.0, lambda: None)
+    loop.run(until=1.5)
+    loop.cancel(ran)  # already ran
+    assert loop.pending == 1
+    loop.cancel(kept)
+    loop.cancel(kept)
+    assert loop.pending == 0
+    loop.run()
+    assert loop.processed == 1 and loop.now == 1.5
+
+
 def test_event_budget_guard():
     loop = EventLoop()
 
@@ -134,22 +259,25 @@ def test_processed_counter():
 # Execution order against an independent reference model
 # ----------------------------------------------------------------------
 class KernelAdapter:
-    """Drives the real kernel; events are named by the program's ids."""
+    """Drives the real kernel; events are named by the program's ids,
+    which each callback receives as its positional argument."""
 
     def __init__(self):
         self.loop = EventLoop()
         self.handles = []
 
-    def call_at(self, when, fire):
-        i = len(self.handles)
-        self.handles.append(self.loop.call_at(when, lambda: fire(i, self.loop.now)))
+    @property
+    def now(self):
+        return self.loop.now
 
-    def call_after(self, delay, fire):
-        i = len(self.handles)
-        self.handles.append(self.loop.call_after(delay, lambda: fire(i, self.loop.now)))
+    def call_at(self, when, fn, *args):
+        self.handles.append(self.loop.call_at(when, fn, *args))
+
+    def call_after(self, delay, fn, *args):
+        self.handles.append(self.loop.call_after(delay, fn, *args))
 
     def cancel(self, i):
-        self.handles[i].cancel()
+        self.loop.cancel(self.handles[i])
 
     def run(self, until=None):
         self.loop.run(until=until)
@@ -165,16 +293,16 @@ class ReferenceQueue:
 
     def __init__(self):
         self.now = 0.0
-        self.live = {}  # seq -> (time, fire)
+        self.live = {}  # seq -> (time, fn, args)
         self.n = 0
         self.processed = 0
 
-    def call_at(self, when, fire):
-        self.live[self.n] = (max(when, self.now), fire)
+    def call_at(self, when, fn, *args):
+        self.live[self.n] = (max(when, self.now), fn, args)
         self.n += 1
 
-    def call_after(self, delay, fire):
-        self.call_at(self.now + delay, fire)
+    def call_after(self, delay, fn, *args):
+        self.call_at(self.now + delay, fn, *args)
 
     def cancel(self, i):
         self.live.pop(i, None)
@@ -182,13 +310,14 @@ class ReferenceQueue:
     def run(self, until=None):
         while self.live:
             i = min(self.live, key=lambda k: (self.live[k][0], k))
-            t, fire = self.live[i]
+            t, fn, args = self.live[i]
             if until is not None and t > until:
+                self.now = until
                 return
             del self.live[i]
             self.now = t
             self.processed += 1
-            fire(i, t)
+            fn(*args)
 
     def counts(self):
         return self.processed, len(self.live)
@@ -212,8 +341,8 @@ class Program:
         self.n = 0
         self.log = []
 
-    def fire(self, i, now):
-        self.log.append((i, now))
+    def fire(self, i):
+        self.log.append((i, self.q.now))
         rng = self.rng
         if len(self.log) == self.burst_at:
             # Mass cancel from inside a callback: compaction mid-run.
@@ -229,11 +358,11 @@ class Program:
             self.q.cancel(rng.randrange(self.n))  # maybe ran or cancelled
 
     def at(self, when):
-        self.q.call_at(when, self.fire)
+        self.q.call_at(when, self.fire, self.n)
         self.n += 1
 
     def after(self, delay):
-        self.q.call_after(delay, self.fire)
+        self.q.call_after(delay, self.fire, self.n)
         self.n += 1
 
     def execute(self, n_initial, n_times, untils):

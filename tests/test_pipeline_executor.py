@@ -284,6 +284,23 @@ def test_deadlock_detection():
             in str(err.value))
 
 
+def test_deadlock_names_a_recv_stalled_on_the_first_transfer():
+    """The mirror image: stage 1 stalls on transfer 0 (edge 0, fwd, mb
+    0), whose index alone does not mark a recv row."""
+    job = make_job(n_stages=2, m=2, comm=0.1)
+    orders = [
+        [Task("F", 1), Task("B", 1), Task("F", 0), Task("B", 0)],
+        [Task("F", 0), Task("F", 1), Task("B", 0), Task("B", 1)],
+    ]
+    with pytest.raises(RuntimeError, match="deadlock") as err:
+        simulate_pipeline(job, orders, overlap=True)
+    assert "stuck at tasks {0: 'B1', 1: 'F0'} " in str(err.value)
+    with pytest.raises(RuntimeError, match="deadlock") as err:
+        simulate_pipeline(job, orders, overlap=False)
+    assert ("stuck at tasks {0: 'recv(e0,bwd,mb1)', 1: 'recv(e0,fwd,mb0)'} "
+            in str(err.value))
+
+
 # ----------------------------------------------------------------------
 # edge pricing: one price per (edge, direction), read once per run
 # ----------------------------------------------------------------------

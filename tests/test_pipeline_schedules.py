@@ -9,6 +9,7 @@ from repro.pipeline.schedules import (
     eager_warmup,
     fifo_warmup,
     one_f_one_b_order,
+    read_orders,
     schedule_job,
     split_backward,
 )
@@ -44,6 +45,14 @@ def test_warmup_bounds_checked():
         fifo_warmup(4, 4)
     with pytest.raises(ValueError):
         eager_warmup(-1, 4)
+
+
+@pytest.mark.parametrize("warmup", [fifo_warmup, eager_warmup])
+def test_warmup_refuses_both_ends(warmup):
+    assert warmup(0, 4) >= warmup(3, 4) == 1
+    for stage in (-1, 4):
+        with pytest.raises(ValueError, match="outside"):
+            warmup(stage, 4)
 
 
 def test_eager_extra_memory_bound():
@@ -215,7 +224,58 @@ def test_schedule_job_shapes():
     assert all(len(o) == 10 for o in orders)
 
 
+def test_split_backward_default_delay_is_one_slot():
+    order = one_f_one_b_order(4, 2)
+    assert split_backward(order) == split_backward(order, delay_slots=1)
+    assert split_backward(order) != split_backward(order, delay_slots=2)
+
+
+def test_schedule_job_delay_slots_bounds():
+    one = schedule_job("1f1b", 2, 4, delay_bw_weight=True, delay_slots=1)
+    assert schedule_job("1f1b", 2, 4, delay_bw_weight=True, delay_slots=0) == one
+    with pytest.raises(ValueError, match="delay_slots"):
+        schedule_job("1f1b", 2, 4, delay_bw_weight=True, delay_slots=-1)
+
+
 def test_schedule_job_with_delay():
     orders = schedule_job("eager_1f1b", 2, 4, delay_bw_weight=True)
     kinds = {t.kind for o in orders for t in o}
     assert kinds == {"F", "Bx", "Bw"}
+
+
+# ----------------------------------------------------------------------
+# read_orders: every problem named, in order
+# ----------------------------------------------------------------------
+def _t(spec):
+    """``"Bx0"`` -> ``Task("Bx", 0)``."""
+    return Task(spec.rstrip("0123456789"), int(spec.lstrip("BFwx")))
+
+
+@pytest.mark.parametrize(
+    "order, m, problems",
+    [
+        ("F0 F0 F1 B0 B1", 2,
+         ["forwards [0, 0, 1] != 0..1", "duplicate task F0"]),
+        ("F0 F1 B0 B0 B1", 2, ["duplicate task B0"]),
+        ("F0 Bx0 Bx0 Bw0", 1, ["duplicate task Bx0"]),
+        ("F0 Bx0 Bw0 Bw0", 1, ["duplicate task Bw0"]),
+        ("B0 F0 F1 B1", 2, ["backward of mb 0 precedes its forward"]),
+        ("F1 B0 B1", 2,
+         ["forwards [1] != 0..1", "backward of mb 0 precedes its forward"]),
+        ("Bx0 F0 Bw0", 1, ["backward of mb 0 precedes its forward"]),
+        ("F0 Bw0 Bx0", 1, ["Bw0 precedes Bx"]),
+        ("F0 Bw0", 1, ["backward coverage incomplete", "Bw0 precedes Bx"]),
+        ("F0 F1 Bx0 Bw0 Bx1 Bw1", 2, []),
+    ],
+)
+def test_read_orders_names_each_problem_in_order(order, m, problems):
+    reading = read_orders([[_t(x) for x in order.split()]], m)
+    assert reading.problems == tuple((0, f"stage 0: {p}") for p in problems)
+
+
+def test_read_orders_chains_stages_without_a_job():
+    orders = [[Task("F", 0), Task("B", 0)] for _ in range(3)]
+    reading = read_orders(orders, 1)
+    assert reading.upstream == ((), (0,), (1,))
+    assert reading.downstream == ((1,), (2,), ())
+    assert reading.position[(1, "B", 0)] == (1, 1)

@@ -1,6 +1,13 @@
 """Tests for the runtime kernel: the event loop, its bus, and the FIFO
 channels the pipeline executor keeps per directed device pair."""
 
+import pytest
+
+from repro import reshard
+from repro.experiments import fig6
+from repro.experiments.common import make_microbench_meshes
+from repro.models.gpt import GPT_CASES, build_gpt
+from repro.models.parallel import run_iteration
 from repro.pipeline.executor import simulate_pipeline
 from repro.pipeline.interleaved import InterleavedJob
 from repro.pipeline.schedules import schedule_job
@@ -28,8 +35,8 @@ def test_tie_breaking_survives_interleaved_times_and_cancels():
     for i in range(10):
         evs.append(loop.call_at(2.0, lambda i=i: order.append(("late", i))))
         loop.call_at(1.0, lambda i=i: order.append(("early", i)))
-    evs[3].cancel()
-    evs[7].cancel()
+    loop.cancel(evs[3])
+    loop.cancel(evs[7])
     loop.run()
     assert order[:10] == [("early", i) for i in range(10)]
     assert order[10:] == [("late", i) for i in range(10) if i not in (3, 7)]
@@ -49,6 +56,44 @@ def test_events_scheduled_at_now_during_callback_run_same_time():
     # nested zero-delay event lands after already-queued ties
     assert seen == ["first", "second", "nested"]
     assert loop.now == 1.0
+
+
+# ----------------------------------------------------------------------
+# Events dispatched per real call (what the benchmark's runtime.events
+# counts): a kernel or executor change that keeps every span row must
+# keep these too, unless it removes events on purpose.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def kernel_events(monkeypatch):
+    """Sum of events run by every EventLoop.run during the test."""
+    total = [0]
+    run = EventLoop.run
+
+    def counting_run(self, *args, **kwargs):
+        before = self.processed
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            total[0] += self.processed - before
+
+    monkeypatch.setattr(EventLoop, "run", counting_run)
+    return total
+
+
+def test_fig7_iteration_dispatches_pinned_event_count(kernel_events):
+    """One Fig. 7 iteration (GPT case1, ``ours``): its boundary compiles'
+    simulations plus the pipeline executor."""
+    run_iteration(build_gpt(GPT_CASES["GPT case1"]), "ours", cache=None)
+    assert kernel_events[0] == 1552
+
+
+def test_table2_reshard_dispatches_pinned_event_count(kernel_events):
+    """One uncached Table-2 reshard (case8, broadcast)."""
+    case = next(c for c in fig6.TABLE2_CASES if c.name == "case8")
+    _cluster, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
+    reshard(fig6.TENSOR_SHAPE, src, case.send_spec, dst, case.recv_spec,
+            strategy="broadcast", cache=None)
+    assert kernel_events[0] == 1282
 
 
 # ----------------------------------------------------------------------
