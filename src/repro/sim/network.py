@@ -23,15 +23,25 @@ the arriving or departing flow shares a port with another active flow
 Chunk-pipelined ring hops are mostly alone on their ports, so most
 solves skip the fill.  The active set is small (most solves see zero to
 three flows), so the cost is per-event bookkeeping rather than
-arithmetic, and the network keeps it flat with memos: a
-``(src, dst) -> (ports, latency)`` route table (custom
-``ports=``/``latency=`` flows bypass it), a static per-port base
-capacity (fault factors are still applied at the current instant on
-every lookup), a device -> host table for byte accounting and a
-device -> ``dev:<d>`` telemetry track table.  Device ids are
-validated once, at submission.  Each reallocation walks the active set
-once for the earliest ETA and keeps every flow's ETA for the tie set;
-every float operation on ``remaining``, ``rate`` and the completion
+arithmetic, and the network keeps that constant small:
+
+* **A flow** costs one chained comparison that accepts a valid
+  :meth:`Network.start_flow` call (a call it fails re-runs the checks
+  one at a time, to raise the first error), a hit in the
+  ``(src, dst) -> (ports, latency)`` route table (custom
+  ``ports=``/``latency=`` flows bypass it), one positional
+  :class:`Flow` and one kernel push.  On activation the solver counts
+  its ports; a flow alone on them takes the minimum of their static
+  capacities, memoized per port tuple when no fault schedule is
+  installed (under one, capacities are read at the current instant).
+  On delivery it appends one raw span row to the bus and one sample to
+  a byte counter; a device -> host table and a device -> ``dev:<d>``
+  track table answer the lookups.
+* **A reallocation** costs one solve call and one walk over the active
+  set for the earliest ETA (each ETA kept for the tie set); the
+  completion event is re-pushed only when its instant moved.
+
+Every float operation on ``remaining``, ``rate`` and the completion
 instant is the one the golden digests pin, in the same order.
 
 The network runs on the unified runtime kernel
@@ -72,6 +82,7 @@ checksums (:mod:`repro.core.verify_data`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -89,6 +100,8 @@ from .faults import (
 from .solver import RateSolver, ScalarSolver
 
 __all__ = ["Flow", "Network"]
+
+_INF = math.inf
 
 
 # Slotted: tens of thousands are alive at once in large simulations, and
@@ -142,6 +155,7 @@ class Network:
         # A cluster never changes once built, so a device's host, a
         # route, and a port's fault-free capacity are computed once.
         self._host_of: list[int] = [d.host_id for d in cluster.devices]
+        self._n_devices = len(self._host_of)
         #: telemetry track of each device's flows
         self._dev_track: list[str] = [f"dev:{d.device_id}" for d in cluster.devices]
         self._routes: dict[tuple[int, int], tuple[tuple[str, ...], float]] = {}
@@ -284,6 +298,68 @@ class Network:
         the switch-replicated legs of a multicast) price exactly the
         resources that segment holds instead of a full device-to-device
         path; ``ports`` must name at least one port (``ValueError``).
+
+        ``src`` and ``dst`` must be integer device ids of the cluster
+        (``KeyError``) and differ; ``nbytes`` must be finite and
+        non-negative; ``latency`` (when given) and ``extra_latency`` must
+        each lie in ``[0, inf)``, and their sum must not overflow the
+        clock.  Every other bad value raises ``ValueError`` naming the
+        argument.  A rejected call changes nothing: it takes no flow id
+        and schedules no event.
+        """
+        # One chained test passes a valid call; a call it fails re-runs
+        # the checks one at a time, in order, to raise the first error.
+        if not (
+            type(src) is int is type(dst)
+            and 0 <= src < self._n_devices > dst >= 0
+            and src != dst
+            and 0.0 <= nbytes < _INF
+            and 0.0 <= extra_latency < _INF
+            and (latency is None or 0.0 <= latency < _INF)
+            and (ports is None or ports)
+        ):
+            self._check_flow(src, dst, nbytes, extra_latency, ports, latency)
+        if ports is None or latency is None:
+            route = self._routes.get((src, dst)) or self._route(src, dst)
+            if ports is None:
+                ports = route[0]
+            if latency is None:
+                latency = route[1]
+        loop = self.loop
+        now = loop.now
+        # call_after's instant; each delay is checked above, their sum here.
+        when = now + (latency + extra_latency)
+        if when == _INF:
+            raise ValueError(
+                f"latency + extra_latency overflows the clock: {latency!r} + {extra_latency!r}"
+            )
+        flow_id = self._next_id
+        self._next_id = flow_id + 1
+        nbytes = float(nbytes)
+        # Positional, in field order: flow_id, src, dst, nbytes, remaining,
+        # ports, on_complete, tag, submit_time, start_time, finish_time,
+        # rate, attempts, abandoned, on_abandon, timeout_event, base_latency.
+        flow = Flow(
+            flow_id, src, dst, nbytes, nbytes, ports, on_complete, tag, now,
+            -1.0, -1.0, 0.0, 1, False, on_abandon, None, latency,
+        )
+        loop.call_at(when, self._activate, flow)
+        return flow
+
+    def _check_flow(
+        self,
+        src: Any,
+        dst: Any,
+        nbytes: Any,
+        extra_latency: Any,
+        ports: Optional[tuple[str, ...]],
+        latency: Any,
+    ) -> None:
+        """Raise the first error in :meth:`start_flow`'s arguments, if any.
+
+        Reached only when :meth:`start_flow`'s one test fails; a call
+        that passes here anyway (device ids that are numpy ints) goes on
+        as usual.
         """
         if src == dst:
             raise ValueError("flow source and destination must differ")
@@ -291,38 +367,28 @@ class Network:
             raise ValueError(f"negative flow size: {nbytes}")
         if not math.isfinite(nbytes):
             raise ValueError(f"non-finite flow size: {nbytes}")
-        n_devices = len(self._host_of)
+        n_devices = self._n_devices
         for d in (src, dst):
-            # Checked here, not at first use: a negative id would
-            # silently wrap in the device -> host table.
-            if not 0 <= d < n_devices:
+            # A negative id would silently wrap in the device -> host
+            # table; a float or bool one is no id the tables know.
+            if (
+                isinstance(d, bool)
+                or not isinstance(d, numbers.Integral)
+                or not 0 <= d < n_devices
+            ):
                 raise KeyError(f"no device {d} in cluster of {n_devices}")
         if ports is not None and not ports:
             # A flow through no port would have no bottleneck, hence no
             # finite max-min rate.
             raise ValueError("a flow must traverse at least one port")
-        if ports is None or latency is None:
-            route_ports, route_latency = self._route(src, dst)
-            if ports is None:
-                ports = route_ports
-            if latency is None:
-                latency = route_latency
-        flow = Flow(
-            flow_id=self._next_id,
-            src=src,
-            dst=dst,
-            nbytes=float(nbytes),
-            remaining=float(nbytes),
-            ports=ports,
-            on_complete=on_complete,
-            tag=tag,
-            submit_time=self.loop.now,
-            on_abandon=on_abandon,
-            base_latency=latency,
-        )
-        self._next_id += 1
-        self.loop.call_after(latency + extra_latency, self._activate, flow)
-        return flow
+        # Each delay on its own: a negative extra_latency must not hide
+        # behind a longer link latency, nor an infinite one stall run().
+        if latency is not None and not 0.0 <= latency < _INF:
+            raise ValueError(f"latency must be finite and non-negative, got {latency!r}")
+        if not 0.0 <= extra_latency < _INF:
+            raise ValueError(
+                f"extra_latency must be finite and non-negative, got {extra_latency!r}"
+            )
 
     # ------------------------------------------------------------------
     # Telemetry: the bus holds the one record of every flow
@@ -349,12 +415,17 @@ class Network:
         """
         finish = flow.finish_time if finish_time is None else finish_time
         start = flow.start_time if flow.start_time >= 0.0 else flow.submit_time
-        self.bus.span(
+        # Nothing opens a span on a ``dev:`` track, so the row is the one
+        # TelemetryBus.span would append: depth 0, no parent.  The list
+        # is read from the bus on every call: a resim restore rebinds it.
+        self.bus.span_rows.append((
             flow.tag or f"flow{flow.flow_id}",
             "flow",
             self._dev_track[flow.src],
             start,
             finish,
+            0,
+            "",
             {
                 "flow_id": flow.flow_id,
                 "src": flow.src,
@@ -366,14 +437,15 @@ class Network:
                 "status": status,
                 "tag": flow.tag,
             },
-        )
+        ))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _activate(self, flow: Flow) -> None:
         self._advance_to_now()
-        if self.faults is not None:
+        faults = self.faults
+        if faults is not None:
             reason = self._down_reason_for(flow, "nic-down")
             if reason is None and self._partition_blocked(flow):
                 reason = "partition"
@@ -390,7 +462,8 @@ class Network:
         else:
             self._active[flow.flow_id] = flow
             self.solver.flow_added(flow)
-            self._arm_timeout(flow)
+            if faults is not None:
+                self._arm_timeout(flow)
         self._reallocate_and_schedule()
 
     def _advance_to_now(self) -> None:
@@ -462,6 +535,7 @@ class Network:
         self._reallocate_and_schedule()
 
     def _finish(self, flow: Flow) -> None:
+        now = self.loop.now
         corrupted = False
         if self.faults is not None:
             self._cancel_timeout(flow)
@@ -481,16 +555,17 @@ class Network:
                     {int(p[2:]) for p in flow.ports if p[0] == "n"}
                 )
                 corrupted = self.faults.should_corrupt(
-                    hosts, self.loop.now, flow.flow_id, flow.attempts
+                    hosts, now, flow.flow_id, flow.attempts
                 )
-        flow.finish_time = self.loop.now
+        flow.finish_time = now
         flow.remaining = 0.0
+        nbytes = flow.nbytes
         if self._host_of[flow.src] == self._host_of[flow.dst]:
-            self.bytes_intra_host += flow.nbytes
-            self._c_intra.add(flow.nbytes)
+            self.bytes_intra_host += nbytes
+            self._c_intra.add(nbytes, now)
         else:
-            self.bytes_cross_host += flow.nbytes
-            self._c_cross.add(flow.nbytes)
+            self.bytes_cross_host += nbytes
+            self._c_cross.add(nbytes, now)
         if corrupted:
             self.n_corrupted += 1
             self.corrupted_flows.append((flow.tag, flow.flow_id))
@@ -501,7 +576,7 @@ class Network:
                         f"flow {flow.flow_id} d{flow.src}->d{flow.dst} "
                         f"[{flow.tag}]"
                     ),
-                    time=self.loop.now,
+                    time=now,
                     attempt=flow.attempts,
                     resolved=False,  # nothing at this layer resolves it
                 )
@@ -547,6 +622,7 @@ class Network:
                 flow.on_abandon(flow)
             return
         self._record(flow, "failed")
+        assert self.faults is not None  # only a fault schedule fails a flow
         delay = self.retry_policy.backoff(flow.attempts, self.faults.seed, flow.flow_id)
         self.added_latency += (now - attempt_began) + delay
         self.n_retries += 1
@@ -559,7 +635,7 @@ class Network:
         self.loop.call_after(delay + flow.base_latency, self._activate, flow)
 
     def _arm_timeout(self, flow: Flow) -> None:
-        if self.faults is None or self.retry_policy.flow_timeout is None:
+        if self.retry_policy.flow_timeout is None:
             return
         attempt = flow.attempts
         flow.timeout_event = self.loop.call_after(

@@ -19,10 +19,10 @@ that fires when the whole collective is done.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cluster import Cluster
-from .network import Network
+from .network import Flow, Network
 
 __all__ = [
     "CollectiveHandle",
@@ -74,7 +74,7 @@ class CollectiveHandle:
         self.n_done += 1
         self._maybe_finish()
 
-    def _flow_abandoned(self, flow=None) -> None:
+    def _flow_abandoned(self, flow: Optional[Flow] = None) -> None:
         """A constituent flow gave up; fail the whole collective."""
         self._abort(
             f"flow abandoned ({flow.tag})" if flow is not None else "flow abandoned"
@@ -236,7 +236,7 @@ def ring_allgather(
         started[j][i] = True
         src, dst = devs[i], devs[(i + 1) % n]
 
-        def on_done(_f, j=j, i=i) -> None:
+        def on_done(_f: Flow, j: int = j, i: int = i) -> None:
             done[j][i] = True
             handle._flow_done()
             maybe_start(j + 1, (i + 1) % n)
@@ -278,6 +278,9 @@ def ring_broadcast(
 
     done = [[False] * n_hops for _ in range(n_chunks)]
     started = [[False] * n_hops for _ in range(n_chunks)]
+    # One flow per chunk per hop: bind once, pass the hop positionally.
+    start_flow = network.start_flow
+    abandon = handle._flow_abandoned
 
     def maybe_start(c: int, h: int) -> None:
         if c >= n_chunks or h >= n_hops or started[c][h]:
@@ -287,16 +290,14 @@ def ring_broadcast(
             return
         started[c][h] = True
 
-        def on_done(_f, c=c, h=h) -> None:
+        def on_done(_f: Flow, c: int = c, h: int = h) -> None:
             done[c][h] = True
             handle._flow_done()
             maybe_start(c, h + 1)
             maybe_start(c + 1, h)
 
-        network.start_flow(
-            ring[h], ring[h + 1], chunks[c], on_done, tag=f"{tag}:c{c}h{h}",
-            on_abandon=handle._flow_abandoned,
-        )
+        # (src, dst, nbytes, on_complete, tag, extra_latency, on_abandon)
+        start_flow(ring[h], ring[h + 1], chunks[c], on_done, f"{tag}:c{c}h{h}", 0.0, abandon)
 
     maybe_start(0, 0)
     handle._seal()
@@ -391,7 +392,7 @@ def switch_multicast(
         head = heads[h]
         ports = tree.down_ports_of(h) + (f"nr{h}", f"dr{head}")
 
-        def on_done(_f, h=h, c=c) -> None:
+        def on_done(_f: Flow, h: int = h, c: int = c) -> None:
             down_done[h][c] = True
             handle._flow_done()
             maybe_start_down(h, c + 1)
@@ -412,7 +413,7 @@ def switch_multicast(
         up_started[c] = True
         ports = (f"ds{root}", f"ns{root_host}") + tree.up_ports
 
-        def on_done(_f, c=c) -> None:
+        def on_done(_f: Flow, c: int = c) -> None:
             up_done[c] = True
             handle._flow_done()
             maybe_start_up(c + 1)

@@ -141,6 +141,8 @@ class ScalarSolver:
         self._traversals: dict[str, int] = {}
         #: a flow that shared a port came or went since the last fill
         self._stale = False
+        #: ports -> the rate of a flow alone on them (no fault schedule)
+        self._alone_rate: dict[tuple[str, ...], float] = {}
 
     def attach(self, network: "Network") -> None:
         self._net = network
@@ -157,9 +159,18 @@ class ScalarSolver:
             self._stale = True
         elif not self._stale:
             # Alone on its ports: the fill's cap / 1 at its bottleneck.
+            # Without a fault schedule every capacity is static, so the
+            # minimum is kept per port tuple.
             net = self._net
             assert net is not None
-            flow.rate = min(map(net._port_capacity, flow.ports))
+            if net.faults is not None:
+                flow.rate = min(map(net._port_capacity, flow.ports))
+                return
+            ports = flow.ports
+            rate = self._alone_rate.get(ports)
+            if rate is None:
+                rate = self._alone_rate[ports] = min(map(net._port_capacity, ports))
+            flow.rate = rate
 
     def flow_removed(self, flow: "Flow") -> None:
         traversals = self._traversals

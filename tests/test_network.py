@@ -1,8 +1,13 @@
 """Unit tests for the flow-level network simulator."""
 
+import math
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cluster import GB, Cluster, ClusterSpec
 from repro.sim.network import Network
@@ -145,6 +150,149 @@ def test_empty_custom_path_rejected_at_submit(latency):
     with pytest.raises(ValueError, match="at least one port"):
         net.start_flow(0, 4, 1000, ports=(), latency=latency)
     assert net.run() == 0.0
+
+
+# ----------------------------------------------------------------------
+# Startup delays: each in [0, inf), checked before anything is created
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["latency", "extra_latency"])
+def test_infinite_delay_rejected(name):
+    # Accepted once: the activation sat at t = inf and run() returned inf.
+    net = make_net()
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and non-negative"):
+        net.start_flow(0, 4, 1000, **{name: math.inf})
+    assert net.run() == 0.0
+
+
+def test_negative_extra_latency_rejected_when_the_link_latency_covers_it():
+    # -5e-5 s on a 1e-4 s link summed to a valid delay, and the flow
+    # started 5e-5 s early.
+    net = make_net(inter_host_latency=1e-4)
+    with pytest.raises(ValueError, match=r"^extra_latency must be .* got -5e-05$"):
+        net.start_flow(0, 4, 1000, extra_latency=-5e-5)
+    assert net.run() == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        # The summed delay (-0.5 s) was named, not the bad argument.
+        ({"latency": -1.0, "extra_latency": 0.5},
+         "latency must be finite and non-negative, got -1.0"),
+        ({"latency": math.nan}, "latency must be finite and non-negative, got nan"),
+        ({"extra_latency": math.nan},
+         "extra_latency must be finite and non-negative, got nan"),
+        ({"latency": 1e308, "extra_latency": 1e308},
+         "latency + extra_latency overflows the clock: 1e+308 + 1e+308"),
+    ],
+)
+def test_delay_error_names_the_argument(kwargs, message):
+    net = make_net()
+    with pytest.raises(ValueError) as err:
+        net.start_flow(0, 4, 1000, **kwargs)
+    assert str(err.value) == message
+
+
+def test_rejected_call_takes_no_flow_id():
+    # A NaN delay used to be refused only after its flow took id 0.
+    net = make_net()
+    for kwargs in ({"latency": math.nan}, {"extra_latency": -1.0}, {"ports": ()}):
+        with pytest.raises(ValueError):
+            net.start_flow(0, 4, 1000, **kwargs)
+    with pytest.raises(KeyError):
+        net.start_flow(0, 99, 1000)
+    assert net.start_flow(0, 4, 1000).flow_id == 0
+
+
+@pytest.mark.parametrize("bad", [2.0, True, math.nan])
+def test_non_integer_device_id_rejected(bad):
+    # A float id passed the range check and then raised TypeError while
+    # routing; a bool was accepted and named its port dsTrue.
+    net = make_net()
+    with pytest.raises(KeyError, match="no device"):
+        net.start_flow(bad, 4, 1000)
+    with pytest.raises(KeyError, match="no device"):
+        net.start_flow(4, bad, 1000)
+    assert net.run() == 0.0
+
+
+def test_numpy_device_ids_run_like_ints():
+    def run(src, dst):
+        net = make_net(inter_host_latency=1e-4)
+        f = net.start_flow(src, dst, 1000)
+        return net.run(), f.ports
+
+    assert run(np.int64(1), np.int32(6)) == run(1, 6)
+
+
+#: one drawn argument: valid values, each bad kind, and a few near misses
+_IDS = st.one_of(
+    st.integers(-3, 18), st.integers(0, 15).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_REALS = st.one_of(
+    st.integers(-3, 10**6), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 0.0, -0.0, 1e-4, -1e-4]),
+)
+_PORTS = st.sampled_from([None, (), ("ns0",), ("ds1", "ns0", "nr1", "dr5")])
+#: what a message must name when that argument is bad
+_NAMES = {
+    "src": "no device|source and destination", "dst": "no device|source and destination",
+    "nbytes": "flow size", "ports": "port", "latency": r"(^|\s)latency\b",
+    "extra_latency": r"\bextra_latency\b",
+}
+
+
+def _bad_arguments(src, dst, nbytes, latency, extra_latency, ports):
+    """The arguments start_flow must refuse, judged without the network."""
+    def device(d):
+        return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and 0 <= d < 16
+
+    def delay(x):
+        return 0.0 <= x < math.inf
+
+    bad = {name for name, d in (("src", src), ("dst", dst)) if not device(d)}
+    if src == dst:
+        bad |= {"src", "dst"}
+    if not 0.0 <= nbytes < math.inf:
+        bad.add("nbytes")
+    if ports == ():
+        bad.add("ports")
+    if latency is not None and not delay(latency):
+        bad.add("latency")
+    if not delay(extra_latency):
+        bad.add("extra_latency")
+    if not bad and not (latency or 0.0) + extra_latency < math.inf:
+        bad |= {"latency", "extra_latency"}  # their sum overflows
+    return bad
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(src=_IDS, dst=_IDS, nbytes=_REALS, latency=st.none() | _REALS,
+       extra_latency=_REALS, ports=_PORTS)
+def test_start_flow_returns_a_flow_or_names_a_bad_argument(
+    src, dst, nbytes, latency, extra_latency, ports
+):
+    net = make_net()  # 16 devices, zero link latency
+    net.start_flow(8, 12, 1000)
+    net.run()  # one span row
+    net.start_flow(8, 12, 1000)  # one pending event
+    state = (net.loop.pending, list(net.bus.span_rows))
+    bad = _bad_arguments(src, dst, nbytes, latency, extra_latency, ports)
+    try:
+        flow = net.start_flow(
+            src, dst, nbytes, extra_latency=extra_latency, ports=ports, latency=latency
+        )
+    except (ValueError, KeyError) as err:
+        assert bad, f"refused a valid call: {err!r}"
+        assert any(re.search(_NAMES[name], str(err)) for name in bad), (bad, err)
+        assert (net.loop.pending, net.bus.span_rows) == state
+        assert net.start_flow(8, 12, 1000).flow_id == 2
+        return
+    assert not bad, f"accepted bad {sorted(bad)}"
+    assert flow.flow_id == 2 and net.loop.pending == state[0] + 1
+    assert flow.nbytes == flow.remaining == float(nbytes)
+    assert math.isfinite(net.run()) and flow.done
 
 
 def test_traffic_accounting():
@@ -307,6 +455,65 @@ def test_completion_tie_tolerance_is_relative_above_one_second():
     b = net.start_flow(8, 12, 2.0**20 + 2.0**-23)
     assert net.run() == 1024.0
     assert a.finish_time == b.finish_time == 1024.0
+
+
+def test_eta_exactly_on_the_tie_bound_finishes_with_the_earliest():
+    # At 1 B/s an ETA is its byte count, so the second flow's ETA is
+    # exactly the tie bound of the first's, 0.5 + 1e-12 * 1 + 1e-15 (the
+    # absolute floor applies below 1 s): it finishes with the first.
+    net = make_net(inter_host_bandwidth=1.0, intra_host_bandwidth=4.0)
+    bound = 0.5 + 1e-12 * 1.0 + 1e-15
+    a = net.start_flow(0, 4, 0.5)
+    b = net.start_flow(8, 12, bound)
+    assert net.run() == 0.5
+    assert a.finish_time == b.finish_time == 0.5
+
+
+def test_unmoved_completion_keeps_its_place_at_its_instant():
+    # A finishes at t = 1 either way; B's activation at t = 0.5 leaves
+    # that instant where it was, so the armed completion is kept, and it
+    # still runs before an event pushed for t = 1 after it.  A re-push
+    # would take a later seq and run after the probe.
+    net = make_net(inter_host_bandwidth=1024.0, intra_host_bandwidth=4096.0)
+    a = net.start_flow(0, 4, 1024.0)
+    net.loop.run(until=0.0)  # A is active and its completion armed
+    seen = []
+    net.loop.call_at(1.0, lambda: seen.append(a.done))
+    net.start_flow(8, 12, 2048.0, extra_latency=0.5)
+    assert net.run() == 2.5
+    assert seen == [True]
+
+
+def test_flow_finished_at_time_zero_is_done():
+    net = make_net()
+    f = net.start_flow(0, 4, 0.0)
+    assert not f.done
+    net.run()
+    assert f.finish_time == 0.0 and f.done
+
+
+def test_partition_opening_mid_flight_kills_the_flow():
+    # 4096 B at 1024 B/s from host 0 to host 1.  The partition opens at
+    # t = 1 and kills the attempt (1024 B lost); the retry waits the 2 s
+    # backoff, starts at t = 3 after the partition closed, and ends at 7.
+    from repro.sim.faults import FaultSchedule, Partition, RetryPolicy
+
+    spec = ClusterSpec(
+        n_hosts=2,
+        devices_per_host=2,
+        inter_host_bandwidth=1024.0,
+        intra_host_bandwidth=4096.0,
+        inter_host_latency=0.0,
+        intra_host_latency=0.0,
+    )
+    faults = FaultSchedule(partitions=(Partition((0,), (1,), start=1.0, duration=1.0),))
+    policy = RetryPolicy(max_attempts=3, backoff_base=2.0, jitter=0.0)
+    net = Network(Cluster(spec), faults=faults, retry_policy=policy)
+    f = net.start_flow(0, 2, 4096.0)
+    assert net.run() == 7.0
+    assert f.attempts == 2
+    assert [i.kind for i in net.incidents] == ["partition"]
+    assert net.wasted_bytes == 1024.0
 
 
 def test_retry_charges_an_attempt_that_started_at_time_zero():
