@@ -38,12 +38,17 @@ Schema (all sizes in elements; nbytes defaults to fp32)::
       "fallbacks": [{"task": 0, "from_host": 0, "to_host": 1,
                      "reason": "sender-host-down"}]          // optional
     }
+
+A malformed fixture (a required key missing, or a ``cluster`` or
+``topology`` key the spec does not take) raises :class:`ValueError`
+naming the block and the key, so ``repro analyze`` reports bad input
+(exit 2), never a rejected plan.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Union
 
@@ -64,7 +69,7 @@ from ..core.task import ReshardingTask
 from ..core.tensor import region_nbytes
 from ..scheduling.problem import Schedule
 from ..sim.cluster import Cluster, ClusterSpec, FailureDomain, LinkOverride
-from ..sim.topology import make_topology
+from ..sim.topology import TOPOLOGIES, make_topology
 
 __all__ = ["PlanFixture", "load_plan_fixture", "plan_from_dict"]
 
@@ -79,87 +84,101 @@ class PlanFixture:
     path: str = ""
 
 
+def _key(raw: Any, key: str, block: str) -> Any:
+    """``raw[key]``, or a ValueError naming the block and the key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{block}: expected an object, got {raw!r}")
+    if key not in raw:
+        raise ValueError(f"{block}: missing key {key!r}")
+    return raw[key]
+
+
+def _known(raw: dict[str, Any], cls: type, block: str) -> None:
+    """Refuse a key that is not one of dataclass ``cls``'s init fields."""
+    allowed = {f.name for f in fields(cls) if f.init}
+    for key in raw:
+        if key not in allowed:
+            raise ValueError(f"{block}: unknown key {key!r}; allowed: {sorted(allowed)}")
+
+
 def _region(raw: Any) -> tuple[tuple[int, int], ...]:
     return tuple((int(lo), int(hi)) for lo, hi in raw)
 
 
-def _op_from_dict(raw: dict[str, Any], dtype: np.dtype) -> CommOp:
-    region = _region(raw["region"])
+def _op_from_dict(raw: dict[str, Any], dtype: np.dtype, block: str) -> CommOp:
+    def need(key: str) -> Any:
+        return _key(raw, key, block)
+
+    region = _region(need("region"))
     common: dict[str, Any] = dict(
-        op_id=int(raw["id"]),
+        op_id=int(need("id")),
         unit_task_id=int(raw.get("task", -1)),
         region=region,
         nbytes=float(raw.get("nbytes", region_nbytes(region, dtype))),
         deps=tuple(int(d) for d in raw.get("deps", ())),
     )
-    kind = raw["kind"]
-    if kind == "send":
-        return SendOp(
-            sender=int(raw["sender"]), receiver=int(raw["receiver"]), **common
-        )
-    if kind == "broadcast":
-        return BroadcastOp(
-            sender=int(raw["sender"]),
-            receivers=tuple(int(r) for r in raw["receivers"]),
-            n_chunks=int(raw.get("n_chunks", 1)),
-            **common,
-        )
-    if kind == "multicast":
-        return MulticastOp(
-            sender=int(raw["sender"]),
-            receivers=tuple(int(r) for r in raw["receivers"]),
-            switch=str(raw.get("switch", "")),
-            n_chunks=int(raw.get("n_chunks", 1)),
-            **common,
-        )
-    if kind == "scatter":
-        return ScatterOp(
-            sender=int(raw["sender"]),
-            receivers=tuple(int(r) for r in raw["receivers"]),
-            **common,
-        )
+    kind = need("kind")
     if kind == "allgather":
-        return AllGatherOp(
-            devices=tuple(int(d) for d in raw["devices"]), **common
-        )
-    raise ValueError(f"unknown op kind {kind!r}")
+        return AllGatherOp(devices=tuple(int(d) for d in need("devices")), **common)
+    if kind not in ("send", "broadcast", "multicast", "scatter"):
+        raise ValueError(f"{block}: unknown op kind {kind!r}")
+    sender = int(need("sender"))
+    if kind == "send":
+        return SendOp(sender=sender, receiver=int(need("receiver")), **common)
+    receivers = tuple(int(r) for r in need("receivers"))
+    if kind == "scatter":
+        return ScatterOp(sender=sender, receivers=receivers, **common)
+    n_chunks = int(raw.get("n_chunks", 1))
+    if kind == "broadcast":
+        return BroadcastOp(sender=sender, receivers=receivers, n_chunks=n_chunks, **common)
+    return MulticastOp(
+        sender=sender,
+        receivers=receivers,
+        switch=str(raw.get("switch", "")),
+        n_chunks=n_chunks,
+        **common,
+    )
 
 
 def plan_from_dict(raw: dict[str, Any]) -> CommPlan:
     """Materialize a CommPlan from fixture data, builder checks bypassed."""
     cluster_raw = dict(raw.get("cluster", {}))
+    _known(cluster_raw, ClusterSpec, "cluster")
     cluster_raw["failure_domains"] = tuple(
         FailureDomain(
-            name=str(d["name"]),
-            hosts=tuple(int(h) for h in d["hosts"]),
+            name=str(_key(d, "name", f"cluster.failure_domains[{i}]")),
+            hosts=tuple(int(h) for h in _key(d, "hosts", f"cluster.failure_domains[{i}]")),
             kind=str(d.get("kind", "rack")),
         )
-        for d in cluster_raw.get("failure_domains", ())
+        for i, d in enumerate(cluster_raw.get("failure_domains", ()))
     )
     if "topology" in cluster_raw:
         topo_raw = dict(cluster_raw.pop("topology"))
-        cluster_raw["topology"] = make_topology(
-            str(topo_raw.pop("name")), **topo_raw
-        )
+        name = str(_key(topo_raw, "name", "cluster.topology"))
+        del topo_raw["name"]
+        if name in TOPOLOGIES:  # else make_topology names the options
+            _known(topo_raw, TOPOLOGIES[name], f"cluster.topology ({name})")
+        cluster_raw["topology"] = make_topology(name, **topo_raw)
     cluster_raw["link_overrides"] = tuple(
         LinkOverride(
-            src_host=int(o["src"]),
-            dst_host=int(o["dst"]),
+            src_host=int(_key(o, "src", f"cluster.link_overrides[{i}]")),
+            dst_host=int(_key(o, "dst", f"cluster.link_overrides[{i}]")),
             bandwidth=(float(o["bandwidth"]) if "bandwidth" in o else None),
             latency=(float(o["latency"]) if "latency" in o else None),
         )
-        for o in cluster_raw.get("link_overrides", ())
+        for i, o in enumerate(cluster_raw.get("link_overrides", ()))
     )
     spec = ClusterSpec(**cluster_raw)
     cluster = Cluster(spec)
-    src = DeviceMesh.from_hosts(cluster, [int(h) for h in raw["src"]["hosts"]])
-    dst = DeviceMesh.from_hosts(cluster, [int(h) for h in raw["dst"]["hosts"]])
+    src_raw, dst_raw = _key(raw, "src", "plan"), _key(raw, "dst", "plan")
+    src = DeviceMesh.from_hosts(cluster, [int(h) for h in _key(src_raw, "hosts", "src")])
+    dst = DeviceMesh.from_hosts(cluster, [int(h) for h in _key(dst_raw, "hosts", "dst")])
     task = ReshardingTask(
-        tuple(int(s) for s in raw["shape"]),
+        tuple(int(s) for s in _key(raw, "shape", "plan")),
         src,
-        raw["src"]["spec"],
+        _key(src_raw, "spec", "src"),
         dst,
-        raw["dst"]["spec"],
+        _key(dst_raw, "spec", "dst"),
         dtype=np.float32,
     )
     plan = CommPlan(
@@ -170,20 +189,25 @@ def plan_from_dict(raw: dict[str, Any]) -> CommPlan:
     )
     # Assign directly: fixtures must be able to express out-of-sequence
     # op ids, dangling deps, and forward deps that plan.add() rejects.
-    plan.ops = [_op_from_dict(op, task.dtype) for op in raw.get("ops", ())]
+    plan.ops = [
+        _op_from_dict(op, task.dtype, f"ops[{i}]")
+        for i, op in enumerate(raw.get("ops", ()))
+    ]
     if "schedule" in raw:
         sched = raw["schedule"]
+        assignment = _key(sched, "assignment", "schedule")
         plan.schedule = Schedule(
-            assignment={int(k): int(v) for k, v in sched["assignment"].items()},
-            order=tuple(int(t) for t in sched["order"]),
+            assignment={int(k): int(v) for k, v in assignment.items()},
+            order=tuple(int(t) for t in _key(sched, "order", "schedule")),
             algorithm=str(sched.get("algorithm", "fixture")),
         )
-    for fb in raw.get("fallbacks", ()):
+    for i, fb in enumerate(raw.get("fallbacks", ())):
+        block = f"fallbacks[{i}]"
         plan.fallbacks.append(
             FallbackRecord(
-                unit_task_id=int(fb["task"]),
-                from_host=int(fb["from_host"]),
-                to_host=int(fb["to_host"]),
+                unit_task_id=int(_key(fb, "task", block)),
+                from_host=int(_key(fb, "from_host", block)),
+                to_host=int(_key(fb, "to_host", block)),
                 reason=str(fb.get("reason", "fixture")),
             )
         )
@@ -194,8 +218,12 @@ def load_plan_fixture(path: Union[str, Path]) -> PlanFixture:
     """Read one ``tests/fixtures/bad_plans/*.json`` fixture."""
     p = Path(path)
     raw = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        plan = plan_from_dict(raw)
+    except ValueError as bad:
+        raise ValueError(f"{p}: {bad}") from None
     return PlanFixture(
-        plan=plan_from_dict(raw),
+        plan=plan,
         expect=tuple(str(c) for c in raw.get("expect", ())),
         description=str(raw.get("description", "")),
         path=str(p),

@@ -15,7 +15,7 @@ or a string rate fails where it enters, never later as a bare
   (``"(0, inf]"``);
 * :func:`host` — a host id: an integer >= 0, below ``n_hosts`` if given.
 
-Rules that relate two fields (``n_spare_hosts < n_hosts``, divisibility)
+Rules that relate two fields (``rows x cols == n_hosts``, divisibility)
 stay in their class.  The rules are on per-request paths, so a plain
 ``int`` or ``float`` is checked without the :mod:`numbers` ABCs.
 """

@@ -1,7 +1,7 @@
 """Content-addressed cache for compiled resharding plans.
 
-Every micro-batch, every auto-strategy scoring call, and every recovery
-replan resolves the *same* handful of reshardings; recompiling (and
+Every micro-batch, every auto-strategy scoring call, and every service
+request resolves the *same* handful of reshardings; recompiling (and
 re-simulating) them from scratch each time is pure waste.  The cache
 keys a :class:`~repro.compiler.pipeline.CompiledPlan` by a canonical
 **content signature** of everything the compile pipeline's output
@@ -10,16 +10,15 @@ depends on:
 * the tensor: shape and dtype;
 * the layouts: source/destination sharding specs and mesh device grids;
 * the topology: every :class:`~repro.sim.cluster.ClusterSpec` field
-  (bandwidths, latencies, per-host overrides, spares);
+  (bandwidths, latencies, per-host overrides, topology);
 * the strategy: its name plus every plan-shaping option
   (:meth:`~repro.strategies.base.CommStrategy.cache_key`);
 * the fault scenario: a digest of the :class:`~repro.sim.faults
   .FaultSchedule` and :class:`~repro.sim.faults.RetryPolicy`;
-* the cache **epoch** — a counter bumped by explicit invalidation on
-  fault events (e.g. a permanent :class:`~repro.sim.faults.HostFailure`
-  detected by the recovery runtime), so plans compiled for the
-  pre-failure world can never be served afterwards even if a caller
-  forgets to thread the updated fault schedule through.
+* the cache **epoch** — a counter bumped by explicit invalidation
+  (:meth:`PlanCache.invalidate`), so plans compiled before it can never
+  be served afterwards even if a caller holds a signature computed
+  before it.
 
 Two tasks on *different* :class:`~repro.sim.cluster.Cluster` objects
 with identical content hash identically — the cache is content-
@@ -83,7 +82,9 @@ def _cluster_key(spec: ClusterSpec) -> tuple[object, ...]:
         spec.inter_host_latency,
         spec.intra_host_latency,
         tuple(sorted(spec.host_bandwidth_overrides)),
-        spec.n_spare_hosts,
+        # the retired spare-host count, always 0: kept so every plan
+        # signature stays byte-identical to what it hashed to before
+        0,
         # frozen dataclasses: repr is canonical, so domain membership
         # changes invalidate cached plans like any other spec change
         repr(spec.failure_domains),

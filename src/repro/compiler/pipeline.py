@@ -2,9 +2,9 @@
 
 One entry point now serves every consumer of a resharding plan — the
 public :func:`repro.core.api.reshard`, the pipeline executor's
-cross-mesh stage edges, the auto strategy's scoring loop, and recovery
-:func:`repro.recovery.replan.replan` — so they all share one compile
-path, one timing model, and one content-addressed cache.
+cross-mesh stage edges, the auto strategy's scoring loop, and the
+resharding service — so they all share one compile path, one timing
+model, and one content-addressed cache.
 
 The compiler is an explicit pass manager over :class:`~repro.compiler
 .passes.PlanState` (see :mod:`repro.compiler.passes` for the pass

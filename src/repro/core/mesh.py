@@ -77,16 +77,6 @@ class DeviceMesh:
         ]
         return cls(cluster, grid)
 
-    def reshaped(self, m1: int, m2: int) -> "DeviceMesh":
-        """Reinterpret the same devices (row-major) as an ``(m1, m2)`` mesh."""
-        flat = [d for row in self.grid for d in row]
-        if m1 * m2 != len(flat):
-            raise ValueError(
-                f"cannot reshape {len(flat)} devices into ({m1}, {m2})"
-            )
-        grid = [flat[i * m2 : (i + 1) * m2] for i in range(m1)]
-        return DeviceMesh(self.cluster, grid)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -18,10 +18,9 @@ Because every sender is checked against the source tile grid (a replica
 must genuinely hold the region it claims to send), two deliveries of
 the same element are value-identical by construction whenever both
 senders are authoritative — so "overlap" here means *duplicated
-delivery*, which the strict mode (used by the recovery runtime to
-certify restored state) treats as an error just like a gap: a correct
-recovery reshard delivers every element of every destination tile
-exactly once.
+delivery*, which the strict mode treats as an error just like a gap:
+it demands that every element of every destination tile arrive exactly
+once.
 
 Broadcast re-roots (``CommPlan.fallbacks``) need no special casing: the
 re-rooted op names its actual sender, which the authority check covers;
@@ -270,8 +269,7 @@ def verify_delivery(
     static check, equivalent in strength to ``check_plan``'s coverage
     plus duplicate detection).
 
-    ``strict`` also fails duplicated deliveries (exact-once cover, the
-    bar the recovery runtime certifies restored state against); with
+    ``strict`` also fails duplicated deliveries (exact-once cover); with
     ``strict=False`` duplicates are still *reported* but do not raise —
     appropriate for replica-delivery strategies whose receivers crop.
     """

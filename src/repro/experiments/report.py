@@ -20,6 +20,7 @@ from typing import Callable
 
 from . import (
     ablations,
+    chaos,
     fig3,
     fig5,
     fig6,
@@ -74,10 +75,6 @@ def _ablations() -> list[ExperimentTable]:
 
 def run_all(verbose: bool = True) -> list[ExperimentTable]:
     """Execute every experiment; returns the report's tables in order."""
-    # imported here: they load the fault and recovery runtimes, which
-    # importing repro.experiments does not need
-    from . import chaos, recovery
-
     steps: list[tuple[str, Callable[[], list[ExperimentTable]]]] = [
         ("E1", lambda: [fig5.run()]),
         ("E2", lambda: [fig6.run()]),
@@ -91,7 +88,6 @@ def run_all(verbose: bool = True) -> list[ExperimentTable]:
         ("S2", lambda: [scaling.run(), scaling.run_scheduler_scaling()]),
         ("S3", lambda: [interleaving.run()]),
         ("chaos", lambda: [chaos.run()]),
-        ("R1a", lambda: [recovery.run_interval_sweep()]),
     ]
     tables = []
     for eid, step in steps:

@@ -326,8 +326,8 @@ def simulate_pipeline(
     device_free_at = [0.0] * n_devices  # > now while blocked in sends
     act = [bus.gauge("activations", track=device_track[d]) for d in range(n_devices)]
     chan_free_at = [0.0] * len(chan_id)  # when each FIFO channel next goes idle
-    # The executor opens no spans, so each of its spans is one raw row at
-    # depth 0 (what TelemetryBus.span would append).
+    # Each span is one raw row at depth 0 (what TelemetryBus.span would
+    # append).
     emit = bus.span_rows.append
 
     def arrival(slot: int, device: int) -> None:

@@ -1,10 +1,10 @@
 """The unified simulation runtime: event loop + telemetry bus.
 
 Every simulator in the repo — the flow-level network model behind
-``simulate_plan``, the pipeline executor (plain and interleaved
-schedules alike), and the elastic-recovery supervisor — executes on one
-discrete-event :class:`EventLoop` and reports what happened through the
-loop's structured :class:`TelemetryBus`.  Gantt charts, Chrome traces
+``simulate_plan`` and the pipeline executor (plain and interleaved
+schedules alike) — executes on one discrete-event :class:`EventLoop`
+and reports what happened through the loop's structured
+:class:`TelemetryBus`.  Gantt charts, Chrome traces
 and the result objects' statistics are all *derived* from the bus's
 span stream: a network flow's one record is its ``flow`` span, and a
 pipeline iteration's are its ``compute``/``comm``/``send`` spans

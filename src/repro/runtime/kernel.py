@@ -25,8 +25,8 @@ derived from the heap's length, the ``seq`` counter and the number of
 blank entries removed, so they stay exact even when a callback raises.
 
 The engine stays deliberately tiny: the network model
-(:mod:`repro.sim.network`), the pipeline executor, and the recovery
-supervisor all drive it with plain callbacks instead of coroutines,
+(:mod:`repro.sim.network`) and the pipeline executor both drive it
+with plain callbacks instead of coroutines,
 which keeps stack traces shallow and the hot loop cheap.  Contention
 (busy devices, FIFO links) is modelled by those callers, not here.
 """

@@ -6,13 +6,14 @@ derive their timelines from the record stream instead of keeping private
 lists.  Three record kinds:
 
 * :class:`SpanRecord` — a named interval ``[start, end]`` on a *track*
-  (a stage, a device, a channel, the supervisor), with a category and
-  free-form attributes.  Spans may nest (``begin``/``end``), in which
-  case ``depth``/``parent`` capture the enclosing span.
+  (a stage, a device, a channel), with a category and free-form
+  attributes.  Every span is emitted at depth 0 with no parent; the
+  ``depth``/``parent`` columns stay in the row so digests and exports
+  keep their format.
 * :class:`CounterSample` — one sample of a named time series.
   :class:`Counter` enforces monotonicity (bytes delivered, retries);
   :class:`Gauge` may move both ways (live activations).
-* :class:`MarkRecord` — an instant event (a fault strike, a decision).
+* :class:`MarkRecord` — an instant event (a decision).
 
 The bus records into an in-memory store read through ``bus.spans`` /
 ``bus.counters`` / ``bus.marks``; exporters
@@ -137,38 +138,13 @@ class Gauge:
         return self.value
 
 
-class _OpenSpan:
-    """Book-keeping for a ``begin()``-opened, not-yet-closed span."""
-
-    __slots__ = ("name", "cat", "track", "start", "depth", "parent", "attrs")
-
-    def __init__(
-        self,
-        name: str,
-        cat: str,
-        track: str,
-        start: float,
-        depth: int,
-        parent: str,
-        attrs: dict[str, AttrValue],
-    ) -> None:
-        self.name = name
-        self.cat = cat
-        self.track = track
-        self.start = start
-        self.depth = depth
-        self.parent = parent
-        self.attrs = attrs
-
-
 class TelemetryBus:
     """Span/counter/mark emitter over an append-only in-memory store.
 
     ``clock`` supplies the *current simulated time* (normally the owning
     kernel's ``now``); retroactive emission with explicit timestamps is
     always allowed, so executors that compute an interval's endpoints up
-    front (channel reservations, recovery cost models) can record it in
-    one call.
+    front (channel reservations) can record it in one call.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
@@ -180,7 +156,6 @@ class TelemetryBus:
         self._spans_view: list[SpanRecord] = []
         self._counters_view: list[CounterSample] = []
         self._marks: list[MarkRecord] = []
-        self._open: dict[str, list[_OpenSpan]] = {}
         self._series: dict[tuple[str, str, bool], Union[Counter, Gauge]] = {}
 
     @property
@@ -205,38 +180,9 @@ class TelemetryBus:
         so it deliberately returns nothing and defers record
         construction to the ``spans`` view.
         """
-        stack = self._open.get(track)
-        if stack:
-            row = (name, cat, track, start, end, len(stack), stack[-1].name,
-                   attrs if attrs is not None else {})
-        else:
-            row = (name, cat, track, start, end, 0, "",
-                   attrs if attrs is not None else {})
-        self._span_rows.append(row)
-
-    def begin(self, name: str, cat: str, track: str, **attrs: AttrValue) -> None:
-        """Open a nested span on ``track`` starting now."""
-        stack = self._open.setdefault(track, [])
-        parent = stack[-1].name if stack else ""
-        stack.append(_OpenSpan(name, cat, track, self.now, len(stack), parent, dict(attrs)))
-
-    def end(self, track: str, **attrs: AttrValue) -> SpanRecord:
-        """Close the innermost open span on ``track`` at the current time."""
-        stack = self._open.get(track)
-        if not stack:
-            raise RuntimeError(f"no open span on track {track!r}")
-        top = stack.pop()
-        top.attrs.update(attrs)
         self._span_rows.append(
-            (top.name, top.cat, top.track, top.start, self.now, top.depth,
-             top.parent, top.attrs)
+            (name, cat, track, start, end, 0, "", attrs if attrs is not None else {})
         )
-        return self.spans[-1]
-
-    def open_depth(self, track: str) -> int:
-        """Number of currently open spans on ``track``."""
-        stack = self._open.get(track)
-        return len(stack) if stack else 0
 
     # ------------------------------------------------------------------
     # Counters / gauges / marks
@@ -290,10 +236,10 @@ class TelemetryBus:
     def span_rows(self) -> list[SpanRow]:
         """Raw span rows ``(name, cat, track, start, end, depth, parent,
         attrs)`` — the zero-copy view for hot folding loops.  Readers
-        treat it as read-only.  An emitter that never opens a span
-        (:meth:`begin`) on its tracks may append its rows here directly,
-        each at depth 0 with parent ``""`` — exactly the row
-        :meth:`span` would append; the pipeline executor does."""
+        treat it as read-only.  A hot emitter may append its rows here
+        directly, each at depth 0 with parent ``""`` — exactly the row
+        :meth:`span` would append; the pipeline executor and the flow
+        network do."""
         return self._span_rows
 
     @property

@@ -48,9 +48,8 @@ class FailureDomain:
     infrastructure fault (switch wedge, breaker trip) takes every member
     down *together*.  Failure domains are pure topology description —
     :class:`repro.sim.faults.DomainFailure` is the event that downs one,
-    and the recovery/planning layers consult them to keep replicas
-    (buddy checkpoints, broadcast re-roots) out of the blast radius of
-    whatever they are guarding against.
+    and the planner and analyzer consult them to keep broadcast re-roots
+    out of the blast radius of the fault they route around.
 
     A host may belong to several domains of different kinds (its rack
     *and* its PDU group); two hosts "share a domain" if any domain
@@ -122,11 +121,6 @@ class ClusterSpec:
     the paper's §1 challenges): a mapping ``host_id -> NIC bandwidth``
     for hosts whose links differ from ``inter_host_bandwidth`` (e.g. a
     mixed 10/25 Gbps fleet).
-
-    ``n_spare_hosts`` marks the *last* k hosts as warm spares: they are
-    fully wired into the fabric but carry no work until the elastic
-    recovery runtime (:mod:`repro.recovery`) substitutes one for a
-    permanently failed host.
     """
 
     n_hosts: int = 2
@@ -141,8 +135,6 @@ class ClusterSpec:
     intra_host_latency: float = 5e-6
     #: per-host NIC bandwidth overrides, bytes/s (heterogeneous fleets)
     host_bandwidth_overrides: tuple[tuple[int, float], ...] = ()
-    #: trailing hosts held back as warm spares for elastic recovery
-    n_spare_hosts: int = 0
     #: correlated-failure groups (rack / switch / PDU); a host may appear
     #: in several domains of different kinds
     failure_domains: tuple[FailureDomain, ...] = ()
@@ -156,12 +148,6 @@ class ClusterSpec:
 
     def __post_init__(self) -> None:
         checks.integer("n_hosts", self.n_hosts, 1)
-        checks.integer("n_spare_hosts", self.n_spare_hosts, 0)
-        if self.n_spare_hosts >= self.n_hosts:
-            raise ValueError(
-                f"n_spare_hosts must be in [0, n_hosts), got "
-                f"{self.n_spare_hosts} of {self.n_hosts}"
-            )
         checks.integer("devices_per_host", self.devices_per_host, 1)
         checks.real("inter_host_bandwidth", self.inter_host_bandwidth, "(0, inf)")
         checks.real("intra_host_bandwidth", self.intra_host_bandwidth, "(0, inf)")
@@ -214,11 +200,6 @@ class ClusterSpec:
             pairs.add(pair)
         if self.memory_budget is not None:
             checks.real("memory_budget", self.memory_budget, "(0, inf)")
-
-    @property
-    def n_active_hosts(self) -> int:
-        """Hosts that carry work from the start (non-spares)."""
-        return self.n_hosts - self.n_spare_hosts
 
     def host_nic_bandwidth(self, host: int) -> float:
         """NIC bandwidth of ``host``, honouring overrides."""
@@ -329,11 +310,6 @@ class Cluster:
     @property
     def n_devices(self) -> int:
         return len(self.devices)
-
-    @property
-    def spare_host_ids(self) -> tuple[int, ...]:
-        """Warm spare hosts reserved for elastic recovery."""
-        return tuple(range(self.spec.n_active_hosts, self.spec.n_hosts))
 
     # ------------------------------------------------------------------
     def link_latency(self, src: int, dst: int) -> float:

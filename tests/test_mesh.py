@@ -31,18 +31,6 @@ def test_explicit_grid(cluster):
     assert m.coords_of(3) == (1, 1)
 
 
-def test_reshape_row_major(cluster):
-    m = DeviceMesh.from_hosts(cluster, [0]).reshaped(2, 2)
-    assert m.grid == ((0, 1), (2, 3))
-    assert m.shape == (2, 2)
-
-
-def test_reshape_bad_size(cluster):
-    m = DeviceMesh.from_hosts(cluster, [0])
-    with pytest.raises(ValueError):
-        m.reshaped(3, 2)
-
-
 def test_duplicate_devices_rejected(cluster):
     with pytest.raises(ValueError, match="duplicate"):
         DeviceMesh(cluster, [[0, 1], [1, 2]])

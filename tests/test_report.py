@@ -55,7 +55,7 @@ def test_write_report_contains_all_sections(written):
     out, tables = written
     text = (out / "EXPERIMENTS.md").read_text()
     ids = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "A0", "A1", "A2", "A3",
-           "A4", "A5", "S1", "S2", "S2b", "S3", "chaos", "R1a")
+           "A4", "A5", "S1", "S2", "S2b", "S3", "chaos")
     assert tuple(tables) == ids
     for eid in ids:
         assert f"### {eid}" in text, eid
@@ -214,9 +214,3 @@ def test_chaos_claims(tables):
     assert all(s < 5.0 for s in slow)
     assert all(st != "fatal" for st in t.column("status"))
 
-
-@pytest.mark.slow
-def test_recovery_claims(tables):
-    t = tables["R1a"]
-    assert all(r >= 1 for r in t.column("restarts"))
-    assert all(o < 0.5 for o in t.column("overhead"))

@@ -1,4 +1,4 @@
-"""Tests for the telemetry bus: nesting, monotonicity, export, parity."""
+"""Tests for the telemetry bus: span rows, monotonicity, export, parity."""
 
 import json
 
@@ -21,46 +21,15 @@ def make_bus(t=0.0):
 
 
 # ----------------------------------------------------------------------
-# Span nesting
+# Span rows
 # ----------------------------------------------------------------------
-def test_begin_end_nesting_sets_depth_and_parent():
-    bus, clock = make_bus()
-    bus.begin("outer", cat="phase", track="sup")
-    clock["t"] = 1.0
-    bus.begin("inner", cat="phase", track="sup")
-    clock["t"] = 2.0
-    inner = bus.end("sup")
-    clock["t"] = 3.0
-    outer = bus.end("sup")
-    assert (inner.depth, inner.parent) == (1, "outer")
-    assert (outer.depth, outer.parent) == (0, "")
-    assert (inner.start, inner.end) == (1.0, 2.0)
-    assert (outer.start, outer.end) == (0.0, 3.0)
-
-
-def test_emit_span_inside_open_span_nests():
-    bus, clock = make_bus()
-    bus.begin("recovery", cat="recovery", track="sup")
-    bus.span("load", "recovery.load", "sup", 0.5, 1.5)
-    child = bus.spans[-1]
-    assert (child.depth, child.parent) == (1, "recovery")
-    clock["t"] = 2.0
-    bus.end("sup")
-    assert bus.open_depth("sup") == 0
-
-
-def test_nesting_is_per_track():
+def test_span_appends_a_depth_zero_row():
+    """The row the pipeline executor and the flow network append directly."""
     bus, _clock = make_bus()
-    bus.begin("a", cat="c", track="t1")
+    bus.span("load", "phase", "t1", 0.5, 1.5, {"k": 1})
     bus.span("b", "c", "t2", 0.0, 1.0)
-    assert bus.spans[-1].depth == 0
-    assert bus.open_depth("t1") == 1 and bus.open_depth("t2") == 0
-
-
-def test_end_without_begin_raises():
-    bus, _clock = make_bus()
-    with pytest.raises(RuntimeError, match="no open span"):
-        bus.end("nowhere")
+    assert bus.span_rows == [("load", "phase", "t1", 0.5, 1.5, 0, "", {"k": 1}),
+                             ("b", "c", "t2", 0.0, 1.0, 0, "", {})]
 
 
 # ----------------------------------------------------------------------
