@@ -12,10 +12,9 @@ gracefully under overload instead of collapsing:
 * **circuit breaking + degraded mode** — a persistently failing
   compiler is isolated, stale-but-valid cached plans are served with
   ``degraded=True`` (:mod:`repro.service.breaker`);
-* **deterministic execution** — the service runs on a virtual-time
-  event loop (:mod:`repro.service.clock`) with seeded chaos injection
-  (:mod:`repro.service.chaos`), so an overload or failure scenario
-  replays byte-identically.
+* **deterministic execution** — asyncio's tasks run on a virtual-time
+  scheduler with no selector (:mod:`repro.service.clock`) and seeded
+  chaos (:mod:`repro.service.chaos`), so a scenario replays byte-identically.
 
 See ``docs/service.md`` for the request lifecycle and the overload /
 degraded-mode contracts.

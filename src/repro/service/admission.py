@@ -71,8 +71,9 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "tokens", "updated_at")
 
     def __init__(self, rate: float, burst: float, now: float = 0.0) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        checks.real("rate", rate, "(0, inf)")
+        checks.real("burst", burst, "[1, inf)")
+        checks.real("now", now, "(-inf, inf)")
         self.rate = rate
         self.burst = burst
         self.tokens = burst

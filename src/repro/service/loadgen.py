@@ -230,7 +230,7 @@ async def drive(
     ``chaos`` client-side behavior (hang-ups) is applied here: a client
     chosen to cancel arms a timer for ``cancel_delay`` after admission.
     """
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
 
     async def one(arrival: Arrival) -> CompileResponse:
         delay = arrival.time - loop.time()

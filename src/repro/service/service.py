@@ -164,7 +164,7 @@ class ReshardingService:
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.cache = PlanCache()
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         self._loop = loop
         self.bus = TelemetryBus(clock=loop.time)
         self.strategy = BroadcastStrategy()

@@ -37,6 +37,7 @@ from repro.service import (
     LoadProfile,
     ServiceChaos,
     ServiceConfig,
+    TokenBucket,
 )
 from repro.sim.cluster import Cluster, ClusterSpec, FailureDomain, LinkOverride
 from repro.sim.faults import (
@@ -174,6 +175,8 @@ fields("ResimCache", ResimCache, {}, ["max_entries"])
 fields("ServiceConfig", ServiceConfig, {}, ["n_workers", "base_service_time"])
 fields("AdmissionConfig", AdmissionConfig, {"rate": 1.0},
        ["max_queue_depth", "per_tenant_depth", "rate", "burst"])
+fields("TokenBucket", TokenBucket, {"rate": 1.0, "burst": 1.0, "now": 0.0},
+       ["rate", "burst", "now"])
 fields("BreakerConfig", BreakerConfig, {},
        ["failure_threshold", "cooldown", "half_open_probes"])
 fields("ServiceChaos", ServiceChaos, {}, [
@@ -219,3 +222,14 @@ def test_each_kind_of_value_builds_or_names_its_parameter(expect, build):
 @given(value=VALUES)
 def test_drawn_values_build_or_name_their_parameter(expect, build, value):
     builds_or_names(expect, build, value)
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 0.5),  # never holds a whole token, yet would promise one in 0.5 s
+    (1.0, math.nan),  # would promise a NaN wait
+    (1.0, 1.0, math.nan),  # a NaN instant would freeze refills
+    (math.nan, 1.0),
+])
+def test_token_bucket_refuses_a_bucket_that_cannot_work(args):
+    with pytest.raises(ValueError):
+        TokenBucket(*args)
