@@ -183,7 +183,7 @@ def cmd_reshard(args: argparse.Namespace) -> int:
             verified = "  (moves no data; not checked)"
         elif args.verify:
             plan = compiled.plan
-            src = DistributedTensor.from_global(plan.task.src_mesh, plan.task.src_spec, array)
+            src = DistributedTensor.view_global(plan.task.src_mesh, plan.task.src_spec, array)
             ok = bool(np.array_equal(apply_plan(plan, src).to_global(), array))
             verified = f"  verified={ok}"
         print(

@@ -28,7 +28,7 @@ from .executor import TimingResult
 from .mesh import DeviceMesh
 from .plan import CommPlan
 from .task import ReshardingTask
-from .tensor import DistributedTensor
+from .tensor import DistributedTensor, array_or_shape
 
 __all__ = ["ReshardResult", "reshard"]
 
@@ -86,14 +86,7 @@ def reshard(
 
     cache = strategy_kwargs.pop("cache", USE_DEFAULT_CACHE)
     deadline = strategy_kwargs.pop("deadline", None)
-    if isinstance(tensor_or_shape, np.ndarray):
-        array: Optional[np.ndarray] = tensor_or_shape
-        shape = array.shape
-        dtype = array.dtype
-    else:
-        array = None
-        shape = tuple(tensor_or_shape)
-
+    array, shape, dtype = array_or_shape(tensor_or_shape, dtype)
     task = ReshardingTask(shape, src_mesh, src_spec, dst_mesh, dst_spec, dtype=dtype)
     ctx = CompileContext(
         strategy=strategy, strategy_kwargs=strategy_kwargs, cache=cache,
@@ -117,6 +110,6 @@ def reshard(
     if do_move:
         if array is None:
             raise ValueError("move_data=True requires an actual array")
-        src_tensor = DistributedTensor.from_global(src_mesh, plan.task.src_spec, array)
+        src_tensor = DistributedTensor.view_global(src_mesh, plan.task.src_spec, array)
         dst_tensor = apply_plan(plan, src_tensor)
     return ReshardResult(task=plan.task, plan=plan, timing=timing, dst_tensor=dst_tensor)

@@ -5,39 +5,33 @@ actual byte movement between device buffers, so tests can assert that a
 strategy's plan reconstructs the destination layout exactly.  Semantics
 per op kind are documented in :mod:`repro.core.plan`.
 
-Receivers stage pieces as they arrive; at the end each destination
-device assembles its required tile from the staged full-region pieces
-and the assembly is verified for complete coverage and replica
-consistency.
+Receivers stage pieces as they arrive; a staged piece is a view of the
+sender's shard, not a copy.  At the end each destination device
+assembles its required tile from the staged full-region pieces
+(:func:`repro.core.tensor.assemble`), which verifies complete coverage
+and replica consistency.  Coverage is kept per box of the pieces'
+boundary grid, not per element, so the per-element work that remains
+is one copy into each destination tile, plus a compare wherever pieces
+overlap.  An all-gather rebuilds its region by the same routine in one
+dimension; flattening a scatter's region copies it once when the region
+is not contiguous in the sender's shard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .plan import AllGatherOp, BroadcastOp, CommPlan, MulticastOp, ScatterOp, SendOp
-from .slices import (
-    Region,
-    region_intersection,
-    region_shape,
-    region_size,
-    split_offsets,
-)
-from .tensor import DistributedTensor, read_region
+from .slices import Region, region_intersection, region_shape, region_size, split_offsets
+from .tensor import DistributedTensor, assemble, read_region
 
-__all__ = ["apply_plan", "DataPlaneError"]
+__all__ = ["apply_plan", "assemble_tile", "DataPlaneError"]
 
 
 class DataPlaneError(RuntimeError):
     """A plan failed to move the data it claimed to move."""
-
-
-@dataclass
-class _RegionPiece:
-    region: Region
-    data: np.ndarray  # shaped like the region
 
 
 def _read_from_source(src: DistributedTensor, device: int, region: Region) -> np.ndarray:
@@ -65,12 +59,13 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
     if src.spec != task.src_spec or src.shape != task.shape:
         raise DataPlaneError("source tensor layout does not match the task")
 
-    region_pieces: dict[int, list[_RegionPiece]] = {}
+    #: device -> the (region, data) pieces it received, in op order
+    region_pieces: dict[int, list[tuple[Region, np.ndarray]]] = {}
     #: scatter op id -> (op, its region's flat data, part offsets)
     scattered: dict[int, tuple[ScatterOp, np.ndarray, tuple[int, ...]]] = {}
 
     def stage_region(device: int, region: Region, data: np.ndarray) -> None:
-        region_pieces.setdefault(device, []).append(_RegionPiece(region, data))
+        region_pieces.setdefault(device, []).append((region, data))
 
     rank = len(task.shape)
     done: set[int] = set()
@@ -102,22 +97,24 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
         elif isinstance(op, AllGatherOp):
             # Rebuild the region only from the parts the scatters named
             # in ``deps`` left on the group, as ``walk_deliveries`` does.
+            # Parts that overlap may disagree: the later part's bytes win.
             size = region_size(op.region)
-            full = np.empty(size, dtype=src.dtype)
-            covered = np.zeros(size, dtype=bool)
             group = set(op.devices)
+            parts = []
             for dep in op.deps:
                 if dep not in scattered or scattered[dep][0].region != op.region:
                     continue
                 sc, flat, offs = scattered[dep]
-                for k, r in enumerate(sc.receivers):
-                    if r in group:
-                        full[offs[k] : offs[k + 1]] = flat[offs[k] : offs[k + 1]]
-                        covered[offs[k] : offs[k + 1]] = True
-            if not covered.all():
+                parts += [
+                    (((offs[k], offs[k + 1]),), flat[offs[k] : offs[k + 1]])
+                    for k, r in enumerate(sc.receivers)
+                    if r in group
+                ]
+            full, _, missing = assemble(((0, size),), parts, src.dtype)
+            if missing:
                 raise DataPlaneError(
                     f"all-gather op {op.op_id}: the scatters its deps name cover "
-                    f"only {int(covered.sum())}/{size} elements of {op.region}"
+                    f"only {size - missing}/{size} elements of {op.region}"
                 )
             shaped = full.reshape(region_shape(op.region))
             for dev in op.devices:
@@ -131,39 +128,35 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
     # ------------------------------------------------------------------
     shards: dict[int, np.ndarray] = {}
     for dev in task.dst_mesh.devices:
-        want = task.dst_grid.device_region(dev)
-        tile = np.empty(region_shape(want), dtype=src.dtype)
-        covered = np.zeros(region_shape(want), dtype=bool)
-        pieces = list(region_pieces.get(dev, []))
+        pieces = region_pieces.get(dev, [])
         if dev in src.shards:
             # Intra-mesh resharding: the device reuses its local shard.
-            pieces.append(_RegionPiece(src.device_region(dev), src.shards[dev]))
-        for p in pieces:
-            inter = region_intersection(p.region, want)
-            if inter is None:
-                continue
-            dst_sl = tuple(
-                slice(i0 - w0, i1 - w0) for (i0, i1), (w0, _) in zip(inter, want)
-            )
-            src_sl = tuple(
-                slice(i0 - p0, i1 - p0) for (i0, i1), (p0, _) in zip(inter, p.region)
-            )
-            piece = p.data[src_sl]
-            if covered[dst_sl].any() and not np.array_equal(tile[dst_sl], piece):
-                overlap_ok = np.where(covered[dst_sl], tile[dst_sl] == piece, True)
-                if not overlap_ok.all():
-                    raise DataPlaneError(
-                        f"device {dev}: conflicting data for {inter}"
-                    )
-            tile[dst_sl] = piece
-            covered[dst_sl] = True
-        if not covered.all():
-            missing = int((~covered).sum())
-            raise DataPlaneError(
-                f"device {dev}: tile {want} missing {missing} elements "
-                f"after plan execution (strategy {plan.strategy!r})"
-            )
-        shards[dev] = tile
+            pieces = [*pieces, (src.device_region(dev), src.shards[dev])]
+        shards[dev] = assemble_tile(
+            dev, task.dst_grid.device_region(dev), pieces, src.dtype, plan.strategy
+        )
     return DistributedTensor(
         task.dst_mesh, task.dst_spec, task.shape, shards, dtype=src.dtype
     )
+
+
+def assemble_tile(
+    dev: int,
+    want: Region,
+    pieces: Sequence[tuple[Region, np.ndarray]],
+    dtype: "np.dtype",
+    strategy: str,
+) -> np.ndarray:
+    """Device ``dev``'s tile ``want`` from its staged ``(region, data)``
+    pieces; raise :class:`DataPlaneError` on the first piece that
+    conflicts with an earlier one, else on any element left uncovered."""
+    tile, conflict, missing = assemble(want, pieces, dtype)
+    if conflict is not None:
+        inter = region_intersection(pieces[conflict][0], want)
+        raise DataPlaneError(f"device {dev}: conflicting data for {inter}")
+    if missing:
+        raise DataPlaneError(
+            f"device {dev}: tile {want} missing {missing} elements "
+            f"after plan execution (strategy {strategy!r})"
+        )
+    return tile

@@ -32,7 +32,7 @@ from .executor import TimingResult, simulate_plan
 from .mesh import DeviceMesh
 from .plan import BroadcastOp, CommPlan, SendOp
 from .task import ReshardingTask
-from .tensor import DistributedTensor
+from .tensor import DistributedTensor, array_or_shape
 
 __all__ = ["plan_intra_mesh", "intra_mesh_reshard", "IntraReshardResult"]
 
@@ -131,18 +131,12 @@ def intra_mesh_reshard(
 ) -> IntraReshardResult:
     """Convert a tensor's layout on one mesh; time it and optionally
     move real data (when given an array)."""
-    if isinstance(tensor_or_shape, np.ndarray):
-        array: Optional[np.ndarray] = tensor_or_shape
-        shape = array.shape
-        dtype = array.dtype
-    else:
-        array = None
-        shape = tuple(tensor_or_shape)
+    array, shape, dtype = array_or_shape(tensor_or_shape, dtype)
     plan = plan_intra_mesh(shape, mesh, src_spec, dst_spec, dtype=dtype)
     timing = simulate_plan(plan)
     dst_tensor = None
     if array is not None:
-        src_tensor = DistributedTensor.from_global(mesh, plan.task.src_spec, array)
+        src_tensor = DistributedTensor.view_global(mesh, plan.task.src_spec, array)
         dst_tensor = apply_plan(plan, src_tensor)
     return IntraReshardResult(
         task=plan.task, plan=plan, timing=timing, dst_tensor=dst_tensor

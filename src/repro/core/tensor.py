@@ -9,15 +9,23 @@ can verify every destination device ends up with exactly its tile.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .mesh import DeviceMesh
-from .slices import Region, TileGrid, region_shape, region_size
+from .slices import Region, TileGrid, region_intersection, region_shape, region_size
 from .spec import ShardingSpec, parse_spec
 
-__all__ = ["DistributedTensor", "read_region", "nbytes_of", "region_nbytes"]
+__all__ = [
+    "DistributedTensor",
+    "read_region",
+    "nbytes_of",
+    "region_nbytes",
+    "same_values",
+    "assemble",
+    "array_or_shape",
+]
 
 
 def nbytes_of(n_elements: int, dtype: "np.dtype") -> int:
@@ -39,6 +47,116 @@ def region_nbytes(region: Region, dtype: "np.dtype") -> int:
 
 def _region_slices(region: Region) -> tuple[slice, ...]:
     return tuple(slice(lo, hi) for lo, hi in region)
+
+
+def _within(box: Region, outer: Region) -> tuple[slice, ...]:
+    """Slices selecting ``box`` out of an array that holds ``outer``."""
+    return tuple(slice(b0 - o0, b1 - o0) for (b0, b1), (o0, _) in zip(box, outer))
+
+
+def same_values(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two same-shape arrays hold equal values, NaN matching NaN.
+
+    The one equality of replicas and overlapping pieces.  ``-0.0``
+    matches ``0.0``; a float or complex NaN matches any NaN (plain
+    ``np.array_equal`` calls NaN unequal to itself); bool, integer and
+    object arrays compare with ``==``.
+    """
+    return np.array_equal(a, b) or (
+        a.dtype.kind in "fc" and np.array_equal(a, b, equal_nan=True)
+    )
+
+
+def assemble(
+    want: Region,
+    pieces: Sequence[tuple[Region, np.ndarray]],
+    dtype: "np.dtype",
+) -> tuple[np.ndarray, Optional[int], int]:
+    """Assemble the box ``want`` from ``(region, data)`` pieces.
+
+    ``data`` is shaped like its ``region`` (global coordinates); the part
+    of a piece outside ``want`` is ignored.  Returns ``(tile, conflict,
+    missing)``: ``conflict`` is the index of the first piece, in order,
+    whose values (by :func:`same_values`) differ from an earlier piece's
+    where the two overlap, or ``None``; ``missing`` counts the elements
+    of ``want`` no piece covers.  Where pieces overlap, ``tile`` holds the
+    last piece's bytes, as if the pieces were written in order.
+
+    Coverage lives on the grid of the pieces' distinct boundaries along
+    each axis, not per element.  Pieces are placed last first: each
+    writes only the cells no later piece wrote and is compared with the
+    tile on the others, so every element of ``tile`` is written once and
+    compared once for each other piece that covers it.
+    """
+    clipped = []
+    for k, (region, data) in enumerate(pieces):
+        inter = region_intersection(region, want)
+        if inter is not None:
+            clipped.append((k, inter, data[_within(inter, region)]))
+    bounds = [
+        sorted({w0, w1, *(b for _, inter, _ in clipped for b in inter[axis])})
+        for axis, (w0, w1) in enumerate(want)
+    ]
+    index = [{b: i for i, b in enumerate(axis)} for axis in bounds]
+    covered = np.zeros([len(axis) - 1 for axis in bounds], dtype=bool)
+    tile = np.empty(region_shape(want), dtype=dtype)
+    agree = True
+    for _, inter, data in reversed(clipped):
+        cells = tuple(slice(ix[lo], ix[hi]) for ix, (lo, hi) in zip(index, inter))
+        done = covered[cells]
+        if not done.any():
+            tile[_within(inter, want)] = data
+        elif done.all():
+            agree = agree and same_values(tile[_within(inter, want)], data)
+        else:
+            for cell in np.ndindex(done.shape):
+                box = tuple(
+                    (axis[c.start + i], axis[c.start + i + 1])
+                    for axis, c, i in zip(bounds, cells, cell)
+                )
+                if not done[cell]:
+                    tile[_within(box, want)] = data[_within(box, inter)]
+                elif agree:
+                    agree = same_values(tile[_within(box, want)], data[_within(box, inter)])
+        covered[cells] = True
+    volume = np.ones((), dtype=np.int64)
+    for axis in bounds:
+        volume = np.multiply.outer(volume, np.diff(axis))
+    missing = int(volume[~covered].sum())
+    return tile, None if agree else _first_conflict(clipped), missing
+
+
+def _first_conflict(clipped: list[tuple[int, Region, np.ndarray]]) -> int:
+    """Index of the first clipped piece that disagrees with an earlier one.
+
+    Equal values (:func:`same_values`) are an equivalence, so a piece
+    disagrees with what in-order writes left in the tile exactly when it
+    disagrees with some earlier piece on their common box.
+    """
+    for n, (k, rk, dk) in enumerate(clipped):
+        for _, rj, dj in clipped[:n]:
+            box = region_intersection(rk, rj)
+            if box is not None and not same_values(dk[_within(box, rk)], dj[_within(box, rj)]):
+                return k
+    raise AssertionError("pieces disagree but no pair does")  # pragma: no cover
+
+
+def array_or_shape(tensor_or_shape, dtype) -> tuple[Optional[np.ndarray], tuple, "np.dtype"]:
+    """Split a ``tensor_or_shape`` argument into ``(array, shape, dtype)``.
+
+    An array brings its own shape and dtype; anything else must be an
+    iterable shape, and ``array`` is ``None``.
+    """
+    if isinstance(tensor_or_shape, np.ndarray):
+        return tensor_or_shape, tensor_or_shape.shape, tensor_or_shape.dtype
+    try:
+        shape = tuple(tensor_or_shape)
+    except TypeError:
+        raise ValueError(
+            "tensor_or_shape must be a NumPy array or a shape tuple, "
+            f"got {type(tensor_or_shape).__name__} {tensor_or_shape!r}"
+        ) from None
+    return None, shape, dtype
 
 
 def read_region(tile: np.ndarray, tile_region: Region, want: Region) -> np.ndarray:
@@ -94,14 +212,37 @@ class DistributedTensor:
         spec: "str | ShardingSpec",
         array: np.ndarray,
     ) -> "DistributedTensor":
-        """Shard a global array over the mesh per the spec."""
+        """Shard a global array over the mesh per the spec.
+
+        Each shard is a writable copy of its tile, one per device, so a
+        replica costs its tile's bytes.  A tensor that is only read, such
+        as the source of a resharding, needs no copy: :meth:`view_global`
+        shards the same way with read-only views.
+        """
+        tensor = cls.view_global(mesh, spec, array)
+        tensor.shards = {d: view.copy() for d, view in tensor.shards.items()}
+        return tensor
+
+    @classmethod
+    def view_global(
+        cls,
+        mesh: DeviceMesh,
+        spec: "str | ShardingSpec",
+        array: np.ndarray,
+    ) -> "DistributedTensor":
+        """Shard a global array over the mesh as read-only views of it.
+
+        No byte is copied: each shard shares memory with ``array``, and
+        writing to one raises, so ``array`` cannot change through it.
+        """
         array = np.asarray(array)
         spec = parse_spec(spec)
         grid = TileGrid(array.shape, spec, mesh)
-        shards = {
-            d: array[_region_slices(grid.device_region(d))].copy()
-            for d in mesh.devices
-        }
+        shards = {}
+        for d in mesh.devices:
+            view = array[_region_slices(grid.device_region(d))]
+            view.flags.writeable = False
+            shards[d] = view
         return cls(mesh, spec, array.shape, shards, dtype=array.dtype)
 
     # ------------------------------------------------------------------
@@ -109,20 +250,22 @@ class DistributedTensor:
         return self.grid.device_region(device_id)
 
     def to_global(self) -> np.ndarray:
-        """Reassemble the global tensor, verifying replica consistency."""
-        out = np.empty(self.shape, dtype=self.dtype)
-        covered = np.zeros(self.shape, dtype=bool)
-        for d in self.mesh.devices:
-            region = self.grid.device_region(d)
-            sl = _region_slices(region)
-            if covered[sl].any():
-                if not np.array_equal(out[sl], self.shards[d]):
-                    raise ValueError(
-                        f"replica mismatch: device {d} disagrees on {region}"
-                    )
-            out[sl] = self.shards[d]
-            covered[sl] = True
-        if not covered.all():
+        """Reassemble the global tensor, verifying replica consistency.
+
+        Replicas are compared by :func:`same_values`, so NaN matches NaN.
+        """
+        devices = self.mesh.devices
+        out, conflict, missing = assemble(
+            tuple((0, s) for s in self.shape),
+            [(self.grid.device_region(d), self.shards[d]) for d in devices],
+            self.dtype,
+        )
+        if conflict is not None:
+            d = devices[conflict]
+            raise ValueError(
+                f"replica mismatch: device {d} disagrees on {self.grid.device_region(d)}"
+            )
+        if missing:
             raise ValueError("mesh tiles do not cover the tensor")  # pragma: no cover
         return out
 

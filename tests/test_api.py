@@ -36,6 +36,13 @@ def test_reshard_with_shape_is_timing_only(meshes):
     assert r.latency > 0
 
 
+@pytest.mark.parametrize("value", [np.float32(3.0), np.int64(8), 8, None])
+def test_reshard_refuses_a_value_that_is_neither_array_nor_shape(meshes, value):
+    src, dst = meshes
+    with pytest.raises(ValueError, match="tensor_or_shape"):
+        reshard(value, src, "S0R", dst, "RS1")
+
+
 def test_reshard_move_data_forced_without_array_fails(meshes):
     src, dst = meshes
     with pytest.raises(ValueError, match="array"):

@@ -7,6 +7,7 @@ prove our plans are semantically correct.)
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.data import DataPlaneError, apply_plan
 from repro.core.mesh import DeviceMesh
-from repro.core.plan import BroadcastOp, ScatterOp, SendOp
+from repro.core.plan import AllGatherOp, BroadcastOp, ScatterOp, SendOp
 from repro.core.task import ReshardingTask
-from repro.core.tensor import DistributedTensor
+from repro.core.tensor import DistributedTensor, read_region
 from repro.core.verify_data import verify_delivery
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.strategies import make_strategy
@@ -204,3 +205,122 @@ def test_distributed_tensor_allclose():
     assert a.allclose(b)
     assert a.allclose(arr)
     assert not a.allclose(arr + 1)
+
+
+# ----------------------------------------------------------------------
+# Replicas holding NaN agree; real disagreements still raise
+# ----------------------------------------------------------------------
+def _nan_meshes():
+    c = Cluster(ClusterSpec(n_hosts=4, devices_per_host=2))
+    return DeviceMesh.from_hosts(c, [0, 1]), DeviceMesh.from_hosts(c, [2, 3])
+
+
+def test_nan_replicas_agree():
+    src, dst = _nan_meshes()
+    nan = np.full((8, 8), np.nan, np.float32)
+    assert np.isnan(DistributedTensor.from_global(src, "RR", nan).to_global()).all()
+    task = ReshardingTask(nan.shape, src, "S0R", dst, "RS1")
+    out = apply_plan(
+        make_strategy("broadcast").plan(task),
+        DistributedTensor.from_global(src, task.src_spec, nan),
+    )
+    assert np.isnan(out.to_global()).all()
+
+
+def test_nan_delivered_twice_is_no_conflict():
+    """A plan that delivers a NaN region twice to a device agrees with itself."""
+    src, dst = _nan_meshes()
+    nan = np.full((8, 8), np.nan, np.float32)
+    task = ReshardingTask(nan.shape, src, "S0R", dst, "RR")
+    plan = make_strategy("broadcast").plan(task)
+    op = next(op for op in plan.ops if isinstance(op, BroadcastOp))
+    plan.ops.append(dataclasses.replace(op, op_id=max(o.op_id for o in plan.ops) + 1))
+    out = apply_plan(plan, DistributedTensor.from_global(src, task.src_spec, nan))
+    assert np.isnan(out.to_global()).all()
+
+
+def test_conflicting_delivery_names_the_device_and_box():
+    src, dst = _nan_meshes()
+    arr = np.arange(64, dtype=np.float32).reshape(8, 8)
+    task = ReshardingTask(arr.shape, src, "S0R", dst, "RR")
+    plan = make_strategy("broadcast").plan(task)
+    op = next(op for op in plan.ops if isinstance(op, BroadcastOp))
+    src_tensor = DistributedTensor.from_global(src, task.src_spec, arr)
+    peer = next(
+        d for d in src.devices
+        if d != op.sender and src_tensor.device_region(d) == src_tensor.device_region(op.sender)
+    )
+    # the same region again from a replica that disagrees on one element
+    plan.ops.append(
+        dataclasses.replace(op, op_id=max(o.op_id for o in plan.ops) + 1, sender=peer)
+    )
+    src_tensor.shards[peer][op.region[0][0], op.region[1][0]] = -1.0
+    with pytest.raises(
+        DataPlaneError, match=rf"^device {op.receivers[0]}: conflicting data for {re.escape(str(op.region))}$"
+    ):
+        apply_plan(plan, src_tensor)
+
+
+@pytest.mark.parametrize(
+    "arr, bad",
+    [
+        (np.full((4, 4), np.nan, np.float32), 1.0),
+        (np.ones((4, 4), np.float32), np.nan),
+        (np.ones((4, 4), bool), False),
+        (np.full((4, 4), "x", dtype=object), "y"),
+    ],
+)
+def test_real_replica_disagreements_still_raise(arr, bad):
+    src, _ = _nan_meshes()
+    dt = DistributedTensor.from_global(src, "RR", arr)
+    assert dt.to_global().tolist() == arr.tolist() or np.isnan(arr).all()
+    dt.shards[3][1, 2] = bad
+    with pytest.raises(
+        ValueError, match=r"replica mismatch: device 3 disagrees on \(\(0, 4\), \(0, 4\)\)"
+    ):
+        dt.to_global()
+
+
+def test_source_mesh_is_compared_by_content():
+    task, _, arr = build("S0RR", "RS1R")
+    plan = make_strategy("broadcast").plan(task)
+    c = task.src_mesh.cluster
+    equal = DeviceMesh.from_hosts(c, [0, 1])
+    assert equal is not task.src_mesh
+    out = apply_plan(plan, DistributedTensor.from_global(equal, task.src_spec, arr))
+    assert np.array_equal(out.to_global(), arr)
+    other = DeviceMesh.from_hosts(c, [1, 0])
+    with pytest.raises(DataPlaneError, match="mesh does not match"):
+        apply_plan(plan, DistributedTensor.from_global(other, task.src_spec, arr))
+
+
+def test_allgather_skips_deps_that_are_not_scatters_of_its_region():
+    task, src_tensor, arr = build("S0RR", "RS1R")
+    plan = make_strategy("allgather").plan(task)
+    gathers = [i for i, op in enumerate(plan.ops) if isinstance(op, AllGatherOp)]
+    first, second = gathers[0], gathers[1]
+    assert plan.ops[first].region != plan.ops[second].region
+    # an earlier scatter of another region and a non-scatter op add no parts
+    extra = (plan.ops[first].deps[0], plan.ops[first].op_id)
+    plan.ops[second] = dataclasses.replace(
+        plan.ops[second], deps=extra + plan.ops[second].deps
+    )
+    assert np.array_equal(apply_plan(plan, src_tensor).to_global(), arr)
+
+
+def test_constructor_takes_the_dtype_from_the_shards_or_checks_it():
+    c = Cluster(ClusterSpec(n_hosts=1, devices_per_host=2))
+    mesh = DeviceMesh.from_hosts(c, [0])
+    shards = {d: np.ones((4, 2), np.float32) for d in mesh.devices}
+    assert DistributedTensor(mesh, "RS1", (4, 4), shards).dtype == np.float32
+    assert DistributedTensor(mesh, "RS1", (4, 4), shards, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError, match="dtype float32 != tensor dtype float64"):
+        DistributedTensor(mesh, "RS1", (4, 4), shards, dtype=np.float64)
+
+
+def test_read_region_crops_an_inner_box():
+    tile = np.arange(4 * 8).reshape(4, 8)  # the tile of ((10, 14), (4, 12))
+    out = read_region(tile, ((10, 14), (4, 12)), ((11, 13), (6, 9)))
+    assert np.array_equal(out, tile[1:3, 2:5])
+    with pytest.raises(ValueError, match="not contained"):
+        read_region(tile, ((10, 14), (4, 12)), ((11, 13), (6, 13)))

@@ -27,6 +27,12 @@ def test_intra_mesh_data_correct(mesh24, src, dst):
     assert r.dst_tensor.spec == r.task.dst_spec
 
 
+@pytest.mark.parametrize("value", [np.float32(3.0), 8])
+def test_intra_mesh_refuses_a_value_that_is_neither_array_nor_shape(mesh24, value):
+    with pytest.raises(ValueError, match="tensor_or_shape"):
+        intra_mesh_reshard(value, mesh24, "S0R", "RS1")
+
+
 def test_identity_conversion_is_free(mesh24):
     r = intra_mesh_reshard((8, 8, 8), mesh24, "S0RR", "S0RR")
     assert r.is_free
