@@ -26,12 +26,12 @@ addressed, not identity-addressed.  A strategy without a cache key
 (custom subclasses) makes the compile uncacheable rather than wrong.
 
 The signature keys the compile *request*, and distinct requests often
-compile to the same plan: two schedulers that agree, or an ablation row
-that equals the default.  So each cache also owns a
-:class:`TimingMemo` keyed by the compiled plan's *content*
+compile to plans that simulate alike: two schedulers that agree, an
+ablation row that equals the default, or two layouts whose ops differ
+only in the regions they name.  So each cache also owns a
+:class:`TimingMemo` keyed by what simulating the compiled plan reads
 (:func:`timing_signature`): a :class:`~repro.compiler.pipeline
-.CompiledPlan` from a cached compile simulates a plan the memo has
-already seen only once.
+.CompiledPlan` from a cached compile simulates such a plan only once.
 
 A cache also remembers its **rejections**.  A ``validate=True`` compile
 through the default pass list that raises
@@ -45,9 +45,11 @@ size counter sees it.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Generic, Optional, TypeVar
 
 from .. import checks
@@ -56,7 +58,7 @@ from ..sim.faults import FaultSchedule, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.executor import TimingResult
-    from ..core.plan import CommPlan
+    from ..core.plan import CommOp, CommPlan
     from ..core.task import ReshardingTask
     from .pipeline import CompiledPlan
 
@@ -157,19 +159,41 @@ def plan_signature(
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: per op class, a getter of the fields a timing run reads as they are:
+#: every field but ``region`` (never read) and ``checksum`` (read only
+#: as a truth value)
+_TIMED_FIELDS: "dict[type[CommOp], attrgetter[tuple[object, ...]]]" = {}
+
+
+def _timed_op(op: "CommOp") -> tuple[object, ...]:
+    """What a :class:`~repro.core.executor.PlanRunner` run reads of ``op``."""
+    cls = type(op)
+    getter = _TIMED_FIELDS.get(cls)
+    if getter is None:
+        getter = _TIMED_FIELDS[cls] = attrgetter(*(
+            f.name for f in dataclasses.fields(cls) if f.name not in ("region", "checksum")
+        ))
+    return (cls.__qualname__, bool(op.checksum), getter(op))
+
+
 def timing_signature(
     plan: "CommPlan",
     faults: Optional[FaultSchedule] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> str:
-    """SHA-256 over every input a :class:`~repro.core.executor.PlanRunner`
-    run of ``plan`` reads.
+    """SHA-256 over what a :class:`~repro.core.executor.PlanRunner` run
+    of ``plan`` reads.
 
-    Those are each op (its type and every field), the schedule order and
-    the hosts each gated task occupies (together the Eq. 3 gating), the
-    cluster, and the fault scenario.  The strategy, the assignment and
-    the task's layouts enter only through them, so two requests that
-    compile to the same plan share one key.
+    Those are each op (its type, whether it carries a checksum, and
+    every other field but its region), the schedule order and the hosts
+    each gated task occupies (together the Eq. 3 gating), the cluster,
+    and the fault scenario.  A run sizes every transfer from ``nbytes``
+    and its endpoints, never from the region, and reads a checksum only
+    to tell a detected corruption from an unverified one.  So two
+    requests whose plans differ only in regions or checksum strings
+    share one key, as do two that compile to the same plan: the
+    strategy, the assignment and the task's layouts enter only through
+    the parts above.
     """
     schedule = plan.schedule
     gating = (
@@ -184,7 +208,7 @@ def timing_signature(
     h.update(
         repr(
             (
-                plan.ops,
+                [_timed_op(op) for op in plan.ops],
                 gating,
                 _cluster_key(plan.task.cluster.spec),
                 _faults_key(faults),

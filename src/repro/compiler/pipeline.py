@@ -186,9 +186,12 @@ class CompiledPlan:
 
         A plan compiled through a cache first asks that cache's timing memo:
         when another compile through that cache already simulated a plan
-        of identical content under the same faults, this plan shares that
-        :class:`TimingResult` instead of simulating again.  A shared
-        result is read-only, as a plan-cache hit's already is.
+        equal on everything a run reads (see
+        :func:`~repro.compiler.cache.timing_signature`) under the same
+        faults, this plan shares that :class:`TimingResult` instead of
+        simulating again.  A shared result is read-only, as a plan-cache
+        hit's already is; its op ids and op-id sets are this plan's too,
+        so :meth:`certify` joins them with this plan's own ops.
         """
         if self.timing is None:
             memo = self.timings

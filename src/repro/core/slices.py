@@ -15,10 +15,12 @@ baseline refuses uneven splits and falls back (see
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
+from .. import checks
 from .mesh import DeviceMesh
 from .spec import ShardingSpec
 
@@ -39,11 +41,18 @@ def split_offsets(size: int, n: int) -> tuple[int, ...]:
 
     Returns ``n + 1`` ascending offsets; interval ``k`` is
     ``[offsets[k], offsets[k+1])``.  Matches ``numpy.array_split``.
+    Both arguments must be integers (:func:`repro.checks.integer`) with
+    ``1 <= n <= size``; anything else raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if size < n:
-        raise ValueError(f"cannot split size {size} into {n} non-empty parts")
+    # One chained test passes a valid call; a call it fails re-runs the
+    # checks one at a time, in order, to raise the first error.
+    if not (type(size) is int is type(n) and 1 <= n <= size):
+        checks.integer("n", n, -math.inf)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        checks.integer("size", size, -math.inf)
+        if size < n:
+            raise ValueError(f"cannot split size {size} into {n} non-empty parts")
     q, r = divmod(size, n)
     offsets = [0]
     for k in range(n):

@@ -61,6 +61,7 @@ from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
+from . import checks
 from .analysis.plan_checker import check_plan
 from .compiler import CompileContext, compile_resharding
 from .compiler.passes import DEFAULT_PASSES, FaultRewritePass, PlanState
@@ -662,8 +663,7 @@ def run_fuzz(
     (unless ``shrink=False``) and, when ``save_repros_dir`` is given,
     written there as JSON loadable via :func:`schedule_from_json`.
     """
-    if runs < 0:
-        raise ValueError(f"runs must be >= 0, got {runs}")
+    checks.integer("runs", runs, 0)
     wls = fuzz_workloads()
     stats = FuzzStats()
     h = hashlib.sha256()

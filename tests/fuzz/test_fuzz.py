@@ -197,6 +197,11 @@ class TestCli:
         assert main(["fuzz", "--runs", "-1"]) == 2
         assert re.search("runs", capsys.readouterr().err)
 
+    def test_fuzz_rejects_a_fractional_run_count(self):
+        # range(2.5) used to escape as a bare TypeError
+        with pytest.raises(ValueError, match="runs"):
+            run_fuzz(runs=2.5)
+
     def test_fuzz_json_output(self, capsys):
         from repro.__main__ import main
 

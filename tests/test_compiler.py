@@ -38,13 +38,14 @@ from repro.core.validate import PlanValidationError
 from repro.experiments.common import make_microbench_meshes
 from repro.experiments.fig6 import TABLE2_CASES, TENSOR_SHAPE
 from repro.sim.cluster import Cluster, ClusterSpec
-from repro.sim.faults import FaultSchedule, HostFailure, RetryPolicy
+from repro.sim.faults import CorruptionWindow, FaultSchedule, HostFailure, RetryPolicy
 from repro.strategies import (
     AutoStrategy,
     BroadcastStrategy,
     SendRecvStrategy,
     make_strategy,
 )
+from tests.workload_counts import replay, timing_fields, workload_pass
 
 PASS_NAMES = ["lower", "select", "schedule", "fault_rewrite", "emit", "validate"]
 
@@ -159,6 +160,22 @@ class TestCacheHitMiss:
         assert len(cache) == 1
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
+
+    def test_default_bound_is_1024_entries(self):
+        cache = PlanCache()
+        for k in range(1024):
+            cache.store(str(k), None)
+        assert (len(cache), cache.evictions) == (1024, 0)
+        cache.store("one more", None)
+        assert (len(cache), cache.evictions) == (1024, 1)
+        assert "0" not in cache
+
+    def test_default_arguments_sign_a_default_compile(self):
+        # no faults, no retry policy, epoch 0: what a fresh cache stores
+        task = make_task()
+        compiled = compile_resharding(task, CompileContext(cache=PlanCache()))
+        strategy_key = make_strategy("broadcast").cache_key()
+        assert compiled.signature == plan_signature(task, strategy_key)
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +373,22 @@ PERTURBATIONS = {
     "cluster_spec": lambda p: (_faster_cluster(p), None, None),
     "faults": lambda p: (p, FaultSchedule(seed=1), None),
     "retry_policy": lambda p: (p, None, RetryPolicy(max_attempts=7)),
+    # a checksum is read as a truth value: stamped and unstamped differ
+    "checksum_presence": lambda p: (_replace_op0(p, checksum=""), None, None),
+}
+
+
+def _shrink_region(op):
+    return tuple((lo, lo + 1) for lo, _hi in op.region)
+
+
+#: changes to what a run never reads: each must share the base result
+UNREAD = {
+    "region": lambda p: _replace_op0(p, region=_shrink_region(p.ops[0])),
+    "every_region": lambda p: dataclasses.replace(p, ops=[
+        dataclasses.replace(op, region=_shrink_region(op)) for op in p.ops
+    ]),
+    "checksum_string": lambda p: _replace_op0(p, checksum="f" * 16),
 }
 
 
@@ -389,6 +422,47 @@ class TestTimingMemo:
         assert timing_signature(other, faults, retry) != timing_signature(plan)
         assert _timed(other, memo, faults, retry) is not base
         assert len(runs) == 2 and len(memo) == 2
+
+    @pytest.mark.parametrize("change", sorted(UNREAD))
+    def test_changing_what_a_run_never_reads_hits(self, change, runs):
+        plan = self.base_plan()
+        assert plan.ops[0].checksum
+        memo = TimingMemo(8)
+        base = _timed(plan, memo)
+        other = UNREAD[change](plan)
+        assert other.ops != plan.ops
+        assert timing_signature(other) == timing_signature(plan)
+        assert _timed(other, memo) is base
+        assert len(runs) == 1 and len(memo) == 1
+
+    def test_a_corrupted_op_shares_only_with_its_checksum_presence(self, runs):
+        # Every flow into op 0's first receiver host delivers bad bytes.
+        plan = self.base_plan()
+        host = plan.task.cluster.host_of(plan.ops[0].receivers[0])
+        faults = FaultSchedule(
+            corruptions=(CorruptionWindow(host=host, start=0.0, duration=1e9),)
+        )
+        memo = TimingMemo(8)
+        stamped = _timed(plan, memo, faults)
+        assert 0 in stamped.corrupted_ops and not stamped.unverified_corruption
+        for change in sorted(UNREAD):
+            assert _timed(UNREAD[change](plan), memo, faults) is stamped
+        unstamped = _timed(_replace_op0(plan, checksum=""), memo, faults)
+        assert unstamped is not stamped and len(runs) == 2
+        assert unstamped.unverified_corruption == (0,)
+        assert 0 not in unstamped.corrupted_ops
+        # A region-only change of the unstamped plan shares its result.
+        unstamped_other = _replace_op0(UNREAD["region"](plan), checksum="")
+        assert _timed(unstamped_other, memo, faults) is unstamped
+        assert len(runs) == 2
+
+    @pytest.mark.parametrize("workload", ["paper_suite", "train_iter"])
+    def test_every_memo_hit_of_a_workload_pass_equals_a_fresh_run(self, workload):
+        # Replays each hit of one seed-0 pass with the memo bypassed.
+        hits = workload_pass(workload)[1]
+        assert hits
+        for hit in hits:
+            assert timing_fields(replay(hit)) == hit.fields, hit.op_id
 
     def test_uncached_compile_never_consults_the_memo(self, monkeypatch):
         def forbidden(*_args):

@@ -13,17 +13,20 @@ from __future__ import annotations
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fuzz
 from repro.analysis import check_plan
 from repro.compiler import PlanCache, compile_resharding
 from repro.compiler.budget import CompileBudget
 from repro.compiler.resim import ResimCache
 from repro.core.mesh import DeviceMesh
+from repro.core.slices import split_offsets
 from repro.core.task import ReshardingTask
 from repro.models.gpt import GPTConfig
 from repro.models.utransformer import UTransformerConfig
@@ -170,6 +173,26 @@ row("check_plan.memory_budget", "memory_budget",
     lambda v: check_plan(_PLAN, memory_budget=v))
 fields("PlanCache", PlanCache, {}, ["max_entries"])
 fields("ResimCache", ResimCache, {}, ["max_entries"])
+fields("split_offsets", split_offsets, {"size": 8, "n": 2}, ["size", "n"])
+
+
+class _CampaignStarted(Exception):
+    pass
+
+
+def _fuzz_runs(runs):
+    """``run_fuzz(runs)`` up to the first run of its campaign."""
+    def started(*_args):
+        raise _CampaignStarted
+
+    with mock.patch.object(fuzz, "_generate_schedule", started):
+        try:
+            fuzz.run_fuzz(runs=runs)
+        except _CampaignStarted:
+            pass
+
+
+row("run_fuzz.runs", "runs", _fuzz_runs)
 
 # -- service ---------------------------------------------------------------
 fields("ServiceConfig", ServiceConfig, {}, ["n_workers", "base_service_time"])

@@ -48,6 +48,13 @@ def test_split_invalid():
         split_offsets(2, 0)
 
 
+@pytest.mark.parametrize("args, name", [((5.0, 2), "size"), ((5, 2.0), "n"), ((True, 1), "size")])
+def test_split_refuses_a_non_integer(args, name):
+    # split_offsets(5.0, 2) used to return the float offsets (0, 3.0, 5.0)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        split_offsets(*args)
+
+
 @given(st.integers(1, 100), st.integers(1, 10))
 def test_split_property(size, n):
     if n > size:

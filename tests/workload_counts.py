@@ -88,9 +88,8 @@ class MemoHit:
     plan: Any
     faults: Any
     retry_policy: Any
-    #: every :class:`~repro.core.executor.TimingResult` field but ``network``
+    #: the shared result's :func:`timing_fields`
     fields: dict
-    digest: str
 
 
 def timing_fields(result) -> dict:
@@ -238,16 +237,11 @@ def workload_pass(workload: str) -> tuple[dict[str, dict[str, int]], tuple[MemoH
             spies.uninstall()
         counts[op.id] = dict(sorted((k, v) for k, v in spies.counts.items() if v))
         hits += [
-            MemoHit(op.id, plan, faults, retry, *_split(timing_fields(found)))
+            MemoHit(op.id, plan, faults, retry, timing_fields(found))
             for plan, faults, retry, found in spies.hits
         ]
     reset_default_plan_cache()
     return counts, tuple(hits)
-
-
-def _split(fields: dict) -> tuple[dict, str]:
-    digest = fields.pop("digest")
-    return fields, digest
 
 
 def replay(hit: MemoHit):
