@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from ..runtime.telemetry import TelemetryBus
 from ..sim.faults import FaultReport, FaultSchedule, RetryPolicy
-from ..sim.network import Network
+from ..sim.network import Flow, LossyNetwork, Network
 from .buffers import op_host_buffers
 from ..sim.primitives import (
     CollectiveHandle,
@@ -151,11 +151,13 @@ class PlanRunner:
         if network is not None and faults is not None:
             raise ValueError("pass faults via the Network, not alongside one")
         self.plan = plan
-        self.net = (
-            network
-            if network is not None
-            else Network(plan.task.cluster, faults=faults, retry_policy=retry_policy)
-        )
+        if faults is not None:
+            network = LossyNetwork(plan.task.cluster, faults, retry_policy)
+        self.net = network if network is not None else Network(plan.task.cluster)
+        #: each launched op's collective, by op id
+        self._handles: dict[int, CollectiveHandle] = {}
+        if isinstance(self.net, LossyNetwork):
+            self.net.on_abandon = self._flow_abandoned
         self.base_cross = self.net.bytes_cross_host
         self.base_intra = self.net.bytes_intra_host
         self.on_task_done = on_task_done
@@ -268,8 +270,13 @@ class PlanRunner:
         if isinstance(op, (BroadcastOp, MulticastOp)) and not op.receivers:
             self.on_op_done(op, _immediate(self.net))
             return
-        handle = _launch_op(self.net, op)
+        handle = self._handles[op.op_id] = _launch_op(self.net, op)
         handle.add_done_callback(lambda h, op=op: self.on_op_done(op, h))
+
+    def _flow_abandoned(self, flow: Flow) -> None:
+        """A flow ran out of retries: fail its op (tagged ``op<id>[:part]``)."""
+        op_id = int(flow.tag.partition(":")[0][2:])
+        self._handles[op_id].abort(f"flow abandoned ({flow.tag})")
 
     def maybe_release(self, tid: int) -> None:
         if tid in self.released:
@@ -310,7 +317,8 @@ class PlanRunner:
 
         plan = self.plan
         missing = [op.op_id for op in plan.ops if op.op_id not in self.op_done]
-        if missing and net.faults is None:
+        lossy = net if isinstance(net, LossyNetwork) else None
+        if missing and lossy is None:
             raise RuntimeError(
                 f"plan deadlocked: ops never completed: {missing[:10]}"
                 + ("..." if len(missing) > 10 else "")
@@ -349,8 +357,8 @@ class PlanRunner:
         # it is recorded separately and verify_data refuses to certify it.
         corrupted_ops: set[int] = set()
         unverified: set[int] = set()
-        if net.faults is not None and net.corrupted_flows:
-            hit_tags = sorted({tag for tag, _ in net.corrupted_flows})
+        if lossy is not None and lossy.corrupted_flows:
+            hit_tags = sorted({tag for tag, _ in lossy.corrupted_flows})
             for op in plan.ops:
                 base = f"op{op.op_id}"
                 if base in hit_tags or any(
@@ -358,7 +366,7 @@ class PlanRunner:
                 ):
                     (corrupted_ops if op.checksum else unverified).add(op.op_id)
 
-        report = net.fault_report()
+        report = lossy.fault_report() if lossy is not None else None
         if report is not None and failed_ops:
             detail = f"{len(failed_ops)} op(s) did not deliver: " + ", ".join(
                 str(i) for i in sorted(failed_ops)[:10]
@@ -397,7 +405,8 @@ def simulate_plan(
     """Simulate ``plan``; returns latency and traffic statistics.
 
     Pass ``faults`` (and optionally ``retry_policy``) to run the plan on
-    a lossy network; transfers are retried per the policy and the result
+    a :class:`~repro.sim.network.LossyNetwork`; transfers are retried per
+    the policy and the result
     carries a :class:`~repro.sim.faults.FaultReport`.  An op whose
     collective is abandoned is recorded in ``failed_ops`` instead of
     deadlocking the simulation.  The result's ``host_peak_buffers``

@@ -19,7 +19,7 @@ from .faults import (
     Partition,
     RetryPolicy,
 )
-from .network import Flow, Network
+from .network import Flow, LossyNetwork, Network
 from .primitives import (
     DEFAULT_BROADCAST_CHUNKS,
     CollectiveHandle,
@@ -41,6 +41,7 @@ __all__ = [
     "Host",
     "Flow",
     "Network",
+    "LossyNetwork",
     "RateSolver",
     "ScalarSolver",
     "DegradedWindow",

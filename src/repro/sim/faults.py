@@ -21,9 +21,9 @@ than global RNG state — two runs with the same schedule produce
 byte-identical event traces regardless of wall-clock, process hash
 randomization, or interleaving of unrelated work.
 
-The consumers are :class:`repro.sim.network.Network` (flow failures,
-retries, time-varying capacity), the compiler (failure-aware sender
-selection and re-rooting), and the fuzzer, whose replan view compiles
+The consumers are :class:`repro.sim.network.LossyNetwork` (flow
+failures, retries, time-varying capacity), the compiler (failure-aware
+sender selection and re-rooting), and the fuzzer, whose replan view compiles
 under the schedule re-anchored at the first permanent failure
 (:meth:`FaultSchedule.first_host_failure`,
 :meth:`FaultSchedule.shifted`).  The pipeline executor simulates
@@ -624,24 +624,18 @@ class RetryPolicy:
     ``a+1``) is ``backoff_base * backoff_factor**(a-1)`` stretched by a
     deterministic jitter in ``[0, jitter)`` derived from the flow id —
     retries of concurrent flows de-synchronize identically in every run.
-    ``flow_timeout`` bounds how long a single attempt may stay active
-    (degraded links can otherwise stretch a transfer arbitrarily);
-    ``None`` disables the timeout.
     """
 
     max_attempts: int = 6
     backoff_base: float = 1e-3
     backoff_factor: float = 2.0
     jitter: float = 0.25
-    flow_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         checks.integer("max_attempts", self.max_attempts, 1)
         checks.real("backoff_base", self.backoff_base, "[0, inf)")
         checks.real("backoff_factor", self.backoff_factor, "[1, inf)")
         checks.real("jitter", self.jitter, "[0, 1]")
-        if self.flow_timeout is not None:
-            checks.real("flow_timeout", self.flow_timeout, "(0, inf)")
 
     def backoff(self, attempt: int, *key) -> float:
         """Delay before retrying after failed attempt ``attempt`` (1-based)."""
@@ -659,7 +653,7 @@ class RetryPolicy:
 class FaultIncident:
     """One observed fault: what failed, when, and how it ended."""
 
-    kind: str  # "dropped" | "nic-flap" | "timeout" | "host-down" | ...
+    kind: str  # "dropped" | "nic-flap" | "host-down" | "partition" | ...
     where: str  # e.g. "flow 12 d0->d4"
     time: float
     attempt: int = 1

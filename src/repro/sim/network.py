@@ -18,11 +18,11 @@ Rates are recomputed whenever a flow starts or finishes; the event loop
 advances directly to the earliest completion.  A full progressive fill
 costs ``O(flows x ports)`` per round, but the solver runs it only when
 the arriving or departing flow shares a port with another active flow
-(or a fault schedule is installed): a flow alone on its ports costs
-``O(ports)`` to add or remove, and the solve that follows is a no-op.
-Chunk-pipelined ring hops are mostly alone on their ports, so most
-solves skip the fill.  The active set is small (most solves see zero to
-three flows), so the cost is per-event bookkeeping rather than
+(or the network's capacities vary in time): a flow alone on its ports
+costs ``O(ports)`` to add or remove, and the solve that follows is a
+no-op.  Chunk-pipelined ring hops are mostly alone on their ports, so
+most solves skip the fill.  The active set is small (most solves see
+zero to three flows), so the cost is per-event bookkeeping rather than
 arithmetic, and the network keeps that constant small:
 
 * **A flow** costs one chained comparison that accepts a valid
@@ -32,11 +32,10 @@ arithmetic, and the network keeps that constant small:
   ``ports=``/``latency=`` flows bypass it), one positional
   :class:`Flow` and one kernel push.  On activation the solver counts
   its ports; a flow alone on them takes the minimum of their static
-  capacities, memoized per port tuple when no fault schedule is
-  installed (under one, capacities are read at the current instant).
-  On delivery it appends one raw span row to the bus and one sample to
-  a byte counter; a device -> host table and a device -> ``dev:<d>``
-  track table answer the lookups.
+  capacities, memoized per port tuple.  On delivery it appends one raw
+  span row to the bus and one sample to a byte counter; a device ->
+  host table and a device -> ``dev:<d>`` track table answer the
+  lookups.
 * **A reallocation** costs one solve call and one walk over the active
   set for the earliest ETA (each ETA kept for the tie set); the
   completion event is re-pushed only when its instant moved.
@@ -46,37 +45,15 @@ instant is the one the golden digests pin, in the same order.
 
 The network runs on the unified runtime kernel
 (:class:`~repro.runtime.kernel.EventLoop`) and reports through its
-telemetry bus: every delivered/failed/abandoned flow attempt is emitted
-as a ``cat="flow"`` span, byte totals are counters, and fault incidents
-are marks.  A flow's record is its span, held once, in the bus: read
-``[s for s in network.bus.spans if s.cat == "flow"]``.
-:meth:`Network._emit_flow` lists the span's attrs and statuses.
+telemetry bus: every delivered flow is emitted as a ``cat="flow"`` span
+and byte totals are counters.  A flow's record is its span, held once,
+in the bus: read ``[s for s in network.bus.spans if s.cat == "flow"]``.
+:meth:`LossyNetwork._emit_flow` lists the span's attrs and statuses.
 
-**Fault tolerance** (optional): constructed with a
-:class:`~repro.sim.faults.FaultSchedule`, the network becomes lossy —
-NIC capacities vary over time (degradation windows), flows through a
-flapped-down NIC fail mid-flight (partial progress lost) or fail fast on
-arrival, and individual deliveries can be dropped.  Failed flows are
-retried under a :class:`~repro.sim.faults.RetryPolicy` (bounded
-attempts, exponential backoff with deterministic jitter, optional
-per-attempt timeout); exhausted flows are *abandoned* and reported via
-the ``on_abandon`` callback.  Each disposition (a delivery, one failed
-attempt, an abandonment) is one ``flow`` span with its ``status``.
-Without a schedule every fault hook is skipped, so the healthy path is
-byte-identical to the fault-free simulator.
-
-Failure attribution is causal, not just symptomatic: a flow killed by a
-correlated :class:`~repro.sim.faults.DomainFailure` records a
-``domain-down`` incident, a lone dead host ``host-down``, a flap
-``nic-flap``/``nic-down`` — so a report's incident kinds tell a rack
-loss from a flaky NIC.  Asymmetric
-:class:`~repro.sim.faults.Partition` windows are honoured distinctly
-from host-down: affected src→dst flows fail (``partition``) while all
-other traffic through the same NICs proceeds at full rate.  Gray
-:class:`~repro.sim.faults.CorruptionWindow` events never fail a flow at
-all: the delivery completes with normal timing, is marked
-``corrupted`` in its span, and is only caught downstream by per-slice
-checksums (:mod:`repro.core.verify_data`).
+:class:`Network` is fault-free by construction: the paper's healthy,
+fixed-bandwidth cluster.  Faults live in one subclass,
+:class:`LossyNetwork`, which :func:`repro.core.executor.simulate_plan`
+builds only when it is given a :class:`~repro.sim.faults.FaultSchedule`.
 """
 
 from __future__ import annotations
@@ -84,7 +61,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 from ..runtime.kernel import EventLoop
 from ..runtime.telemetry import TelemetryBus
@@ -99,7 +76,7 @@ from .faults import (
 )
 from .solver import RateSolver, ScalarSolver
 
-__all__ = ["Flow", "Network"]
+__all__ = ["Flow", "Network", "LossyFlow", "LossyNetwork"]
 
 _INF = math.inf
 
@@ -122,13 +99,6 @@ class Flow:
     start_time: float = -1.0  # when it became active (post-latency)
     finish_time: float = -1.0
     rate: float = 0.0
-    attempts: int = 1
-    abandoned: bool = False
-    on_abandon: Optional[Callable[["Flow"], None]] = None
-    #: the armed timeout's kernel entry (cancelled through the loop)
-    timeout_event: Optional[list[Any]] = None
-    #: fixed startup latency re-applied on every retry attempt
-    base_latency: float = 0.0
 
     @property
     def done(self) -> bool:
@@ -144,22 +114,22 @@ class Network:
     ``network.loop.run()`` to drive everything to completion.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        faults: Optional[FaultSchedule] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        solver: Optional[RateSolver] = None,
-    ) -> None:
+    #: whether a port's capacity can change during a run; the rate
+    #: solvers memoize and skip fills only when it cannot
+    capacity_varies: ClassVar[bool] = False
+
+    def __init__(self, cluster: Cluster, solver: Optional[RateSolver] = None) -> None:
         self.cluster = cluster
         # A cluster never changes once built, so a device's host, a
-        # route, and a port's fault-free capacity are computed once.
+        # route, and a port's capacity are computed once.
         self._host_of: list[int] = [d.host_id for d in cluster.devices]
         self._n_devices = len(self._host_of)
         #: telemetry track of each device's flows
         self._dev_track: list[str] = [f"dev:{d.device_id}" for d in cluster.devices]
         self._routes: dict[tuple[int, int], tuple[tuple[str, ...], float]] = {}
         self._base_capacity: dict[str, float] = {}
+        #: what :meth:`start_flow` builds (an instance attribute: cheap per flow)
+        self._flow_class: type[Flow] = Flow
         self.loop = EventLoop()
         self.bus: TelemetryBus = self.loop.bus
         self._active: dict[int, Flow] = {}
@@ -174,26 +144,6 @@ class Network:
         self.bytes_intra_host = 0.0
         self._c_cross = self.bus.counter("bytes_cross_host", track="net")
         self._c_intra = self.bus.counter("bytes_intra_host", track="net")
-        # -- fault tolerance (all no-ops when faults is None) ----------
-        self.faults = faults
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.n_failures = 0
-        self.n_retries = 0
-        self.n_abandoned = 0
-        self.wasted_bytes = 0.0  # transferred by attempts that failed
-        self.added_latency = 0.0  # estimated time lost to faults
-        self.incidents: list[FaultIncident] = []
-        self.n_corrupted = 0
-        #: (tag, flow_id) of deliveries that completed with bad bytes —
-        #: the executor joins these against CommOp checksums
-        self.corrupted_flows: list[tuple[str, int]] = []
-        if faults is not None:
-            # NIC capacity is piecewise-constant between fault window
-            # boundaries; revisit rate allocation (and kill flows caught
-            # on a flapped NIC) exactly at those instants.
-            for b in faults.boundaries():
-                if b > self.loop.now:
-                    self.loop.call_at(b, self._on_fault_boundary)
 
     # ------------------------------------------------------------------
     # Port model
@@ -222,52 +172,16 @@ class Network:
         bw = self._base_capacity.get(port)
         if bw is None:
             bw = self._base_capacity[port] = self._static_capacity(port)
-        if self.faults is not None and port[0] == "n":
-            # Piecewise-constant in time: never part of the memo.
-            bw *= self.faults.nic_factor(int(port[2:]), self.loop.now)
         return bw
 
     def _static_capacity(self, port: str) -> float:
-        """Fault-free capacity of ``port``."""
+        """Nominal capacity of ``port``."""
         spec = self.cluster.spec
         if port[0] == "d":
             return spec.intra_host_bandwidth
         if port[0] == "n":
             return spec.host_nic_bandwidth(int(port[2:]))
         return self.cluster.topo.port_capacity(port)
-
-    def _down_reason_for(self, flow: Flow, flap_kind: str) -> Optional[str]:
-        """Causal incident kind if a traversed NIC is down, else None.
-
-        The incident blames the widest blast radius among the traversed
-        NICs' outages (:meth:`FaultSchedule.outage_at` ranks one NIC's).
-        ``flap_kind`` names the flap case ("nic-down" fast-fail vs
-        "nic-flap" mid-flight).
-        """
-        assert self.faults is not None
-        reason = None
-        for p in flow.ports:
-            if p[0] != "n":
-                continue
-            cause = self.faults.outage_at(int(p[2:]), self.loop.now)
-            if isinstance(cause, DomainFailure):
-                return "domain-down"
-            if isinstance(cause, HostFailure):
-                reason = "host-down"
-            elif cause is not None and reason is None:
-                reason = flap_kind
-        return reason
-
-    def _partition_blocked(self, flow: Flow) -> bool:
-        """True while an asymmetric partition blocks this flow's path."""
-        assert self.faults is not None
-        if not self.faults.partitions:
-            return False
-        src_host = self._host_of[flow.src]
-        dst_host = self._host_of[flow.dst]
-        if src_host == dst_host:
-            return False
-        return self.faults.partitioned(src_host, dst_host, self.loop.now)
 
     # ------------------------------------------------------------------
     # Public API
@@ -279,19 +193,14 @@ class Network:
         nbytes: float,
         on_complete: Optional[Callable[[Flow], None]] = None,
         tag: str = "",
-        extra_latency: float = 0.0,
-        on_abandon: Optional[Callable[[Flow], None]] = None,
         ports: Optional[tuple[str, ...]] = None,
         latency: Optional[float] = None,
     ) -> Flow:
         """Submit a transfer of ``nbytes`` from device ``src`` to ``dst``.
 
         The flow becomes bandwidth-active after the link's fixed startup
-        latency (plus ``extra_latency``, e.g. software overhead), then
-        progresses at its max-min fair rate until done.  ``on_complete``
-        fires at the finish instant.  Under fault injection a flow that
-        exhausts its retry budget fires ``on_abandon`` instead (never
-        both).
+        latency, then progresses at its max-min fair rate until done.
+        ``on_complete`` fires at the finish instant.
 
         ``ports``/``latency`` override the routed path: collective
         primitives that traverse only a *segment* of the fabric (e.g.
@@ -301,11 +210,10 @@ class Network:
 
         ``src`` and ``dst`` must be integer device ids of the cluster
         (``KeyError``) and differ; ``nbytes`` must be finite and
-        non-negative; ``latency`` (when given) and ``extra_latency`` must
-        each lie in ``[0, inf)``, and their sum must not overflow the
-        clock.  Every other bad value raises ``ValueError`` naming the
-        argument.  A rejected call changes nothing: it takes no flow id
-        and schedules no event.
+        non-negative; ``latency`` (when given) must lie in ``[0, inf)``
+        and must not overflow the clock.  Every other bad value raises
+        ``ValueError`` naming the argument.  A rejected call changes
+        nothing: it takes no flow id and schedules no event.
         """
         # One chained test passes a valid call; a call it fails re-runs
         # the checks one at a time, in order, to raise the first error.
@@ -314,11 +222,10 @@ class Network:
             and 0 <= src < self._n_devices > dst >= 0
             and src != dst
             and 0.0 <= nbytes < _INF
-            and 0.0 <= extra_latency < _INF
             and (latency is None or 0.0 <= latency < _INF)
             and (ports is None or ports)
         ):
-            self._check_flow(src, dst, nbytes, extra_latency, ports, latency)
+            self._check_flow(src, dst, nbytes, ports, latency)
         if ports is None or latency is None:
             route = self._routes.get((src, dst)) or self._route(src, dst)
             if ports is None:
@@ -327,21 +234,18 @@ class Network:
                 latency = route[1]
         loop = self.loop
         now = loop.now
-        # call_after's instant; each delay is checked above, their sum here.
-        when = now + (latency + extra_latency)
+        # call_after's instant; the delay is checked above, the sum here.
+        when = now + latency
         if when == _INF:
-            raise ValueError(
-                f"latency + extra_latency overflows the clock: {latency!r} + {extra_latency!r}"
-            )
+            raise ValueError(f"latency overflows the clock: {now!r} + {latency!r}")
         flow_id = self._next_id
         self._next_id = flow_id + 1
         nbytes = float(nbytes)
         # Positional, in field order: flow_id, src, dst, nbytes, remaining,
-        # ports, on_complete, tag, submit_time, start_time, finish_time,
-        # rate, attempts, abandoned, on_abandon, timeout_event, base_latency.
-        flow = Flow(
+        # ports, on_complete, tag, submit_time, start_time, finish_time, rate.
+        flow = self._flow_class(
             flow_id, src, dst, nbytes, nbytes, ports, on_complete, tag, now,
-            -1.0, -1.0, 0.0, 1, False, on_abandon, None, latency,
+            -1.0, -1.0, 0.0,
         )
         loop.call_at(when, self._activate, flow)
         return flow
@@ -351,7 +255,6 @@ class Network:
         src: Any,
         dst: Any,
         nbytes: Any,
-        extra_latency: Any,
         ports: Optional[tuple[str, ...]],
         latency: Any,
     ) -> None:
@@ -381,89 +284,20 @@ class Network:
             # A flow through no port would have no bottleneck, hence no
             # finite max-min rate.
             raise ValueError("a flow must traverse at least one port")
-        # Each delay on its own: a negative extra_latency must not hide
-        # behind a longer link latency, nor an infinite one stall run().
         if latency is not None and not 0.0 <= latency < _INF:
             raise ValueError(f"latency must be finite and non-negative, got {latency!r}")
-        if not 0.0 <= extra_latency < _INF:
-            raise ValueError(
-                f"extra_latency must be finite and non-negative, got {extra_latency!r}"
-            )
-
-    # ------------------------------------------------------------------
-    # Telemetry: the bus holds the one record of every flow
-    # ------------------------------------------------------------------
-    def _emit_flow(
-        self, flow: Flow, status: str, finish_time: Optional[float] = None
-    ) -> None:
-        """Emit one flow disposition as a ``cat="flow"`` span.
-
-        The span is named ``flow.tag`` (``flow<id>`` when untagged), sits
-        on the sender's ``dev:<src>`` track and runs from the attempt's
-        ``active_start`` (``submit_time`` if the attempt never became
-        bandwidth-active) to its finish.  Its nine attrs are ``flow_id``,
-        ``src``, ``dst``, ``nbytes``, ``submit_time``, ``active_start``
-        (``-1.0`` when never active), ``attempts`` (1-based),
-        ``status`` and ``tag``.  ``status`` is one of:
-
-        * ``ok``: delivered intact on the first attempt;
-        * ``retried``: delivered intact after at least one failed attempt;
-        * ``corrupted``: delivered, on any attempt, with bad bytes (a
-          gray failure only end-to-end checksums catch);
-        * ``failed``: one attempt failed, and the flow is retried;
-        * ``abandoned``: the retry budget ran out; never delivered.
-        """
-        finish = flow.finish_time if finish_time is None else finish_time
-        start = flow.start_time if flow.start_time >= 0.0 else flow.submit_time
-        # The row TelemetryBus.span would append (depth 0, no parent).
-        # The list is read from the bus on every call: a resim restore
-        # rebinds it.
-        self.bus.span_rows.append((
-            flow.tag or f"flow{flow.flow_id}",
-            "flow",
-            self._dev_track[flow.src],
-            start,
-            finish,
-            0,
-            "",
-            {
-                "flow_id": flow.flow_id,
-                "src": flow.src,
-                "dst": flow.dst,
-                "nbytes": flow.nbytes,
-                "submit_time": flow.submit_time,
-                "active_start": flow.start_time,
-                "attempts": flow.attempts,
-                "status": status,
-                "tag": flow.tag,
-            },
-        ))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _activate(self, flow: Flow) -> None:
         self._advance_to_now()
-        faults = self.faults
-        if faults is not None:
-            reason = self._down_reason_for(flow, "nic-down")
-            if reason is None and self._partition_blocked(flow):
-                reason = "partition"
-            if reason is not None:
-                # Fast-fail: the transfer cannot start (NIC down or the
-                # destination is unreachable from here).  start_time
-                # stays -1 — the flow never became active.
-                self._fail_flow(flow, reason)
-                self._reallocate_and_schedule()
-                return
         flow.start_time = self.loop.now
         if flow.remaining <= 0.0:
             self._finish(flow)
         else:
             self._active[flow.flow_id] = flow
             self.solver.flow_added(flow)
-            if faults is not None:
-                self._arm_timeout(flow)
         self._reallocate_and_schedule()
 
     def _advance_to_now(self) -> None:
@@ -536,27 +370,245 @@ class Network:
 
     def _finish(self, flow: Flow) -> None:
         now = self.loop.now
+        flow.finish_time = now
+        flow.remaining = 0.0
+        nbytes = flow.nbytes
+        if self._host_of[flow.src] == self._host_of[flow.dst]:
+            self.bytes_intra_host += nbytes
+            self._c_intra.add(nbytes, now)
+        else:
+            self.bytes_cross_host += nbytes
+            self._c_cross.add(nbytes, now)
+        # The row TelemetryBus.span would append (depth 0, no parent),
+        # as LossyNetwork._emit_flow writes an ``ok`` one.  The list is
+        # read from the bus on every call: a resim restore rebinds it.
+        self.bus.span_rows.append((
+            flow.tag or f"flow{flow.flow_id}",
+            "flow",
+            self._dev_track[flow.src],
+            flow.start_time,
+            now,
+            0,
+            "",
+            {
+                "flow_id": flow.flow_id,
+                "src": flow.src,
+                "dst": flow.dst,
+                "nbytes": nbytes,
+                "submit_time": flow.submit_time,
+                "active_start": flow.start_time,
+                "attempts": 1,
+                "status": "ok",
+                "tag": flow.tag,
+            },
+        ))
+        if flow.on_complete is not None:
+            flow.on_complete(flow)
+
+    def run(self) -> float:
+        """Drive the event loop until all flows complete."""
+        return self.loop.run()
+
+
+@dataclass(slots=True)
+class LossyFlow(Flow):
+    """A :class:`Flow` of a :class:`LossyNetwork`, with its retry state."""
+
+    attempts: int = 1
+    abandoned: bool = False
+    #: fixed startup latency re-applied on every retry attempt
+    base_latency: float = 0.0
+
+
+class LossyNetwork(Network):
+    """A :class:`Network` under a :class:`~repro.sim.faults.FaultSchedule`.
+
+    NIC capacities vary over time (degradation windows), flows through a
+    flapped-down NIC fail mid-flight (partial progress lost) or fail
+    fast on arrival, and individual deliveries can be dropped.  Failed
+    flows are retried under a :class:`~repro.sim.faults.RetryPolicy`
+    (bounded attempts, exponential backoff with deterministic jitter);
+    exhausted flows are *abandoned* and reported to the network-level
+    :attr:`on_abandon` callback, which
+    :class:`~repro.core.executor.PlanRunner` installs.  Each disposition
+    (a delivery, one failed attempt, an abandonment) is one ``flow``
+    span with its ``status``.  Under a schedule that injects nothing
+    every span row, float and event equals the fault-free
+    :class:`Network`'s.
+
+    Failure attribution is causal, not just symptomatic: a flow killed by
+    a correlated :class:`~repro.sim.faults.DomainFailure` records a
+    ``domain-down`` incident, a lone dead host ``host-down``, a flap
+    ``nic-flap``/``nic-down`` — so a report's incident kinds tell a rack
+    loss from a flaky NIC.  Asymmetric
+    :class:`~repro.sim.faults.Partition` windows are honoured distinctly
+    from host-down: affected src→dst flows fail (``partition``) while
+    all other traffic through the same NICs proceeds at full rate.  Gray
+    :class:`~repro.sim.faults.CorruptionWindow` events never fail a flow
+    at all: the delivery completes with normal timing, is marked
+    ``corrupted`` in its span, and is only caught downstream by
+    per-slice checksums (:mod:`repro.core.verify_data`).
+    """
+
+    capacity_varies: ClassVar[bool] = True
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        faults: FaultSchedule,
+        retry_policy: Optional[RetryPolicy] = None,
+        solver: Optional[RateSolver] = None,
+    ) -> None:
+        super().__init__(cluster, solver)
+        self._flow_class = LossyFlow
+        self.faults = faults
+        self.retry_policy = retry_policy or RetryPolicy()
+        self.n_failures = 0
+        self.n_retries = 0
+        self.n_abandoned = 0
+        self.wasted_bytes = 0.0  # transferred by attempts that failed
+        self.added_latency = 0.0  # estimated time lost to faults
+        self.incidents: list[FaultIncident] = []
+        #: (tag, flow_id) of deliveries that completed with bad bytes —
+        #: the executor joins these against CommOp checksums
+        self.corrupted_flows: list[tuple[str, int]] = []
+        #: called with each abandoned flow (never with a delivered one)
+        self.on_abandon: Optional[Callable[[Flow], None]] = None
+        # NIC capacity is piecewise-constant between fault window
+        # boundaries; revisit rate allocation (and kill flows caught on a
+        # flapped NIC) exactly at those instants.
+        for b in faults.boundaries():
+            if b > self.loop.now:
+                self.loop.call_at(b, self._on_fault_boundary)
+
+    def start_flow(
+        self,
+        src: int,
+        dst: int,
+        nbytes: float,
+        on_complete: Optional[Callable[[Flow], None]] = None,
+        tag: str = "",
+        ports: Optional[tuple[str, ...]] = None,
+        latency: Optional[float] = None,
+    ) -> Flow:
+        flow = super().start_flow(src, dst, nbytes, on_complete, tag, ports, latency)
+        assert isinstance(flow, LossyFlow)
+        # The flow's own latency, not a fresh route lookup on retry:
+        # custom-port flows (multicast segments) must retry over the
+        # same path.
+        flow.base_latency = self._route(src, dst)[1] if latency is None else latency
+        return flow
+
+    def _port_capacity(self, port: str) -> float:
+        bw = super()._port_capacity(port)
+        if port[0] == "n":
+            # Piecewise-constant in time: never part of the memo.
+            bw *= self.faults.nic_factor(int(port[2:]), self.loop.now)
+        return bw
+
+    def _cut_reason(self, flow: Flow, flap_kind: str) -> Optional[str]:
+        """Causal incident kind if the flow's path is cut now, else None.
+
+        A down NIC blames the widest blast radius among the traversed
+        NICs' outages (:meth:`FaultSchedule.outage_at` ranks one NIC's;
+        domain-down > host-down > flap); ``flap_kind`` names the flap
+        case ("nic-down" fast-fail vs "nic-flap" mid-flight).  With every
+        NIC up, an asymmetric partition between the flow's hosts is a
+        ``partition``.
+        """
+        faults = self.faults
+        reason = None
+        for p in flow.ports:
+            if p[0] != "n":
+                continue
+            cause = faults.outage_at(int(p[2:]), self.loop.now)
+            if isinstance(cause, DomainFailure):
+                return "domain-down"
+            if isinstance(cause, HostFailure):
+                reason = "host-down"
+            elif cause is not None and reason is None:
+                reason = flap_kind
+        if reason is None and faults.partitions:
+            src_host = self._host_of[flow.src]
+            dst_host = self._host_of[flow.dst]
+            if src_host != dst_host and faults.partitioned(src_host, dst_host, self.loop.now):
+                return "partition"
+        return reason
+
+    def _emit_flow(self, flow: LossyFlow, status: str) -> None:
+        """Emit one flow disposition, ending now, as a ``cat="flow"`` span.
+
+        The span is named ``flow.tag`` (``flow<id>`` when untagged), sits
+        on the sender's ``dev:<src>`` track and runs from the attempt's
+        ``active_start`` (``submit_time`` if the attempt never became
+        bandwidth-active) to now.  Its nine attrs are ``flow_id``,
+        ``src``, ``dst``, ``nbytes``, ``submit_time``, ``active_start``
+        (``-1.0`` when never active), ``attempts`` (1-based),
+        ``status`` and ``tag``.  ``status`` is one of:
+
+        * ``ok``: delivered intact on the first attempt;
+        * ``retried``: delivered intact after at least one failed attempt;
+        * ``corrupted``: delivered, on any attempt, with bad bytes (a
+          gray failure only end-to-end checksums catch);
+        * ``failed``: one attempt failed, and the flow is retried;
+        * ``abandoned``: the retry budget ran out; never delivered.
+
+        :meth:`Network._finish` writes the ``ok`` row itself.
+        """
+        start = flow.start_time if flow.start_time >= 0.0 else flow.submit_time
+        self.bus.span_rows.append((
+            flow.tag or f"flow{flow.flow_id}",
+            "flow",
+            self._dev_track[flow.src],
+            start,
+            self.loop.now,
+            0,
+            "",
+            {
+                "flow_id": flow.flow_id,
+                "src": flow.src,
+                "dst": flow.dst,
+                "nbytes": flow.nbytes,
+                "submit_time": flow.submit_time,
+                "active_start": flow.start_time,
+                "attempts": flow.attempts,
+                "status": status,
+                "tag": flow.tag,
+            },
+        ))
+
+    def _activate(self, flow: Flow) -> None:
+        reason = self._cut_reason(flow, "nic-down")
+        if reason is None:
+            super()._activate(flow)
+            return
+        # Fast-fail: the transfer cannot start (NIC down or the
+        # destination is unreachable from here).  start_time stays -1 —
+        # the flow never became active.
+        self._advance_to_now()
+        self._fail_flow(flow, reason)
+        self._reallocate_and_schedule()
+
+    def _finish(self, flow: Flow) -> None:
+        assert isinstance(flow, LossyFlow)
+        now = self.loop.now
+        if self.faults.should_drop(flow.flow_id, flow.attempts):
+            # Lost in transit: the bandwidth was spent, the payload was
+            # not delivered — detected at the delivery instant.
+            flow.remaining = 0.0
+            self._fail_flow(flow, "dropped")
+            return
         corrupted = False
-        if self.faults is not None:
-            self._cancel_timeout(flow)
-            if self.faults.should_drop(flow.flow_id, flow.attempts):
-                # Lost in transit: the bandwidth was spent, the payload
-                # was not delivered — detected at the delivery instant.
-                flow.remaining = 0.0
-                self._fail_flow(flow, "dropped")
-                return
-            if self.faults.corruptions:
-                # Gray failure: the delivery completes with normal
-                # timing but the bytes are bad.  The network does NOT
-                # fail or retry the flow — nothing at this layer can
-                # see the corruption; only end-to-end checksums
-                # (executor + verify_data) catch it downstream.
-                hosts = sorted(
-                    {int(p[2:]) for p in flow.ports if p[0] == "n"}
-                )
-                corrupted = self.faults.should_corrupt(
-                    hosts, now, flow.flow_id, flow.attempts
-                )
+        if self.faults.corruptions:
+            # Gray failure: the delivery completes with normal timing but
+            # the bytes are bad.  The network does NOT fail or retry the
+            # flow — nothing at this layer can see the corruption; only
+            # end-to-end checksums (executor + verify_data) catch it
+            # downstream.
+            hosts = sorted({int(p[2:]) for p in flow.ports if p[0] == "n"})
+            corrupted = self.faults.should_corrupt(
+                hosts, now, flow.flow_id, flow.attempts
+            )
         flow.finish_time = now
         flow.remaining = 0.0
         nbytes = flow.nbytes
@@ -567,15 +619,11 @@ class Network:
             self.bytes_cross_host += nbytes
             self._c_cross.add(nbytes, now)
         if corrupted:
-            self.n_corrupted += 1
             self.corrupted_flows.append((flow.tag, flow.flow_id))
             self.incidents.append(
                 FaultIncident(
                     kind="corruption",
-                    where=(
-                        f"flow {flow.flow_id} d{flow.src}->d{flow.dst} "
-                        f"[{flow.tag}]"
-                    ),
+                    where=f"flow {flow.flow_id} d{flow.src}->d{flow.dst} [{flow.tag}]",
                     time=now,
                     attempt=flow.attempts,
                     resolved=False,  # nothing at this layer resolves it
@@ -587,17 +635,11 @@ class Network:
         if flow.on_complete is not None:
             flow.on_complete(flow)
 
-    # ------------------------------------------------------------------
-    # Fault machinery (reached only when a FaultSchedule is installed)
-    # ------------------------------------------------------------------
-    def _record(self, flow: Flow, status: str) -> None:
-        self._emit_flow(flow, status, finish_time=self.loop.now)
-
     def _fail_flow(self, flow: Flow, reason: str) -> None:
         """One attempt failed: record it and retry or abandon."""
+        assert isinstance(flow, LossyFlow)
         if self._active.pop(flow.flow_id, None) is not None:
             self.solver.flow_removed(flow)
-        self._cancel_timeout(flow)
         now = self.loop.now
         self.n_failures += 1
         if flow.start_time >= 0.0:
@@ -617,12 +659,11 @@ class Network:
             self.n_abandoned += 1
             flow.abandoned = True
             flow.finish_time = now
-            self._record(flow, "abandoned")
-            if flow.on_abandon is not None:
-                flow.on_abandon(flow)
+            self._emit_flow(flow, "abandoned")
+            if self.on_abandon is not None:
+                self.on_abandon(flow)
             return
-        self._record(flow, "failed")
-        assert self.faults is not None  # only a fault schedule fails a flow
+        self._emit_flow(flow, "failed")
         delay = self.retry_policy.backoff(flow.attempts, self.faults.seed, flow.flow_id)
         self.added_latency += (now - attempt_began) + delay
         self.n_retries += 1
@@ -630,57 +671,30 @@ class Network:
         flow.remaining = flow.nbytes
         flow.start_time = -1.0
         flow.rate = 0.0
-        # The flow's own base latency, not a fresh route lookup: custom-
-        # port flows (multicast segments) must retry over the same path.
         self.loop.call_after(delay + flow.base_latency, self._activate, flow)
-
-    def _arm_timeout(self, flow: Flow) -> None:
-        if self.retry_policy.flow_timeout is None:
-            return
-        attempt = flow.attempts
-        flow.timeout_event = self.loop.call_after(
-            self.retry_policy.flow_timeout, self._on_flow_timeout, flow, attempt
-        )
-
-    def _cancel_timeout(self, flow: Flow) -> None:
-        if flow.timeout_event is not None:
-            self.loop.cancel(flow.timeout_event)
-            flow.timeout_event = None
-
-    def _on_flow_timeout(self, flow: Flow, attempt: int) -> None:
-        if self._active.get(flow.flow_id) is not flow or flow.attempts != attempt:
-            return  # already finished / failed / retried
-        self._advance_to_now()
-        self._fail_flow(flow, "timeout")
-        self._reallocate_and_schedule()
 
     def _on_fault_boundary(self) -> None:
         """A fault window opened or closed: rates change right now."""
         self._advance_to_now()
         victims: list[tuple[Flow, str]] = []
         for f in self._active.values():
-            # Mid-flight kill: partial progress is lost.  Attribution is
-            # causal (domain-down > host-down > nic-flap > partition).
-            reason = self._down_reason_for(f, "nic-flap")
-            if reason is None and self._partition_blocked(f):
-                reason = "partition"
+            # Mid-flight kill: partial progress is lost.
+            reason = self._cut_reason(f, "nic-flap")
             if reason is not None:
                 victims.append((f, reason))
         for f, reason in victims:
             self._fail_flow(f, reason)
         self._reallocate_and_schedule()
 
-    def fault_report(self) -> Optional[FaultReport]:
-        """Summary of fault activity; ``None`` without a FaultSchedule.
+    def fault_report(self) -> FaultReport:
+        """Summary of fault activity.
 
         Gray corruption does *not* move ``status`` here: at the flow
         layer the delivery looked healthy, which is the point of a gray
         failure.  Corruption incidents are in ``incidents``; the executor
-        escalates the report to fatal
-        when per-op checksums expose the bad bytes.
+        escalates the report to fatal when per-op checksums expose the
+        bad bytes.
         """
-        if self.faults is None:
-            return None
         if self.n_abandoned:
             status = "fatal"
         elif self.n_failures:
@@ -695,12 +709,3 @@ class Network:
             added_latency=self.added_latency,
             incidents=list(self.incidents),
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def active_flows(self) -> int:
-        return len(self._active)
-
-    def run(self) -> float:
-        """Drive the event loop until all flows complete."""
-        return self.loop.run()

@@ -19,7 +19,7 @@ that fires when the whole collective is done.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .cluster import Cluster
 from .network import Flow, Network
@@ -43,11 +43,12 @@ DEFAULT_BROADCAST_CHUNKS = 64
 class CollectiveHandle:
     """Completion tracker for a group of chained flows.
 
-    Under fault injection a constituent flow may be *abandoned* (retry
-    budget exhausted); the handle then completes early with
-    ``failed=True`` — downstream hops are never submitted and the
-    collective's data did not fully arrive, but nothing deadlocks and
-    the caller can observe the failure.
+    On a :class:`~repro.sim.network.LossyNetwork` a constituent flow may
+    be *abandoned* (retry budget exhausted); whoever owns the network's
+    ``on_abandon`` callback (the plan runner) then aborts the handle,
+    which completes early with ``failed=True`` — downstream hops are
+    never submitted and the collective's data did not fully arrive, but
+    nothing deadlocks and the caller can observe the failure.
     """
 
     def __init__(self, network: Network, name: str = "") -> None:
@@ -62,7 +63,7 @@ class CollectiveHandle:
         self._callbacks: list[Callable[["CollectiveHandle"], None]] = []
 
     # -- used by primitive constructors --------------------------------
-    def _expect(self, n: int = 1) -> None:
+    def _expect(self, n: int) -> None:
         self.n_total += n
 
     def _seal(self) -> None:
@@ -73,21 +74,6 @@ class CollectiveHandle:
     def _flow_done(self) -> None:
         self.n_done += 1
         self._maybe_finish()
-
-    def _flow_abandoned(self, flow: Optional[Flow] = None) -> None:
-        """A constituent flow gave up; fail the whole collective."""
-        self._abort(
-            f"flow abandoned ({flow.tag})" if flow is not None else "flow abandoned"
-        )
-
-    def _abort(self, reason: str) -> None:
-        if self.done:
-            return
-        self.failed = True
-        self.fail_reason = reason
-        self.finish_time = self.network.loop.now
-        for cb in self._callbacks:
-            cb(self)
 
     def _maybe_finish(self) -> None:
         if self._sealed and self.n_done >= self.n_total and self.finish_time < 0:
@@ -105,6 +91,16 @@ class CollectiveHandle:
             cb(self)
         else:
             self._callbacks.append(cb)
+
+    def abort(self, reason: str) -> None:
+        """Fail the collective now, unless it already completed."""
+        if self.done:
+            return
+        self.failed = True
+        self.fail_reason = reason
+        self.finish_time = self.network.loop.now
+        for cb in self._callbacks:
+            cb(self)
 
     def __repr__(self) -> str:
         state = f"done@{self.finish_time:.6f}" if self.done else "pending"
@@ -162,10 +158,7 @@ def p2p(
     """Point-to-point send/recv of one message."""
     handle = CollectiveHandle(network, tag)
     handle._expect(1)
-    network.start_flow(
-        src, dst, nbytes, lambda f: handle._flow_done(), tag=tag,
-        on_abandon=handle._flow_abandoned,
-    )
+    network.start_flow(src, dst, nbytes, lambda f: handle._flow_done(), tag=tag)
     handle._seal()
     return handle
 
@@ -192,10 +185,7 @@ def scatter(
     part = total_bytes / len(group)  # the root's own part stays local
     handle._expect(len(remote))
     for dst in remote:
-        network.start_flow(
-            root, dst, part, lambda f: handle._flow_done(), tag=tag,
-            on_abandon=handle._flow_abandoned,
-        )
+        network.start_flow(root, dst, part, lambda f: handle._flow_done(), tag=tag)
     handle._seal()
     return handle
 
@@ -241,10 +231,7 @@ def ring_allgather(
             handle._flow_done()
             maybe_start(j + 1, (i + 1) % n)
 
-        network.start_flow(
-            src, dst, shard_bytes, on_done, tag=f"{tag}:r{j}",
-            on_abandon=handle._flow_abandoned,
-        )
+        network.start_flow(src, dst, shard_bytes, on_done, tag=f"{tag}:r{j}")
 
     for i in range(n):
         maybe_start(1, i)
@@ -280,7 +267,6 @@ def ring_broadcast(
     started = [[False] * n_hops for _ in range(n_chunks)]
     # One flow per chunk per hop: bind once, pass the hop positionally.
     start_flow = network.start_flow
-    abandon = handle._flow_abandoned
 
     def maybe_start(c: int, h: int) -> None:
         if c >= n_chunks or h >= n_hops or started[c][h]:
@@ -296,8 +282,7 @@ def ring_broadcast(
             maybe_start(c, h + 1)
             maybe_start(c + 1, h)
 
-        # (src, dst, nbytes, on_complete, tag, extra_latency, on_abandon)
-        start_flow(ring[h], ring[h + 1], chunks[c], on_done, f"{tag}:c{c}h{h}", 0.0, abandon)
+        start_flow(ring[h], ring[h + 1], chunks[c], on_done, f"{tag}:c{c}h{h}")
 
     maybe_start(0, 0)
     handle._seal()
@@ -352,8 +337,7 @@ def switch_multicast(
     for dst in sorted(local):
         handle._expect(1)
         network.start_flow(
-            root, dst, nbytes, lambda f: handle._flow_done(),
-            tag=f"{tag}:loc{dst}", on_abandon=handle._flow_abandoned,
+            root, dst, nbytes, lambda f: handle._flow_done(), tag=f"{tag}:loc{dst}"
         )
     if not hosts:
         handle._seal()
@@ -379,8 +363,7 @@ def switch_multicast(
             if sib == head:
                 continue
             network.start_flow(
-                head, sib, nbytes, lambda f: handle._flow_done(),
-                tag=f"{tag}:fan{sib}", on_abandon=handle._flow_abandoned,
+                head, sib, nbytes, lambda f: handle._flow_done(), tag=f"{tag}:fan{sib}"
             )
 
     def maybe_start_down(h: int, c: int) -> None:
@@ -401,7 +384,6 @@ def switch_multicast(
 
         network.start_flow(
             root, head, chunks[c], on_done, tag=f"{tag}:c{c}h{h}",
-            on_abandon=handle._flow_abandoned,
             ports=ports, latency=tree.down_latency,
         )
 
@@ -422,7 +404,6 @@ def switch_multicast(
 
         network.start_flow(
             root, heads[hosts[0]], chunks[c], on_done, tag=f"{tag}:c{c}u",
-            on_abandon=handle._flow_abandoned,
             ports=ports, latency=tree.up_latency,
         )
 

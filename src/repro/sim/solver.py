@@ -14,8 +14,8 @@ interface:
   that leaves no port carrying another active flow changes no rate.
   Both skips are exact because progressive filling splits over the
   connected components of the flow-port sharing graph (see the class
-  docstring); any other arrival or departure, and every solve under a
-  fault schedule, runs the full fill.
+  docstring); any other arrival or departure, and every solve on a
+  network whose capacities vary in time, runs the full fill.
 * :class:`VectorSolver` — a NumPy backend over a flow x port incidence
   structure that is maintained *incrementally* on flow add/remove
   instead of being rebuilt per solve.  Per filling round it does the
@@ -109,8 +109,10 @@ class ScalarSolver:
       moves no remaining rate.
 
     Any other add or remove marks the solver stale, and the next solve
-    runs the full fill.  Under a fault schedule NIC capacity depends on
-    the current instant, so every solve runs the full fill.
+    runs the full fill.  On a network whose capacities vary in time
+    (``capacity_varies``, a :class:`~repro.sim.network.LossyNetwork`)
+    NIC capacity depends on the current instant, so every solve runs the
+    full fill.
 
     Both rules are exact, not approximations: progressive filling splits
     over the connected components of the flow-port sharing graph.  A
@@ -141,11 +143,14 @@ class ScalarSolver:
         self._traversals: dict[str, int] = {}
         #: a flow that shared a port came or went since the last fill
         self._stale = False
-        #: ports -> the rate of a flow alone on them (no fault schedule)
+        #: the network's capacities vary in time: fill on every solve
+        self._varies = False
+        #: ports -> the rate of a flow alone on them (static capacities)
         self._alone_rate: dict[tuple[str, ...], float] = {}
 
     def attach(self, network: "Network") -> None:
         self._net = network
+        self._varies = network.capacity_varies
 
     def flow_added(self, flow: "Flow") -> None:
         traversals = self._traversals
@@ -159,11 +164,11 @@ class ScalarSolver:
             self._stale = True
         elif not self._stale:
             # Alone on its ports: the fill's cap / 1 at its bottleneck.
-            # Without a fault schedule every capacity is static, so the
-            # minimum is kept per port tuple.
+            # When capacities are static the minimum is kept per port
+            # tuple.
             net = self._net
             assert net is not None
-            if net.faults is not None:
+            if self._varies:
                 flow.rate = min(map(net._port_capacity, flow.ports))
                 return
             ports = flow.ports
@@ -181,10 +186,10 @@ class ScalarSolver:
                 self._stale = True
 
     def solve(self) -> None:
-        net = self._net
-        assert net is not None
-        if self._stale or net.faults is not None:
+        if self._stale or self._varies:
             self._stale = False
+            net = self._net
+            assert net is not None
             self._fill(net)
 
     def _fill(self, net: "Network") -> None:
@@ -269,6 +274,7 @@ class VectorSolver:
 
     def __init__(self) -> None:
         self._net: Optional["Network"] = None
+        self._varies = False
         # -- columns (port axis); column 0 is the padding sink ----------
         self._port_col: dict[str, int] = {}
         self._port_names: list[str] = ["<pad>"]
@@ -302,6 +308,7 @@ class VectorSolver:
     # ------------------------------------------------------------------
     def attach(self, network: "Network") -> None:
         self._net = network
+        self._varies = network.capacity_varies
 
     def _new_col(self, port: str) -> int:
         net = self._net
@@ -318,8 +325,8 @@ class VectorSolver:
         self._ncols = c + 1
         self._port_col[port] = c
         self._port_names.append(port)
-        # The static baseline; NIC columns are refreshed per solve when a
-        # fault schedule makes their capacity time-varying.
+        # The static baseline; NIC columns are refreshed per solve when
+        # the network's capacities vary in time.
         self._cap0[c] = net._port_capacity(port)
         self._base_load[c] = 0
         if port[0] == "n":
@@ -457,8 +464,8 @@ class VectorSolver:
             return
         ncols = self._ncols
         cap = self._cap0[:ncols].copy()
-        if net.faults is not None:
-            # NIC capacity is piecewise-constant under a fault schedule:
+        if self._varies:
+            # NIC capacity is piecewise-constant on a varying network:
             # refresh exactly those columns at the current instant.
             names = self._port_names
             for c in self._nic_cols:

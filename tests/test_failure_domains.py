@@ -24,7 +24,7 @@ from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.core.verify_data import IntegrityError, verify_delivery
 from repro.compiler import CompileContext, compile_resharding
-from repro.sim import Cluster, ClusterSpec, GB, Network
+from repro.sim import Cluster, ClusterSpec, GB, LossyNetwork, Network
 from repro.sim.cluster import FailureDomain
 from repro.sim.faults import (
     CorruptionWindow,
@@ -59,7 +59,8 @@ def domain_cluster(n_hosts=4, devices_per_host=2, **kw):
 
 
 def make_net(faults=None, policy=None, **kw) -> Network:
-    return Network(domain_cluster(**kw), faults=faults, retry_policy=policy)
+    cluster = domain_cluster(**kw)
+    return Network(cluster) if faults is None else LossyNetwork(cluster, faults, policy)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +237,7 @@ class TestNetworkCorruption:
         # The point of a gray failure: timing is indistinguishable.
         assert f.finish_time == g.finish_time
         assert not f.abandoned and f.attempts == 1
-        assert net.corrupted_flows and net.n_corrupted == 1
+        assert len(net.corrupted_flows) == 1
         statuses = [
             s.attrs["status"]
             for s in net.bus.spans

@@ -132,7 +132,7 @@ fields("FaultSchedule.generate", FaultSchedule.generate,
        ["seed", "n_hosts", "horizon", "max_window_frac", "drop_rate", "n_degradations",
         "n_flaps", "n_host_failures", "n_domain_failures", "n_partitions", "n_corruptions"])
 fields("RetryPolicy", RetryPolicy, {},
-       ["max_attempts", "backoff_base", "backoff_factor", "jitter", "flow_timeout"])
+       ["max_attempts", "backoff_base", "backoff_factor", "jitter"])
 
 # -- pipelines -----------------------------------------------------------
 fields("StageProfile", StageProfile,

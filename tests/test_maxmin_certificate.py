@@ -25,7 +25,7 @@ import pytest
 from repro.experiments.topology_zoo import zoo_specs
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.faults import DegradedWindow, FaultSchedule
-from repro.sim.network import Network
+from repro.sim.network import LossyNetwork, Network
 from repro.sim.solver import ScalarSolver
 
 REL = 1e-9
@@ -39,7 +39,7 @@ def port_capacity(net: Network, port: str) -> float:
     if port[0] == "n":
         host = int(port[2:])
         bw = spec.host_nic_bandwidth(host)
-        if net.faults is not None:
+        if isinstance(net, LossyNetwork):
             bw *= net.faults.nic_factor(host, net.loop.now)
         return bw
     return net.cluster.topo.port_capacity(port)
@@ -82,7 +82,11 @@ def run_program(spec: ClusterSpec, seed: int, faults=None) -> CertifiedSolver:
     """Seeded random flows with rate ties, size spread and staggered starts."""
     rng = random.Random(seed)
     solver = CertifiedSolver()
-    net = Network(Cluster(spec), faults=faults, solver=solver)
+    net = (
+        Network(Cluster(spec), solver)
+        if faults is None
+        else LossyNetwork(Cluster(spec), faults, solver=solver)
+    )
     n_dev = spec.n_hosts * spec.devices_per_host
     for _ in range(40):
         src = rng.randrange(n_dev)
@@ -93,7 +97,7 @@ def run_program(spec: ClusterSpec, seed: int, faults=None) -> CertifiedSolver:
             src,
             dst,
             rng.choice([1e3, 1e3, 5e4, 1e6, 1e6, 3e7]),
-            extra_latency=rng.choice([0.0, 0.0, 1e-4, 2.5e-4]),
+            latency=net._route(src, dst)[1] + rng.choice([0.0, 0.0, 1e-4, 2.5e-4]),
         )
     net.run()
     assert not net._active

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cluster import GB, Cluster, ClusterSpec
-from repro.sim.network import Network
+from repro.sim.faults import FaultSchedule
+from repro.sim.network import LossyNetwork, Network
 
 
 def make_net(**kw) -> Network:
@@ -155,7 +156,7 @@ def test_empty_custom_path_rejected_at_submit(latency):
 # ----------------------------------------------------------------------
 # Startup delays: each in [0, inf), checked before anything is created
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["latency", "extra_latency"])
+@pytest.mark.parametrize("name", ["latency"])
 def test_infinite_delay_rejected(name):
     # Accepted once: the activation sat at t = inf and run() returned inf.
     net = make_net()
@@ -164,26 +165,11 @@ def test_infinite_delay_rejected(name):
     assert net.run() == 0.0
 
 
-def test_negative_extra_latency_rejected_when_the_link_latency_covers_it():
-    # -5e-5 s on a 1e-4 s link summed to a valid delay, and the flow
-    # started 5e-5 s early.
-    net = make_net(inter_host_latency=1e-4)
-    with pytest.raises(ValueError, match=r"^extra_latency must be .* got -5e-05$"):
-        net.start_flow(0, 4, 1000, extra_latency=-5e-5)
-    assert net.run() == 0.0
-
-
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        # The summed delay (-0.5 s) was named, not the bad argument.
-        ({"latency": -1.0, "extra_latency": 0.5},
-         "latency must be finite and non-negative, got -1.0"),
+        ({"latency": -1.0}, "latency must be finite and non-negative, got -1.0"),
         ({"latency": math.nan}, "latency must be finite and non-negative, got nan"),
-        ({"extra_latency": math.nan},
-         "extra_latency must be finite and non-negative, got nan"),
-        ({"latency": 1e308, "extra_latency": 1e308},
-         "latency + extra_latency overflows the clock: 1e+308 + 1e+308"),
     ],
 )
 def test_delay_error_names_the_argument(kwargs, message):
@@ -193,10 +179,22 @@ def test_delay_error_names_the_argument(kwargs, message):
     assert str(err.value) == message
 
 
+def test_latency_overflowing_the_clock_is_refused():
+    # A finite latency from a clock near the float limit would activate
+    # the flow at t = inf; the call is refused before it takes an id.
+    net = make_net()
+    net.loop.call_at(1e308, lambda: None)
+    assert net.run() == 1e308
+    with pytest.raises(ValueError) as err:
+        net.start_flow(0, 4, 1000, latency=1e308)
+    assert str(err.value) == "latency overflows the clock: 1e+308 + 1e+308"
+    assert net.start_flow(0, 4, 1000).flow_id == 0
+
+
 def test_rejected_call_takes_no_flow_id():
     # A NaN delay used to be refused only after its flow took id 0.
     net = make_net()
-    for kwargs in ({"latency": math.nan}, {"extra_latency": -1.0}, {"ports": ()}):
+    for kwargs in ({"latency": math.nan}, {"latency": -1.0}, {"ports": ()}):
         with pytest.raises(ValueError):
             net.start_flow(0, 4, 1000, **kwargs)
     with pytest.raises(KeyError):
@@ -239,11 +237,10 @@ _PORTS = st.sampled_from([None, (), ("ns0",), ("ds1", "ns0", "nr1", "dr5")])
 _NAMES = {
     "src": "no device|source and destination", "dst": "no device|source and destination",
     "nbytes": "flow size", "ports": "port", "latency": r"(^|\s)latency\b",
-    "extra_latency": r"\bextra_latency\b",
 }
 
 
-def _bad_arguments(src, dst, nbytes, latency, extra_latency, ports):
+def _bad_arguments(src, dst, nbytes, latency, ports):
     """The arguments start_flow must refuse, judged without the network."""
     def device(d):
         return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and 0 <= d < 16
@@ -260,29 +257,22 @@ def _bad_arguments(src, dst, nbytes, latency, extra_latency, ports):
         bad.add("ports")
     if latency is not None and not delay(latency):
         bad.add("latency")
-    if not delay(extra_latency):
-        bad.add("extra_latency")
-    if not bad and not (latency or 0.0) + extra_latency < math.inf:
-        bad |= {"latency", "extra_latency"}  # their sum overflows
     return bad
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(src=_IDS, dst=_IDS, nbytes=_REALS, latency=st.none() | _REALS,
-       extra_latency=_REALS, ports=_PORTS)
+@given(src=_IDS, dst=_IDS, nbytes=_REALS, latency=st.none() | _REALS, ports=_PORTS)
 def test_start_flow_returns_a_flow_or_names_a_bad_argument(
-    src, dst, nbytes, latency, extra_latency, ports
+    src, dst, nbytes, latency, ports
 ):
     net = make_net()  # 16 devices, zero link latency
     net.start_flow(8, 12, 1000)
     net.run()  # one span row
     net.start_flow(8, 12, 1000)  # one pending event
     state = (net.loop.pending, list(net.bus.span_rows))
-    bad = _bad_arguments(src, dst, nbytes, latency, extra_latency, ports)
+    bad = _bad_arguments(src, dst, nbytes, latency, ports)
     try:
-        flow = net.start_flow(
-            src, dst, nbytes, extra_latency=extra_latency, ports=ports, latency=latency
-        )
+        flow = net.start_flow(src, dst, nbytes, ports=ports, latency=latency)
     except (ValueError, KeyError) as err:
         assert bad, f"refused a valid call: {err!r}"
         assert any(re.search(_NAMES[name], str(err)) for name in bad), (bad, err)
@@ -355,12 +345,19 @@ def test_intra_host_flows_dont_touch_nic():
     )
 
 
-def test_windowed_program_pinned_end_to_end():
+@pytest.mark.parametrize(
+    "build",
+    [Network, lambda cluster: LossyNetwork(cluster, FaultSchedule(seed=0))],
+    ids=["network", "lossy_zero_faults"],
+)
+def test_windowed_program_pinned_end_to_end(build):
     """1,000 seeded flows in ~64-flow admission waves on an 8x4 cluster,
     through the default solver and the batched event loop: the telemetry
-    digest, makespan and event count are pinned exactly."""
+    digest, makespan and event count are pinned exactly, and a
+    LossyNetwork whose schedule injects nothing matches them."""
     rng = random.Random(7)
-    net = Network(Cluster(ClusterSpec(n_hosts=8, devices_per_host=4)))
+    cluster = Cluster(ClusterSpec(n_hosts=8, devices_per_host=4))
+    net = build(cluster)
     n_dev = 32
     for i in range(1_000):
         src = rng.randrange(n_dev)
@@ -371,7 +368,7 @@ def test_windowed_program_pinned_end_to_end():
             src,
             dst,
             rng.choice([1e4, 1e4, 2e5, 1e6]),
-            extra_latency=(i // 64) * 2e-4,
+            latency=cluster.link_latency(src, dst) + (i // 64) * 2e-4,
             tag=f"f{i}",
         )
     assert net.run() == 0.03572399999999998
@@ -396,11 +393,22 @@ def test_custom_path_bypasses_route_memo():
     t0 = net.loop.now
     assert net.run() == t0 + 1024.0 / bw
     assert segment.ports == ("ns0",)
-    assert segment.base_latency == 0.0
     # ...and the segment did not overwrite the memo for later flows.
     again = net.start_flow(0, 4, 1024.0)
+    t1 = net.loop.now
+    assert net.run() == t1 + 0.5 + 1024.0 / bw
     assert again.ports == routed.ports
-    assert again.base_latency == 0.5
+
+
+def test_lossy_flow_keeps_its_own_latency_for_retries():
+    # A retry re-applies the attempt's startup latency: a segment's own,
+    # a routed flow's the route's.
+    cluster = Cluster(ClusterSpec(n_hosts=4, devices_per_host=4, inter_host_latency=0.5))
+    net = LossyNetwork(cluster, FaultSchedule(seed=0))
+    segment = net.start_flow(0, 4, 1024.0, ports=("ns0",), latency=0.0)
+    routed = net.start_flow(0, 4, 1024.0)
+    given = net.start_flow(0, 4, 1024.0, latency=0.25)
+    assert (segment.base_latency, routed.base_latency, given.base_latency) == (0.0, 0.5, 0.25)
 
 
 def test_port_repeated_in_a_path_counts_twice():
@@ -423,7 +431,7 @@ def test_nic_window_open_and_close_mid_flow_hand_computed():
     # Dyadic numbers keep every step exact: 1 s at 1024 B/s, 2 s at half
     # rate, then back to full rate for the last 2048 B.  A capacity memo
     # that kept the degraded factor would finish late.
-    from repro.sim.faults import DegradedWindow, FaultSchedule
+    from repro.sim.faults import DegradedWindow
 
     spec = ClusterSpec(
         n_hosts=2,
@@ -436,7 +444,7 @@ def test_nic_window_open_and_close_mid_flow_hand_computed():
     faults = FaultSchedule(
         degradations=(DegradedWindow(host=0, start=1.5, duration=2.0, factor=0.5),)
     )
-    net = Network(Cluster(spec), faults=faults)
+    net = LossyNetwork(Cluster(spec), faults)
     f = net.start_flow(0, 2, 4096.0)
     assert net.run() == 5.5
     assert f.finish_time == 5.5
@@ -479,7 +487,7 @@ def test_unmoved_completion_keeps_its_place_at_its_instant():
     net.loop.run(until=0.0)  # A is active and its completion armed
     seen = []
     net.loop.call_at(1.0, lambda: seen.append(a.done))
-    net.start_flow(8, 12, 2048.0, extra_latency=0.5)
+    net.start_flow(8, 12, 2048.0, latency=0.5)
     assert net.run() == 2.5
     assert seen == [True]
 
@@ -496,7 +504,7 @@ def test_partition_opening_mid_flight_kills_the_flow():
     # 4096 B at 1024 B/s from host 0 to host 1.  The partition opens at
     # t = 1 and kills the attempt (1024 B lost); the retry waits the 2 s
     # backoff, starts at t = 3 after the partition closed, and ends at 7.
-    from repro.sim.faults import FaultSchedule, Partition, RetryPolicy
+    from repro.sim.faults import Partition, RetryPolicy
 
     spec = ClusterSpec(
         n_hosts=2,
@@ -508,7 +516,7 @@ def test_partition_opening_mid_flight_kills_the_flow():
     )
     faults = FaultSchedule(partitions=(Partition((0,), (1,), start=1.0, duration=1.0),))
     policy = RetryPolicy(max_attempts=3, backoff_base=2.0, jitter=0.0)
-    net = Network(Cluster(spec), faults=faults, retry_policy=policy)
+    net = LossyNetwork(Cluster(spec), faults, policy)
     f = net.start_flow(0, 2, 4096.0)
     assert net.run() == 7.0
     assert f.attempts == 2
@@ -520,7 +528,7 @@ def test_retry_charges_an_attempt_that_started_at_time_zero():
     # A 4096 B flow at 1024 B/s starts at exactly t = 0 and is killed by
     # a flap at t = 1: the lost attempt ran 1 s (1024 B), and the retry
     # waits the 2 s backoff.  start_time 0.0 is a started attempt.
-    from repro.sim.faults import FaultSchedule, FlapWindow, RetryPolicy
+    from repro.sim.faults import FlapWindow, RetryPolicy
 
     spec = ClusterSpec(
         n_hosts=2,
@@ -532,9 +540,51 @@ def test_retry_charges_an_attempt_that_started_at_time_zero():
     )
     faults = FaultSchedule(flaps=(FlapWindow(host=1, start=1.0, duration=0.5),))
     policy = RetryPolicy(max_attempts=3, backoff_base=2.0, jitter=0.0)
-    net = Network(Cluster(spec), faults=faults, retry_policy=policy)
+    net = LossyNetwork(Cluster(spec), faults, policy)
     f = net.start_flow(0, 2, 4096.0)
     assert net.run() == 7.0
     assert f.attempts == 2
     assert net.fault_report().added_latency == 1.0 + 2.0
     assert net.wasted_bytes == 1024.0
+
+
+def _lossy_pair(faults, policy):
+    """Two hosts of two devices at 1024 B/s, 0.5 s of link latency."""
+    spec = ClusterSpec(
+        n_hosts=2,
+        devices_per_host=2,
+        inter_host_bandwidth=1024.0,
+        intra_host_bandwidth=4096.0,
+        inter_host_latency=0.5,
+        intra_host_latency=0.0,
+    )
+    return LossyNetwork(Cluster(spec), faults, policy)
+
+
+def test_retry_charges_an_attempt_that_began_after_time_zero():
+    # The flow activates at t = 0.5 and a flap kills it at t = 1.5: the
+    # lost attempt ran 1 s (1024 B), the backoff is 2 s, and the retry
+    # activates 0.5 s after that, at t = 4, and ends at t = 8.
+    from repro.sim.faults import FlapWindow, RetryPolicy
+
+    faults = FaultSchedule(flaps=(FlapWindow(host=1, start=1.5, duration=0.25),))
+    net = _lossy_pair(faults, RetryPolicy(max_attempts=3, backoff_base=2.0, jitter=0.0))
+    f = net.start_flow(0, 2, 4096.0)
+    assert net.run() == 8.0
+    report = net.fault_report()
+    assert (report.n_faults, report.n_retries, report.n_abandoned) == (1, 1, 0)
+    assert report.added_latency == 1.0 + 2.0
+    assert net.wasted_bytes == 1024.0 and f.attempts == 2
+
+
+def test_a_down_nic_outranks_a_partition_on_the_same_path():
+    from repro.sim.faults import FlapWindow, Partition, RetryPolicy
+
+    faults = FaultSchedule(
+        flaps=(FlapWindow(host=1, start=0.0, duration=1.0),),
+        partitions=(Partition((0,), (1,), start=0.0, duration=1.0),),
+    )
+    net = _lossy_pair(faults, RetryPolicy(max_attempts=2, backoff_base=2.0, jitter=0.0))
+    net.start_flow(0, 2, 4096.0)
+    net.run()
+    assert [i.kind for i in net.incidents] == ["nic-down"]

@@ -268,3 +268,146 @@ def test_every_flow_enters_through_start_flow(launch, monkeypatch):
     assert handle.done and not handle.failed
     n_spans = sum(1 for row in net.bus.span_rows if row[1] == "flow")
     assert len(calls) == n_spans == net._next_id > 0
+
+
+# ----------------------------------------------------------------------
+# Defaults, zero-byte collectives and the switch multicast's tree
+# ----------------------------------------------------------------------
+def make_fat_tree(**kw) -> Network:
+    return Network(
+        Cluster(
+            ClusterSpec(
+                n_hosts=4,
+                devices_per_host=2,
+                topology=FatTreeTopology(hosts_per_leaf=2, oversubscription=2.0),
+                **kw,
+            )
+        )
+    )
+
+
+def test_default_chunk_counts():
+    # The paper's K ~ 100 ring broadcast pipelines 64 chunks; the switch
+    # multicast pipelines 16 (one up leg and one down leg per chunk).
+    assert ring_broadcast(make_net(), 0, [4, 8], GB).n_total == 64 * 2
+    assert switch_multicast(make_fat_tree(), 0, [2], GB, switch="spine").n_total == 16 + 16
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [
+        lambda net: ring_allgather(net, [0, 4], 0.0),
+        lambda net: ring_broadcast(net, 0, [4], 0.0),
+        lambda net: switch_multicast(net, 0, [2], 0.0, switch="spine"),
+    ],
+    ids=["ring_allgather", "ring_broadcast", "switch_multicast"],
+)
+def test_zero_byte_collective_starts_no_flow(launch):
+    net = make_fat_tree(inter_host_latency=1e-3)
+    h = launch(net)
+    assert h.done and h.finish_time == 0.0 and h.n_total == 0
+    assert net._next_id == 0 and net.run() == 0.0
+
+
+@pytest.mark.parametrize(
+    "launch,cross_bytes",
+    [
+        (lambda net: ring_allgather(net, [0, 2], 1.0), 2.0),
+        (lambda net: ring_broadcast(net, 0, [2], 1.0, n_chunks=1), 1.0),
+        # the up leg and the down leg each book the byte
+        (lambda net: switch_multicast(net, 0, [2], 1.0, switch="spine", n_chunks=1), 2.0),
+    ],
+    ids=["ring_allgather", "ring_broadcast", "switch_multicast"],
+)
+def test_one_byte_collective_moves_its_byte(launch, cross_bytes):
+    net = make_fat_tree()
+    h = launch(net)
+    net.run()
+    assert h.done and net.bytes_cross_host == cross_bytes
+
+
+def test_handle_finished_at_time_zero_fires_once():
+    # Aborted at t = 0 while its flows still run: their completions must
+    # neither fire the callbacks again nor move the finish time.
+    net = make_net()
+    h = scatter(net, 0, [4, 8], GB)
+    calls = []
+    h.add_done_callback(calls.append)
+    h.abort("stopped")
+    assert net.run() > 0.0
+    assert calls == [h] and h.failed and h.finish_time == 0.0
+    assert h.n_done == h.n_total == 2
+
+
+def test_multicast_heads_are_each_hosts_lowest_device():
+    # Hosts 1 and 2 receive on devices (2, 3) and (4, 5): each host's
+    # down legs land on its lowest device, which fans out to the other;
+    # every up leg is booked to the first receiving host's head.
+    net = make_fat_tree()
+    switch_multicast(net, 0, [3, 2, 5, 4], 4096.0, switch="spine", n_chunks=2)
+    net.run()
+    legs = {row[7]["tag"]: (row[7]["src"], row[7]["dst"]) for row in net.bus.span_rows}
+    assert legs == {
+        "multicast:c0u": (0, 2), "multicast:c1u": (0, 2),
+        "multicast:c0h1": (0, 2), "multicast:c1h1": (0, 2),
+        "multicast:c0h2": (0, 4), "multicast:c1h2": (0, 4),
+        "multicast:fan3": (2, 3), "multicast:fan5": (4, 5),
+    }
+
+
+def test_multicast_completes_with_its_last_fan_out():
+    net = make_fat_tree()
+    h = switch_multicast(net, 0, [2, 3, 4, 5], 4096.0, switch="spine", n_chunks=2)
+    net.run()
+    finishes = [row[4] for row in net.bus.span_rows]
+    assert h.n_done == h.n_total == len(finishes) == 8
+    assert h.finish_time == max(finishes)
+
+
+def test_multicast_down_legs_chain_when_slower_than_up_legs():
+    # The receiving host's NIC runs at a quarter rate, so each down leg
+    # ends after the next chunk's up leg: only the down leg's own
+    # completion can start the next down leg.
+    net = make_fat_tree(
+        inter_host_latency=0.0, host_bandwidth_overrides=((1, 0.25 * 1.25e9),)
+    )
+    h = switch_multicast(net, 0, [2], 4096.0, switch="spine", n_chunks=4)
+    net.run()
+    assert h.done and not h.failed and h.n_done == h.n_total == 8
+    finish = {row[7]["tag"]: row[4] for row in net.bus.span_rows}
+    downs = [finish[f"multicast:c{c}h1"] for c in range(4)]
+    ups = [finish[f"multicast:c{c}u"] for c in range(4)]
+    assert len(finish) == 8 and all(down > up for down, up in zip(downs, ups[1:]))
+    # One down leg at a time, each a quarter-rate chunk: t + 4t, + 4t, ...
+    t = 1024.0 / 1.25e9
+    assert downs == pytest.approx([5 * t, 9 * t, 13 * t, 17 * t], rel=1e-12)
+
+
+def test_multicast_copies_to_root_host_receivers_directly():
+    net = make_fat_tree()
+    h = switch_multicast(net, 0, [1, 2], 4096.0, switch="spine", n_chunks=2)
+    net.run()
+    finish = {row[7]["tag"]: row[4] for row in net.bus.span_rows}
+    assert h.n_done == h.n_total == len(finish) == 5  # 1 local copy + 2 up + 2 down
+    assert finish["multicast:loc1"] < h.finish_time == max(finish.values())
+
+
+def test_allgather_ring_sends_to_the_next_device():
+    net = make_net()
+    ring_allgather(net, [0, 4, 8], 100.0)
+    net.run()
+    pairs = {(row[7]["src"], row[7]["dst"]) for row in net.bus.span_rows}
+    assert pairs == {(0, 4), (4, 8), (8, 0)}
+
+
+def test_broadcast_hop_waits_for_its_chunk():
+    # 0 -> 4 crosses hosts, 4 -> 5 is NVLink: the fast hop forwards each
+    # chunk as it arrives, never before, so the broadcast ends one NVLink
+    # chunk after the last cross-host chunk.
+    net = make_net()
+    h = ring_broadcast(net, 0, [4, 5], GB, n_chunks=4)
+    net.run()
+    spec = net.cluster.spec
+    chunk = GB / 4
+    cross, nvlink = chunk / spec.inter_host_bandwidth, chunk / spec.intra_host_bandwidth
+    assert h.finish_time == pytest.approx(4 * cross + nvlink, rel=1e-12)

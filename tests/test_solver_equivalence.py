@@ -70,7 +70,7 @@ def run_program(cluster: Cluster, solver, seed: int, n_flows: int = 48) -> str:
             src,
             dst,
             rng.choice(sizes),
-            extra_latency=rng.choice([0.0, 0.0, 1e-4, 2.5e-4]),
+            latency=cluster.link_latency(src, dst) + rng.choice([0.0, 0.0, 1e-4, 2.5e-4]),
             tag=f"f{net._next_id}",
         )
     net.run()

@@ -25,7 +25,7 @@ from repro.experiments.fig6 import TABLE2_CASES, TENSOR_SHAPE
 from repro.experiments.topology_zoo import zoo_specs
 from repro.sim.cluster import Cluster
 from repro.sim.faults import FaultSchedule
-from repro.sim.network import Flow, Network
+from repro.sim.network import Flow, LossyNetwork, Network
 from repro.sim.solver import ScalarSolver
 from repro.strategies import make_strategy
 
@@ -137,15 +137,23 @@ def run_program(program) -> None:
         faults = FaultSchedule.generate(
             fault_seed, spec.n_hosts, horizon=0.05, drop_rate=0.05
         )
-    net = Network(Cluster(spec), faults=faults)
+    net = Network(Cluster(spec)) if faults is None else LossyNetwork(Cluster(spec), faults)
     checked = check_every_solve(net)
     n_dev = len(net.cluster.devices)
     children: dict[int, list[Callable[[], None]]] = {}
 
+    def release(i: int) -> None:
+        for child in children.pop(i, []):
+            child()
+
+    if isinstance(net, LossyNetwork):
+        # An abandoned flow releases its children too.
+        net.on_abandon = lambda f: release(int(f.tag[1:]))
+
     def start(i: int) -> None:
         src, off, nbytes, delay, kind, _parent = flows[i]
         dst = (src + off) % n_dev
-        route, _ = net._route(src, dst)
+        route, link_latency = net._route(src, dst)
         ports: Optional[tuple[str, ...]] = None
         if kind == "segment":
             # A contiguous, non-empty piece of the routed path.
@@ -155,13 +163,9 @@ def run_program(program) -> None:
         elif kind == "repeat":
             ports = route + (route[cut % len(route)],)
 
-        def done(_f: Flow) -> None:
-            for child in children.pop(i, []):
-                child()
-
         net.start_flow(
-            src, dst, nbytes, done, tag=f"f{i}", extra_latency=delay,
-            ports=ports, on_abandon=done,
+            src, dst, nbytes, lambda _f: release(i), tag=f"f{i}",
+            ports=ports, latency=link_latency + delay,
         )
 
     for i, (*_, parent) in enumerate(flows):
