@@ -28,8 +28,8 @@ Exit codes (every subcommand; errors go to stderr as ``repro <cmd>: ...``)::
         a failed --verify, analyzer errors, fuzz/serve --check gates
     2   bad input: a usage error, any ValueError (bad shape, spec, mesh,
         budget, deadline, --check on zero fuzz runs or serve requests, a
-        lint path with no .py file, ...) or OSError (an unreadable input
-        or unwritable output file)
+        lint path with no .py file or an unknown lint code, ...) or
+        OSError (an unreadable input or unwritable output file)
     3   the compile deadline (--timeout) expired (CompileTimeout)
 """
 
@@ -229,8 +229,7 @@ def cmd_e2e(args: argparse.Namespace) -> int:
         stats = default_plan_cache().stats()
         print(
             f"plan cache: {stats.requests} request(s), {stats.hits} hit(s) "
-            f"({stats.hit_rate:.1%}), {stats.misses} compile(s), "
-            f"epoch {stats.epoch}"
+            f"({stats.hit_rate:.1%}), {stats.misses} compile(s)"
         )
     return 0
 
@@ -725,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="+",
                       help="files or directories to lint (recursive)")
     lint.add_argument("--codes", nargs="+", metavar="CODE",
-                      help="restrict to these codes (e.g. L001 L003)")
+                      help="restrict to these codes (L001-L004, e.g. L001 L003)")
     lint.set_defaults(fn=cmd_lint)
 
     fz = sub.add_parser(

@@ -47,6 +47,9 @@ __all__ = ["lint_source", "lint_file", "lint_paths", "iter_python_files"]
 
 _ALLOW_RE = re.compile(r"repro-lint:\s*allow\[([A-Z0-9,\s]+)\]")
 
+#: every rule's code, the only values ``codes`` may select
+_CODES = ("L001", "L002", "L003", "L004")
+
 #: wall-clock call targets (resolved through import aliases)
 _WALL_CLOCK = frozenset(
     {
@@ -343,12 +346,20 @@ def _waived(diag: Diagnostic, lines: Sequence[str]) -> bool:
 def lint_source(
     source: str, path: str = "<string>", codes: Optional[Iterable[str]] = None
 ) -> list[Diagnostic]:
-    """Lint one module's source; returns unwaived findings in line order."""
+    """Lint one module's source; returns unwaived findings in line order.
+
+    ``codes`` selects rules by code.  An unknown code raises
+    ``ValueError``: it would select no rule and pass as clean without
+    checking anything.
+    """
+    wanted = set(codes) if codes is not None else None
+    if wanted is not None and not wanted <= set(_CODES):
+        unknown = ", ".join(sorted(map(repr, wanted - set(_CODES))))
+        raise ValueError(f"codes: unknown lint code {unknown}; known: {', '.join(_CODES)}")
     tree = ast.parse(source, filename=path)
     linter = _Linter(path)
     linter.visit(tree)
     lines = source.splitlines()
-    wanted = set(codes) if codes is not None else None
     out = [
         d
         for d in linter.findings

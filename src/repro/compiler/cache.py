@@ -14,15 +14,14 @@ depends on:
 * the strategy: its name plus every plan-shaping option
   (:meth:`~repro.strategies.base.CommStrategy.cache_key`);
 * the fault scenario: a digest of the :class:`~repro.sim.faults
-  .FaultSchedule` and :class:`~repro.sim.faults.RetryPolicy`;
-* the cache **epoch** — a counter bumped by explicit invalidation
-  (:meth:`PlanCache.invalidate`), so plans compiled before it can never
-  be served afterwards even if a caller holds a signature computed
-  before it.
+  .FaultSchedule` and :class:`~repro.sim.faults.RetryPolicy`.
 
 Two tasks on *different* :class:`~repro.sim.cluster.Cluster` objects
 with identical content hash identically — the cache is content-
-addressed, not identity-addressed.  A strategy without a cache key
+addressed, not identity-addressed.  An entry therefore never goes
+stale: a request whose inputs changed has another signature.  Nothing
+empties a cache; :func:`reset_default_plan_cache` replaces the
+process-wide one with an empty one.  A strategy without a cache key
 (custom subclasses) makes the compile uncacheable rather than wrong.
 
 The signature keys the compile *request*, and distinct requests often
@@ -36,9 +35,9 @@ only in the regions they name.  So each cache also owns a
 A cache also remembers its **rejections**.  A ``validate=True`` compile
 through the default pass list that raises
 :class:`~repro.core.validate.PlanValidationError` stores the message
-under its plan signature (which already folds in the memory budget, the
-faults and the epoch), so a later such compile of that signature
-re-raises it without running a pass.  A rejection is never a plan:
+under its plan signature (which already folds in the memory budget and
+the faults), so a later such compile of that signature re-raises it
+without running a pass.  A rejection is never a plan:
 :meth:`PlanCache.lookup` never returns one, and no hit, miss, store or
 size counter sees it.
 """
@@ -88,7 +87,7 @@ def _cluster_key(spec: ClusterSpec) -> tuple[object, ...]:
         # signature stays byte-identical to what it hashed to before
         0,
         # frozen dataclasses: repr is canonical, so domain membership
-        # changes invalidate cached plans like any other spec change
+        # changes re-key cached plans like any other spec change
         repr(spec.failure_domains),
         # the wiring itself: a fat-tree and a torus at identical scalar
         # speeds compile to different plans (multicast eligibility,
@@ -144,17 +143,19 @@ def plan_signature(
     strategy_key: tuple[object, ...],
     faults: Optional[FaultSchedule] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    epoch: int = 0,
 ) -> str:
     """SHA-256 over the canonical signature of one compile request.
 
     The hashed bytes are the ``repr`` of the 5-tuple ``(task_signature,
-    strategy_key, faults key, retry key, epoch)``, spelled out from the
+    strategy_key, faults key, retry key, 0)``, spelled out from the
     task's memoized ``repr`` so the task part is formatted once per task.
+    The trailing ``0`` stands where a retired cache counter was hashed,
+    kept so every signature stays byte-identical to what it hashed to
+    before.
     """
     text = (
         f"({_task_key(task)[1]}, {strategy_key!r}, {_faults_key(faults)!r}, "
-        f"{_retry_key(retry_policy)!r}, {epoch!r})"
+        f"{_retry_key(retry_policy)!r}, 0)"
     )
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -243,6 +244,10 @@ class BoundedLRU(Generic[K, V]):
             self._entries.move_to_end(key)
         return found
 
+    def peek(self, key: K) -> Optional[V]:
+        """The value under ``key``, leaving its recency alone."""
+        return self._entries.get(key)
+
     def store(self, key: K, value: V) -> bool:
         """Insert or refresh ``key``; True when that evicted another entry."""
         entries = self._entries
@@ -253,16 +258,13 @@ class BoundedLRU(Generic[K, V]):
         entries.move_to_end(key)
         return evicted
 
-    def clear(self) -> None:
-        self._entries.clear()
-
 
 class TimingMemo(BoundedLRU[str, "TimingResult"]):
     """LRU of simulation results keyed by :func:`timing_signature`.
 
-    Owned by one :class:`PlanCache`: emptied by its :meth:`~PlanCache
-    .invalidate`, bounded by its ``max_entries``.  It keeps no counters,
-    so the plan cache's hit/miss statistics count compile requests only.
+    Owned by one :class:`PlanCache` and bounded by its ``max_entries``.
+    It keeps no counters, so the plan cache's hit/miss statistics count
+    compile requests only.
     """
 
 
@@ -274,10 +276,7 @@ class CacheStats:
     hits: int
     misses: int
     size: int
-    epoch: int
-    n_invalidations: int
     evictions: int = 0
-    stale_stores: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -287,8 +286,7 @@ class CacheStats:
         return (
             f"CacheStats(requests={self.requests}, hits={self.hits}, "
             f"misses={self.misses}, hit_rate={self.hit_rate:.1%}, "
-            f"size={self.size}, evictions={self.evictions}, "
-            f"epoch={self.epoch})"
+            f"size={self.size}, evictions={self.evictions})"
         )
 
 
@@ -306,16 +304,6 @@ class PlanCache:
     :class:`~repro.core.validate.PlanValidationError` message (see
     :meth:`reject`); it is bounded by ``max_entries`` too, and
     :meth:`lookup` never returns one of its entries.
-
-    :meth:`invalidate` drops everything (rejections included) *and*
-    bumps the epoch that is folded into every signature — explicit
-    invalidation on fault events.  It is safe to call concurrently with
-    in-flight compiles: a compile that computed its signature (and
-    captured the epoch) before the bump may still call :meth:`store` or
-    :meth:`reject`, but the write is detected as stale and dropped
-    (a stale plan store is counted in ``stale_stores``) rather than
-    resurrecting a pre-invalidation verdict — the epoch bump is never
-    lost.
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
@@ -327,10 +315,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.epoch = 0
-        self.n_invalidations = 0
-        self.stale_stores = 0
-        self.last_invalidation_reason = ""
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -350,47 +334,22 @@ class PlanCache:
             self.hits += 1
         return found
 
-    def store(
-        self,
-        signature: str,
-        compiled: "CompiledPlan",
-        epoch: Optional[int] = None,
-    ) -> bool:
-        """Insert ``compiled`` under ``signature``; returns True if stored.
+    def peek(self, signature: str) -> "Optional[CompiledPlan]":
+        """The plan stored under ``signature``, without counting a lookup
+        or refreshing its recency."""
+        return self._entries.peek(signature)
 
-        ``epoch`` is the cache epoch captured when the signature was
-        computed.  A store whose epoch no longer matches (an
-        :meth:`invalidate` ran while the compile was in flight) is
-        dropped so stale plans cannot leak into the new epoch.
-        """
-        if epoch is not None and epoch != self.epoch:
-            self.stale_stores += 1
-            return False
+    def store(self, signature: str, compiled: "CompiledPlan") -> None:
+        """Insert ``compiled`` under ``signature``."""
         if self._entries.store(signature, compiled):
             self.evictions += 1
-        return True
 
-    def reject(self, signature: str, message: str, epoch: int) -> None:
+    def reject(self, signature: str, message: str) -> None:
         """Remember that the compile of ``signature`` was rejected.
 
-        ``epoch`` is the cache epoch captured with the signature; a
-        rejection computed under a stale epoch is dropped, like a stale
-        :meth:`store`.  No counter moves.
+        No counter moves.
         """
-        if epoch == self.epoch:
-            self.rejections.store(signature, message)
-
-    def invalidate(self, reason: str = "") -> None:
-        """Drop every entry and open a new epoch (fault-event hook)."""
-        # Bump the epoch *before* clearing: any in-flight store that
-        # captured the old epoch is already stale the instant callers
-        # can observe the invalidation.
-        self.epoch += 1
-        self._entries.clear()
-        self.timings.clear()
-        self.rejections.clear()
-        self.n_invalidations += 1
-        self.last_invalidation_reason = reason
+        self.rejections.store(signature, message)
 
     def stats(self) -> CacheStats:
         return CacheStats(
@@ -398,10 +357,7 @@ class PlanCache:
             hits=self.hits,
             misses=self.misses,
             size=len(self),
-            epoch=self.epoch,
-            n_invalidations=self.n_invalidations,
             evictions=self.evictions,
-            stale_stores=self.stale_stores,
         )
 
     def __repr__(self) -> str:

@@ -269,14 +269,10 @@ def compile_resharding(
     cache = ctx.resolved_cache()
     signature: Optional[str] = None
     remembering: Optional[PlanCache] = None
-    epoch = 0
     if cache is not None:
         strategy_key = strategy.cache_key()
         if strategy_key is not None:
-            epoch = cache.epoch
-            signature = plan_signature(
-                task, strategy_key, ctx.faults, ctx.retry_policy, epoch=epoch
-            )
+            signature = plan_signature(task, strategy_key, ctx.faults, ctx.retry_policy)
             hit = cache.lookup(signature)
             if hit is not None:
                 if ctx.validate:
@@ -296,7 +292,7 @@ def compile_resharding(
         diagnostics = PassManager(ctx.passes).run(state, ctx)
     except PlanValidationError as rejection:
         if remembering is not None and signature is not None:
-            remembering.reject(signature, str(rejection), epoch)
+            remembering.reject(signature, str(rejection))
         raise
     assert state.plan is not None
     compiled = CompiledPlan(
@@ -312,5 +308,5 @@ def compile_resharding(
     if cache is not None:
         compiled.timings = cache.timings
     if signature is not None:
-        cache.store(signature, compiled, epoch=epoch)
+        cache.store(signature, compiled)
     return compiled

@@ -73,9 +73,9 @@ def reshard(
 
     Compiles through the staged plan compiler and the process-wide
     content-addressed plan cache: repeating a resharding with identical
-    content (specs, meshes, topology, strategy, fault epoch) reuses the
-    compiled plan *and* its memoized timing.  Pass ``cache=None`` to
-    compile fresh, or another :class:`~repro.compiler.PlanCache`.
+    content (specs, meshes, topology, strategy) reuses the compiled plan
+    *and* its memoized timing.  Pass ``cache=None`` to compile fresh, or
+    another :class:`~repro.compiler.PlanCache`.
 
     ``deadline`` bounds the compile in deterministic budget seconds
     (:mod:`repro.compiler.budget`); exceeding it raises

@@ -12,8 +12,8 @@ implements the standard three-state machine:
     failures **open** the breaker.
 ``open``
     compiles are refused outright for :attr:`~BreakerConfig.cooldown`
-    service seconds.  The service layer answers from its stale-plan
-    store where it can (``degraded=True``) and sheds otherwise.
+    service seconds.  The service layer answers from its plan cache
+    where it can (``degraded=True``) and sheds otherwise.
 ``half_open``
     after the cooldown, up to :attr:`~BreakerConfig.half_open_probes`
     requests are let through as probes.  Any probe failure re-opens the

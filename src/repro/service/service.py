@@ -127,17 +127,12 @@ class RequestHandle:
 class _InFlight:
     """One physical compile plus every request coalesced onto it."""
 
-    __slots__ = ("signature", "stale_key", "handles", "poison")
+    __slots__ = ("signature", "handles", "poison")
 
     def __init__(
-        self,
-        signature: Optional[str],
-        stale_key: Optional[str],
-        leader: RequestHandle,
-        poison: bool,
+        self, signature: Optional[str], leader: RequestHandle, poison: bool
     ) -> None:
         self.signature = signature
-        self.stale_key = stale_key
         self.handles: list[RequestHandle] = [leader]
         self.poison = poison
 
@@ -153,7 +148,9 @@ class ReshardingService:
     ``loop.time()``), call :meth:`start`, submit requests, then
     :meth:`shutdown` — which drains the queue before returning.  Every
     request compiles with the paper's broadcast strategy into the
-    service's own :class:`~repro.compiler.PlanCache`.
+    service's own :class:`~repro.compiler.PlanCache`, the one store of
+    its plans: while the breaker is open, a request is served the plan
+    that cache holds for its signature.
     """
 
     def __init__(
@@ -174,9 +171,6 @@ class ReshardingService:
         self.breaker = CircuitBreaker(self.config.breaker)
         self._queue: FairQueue[_InFlight] = FairQueue()
         self._inflight: dict[str, _InFlight] = {}
-        #: last known-good plan per epoch-independent signature, served
-        #: with ``degraded=True`` while the breaker is open
-        self._stale: dict[str, CompiledPlan] = {}
         self._cond = asyncio.Condition()
         self._workers: list[asyncio.Task[None]] = []
         self._running = False
@@ -243,16 +237,9 @@ class ReshardingService:
         handle = RequestHandle(request, now, future, self)
 
         signature: Optional[str] = None
-        stale_key: Optional[str] = None
         poison = self.chaos is not None and self.chaos.is_poison(request.request_id)
         if not poison:
-            signature = plan_signature(
-                request.task, self._strategy_key, None, None, epoch=self.cache.epoch
-            )
-            stale_key = plan_signature(
-                request.task, self._strategy_key, None, None, epoch=-1
-            )
-
+            signature = plan_signature(request.task, self._strategy_key)
             cached = self.cache.lookup(signature)
             if cached is not None:
                 self._count("service.cache_hit", now)
@@ -269,7 +256,7 @@ class ReshardingService:
                 self._count("service.coalesced", now)
                 return handle
 
-        entry = _InFlight(signature, stale_key, handle, poison)
+        entry = _InFlight(signature, handle, poison)
         if signature is not None:
             self._inflight[signature] = entry
         self._queue.push(request.tenant, entry)
@@ -387,8 +374,6 @@ class ReshardingService:
             break
 
         self.breaker.record_success(self._now())
-        if entry.stale_key is not None:
-            self._stale[entry.stale_key] = compiled
         done_at = self._now()
         self._expire_handles(entry, done_at)
         live = self._live_handles(entry)
@@ -474,9 +459,7 @@ class ReshardingService:
     # Degraded / terminal paths
     # ------------------------------------------------------------------
     def _serve_degraded_or_shed(self, entry: _InFlight, now: float) -> None:
-        stale = (
-            self._stale.get(entry.stale_key) if entry.stale_key is not None else None
-        )
+        stale = self.cache.peek(entry.signature) if entry.signature is not None else None
         if stale is not None:
             self._count("service.degraded", now)
             for handle in self._live_handles(entry):

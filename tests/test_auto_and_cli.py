@@ -116,6 +116,13 @@ def test_cli_e2e_small(capsys):
     assert "TFLOPS/GPU" in out
 
 
+def test_cli_e2e_cache_stats_reports_the_default_run(capsys):
+    # each pipeline edge resolves its plan once per direction per method
+    assert main(["e2e", "--cache-stats"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "plan cache: 12 request(s), 0 hit(s) (0.0%), 12 compile(s)"
+
+
 def test_cli_experiment_table1(capsys):
     rc = main(["experiment", "E3"])
     out = capsys.readouterr().out

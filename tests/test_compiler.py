@@ -2,10 +2,9 @@
 
 Covers cache correctness: hits on identical requests, misses on every
 perturbed signature component (tensor, specs, mesh shapes, topology,
-fault scenario, epoch), explicit invalidation, and byte-identical
-``apply_plan`` output for cached vs. freshly compiled plans — plus the
-pass-pipeline instrumentation and the legacy ``strategy.plan()``
-equivalence.
+fault scenario), and byte-identical ``apply_plan`` output for cached
+vs. freshly compiled plans — plus the pass-pipeline instrumentation and
+the legacy ``strategy.plan()`` equivalence.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from repro.compiler import (
     CompileContext,
     CompiledPlan,
     EdgeResharding,
+    PassManager,
     PlanCache,
     compile_resharding,
     default_plan_cache,
@@ -171,7 +171,7 @@ class TestCacheHitMiss:
         assert "0" not in cache
 
     def test_default_arguments_sign_a_default_compile(self):
-        # no faults, no retry policy, epoch 0: what a fresh cache stores
+        # no faults, no retry policy: what a default compile stores
         task = make_task()
         compiled = compile_resharding(task, CompileContext(cache=PlanCache()))
         strategy_key = make_strategy("broadcast").cache_key()
@@ -218,33 +218,6 @@ class TestFaultsOnTheContext:
         assert compiled.plan.strategy == "broadcast"
         assert {cluster.host_of(op.sender) for op in compiled.plan.ops} == {1}
         assert compiled.ensure_timing().fault_report.status == "clean"
-
-
-# ----------------------------------------------------------------------
-# Invalidation and epochs
-# ----------------------------------------------------------------------
-class TestInvalidation:
-    def test_invalidate_drops_entries_and_bumps_epoch(self):
-        cache = PlanCache()
-        ctx = CompileContext(cache=cache)
-        compile_resharding(make_task(), ctx)
-        assert len(cache) == 1
-        cache.invalidate(reason="host 2 failed")
-        assert len(cache) == 0
-        assert cache.epoch == 1
-        assert cache.n_invalidations == 1
-        assert cache.last_invalidation_reason == "host 2 failed"
-        # The identical request must recompile in the new epoch.
-        compile_resharding(make_task(), ctx)
-        assert cache.stats().hits == 0
-        assert cache.stats().misses == 2
-
-    def test_epoch_is_part_of_the_signature(self):
-        task = make_task()
-        key = make_strategy("broadcast").cache_key()
-        assert plan_signature(task, key, epoch=0) != plan_signature(
-            task, key, epoch=1
-        )
 
 
 # ----------------------------------------------------------------------
@@ -475,12 +448,7 @@ class TestTimingMemo:
         assert compiled.ensure_timing().total_time > 0
 
     def test_invalidate_and_reset_empty_the_memo(self):
-        cache = PlanCache()
-        compile_resharding(make_task(), CompileContext(cache=cache)).ensure_timing()
-        assert len(cache.timings) == 1
-        cache.invalidate("test")
-        assert len(cache.timings) == 0
-
+        # a reset replaces the default cache, memo and all
         default = reset_default_plan_cache()
         compile_resharding(make_task(), CompileContext()).ensure_timing()
         assert len(default.timings) == 1
@@ -555,16 +523,6 @@ class TestUncacheable:
 # EdgeResharding: every time() compiles through the edge's context
 # ----------------------------------------------------------------------
 class TestEdgeMemo:
-    def test_invalidate_forces_a_fresh_resolve(self):
-        reset_default_plan_cache()
-        edge = make_edge()
-        first = edge.time("fwd")
-        default_plan_cache().invalidate("host failure")
-        assert edge.time("fwd") == first
-        stats = default_plan_cache().stats()
-        assert stats.epoch == 1
-        assert (stats.requests, stats.misses) == (2, 2)
-
     def test_reset_default_cache_forces_a_fresh_resolve(self):
         reset_default_plan_cache()
         edge = make_edge()
@@ -573,12 +531,21 @@ class TestEdgeMemo:
         assert edge.time("fwd") == first
         assert (fresh.stats().requests, fresh.stats().misses) == (1, 1)
 
-    def test_uncacheable_strategy_re_resolves_after_epoch_bump(self):
+    def test_uncacheable_strategy_re_resolves_after_epoch_bump(self, monkeypatch):
+        # every time() of an uncacheable edge compiles afresh, unseen by the cache
+        runs = []
+        real_run = PassManager.run
+
+        def counted(manager, state, ctx):
+            runs.append(state.task)
+            return real_run(manager, state, ctx)
+
+        monkeypatch.setattr(PassManager, "run", counted)
         cache = PlanCache()
         edge = make_edge(CompileContext(strategy=NoKeyStrategy(), cache=cache))
         first = edge.time("fwd")
-        cache.invalidate()
         assert edge.time("fwd") == first
+        assert len(runs) == 2 and runs[0] is runs[1] is edge.fwd_task
         assert cache.stats().requests == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

@@ -61,5 +61,12 @@ def test_counts_equal_the_ledger(workload):
     assert got == pinned, "counts moved:\n" + "\n".join(_moves(pinned, got))
 
 
+def test_serve_bursty_hashes_once_per_cache_lookup():
+    # a submission hashes its request once, for its lookup, and so does
+    # each compile it starts
+    for op_id, counts in workload_pass("serve_bursty")[0].items():
+        assert counts["plan_signature"] == counts["cache_lookups"], op_id
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(measure(), indent=1, sort_keys=True) + "\n")

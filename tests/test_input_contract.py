@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import fuzz
-from repro.analysis import check_plan
+from repro.analysis import check_plan, lint_source
 from repro.compiler import PlanCache, compile_resharding
 from repro.compiler.budget import CompileBudget
 from repro.compiler.resim import ResimCache
@@ -171,6 +171,7 @@ fields("BroadcastStrategy", BroadcastStrategy, {}, ["n_chunks"])
 row("CompileBudget.from_deadline", "deadline", CompileBudget.from_deadline)
 row("check_plan.memory_budget", "memory_budget",
     lambda v: check_plan(_PLAN, memory_budget=v))
+row("lint_source.codes", "codes", lambda v: lint_source("", codes=[v]))
 fields("PlanCache", PlanCache, {}, ["max_entries"])
 fields("ResimCache", ResimCache, {}, ["max_entries"])
 fields("split_offsets", split_offsets, {"size": 8, "n": 2}, ["size", "n"])

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis import lint_paths, lint_source
 
 REPO_SRC = Path(__file__).parents[1] / "src" / "repro"
@@ -160,6 +161,20 @@ class TestWaiversAndFilters:
     def test_codes_filter(self):
         src = "import time, random\nt = time.time()\nx = random.random()\n"
         assert codes(src, codes=["L001"]) == ["L001"]
+
+    @pytest.mark.parametrize("code", ["l002", "ZZZ"])
+    def test_unknown_code_is_refused_not_clean(self, code, tmp_path, capsys):
+        # an unknown code selects no rule: it must not pass as clean
+        src = "import random\nx = random.random()\n"
+        with pytest.raises(ValueError, match=f"'{code}'.*L001, L002, L003, L004"):
+            lint_source(src, codes=[code])
+        path = tmp_path / "mod.py"
+        path.write_text(src)
+        assert main(["lint", str(path), "--codes", code]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"repro lint: error: codes: unknown lint code '{code}'")
+        assert err.count("\n") == 1
 
     def test_findings_carry_location(self):
         (diag,) = lint_source("import time\nt = time.time()\n", path="mod.py")

@@ -11,7 +11,6 @@ from repro.compiler import (
     CompileTimeout,
     PlanCache,
     compile_resharding,
-    plan_signature,
 )
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
@@ -114,25 +113,6 @@ def test_cache_lru_touch_on_hit_protects_entry():
     compile_resharding(make_task(shape=(64, 64)),
                        CompileContext(strategy="send_recv", cache=cache))
     assert cache.lookup(a.signature) is not None  # survived the eviction
-
-
-def test_cache_invalidate_drops_in_flight_epoch_stores():
-    """A store computed against a pre-invalidation epoch never lands."""
-    cache = PlanCache()
-    task = make_task()
-    ctx = CompileContext(strategy="send_recv", cache=cache)
-    compiled = compile_resharding(task, ctx)
-    old_epoch = cache.epoch
-    old_sig = compiled.signature
-    cache.invalidate("config deploy")
-    # simulate a worker finishing a compile it started before invalidate
-    assert cache.store(old_sig, compiled, epoch=old_epoch) is False
-    assert cache.lookup(old_sig) is None
-    assert cache.stats().stale_stores == 1
-    # a fresh-epoch store works
-    new_sig = plan_signature(task, "send_recv", None, None, epoch=cache.epoch)
-    assert cache.store(new_sig, compiled, epoch=cache.epoch) is True
-    assert cache.lookup(new_sig) is compiled
 
 
 # ----------------------------------------------------------------------
@@ -429,29 +409,33 @@ def test_breaker_open_serves_stale_plan_degraded():
         service = ReshardingService(service_config(
             breaker=BreakerConfig(failure_threshold=2, cooldown=100.0)))
         await service.start()
-        fresh = await submit(
-            service, CompileRequest(request_id="warm", tenant="t", task=task))
-        # a config deploy invalidates the cache; the stale store survives
-        service.cache.invalidate("config deploy")
+        warm = service.try_submit(
+            CompileRequest(request_id="warm", tenant="t", task=task))
+        await asyncio.sleep(0.01)  # the one worker is compiling "warm"
+        # a duplicate no longer coalesces: it queues behind the compile
+        stale_ok = service.try_submit(
+            CompileRequest(request_id="stale-ok", tenant="t", task=task))
+        no_stale = service.try_submit(
+            CompileRequest(request_id="no-stale", tenant="t", task=other))
         # the compiler starts failing hard and the breaker trips
         service.breaker.record_failure(service._now())
         service.breaker.record_failure(service._now())
         assert service.breaker.is_open
-        degraded = await submit(
-            service, CompileRequest(request_id="stale-ok", tenant="t", task=task))
-        shed = await submit(
-            service, CompileRequest(request_id="no-stale", tenant="t", task=other))
+        responses = await asyncio.gather(warm.wait(), stale_ok.wait(), no_stale.wait())
         await service.shutdown()
-        return fresh, degraded, shed
+        return service, responses
 
-    fresh, degraded, shed = run_virtual(main())
+    service, (fresh, degraded, shed) = run_virtual(main())
     assert fresh.ok and not fresh.degraded
     assert degraded.ok and degraded.degraded
     assert "stale" in degraded.detail
+    assert degraded.plan_signature == fresh.plan_signature
     assert shed.status == "shed"
     assert shed.overloaded is not None
     assert shed.overloaded.reason == "breaker-open"
     assert shed.overloaded.retry_after > 0
+    # three submissions and the one compile looked up; serving stale did not
+    assert service.cache.stats().requests == 4
 
 
 def test_transient_faults_retried_with_deterministic_backoff():
