@@ -552,14 +552,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
 EXPERIMENTS = {
     "E1": "fig5", "E2": "fig6", "E3": "table1", "E4": "fig7", "E5": "fig8",
     "E6": "fig9", "E7": "fig3", "E8": "topology_zoo", "A0": "ablations",
+    "S1": "parallel_sweep", "S2": "scaling", "S3": "interleaving",
 }
+#: the module functions that build an experiment's tables after ``run``
+#: (the report prints the same ones)
+_MORE_TABLES = {"S2": ("run_scheduler_scaling",)}
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments.common import format_markdown
 
     mod = importlib.import_module(f".experiments.{EXPERIMENTS[args.id]}", __package__)
-    print(format_markdown(mod.run()))
+    builders = [mod.run] + [getattr(mod, name) for name in _MORE_TABLES.get(args.id, ())]
+    for build in builders:
+        print(format_markdown(build()))
     return 0
 
 

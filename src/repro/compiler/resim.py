@@ -308,7 +308,8 @@ def _restore(runner: PlanRunner, ckpt: SimCheckpoint) -> None:
     net._next_id = ckpt.next_flow_id
     bus = net.bus
     bus._span_rows = list(ckpt.span_rows)
-    bus._counter_rows = list(ckpt.counter_rows)
+    # In place: the bus's series append to this very list.
+    bus._counter_rows[:] = ckpt.counter_rows
     bus._marks = list(ckpt.marks)
     for name, track, is_counter, value in ckpt.series_values:
         series = bus.counter(name, track) if is_counter else bus.gauge(name, track)

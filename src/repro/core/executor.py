@@ -313,11 +313,17 @@ class PlanRunner:
             else:
                 self.maybe_release(tid)
 
-        net.run()
+        lossy = net if isinstance(net, LossyNetwork) else None
+        try:
+            net.run()
+        finally:
+            if lossy is not None:
+                # The hook is a bound method of this runner, which holds
+                # the network: drop it with the run, so no cycle outlives it.
+                lossy.on_abandon = None
 
         plan = self.plan
         missing = [op.op_id for op in plan.ops if op.op_id not in self.op_done]
-        lossy = net if isinstance(net, LossyNetwork) else None
         if missing and lossy is None:
             raise RuntimeError(
                 f"plan deadlocked: ops never completed: {missing[:10]}"

@@ -82,13 +82,14 @@ def simulate_strategy(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     net.run()
+    return max(_finish_time(h) for h in handles)
 
-    def finish(h) -> float:
-        if isinstance(h, list):
-            return max((finish(x) for x in h), default=0.0)
-        return h.finish_time
 
-    return max(finish(h) for h in handles)
+def _finish_time(h) -> float:
+    """A handle's finish time; a list's is its latest member's."""
+    if isinstance(h, list):
+        return max((_finish_time(x) for x in h), default=0.0)
+    return h.finish_time
 
 
 def run(nbytes: float = GB, n_chunks: int = 64, max_hosts: int = 4) -> ExperimentTable:

@@ -39,19 +39,24 @@ def run() -> ExperimentTable:
         columns=["model", "method", "iteration (s)", "TFLOPS/GPU", "vs Alpa", "of Signal"],
     )
     for model_name, spec in workloads().items():
-        results = {m: run_iteration(spec, m) for m in E2E_METHODS}
-        alpa = results["alpa"]
-        signal = results["signal"]
+        # Keep each iteration's two floats, not its result (a bus with
+        # every span of the run).
+        results = {}
         for m in E2E_METHODS:
-            r = results[m]
+            r = run_iteration(spec, m)
+            results[m] = (r.iteration_time, r.throughput_tflops)
+        alpa = results["alpa"][1]
+        signal = results["signal"][1]
+        for m in E2E_METHODS:
+            iteration, tflops = results[m]
             table.add(
                 model=model_name,
                 method=m,
                 **{
-                    "iteration (s)": r.iteration_time,
-                    "TFLOPS/GPU": r.throughput_tflops,
-                    "vs Alpa": r.throughput_tflops / alpa.throughput_tflops,
-                    "of Signal": r.throughput_tflops / signal.throughput_tflops,
+                    "iteration (s)": iteration,
+                    "TFLOPS/GPU": tflops,
+                    "vs Alpa": tflops / alpa,
+                    "of Signal": tflops / signal,
                 },
             )
     return table

@@ -46,17 +46,22 @@ def run() -> ExperimentTable:
     for label, batch in BATCH_SIZES:
         cfg = replace(UTransformerConfig(), global_batch=batch)
         spec = build_utransformer(cfg)
-        results = {m: run_iteration(spec, m) for m in OVERLAP_METHODS}
-        base = results["broadcast"]
+        # Keep each iteration's two floats, not its result (a bus with
+        # every span of the run).
+        results = {}
         for m in OVERLAP_METHODS:
-            r = results[m]
+            r = run_iteration(spec, m)
+            results[m] = (r.iteration_time, r.throughput_tflops)
+        base = results["broadcast"][1]
+        for m in OVERLAP_METHODS:
+            iteration, tflops = results[m]
             table.add(
                 batch=label,
                 method=m,
                 **{
-                    "iteration (s)": r.iteration_time,
-                    "TFLOPS/GPU": r.throughput_tflops,
-                    "vs broadcast": r.throughput_tflops / base.throughput_tflops,
+                    "iteration (s)": iteration,
+                    "TFLOPS/GPU": tflops,
+                    "vs broadcast": tflops / base,
                 },
             )
     return table

@@ -417,9 +417,15 @@ def simulate_pipeline(
         waiting[device] = _BUSY
         call_at(now + row[2], on_compute_done, device, row, now)
 
-    for d in range(n_devices):
-        try_start(d)
-    loop.run()
+    try:
+        for d in range(n_devices):
+            try_start(d)
+        loop.run()
+    finally:
+        # The callbacks reach each other through closure cells, a cycle
+        # only the collector would free: empty the cells so the loop,
+        # the task table and the callbacks go as soon as the run does.
+        del arrival, on_compute_done, wake, on_recv_done, try_start
 
     unfinished = [d for d in range(n_devices) if idx[d] < len(rows[d])]
     if unfinished:

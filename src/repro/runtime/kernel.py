@@ -5,6 +5,13 @@ it owns the run's :class:`~repro.runtime.telemetry.TelemetryBus`, whose
 clock is the loop's ``now`` — so every executor reports through one span
 stream.  All simulated time is in seconds (float).
 
+The loop owns its bus, and the bus does not own the loop: the bus's
+clock (:class:`LoopClock`) reads ``now`` through a weak reference, so a
+finished simulation is freed by reference counting as soon as its
+result is dropped, and a result that keeps only the bus lets the loop
+go.  A freed loop leaves its clock its final instant, so the bus keeps
+answering ``now`` after the loop is gone.
+
 An event is one plain heap entry, the list ``[time, seq, fn, args]``:
 ``call_at(when, fn, *args)`` pushes it and returns it as the event's
 handle, and the loop runs it as ``fn(*args)``, so a caller passes its
@@ -34,16 +41,36 @@ which keeps stack traces shallow and the hot loop cheap.  Contention
 from __future__ import annotations
 
 import math
+import weakref
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 from .telemetry import TelemetryBus
 
-__all__ = ["EventLoop"]
+__all__ = ["EventLoop", "LoopClock"]
 
 
 #: queue-size floor below which compaction is never attempted
 _COMPACT_MIN = 512
+
+
+class LoopClock:
+    """A loop's ``now``, read without keeping the loop alive.
+
+    The bus's clock: it holds the loop through a weak reference, and a
+    loop's finalizer stores its last ``now`` in :attr:`final`, which the
+    clock answers once the loop is gone.
+    """
+
+    __slots__ = ("_loop", "final")
+
+    def __init__(self, loop: "EventLoop") -> None:
+        self._loop = weakref.ref(loop)
+        self.final = 0.0
+
+    def __call__(self) -> float:
+        loop = self._loop()
+        return self.final if loop is None else loop.now
 
 
 class EventLoop:
@@ -56,11 +83,14 @@ class EventLoop:
         loop.run()
         assert loop.now == 1.5
 
-    ``loop.bus`` is a fresh bus whose clock reads the loop's ``now``.
+    ``loop.bus`` is a fresh bus whose clock reads the loop's ``now``
+    through a :class:`LoopClock`: the loop owns the bus, never the other
+    way round, and the bus outlives the loop, reading its final instant.
     """
 
     def __init__(self) -> None:
-        self.bus = TelemetryBus(clock=lambda: self.now)
+        self._clock = LoopClock(self)
+        self.bus = TelemetryBus(clock=self._clock)
         #: min-heap of [time, seq, fn, args] entries; fn is None once
         #: the entry is cancelled or popped.  Compaction edits it in place.
         self._heap: list[list[Any]] = []
@@ -68,6 +98,10 @@ class EventLoop:
         self.now: float = 0.0
         self._n_cancels = 0  # cancel() calls that blanked a queued entry
         self._n_dropped = 0  # of those, entries since popped or compacted out
+
+    def __del__(self) -> None:
+        # The bus may outlive the loop: leave its clock the final instant.
+        self._clock.final = self.now
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -92,12 +92,17 @@ class MarkRecord:
 
 
 class Counter:
-    """A monotonically non-decreasing cumulative counter."""
+    """A monotonically non-decreasing cumulative counter.
 
-    __slots__ = ("_bus", "name", "track", "value")
+    A series holds its bus's counter-row list and clock, not the bus,
+    so the bus's series table and its series form no reference cycle.
+    """
+
+    __slots__ = ("_rows", "_clock", "name", "track", "value")
 
     def __init__(self, bus: "TelemetryBus", name: str, track: str) -> None:
-        self._bus = bus
+        self._rows = bus._counter_rows
+        self._clock = bus._clock
         self.name = name
         self.track = track
         self.value = 0.0
@@ -110,9 +115,8 @@ class Counter:
                 "(use a Gauge for values that move both ways)"
             )
         self.value += delta
-        bus = self._bus
-        bus._counter_rows.append(
-            (self.name, self.track, bus._clock() if at is None else at, self.value)
+        self._rows.append(
+            (self.name, self.track, self._clock() if at is None else at, self.value)
         )
         return self.value
 
@@ -120,10 +124,11 @@ class Counter:
 class Gauge:
     """A cumulative series that may increase or decrease."""
 
-    __slots__ = ("_bus", "name", "track", "value")
+    __slots__ = ("_rows", "_clock", "name", "track", "value")
 
     def __init__(self, bus: "TelemetryBus", name: str, track: str) -> None:
-        self._bus = bus
+        self._rows = bus._counter_rows
+        self._clock = bus._clock
         self.name = name
         self.track = track
         self.value = 0.0
@@ -131,9 +136,8 @@ class Gauge:
     def add(self, delta: float, at: Optional[float] = None) -> float:
         """Add ``delta`` and emit a sample at time ``at`` (or now)."""
         self.value += delta
-        bus = self._bus
-        bus._counter_rows.append(
-            (self.name, self.track, bus._clock() if at is None else at, self.value)
+        self._rows.append(
+            (self.name, self.track, self._clock() if at is None else at, self.value)
         )
         return self.value
 
@@ -142,9 +146,16 @@ class TelemetryBus:
     """Span/counter/mark emitter over an append-only in-memory store.
 
     ``clock`` supplies the *current simulated time* (normally the owning
-    kernel's ``now``); retroactive emission with explicit timestamps is
+    kernel's ``now``, read through a
+    :class:`~repro.runtime.kernel.LoopClock` that does not keep the
+    kernel alive); retroactive emission with explicit timestamps is
     always allowed, so executors that compute an interval's endpoints up
     front (channel reservations) can record it in one call.
+
+    Nothing the bus holds points back at it: its series hold the
+    counter-row list and the clock, so the row list is never rebound
+    (a checkpoint restore refills it in place), and a bus no longer
+    referenced is freed at once, with no cycle left for the collector.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:

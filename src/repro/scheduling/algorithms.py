@@ -194,7 +194,10 @@ def dfs_schedule(
                 if out_of_time:
                     return
 
-    recurse(0.0)
+    try:
+        recurse(0.0)
+    finally:
+        del recurse  # it calls itself through its own cell: free it now
     return Schedule(
         assignment=best.assignment,
         order=best.order,

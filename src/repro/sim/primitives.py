@@ -15,14 +15,25 @@ paper's §3.1 / Figure 3:
 All primitives are asynchronous: they submit flows and chain follow-up
 flows from completion callbacks, returning a :class:`CollectiveHandle`
 that fires when the whole collective is done.
+
+The chained collectives (ring all-gather, ring broadcast, switch
+multicast) keep their progress in one small state object.  Each flow's
+completion callback is a ``partial`` of a state method: it points at
+the state, and the state points at no callback, so a finished
+collective holds no reference cycle and is freed as soon as its last
+flow is.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cluster import Cluster
 from .network import Flow, Network
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .topology import MulticastTree
 
 __all__ = [
     "CollectiveHandle",
@@ -49,6 +60,11 @@ class CollectiveHandle:
     which completes early with ``failed=True`` — downstream hops are
     never submitted and the collective's data did not fully arrive, but
     nothing deadlocks and the caller can observe the failure.
+
+    The handle fires its done callbacks once, on completion or abort,
+    and then drops them: a callback usually holds its caller (the plan
+    runner holds the handle), and keeping it would tie the two into a
+    reference cycle.  A callback added after that runs at once.
     """
 
     def __init__(self, network: Network, name: str = "") -> None:
@@ -78,8 +94,13 @@ class CollectiveHandle:
     def _maybe_finish(self) -> None:
         if self._sealed and self.n_done >= self.n_total and self.finish_time < 0:
             self.finish_time = self.network.loop.now
-            for cb in self._callbacks:
-                cb(self)
+            self._fire()
+
+    def _fire(self) -> None:
+        """Run the done callbacks once, dropping them first."""
+        callbacks, self._callbacks = self._callbacks, []
+        for cb in callbacks:
+            cb(self)
 
     # -- public ---------------------------------------------------------
     @property
@@ -99,8 +120,7 @@ class CollectiveHandle:
         self.failed = True
         self.fail_reason = reason
         self.finish_time = self.network.loop.now
-        for cb in self._callbacks:
-            cb(self)
+        self._fire()
 
     def __repr__(self) -> str:
         state = f"done@{self.finish_time:.6f}" if self.done else "pending"
@@ -208,35 +228,59 @@ def ring_allgather(
     if n <= 1 or shard_bytes <= 0:
         return _empty_handle(network, tag)
     handle = CollectiveHandle(network, tag)
-    n_rounds = n - 1
-    handle._expect(n_rounds * n)
-
-    # done[j][i] == flow of round j from sender index i has completed.
-    done = [[False] * n for _ in range(n_rounds + 1)]
-    started = [[False] * n for _ in range(n_rounds + 1)]
-
-    def deps_met(j: int, i: int) -> bool:
-        if j == 1:
-            return True
-        return done[j - 1][(i - 1) % n]
-
-    def maybe_start(j: int, i: int) -> None:
-        if j > n_rounds or started[j][i] or not deps_met(j, i):
-            return
-        started[j][i] = True
-        src, dst = devs[i], devs[(i + 1) % n]
-
-        def on_done(_f: Flow, j: int = j, i: int = i) -> None:
-            done[j][i] = True
-            handle._flow_done()
-            maybe_start(j + 1, (i + 1) % n)
-
-        network.start_flow(src, dst, shard_bytes, on_done, tag=f"{tag}:r{j}")
-
+    handle._expect((n - 1) * n)
+    ring = _RingAllGather(network, handle, devs, shard_bytes, tag)
     for i in range(n):
-        maybe_start(1, i)
+        ring.maybe_start(1, i)
     handle._seal()
     return handle
+
+
+class _RingAllGather:
+    """One ring all-gather in flight: which (round, sender) flows have
+    started and finished.  A flow's callback is a ``partial`` of
+    :meth:`hop_done`; nothing here points back at a callback."""
+
+    __slots__ = ("network", "handle", "devs", "n", "n_rounds", "shard_bytes",
+                 "tag", "done", "started")
+
+    def __init__(
+        self,
+        network: Network,
+        handle: CollectiveHandle,
+        devs: list[int],
+        shard_bytes: float,
+        tag: str,
+    ) -> None:
+        n = len(devs)
+        self.network = network
+        self.handle = handle
+        self.devs = devs
+        self.n = n
+        self.n_rounds = n - 1
+        self.shard_bytes = shard_bytes
+        self.tag = tag
+        # done[j][i] == flow of round j from sender index i has completed.
+        self.done = [[False] * n for _ in range(n)]
+        self.started = [[False] * n for _ in range(n)]
+
+    def maybe_start(self, j: int, i: int) -> None:
+        if j > self.n_rounds or self.started[j][i]:
+            return
+        n = self.n
+        if j != 1 and not self.done[j - 1][(i - 1) % n]:
+            return
+        self.started[j][i] = True
+        devs = self.devs
+        self.network.start_flow(
+            devs[i], devs[(i + 1) % n], self.shard_bytes, partial(self.hop_done, j, i),
+            tag=f"{self.tag}:r{j}",
+        )
+
+    def hop_done(self, j: int, i: int, _f: Flow) -> None:
+        self.done[j][i] = True
+        self.handle._flow_done()
+        self.maybe_start(j + 1, (i + 1) % self.n)
 
 
 def ring_broadcast(
@@ -257,36 +301,61 @@ def ring_broadcast(
     recv = ring_order(network.cluster, root, [d for d in receivers if d != root])
     if not recv or nbytes <= 0:
         return _empty_handle(network, tag)
-    ring = [root] + recv
-    n_hops = len(ring) - 1
     chunks = split_chunks(nbytes, n_chunks)
     handle = CollectiveHandle(network, tag)
-    handle._expect(n_chunks * n_hops)
-
-    done = [[False] * n_hops for _ in range(n_chunks)]
-    started = [[False] * n_hops for _ in range(n_chunks)]
-    # One flow per chunk per hop: bind once, pass the hop positionally.
-    start_flow = network.start_flow
-
-    def maybe_start(c: int, h: int) -> None:
-        if c >= n_chunks or h >= n_hops or started[c][h]:
-            return
-        # Chunk c has arrived at hop h, and hop h forwarded chunk c - 1.
-        if (h and not done[c][h - 1]) or (c and not done[c - 1][h]):
-            return
-        started[c][h] = True
-
-        def on_done(_f: Flow, c: int = c, h: int = h) -> None:
-            done[c][h] = True
-            handle._flow_done()
-            maybe_start(c, h + 1)
-            maybe_start(c + 1, h)
-
-        start_flow(ring[h], ring[h + 1], chunks[c], on_done, f"{tag}:c{c}h{h}")
-
-    maybe_start(0, 0)
+    handle._expect(n_chunks * len(recv))
+    _RingBroadcast(network, handle, [root] + recv, chunks, tag).maybe_start(0, 0)
     handle._seal()
     return handle
+
+
+class _RingBroadcast:
+    """One chunk-pipelined ring broadcast in flight: which (chunk, hop)
+    flows have started and finished.  The per-hop work lives in
+    :meth:`maybe_start` and :meth:`hop_done`; a flow's callback is a
+    ``partial`` of :meth:`hop_done`, and nothing here points back at a
+    callback."""
+
+    __slots__ = ("handle", "start_flow", "ring", "chunks", "n_chunks", "n_hops",
+                 "tag", "done", "started")
+
+    def __init__(
+        self,
+        network: Network,
+        handle: CollectiveHandle,
+        ring: list[int],
+        chunks: list[float],
+        tag: str,
+    ) -> None:
+        n_chunks, n_hops = len(chunks), len(ring) - 1
+        self.handle = handle
+        # One flow per chunk per hop: bind once, pass the hop positionally.
+        self.start_flow = network.start_flow
+        self.ring = ring
+        self.chunks = chunks
+        self.n_chunks = n_chunks
+        self.n_hops = n_hops
+        self.tag = tag
+        self.done = [[False] * n_hops for _ in range(n_chunks)]
+        self.started = [[False] * n_hops for _ in range(n_chunks)]
+
+    def maybe_start(self, c: int, h: int) -> None:
+        if c >= self.n_chunks or h >= self.n_hops or self.started[c][h]:
+            return
+        # Chunk c has arrived at hop h, and hop h forwarded chunk c - 1.
+        done = self.done
+        if (h and not done[c][h - 1]) or (c and not done[c - 1][h]):
+            return
+        self.started[c][h] = True
+        ring = self.ring
+        self.start_flow(ring[h], ring[h + 1], self.chunks[c], partial(self.hop_done, c, h),
+                        f"{self.tag}:c{c}h{h}")
+
+    def hop_done(self, c: int, h: int, _f: Flow) -> None:
+        self.done[c][h] = True
+        self.handle._flow_done()
+        self.maybe_start(c, h + 1)
+        self.maybe_start(c + 1, h)
 
 
 def switch_multicast(
@@ -345,68 +414,105 @@ def switch_multicast(
 
     tree = cluster.topo.multicast_tree(root_host, hosts, switch)
     chunks = split_chunks(nbytes, n_chunks)
-    heads = {h: min(by_host[h]) for h in hosts}
-
     handle._expect(n_chunks)  # upstream legs
     handle._expect(n_chunks * len(hosts))  # downstream legs
-    n_sib = sum(len(by_host[h]) - 1 for h in hosts)
-    handle._expect(n_sib)  # NVLink fanout after the last chunk
-
-    up_done = [False] * n_chunks
-    down_done = {h: [False] * n_chunks for h in hosts}
-    up_started = [False] * n_chunks
-    down_started = {h: [False] * n_chunks for h in hosts}
-
-    def fan_out(h: int) -> None:
-        head = heads[h]
-        for sib in sorted(by_host[h]):
-            if sib == head:
-                continue
-            network.start_flow(
-                head, sib, nbytes, lambda f: handle._flow_done(), tag=f"{tag}:fan{sib}"
-            )
-
-    def maybe_start_down(h: int, c: int) -> None:
-        if c >= n_chunks or down_started[h][c]:
-            return
-        if not up_done[c] or (c > 0 and not down_done[h][c - 1]):
-            return
-        down_started[h][c] = True
-        head = heads[h]
-        ports = tree.down_ports_of(h) + (f"nr{h}", f"dr{head}")
-
-        def on_done(_f: Flow, h: int = h, c: int = c) -> None:
-            down_done[h][c] = True
-            handle._flow_done()
-            maybe_start_down(h, c + 1)
-            if c == n_chunks - 1:
-                fan_out(h)
-
-        network.start_flow(
-            root, head, chunks[c], on_done, tag=f"{tag}:c{c}h{h}",
-            ports=ports, latency=tree.down_latency,
-        )
-
-    def maybe_start_up(c: int) -> None:
-        if c >= n_chunks or up_started[c]:
-            return
-        if c > 0 and not up_done[c - 1]:
-            return
-        up_started[c] = True
-        ports = (f"ds{root}", f"ns{root_host}") + tree.up_ports
-
-        def on_done(_f: Flow, c: int = c) -> None:
-            up_done[c] = True
-            handle._flow_done()
-            maybe_start_up(c + 1)
-            for h in hosts:
-                maybe_start_down(h, c)
-
-        network.start_flow(
-            root, heads[hosts[0]], chunks[c], on_done, tag=f"{tag}:c{c}u",
-            ports=ports, latency=tree.up_latency,
-        )
-
-    maybe_start_up(0)
+    handle._expect(sum(len(by_host[h]) - 1 for h in hosts))  # NVLink fanout
+    _SwitchMulticast(network, handle, root, nbytes, by_host, tree, chunks, tag).start_up(0)
     handle._seal()
     return handle
+
+
+class _SwitchMulticast:
+    """One switch multicast in flight: which upstream legs (per chunk)
+    and downstream legs (per host and chunk) have started and finished.
+    A leg's callback is a ``partial`` of :meth:`up_done` or
+    :meth:`down_done`; nothing here points back at a callback."""
+
+    __slots__ = ("network", "handle", "root", "root_host", "nbytes", "by_host",
+                 "hosts", "heads", "tree", "chunks", "n_chunks", "tag", "up_finished",
+                 "up_started", "down_finished", "down_started")
+
+    def __init__(
+        self,
+        network: Network,
+        handle: CollectiveHandle,
+        root: int,
+        nbytes: float,
+        by_host: dict[int, list[int]],
+        tree: "MulticastTree",
+        chunks: list[float],
+        tag: str,
+    ) -> None:
+        n_chunks = len(chunks)
+        hosts = sorted(by_host)
+        self.network = network
+        self.handle = handle
+        self.root = root
+        self.root_host = network.cluster.host_of(root)
+        self.nbytes = nbytes
+        self.by_host = by_host
+        self.hosts = hosts
+        self.heads = {h: min(by_host[h]) for h in hosts}
+        self.tree = tree
+        self.chunks = chunks
+        self.n_chunks = n_chunks
+        self.tag = tag
+        self.up_finished = [False] * n_chunks
+        self.up_started = [False] * n_chunks
+        self.down_finished = {h: [False] * n_chunks for h in hosts}
+        self.down_started = {h: [False] * n_chunks for h in hosts}
+
+    def fan_out(self, h: int) -> None:
+        head = self.heads[h]
+        handle = self.handle
+        for sib in sorted(self.by_host[h]):
+            if sib == head:
+                continue
+            self.network.start_flow(
+                head, sib, self.nbytes, lambda f: handle._flow_done(),
+                tag=f"{self.tag}:fan{sib}",
+            )
+
+    def start_down(self, h: int, c: int) -> None:
+        if c >= self.n_chunks or self.down_started[h][c]:
+            return
+        if not self.up_finished[c] or (c > 0 and not self.down_finished[h][c - 1]):
+            return
+        self.down_started[h][c] = True
+        head = self.heads[h]
+        tree = self.tree
+        self.network.start_flow(
+            self.root, head, self.chunks[c], partial(self.down_done, h, c),
+            tag=f"{self.tag}:c{c}h{h}",
+            ports=tree.down_ports_of(h) + (f"nr{h}", f"dr{head}"),
+            latency=tree.down_latency,
+        )
+
+    def down_done(self, h: int, c: int, _f: Flow) -> None:
+        self.down_finished[h][c] = True
+        self.handle._flow_done()
+        self.start_down(h, c + 1)
+        if c == self.n_chunks - 1:
+            self.fan_out(h)
+
+    def start_up(self, c: int) -> None:
+        if c >= self.n_chunks or self.up_started[c]:
+            return
+        if c > 0 and not self.up_finished[c - 1]:
+            return
+        self.up_started[c] = True
+        root = self.root
+        tree = self.tree
+        self.network.start_flow(
+            root, self.heads[self.hosts[0]], self.chunks[c], partial(self.up_done, c),
+            tag=f"{self.tag}:c{c}u",
+            ports=(f"ds{root}", f"ns{self.root_host}") + tree.up_ports,
+            latency=tree.up_latency,
+        )
+
+    def up_done(self, c: int, _f: Flow) -> None:
+        self.up_finished[c] = True
+        self.handle._flow_done()
+        self.start_up(c + 1)
+        for h in self.hosts:
+            self.start_down(h, c)

@@ -57,6 +57,7 @@ randomized flow/port sets across every topology-zoo fabric must produce
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
@@ -72,10 +73,23 @@ _I64 = NDArray[np.int64]
 _B = NDArray[np.bool_]
 
 
+def _live(ref: "Optional[weakref.ReferenceType[Network]]") -> "Network":
+    """The network a solver is attached to.
+
+    A solver keeps its network through a weak reference: the network
+    owns the solver, and a strong reference back would make every
+    simulation a reference cycle only the collector frees.
+    """
+    net = ref() if ref is not None else None
+    assert net is not None, "solver used without a live attached network"
+    return net
+
+
 class RateSolver(Protocol):
     """Strategy interface: assign a max-min fair ``rate`` to active flows.
 
-    The network calls :meth:`attach` once, then :meth:`flow_added` /
+    The network calls :meth:`attach` once (a solver holds its network
+    weakly: the network owns the solver), then :meth:`flow_added` /
     :meth:`flow_removed` as flows enter and leave the active set (in
     activation order — the order ``Network._active`` iterates), and
     :meth:`solve` whenever rates must be recomputed.  When ``solve``
@@ -138,7 +152,7 @@ class ScalarSolver:
     name = "scalar"
 
     def __init__(self) -> None:
-        self._net: Optional["Network"] = None
+        self._net: "Optional[weakref.ReferenceType[Network]]" = None
         #: port -> active flows traversing it, one per traversal
         self._traversals: dict[str, int] = {}
         #: a flow that shared a port came or went since the last fill
@@ -149,7 +163,7 @@ class ScalarSolver:
         self._alone_rate: dict[tuple[str, ...], float] = {}
 
     def attach(self, network: "Network") -> None:
-        self._net = network
+        self._net = weakref.ref(network)
         self._varies = network.capacity_varies
 
     def flow_added(self, flow: "Flow") -> None:
@@ -166,15 +180,14 @@ class ScalarSolver:
             # Alone on its ports: the fill's cap / 1 at its bottleneck.
             # When capacities are static the minimum is kept per port
             # tuple.
-            net = self._net
-            assert net is not None
             if self._varies:
-                flow.rate = min(map(net._port_capacity, flow.ports))
+                flow.rate = min(map(_live(self._net)._port_capacity, flow.ports))
                 return
             ports = flow.ports
             rate = self._alone_rate.get(ports)
             if rate is None:
-                rate = self._alone_rate[ports] = min(map(net._port_capacity, ports))
+                capacity = _live(self._net)._port_capacity
+                rate = self._alone_rate[ports] = min(map(capacity, ports))
             flow.rate = rate
 
     def flow_removed(self, flow: "Flow") -> None:
@@ -188,9 +201,7 @@ class ScalarSolver:
     def solve(self) -> None:
         if self._stale or self._varies:
             self._stale = False
-            net = self._net
-            assert net is not None
-            self._fill(net)
+            self._fill(_live(self._net))
 
     def _fill(self, net: "Network") -> None:
         active = net._active
@@ -273,7 +284,7 @@ class VectorSolver:
     name = "vector"
 
     def __init__(self) -> None:
-        self._net: Optional["Network"] = None
+        self._net: "Optional[weakref.ReferenceType[Network]]" = None
         self._varies = False
         # -- columns (port axis); column 0 is the padding sink ----------
         self._port_col: dict[str, int] = {}
@@ -307,12 +318,10 @@ class VectorSolver:
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, network: "Network") -> None:
-        self._net = network
+        self._net = weakref.ref(network)
         self._varies = network.capacity_varies
 
     def _new_col(self, port: str) -> int:
-        net = self._net
-        assert net is not None
         c = self._ncols
         if c >= self._cap0.shape[0]:
             grow = max(16, 2 * self._cap0.shape[0])
@@ -327,7 +336,7 @@ class VectorSolver:
         self._port_names.append(port)
         # The static baseline; NIC columns are refreshed per solve when
         # the network's capacities vary in time.
-        self._cap0[c] = net._port_capacity(port)
+        self._cap0[c] = _live(self._net)._port_capacity(port)
         self._base_load[c] = 0
         if port[0] == "n":
             self._nic_cols.append(c)
@@ -458,8 +467,6 @@ class VectorSolver:
         return (1 << 62, 0)  # pragma: no cover - defensive
 
     def solve(self) -> None:
-        net = self._net
-        assert net is not None
         if self._n_active == 0:
             return
         ncols = self._ncols
@@ -468,6 +475,7 @@ class VectorSolver:
             # NIC capacity is piecewise-constant on a varying network:
             # refresh exactly those columns at the current instant.
             names = self._port_names
+            net = _live(self._net)
             for c in self._nic_cols:
                 cap[c] = net._port_capacity(names[c])
         load = self._base_load[:ncols].copy()

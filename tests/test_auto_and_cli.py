@@ -130,6 +130,28 @@ def test_cli_experiment_table1(capsys):
     assert "216M" in out
 
 
+def test_cli_experiment_runs_the_extensions(capsys):
+    from repro.experiments import interleaving
+    from repro.experiments.common import format_markdown
+
+    assert main(["experiment", "S3"]) == 0
+    assert capsys.readouterr().out == format_markdown(interleaving.run()) + "\n"
+
+
+def test_cli_experiment_s2_prints_both_tables(capsys, monkeypatch):
+    from repro.experiments import scaling
+    from repro.experiments.common import ExperimentTable
+
+    def table(eid):
+        return lambda: ExperimentTable(experiment_id=eid, title=eid, columns=["x"])
+
+    monkeypatch.setattr(scaling, "run", table("S2 (extension)"))
+    monkeypatch.setattr(scaling, "run_scheduler_scaling", table("S2b (extension)"))
+    assert main(["experiment", "S2"]) == 0
+    out = capsys.readouterr().out
+    assert out.index("### S2 (extension)") < out.index("### S2b (extension)")
+
+
 def test_cli_bad_shape():
     with pytest.raises(SystemExit):
         main(["reshard", "--shape", "abc", "--src-spec", "R", "--dst-spec", "R"])

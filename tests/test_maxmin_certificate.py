@@ -55,7 +55,9 @@ class CertifiedSolver(ScalarSolver):
 
     def solve(self) -> None:
         super().solve()
-        net = self._net
+        # The solver holds its network weakly (the network owns it).
+        assert self._net is not None
+        net = self._net()
         assert net is not None
         flows = list(net._active.values())
         if not flows:

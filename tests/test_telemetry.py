@@ -9,7 +9,7 @@ from repro.__main__ import main
 from repro.compiler import CompileContext, compile_resharding
 from repro.core.task import ReshardingTask
 from repro.experiments.common import make_microbench_meshes
-from repro.runtime.telemetry import TelemetryBus
+from repro.runtime.telemetry import SpanRecord, TelemetryBus
 from repro.runtime.trace import chrome_trace_events, records_to_jsonl_dicts
 from repro.strategies import STRATEGIES
 
@@ -51,6 +51,30 @@ def test_counter_samples_are_cumulative_and_timestamped():
     clock["t"] = 2.0
     c.add(7.0)
     assert [(s.time, s.value) for s in bus.counters] == [(0.0, 5.0), (2.0, 12.0)]
+
+
+def test_counter_accepts_a_zero_delta():
+    bus, _clock = make_bus()
+    c = bus.counter("bytes", track="net")
+    assert c.add(0.0) == 0.0
+    assert bus.counter_rows == [("bytes", "net", 0.0, 0.0)]
+
+
+def test_gauge_samples_at_now_unless_given_a_time():
+    bus, clock = make_bus(t=1.5)
+    g = bus.gauge("acts", track="stage:0")
+    g.add(2.0)
+    g.add(-1.0, at=4.0)
+    clock["t"] = 3.0
+    g.add(1.0)
+    assert bus.counter_rows == [("acts", "stage:0", 1.5, 2.0), ("acts", "stage:0", 4.0, 1.0),
+                                ("acts", "stage:0", 3.0, 2.0)]
+
+
+def test_span_record_defaults_and_duration():
+    rec = SpanRecord("load", "phase", "t1", 1.25, 3.5)
+    assert (rec.depth, rec.parent, dict(rec.attrs)) == (0, "", {})
+    assert rec.duration == 2.25
 
 
 def test_gauge_moves_both_ways_and_counter_is_separate_series():

@@ -21,21 +21,25 @@ op:
 
 A count that stays zero is left out.  The pass also keeps every memo
 hit as a :class:`MemoHit`, for the replay gate in
-``tests/test_compiler.py``.  Each workload runs at most once per
-process.
+``tests/test_compiler.py``, and each op's cyclic garbage: the pass runs
+with the collector off, and after each op (its result dropped, the
+process-wide caches reset) ``gc.collect()`` counts the objects only the
+collector could free, for ``tests/test_object_lifetimes.py``.  Each
+workload runs at most once per process.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import importlib.util
 import sys
 import types
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.compiler import cache as cache_module
 from repro.compiler import pipeline as pipeline_module
@@ -65,14 +69,28 @@ def build_ops(workload: str, seed: int) -> list:
     return module.build_ops(workload, seed)
 
 
+#: the state class whose methods start a chained collective's later flows
+STATE_CLASSES = {
+    "ring_allgather": primitives._RingAllGather,
+    "ring_broadcast": primitives._RingBroadcast,
+    "switch_multicast": primitives._SwitchMulticast,
+}
+
+
 def _primitive_of_code() -> dict[types.CodeType, str]:
-    """Every code object of each collective primitive (nested ones too)."""
+    """Every code object of each collective primitive (nested ones too),
+    and of its state class's methods."""
     owner: dict[types.CodeType, str] = {}
     for name in primitives.__all__:
         fn = getattr(primitives, name)
         if not isinstance(fn, types.FunctionType):
             continue
         stack = [fn.__code__]
+        state = STATE_CLASSES.get(name)
+        if state is not None:
+            stack += [
+                m.__code__ for m in vars(state).values() if isinstance(m, types.FunctionType)
+            ]
         while stack:
             code = stack.pop()
             owner[code] = name
@@ -218,30 +236,55 @@ class Spies:
             self._undo.pop()()
 
 
+class WorkloadPass(NamedTuple):
+    """What one seed-0 pass of a workload measured."""
+
+    #: the ledger's counts, by op id
+    counts: dict[str, dict[str, int]]
+    memo_hits: tuple[MemoHit, ...]
+    #: objects ``gc.collect()`` freed after each op, by op id
+    cyclic_garbage: dict[str, int]
+
+
 @functools.lru_cache(maxsize=None)
-def workload_pass(workload: str) -> tuple[dict[str, dict[str, int]], tuple[MemoHit, ...]]:
-    """``(counts by op id, memo hits)`` of one seed-0 pass of ``workload``."""
+def workload_pass(workload: str) -> WorkloadPass:
+    """One seed-0 pass of ``workload``: counts, memo hits, cyclic garbage."""
     ops = build_ops(workload, SEED)
     if workload == "serve_bursty":
         ops = [op for op in ops if op.id in SERVE_SCENARIOS]
     counts: dict[str, dict[str, int]] = {}
     hits: list[MemoHit] = []
-    for op in ops:
-        reset_default_plan_cache()
-        reset_default_resim_cache()
-        spies = Spies()
-        spies.install()
-        try:
-            op.call()
-        finally:
-            spies.uninstall()
-        counts[op.id] = dict(sorted((k, v) for k, v in spies.counts.items() if v))
-        hits += [
-            MemoHit(op.id, plan, faults, retry, timing_fields(found))
-            for plan, faults, retry, found in spies.hits
-        ]
-    reset_default_plan_cache()
-    return counts, tuple(hits)
+    garbage: dict[str, int] = {}
+    was_enabled = gc.isenabled()
+    # Start from no garbage, and freeze what is alive already: no op made
+    # it, and each collection below then scans only what the pass made.
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        for op in ops:
+            reset_default_plan_cache()
+            reset_default_resim_cache()
+            spies = Spies()
+            spies.install()
+            try:
+                op.call()
+            finally:
+                spies.uninstall()
+            counts[op.id] = dict(sorted((k, v) for k, v in spies.counts.items() if v))
+            hits += [
+                MemoHit(op.id, plan, faults, retry, timing_fields(found))
+                for plan, faults, retry, found in spies.hits
+            ]
+            del spies
+            reset_default_plan_cache()
+            reset_default_resim_cache()
+            garbage[op.id] = gc.collect()
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+    return WorkloadPass(counts, tuple(hits), garbage)
 
 
 def replay(hit: MemoHit):
