@@ -5,8 +5,8 @@ pass of ``paper_suite``, ``train_iter`` and ``reshard_zoo`` and for the
 ``serve_bursty`` scenarios in :data:`~tests.workload_counts
 .SERVE_SCENARIOS`, the counts :mod:`tests.workload_counts` lists:
 kernel events by producer, flows by primitive, solves and fills,
-``simulate_plan`` calls, timing-memo hits, compiles, cache lookups and
-signature calls.  They are machine-independent, so any move is a change
+``simulate_plan`` calls, timing-memo hits, compiles, cache lookups,
+signature calls and the data plane's destination tiles and their bytes.  They are machine-independent, so any move is a change
 in the work the program does.
 
 A change that moves a count on purpose rewrites the fixture in the same

@@ -17,7 +17,9 @@ op:
   (``TimingMemo.lookup`` returning a result);
 * ``compiles`` (``compile_resharding``), ``cache_lookups``
   (``PlanCache.lookup``), ``plan_signature`` and ``timing_signature``
-  calls.
+  calls;
+* ``data_tiles`` and ``data_tile_bytes`` — the destination tiles the
+  data plane built (``assemble_tile`` calls) and their bytes.
 
 A count that stays zero is left out.  The pass also keeps every memo
 hit as a :class:`MemoHit`, for the replay gate in
@@ -44,6 +46,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from repro.compiler import cache as cache_module
 from repro.compiler import pipeline as pipeline_module
 from repro.compiler import reset_default_plan_cache, reset_default_resim_cache
+from repro.core import data as data_module
 from repro.core.executor import PlanRunner, simulate_plan
 from repro.runtime.kernel import EventLoop
 from repro.sim import primitives
@@ -218,6 +221,15 @@ class Spies:
 
             return wrapper
 
+        def assemble_tile(fn):
+            def wrapper(*args, **kwargs):
+                tile = fn(*args, **kwargs)
+                counts["data_tiles"] += 1
+                counts["data_tile_bytes"] += tile.nbytes
+                return tile
+
+            return wrapper
+
         self._method(EventLoop, "call_at", call_at)
         self._method(EventLoop, "cancel", cancel)
         self._method(EventLoop, "run", run)
@@ -230,6 +242,7 @@ class Spies:
         self._function(pipeline_module.compile_resharding, self._counted("compiles"))
         self._function(cache_module.plan_signature, self._counted("plan_signature"))
         self._function(cache_module.timing_signature, signed)
+        self._function(data_module.assemble_tile, assemble_tile)
 
     def uninstall(self) -> None:
         while self._undo:
