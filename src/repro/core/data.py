@@ -6,15 +6,18 @@ strategy's plan reconstructs the destination layout exactly.  Semantics
 per op kind are documented in :mod:`repro.core.plan`.
 
 Receivers stage pieces as they arrive; a staged piece is a view of the
-sender's shard, not a copy.  At the end each destination device
-assembles its required tile from the staged full-region pieces
-(:func:`repro.core.tensor.assemble`), which verifies complete coverage
-and replica consistency.  Coverage is kept per box of the pieces'
-boundary grid, not per element, so the per-element work that remains
-is one copy into each destination tile, plus a compare wherever pieces
-overlap.  An all-gather rebuilds its region by the same routine in one
-dimension; flattening a scatter's region copies it once when the region
-is not contiguous in the sender's shard.
+sender's shard, not a copy, and every receiver of one op stages the
+same array.  At the end each distinct destination tile is assembled once
+from its staged full-region pieces (:func:`repro.core.tensor.assemble`),
+which verifies complete coverage and replica consistency: devices that
+need the same region from the same pieces in the same order are
+replicas of one tile, and the destination tensor stores it once
+(:class:`repro.core.tensor.Shards`).  Coverage is kept per box of the
+pieces' boundary grid, not per element, so the per-element work that
+remains is one copy into each distinct destination tile, plus a compare
+wherever pieces overlap.  An all-gather rebuilds its region by the same
+routine in one dimension; flattening a scatter's region copies it once
+when the region is not contiguous in the sender's shard.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _read_from_source(src: DistributedTensor, device: int, region: Region) -> np
         raise DataPlaneError(f"sender {device} is not a source-mesh device")
     tile_region = src.device_region(device)
     try:
-        return read_region(src.shards[device], tile_region, region)
+        return read_region(src.shards.stored[device], tile_region, region)
     except ValueError as e:
         raise DataPlaneError(
             f"sender {device} does not hold region {region}: {e}"
@@ -47,7 +50,40 @@ def _read_from_source(src: DistributedTensor, device: int, region: Region) -> np
 
 
 def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
-    """Execute the plan's data movement; return the destination tensor."""
+    """Execute the plan's data movement; return the destination tensor.
+
+    ``src`` is only read, in place.  Each distinct destination tile is
+    assembled once, when the first device in ``dst_mesh.devices`` order
+    needs it, so any :class:`DataPlaneError` names that device.  Its
+    replicas share it in the returned tensor until a caller reads their
+    shards, each then getting its own copy (see
+    :class:`~repro.core.tensor.Shards`).
+    """
+    task = plan.task
+    staged = _staged_pieces(plan, src)
+    # Devices that need the same region from the same buffers, in the
+    # same order, are replicas of one tile.
+    tiles: dict[tuple[object, ...], np.ndarray] = {}
+    shards: dict[int, np.ndarray] = {}
+    for dev in task.dst_mesh.devices:
+        pieces = staged.get(dev, [])
+        want = task.dst_grid.device_region(dev)
+        key = (want, *((region, id(data)) for region, data in pieces))
+        if key not in tiles:
+            tiles[key] = assemble_tile(dev, want, pieces, src.dtype, plan.strategy)
+        shards[dev] = tiles[key]
+    return DistributedTensor(
+        task.dst_mesh, task.dst_spec, task.shape, shards, dtype=src.dtype
+    )
+
+
+def _staged_pieces(
+    plan: CommPlan, src: DistributedTensor
+) -> dict[int, list[tuple[Region, np.ndarray]]]:
+    """Run the plan's ops on ``src``: each destination device's staged
+    ``(region, data)`` pieces in op order, then its local shard if it is
+    also a source device.  Every receiver of one op stages the same
+    array."""
     task = plan.task
     if not plan.data_complete:
         raise DataPlaneError(
@@ -123,21 +159,11 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
             raise DataPlaneError(f"unknown op type {type(op).__name__}")
         done.add(op.op_id)
 
-    # ------------------------------------------------------------------
-    # Assemble each destination device's tile from its staged pieces.
-    # ------------------------------------------------------------------
-    shards: dict[int, np.ndarray] = {}
     for dev in task.dst_mesh.devices:
-        pieces = region_pieces.get(dev, [])
         if dev in src.shards:
             # Intra-mesh resharding: the device reuses its local shard.
-            pieces = [*pieces, (src.device_region(dev), src.shards[dev])]
-        shards[dev] = assemble_tile(
-            dev, task.dst_grid.device_region(dev), pieces, src.dtype, plan.strategy
-        )
-    return DistributedTensor(
-        task.dst_mesh, task.dst_spec, task.shape, shards, dtype=src.dtype
-    )
+            stage_region(dev, src.device_region(dev), src.shards.stored[dev])
+    return region_pieces
 
 
 def assemble_tile(

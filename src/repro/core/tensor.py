@@ -9,7 +9,8 @@ can verify every destination device ends up with exactly its tile.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from collections import Counter
+from typing import Iterator, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .spec import ShardingSpec, parse_spec
 
 __all__ = [
     "DistributedTensor",
+    "Shards",
     "read_region",
     "nbytes_of",
     "region_nbytes",
@@ -57,11 +59,18 @@ def _within(box: Region, outer: Region) -> tuple[slice, ...]:
 def same_values(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two same-shape arrays hold equal values, NaN matching NaN.
 
-    The one equality of replicas and overlapping pieces.  ``-0.0``
-    matches ``0.0``; a float or complex NaN matches any NaN (plain
-    ``np.array_equal`` calls NaN unequal to itself); bool, integer and
-    object arrays compare with ``==``.
+    The one equality of replicas and overlapping pieces, and true of any
+    array and itself.  ``-0.0`` matches ``0.0``; a float or complex NaN
+    matches any NaN (plain ``np.array_equal`` calls NaN unequal to
+    itself); bool and integer arrays compare with ``==``; object arrays
+    compare element by element as Python containers do, ``x is y or
+    x == y``, so an object matches itself even where it is not equal to
+    itself, as a NaN is.
     """
+    if a.dtype.kind == "O" or b.dtype.kind == "O":
+        return a.shape == b.shape and all(
+            x is y or x == y for x, y in zip(a.flat, b.flat)
+        )
     return np.array_equal(a, b) or (
         a.dtype.kind in "fc" and np.array_equal(a, b, equal_nan=True)
     )
@@ -86,13 +95,21 @@ def assemble(
     each axis, not per element.  Pieces are placed last first: each
     writes only the cells no later piece wrote and is compared with the
     tile on the others, so every element of ``tile`` is written once and
-    compared once for each other piece that covers it.
+    compared once for each other piece that covers it.  A piece that a
+    later piece repeats (the same region of the same buffer object, as
+    replicas sharing one stored tile give) is not placed: the repeat
+    writes the same bytes, and as :func:`same_values` is true of an array
+    and itself, it changes neither the tile, the conflict nor the count.
     """
+    last = {(region, id(data)): k for k, (region, data) in enumerate(pieces)}
     clipped = []
+    placed = []
     for k, (region, data) in enumerate(pieces):
         inter = region_intersection(region, want)
         if inter is not None:
             clipped.append((k, inter, data[_within(inter, region)]))
+            if last[region, id(data)] == k:
+                placed.append(clipped[-1])
     bounds = [
         sorted({w0, w1, *(b for _, inter, _ in clipped for b in inter[axis])})
         for axis, (w0, w1) in enumerate(want)
@@ -101,7 +118,7 @@ def assemble(
     covered = np.zeros([len(axis) - 1 for axis in bounds], dtype=bool)
     tile = np.empty(region_shape(want), dtype=dtype)
     agree = True
-    for _, inter, data in reversed(clipped):
+    for _, inter, data in reversed(placed):
         cells = tuple(slice(ix[lo], ix[hi]) for ix, (lo, hi) in zip(index, inter))
         done = covered[cells]
         if not done.any():
@@ -169,8 +186,58 @@ def read_region(tile: np.ndarray, tile_region: Region, want: Region) -> np.ndarr
     return tile[tuple(rel)]
 
 
+class Shards(MutableMapping[int, np.ndarray]):
+    """A tensor's shards by device, where replicas may share one stored tile.
+
+    ``stored`` maps each device to its array; the devices in ``shared``
+    store one array object with some other device.  Reading a shared
+    device's shard through the mapping first gives it its own copy, so
+    every shard a caller obtains is writable if its array was and
+    independent of every other device's.  ``stored`` is for readers that
+    only read, such as :meth:`DistributedTensor.to_global` and the data
+    plane: a shared tile is read there without copying.
+    """
+
+    __slots__ = ("stored", "shared")
+
+    def __init__(self, stored: dict[int, np.ndarray]) -> None:
+        self.stored = stored
+        refs = Counter(id(arr) for arr in stored.values())
+        self.shared = {d for d, arr in stored.items() if refs[id(arr)] > 1}
+
+    def __getitem__(self, device: int) -> np.ndarray:
+        if device in self.shared:
+            self.shared.discard(device)
+            self.stored[device] = self.stored[device].copy()
+        return self.stored[device]
+
+    def __setitem__(self, device: int, shard: np.ndarray) -> None:
+        self.shared.discard(device)
+        self.stored[device] = shard
+
+    def __delitem__(self, device: int) -> None:
+        self.shared.discard(device)
+        del self.stored[device]
+
+    def __contains__(self, device: object) -> bool:
+        return device in self.stored
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.stored)
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+
 class DistributedTensor:
-    """A tensor sharded over a mesh; each device holds its tile."""
+    """A tensor sharded over a mesh; each device holds its tile.
+
+    Devices given the same array object are replicas of one stored tile:
+    the tensor keeps that array once, and each device gets its own copy
+    the first time its shard is read through :attr:`shards` (a
+    :class:`Shards`).  :meth:`to_global` and :meth:`allclose` read the
+    stored tiles in place and copy no replica.
+    """
 
     def __init__(
         self,
@@ -185,10 +252,10 @@ class DistributedTensor:
         self.shape = tuple(int(s) for s in shape)
         self.grid = TileGrid(self.shape, self.spec, mesh)
         self.dtype = np.dtype(dtype) if dtype is not None else None
-        self.shards: dict[int, np.ndarray] = {}
         missing = set(mesh.devices) - set(shards)
         if missing:
             raise ValueError(f"missing shards for devices {sorted(missing)}")
+        stored: dict[int, np.ndarray] = {}
         for d in mesh.devices:
             arr = np.asarray(shards[d])
             want = region_shape(self.grid.device_region(d))
@@ -202,7 +269,8 @@ class DistributedTensor:
                 raise ValueError(
                     f"device {d}: dtype {arr.dtype} != tensor dtype {self.dtype}"
                 )
-            self.shards[d] = arr
+            stored[d] = arr
+        self.shards = Shards(stored)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -214,13 +282,13 @@ class DistributedTensor:
     ) -> "DistributedTensor":
         """Shard a global array over the mesh per the spec.
 
-        Each shard is a writable copy of its tile, one per device, so a
-        replica costs its tile's bytes.  A tensor that is only read, such
-        as the source of a resharding, needs no copy: :meth:`view_global`
-        shards the same way with read-only views.
+        Each shard is a writable copy of its tile, made now and one per
+        device, so a replica costs its tile's bytes.  A tensor that is
+        only read, such as the source of a resharding, needs no copy:
+        :meth:`view_global` shards the same way with read-only views.
         """
         tensor = cls.view_global(mesh, spec, array)
-        tensor.shards = {d: view.copy() for d, view in tensor.shards.items()}
+        tensor.shards = Shards({d: v.copy() for d, v in tensor.shards.stored.items()})
         return tensor
 
     @classmethod
@@ -253,11 +321,13 @@ class DistributedTensor:
         """Reassemble the global tensor, verifying replica consistency.
 
         Replicas are compared by :func:`same_values`, so NaN matches NaN.
+        The stored tiles are read in place: replicas that still share one
+        are read once and copy nothing.
         """
         devices = self.mesh.devices
         out, conflict, missing = assemble(
             tuple((0, s) for s in self.shape),
-            [(self.grid.device_region(d), self.shards[d]) for d in devices],
+            [(self.grid.device_region(d), self.shards.stored[d]) for d in devices],
             self.dtype,
         )
         if conflict is not None:
@@ -270,9 +340,12 @@ class DistributedTensor:
         return out
 
     def allclose(self, other: "DistributedTensor | np.ndarray", **kw) -> bool:
+        """Whether ``other`` has this tensor's shape and close values
+        (``np.allclose``); nothing is broadcast."""
         if isinstance(other, DistributedTensor):
             other = other.to_global()
-        return bool(np.allclose(self.to_global(), np.asarray(other), **kw))
+        other = np.asarray(other)
+        return other.shape == self.shape and bool(np.allclose(self.to_global(), other, **kw))
 
     def __repr__(self) -> str:
         return (

@@ -10,20 +10,21 @@ same `DataPlaneError` text.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster, ClusterSpec, DeviceMesh, reshard
-from repro.core.data import DataPlaneError, apply_plan, assemble_tile
-from repro.core.intra import intra_mesh_reshard
-from repro.core.plan import AllGatherOp, ScatterOp
+from repro.core.data import DataPlaneError, _staged_pieces, apply_plan, assemble_tile
+from repro.core.intra import intra_mesh_reshard, plan_intra_mesh
+from repro.core.plan import AllGatherOp, BroadcastOp, MulticastOp, ScatterOp, SendOp
 from repro.core.slices import region_intersection, region_shape
 from repro.core.task import ReshardingTask
-from repro.core.tensor import DistributedTensor, assemble, same_values
-from repro.strategies import make_strategy
+from repro.core.tensor import DistributedTensor, Shards, assemble, same_values
+from repro.strategies import STRATEGIES, make_strategy
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +112,10 @@ def assembly_cases(draw):
             at = tuple(rng.integers(b0, b1) - r0 for (b0, b1), (r0, _) in zip(box, region))
             data[at] = pool[1] if data[at] != pool[1] else pool[0]
         pieces.append((region, data))
+    # a piece repeated: the same region of the same buffer, as replicas give
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if pieces else 0):
+        again = pieces[draw(st.integers(0, len(pieces) - 1))]
+        pieces.insert(draw(st.integers(0, len(pieces))), again)
     return want, pieces, dtype
 
 
@@ -129,6 +134,16 @@ def test_later_piece_bytes_win_where_values_are_equal():
     pieces = [(((0, 4),), zero), (((2, 6),), -zero), (((0, 1),), -zero[:1])]
     tile = assemble_tile(0, want, pieces, np.float32, "s")
     assert np.signbit(tile).tolist() == [True, False, True, True]
+
+
+def test_a_repeated_piece_counts_where_it_comes_last_and_first():
+    want = ((0, 4),)
+    zero, one = np.zeros(4, np.float32), np.ones(4, np.float32)
+    # its last repeat's bytes win, as in-order writes leave them
+    tile, conflict, _ = assemble(want, [(want, zero), (want, -zero), (want, zero)], np.float32)
+    assert conflict is None and not np.signbit(tile).any()
+    # the piece after its first place is the one that disagrees
+    assert assemble(want, [(want, one), (want, 2 * one), (want, one)], np.float32)[1] == 1
 
 
 def test_first_conflicting_piece_in_order_is_reported():
@@ -189,6 +204,20 @@ def test_same_values():
     assert not same_values(obj, np.array(["b", 1], dtype=object))
 
 
+def test_same_values_compares_objects_as_python_containers_do():
+    nan = float("nan")
+    obj = np.array([nan, 1], dtype=object)
+    assert same_values(obj, obj) and same_values(obj, obj.copy())
+    # another NaN object is unequal, as in ``[nan] == [float("nan")]``
+    assert not same_values(obj, np.array([float("nan"), 1], dtype=object))
+    assert not same_values(obj, np.array([nan, 2], dtype=object))
+    assert not same_values(obj, obj[:1])
+    # so does an object array against another dtype: a float NaN is another object
+    floats = np.array([nan, 1.0])
+    assert not same_values(obj, floats) and not same_values(floats, obj)
+    assert same_values(floats[1:], obj[1:]) and same_values(obj[1:], floats[1:])
+
+
 def _meshes(n_hosts=4, devices_per_host=2):
     c = Cluster(ClusterSpec(n_hosts=n_hosts, devices_per_host=devices_per_host))
     half = n_hosts // 2
@@ -233,6 +262,164 @@ def test_from_global_copies_and_view_global_does_not():
         with pytest.raises(ValueError, match="read-only"):
             views.shards[d][0, 0] = -1.0
     assert np.array_equal(arr, np.arange(16.0).reshape(4, 4)) and arr.flags.writeable
+
+
+# ----------------------------------------------------------------------
+# Replicas share one stored tile until a caller reads their shards
+# ----------------------------------------------------------------------
+SHARING = ["allgather", "broadcast", "multicast"]  # send_recv reads a view per receiver
+
+
+def _replicated(strategy, arr):
+    src, dst = _meshes(4, 4)  # S0RR on 8 devices -> RRR on 8 others
+    return reshard(arr, src, "S0RR", dst, "RRR", strategy=strategy, cache=None).dst_tensor
+
+
+def _cube():
+    return np.arange(8 * 8 * 8, dtype=np.float32).reshape(8, 8, 8)
+
+
+@pytest.mark.parametrize("strategy, tiles", [("broadcast", 1), ("multicast", 1), ("allgather", 2)])
+def test_an_eight_way_replicated_reshard_allocates_about_one_tile(strategy, tiles):
+    """One destination tile for all eight devices; an all-gather also
+    holds the regions it rebuilt, one tensor's worth."""
+    arr = np.random.default_rng(0).standard_normal((128, 128, 64), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = _replicated(strategy, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.shards) == 8 and arr.nbytes == 4 << 20
+    assert peak < (tiles + 0.5) * arr.nbytes
+    assert np.array_equal(out.to_global(), arr)
+
+
+@pytest.mark.parametrize("strategy", SHARING)
+@pytest.mark.parametrize("written", [0, -1], ids=["first", "last"])
+def test_a_write_to_one_replica_reaches_no_other(strategy, written):
+    arr = _cube()
+    out = _replicated(strategy, arr)
+    devices = out.mesh.devices
+    out.shards[devices[written]][1, 2, 3] = -1.0
+    # the first device, in mesh order, that disagrees with an earlier one
+    named = devices[1] if written == 0 else devices[written]
+    mismatch = rf"^replica mismatch: device {named} disagrees on \(\(0, 8\), \(0, 8\), \(0, 8\)\)$"
+    with pytest.raises(ValueError, match=mismatch):
+        out.to_global()
+    for d in devices:
+        assert np.array_equal(out.shards[d], arr) == (d != devices[written])
+    with pytest.raises(ValueError, match=mismatch):
+        out.to_global()
+
+
+@pytest.mark.parametrize("strategy", ["send_recv", *SHARING])
+def test_replica_shards_share_memory_with_nothing(strategy):
+    arr = _cube()
+    out = _replicated(strategy, arr)
+    tiles = list(out.shards.values())
+    for i, tile in enumerate(tiles):
+        assert tile.flags.writeable and not np.shares_memory(tile, arr)
+        assert not any(np.shares_memory(tile, other) for other in tiles[:i])
+    assert all(out.shards[d] is tile for d, tile in zip(out.mesh.devices, tiles))
+    assert np.array_equal(out.to_global(), arr)
+
+
+def test_shards_copy_a_shared_tile_on_its_first_read_only():
+    tile, own = np.arange(4.0), np.zeros(4)
+    shards = Shards({0: tile, 1: tile, 2: own})
+    assert shards.shared == {0, 1} and list(shards) == [0, 1, 2] and len(shards) == 3
+    assert 1 in shards and 3 not in shards and shards.stored[1] is tile
+    assert shards[2] is own  # a tile one device holds is handed out as is
+    first = shards[0]
+    assert first is not tile and np.array_equal(first, tile) and shards[0] is first
+    assert shards.shared == {1} and shards.stored[1] is tile
+    shards[1] = own
+    assert shards.shared == set() and shards[1] is own
+    del shards[0]
+    assert list(shards) == [1, 2] and dict(shards) == {1: own, 2: own}
+    view = Shards({0: tile, 1: tile})
+    view.pop(0)
+    assert view.shared == {1}
+    assert view.get(1) is not tile and view.shared == set()
+
+
+# ----------------------------------------------------------------------
+# Property: one assembly per distinct tile gives the per-device result
+# ----------------------------------------------------------------------
+DATA_STRATEGIES = [name for name in STRATEGIES if make_strategy(name).data_complete]
+SPECS_2D = ["RR", "S0R", "RS0", "S1R", "RS1", "S01R", "RS10", "S0S1", "S1S0"]
+
+
+def _per_device(plan, src):
+    """The destination tensor with each device's tile assembled on its own."""
+    task = plan.task
+    staged = _staged_pieces(plan, src)
+    tiles = {
+        d: assemble_tile(
+            d, task.dst_grid.device_region(d), staged.get(d, []), src.dtype, plan.strategy
+        )
+        for d in task.dst_mesh.devices
+    }
+    return DistributedTensor(task.dst_mesh, task.dst_spec, task.shape, tiles)
+
+
+def _tensor_outcome(make):
+    try:
+        tensor = make()
+    except DataPlaneError as e:
+        return ("error", str(e))
+    try:
+        whole = tensor.to_global().tobytes()  # before any shard is read
+    except ValueError as e:
+        whole = str(e)
+    return whole, [tensor.shards[d].tobytes() for d in tensor.mesh.devices]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    intra=st.booleans(),
+    src_spec=st.sampled_from(SPECS_2D),
+    dst_spec=st.sampled_from(SPECS_2D),
+    strategy=st.sampled_from(DATA_STRATEGIES),
+    devices_per_host=st.sampled_from([1, 2, 4]),
+    shape=st.tuples(st.integers(8, 11), st.integers(8, 11)),
+    faults=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    pick=st.integers(0, 2**16),
+)
+def test_one_assembly_per_tile_matches_per_device_assembly(
+    intra, src_spec, dst_spec, strategy, devices_per_host, shape, faults, pick
+):
+    src_mesh, dst_mesh = _meshes(4, devices_per_host)
+    arr = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+    if intra:
+        plan = plan_intra_mesh(shape, src_mesh, src_spec, dst_spec, dtype=arr.dtype)
+    else:
+        task = ReshardingTask(shape, src_mesh, src_spec, dst_mesh, dst_spec, dtype=arr.dtype)
+        assume(make_strategy(strategy).supports(task))
+        plan = make_strategy(strategy).plan(task)
+    src = DistributedTensor.from_global(src_mesh, plan.task.src_spec, arr)
+    drop, repeat, corrupt = faults
+    if not any(faults):
+        assert np.array_equal(apply_plan(plan, src).to_global(), arr)
+    victim, at = src_mesh.devices[pick % len(src_mesh.devices)], None
+    if plan.ops and repeat:
+        # the op again, from any holder of its region: the one corrupted
+        op = plan.ops[pick % len(plan.ops)]
+        holders = [d for d in src_mesh.devices if plan.task.holds(d, op.region)]
+        if isinstance(op, (SendOp, BroadcastOp, MulticastOp)) and holders:
+            victim = holders[pick % len(holders)]
+            op = dataclasses.replace(op, sender=victim)
+            at = tuple(r0 - t0 for (r0, _), (t0, _) in zip(op.region, src.device_region(victim)))
+        plan.ops.append(dataclasses.replace(op, op_id=max(o.op_id for o in plan.ops) + 1))
+    if plan.ops and drop:
+        plan.ops.pop(pick % len(plan.ops))
+    if corrupt:
+        shard = src.shards[victim]
+        shard[at if at is not None else np.unravel_index(pick % shard.size, shard.shape)] = -1.0
+    assert _tensor_outcome(lambda: apply_plan(plan, src)) == _tensor_outcome(
+        lambda: _per_device(plan, src)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import reshard
 from repro.core.data import DataPlaneError, apply_plan
 from repro.core.mesh import DeviceMesh
 from repro.core.plan import AllGatherOp, BroadcastOp, ScatterOp, SendOp
@@ -207,6 +208,24 @@ def test_distributed_tensor_allclose():
     assert not a.allclose(arr + 1)
 
 
+@pytest.mark.parametrize(
+    "other",
+    [
+        lambda mesh: np.array(0.0),
+        lambda mesh: np.zeros(4),
+        lambda mesh: np.zeros((1, 4)),
+        lambda mesh: DistributedTensor.from_global(mesh, "RR", np.zeros((1, 4))),
+        lambda mesh: np.zeros((3, 3)),
+    ],
+    ids=["scalar", "row", "row-2d", "rr-tensor-row", "3x3"],
+)
+def test_distributed_tensor_is_close_only_to_its_own_shape(other):
+    c = Cluster(ClusterSpec(n_hosts=1, devices_per_host=2))
+    mesh = DeviceMesh.from_hosts(c, [0])
+    zeros = DistributedTensor.from_global(mesh, "S0R", np.zeros((4, 4)))
+    assert zeros.allclose(other(mesh)) is False
+
+
 # ----------------------------------------------------------------------
 # Replicas holding NaN agree; real disagreements still raise
 # ----------------------------------------------------------------------
@@ -225,6 +244,18 @@ def test_nan_replicas_agree():
         DistributedTensor.from_global(src, task.src_spec, nan),
     )
     assert np.isnan(out.to_global()).all()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_object_nan_replicas_agree(strategy):
+    """Replicas of an object array hold the same objects, and an object
+    matches itself as in a Python container, even a NaN."""
+    src, dst = _nan_meshes()
+    nan = float("nan")
+    arr = np.full((4, 4), nan, dtype=object)
+    out = reshard(arr, src, "S0R", dst, "RR", strategy=strategy, cache=None).dst_tensor
+    assert all(x is nan for x in out.to_global().flat)
+    assert all(x is nan for d in dst.devices for x in out.shards[d].flat)
 
 
 def test_nan_delivered_twice_is_no_conflict():
