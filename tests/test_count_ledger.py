@@ -6,8 +6,10 @@ pass of ``paper_suite``, ``train_iter`` and ``reshard_zoo`` and for the
 .SERVE_SCENARIOS`, the counts :mod:`tests.workload_counts` lists:
 kernel events by producer, flows by primitive, solves and fills,
 ``simulate_plan`` calls, timing-memo hits, compiles, cache lookups,
-signature calls and the data plane's destination tiles and their bytes.  They are machine-independent, so any move is a change
-in the work the program does.
+signature calls, the data plane's destination tiles and their bytes,
+and the randomized greedy's calls and generator draws.  They are
+machine-independent, so any move is a change in the work the program
+does.
 
 A change that moves a count on purpose rewrites the fixture in the same
 diff and names, in its change notes, each count that moved, from what to

@@ -19,7 +19,13 @@ op:
   (``PlanCache.lookup``), ``plan_signature`` and ``timing_signature``
   calls;
 * ``data_tiles`` and ``data_tile_bytes`` — the destination tiles the
-  data plane built (``assemble_tile`` calls) and their bytes.
+  data plane built (``assemble_tile`` calls) and their bytes;
+* ``greedy_schedules`` and ``greedy_draws`` — §3.2's randomized greedy
+  (``randomized_greedy_schedule`` calls) and the ``getrandbits`` calls
+  its generators made.  The scheduler module's ``random`` is bound to a
+  namespace whose ``Random`` has a Python-level ``getrandbits``, which
+  ``random.Random`` then also routes ``shuffle`` through, so a shuffle
+  and an inline draw are counted alike.
 
 A count that stays zero is left out.  The pass also keeps every memo
 hit as a :class:`MemoHit`, for the replay gate in
@@ -36,6 +42,7 @@ import dataclasses
 import functools
 import gc
 import importlib.util
+import random
 import sys
 import types
 from collections import Counter
@@ -49,6 +56,7 @@ from repro.compiler import reset_default_plan_cache, reset_default_resim_cache
 from repro.core import data as data_module
 from repro.core.executor import PlanRunner, simulate_plan
 from repro.runtime.kernel import EventLoop
+from repro.scheduling import algorithms as algorithms_module
 from repro.sim import primitives
 from repro.sim.network import Network
 from repro.sim.solver import ScalarSolver
@@ -122,6 +130,19 @@ def timing_fields(result) -> dict:
     }
     out["digest"] = result.telemetry.digest()
     return out
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its ``getrandbits`` calls into ``counts``.
+
+    Defined once: a class made per op would be cyclic garbage.
+    """
+
+    counts: Counter[str] = Counter()
+
+    def getrandbits(self, k: int) -> int:
+        self.counts["greedy_draws"] += 1
+        return super().getrandbits(k)
 
 
 class Spies:
@@ -243,6 +264,13 @@ class Spies:
         self._function(cache_module.plan_signature, self._counted("plan_signature"))
         self._function(cache_module.timing_signature, signed)
         self._function(data_module.assemble_tile, assemble_tile)
+        self._function(
+            algorithms_module.randomized_greedy_schedule, self._counted("greedy_schedules")
+        )
+        _CountingRandom.counts = counts
+        bound = algorithms_module.random
+        algorithms_module.random = types.SimpleNamespace(Random=_CountingRandom)
+        self._undo.append(lambda: setattr(algorithms_module, "random", bound))
 
     def uninstall(self) -> None:
         while self._undo:
