@@ -9,7 +9,10 @@
   decisions with lower-bound pruning and a deterministic node budget.
 * :func:`randomized_greedy_schedule` — iterative rounds; each round
   picks, via random restarts, a conflict-free task set maximizing the
-  number of devices involved.
+  number of devices involved.  Its draws are ``Random.shuffle``'s,
+  one permutation per restart, so a seed fixes every schedule; a
+  restart stops walking once every host is held, and once one reaches
+  the round's score bound the rest only make their draws.
 * :func:`ensemble_schedule` — run DFS and randomized greedy, keep the
   better result (the paper's "ours" in the Fig. 8 ablation).
 * :func:`brute_force_schedule` — exact, for optimality tests on tiny
@@ -19,9 +22,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import sys
 from typing import Iterable, Optional
 
+from .. import checks
 from .problem import Schedule, SchedulingProblem, evaluate
 
 __all__ = [
@@ -112,7 +118,9 @@ def dfs_schedule(
     stops at the budget and returns the best complete schedule found
     (falling back to LPT if none completed).
     """
-    node_budget = max(1, int(time_budget * _DFS_NODES_PER_SECOND))
+    checks.real("time_budget", time_budget, "[0, inf)")
+    # a budget too large to count in nodes is no limit at all
+    node_budget = max(1, int(min(time_budget * _DFS_NODES_PER_SECOND, sys.maxsize)))
     nodes = 0
     best = initial_best if initial_best is not None else load_balance_schedule(problem)
     best_makespan = best.makespan
@@ -214,16 +222,34 @@ def randomized_greedy_schedule(problem: SchedulingProblem, seed: int = 0) -> Sch
     Each round repeatedly shuffles the remaining tasks and greedily
     keeps those that can run concurrently with the set built so far
     (no shared sender or receiver host); the trial covering the most
-    devices wins the round.  Concatenating rounds yields the global
-    order; list scheduling then recovers concurrency inside rounds.
+    devices wins the round (the first such trial on a tie).
+    Concatenating rounds yields the global order; list scheduling then
+    recovers concurrency inside rounds.
 
     A trial's used hosts are one bitmask.  Each task's receiver hosts
     are a mask, and its sender options are sorted once by ``(duration,
     host)``, so the first option not in use is the fastest compatible
-    sender host.  The draws (one ``rng.shuffle`` of the sorted remaining
-    ids per trial) fix every schedule.
+    sender host.  The draws fix every schedule: each trial permutes the
+    sorted remaining tasks exactly as ``rng.shuffle`` does, by an inline
+    Fisher-Yates making the same ``getrandbits`` calls (for ``i`` from
+    ``n - 1`` down to 1, draw ``k = (i + 1).bit_length()`` bits until
+    the value is at most ``i``, then swap).  Two cuts skip work that
+    cannot change the result:
+
+    * A trial stops walking once every host is held: a later task
+      conflicts on its receivers or finds no free sender host.
+    * Chosen tasks hold disjoint host sets, and a task holds at least
+      ``h = min over its sender options of |receivers | {sender}|``
+      hosts, so a trial chooses at most ``fit`` tasks, the most whose
+      smallest ``h`` sum to at most the problem's host count; as
+      ``n_devices >= 1``, no trial scores more than the ``fit`` largest
+      ``n_devices`` together.  A later trial must score strictly more to
+      win, so once one reaches that bound the round's remaining trials
+      only make their draws (no swap, no walk), and the next round's
+      draws are unchanged.
     """
-    rng = random.Random(seed)
+    checks.integer("seed", seed, -math.inf)
+    getrandbits = random.Random(int(seed)).getrandbits
     bit: dict[int, int] = {}
 
     def mask(hosts: Iterable[int]) -> int:
@@ -232,45 +258,71 @@ def randomized_greedy_schedule(problem: SchedulingProblem, seed: int = 0) -> Sch
             m |= bit.setdefault(h, 1 << len(bit))
         return m
 
-    # task id -> (receiver mask, [(sender host, its mask)] fastest first, devices)
-    prepared: dict[int, tuple[int, list[tuple[int, int]], int]] = {}
-    for t in problem.tasks:
+    # one row per task, in task id order: (task id, receiver mask,
+    # [(sender host, its mask)] fastest first, devices, fewest hosts held)
+    rows = []
+    for t in sorted(problem.tasks, key=lambda t: t.task_id):
+        receivers = mask(t.receiver_hosts)
         options = sorted(t.sender_host_options, key=lambda h: (t.duration(h), h))
-        prepared[t.task_id] = (
-            mask(t.receiver_hosts),
-            [(h, mask((h,))) for h in options],
-            t.n_devices,
-        )
-    remaining = set(prepared)
+        senders = [(h, mask((h,))) for h in options]
+        least = min((receivers | sender).bit_count() for _, sender in senders)
+        rows.append((t.task_id, receivers, senders, t.n_devices, least))
+    n_hosts = len(bit)
+    every_host = (1 << n_hosts) - 1
     assignment: dict[int, int] = {}
     order: list[int] = []
-    while remaining:
+    while rows:
+        held = fit = 0
+        for least in sorted(row[4] for row in rows):
+            held += least
+            if held > n_hosts:
+                break
+            fit += 1
+        bound = sum(sorted((row[3] for row in rows), reverse=True)[:fit])
+        steps = [(i, (i + 1).bit_length()) for i in range(len(rows) - 1, 0, -1)]
         best_set: list[tuple[int, int]] = []  # (task_id, host)
         best_score = -1
-        ids = sorted(remaining)
-        for _ in range(N_TRIALS):
-            perm = ids[:]
-            rng.shuffle(perm)
+        trials = N_TRIALS
+        while trials:
+            trials -= 1
+            perm = rows[:]
+            for i, k in steps:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                perm[i], perm[j] = perm[j], perm[i]
             used = 0
             chosen: list[tuple[int, int]] = []
             score = 0
-            for tid in perm:
-                receivers, options, n_devices = prepared[tid]
+            for tid, receivers, senders, n_devices, _ in perm:
                 if used & receivers:
                     continue
-                for h, sender in options:
+                for h, sender in senders:
                     if not used & sender:
-                        chosen.append((tid, h))
-                        used |= receivers | sender
-                        score += n_devices
                         break
+                else:
+                    continue
+                chosen.append((tid, h))
+                used |= receivers | sender
+                score += n_devices
+                if used == every_host:
+                    break
             if score > best_score:
                 best_score = score
                 best_set = chosen
-        for tid, h in sorted(best_set):
+                if score >= bound:
+                    break
+        # the round's leftover trials only draw, so later rounds draw as before
+        for _ in range(trials):
+            for i, k in steps:
+                while getrandbits(k) > i:
+                    pass
+        best_set.sort()
+        for tid, h in best_set:
             assignment[tid] = h
             order.append(tid)
-            remaining.discard(tid)
+        done = {tid for tid, _ in best_set}
+        rows = [row for row in rows if row[0] not in done]
     return _finalize(problem, assignment, tuple(order), "randomized_greedy")
 
 

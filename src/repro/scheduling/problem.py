@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from .. import checks
+
 if TYPE_CHECKING:  # avoid a hard import cycle with repro.core
     from ..core.task import ReshardingTask
     from ..sim.faults import FaultSchedule
@@ -41,6 +43,11 @@ class SchedTask:
     duration_by_host: Mapping[int, float]
     #: total devices the task touches (randomized-greedy's round score)
     n_devices: int = 1
+
+    def __post_init__(self) -> None:
+        checks.integer("n_devices", self.n_devices, 1)
+        for h, d in self.duration_by_host.items():
+            checks.real(f"task {self.task_id} duration on host {h}", d, "[0, inf)")
 
     def duration(self, host: int) -> float:
         return self.duration_by_host[host]

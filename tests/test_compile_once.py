@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import types
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.core.validate import PlanValidationError
 from repro.experiments.common import make_microbench_meshes
 from repro.experiments.fig6 import TABLE2_CASES, TENSOR_SHAPE
 from repro.scheduling import SchedTask, SchedulingProblem, randomized_greedy_schedule
+from repro.scheduling import algorithms
 from repro.scheduling.algorithms import N_TRIALS
 from repro.scheduling.problem import evaluate
 from repro.service import (
@@ -52,9 +54,12 @@ from repro.sim.faults import DegradedWindow, FaultSchedule, HostFailure, RetryPo
 # ----------------------------------------------------------------------
 # The randomized greedy: bitmasks == the set algebra it replaced
 # ----------------------------------------------------------------------
-def set_algebra_greedy(problem, seed=0):
-    """The set-algebra randomized greedy, verbatim; returns (assignment, order)."""
-    rng = random.Random(seed)
+def set_algebra_greedy(problem, seed=0, rng=None):
+    """The set-algebra randomized greedy, verbatim; returns (assignment, order).
+
+    ``rng`` replaces the generator ``random.Random(seed)``.
+    """
+    rng = random.Random(seed) if rng is None else rng
     remaining = {t.task_id: t for t in problem.tasks}
     assignment: dict[int, int] = {}
     order: list[int] = []
@@ -127,6 +132,31 @@ def test_bitmask_greedy_equals_set_algebra_on_random_problems(problem):
         assert_greedy_matches(problem, seed)
 
 
+@st.composite
+def dense_problems(draw):
+    """Few hosts and many tasks, so trials fill every host and rounds hit
+    the score bound; a sender may also be a receiver, and a task may have
+    no receiver at all."""
+    n_hosts = draw(st.integers(1, 6))
+    hosts = st.integers(0, n_hosts - 1)
+    tasks = []
+    for tid in range(draw(st.integers(0, 40))):
+        options = draw(st.lists(hosts, min_size=1, max_size=3, unique=True))
+        receivers = draw(st.frozensets(hosts, max_size=3))
+        durations = {h: draw(st.sampled_from([0.5, 1.0, 2.5])) for h in options}
+        tasks.append(
+            SchedTask(tid, tuple(options), receivers, durations, n_devices=draw(st.integers(1, 9)))
+        )
+    return SchedulingProblem(tasks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_problems())
+def test_bitmask_greedy_equals_set_algebra_on_dense_problems(problem):
+    for seed in (0, 7):
+        assert_greedy_matches(problem, seed)
+
+
 def test_bitmask_greedy_handles_host_ids_beyond_a_machine_word():
     tasks = [
         SchedTask(i, (80 + i % 3, 5 * i), frozenset({64 + i, 127 - i}),
@@ -170,6 +200,41 @@ def test_bitmask_greedy_equals_set_algebra_on_golden_problems():
             h.update(repr((label, seed, schedule.order)).encode())
     assert len(labels) == N_GOLDEN_PROBLEMS
     assert h.hexdigest() == GOLDEN_ORDERS_DIGEST
+
+
+class CountingRandom(random.Random):
+    """A generator that counts its ``getrandbits`` calls; ``shuffle``
+    goes through them too."""
+
+    def __init__(self, seed):
+        self.draws = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def test_bitmask_greedy_makes_the_draws_of_the_set_algebra(monkeypatch):
+    # a greedy that drops or adds a draw fails here even on a problem
+    # whose schedule survives it
+    made: list[CountingRandom] = []
+
+    def counting_random(seed):
+        made.append(CountingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(algorithms, "random", types.SimpleNamespace(Random=counting_random))
+    total = 0
+    for label, problem in golden_problems():
+        for seed in (0, 7):
+            made.clear()
+            randomized_greedy_schedule(problem, seed=seed)
+            expected = CountingRandom(seed)
+            set_algebra_greedy(problem, rng=expected)
+            assert len(made) == 1 and made[0].draws == expected.draws, (label, seed)
+            total += expected.draws
+    assert total > 0
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,12 @@ from repro.models.utransformer import UTransformerConfig
 from repro.pipeline.interleaved import InterleavedJob
 from repro.pipeline.schedules import schedule_job, split_backward
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
+from repro.scheduling import (
+    SchedTask,
+    SchedulingProblem,
+    dfs_schedule,
+    randomized_greedy_schedule,
+)
 from repro.service import (
     AdmissionConfig,
     BreakerConfig,
@@ -153,6 +159,16 @@ fields("schedule_job", schedule_job,
        ["n_stages", "n_microbatches", "delay_slots"])
 fields("split_backward", split_backward, {"order": []}, ["delay_slots"])
 
+# -- scheduling (§3.2) -----------------------------------------------------
+_SCHED = {"task_id": 0, "sender_host_options": (0,), "receiver_hosts": frozenset({1}),
+          "duration_by_host": {0: 1.0}}
+_PROBLEM = SchedulingProblem([SchedTask(**_SCHED), SchedTask(**{**_SCHED, "task_id": 1})])
+fields("SchedTask", SchedTask, _SCHED, ["n_devices"])
+row("SchedTask.duration_by_host", "duration", lambda v: SchedTask(**{**_SCHED,
+                                                                    "duration_by_host": {0: v}}))
+fields("randomized_greedy_schedule", randomized_greedy_schedule, {"problem": _PROBLEM}, ["seed"])
+fields("dfs_schedule", dfs_schedule, {"problem": _PROBLEM}, ["time_budget"])
+
 # -- models and compiler ---------------------------------------------------
 fields("GPTConfig", GPTConfig, {}, [
     "n_layers", "hidden", "seq_len", "vocab", "global_batch", "micro_batch_per_dp",
@@ -246,6 +262,28 @@ def test_each_kind_of_value_builds_or_names_its_parameter(expect, build):
 @given(value=VALUES)
 def test_drawn_values_build_or_name_their_parameter(expect, build, value):
     builds_or_names(expect, build, value)
+
+
+@pytest.mark.parametrize("name, call", [
+    # an OS-entropy seed makes a schedule no one can replay
+    ("seed", lambda: randomized_greedy_schedule(_PROBLEM, seed=None)),
+    ("time_budget", lambda: dfs_schedule(_PROBLEM, time_budget=math.inf)),
+    ("time_budget", lambda: dfs_schedule(_PROBLEM, time_budget=math.nan)),
+    ("time_budget", lambda: dfs_schedule(_PROBLEM, time_budget="x")),
+    ("time_budget", lambda: dfs_schedule(_PROBLEM, time_budget=-1.0)),  # once ran one node
+    ("n_devices", lambda: SchedTask(**_SCHED, n_devices=0)),
+    ("n_devices", lambda: SchedTask(**_SCHED, n_devices=-3)),
+    ("n_devices", lambda: SchedTask(**_SCHED, n_devices=2.5)),
+    # every scheduler reported makespan 2.0 for a problem whose task 0 took NaN
+    ("duration", lambda: SchedTask(**{**_SCHED, "duration_by_host": {0: math.nan}})),
+])
+def test_schedulers_refuse_inputs_section_3_2_cannot_mean(name, call):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_a_huge_finite_dfs_budget_is_no_limit():
+    assert dfs_schedule(_PROBLEM, time_budget=1e308).makespan == 2.0
 
 
 @pytest.mark.parametrize("args", [

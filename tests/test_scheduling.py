@@ -1,5 +1,7 @@
 """Tests for the load-balancing / scheduling algorithms (paper §3.2)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.mesh import DeviceMesh
 from repro.core.task import ReshardingTask
 from repro.scheduling import (
+    Schedule,
     SchedTask,
     SchedulingProblem,
     brute_force_schedule,
@@ -19,6 +22,7 @@ from repro.scheduling import (
     randomized_greedy_schedule,
     validate_schedule,
 )
+from repro.scheduling import algorithms
 from repro.sim.cluster import Cluster, ClusterSpec
 
 
@@ -118,6 +122,27 @@ def test_load_balance_spreads_load():
     assert hosts.count(0) == hosts.count(1) == 2
 
 
+def test_load_balance_sorts_by_slowest_option_and_picks_the_earliest_finish():
+    # task 0 is the longest by its slowest option (4.0 > 3.0) though its
+    # fastest (0.5) is the shortest; each goes where it finishes first
+    p = SchedulingProblem([
+        SchedTask(0, (0, 1), frozenset({2}), {0: 4.0, 1: 0.5}),
+        SchedTask(1, (0, 1), frozenset({3}), {0: 3.0, 1: 2.0}),
+    ])
+    s = load_balance_schedule(p)
+    assert s.order == (0, 1)
+    assert s.assignment == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("duration", [1.0, 64.0])
+def test_brute_force_keeps_the_first_optimum_it_meets(duration):
+    # two assignments and both orders tie; at 64.0 the 1e-15 tie margin
+    # is below the makespan's float spacing
+    p = SchedulingProblem([T(0, [0, 1], [2], duration), T(1, [0, 1], [3], duration)])
+    s = brute_force_schedule(p)
+    assert (s.order, s.assignment, s.makespan) == ((0, 1), {0: 0, 1: 1}, duration)
+
+
 def test_load_balance_is_lpt_order():
     tasks = [T(0, [0], [2], 1.0), T(1, [0], [3], 5.0), T(2, [0], [4], 3.0)]
     p = SchedulingProblem(tasks)
@@ -145,6 +170,42 @@ def test_dfs_respects_budget():
     validate_schedule(p, s)
 
 
+# at 16x the 1e-15 tie margin is below a makespan's float spacing, so a
+# subtree whose bound equals the best is pruned by ">=" alone
+@pytest.mark.parametrize("scale", [1.0, 16.0])
+def test_dfs_expands_exactly_time_budget_times_its_node_rate(scale):
+    # the search first reaches its 8.0 schedule at its 26th node, so a
+    # budget of 25 nodes returns LPT's 11.0 and one of 26 nodes the 8.0
+    p = SchedulingProblem([
+        SchedTask(0, (0, 1), frozenset({1, 3}), {0: 4.0 * scale, 1: 3.0 * scale}),
+        SchedTask(1, (1,), frozenset({0, 1}), {1: 3.0 * scale}),
+        SchedTask(2, (2,), frozenset({0}), {2: 3.0 * scale}),
+        SchedTask(3, (0, 1), frozenset({2, 3}), {0: 2.0 * scale, 1: 4.0 * scale}),
+    ])
+    assert load_balance_schedule(p).makespan == 11.0 * scale
+    assert dfs_schedule(p, time_budget=(26 - 1e-5) / 200_000).makespan == 11.0 * scale
+    assert dfs_schedule(p, time_budget=(26 + 1e-6) / 200_000).makespan == 8.0 * scale
+
+
+@pytest.mark.parametrize("d", [1.0, 64.0])
+def test_dfs_keeps_an_initial_best_no_leaf_beats(d):
+    # three tasks on two sender hosts take 2d however they are placed;
+    # the receiver bound (d) lets DFS reach leaves of 2d, and it must keep
+    # the equal schedule it was given (at 64.0 the 1e-15 tie margin is
+    # below the makespan's float spacing)
+    p = SchedulingProblem([T(i, [0, 1], [2 + i], d) for i in range(3)])
+    given = Schedule({0: 1, 1: 0, 2: 0}, (1, 0, 2), 2 * d, "given", {1: 0.0, 0: 0.0, 2: d})
+    s = dfs_schedule(p, time_budget=1.0, initial_best=given)
+    assert (s.order, s.assignment, s.makespan) == ((1, 0, 2), {0: 1, 1: 0, 2: 0}, 2 * d)
+
+
+def test_dfs_zero_budget_expands_the_root_only():
+    p = SchedulingProblem([T(0, [0, 1], [2], 1.0)])
+    worse = dataclasses.replace(naive_schedule(p), makespan=5.0)
+    assert dfs_schedule(p, time_budget=0.0, initial_best=worse).makespan == 5.0
+    assert dfs_schedule(p, time_budget=1e-5, initial_best=worse).makespan == 1.0
+
+
 def test_randomized_greedy_valid_and_effective():
     tasks = [T(i, [i % 2], [2 + (i // 2) % 2], 1.0) for i in range(8)]
     p = SchedulingProblem(tasks)
@@ -160,6 +221,14 @@ def test_randomized_greedy_deterministic_per_seed():
     a = randomized_greedy_schedule(p, seed=7)
     b = randomized_greedy_schedule(p, seed=7)
     assert a.order == b.order and a.assignment == b.assignment
+
+
+def test_randomized_greedy_seeds_with_zero_by_default():
+    tasks = [T(i, [0, 1], [2 + i % 2], 1.0 + i * 0.01) for i in range(6)]
+    p = SchedulingProblem(tasks)
+    default = randomized_greedy_schedule(p)
+    assert default.order == randomized_greedy_schedule(p, seed=0).order
+    assert default.order != randomized_greedy_schedule(p, seed=1).order
 
 
 def test_ensemble_never_worse_than_components():
@@ -178,10 +247,28 @@ def test_ensemble_skips_dfs_on_large_instances():
     validate_schedule(p, s)
 
 
+@pytest.mark.parametrize("n_tasks, runs_dfs", [(20, True), (21, False)])
+def test_ensemble_runs_dfs_up_to_twenty_tasks(n_tasks, runs_dfs, monkeypatch):
+    calls = []
+    dfs = algorithms.dfs_schedule
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return dfs(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "dfs_schedule", spy)
+    p = SchedulingProblem([T(i, [0], [1 + i % 3], 1.0) for i in range(n_tasks)])
+    ensemble_schedule(p)
+    assert bool(calls) == runs_dfs
+
+
 def test_brute_force_guard():
     tasks = [T(i, [0], [1], 1.0) for i in range(9)]
     with pytest.raises(ValueError):
         brute_force_schedule(SchedulingProblem(tasks))
+    with pytest.raises(ValueError, match="limited to 7 tasks"):
+        brute_force_schedule(SchedulingProblem(tasks[:8]))
+    assert brute_force_schedule(SchedulingProblem(tasks[:7])).makespan == 7.0
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +301,28 @@ def test_property_algorithms_valid_and_bounded(specs):
         # and at least as large as optimal
         assert s.makespan >= best.makespan - 1e-9
     assert ensemble_schedule(p).makespan <= best.makespan * 1.5 + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                            min_size=1, max_size=2),
+            st.frozensets(st.integers(2, 4), min_size=1, max_size=2),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_property_dfs_with_ample_budget_is_optimal(specs):
+    # a task's durations differ by sender host, so the forced-load bound
+    # must count each task at its cheapest option to stay a lower bound
+    p = SchedulingProblem([
+        SchedTask(i, tuple(sorted(durations)), receivers, durations)
+        for i, (durations, receivers) in enumerate(specs)
+    ])
+    assert dfs_schedule(p, time_budget=10.0).makespan == brute_force_schedule(p).makespan
 
 
 def test_ensemble_optimal_on_table2_cases():
